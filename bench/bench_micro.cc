@@ -54,58 +54,48 @@ void BM_FlowReallocation(benchmark::State& state) {
 }
 BENCHMARK(BM_FlowReallocation)->Arg(16)->Arg(64)->Arg(256);
 
-void BM_Reallocate(benchmark::State& state, bool incremental) {
-  // Steady-state reallocation cost at N concurrent flows. The platform is
-  // the grid's LAN sharing pattern: disjoint site switches, four worker
-  // flows per site, so the sharing graph is many small components. Each
-  // iteration churns one site-0 flow (cancel, start, activate) — two
-  // reallocations. Full mode refills the whole N-flow pool both times;
-  // incremental mode floods and refills only the ~4-flow component. Flow
-  // sizes are effectively infinite, so no completion ever interferes.
+void BM_Reallocate(benchmark::State& state) {
+  // Steady-state reallocation cost at N concurrent flows on the wide
+  // grid's sharing pattern: every flow leaves one source through a shared
+  // core link that never binds (capacity 4x the flows' total), then runs
+  // alone on its own thin site link, its bottleneck. The core link joins
+  // every flow into one connected component, but a join changes only the
+  // new flow's rate and a leave changes none, so the certified component
+  // stays one flow. Each iteration churns one flow (cancel, start,
+  // activate) — two reallocations. Flow sizes are effectively infinite,
+  // so no completion ever interferes.
   const int kFlows = static_cast<int>(state.range(0));
-  const int kPerSite = 4;
-  const int kSites = (kFlows + kPerSite - 1) / kPerSite;
+  constexpr double kSiteBw = 1e6;
   sim::Simulator sim;
   net::Topology topo;
-  std::vector<NodeId> switches;
-  std::vector<NodeId> workers;
-  for (int s = 0; s < kSites; ++s) {
-    switches.push_back(topo.add_node("sw"));
-    for (int w = 0; w < kPerSite; ++w) {
-      workers.push_back(topo.add_node("w"));
-      topo.add_link(switches.back(), workers.back(), 1e8, 0.0);
-    }
+  NodeId source = topo.add_node("file-server");
+  NodeId core = topo.add_node("core");
+  topo.add_link(source, core, 4.0 * kSiteBw * kFlows, 0.0);
+  std::vector<NodeId> sites;
+  for (int s = 0; s < kFlows; ++s) {
+    sites.push_back(topo.add_node("site"));
+    topo.add_link(core, sites.back(), kSiteBw, 0.0);
   }
-  net::FlowManager flows(sim, topo,
-                         net::FlowManagerOptions{.incremental = incremental});
+  net::FlowManager flows(sim, topo);
   std::vector<FlowId> ids;
   ids.reserve(static_cast<std::size_t>(kFlows));
   for (int i = 0; i < kFlows; ++i)
-    ids.push_back(flows.start_flow(
-        switches[static_cast<std::size_t>(i / kPerSite)],
-        workers[static_cast<std::size_t>(i)], megabytes(1e9), [](FlowId) {}));
+    ids.push_back(flows.start_flow(source, sites[static_cast<std::size_t>(i)],
+                                   megabytes(1e9), [](FlowId) {}));
   for (int i = 0; i < kFlows; ++i) sim.step();  // t=0 activations
 
   std::size_t victim = 0;
   for (auto _ : state) {
     flows.cancel(ids[victim]);
-    ids[victim] = flows.start_flow(switches[0], workers[victim],
-                                   megabytes(1e9), [](FlowId) {});
+    ids[victim] = flows.start_flow(source, sites[victim], megabytes(1e9),
+                                   [](FlowId) {});
     sim.step();  // the replacement's activation -> second reallocation
-    victim = (victim + 1) % kPerSite;
+    victim = (victim + 1) % static_cast<std::size_t>(kFlows);
   }
   benchmark::DoNotOptimize(flows.cancelled_flows());
   state.SetItemsProcessed(state.iterations() * 2);  // reallocations
 }
-
-void BM_Reallocate_full(benchmark::State& state) {
-  BM_Reallocate(state, /*incremental=*/false);
-}
-void BM_Reallocate_incremental(benchmark::State& state) {
-  BM_Reallocate(state, /*incremental=*/true);
-}
-BENCHMARK(BM_Reallocate_full)->Arg(10)->Arg(100)->Arg(1000);
-BENCHMARK(BM_Reallocate_incremental)->Arg(10)->Arg(100)->Arg(1000);
+BENCHMARK(BM_Reallocate)->Arg(10)->Arg(100)->Arg(1000);
 
 void BM_CacheChurn(benchmark::State& state) {
   storage::FileCache cache(6000, storage::EvictionPolicy::kLru);

@@ -73,15 +73,15 @@ void check_flow_conservation(const FlowAuditSnapshot& snap,
 void check_flow_rates(const FlowRatesSnapshot& snap,
                       std::vector<Violation>& out) {
   for (const FlowRateEntry& f : snap.flows) {
-    // Bitwise equality, not a tolerance: the incremental reallocation
-    // replays the exact FP operation sequence of the full recompute, so
-    // any difference at all means the dirty set missed a flow.
+    // Exact equality, not a tolerance: the component fill replays the
+    // FP operations the full recompute applies to its flows, so any
+    // difference at all means the certificate admitted a wrong component.
     if (f.stored_bps != f.recomputed_bps) {
       std::ostringstream os;
       os.precision(17);
-      os << snap.label << " flow " << f.id << " incremental rate "
+      os << snap.label << " flow " << f.id << " live rate "
          << f.stored_bps << " B/s != from-scratch recompute "
-         << f.recomputed_bps << " B/s (dirty-component reallocation drifted)";
+         << f.recomputed_bps << " B/s (component reallocation drifted)";
       report(out, "flow-rates", os);
     }
   }

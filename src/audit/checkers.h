@@ -60,15 +60,15 @@ struct FlowAuditSnapshot {
 void check_flow_conservation(const FlowAuditSnapshot& snap,
                              std::vector<Violation>& out);
 
-// Incremental max-min reallocation vs a from-scratch recompute. The
-// FlowManager produces the snapshot (audit_rates_snapshot): for every
+// Live max-min rates vs a from-scratch recompute. The FlowManager
+// produces the snapshot (audit_rates_snapshot): for every
 // bandwidth-sharing flow, the live stored rate next to the rate a full
-// progressive-filling pass over the same pool computes. The dirty-
+// progressive-filling pass over the same pool computes. The certified-
 // component reallocation contract is exact — stored rates must match the
 // recompute bitwise, so the checker tolerates no drift at all.
 struct FlowRateEntry {
   std::uint64_t id = 0;
-  double stored_bps = 0;      // the live incremental allocation
+  double stored_bps = 0;      // the live allocation
   double recomputed_bps = 0;  // from-scratch progressive filling
 };
 

@@ -10,20 +10,30 @@ namespace {
 // keeping a flow alive forever.
 constexpr double kEpsilonBytes = 1e-6;
 
+// A link is saturated when its flows' rates sum to at least
+// capacity * (1 - kSlackMargin), and keeps slack otherwise. A link with
+// slack under the rates the fill produces without it is never the
+// bottleneck: at a filling round with best share s, every still-unfixed
+// flow on it ends at >= s, so its share exceeds s. The margin makes that
+// strict despite FP rounding in the fill's capacity subtractions and in
+// the load sums (relative errors of order 1e-16 per operation, far below
+// 1e-9 at any pool size the grid reaches). It is part of the correctness
+// argument, not a tuning knob: a larger margin only floods more often.
+constexpr double kSlackMargin = 1e-9;
+
 // Progressive filling (max-min fairness) over `pool`: repeatedly find the
 // most constrained link among `links` (smallest per-flow fair share,
-// lowest link id among ties — `links` is scanned in ascending id order),
-// freeze its flows at that share, and subtract their demand from the
-// other links they cross. caps/crossing are dense per-link tables the
-// caller seeded for every link in `links`; rates[i] receives pool[i]'s
-// share. `unfixed` is caller-provided worklist scratch.
+// lowest link id among ties, whatever the order of `links`), freeze its
+// flows at that share, and subtract their demand from the other links
+// they cross. caps/crossing are dense per-link tables the caller seeded
+// for every link in `links`; rates[i] receives pool[i]'s share.
+// `unfixed` is caller-provided worklist scratch.
 //
-// The bottleneck order within one connected component of the flow<->link
-// sharing graph is independent of any other component (freezing a flow
-// only touches links of its own component), so running this over a
-// single component produces bitwise the same shares a full-pool run
-// assigns that component's flows. That equivalence is what lets
-// FlowManager::reallocate rebalance only the dirty component.
+// The result does not depend on the order of `pool` either: a round
+// subtracts the same share once per frozen flow, and the bottleneck
+// choice reads only per-link totals. Running this over a certified
+// component (see flow_manager.h) therefore assigns its flows bitwise
+// the shares a full-pool run would.
 template <typename FlowPtr>
 void progressive_fill(const std::vector<FlowPtr>& pool,
                       const std::vector<LinkId>& links,
@@ -42,7 +52,8 @@ void progressive_fill(const std::vector<FlowPtr>& pool,
       int n = crossing[lid.value()];
       if (n <= 0) continue;
       double share = caps[lid.value()] / n;
-      if (share < best_share) {
+      if (share < best_share ||
+          (found && share == best_share && lid.value() < best_link)) {
         best_share = share;
         best_link = lid.value();
         found = true;
@@ -51,28 +62,41 @@ void progressive_fill(const std::vector<FlowPtr>& pool,
     WCS_CHECK(found);
 
     // Freeze every unfixed flow crossing the bottleneck at best_share;
-    // compact survivors in place (canonical id order is preserved).
+    // compact survivors in place.
     std::size_t kept = 0;
     for (std::size_t idx : unfixed) {
       const auto& route = pool[idx]->route;
-      bool hits = std::find_if(route.begin(), route.end(), [&](LinkId l) {
-                    return l.value() == best_link;
+      bool hits = std::find_if(route.begin(), route.end(), [&](const auto& h) {
+                    return h.link.value() == best_link;
                   }) != route.end();
       if (!hits) {
         unfixed[kept++] = idx;
         continue;
       }
       rates[idx] = best_share;
-      for (LinkId lid : route) {
-        caps[lid.value()] -= best_share;
-        if (caps[lid.value()] < 0) caps[lid.value()] = 0;
-        --crossing[lid.value()];
+      for (const auto& h : route) {
+        caps[h.link.value()] -= best_share;
+        if (caps[h.link.value()] < 0) caps[h.link.value()] = 0;
+        --crossing[h.link.value()];
       }
     }
     unfixed.resize(kept);
   }
 }
 }  // namespace
+
+FlowManager::FlowManager(sim::Simulator& simulator, const Topology& topology)
+    : sim_(simulator), topo_(topology),
+      flows_(FlowMapAlloc(&flow_arena_)),
+      link_bytes_(topology.num_links(), 0),
+      links_(topology.num_links()),
+      link_cap_(topology.num_links(), 0),
+      link_crossing_(topology.num_links(), 0) {
+  for (std::size_t l = 0; l < links_.size(); ++l)
+    links_[l].capacity =
+        topo_.link(LinkId(static_cast<LinkId::underlying_type>(l)))
+            .bandwidth_bps;
+}
 
 void FlowManager::set_observability(obs::Observability* o) {
   tracer_ = o ? o->tracer() : nullptr;
@@ -93,7 +117,10 @@ FlowId FlowManager::start_flow(NodeId src, NodeId dst, Bytes bytes,
   FlowId id(next_flow_++);
   Flow f;
   f.id = id;
-  f.route = topo_.route(src, dst);  // copy: route cache may rehash
+  // Copy the links: the topology's route cache may rehash.
+  const Route& route = topo_.route(src, dst);
+  f.route.resize(route.size());
+  for (std::size_t i = 0; i < route.size(); ++i) f.route[i].link = route[i];
   f.total = static_cast<double>(bytes);
   f.remaining = f.total;
   bytes_started_ += f.total;
@@ -118,11 +145,12 @@ void FlowManager::activate(FlowId id) {
   f.last_update = sim_.now();
   if (f.remaining <= kEpsilonBytes || f.route.empty()) {
     // Zero-byte transfer, or an intra-node transfer: instantaneous once
-    // latency has been paid.
+    // latency has been paid. It never joins the pool.
     complete(id);
     return;
   }
-  reallocate(f.route);
+  join_pool(f);
+  reallocate(&f, {}, 0);
 }
 
 void FlowManager::complete(FlowId id) {
@@ -133,7 +161,7 @@ void FlowManager::complete(FlowId id) {
   // before the flow disappears.
   if (f.active && f.rate > 0) {
     double moved = unsettled_bytes(f, sim_.now());
-    for (LinkId lid : f.route) link_bytes_[lid.value()] += moved;
+    for (const Hop& h : f.route) link_bytes_[h.link.value()] += moved;
   }
   FlowCallback cb = std::move(f.on_complete);
   bytes_delivered_ += f.total;
@@ -152,11 +180,13 @@ void FlowManager::complete(FlowId id) {
   // zeroed; its links were rebalanced then, so its disappearance now
   // cannot change any rate.
   const bool shared = f.active && !f.draining;
-  Route released = std::move(f.route);
+  const double rate = f.rate;
+  if (f.pooled) leave_pool(f);
+  std::vector<Hop> released = std::move(f.route);
   flows_.erase(it);
   ++completed_;
   if (shared) {
-    reallocate(released);
+    reallocate(nullptr, released, rate);
   }
   if (cb) cb(id);
 }
@@ -169,14 +199,16 @@ bool FlowManager::cancel(FlowId id) {
   // Settle the bytes this flow moved so link statistics stay accurate.
   if (f.active && f.rate > 0) {
     double moved = unsettled_bytes(f, sim_.now());
-    for (LinkId lid : f.route) link_bytes_[lid.value()] += moved;
+    for (const Hop& h : f.route) link_bytes_[h.link.value()] += moved;
   }
   const bool shared = f.active && !f.draining;
-  Route released = std::move(f.route);
+  const double rate = f.rate;
+  if (f.pooled) leave_pool(f);
+  std::vector<Hop> released = std::move(f.route);
   flows_.erase(it);
   ++cancelled_;
   if (shared) {
-    reallocate(released);
+    reallocate(nullptr, released, rate);
   }
   return true;
 }
@@ -228,9 +260,9 @@ audit::FlowAuditSnapshot FlowManager::audit_snapshot() const {
     p.active = f.active;
     snap.flows.push_back(p);
     if (!f.active) continue;
-    for (LinkId lid : f.route) {
-      snap.links[lid.value()].allocated_bps += f.rate;
-      ++snap.links[lid.value()].flows;
+    for (const Hop& h : f.route) {
+      snap.links[h.link.value()].allocated_bps += f.rate;
+      ++snap.links[h.link.value()].flows;
     }
   }
   return snap;
@@ -240,8 +272,11 @@ audit::FlowRatesSnapshot FlowManager::audit_rates_snapshot() const {
   audit::FlowRatesSnapshot snap;
   snap.label = "flow manager";
 
-  // Local (non-hoisted) buffers: the audit path must leave the manager
-  // untouched so audited runs stay byte-identical.
+  // The one from-scratch oracle: the whole pool, every link it crosses.
+  // Local (non-hoisted) buffers and the flow table rather than the
+  // member lists: the audit path must leave the manager untouched so
+  // audited runs stay byte-identical, and must not trust the structures
+  // it checks.
   std::vector<const Flow*> pool;
   pool.reserve(flows_.size());
   // detlint: unordered-loop -- collect-then-sort: 'pool' is sorted by flow id below
@@ -254,15 +289,14 @@ audit::FlowRatesSnapshot FlowManager::audit_rates_snapshot() const {
   std::vector<double> caps(topo_.num_links(), 0);
   std::vector<int> crossing(topo_.num_links(), 0);
   for (const Flow* f : pool) {
-    for (LinkId lid : f->route) {
-      if (crossing[lid.value()] == 0) {
-        links.push_back(lid);
-        caps[lid.value()] = topo_.link(lid).bandwidth_bps;
+    for (const Hop& h : f->route) {
+      if (crossing[h.link.value()] == 0) {
+        links.push_back(h.link);
+        caps[h.link.value()] = topo_.link(h.link).bandwidth_bps;
       }
-      ++crossing[lid.value()];
+      ++crossing[h.link.value()];
     }
   }
-  std::sort(links.begin(), links.end());
 
   std::vector<std::size_t> unfixed;
   std::vector<double> rates;
@@ -285,144 +319,226 @@ double FlowManager::flow_rate(FlowId id) const {
   return it->second.active ? it->second.rate : 0;
 }
 
-void FlowManager::collect_pool() {
-  realloc_order_.clear();
-  // detlint: unordered-loop -- collect-then-sort: 'realloc_order_' is sorted by flow id below
-  for (auto& [id, f] : flows_)
-    if (f.active && !f.draining) realloc_order_.push_back(&f);
-  std::sort(realloc_order_.begin(), realloc_order_.end(),
-            [](const Flow* a, const Flow* b) { return a->id < b->id; });
+void FlowManager::join_pool(Flow& f) {
+  f.pooled = true;
+  for (Hop& h : f.route) {
+    LinkState& s = links_[h.link.value()];
+    h.flow = &f;
+    h.prev = nullptr;
+    h.next = s.members;
+    if (s.members != nullptr) s.members->prev = &h;
+    s.members = &h;
+    ++s.count;
+  }
 }
 
-void FlowManager::build_component(const std::vector<LinkId>& seeds) {
+void FlowManager::leave_pool(Flow& f) {
+  f.pooled = false;
+  for (Hop& h : f.route) {
+    LinkState& s = links_[h.link.value()];
+    if (h.prev != nullptr) {
+      h.prev->next = h.next;
+    } else {
+      s.members = h.next;
+    }
+    if (h.next != nullptr) h.next->prev = h.prev;
+    h.prev = h.next = nullptr;
+    --s.count;
+  }
+}
+
+double FlowManager::link_load(const LinkState& s) const {
+  double load = 0;
+  for (const Hop* h = s.members; h != nullptr; h = h->next)
+    load += h->flow->rate;
+  return load;
+}
+
+bool FlowManager::saturated(const LinkState& s, double load) const {
+  return load >= s.capacity * (1 - kSlackMargin);
+}
+
+void FlowManager::begin_component() {
   ++epoch_;
   component_.clear();
-  fill_links_.clear();
-  collect_pool();
-
-  if (!options_.incremental) {
-    // Reference mode: the component is the whole pool.
-    component_ = realloc_order_;
-    for (Flow* f : component_) {
-      for (LinkId lid : f->route) {
-        if (link_mark_[lid.value()] != epoch_) {
-          link_mark_[lid.value()] = epoch_;
-          fill_links_.push_back(lid);
-        }
-      }
-    }
-    std::sort(fill_links_.begin(), fill_links_.end());
-    return;
-  }
-
-  for (LinkId lid : seeds) {
-    if (link_mark_[lid.value()] != epoch_) {
-      link_mark_[lid.value()] = epoch_;
-      fill_links_.push_back(lid);
-    }
-  }
-
-  // Flood the sharing graph: a flow joins the component when any link of
-  // its route is dirty, and dirties the rest of its route in turn. The
-  // pass repeats until a full sweep adds nothing (bounded by the
-  // component's hop diameter). Flow marks reuse the link epoch counter.
-  bool grew = true;
-  while (grew) {
-    grew = false;
-    for (Flow* f : realloc_order_) {
-      if (f->mark == epoch_) continue;
-      bool touches = false;
-      for (LinkId lid : f->route) {
-        if (link_mark_[lid.value()] == epoch_) {
-          touches = true;
-          break;
-        }
-      }
-      if (!touches) continue;
-      f->mark = epoch_;
-      component_.push_back(f);
-      grew = true;
-      for (LinkId lid : f->route) {
-        if (link_mark_[lid.value()] != epoch_) {
-          link_mark_[lid.value()] = epoch_;
-          fill_links_.push_back(lid);
-        }
-      }
-    }
-  }
-  // Flows join in flood order (pass by pass); restore the canonical id
-  // order the apply step and the full-recompute reference both use.
-  std::sort(component_.begin(), component_.end(),
-            [](const Flow* a, const Flow* b) { return a->id < b->id; });
-  std::sort(fill_links_.begin(), fill_links_.end());
+  reached_.clear();
+  flood_queue_.clear();
 }
 
-void FlowManager::reallocate(const Route& seed_links) {
-  if (realloc_counter_) realloc_counter_->add();
-  const SimTime now = sim_.now();
+void FlowManager::reach_link(LinkId lid, double extra) {
+  LinkState& s = links_[lid.value()];
+  if (s.seen == epoch_) return;
+  s.seen = epoch_;
+  s.in_component = 0;
+  reached_.push_back(lid);
+  if (saturated(s, link_load(s) + extra)) flood_queue_.push_back(lid);
+}
 
-  seed_scratch_.assign(seed_links.begin(), seed_links.end());
-  // Drain loop: applying new rates can discover flows whose remaining
-  // hit zero (simultaneous completions). Those leave the sharing pool
-  // immediately, freeing their bandwidth, which seeds another round.
+void FlowManager::flood_link(LinkId lid) {
+  LinkState& s = links_[lid.value()];
+  if (s.seen != epoch_) {
+    s.seen = epoch_;
+    s.in_component = 0;
+    reached_.push_back(lid);
+  }
+  flood_queue_.push_back(lid);
+}
+
+void FlowManager::add_to_component(Flow& f) {
+  if (f.mark == epoch_) return;
+  f.mark = epoch_;
+  component_.push_back(&f);
+  for (const Hop& h : f.route) {
+    reach_link(h.link, 0);
+    ++links_[h.link.value()].in_component;
+  }
+}
+
+void FlowManager::flood() {
+  while (!flood_queue_.empty()) {
+    LinkState& s = links_[flood_queue_.back().value()];
+    flood_queue_.pop_back();
+    if (s.flooded == epoch_) continue;
+    s.flooded = epoch_;
+    for (Hop* h = s.members; h != nullptr; h = h->next)
+      add_to_component(*h->flow);
+  }
+}
+
+void FlowManager::close_component() {
+  // A full link's members are all in the component, and taking in more
+  // flows never adds members to it, so one pass (over a growing list)
+  // leaves every component flow on a full link.
+  for (std::size_t i = 0; i < component_.size(); ++i) {
+    const Flow& f = *component_[i];
+    const bool on_full = std::any_of(
+        f.route.begin(), f.route.end(), [&](const Hop& h) {
+          const LinkState& s = links_[h.link.value()];
+          return s.in_component == s.count;
+        });
+    if (on_full) continue;
+    for (const Hop& h : f.route) flood_link(h.link);
+    flood();
+  }
+  fill_links_.clear();
+  dropped_links_.clear();
+  for (LinkId lid : reached_) {
+    const LinkState& s = links_[lid.value()];
+    if (s.in_component == 0) continue;
+    (s.in_component == s.count ? fill_links_ : dropped_links_).push_back(lid);
+  }
+}
+
+bool FlowManager::certify_dropped_links() {
+  bool certified = true;
+  for (LinkId lid : dropped_links_) {
+    const LinkState& s = links_[lid.value()];
+    double load = 0;
+    for (const Hop* h = s.members; h != nullptr; h = h->next)
+      load += h->flow->mark == epoch_ ? h->flow->fill_rate : h->flow->rate;
+    if (saturated(s, load)) {
+      flood_link(lid);
+      certified = false;
+    }
+  }
+  if (!certified) {
+    flood();
+    close_component();
+  }
+  return certified;
+}
+
+void FlowManager::fill_component() {
+  for (LinkId lid : fill_links_) {
+    const LinkState& s = links_[lid.value()];
+    link_cap_[lid.value()] = s.capacity;
+    link_crossing_[lid.value()] = static_cast<int>(s.in_component);
+  }
+  progressive_fill(component_, fill_links_, link_cap_, link_crossing_,
+                   realloc_unfixed_, component_rates_);
+  for (std::size_t i = 0; i < component_.size(); ++i)
+    component_[i]->fill_rate = component_rates_[i];
+}
+
+bool FlowManager::apply_component() {
+  const SimTime now = sim_.now();
+  // Apply in canonical id order. A flow whose share is unchanged keeps
+  // its progress, its last_update, and its scheduled completion event,
+  // so the settle/schedule (and event-id) sequence is exactly the one a
+  // from-scratch fill implies: it, too, changes only these flows' rates.
+  std::sort(component_.begin(), component_.end(),
+            [](const Flow* a, const Flow* b) { return a->id < b->id; });
+  drained_links_.clear();
+  for (Flow* fp : component_) {
+    Flow& f = *fp;
+    const double new_rate = f.fill_rate;
+    if (new_rate == f.rate) continue;
+    if (f.rate > 0) {
+      double moved = unsettled_bytes(f, now);
+      f.remaining -= moved;
+      for (const Hop& h : f.route) link_bytes_[h.link.value()] += moved;
+    }
+    f.last_update = now;
+    f.rate = new_rate;
+    if (f.pending_event.valid()) {
+      sim_.cancel(f.pending_event);
+      f.pending_event = EventId::invalid();
+    }
+    const FlowId fid = f.id;
+    if (f.remaining <= kEpsilonBytes) {
+      // Finished within FP dust of this instant: complete now-ish and
+      // release the flow's share for the next round.
+      f.rate = 0;
+      f.draining = true;
+      leave_pool(f);
+      f.pending_event = sim_.schedule_in(0, [this, fid] { complete(fid); });
+      for (const Hop& h : f.route) drained_links_.push_back(h.link);
+      continue;
+    }
+    WCS_CHECK_MSG(f.rate > 0, "active flow with zero rate");
+    f.pending_event =
+        sim_.schedule_in(f.remaining / f.rate, [this, fid] { complete(fid); });
+  }
+  return !drained_links_.empty();
+}
+
+void FlowManager::reallocate(Flow* joined, const std::vector<Hop>& left,
+                             double left_rate) {
+  if (realloc_counter_) realloc_counter_->add();
+  // Discovery and certification are charged to kFlowDirtySet, fill and
+  // apply to kFlowRebalance; each round is one call of each phase however
+  // often the certificate sends it back to the fill.
+  obs::PhaseSequence phases(profiler_);
+  phases.enter(obs::Phase::kFlowDirtySet);
+  begin_component();
+  if (joined != nullptr) {
+    add_to_component(*joined);
+  } else {
+    for (const Hop& h : left) reach_link(h.link, left_rate);
+  }
+  flood();
+  close_component();
+
+  // One round per drain wave: applying new rates can find flows whose
+  // remaining hit zero (simultaneous completions). They leave the pool at
+  // once, and their links seed the next round, flooded unconditionally.
   // Each round retires at least one flow, so the loop terminates.
   while (true) {
-    {
-      obs::ScopedPhase phase(profiler_, obs::Phase::kFlowDirtySet);
-      build_component(seed_scratch_);
-    }
+    bool new_call = true;
+    do {
+      phases.enter(obs::Phase::kFlowRebalance, new_call);
+      new_call = false;
+      fill_component();
+      phases.enter(obs::Phase::kFlowDirtySet, /*new_call=*/false);
+    } while (!certify_dropped_links());
+    phases.enter(obs::Phase::kFlowRebalance, /*new_call=*/false);
+    if (!apply_component()) break;
 
-    obs::ScopedPhase phase(profiler_, obs::Phase::kFlowRebalance);
-    for (LinkId lid : fill_links_) {
-      link_cap_[lid.value()] = topo_.link(lid).bandwidth_bps;
-      link_crossing_[lid.value()] = 0;
-    }
-    for (Flow* f : component_)
-      for (LinkId lid : f->route) ++link_crossing_[lid.value()];
-
-    progressive_fill(component_, fill_links_, link_cap_, link_crossing_,
-                     realloc_unfixed_, component_rates_);
-
-    // Apply in canonical id order. A flow whose share is unchanged keeps
-    // its progress, its last_update, and its scheduled completion event
-    // — this is the contract that makes incremental and full modes
-    // byte-identical: the full recompute produces the same share for
-    // every flow outside the affected component, so both modes settle
-    // and reschedule the very same flows in the very same order.
-    drained_scratch_.clear();
-    for (std::size_t i = 0; i < component_.size(); ++i) {
-      Flow& f = *component_[i];
-      const double new_rate = component_rates_[i];
-      if (new_rate == f.rate) continue;
-      if (f.rate > 0) {
-        double moved = unsettled_bytes(f, now);
-        f.remaining -= moved;
-        for (LinkId lid : f.route) link_bytes_[lid.value()] += moved;
-      }
-      f.last_update = now;
-      f.rate = new_rate;
-      if (f.pending_event.valid()) {
-        sim_.cancel(f.pending_event);
-        f.pending_event = EventId::invalid();
-      }
-      const FlowId fid = f.id;
-      if (f.remaining <= kEpsilonBytes) {
-        // Finished within FP dust of this instant: complete now-ish and
-        // release the flow's share for the next round.
-        f.rate = 0;
-        f.draining = true;
-        f.pending_event = sim_.schedule_in(0, [this, fid] { complete(fid); });
-        drained_scratch_.insert(drained_scratch_.end(), f.route.begin(),
-                                f.route.end());
-        continue;
-      }
-      WCS_CHECK_MSG(f.rate > 0, "active flow with zero rate");
-      f.pending_event =
-          sim_.schedule_in(f.remaining / f.rate, [this, fid] { complete(fid); });
-    }
-
-    if (drained_scratch_.empty()) break;
-    seed_scratch_.swap(drained_scratch_);
+    phases.enter(obs::Phase::kFlowDirtySet);
+    begin_component();
+    for (LinkId lid : drained_links_) flood_link(lid);
+    flood();
+    close_component();
   }
 }
 

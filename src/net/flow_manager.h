@@ -6,22 +6,35 @@
 // progressive filling (max-min fairness) and each flow's completion event
 // is rescheduled for its new rate.
 //
-// Reallocation is INCREMENTAL by default (FlowManagerOptions::incremental,
-// CLI --full-realloc for the reference mode): a flow start/finish seeds a
-// dirty set with the links it traverses, the affected connected component
-// of the flow<->link sharing graph is flooded out from those seeds, and
-// progressive filling runs over that component only. Max-min fair shares
-// decompose exactly by connected component, so rates outside the
-// component cannot change; inside it they are recomputed bitwise
-// identically to a from-scratch recompute (the bottleneck scan visits the
-// component's links in ascending id order, the same (share, link-id)
-// order the full scan resolves ties by). A flow is settled — progress
-// credited, completion event rescheduled — only when its rate actually
-// changed, in both modes, so the two modes execute the very same
-// settle/schedule operation sequence and stay byte-identical
-// (tests/test_flow_incremental.cc is the differential proof harness; the
-// `flow-rates` audit checker cross-checks live rates against a
-// from-scratch recompute at every audit epoch).
+// Reallocation refills only a SATURATION-CERTIFIED component of the
+// flow<->link sharing graph. Every link threads the bandwidth-sharing
+// flows that cross it into an intrusive member list. A flow joining or
+// leaving the pool seeds a flood from its route, and the flood passes
+// only through links that were saturated before the event (a departing
+// flow's own rate counted). Links whose members all lie in the component
+// ("full" links) form the fill; a component flow crossing no full link
+// has its whole route flooded. Progressive filling runs over the
+// component, and every link it shares with outside flows ("dropped"
+// links) must then keep slack under the new rates:
+// sum of rates < capacity * (1 - kSlackMargin). A link that fails is
+// flooded and the fill repeats.
+//
+// Why a certified drop is exact: if a link keeps slack under the rates
+// the fill produces without it, then at every filling round with best
+// share s each still-unfixed flow on it ends at a rate >= s, so the
+// link's own share stays strictly above s and it is never chosen as the
+// bottleneck; its capacity influences nothing. The links the flood did
+// not cross were unsaturated before the event, so by the same argument
+// the rates outside the component are still a max-min fill of their own
+// flows. Inside the component the rates therefore equal a from-scratch
+// progressive fill over the whole pool, bitwise (the fill breaks ties by
+// (share, link id), independent of scan order). A flow is settled —
+// progress credited, completion event rescheduled — only when its rate
+// actually changed, so the settle/schedule sequence is the one the
+// from-scratch fill implies. tests/test_flow_incremental.cc checks every
+// live rate bitwise against that fill (audit_rates_snapshot(), the one
+// oracle) after every operation; the `flow-rates` audit checker does the
+// same at every audit epoch.
 //
 // Latency is charged once per flow, up front: a flow spends
 // path_latency(src, dst) in a "connecting" phase during which it consumes
@@ -47,25 +60,9 @@ namespace wcs::net {
 
 using FlowCallback = std::function<void(FlowId)>;
 
-struct FlowManagerOptions {
-  // Rebalance only the affected connected component on flow churn
-  // (default). false = recompute every flow's share from scratch on every
-  // change — the reference mode behind the scenario CLI's --full-realloc,
-  // byte-identical by contract (mirrors --flat-index from the sharded
-  // pending-task index).
-  bool incremental = true;
-};
-
 class FlowManager {
  public:
-  FlowManager(sim::Simulator& simulator, const Topology& topology,
-              FlowManagerOptions options = {})
-      : sim_(simulator), topo_(topology), options_(options),
-        flows_(FlowMapAlloc(&flow_arena_)),
-        link_bytes_(topology.num_links(), 0),
-        link_cap_(topology.num_links(), 0),
-        link_crossing_(topology.num_links(), 0),
-        link_mark_(topology.num_links(), 0) {}
+  FlowManager(sim::Simulator& simulator, const Topology& topology);
 
   FlowManager(const FlowManager&) = delete;
   FlowManager& operator=(const FlowManager&) = delete;
@@ -104,8 +101,9 @@ class FlowManager {
 
   // Stored per-flow rates next to a from-scratch progressive-filling
   // recompute over the same pool (audit::check_flow_rates). The live
-  // incremental rates must match the recompute bitwise — this is the
-  // invariant the dirty-component reallocation rests on.
+  // rates must match the recompute bitwise — this is the invariant the
+  // certified-component reallocation rests on, and the one oracle both
+  // the auditor and the differential tests use.
   [[nodiscard]] audit::FlowRatesSnapshot audit_rates_snapshot() const;
 
   // Bytes carried by each link so far (including partial transfers of
@@ -123,43 +121,90 @@ class FlowManager {
   [[nodiscard]] const common::NodeArena& arena() const { return flow_arena_; }
 
  private:
+  struct Flow;
+
+  // One link of a flow's route, threaded into that link's member list
+  // (intrusive and doubly linked) while the flow shares bandwidth. The
+  // list nodes live in the route itself, so pool membership costs no
+  // allocation beyond the route copy every flow already makes.
+  struct Hop {
+    LinkId link;
+    Flow* flow = nullptr;
+    Hop* prev = nullptr;
+    Hop* next = nullptr;
+  };
+
   struct Flow {
     FlowId id;
-    Route route;             // empty for same-node transfers
+    std::vector<Hop> route;  // empty for same-node transfers
     double total = 0;        // payload size at start_flow()
     double remaining = 0;    // bytes left as of last_update (fluid model)
     double rate = 0;         // current allocation, bytes/s
+    double fill_rate = 0;    // the component fill's rate (scratch)
     SimTime started = 0;     // when start_flow() was called
     SimTime last_update = 0; // when `remaining` was last settled
     NodeId dst;              // receiving node (trace track)
     bool active = false;     // false during the latency phase
     bool draining = false;   // remaining hit zero; completion is imminent
                              // and the flow no longer shares bandwidth
-    std::uint64_t mark = 0;  // dirty-component epoch stamp (scratch)
+    bool pooled = false;     // threaded into its links' member lists
+    std::uint64_t mark = 0;  // component epoch stamp (scratch)
     EventId pending_event;   // activation or completion event
     FlowCallback on_complete;
+  };
+
+  // Per-link pool state, indexed by dense link id and sized from the
+  // topology at construction.
+  struct LinkState {
+    double capacity = 0;         // bandwidth, bytes/s
+    Hop* members = nullptr;      // head of the member list
+    std::uint32_t count = 0;     // flows in the member list
+    std::uint32_t in_component = 0;  // of those, in the component
+    std::uint64_t seen = 0;      // epoch the link was first reached
+    std::uint64_t flooded = 0;   // epoch all members joined the component
   };
 
   void activate(FlowId id);
   void complete(FlowId id);
 
-  // Recompute the max-min allocation after the flow set changed.
-  // `seed_links` are the links traversed by the added/removed flow; in
-  // incremental mode only the connected component reachable from them is
-  // rebalanced, in full mode the seeds are ignored and every pool flow
-  // is refilled. Either way, a flow is settled and its completion event
-  // rescheduled only if its rate changed.
-  void reallocate(const Route& seed_links);
+  // Thread a flow into (or out of) its links' member lists.
+  void join_pool(Flow& f);
+  void leave_pool(Flow& f);
 
-  // Gather the active bandwidth-sharing flows (active, not draining)
-  // into `realloc_order_`, sorted by flow id — the canonical iteration
-  // order for the whole pass.
-  void collect_pool();
+  // Rebalance after the sharing pool changed: `joined` entered it, or a
+  // flow with route `left` and rate `left_rate` departed. Runs rounds of
+  // component discovery, fill, certification and apply until no flow
+  // drains at this instant.
+  void reallocate(Flow* joined, const std::vector<Hop>& left,
+                  double left_rate);
 
-  // Flood the sharing graph out from `seeds` (or take the whole pool in
-  // full mode): fills component_ (id-sorted flows whose rate may change)
-  // and fill_links_ (ascending link ids they traverse).
-  void build_component(const std::vector<LinkId>& seeds);
+  // Component discovery (Phase::kFlowDirtySet). begin_component() opens a
+  // new epoch; add_to_component() takes a flow in and reaches its links;
+  // reach_link() evaluates a link once per epoch and queues it for
+  // flooding when it was saturated (counting `extra` bytes/s of a
+  // departed flow); flood_link() queues it unconditionally; flood()
+  // drains the queue, taking in every member of each queued link.
+  void begin_component();
+  void add_to_component(Flow& f);
+  void reach_link(LinkId lid, double extra);
+  void flood_link(LinkId lid);
+  void flood();
+  // Widen until every component flow crosses a full link, then list the
+  // fill links and the dropped links.
+  void close_component();
+  // True when every dropped link keeps slack under the fill's rates;
+  // otherwise floods the links that do not and closes the component.
+  bool certify_dropped_links();
+
+  // Fill the component (Phase::kFlowRebalance) into Flow::fill_rate.
+  void fill_component();
+  // Settle and reschedule every component flow whose rate changed, in id
+  // order. Returns true when some flow drained, seeding another round
+  // from drained_links_.
+  bool apply_component();
+
+  [[nodiscard]] double link_load(const LinkState& s) const;
+  [[nodiscard]] bool saturated(const LinkState& s, double load) const;
 
   // Progress credited since the flow's last settle at its current rate.
   [[nodiscard]] double unsettled_bytes(const Flow& f, SimTime now) const;
@@ -169,14 +214,14 @@ class FlowManager {
   // The bucket array exceeds the small-object ceiling and goes through
   // the arena's (counted) large path. Node placement cannot change
   // unordered_map iteration order — that is fixed by the bucket count
-  // and insertion sequence, both allocator-independent.
+  // and insertion sequence, both allocator-independent. Nodes never move,
+  // so Hop pointers into a flow's route stay valid while it is pooled.
   using FlowMapAlloc = common::ArenaAlloc<std::pair<const FlowId, Flow>>;
   using FlowMap = std::unordered_map<FlowId, Flow, std::hash<FlowId>,
                                      std::equal_to<FlowId>, FlowMapAlloc>;
 
   sim::Simulator& sim_;
   const Topology& topo_;
-  FlowManagerOptions options_;
   common::NodeArena flow_arena_;  // declared before flows_ (dtor order)
   FlowMap flows_;
   std::uint64_t next_flow_ = 0;
@@ -185,23 +230,23 @@ class FlowManager {
   double bytes_started_ = 0;
   double bytes_delivered_ = 0;
   std::vector<double> link_bytes_;
+  std::vector<LinkState> links_;
 
   // reallocate() scratch, hoisted so the steady state runs
-  // allocation-free: the canonical (id-sorted) pool, the affected
-  // component and its rate vector, the worklist consumed by progressive
-  // filling, flat per-link capacity/crossing/epoch tables indexed by
-  // dense link id, the ascending candidate-link list the bottleneck scan
-  // walks, and the seed buffers the drain loop recycles.
-  std::vector<Flow*> realloc_order_;
+  // allocation-free: the component (id-sorted before apply), the links
+  // it reached, the flood queue, the fill and dropped link lists, the
+  // fill's rate vector and worklist, flat per-link capacity/crossing
+  // tables the fill consumes, and the links of flows that drained.
   std::vector<Flow*> component_;
+  std::vector<LinkId> reached_;
+  std::vector<LinkId> flood_queue_;
+  std::vector<LinkId> fill_links_;
+  std::vector<LinkId> dropped_links_;
   std::vector<double> component_rates_;
   std::vector<std::size_t> realloc_unfixed_;
   std::vector<double> link_cap_;
   std::vector<int> link_crossing_;
-  std::vector<std::uint64_t> link_mark_;
-  std::vector<LinkId> fill_links_;
-  std::vector<LinkId> seed_scratch_;
-  std::vector<LinkId> drained_scratch_;
+  std::vector<LinkId> drained_links_;
   std::uint64_t epoch_ = 0;
 
   // Observability (all null when disabled).

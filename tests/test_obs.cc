@@ -170,6 +170,27 @@ TEST(PhaseProfiler, ScopedPhaseNullSafeAndRecords) {
   EXPECT_EQ(p.slot(Phase::kCacheEviction).calls, 1u);
 }
 
+TEST(PhaseProfiler, PhaseSequenceChargesSectionsAndResumesCalls) {
+  {
+    PhaseSequence noop(nullptr);  // must not crash
+    noop.enter(Phase::kFlowDirtySet);
+  }
+  PhaseProfiler p;
+  {
+    PhaseSequence seq(&p);
+    seq.enter(Phase::kFlowDirtySet);
+    seq.enter(Phase::kFlowRebalance);
+    seq.enter(Phase::kFlowDirtySet, /*new_call=*/false);
+    seq.enter(Phase::kFlowRebalance, /*new_call=*/false);
+  }  // the destructor ends the last section
+  EXPECT_EQ(p.slot(Phase::kFlowDirtySet).calls, 1u);
+  EXPECT_EQ(p.slot(Phase::kFlowRebalance).calls, 1u);
+  // Resumed sections add time without adding calls.
+  p.record(Phase::kFlowRebalance, 5, /*new_call=*/false);
+  EXPECT_EQ(p.slot(Phase::kFlowRebalance).calls, 1u);
+  EXPECT_GE(p.slot(Phase::kFlowRebalance).wall_ns, 5u);
+}
+
 TEST(JsonWriter, EscapesAndRoundTripsNumbers) {
   EXPECT_EQ(json_escape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
   EXPECT_EQ(json_number(0.1), "0.1");  // shortest round-trip form
