@@ -4,7 +4,11 @@
 #      resolves to a real file;
 #   2. docs/scenario-catalog.md matches what gen_scenario_docs renders
 #      from the live scenario registry (the page is generated — a drift
-#      means someone changed src/scenario without regenerating it).
+#      means someone changed src/scenario without regenerating it);
+#   3. the bench flag table in docs/operators-guide.md (the "| flag |
+#      effect |" table) has a row for every `arg == "--..."` flag that
+#      src/scenario/cli.cc parses, and no row for a flag it does not.
+#      Removal notes in prose outside the table are fine.
 #
 #   scripts/check_docs.sh [BUILD_DIR]     # default: build
 #
@@ -56,3 +60,31 @@ if ! diff -u docs/scenario-catalog.md "$tmp"; then
   exit 1
 fi
 echo "ok — docs/scenario-catalog.md matches the live scenario registry"
+
+# --- 3. CLI flag table drift --------------------------------------------------
+parsed=$(grep -oE 'arg == "--[a-z][a-z-]*"' src/scenario/cli.cc |
+  sed -E 's/^arg == "//; s/"$//' | sort -u)
+# Flags named in the first cell of each row of the "| flag | effect |"
+# table (a row may list several, e.g. `--report PATH` / `--no-report`).
+documented=$(awk '
+  /^\| flag \| effect \|/ { in_table = 1; next }
+  in_table && !/^\|/ { exit }
+  in_table { split($0, cell, "|"); print cell[2] }
+' docs/operators-guide.md | grep -oE -- '--[a-z][a-z-]*' | sort -u)
+if [ -z "$documented" ]; then
+  echo "FAIL — no \"| flag | effect |\" table in docs/operators-guide.md" >&2
+  exit 1
+fi
+undocumented=$(comm -23 <(echo "$parsed") <(echo "$documented"))
+stale=$(comm -13 <(echo "$parsed") <(echo "$documented"))
+if [ -n "$undocumented" ] || [ -n "$stale" ]; then
+  for f in $undocumented; do
+    echo "flag $f is parsed by src/scenario/cli.cc but has no row in docs/operators-guide.md" >&2
+  done
+  for f in $stale; do
+    echo "flag $f has a row in docs/operators-guide.md but src/scenario/cli.cc does not parse it" >&2
+  done
+  echo "FAIL — the operators-guide flag table drifted from the CLI" >&2
+  exit 1
+fi
+echo "ok — the operators-guide flag table matches src/scenario/cli.cc"

@@ -130,7 +130,8 @@ void check_index_coherence(const IndexTotalsSnapshot& snap,
 // are the entry count and the schedulable-set size it recomputed, and
 // `defects` are per-entry mismatches (missing task, wrong key/rank,
 // structural damage) it found while comparing bucket state against the
-// live cache. The checker turns each into a violation.
+// live cache, plus any live decision that differs from the scheduler's
+// brute-force decision oracle. The checker turns each into a violation.
 struct ShardedIndexSnapshot {
   std::string label;  // e.g. "site 3 shard"
   std::size_t indexed = 0;   // entries across every bucket

@@ -54,12 +54,6 @@ class PhaseProfiler {
     return slots_[static_cast<std::size_t>(phase)];
   }
 
-  [[nodiscard]] std::uint64_t total_wall_ns() const {
-    std::uint64_t total = 0;
-    for (const Slot& s : slots_) total += s.wall_ns;
-    return total;
-  }
-
   // [{"phase": ..., "calls": ..., "wall_ms": ...}, ...] for every phase
   // with at least one call.
   void write_json(JsonWriter& w) const;

@@ -1,9 +1,13 @@
 #include "scenario/cli.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <type_traits>
 
 #include "scenario/catalog.h"
 #include "scenario/runner.h"
@@ -22,7 +26,6 @@ struct CliOptions {
   RunOptions run;
   bool list = false;
   bool dump = false;
-  bool flat_index = false;    // --flat-index: reference decision path
   bool whole_file = false;    // --whole-file-cache: reference data plane
   double block_size_mb = 0;   // --block-size: override, MB (0 = spec's)
   std::string replication;    // --replication-policy: none|random|...
@@ -32,13 +35,36 @@ struct CliOptions {
   std::string arrival;   // --arrival: t0|poisson|diurnal|bursty
 };
 
+[[noreturn]] void usage_error(const std::string& message) {
+  std::cerr << message << '\n';
+  std::exit(2);
+}
+
+// The one parser for every numeric flag and environment value: the whole
+// of `text` must be an unsigned decimal (no sign, no surrounding
+// characters) that fits T, and finite for a floating-point T. Anything
+// else is a usage error naming `flag`.
+template <typename T>
+T parse_number(const std::string& flag, const std::string& text) {
+  T value{};
+  const char* first = text.data();
+  const char* last = first + text.size();
+  const auto [end, ec] = std::from_chars(first, last, value);
+  bool ok = first != last && *first != '-' && ec == std::errc() &&
+            end == last;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok)
+    usage_error(flag + " wants an unsigned number that fits its field, " +
+                "got '" + text + "'");
+  return value;
+}
+
 // --tenants accepts a count ("3": three equal-weight tenants) or an
 // explicit comma-separated weight list ("3,1,2").
 std::vector<wcs::workload::TenantInfo> parse_tenants(const std::string& arg) {
   std::vector<wcs::workload::TenantInfo> tenants;
   if (arg.find(',') == std::string::npos) {
-    const std::size_t count = std::stoul(arg);
-    tenants.resize(count);
+    tenants.resize(parse_number<std::uint32_t>("--tenants", arg));
     return tenants;
   }
   std::size_t pos = 0;
@@ -46,17 +72,12 @@ std::vector<wcs::workload::TenantInfo> parse_tenants(const std::string& arg) {
     std::size_t comma = arg.find(',', pos);
     if (comma == std::string::npos) comma = arg.size();
     wcs::workload::TenantInfo t;
-    t.weight = static_cast<std::uint32_t>(
-        std::stoul(arg.substr(pos, comma - pos)));
+    t.weight = parse_number<std::uint32_t>("--tenants",
+                                           arg.substr(pos, comma - pos));
     tenants.push_back(t);
     pos = comma + 1;
   }
   return tenants;
-}
-
-[[noreturn]] void usage_error(const std::string& message) {
-  std::cerr << message << '\n';
-  std::exit(2);
 }
 
 CliOptions parse(const std::string& default_scenario, int argc, char** argv) {
@@ -72,7 +93,7 @@ CliOptions parse(const std::string& default_scenario, int argc, char** argv) {
   if (const char* env = std::getenv("WCS_BENCH_FAST"); env && *env == '1')
     opt.fast = true;
   if (const char* env = std::getenv("WCS_BENCH_JOBS"); env && *env)
-    opt.run.jobs = std::stoul(env);
+    opt.run.jobs = parse_number<std::size_t>("WCS_BENCH_JOBS", env);
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     auto next = [&]() -> std::string {
@@ -88,11 +109,11 @@ CliOptions parse(const std::string& default_scenario, int argc, char** argv) {
       // Optional value: --dump-scenario NAME selects like --scenario.
       if (i + 1 < argc && argv[i + 1][0] != '-') opt.scenario = argv[++i];
     } else if (arg == "--tasks") {
-      opt.tasks = std::stoul(next());
+      opt.tasks = parse_number<std::size_t>(arg, next());
     } else if (arg == "--seeds") {
-      opt.run.seeds = std::stoul(next());
+      opt.run.seeds = parse_number<std::size_t>(arg, next());
     } else if (arg == "--jobs") {
-      opt.run.jobs = std::stoul(next());
+      opt.run.jobs = parse_number<std::size_t>(arg, next());
     } else if (arg == "--csv") {
       opt.run.csv_path = next();
     } else if (arg == "--fast") {
@@ -105,12 +126,10 @@ CliOptions parse(const std::string& default_scenario, int argc, char** argv) {
       no_report = true;
     } else if (arg == "--trace-out") {
       opt.run.trace_out = next();
-    } else if (arg == "--flat-index") {
-      opt.flat_index = true;
     } else if (arg == "--whole-file-cache") {
       opt.whole_file = true;
     } else if (arg == "--block-size") {
-      opt.block_size_mb = std::stod(next());
+      opt.block_size_mb = parse_number<double>(arg, next());
       if (opt.block_size_mb <= 0) usage_error("--block-size must be > 0 MB");
     } else if (arg == "--replication-policy") {
       opt.replication = next();
@@ -124,7 +143,7 @@ CliOptions parse(const std::string& default_scenario, int argc, char** argv) {
       std::cout << "options: --scenario NAME --list-scenarios "
                    "--dump-scenario [NAME]\n         --tasks N --seeds K "
                    "--jobs N --csv PATH --fast --audit\n         --report "
-                   "PATH --no-report --trace-out PATH --flat-index\n"
+                   "PATH --no-report --trace-out PATH\n"
                    "         --whole-file-cache --block-size MB\n"
                    "         --replication-policy none|random|least-loaded|"
                    "hierarchical|network-cost\n"
@@ -181,18 +200,6 @@ int scenario_main(const std::string& default_scenario, int argc,
   build.tasks = opt.tasks;
   build.fast = opt.fast;
   ScenarioSpec spec = build_scenario(opt.scenario, build);
-
-  // --flat-index: run every scheduler on the flat reference decision
-  // path instead of the sharded pending-task index. Totals are
-  // byte-identical either way; the escape hatch exists for A/B timing
-  // and for debugging the index itself.
-  if (opt.flat_index) {
-    for (sched::SchedulerSpec& s : spec.schedulers)
-      s.options.use_sharded_index = false;
-    for (Point& pt : spec.points)
-      for (sched::SchedulerSpec& s : pt.schedulers)
-        s.options.use_sharded_index = false;
-  }
 
   // --whole-file-cache: the reference data plane — caches account whole
   // files, no block sharing. Byte-identical to block mode at content

@@ -18,10 +18,6 @@
 //                     results/<bench>.json; --no-report disables)
 //   --trace-out P     additionally run one representative simulation with
 //                     full observability and dump its Chrome trace to P
-//   --flat-index      resolve scheduling decisions with the flat O(T)
-//                     reference scans instead of the sharded pending-task
-//                     index (sched/sharded_index.h); totals are
-//                     byte-identical, only the wall-clock differs
 //   --workload NAME   override the spec's workload generator (registry
 //                     names: coadd, uniform, zipf, partitioned, trace,
 //                     multi-tenant)
@@ -44,6 +40,11 @@
 // WCS_BENCH_FAST=1 in the environment implies --fast (used by CI-style
 // smoke runs); WCS_BENCH_JOBS=N sets the default for --jobs. WCS_AUDIT=1
 // implies --audit (see audit::default_enabled()).
+//
+// Numeric values (N, K, MB, tenant counts and weights, WCS_BENCH_JOBS)
+// must be plain unsigned decimals that fit their field; anything else —
+// a sign, trailing characters, an empty tenant weight, an overflow —
+// exits with status 2 and a message naming the flag.
 #pragma once
 
 #include <string>

@@ -34,20 +34,6 @@
 
 namespace wcs::sched {
 
-// Cross-cutting implementation toggles, threaded from SchedulerSpec
-// (factory.h) into every scheduler's params struct. These change HOW a
-// decision is computed, never WHICH task is chosen: every toggle keeps
-// the scheduler's observable behaviour byte-identical.
-struct SchedulerOptions {
-  // Resolve ChooseTask(n) / replica selection from the sharded
-  // pending-task index (sharded_index.h): O(log B + n) per request
-  // instead of the flat O(|pending|) scan, with identical task choices.
-  // Default on; the flat scan stays available as the reference
-  // implementation (`--flat-index` in the scenario CLI) and the auditor
-  // cross-validates the index against it under --audit.
-  bool use_sharded_index = true;
-};
-
 // The engine surface a scheduler is allowed to touch.
 class GridEngine {
  public:

@@ -30,8 +30,9 @@
 // order the flat scan uses to break weight ties), so a best-first bucket
 // walk reproduces the flat scan's top-n EXACTLY — identical task choices,
 // identical RNG consumption, byte-identical run totals. The flat scan
-// stays available as the reference implementation
-// (SchedulerOptions::use_sharded_index = false, --flat-index on the CLI).
+// survives only as each scheduler's decision oracle
+// (reference_candidates() / reference_pick()), which --audit and the
+// property tests compare against the live walk.
 #pragma once
 
 #include <cstddef>

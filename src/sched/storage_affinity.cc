@@ -23,15 +23,13 @@ void StorageAffinityScheduler::on_job_submitted() {
   orphans_.reset(num_tasks);
   // Subscribe to cache notifications BEFORE any assignment so no
   // mutation can slip past the incremental byte counters.
-  if (sharded()) build_affinity_index();
+  build_affinity_index();
   distribute_all();
   // Seed replica-index membership now that every task holds exactly one
   // instance (distribute_all places all of them; no cache events fire
   // synchronously during assignment, so the byte counters are current).
-  if (sharded()) {
-    for (std::size_t i = 0; i < num_tasks; ++i)
-      sync_replicable(TaskId(static_cast<TaskId::underlying_type>(i)));
-  }
+  for (std::size_t i = 0; i < num_tasks; ++i)
+    sync_replicable(TaskId(static_cast<TaskId::underlying_type>(i)));
 }
 
 void StorageAffinityScheduler::build_affinity_index() {
@@ -205,32 +203,52 @@ double StorageAffinityScheduler::cache_affinity(TaskId task,
 
 void StorageAffinityScheduler::on_worker_idle(WorkerId worker) {
   obs::ScopedPhase phase(profiler_, obs::Phase::kSchedulerDecision);
-  if (sharded()) {
-    on_worker_idle_sharded(worker);
-    return;
-  }
-  // Orphan pickup first: a task may have lost its last instance while no
-  // live worker was available (total-outage corner under churn).
-  for (std::size_t i = 0; i < placements_.size(); ++i) {
-    if (completed_[i] || !placements_[i].empty()) continue;
-    TaskId t(static_cast<TaskId::underlying_type>(i));
-    placements_[i].push_back(worker);
-    engine().assign_task(t, worker);
-    return;
-  }
+  const TaskId t = replica_pick(worker);
+  if (!t.valid()) return;  // nothing replicatable; worker stays idle
+  auto& instances = placements_[t.value()];
+  if (instances.empty())
+    orphans_.erase(t.value());
+  else
+    ++replications_;
+  instances.push_back(worker);
+  sync_replicable(t);
+  engine().assign_task(t, worker);
+}
 
-  // Replication phase: find the incomplete task with the largest storage
-  // affinity to this worker's site among tasks that can still gain an
-  // instance.
+TaskId StorageAffinityScheduler::replica_pick(WorkerId worker) const {
+  // Orphan pickup first: a task may have lost its last instance while no
+  // live worker was available (total-outage corner under churn). The
+  // ordered set yields the lowest orphan id.
+  if (!orphans_.empty())
+    return TaskId(static_cast<TaskId::underlying_type>(orphans_.first()));
+
+  // Replica pick: best-first bucket walk. Keys are exact byte overlaps
+  // (the scan's doubles represent the same sums exactly — well below
+  // 2^53), buckets sort ties toward the highest id, and tasks already
+  // holding an instance on this worker are skipped in place — the first
+  // acceptable entry IS the scan's argmax.
+  const auto& buckets = replica_index_[engine().site_of(worker).value()]
+                            .buckets();
+  for (auto it = buckets.rbegin(); it != buckets.rend(); ++it)
+    for (const ShardedTaskIndex::Entry& e : it->second)
+      if (!placements_[e.task.value()].contains(worker)) return e.task;
+  return TaskId::invalid();
+}
+
+TaskId StorageAffinityScheduler::reference_pick(WorkerId worker) const {
+  for (std::size_t i = 0; i < placements_.size(); ++i)
+    if (!completed_[i] && placements_[i].empty())
+      return TaskId(static_cast<TaskId::underlying_type>(i));
+
+  // The incomplete task with the largest storage affinity to this
+  // worker's site among tasks that can still gain an instance.
   const SiteId site = engine().site_of(worker);
   TaskId best = TaskId::invalid();
   double best_affinity = -1;
   for (std::size_t i = 0; i < placements_.size(); ++i) {
     if (completed_[i]) continue;
     const auto& instances = placements_[i];
-    if (instances.empty()) continue;  // defensive; cannot happen
-    if (instances.size() >=
-        static_cast<std::size_t>(params_.max_replicas))
+    if (instances.size() >= static_cast<std::size_t>(params_.max_replicas))
       continue;
     TaskId t(static_cast<TaskId::underlying_type>(i));
     if (instances.contains(worker)) continue;  // never two on one worker
@@ -244,48 +262,7 @@ void StorageAffinityScheduler::on_worker_idle(WorkerId worker) {
       best = t;
     }
   }
-  if (!best.valid()) return;  // nothing replicatable; worker stays idle
-
-  placements_[best.value()].push_back(worker);
-  ++replications_;
-  engine().assign_task(best, worker);
-}
-
-void StorageAffinityScheduler::on_worker_idle_sharded(WorkerId worker) {
-  // Orphan pickup: the ordered set mirrors the flat scan's ascending-id
-  // walk, so the lowest orphan id wins in O(log T).
-  if (!orphans_.empty()) {
-    const TaskId t(static_cast<TaskId::underlying_type>(orphans_.first()));
-    orphans_.erase(t.value());
-    placements_[t.value()].push_back(worker);
-    sync_replicable(t);
-    engine().assign_task(t, worker);
-    return;
-  }
-
-  // Replica pick: best-first bucket walk. Keys are exact byte overlaps
-  // (the flat scan's doubles represent the same sums exactly — well
-  // below 2^53), buckets sort ties toward the highest id, and tasks
-  // already holding an instance on this worker are skipped in place —
-  // the first acceptable entry IS the flat scan's argmax.
-  const SiteId site = engine().site_of(worker);
-  TaskId best = TaskId::invalid();
-  const auto& buckets = replica_index_[site.value()].buckets();
-  for (auto it = buckets.rbegin(); it != buckets.rend() && !best.valid();
-       ++it) {
-    for (const ShardedTaskIndex::Entry& e : it->second) {
-      const auto& instances = placements_[e.task.value()];
-      if (instances.contains(worker)) continue;  // never two on one worker
-      best = e.task;
-      break;
-    }
-  }
-  if (!best.valid()) return;  // nothing replicatable; worker stays idle
-
-  placements_[best.value()].push_back(worker);
-  ++replications_;
-  sync_replicable(best);
-  engine().assign_task(best, worker);
+  return best;
 }
 
 void StorageAffinityScheduler::on_worker_failed(
@@ -293,7 +270,7 @@ void StorageAffinityScheduler::on_worker_failed(
   for (TaskId t : lost) {
     auto& instances = placements_[t.value()];
     instances.erase_value(worker);
-    if (sharded()) sync_replicable(t);  // may drop below max_replicas
+    sync_replicable(t);  // may drop below max_replicas
     if (!instances.empty() || completed_[t.value()]) continue;
     // Orphaned: push to the least-backlogged live worker (tie: lowest id).
     WorkerId target = WorkerId::invalid();
@@ -307,14 +284,14 @@ void StorageAffinityScheduler::on_worker_failed(
     // With every worker down the task waits for the next failure event
     // of a recovered worker to re-place it — in practice recovery
     // always precedes that, and the engine flags a truly stuck job.
-    // (Sharded mode parks it in the orphan set so the next idle worker
-    // picks it up by lowest id, exactly like the flat orphan scan.)
+    // Until then it is parked in the orphan set, where the next idle
+    // worker picks it up by lowest id.
     if (!target.valid()) {
-      if (sharded()) orphans_.insert(t.value());
+      orphans_.insert(t.value());
       continue;
     }
     instances.push_back(target);
-    if (sharded()) sync_replicable(t);
+    sync_replicable(t);
     engine().assign_task(t, target);
   }
 }
@@ -322,14 +299,12 @@ void StorageAffinityScheduler::on_worker_failed(
 void StorageAffinityScheduler::on_task_completed(TaskId task,
                                                  WorkerId worker) {
   completed_[task.value()] = 1;
-  if (sharded()) {
-    sync_replicable(task);  // completed: leaves every replica index
-    // Trim the inverted index so cache events stop touching this task.
-    for (FileId f : engine().job().task(task).files) {
-      const bool removed = tasks_of_file_.erase_swap(f.value(), task);
-      WCS_DCHECK(removed);
-      (void)removed;
-    }
+  sync_replicable(task);  // completed: leaves every replica index
+  // Trim the inverted index so cache events stop touching this task.
+  for (FileId f : engine().job().task(task).files) {
+    const bool removed = tasks_of_file_.erase_swap(f.value(), task);
+    WCS_DCHECK(removed);
+    (void)removed;
   }
   for (WorkerId w : placements_[task.value()]) {
     if (w == worker) continue;
@@ -340,7 +315,7 @@ void StorageAffinityScheduler::on_task_completed(TaskId task,
 
 void StorageAffinityScheduler::audit_collect(
     std::vector<audit::Violation>& out) const {
-  if (!sharded() || replica_index_.empty()) return;
+  if (replica_index_.empty()) return;  // before on_job_submitted()
   const workload::Job& job = engine().job();
 
   for (std::size_t s = 0; s < replica_index_.size(); ++s) {
@@ -393,8 +368,8 @@ void StorageAffinityScheduler::audit_collect(
   for (std::size_t i = 0; i < placements_.size(); ++i) {
     const TaskId t(static_cast<TaskId::underlying_type>(i));
     const bool is_orphan = !completed_[i] && placements_[i].empty();
-    // A task completed-and-cleared is not an orphan; one the flat scan
-    // would pick up must be in the set.
+    // A task completed-and-cleared is not an orphan; one the scan would
+    // pick up must be in the set.
     if (is_orphan) ++expected_orphans;
     if (is_orphan != orphans_.contains(t.value())) {
       std::ostringstream os;
@@ -405,6 +380,22 @@ void StorageAffinityScheduler::audit_collect(
   }
   orphan_snap.expected = expected_orphans;
   audit::check_sharded_index(orphan_snap, out);
+
+  // Decision coherence: every live worker's pick equals the oracle's.
+  audit::ShardedIndexSnapshot pick_snap;
+  pick_snap.label = "replica pick";
+  for (std::size_t w = 0; w < engine().num_workers(); ++w) {
+    const WorkerId worker(static_cast<WorkerId::underlying_type>(w));
+    if (!engine().worker_alive(worker)) continue;
+    const TaskId live = replica_pick(worker);
+    const TaskId reference = reference_pick(worker);
+    if (live == reference) continue;
+    std::ostringstream os;
+    os << "worker " << worker << " gets " << live
+       << " but the reference scan picks " << reference;
+    pick_snap.defects.push_back(os.str());
+  }
+  audit::check_sharded_index(pick_snap, out);
 }
 
 }  // namespace wcs::sched

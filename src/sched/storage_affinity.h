@@ -28,18 +28,18 @@
 // instance to finish wins; the scheduler cancels the siblings.
 //
 // Complexity: the replica pick is the hot path (it runs on every idle
-// transition for the rest of the run). The reference implementation
-// rescans every task and intersects its file set with the cache,
-// O(T * I) per request. With SchedulerOptions::use_sharded_index (the
-// default) the scheduler instead maintains, from cache-change
-// notifications, an incremental per-(site, task) cached-byte counter and
-// a per-site sharded index (sharded_index.h) over the replicable set —
-// bucket key = byte overlap, ties broken toward the highest task id,
-// matching the flat scan exactly — so a request walks buckets best-first
-// in O(log B) and picks the identical task. Orphan pickup keeps an
-// ordered id set mirroring the flat lowest-id-first scan. --audit
-// cross-validates counters, bucket keys, and the orphan set against a
-// brute-force rescan on every sweep.
+// transition for the rest of the run). A brute-force pick rescans every
+// task and intersects its file set with the cache, O(T * I) per request;
+// that scan survives only as the oracle reference_pick(). The live path
+// maintains, from cache-change notifications, an incremental
+// per-(site, task) cached-byte counter and a per-site sharded index
+// (sharded_index.h) over the replicable set — bucket key = byte overlap,
+// ties broken toward the highest task id, as the scan breaks them — so a
+// request walks buckets best-first in O(log B) and picks the identical
+// task. Orphan pickup keeps an ordered id set matching the scan's
+// lowest-id-first order. --audit cross-validates counters, bucket keys,
+// the orphan set, and every live worker's replica_pick() against
+// reference_pick() on every sweep.
 #pragma once
 
 #include <cstdint>
@@ -66,9 +66,6 @@ struct StorageAffinityParams {
   // algorithms at large capacities, Fig. 4). Reconstruction choice
   // recorded in DESIGN.md §6.
   double imbalance_factor = 1.25;
-
-  // Cross-cutting toggles (sharded index on/off); see scheduler.h.
-  SchedulerOptions options;
 };
 
 class StorageAffinityScheduler final : public Scheduler {
@@ -87,11 +84,23 @@ class StorageAffinityScheduler final : public Scheduler {
     return "storage-affinity";
   }
 
-  // Invariant audit (sharded mode only; the flat path keeps no redundant
-  // state): cross-validates the incremental cached-byte counters and the
-  // per-site replica index against a brute-force recompute from the live
-  // caches, and the orphan set against the placement table.
+  // Invariant audit: cross-validates the incremental cached-byte
+  // counters and the per-site replica index against a brute-force
+  // recompute from the live caches, the orphan set against the placement
+  // table, and replica_pick() against reference_pick() for every live
+  // worker.
   void audit_collect(std::vector<audit::Violation>& out) const override;
+
+  // The task on_worker_idle(worker) would hand out: the lowest-id orphan
+  // if any, else the replicable task with the largest byte overlap
+  // against the worker's site cache (ties to the highest id) that has no
+  // instance on `worker`; invalid when there is none. Resolved from the
+  // orphan set and the replica index; mutates nothing.
+  [[nodiscard]] TaskId replica_pick(WorkerId worker) const;
+
+  // The same decision by brute-force scan over every task: the decision
+  // oracle shared by audit_collect() and the tests.
+  [[nodiscard]] TaskId reference_pick(WorkerId worker) const;
 
   // --- Introspection (tests) -------------------------------------------
   [[nodiscard]] std::span<const WorkerId> placements(TaskId task) const {
@@ -109,9 +118,6 @@ class StorageAffinityScheduler final : public Scheduler {
   [[nodiscard]] double cache_affinity(TaskId task, SiteId site) const;
 
   // --- Sharded replica index (see file comment) -------------------------
-  [[nodiscard]] bool sharded() const {
-    return params_.options.use_sharded_index;
-  }
   // Builds the inverted file->task index, seeds the per-(site, task)
   // cached-byte counters from current cache contents, and subscribes to
   // cache-change notifications.
@@ -122,8 +128,6 @@ class StorageAffinityScheduler final : public Scheduler {
   // its placement/completion state (replicable = incomplete, has at
   // least one instance, below max_replicas).
   void sync_replicable(TaskId task);
-  // The sharded twin of the flat on_worker_idle scan: identical choice.
-  void on_worker_idle_sharded(WorkerId worker);
 
   StorageAffinityParams params_;
   // Active instances per task; two inline slots cover max_replicas = 2
@@ -133,15 +137,14 @@ class StorageAffinityScheduler final : public Scheduler {
   std::vector<std::uint32_t> worker_load_;  // queued+running per worker
   std::uint64_t replications_ = 0;
 
-  // Sharded-mode state; untouched (empty) under --flat-index. The
-  // inverted index holds INCOMPLETE tasks only (trimmed on completion)
-  // so cache events stop touching finished tasks; it lives in one CSR
-  // pool (swap-erase on completion is the only mutation).
+  // The inverted index holds INCOMPLETE tasks only (trimmed on
+  // completion) so cache events stop touching finished tasks; it lives
+  // in one CSR pool (swap-erase on completion is the only mutation).
   common::Csr<TaskId> tasks_of_file_;
   std::vector<std::vector<Bytes>> cached_bytes_;  // [site][task]
   std::vector<ShardedTaskIndex> replica_index_;   // per site, high-id ties
   // Incomplete tasks with no live instance, as a bitmap whose
-  // lowest-member query matches the flat scan's lowest-id-first pickup.
+  // lowest-member query matches the scan's lowest-id-first pickup.
   common::DenseIdSet orphans_;
 };
 

@@ -1,7 +1,9 @@
 #include "sched/worker_centric.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <iomanip>
 #include <limits>
 #include <sstream>
 
@@ -91,7 +93,7 @@ void WorkerCentricScheduler::build_index() {
   // already hold (usually nothing; tests may pre-warm), then subscribe to
   // incremental updates.
   sites_.assign(engine().num_sites(), SiteIndex{});
-  shards_.assign(sharded() ? engine().num_sites() : 0, ShardedTaskIndex{});
+  shards_.assign(engine().num_sites(), ShardedTaskIndex{});
   for (std::size_t s = 0; s < sites_.size(); ++s) {
     SiteId site(static_cast<SiteId::underlying_type>(s));
     SiteIndex& idx = sites_[s];
@@ -114,14 +116,12 @@ void WorkerCentricScheduler::build_index() {
       idx.total_ref += idx.ref_sum[t];
       ++idx.missing_hist[task_size_[t] - idx.overlap[t]];
     }
-    if (sharded()) {
-      ShardedTaskIndex& shard = shards_[s];
-      shard.reset(num_tasks);
-      for (std::size_t t = 0; t < num_tasks; ++t) {
-        if (!pending_[t]) continue;
-        TaskId id(static_cast<TaskId::underlying_type>(t));
-        shard.insert(id, shard_key(idx, id), shard_rank(idx, id));
-      }
+    ShardedTaskIndex& shard = shards_[s];
+    shard.reset(num_tasks);
+    for (std::size_t t = 0; t < num_tasks; ++t) {
+      if (!pending_[t]) continue;
+      TaskId id(static_cast<TaskId::underlying_type>(t));
+      shard.insert(id, shard_key(idx, id), shard_rank(idx, id));
     }
     engine().set_cache_listener(
         site, [this, site](storage::CacheEvent e, FileId f) {
@@ -141,7 +141,7 @@ void WorkerCentricScheduler::on_cache_event(SiteId site,
   // remove_pending, restored in re_add_pending), so every task touched
   // here also updates the site's incremental totals — and is re-keyed in
   // the site's shard, which indexes exactly the pending bag.
-  ShardedTaskIndex* shard = sharded() ? &shards_[site.value()] : nullptr;
+  ShardedTaskIndex& shard = shards_[site.value()];
   switch (event) {
     case storage::CacheEvent::kAdded: {
       auto refs = static_cast<std::uint64_t>(
@@ -154,7 +154,7 @@ void WorkerCentricScheduler::on_cache_event(SiteId site,
         ++idx.overlap[t.value()];
         idx.ref_sum[t.value()] += refs;
         idx.total_ref += refs;
-        if (shard) shard->update(t, shard_key(idx, t), shard_rank(idx, t));
+        shard.update(t, shard_key(idx, t), shard_rank(idx, t));
       }
       break;
     }
@@ -169,7 +169,7 @@ void WorkerCentricScheduler::on_cache_event(SiteId site,
         --idx.overlap[t.value()];
         idx.ref_sum[t.value()] -= refs;
         idx.total_ref -= refs;
-        if (shard) shard->update(t, shard_key(idx, t), shard_rank(idx, t));
+        shard.update(t, shard_key(idx, t), shard_rank(idx, t));
       }
       break;
     }
@@ -180,8 +180,8 @@ void WorkerCentricScheduler::on_cache_event(SiteId site,
       for (TaskId t : tasks_of_file_.row(file.value())) {
         idx.ref_sum[t.value()] += 1;
         idx.total_ref += 1;
-        if (shard && params_.metric == Metric::kCombined)
-          shard->update(t, shard_key(idx, t), idx.ref_sum[t.value()]);
+        if (params_.metric == Metric::kCombined)
+          shard.update(t, shard_key(idx, t), idx.ref_sum[t.value()]);
       }
       break;
   }
@@ -321,16 +321,13 @@ std::size_t WorkerCentricScheduler::overlap_cardinality(SiteId site,
 
 namespace {
 
-// Top-n candidate buffer ordered by (weight desc, task id asc) — the
-// ChooseTask(n) selection order. Both decision paths feed it: the flat
-// scan offers every pending task, the sharded walk only bucket prefixes.
-// n is tiny (1 or 2 in the paper), so insertion beats sorting T entries.
-struct TopN {
-  struct Candidate {
-    double weight;
-    TaskId task;
-  };
+using Candidate = WorkerCentricScheduler::Candidate;
 
+// Top-n candidate buffer ordered by (weight desc, task id asc) — the
+// ChooseTask(n) selection order. The reference scan offers every pending
+// task, the live walk only bucket prefixes. n is tiny (1 or 2 in the
+// paper), so insertion beats sorting T entries.
+struct TopN {
   explicit TopN(std::size_t limit) : n(limit) { best.reserve(limit + 1); }
 
   static bool better(const Candidate& a, const Candidate& b) {
@@ -339,7 +336,7 @@ struct TopN {
   }
 
   // Returns false when the candidate did not make the buffer — in the
-  // sharded walk that ends the current bucket (entries behind it are
+  // bucket walk that ends the current bucket (entries behind it are
   // ordered no-better under `better`).
   bool offer(Candidate c) {
     if (best.size() == n && !better(c, best.back())) return false;
@@ -355,26 +352,42 @@ struct TopN {
   std::vector<Candidate> best;
 };
 
-// Samples among the collected best-n proportionally to weight (uniform
-// when all weights are zero — see Rng::weighted_index). Shared tail of
-// both decision paths, so RNG consumption is identical by construction.
-TaskId pick_from(const TopN& topn, Rng& rng) {
-  if (topn.best.size() == 1) return topn.best[0].task;
+// Samples among the best-n proportionally to weight (uniform when all
+// weights are zero — see Rng::weighted_index).
+TaskId pick_from(const std::vector<Candidate>& best, Rng& rng) {
+  if (best.size() == 1) return best[0].task;
   std::vector<double> weights;
-  weights.reserve(topn.best.size());
-  for (const TopN::Candidate& c : topn.best) weights.push_back(c.weight);
-  return topn.best[rng.weighted_index(weights)].task;
+  weights.reserve(best.size());
+  for (const Candidate& c : best) weights.push_back(c.weight);
+  return best[rng.weighted_index(weights)].task;
+}
+
+bool same_bits(const std::vector<Candidate>& a,
+               const std::vector<Candidate>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const Candidate& x, const Candidate& y) {
+                      return x.task == y.task &&
+                             std::bit_cast<std::uint64_t>(x.weight) ==
+                                 std::bit_cast<std::uint64_t>(y.weight);
+                    });
+}
+
+void describe(std::ostream& os, const std::vector<Candidate>& list) {
+  os << '[' << std::setprecision(17);
+  for (const Candidate& c : list) os << ' ' << c.task << '@' << c.weight;
+  os << " ]";
 }
 
 }  // namespace
 
 TaskId WorkerCentricScheduler::choose_task(SiteId site) {
   WCS_CHECK(!pending_list_.empty());
-  return sharded() ? choose_task_sharded(site) : choose_task_flat(site);
+  return pick_from(candidates(site), rng_);
 }
 
-TaskId WorkerCentricScheduler::choose_task_flat(SiteId site) {
-  const SiteIndex& idx = sites_[site.value()];
+std::vector<Candidate> WorkerCentricScheduler::reference_candidates(
+    SiteId site) const {
+  const SiteIndex& idx = sites_.at(site.value());
 
   double total_ref = 0;
   double total_rest = 0;
@@ -385,10 +398,10 @@ TaskId WorkerCentricScheduler::choose_task_flat(SiteId site) {
       static_cast<std::size_t>(params_.choose_n), pending_list_.size()));
   for (TaskId t : pending_list_)
     topn.offer({weight_of(idx, t, total_ref, total_rest), t});
-  return pick_from(topn, rng_);
+  return std::move(topn.best);
 }
 
-TaskId WorkerCentricScheduler::choose_task_sharded(SiteId site) {
+std::vector<Candidate> WorkerCentricScheduler::candidates(SiteId site) const {
   const SiteIndex& idx = sites_[site.value()];
   const ShardedTaskIndex& shard = shards_[site.value()];
   WCS_DCHECK_EQ(shard.size(), pending_list_.size());
@@ -436,7 +449,7 @@ TaskId WorkerCentricScheduler::choose_task_sharded(SiteId site) {
       for (const auto& [key, bucket] : buckets) scan_bucket(bucket);
       break;
   }
-  return pick_from(topn, rng_);
+  return std::move(topn.best);
 }
 
 void WorkerCentricScheduler::remove_pending(TaskId task) {
@@ -453,7 +466,7 @@ void WorkerCentricScheduler::remove_pending(TaskId task) {
     idx.total_ref -= idx.ref_sum[task.value()];
     WCS_DCHECK(idx.missing_hist[missing_of(idx, task)] > 0);
     --idx.missing_hist[missing_of(idx, task)];
-    if (sharded()) shards_[s].erase(task);
+    shards_[s].erase(task);
   }
   // Trim the inverted index so cache events stop touching this task.
   for (FileId f : engine().job().task(task).files) {
@@ -551,8 +564,7 @@ void WorkerCentricScheduler::re_add_pending(TaskId task) {
     // The task re-enters the site's pending aggregates (and shard).
     idx.total_ref += refs;
     ++idx.missing_hist[missing_of(idx, task)];
-    if (sharded())
-      shards_[s].insert(task, shard_key(idx, task), shard_rank(idx, task));
+    shards_[s].insert(task, shard_key(idx, task), shard_rank(idx, task));
   }
   for (FileId f : job.task(task).files)
     tasks_of_file_.push(f.value(), task);
@@ -631,7 +643,6 @@ void WorkerCentricScheduler::audit_collect(
     // Sharded-index coherence: the shard must hold exactly the pending
     // bag, with every entry keyed/ranked as the brute-force recompute
     // (`overlap`/`ref_sum` above, straight from the cache) dictates.
-    if (!sharded()) continue;
     const ShardedTaskIndex& shard = shards_[s];
     audit::ShardedIndexSnapshot shard_snap;
     shard_snap.label = "site " + std::to_string(s) + " shard";
@@ -659,6 +670,18 @@ void WorkerCentricScheduler::audit_collect(
            << key << " / " << rank;
         shard_snap.defects.push_back(os.str());
       }
+    }
+    // Decision coherence: the bucket walk's top-n must equal the flat
+    // scan's, bitwise, before any RNG draw.
+    const std::vector<Candidate> live = candidates(site);
+    const std::vector<Candidate> reference = reference_candidates(site);
+    if (!same_bits(live, reference)) {
+      std::ostringstream os;
+      os << "ChooseTask(" << params_.choose_n << ") candidates ";
+      describe(os, live);
+      os << " differ from the reference scan ";
+      describe(os, reference);
+      shard_snap.defects.push_back(os.str());
     }
     audit::check_sharded_index(shard_snap, out);
   }

@@ -35,12 +35,12 @@
 //      O(log B + n) instead of scanning the pending bag.
 //
 // The semantics are byte-identical at every layer: tests cross-check
-// weights against the naive computation, the property suite replays
-// random interleavings through the flat and sharded paths, the golden
-// runs pin exact totals for both, and --audit cross-validates every
-// counter, aggregate, and bucket against a brute-force rescan. The flat
-// scan is kept as the reference implementation behind
-// SchedulerOptions::use_sharded_index (CLI: --flat-index).
+// weights against the naive computation, and --audit cross-validates
+// every counter, aggregate, and bucket against a brute-force rescan and
+// every site's top-n candidates against reference_candidates(), the flat
+// O(|pending|) scan kept as the decision oracle. The property suite
+// replays random interleavings and runs that comparison after every
+// operation.
 #pragma once
 
 #include <cstdint>
@@ -83,9 +83,6 @@ struct WorkerCentricParams {
   // missing files at its site; first finisher wins.
   bool replicate_when_idle = false;
   int max_replicas = 2;  // total concurrent instances per task
-
-  // Cross-cutting toggles (sharded index on/off); see scheduler.h.
-  SchedulerOptions options;
 };
 
 class WorkerCentricScheduler final : public Scheduler {
@@ -111,9 +108,11 @@ class WorkerCentricScheduler final : public Scheduler {
 
   // Invariant audit: cross-validates every site's incremental aggregates
   // (total_ref + missing-count histogram) against the O(|pending|) scan,
-  // and the per-task overlap/ref-sum counters against a full recompute
-  // from the live cache contents. This is the auditable promotion of the
-  // debug-only WCS_DCHECK in totals().
+  // the per-task overlap/ref-sum counters against a full recompute from
+  // the live cache contents, the shard against that recompute, and
+  // candidates() against reference_candidates(), bitwise. The aggregate
+  // check is the auditable promotion of the debug-only WCS_DCHECK in
+  // totals().
   void audit_collect(std::vector<audit::Violation>& out) const override;
 
   // --- Introspection (tests, examples) ---------------------------------
@@ -140,9 +139,26 @@ class WorkerCentricScheduler final : public Scheduler {
   // combined metric used to pay on every choose_task().
   [[nodiscard]] std::pair<double, double> totals_of(SiteId site) const;
 
+  // One ChooseTask(n) candidate: a pending task and its weight at the
+  // requesting site.
+  struct Candidate {
+    double weight = 0;
+    TaskId task;
+  };
+
+  // The top-n pending tasks ChooseTask(n) samples from at `site`, best
+  // first by (weight desc, task id asc): the decision before the RNG
+  // draw, resolved by the sharded bucket walk. Empty when nothing is
+  // pending.
+  [[nodiscard]] std::vector<Candidate> candidates(SiteId site) const;
+
+  // The same list from a brute-force scan of the whole pending bag: the
+  // decision oracle shared by audit_collect() and the tests.
+  [[nodiscard]] std::vector<Candidate> reference_candidates(
+      SiteId site) const;
+
   // Resolves ChooseTask(n) for a worker at `site` WITHOUT assigning or
-  // removing the task — the bench/property-test hook for comparing the
-  // flat and sharded decision paths. Consumes exactly the RNG draw the
+  // removing the task (bench hook). Consumes exactly the RNG draw the
   // real assignment would (none when the top-n has a single candidate).
   // The pending bag must be non-empty.
   [[nodiscard]] TaskId peek_choice(SiteId site) { return choose_task(site); }
@@ -180,17 +196,11 @@ class WorkerCentricScheduler final : public Scheduler {
                                          TaskId task) const {
     return task_size_[task.value()] - idx.overlap[task.value()];
   }
-  // ChooseTask(n): dispatches to the sharded bucket walk or the flat
-  // reference scan (params_.options.use_sharded_index); both produce the
-  // same ordered top-n, the same RNG consumption, the same task.
+  // ChooseTask(n): samples one of candidates(site) proportionally to
+  // weight.
   [[nodiscard]] TaskId choose_task(SiteId site);
-  [[nodiscard]] TaskId choose_task_flat(SiteId site);
-  [[nodiscard]] TaskId choose_task_sharded(SiteId site);
 
   // --- Sharded pending-task index (layer 3; see file comment) ----------
-  [[nodiscard]] bool sharded() const {
-    return params_.options.use_sharded_index;
-  }
   // Bucket key of a pending task at one site: |F_t| for overlap (bigger
   // is better), |t| - |F_t| for rest/combined (smaller is better).
   [[nodiscard]] std::uint64_t shard_key(const SiteIndex& idx,
@@ -221,7 +231,7 @@ class WorkerCentricScheduler final : public Scheduler {
   Rng rng_;
   std::vector<SiteIndex> sites_;
   // One shard per site, holding exactly the pending bag keyed/ranked by
-  // shard_key/shard_rank; empty (and never touched) in flat mode.
+  // shard_key/shard_rank.
   std::vector<ShardedTaskIndex> shards_;
   // Inverted file -> pending-tasks index as one CSR pool (three flat
   // arrays) instead of a vector-of-vectors: rows support exactly the

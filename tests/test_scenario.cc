@@ -3,6 +3,7 @@
 // a schema-valid run report.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -152,6 +153,70 @@ TEST(ScenarioCli, ListScenariosSucceeds) {
   std::string a1 = "--list-scenarios";
   char* argv[] = {arg0.data(), a1.data()};
   EXPECT_EQ(scenario_main("fig5_transfers", 2, argv), 0);
+}
+
+// Runs scenario_main("fig5_transfers") over `args` (argv[0] prepended).
+int run_cli(std::vector<std::string> args) {
+  args.insert(args.begin(), "bench_test");
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  return scenario_main("fig5_transfers", static_cast<int>(argv.size()),
+                       argv.data());
+}
+
+TEST(ScenarioCli, WellFormedNumbersParse) {
+  EXPECT_EQ(run_cli({"--tasks", "120", "--seeds", "3", "--jobs", "2",
+                     "--block-size", "0.5", "--tenants", "3,1,2",
+                     "--list-scenarios"}),
+            0);
+}
+
+// Every malformed numeric value is a usage error (exit 2) naming its
+// flag, never an uncaught exception or a silently wrapped value.
+TEST(ScenarioCliDeathTest, NonNumericValueIsUsageError) {
+  EXPECT_EXIT(run_cli({"--tasks", "abc"}), ::testing::ExitedWithCode(2),
+              "--tasks");
+  EXPECT_EXIT(run_cli({"--block-size", "big"}), ::testing::ExitedWithCode(2),
+              "--block-size");
+}
+
+TEST(ScenarioCliDeathTest, TrailingCharactersAreUsageError) {
+  EXPECT_EXIT(run_cli({"--tasks", "10x"}), ::testing::ExitedWithCode(2),
+              "--tasks");
+  EXPECT_EXIT(run_cli({"--jobs", " 4"}), ::testing::ExitedWithCode(2),
+              "--jobs");
+}
+
+TEST(ScenarioCliDeathTest, SignedOrOverflowingValueIsUsageError) {
+  EXPECT_EXIT(run_cli({"--seeds", "-1"}), ::testing::ExitedWithCode(2),
+              "--seeds");
+  EXPECT_EXIT(run_cli({"--seeds", "+1"}), ::testing::ExitedWithCode(2),
+              "--seeds");
+  EXPECT_EXIT(run_cli({"--jobs", "99999999999999999999999"}),
+              ::testing::ExitedWithCode(2), "--jobs");
+  EXPECT_EXIT(run_cli({"--tenants", "3,4294967296"}),
+              ::testing::ExitedWithCode(2), "--tenants");
+  EXPECT_EXIT(run_cli({"--block-size", "-4"}), ::testing::ExitedWithCode(2),
+              "--block-size");
+  EXPECT_EXIT(run_cli({"--block-size", "inf"}), ::testing::ExitedWithCode(2),
+              "--block-size");
+}
+
+TEST(ScenarioCliDeathTest, EmptyTenantWeightIsUsageError) {
+  EXPECT_EXIT(run_cli({"--tenants", "3,,1"}), ::testing::ExitedWithCode(2),
+              "--tenants");
+  EXPECT_EXIT(run_cli({"--tenants", "3,1,"}), ::testing::ExitedWithCode(2),
+              "--tenants");
+}
+
+TEST(ScenarioCliDeathTest, MalformedJobsEnvironmentIsUsageError) {
+  // setenv runs inside the death-test child only.
+  EXPECT_EXIT(
+      {
+        setenv("WCS_BENCH_JOBS", "x", 1);
+        run_cli({"--list-scenarios"});
+      },
+      ::testing::ExitedWithCode(2), "WCS_BENCH_JOBS");
 }
 
 }  // namespace

@@ -1,13 +1,16 @@
 // Sharded pending-task index (sched/sharded_index.h): structural unit
 // tests, the audit checker, and — the load-bearing part — property tests
 // that replay random interleavings of cache adds/evictions, assignments,
-// completions, and worker failures through a FLAT and a SHARDED scheduler
-// side by side, asserting identical decisions at every step. Two mirrored
-// FakeEngines are required because each cache has a single listener slot
-// and each scheduler owns its engine's slots.
+// completions, and worker failures through ONE live scheduler and, after
+// every operation, compare its decision for every site (worker-centric
+// candidates()) or every live worker (storage affinity replica_pick())
+// bitwise with the brute-force oracle (reference_candidates() /
+// reference_pick()) through audit_collect(), the same comparison --audit
+// runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <random>
 #include <set>
@@ -29,6 +32,8 @@ using testing::FakeEngine;
 using testing::make_job;
 
 TaskId tid(unsigned v) { return TaskId(v); }
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 // --- ShardedTaskIndex structural tests ---------------------------------
 
@@ -124,9 +129,9 @@ TEST(ShardedIndexAudit, CheckerFlagsCountMismatchAndDefects) {
 // --- Worker-centric property test --------------------------------------
 //
 // Random interleavings of {cache add (with LRU eviction pressure),
-// peek, assign, complete, worker failure} through a flat and a sharded
-// scheduler over mirrored engines: every choice, every recorded
-// assignment, and every audit sweep must agree.
+// peek, assign, complete, worker failure}: after every operation the
+// audit must be clean — every site's bucket-walk top-n equals the flat
+// scan's — and every decision must come from that top-n.
 
 workload::Job random_job(std::mt19937_64& rng, std::size_t num_tasks,
                          std::size_t num_files) {
@@ -141,11 +146,19 @@ workload::Job random_job(std::mt19937_64& rng, std::size_t num_tasks,
   return make_job(std::move(sets), num_files);
 }
 
+// audit_collect() compares the live decision with the oracle; any
+// violation (or any index defect) fails the step.
 void expect_no_violations(const Scheduler& sched, int step) {
   std::vector<audit::Violation> v;
   sched.audit_collect(v);
   ASSERT_TRUE(v.empty()) << "step " << step << ": [" << v.front().checker
                          << "] " << v.front().message;
+}
+
+bool among(const std::vector<WorkerCentricScheduler::Candidate>& list,
+           TaskId task) {
+  return std::any_of(list.begin(), list.end(),
+                     [&](const auto& c) { return c.task == task; });
 }
 
 void run_worker_centric_property(Metric metric, int choose_n,
@@ -160,30 +173,23 @@ void run_worker_centric_property(Metric metric, int choose_n,
   const workload::Job job = random_job(rng, num_tasks, num_files);
 
   // Small capacity: adds overflow constantly, exercising kEvicted re-keys.
-  FakeEngine flat_eng(job, num_sites, workers_per_site, /*capacity=*/10);
-  FakeEngine shard_eng(job, num_sites, workers_per_site, /*capacity=*/10);
+  FakeEngine eng(job, num_sites, workers_per_site, /*capacity=*/10);
 
   WorkerCentricParams params;
   params.metric = metric;
   params.choose_n = choose_n;
   params.combined_formula = formula;
-  WorkerCentricParams flat_params = params;
-  flat_params.options.use_sharded_index = false;
-  ASSERT_TRUE(params.options.use_sharded_index);  // the default
-  WorkerCentricScheduler flat(flat_params);
-  WorkerCentricScheduler sharded(params);
+  WorkerCentricScheduler sched(params);
 
   // Pre-warm a few files so build_index() seeds non-trivial counters.
   for (int i = 0; i < 8; ++i) {
     SiteId s(static_cast<SiteId::underlying_type>(rng() % num_sites));
     FileId f(static_cast<FileId::underlying_type>(rng() % num_files));
-    flat_eng.add_file(s, f);
-    shard_eng.add_file(s, f);
+    eng.add_file(s, f);
   }
-  flat.attach(flat_eng);
-  sharded.attach(shard_eng);
-  flat.on_job_submitted();
-  sharded.on_job_submitted();
+  sched.attach(eng);
+  sched.on_job_submitted();
+  expect_no_violations(sched, /*step=*/-1);
 
   std::vector<std::pair<TaskId, WorkerId>> live;  // assigned, not done
   for (int step = 0; step < 600; ++step) {
@@ -191,30 +197,33 @@ void run_worker_centric_property(Metric metric, int choose_n,
     if (op < 45) {
       SiteId s(static_cast<SiteId::underlying_type>(rng() % num_sites));
       FileId f(static_cast<FileId::underlying_type>(rng() % num_files));
-      flat_eng.add_file(s, f);
-      shard_eng.add_file(s, f);
+      eng.add_file(s, f);
     } else if (op < 60) {
-      if (flat.pending_count() == 0) continue;
-      // Pure decision comparison; consumes the same RNG draw on both.
+      if (sched.pending_count() == 0) continue;
+      // A decision without assignment: the RNG draw lands in the top-n.
       SiteId s(static_cast<SiteId::underlying_type>(rng() % num_sites));
-      const TaskId a = flat.peek_choice(s);
-      const TaskId b = sharded.peek_choice(s);
-      ASSERT_EQ(a, b) << "step " << step << " site " << s;
+      const auto top = sched.candidates(s);
+      ASSERT_EQ(top.size(), std::min<std::size_t>(
+                                static_cast<std::size_t>(choose_n),
+                                sched.pending_count()));
+      ASSERT_TRUE(among(top, sched.peek_choice(s))) << "step " << step;
     } else if (op < 85) {
-      if (flat.pending_count() == 0) continue;
+      if (sched.pending_count() == 0) continue;
       WorkerId w(static_cast<WorkerId::underlying_type>(rng() % num_workers));
-      flat.on_worker_idle(w);
-      sharded.on_worker_idle(w);
-      ASSERT_FALSE(flat_eng.assignments.empty());
-      ASSERT_EQ(flat_eng.assignments.back(), shard_eng.assignments.back());
-      live.push_back(flat_eng.assignments.back());
+      const auto top = sched.reference_candidates(eng.site_of(w));
+      const std::size_t before = eng.assignments.size();
+      sched.on_worker_idle(w);
+      ASSERT_EQ(eng.assignments.size(), before + 1);
+      ASSERT_EQ(eng.assignments.back().second, w);
+      ASSERT_TRUE(among(top, eng.assignments.back().first))
+          << "step " << step;
+      live.push_back(eng.assignments.back());
     } else if (op < 93) {
       if (live.empty()) continue;
       const std::size_t i = rng() % live.size();
       const auto [t, w] = live[i];
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
-      flat.on_task_completed(t, w);
-      sharded.on_task_completed(t, w);
+      sched.on_task_completed(t, w);
     } else {
       if (live.empty()) continue;
       // Crash a worker that holds work; its tasks return to the bag with
@@ -226,14 +235,9 @@ void run_worker_centric_property(Metric metric, int choose_n,
         lost.push_back(inst.first);
         return true;
       });
-      flat.on_worker_failed(w, lost);
-      sharded.on_worker_failed(w, lost);
+      sched.on_worker_failed(w, lost);
     }
-    ASSERT_EQ(flat_eng.assignments, shard_eng.assignments) << "step " << step;
-    if (step % 37 == 0) {
-      expect_no_violations(sharded, step);
-      expect_no_violations(flat, step);
-    }
+    expect_no_violations(sched, step);
   }
 }
 
@@ -266,7 +270,27 @@ TEST(ShardedIndexProperty, CombinedVerbatimChooseTwo) {
                               CombinedFormula::kVerbatim, 0xFEED);
 }
 
-// --- Storage-affinity property test ------------------------------------
+// --- Storage-affinity property tests -----------------------------------
+//
+// Every idle request must hand out exactly reference_pick(worker) as
+// computed just before it, and after every operation the audit (which
+// compares replica_pick() with reference_pick() for every live worker)
+// must be clean.
+
+// Asks `worker` for work and checks the hand-out against the oracle.
+void idle_matches_oracle(StorageAffinityScheduler& sched, FakeEngine& eng,
+                         WorkerId worker, int step) {
+  const TaskId expected = sched.reference_pick(worker);
+  const std::size_t before = eng.assignments.size();
+  sched.on_worker_idle(worker);
+  if (!expected.valid()) {
+    ASSERT_EQ(eng.assignments.size(), before) << "step " << step;
+    return;
+  }
+  ASSERT_EQ(eng.assignments.size(), before + 1) << "step " << step;
+  ASSERT_EQ(eng.assignments.back(), std::make_pair(expected, worker))
+      << "step " << step;
+}
 
 TEST(ShardedIndexProperty, StorageAffinityReplicaPicksMatchFlat) {
   std::mt19937_64 rng(20260805);
@@ -277,19 +301,11 @@ TEST(ShardedIndexProperty, StorageAffinityReplicaPicksMatchFlat) {
   const std::size_t num_workers = num_sites * workers_per_site;
   const workload::Job job = random_job(rng, num_tasks, num_files);
 
-  FakeEngine flat_eng(job, num_sites, workers_per_site, /*capacity=*/12);
-  FakeEngine shard_eng(job, num_sites, workers_per_site, /*capacity=*/12);
-
-  StorageAffinityParams flat_params;
-  flat_params.options.use_sharded_index = false;
-  StorageAffinityScheduler flat(flat_params);
-  StorageAffinityScheduler sharded{StorageAffinityParams{}};
-  flat.attach(flat_eng);
-  sharded.attach(shard_eng);
-  flat.on_job_submitted();
-  sharded.on_job_submitted();
-  // The initial distribution is index-independent but must agree too.
-  ASSERT_EQ(flat_eng.assignments, shard_eng.assignments);
+  FakeEngine eng(job, num_sites, workers_per_site, /*capacity=*/12);
+  StorageAffinityScheduler sched{StorageAffinityParams{}};
+  sched.attach(eng);
+  sched.on_job_submitted();
+  expect_no_violations(sched, /*step=*/-1);
 
   std::set<unsigned> dead;
   int kills = 0;
@@ -306,81 +322,71 @@ TEST(ShardedIndexProperty, StorageAffinityReplicaPicksMatchFlat) {
     if (op < 40) {
       SiteId s(static_cast<SiteId::underlying_type>(rng() % num_sites));
       FileId f(static_cast<FileId::underlying_type>(rng() % num_files));
-      flat_eng.add_file(s, f);
-      shard_eng.add_file(s, f);
+      eng.add_file(s, f);
     } else if (op < 75) {
       // Idle worker asks for a replica: the hot path under comparison.
-      const WorkerId w = random_alive_worker();
-      flat.on_worker_idle(w);
-      sharded.on_worker_idle(w);
+      idle_matches_oracle(sched, eng, random_alive_worker(), step);
     } else if (op < 92) {
       // Complete some incomplete task with a live instance (first
-      // finisher wins; siblings are cancelled — compare those too).
+      // finisher wins; siblings are cancelled).
       TaskId victim = TaskId::invalid();
       const std::size_t start = rng() % num_tasks;
       for (std::size_t i = 0; i < num_tasks; ++i) {
         TaskId t(
             static_cast<TaskId::underlying_type>((start + i) % num_tasks));
-        if (!flat.completed(t) && !flat.placements(t).empty()) {
+        if (!sched.completed(t) && !sched.placements(t).empty()) {
           victim = t;
           break;
         }
       }
       if (!victim.valid()) continue;
-      const WorkerId w = flat.placements(victim).front();
-      flat.on_task_completed(victim, w);
-      sharded.on_task_completed(victim, w);
+      const auto inst = sched.placements(victim);
+      const std::vector<WorkerId> siblings(inst.begin() + 1, inst.end());
+      const std::size_t before = eng.cancellations.size();
+      sched.on_task_completed(victim, inst.front());
+      ASSERT_EQ(eng.cancellations.size(), before + siblings.size());
+      for (std::size_t i = 0; i < siblings.size(); ++i)
+        ASSERT_EQ(eng.cancellations[before + i],
+                  std::make_pair(victim, siblings[i]));
     } else if (kills < 2) {
       const WorkerId w = random_alive_worker();
       dead.insert(static_cast<unsigned>(w.value()));
-      flat_eng.dead_workers.insert(w);
-      shard_eng.dead_workers.insert(w);
+      eng.dead_workers.insert(w);
       std::vector<TaskId> lost;
       for (std::size_t i = 0; i < num_tasks; ++i) {
         TaskId t(static_cast<TaskId::underlying_type>(i));
-        if (flat.completed(t)) continue;
-        const auto& inst = flat.placements(t);
+        if (sched.completed(t)) continue;
+        const auto& inst = sched.placements(t);
         if (std::find(inst.begin(), inst.end(), w) != inst.end())
           lost.push_back(t);
       }
-      flat.on_worker_failed(w, lost);
-      sharded.on_worker_failed(w, lost);
+      sched.on_worker_failed(w, lost);
       ++kills;
     }
-    ASSERT_EQ(flat_eng.assignments, shard_eng.assignments) << "step " << step;
-    ASSERT_EQ(flat_eng.cancellations, shard_eng.cancellations)
-        << "step " << step;
-    if (step % 41 == 0) {
-      expect_no_violations(sharded, step);
-      expect_no_violations(flat, step);  // flat has no index: vacuous pass
-    }
+    expect_no_violations(sched, step);
   }
+  EXPECT_GT(sched.replications(), 0u);
 }
 
 TEST(ShardedIndexProperty, StorageAffinityOrphanPickupMatchesFlat) {
   // Total-outage corner: the last instance of a task dies while every
-  // other worker is down, so the task is parked (flat: empty placements;
-  // sharded: the orphan set) until some worker goes idle again.
+  // other worker is down, so the task is parked in the orphan set until
+  // some worker goes idle again; the oracle's lowest-id-first scan over
+  // empty placements must agree.
   std::mt19937_64 rng(7);
   const workload::Job job = random_job(rng, /*num_tasks=*/3, /*num_files=*/6);
-  FakeEngine flat_eng(job, /*num_sites=*/1, /*workers_per_site=*/2, 10);
-  FakeEngine shard_eng(job, /*num_sites=*/1, /*workers_per_site=*/2, 10);
+  FakeEngine eng(job, /*num_sites=*/1, /*workers_per_site=*/2, 10);
 
-  StorageAffinityParams flat_params;
-  flat_params.options.use_sharded_index = false;
-  StorageAffinityScheduler flat(flat_params);
-  StorageAffinityScheduler sharded{StorageAffinityParams{}};
-  flat.attach(flat_eng);
-  sharded.attach(shard_eng);
-  flat.on_job_submitted();
-  sharded.on_job_submitted();
-  ASSERT_EQ(flat_eng.assignments, shard_eng.assignments);
+  StorageAffinityScheduler sched{StorageAffinityParams{}};
+  sched.attach(eng);
+  sched.on_job_submitted();
+  expect_no_violations(sched, /*step=*/-1);
 
   auto lost_on = [&](WorkerId w) {
     std::vector<TaskId> lost;
     for (unsigned i = 0; i < 3; ++i) {
-      const auto& inst = flat.placements(tid(i));
-      if (!flat.completed(tid(i)) &&
+      const auto& inst = sched.placements(tid(i));
+      if (!sched.completed(tid(i)) &&
           std::find(inst.begin(), inst.end(), w) != inst.end())
         lost.push_back(tid(i));
     }
@@ -390,39 +396,44 @@ TEST(ShardedIndexProperty, StorageAffinityOrphanPickupMatchesFlat) {
   // Kill worker 0 (its tasks re-place onto worker 1), then worker 1 with
   // no live worker left: everything becomes an orphan.
   const WorkerId w0(0u), w1(1u);
-  flat_eng.dead_workers.insert(w0);
-  shard_eng.dead_workers.insert(w0);
-  auto lost0 = lost_on(w0);
-  flat.on_worker_failed(w0, lost0);
-  sharded.on_worker_failed(w0, lost0);
-  ASSERT_EQ(flat_eng.assignments, shard_eng.assignments);
+  eng.dead_workers.insert(w0);
+  sched.on_worker_failed(w0, lost_on(w0));
+  expect_no_violations(sched, /*step=*/-2);
 
-  flat_eng.dead_workers.insert(w1);
-  shard_eng.dead_workers.insert(w1);
+  eng.dead_workers.insert(w1);
   auto lost1 = lost_on(w1);
   ASSERT_FALSE(lost1.empty());
-  flat.on_worker_failed(w1, lost1);
-  sharded.on_worker_failed(w1, lost1);
-  expect_no_violations(sharded, /*step=*/-1);
+  sched.on_worker_failed(w1, lost1);
+  expect_no_violations(sched, /*step=*/-3);
 
-  // Worker 0 recovers and drains the orphans lowest-id-first; both paths
-  // must hand out the same tasks in the same order.
-  flat_eng.dead_workers.erase(w0);
-  shard_eng.dead_workers.erase(w0);
+  // Both workers recover and drain the orphans lowest-id-first. From the
+  // second pickup on, a replicable task (the first orphan, now on w0)
+  // coexists with the remaining orphans: w1 must still take an orphan.
+  eng.dead_workers.erase(w0);
+  eng.dead_workers.erase(w1);
+  ASSERT_GE(lost1.size(), 2u);
+  std::sort(lost1.begin(), lost1.end());
   for (std::size_t i = 0; i < lost1.size(); ++i) {
-    flat.on_worker_idle(w0);
-    sharded.on_worker_idle(w0);
+    const WorkerId w = i % 2 == 0 ? w0 : w1;
+    ASSERT_EQ(sched.replica_pick(w), lost1[i]);
+    idle_matches_oracle(sched, eng, w, static_cast<int>(i));
+    expect_no_violations(sched, static_cast<int>(i));
   }
-  EXPECT_EQ(flat_eng.assignments, shard_eng.assignments);
-  expect_no_violations(sharded, /*step=*/-2);
+  EXPECT_EQ(sched.replications(), 0u);  // orphan pickups are not replicas
+
+  // With the orphans drained, the next request is a replica.
+  idle_matches_oracle(sched, eng, w0, /*step=*/-4);
+  expect_no_violations(sched, /*step=*/-4);
+  EXPECT_EQ(sched.replications(), 1u);
 }
 
 // --- End-to-end eviction-churn stress under --audit --------------------
 //
 // A full simulation with tight caches (constant eviction) AND worker
-// churn (crash/recover, re_add_pending/orphan traffic), swept by the
-// invariant auditor: the sharded and flat runs must land on identical
-// totals, and no audit sweep may fire (a violation aborts the run).
+// churn (crash/recover, re_add_pending/orphan traffic). The audited run
+// compares every decision with the flat-scan oracle on every sweep (a
+// violation aborts the run) and must land on the unaudited run's totals
+// bit for bit.
 
 TEST(ShardedIndexStress, EvictionChurnUnderAuditMatchesFlat) {
   workload::CoaddParams cp;
@@ -436,7 +447,6 @@ TEST(ShardedIndexStress, EvictionChurnUnderAuditMatchesFlat) {
   c.capacity_files = 1000;  // tight: constant eviction churn
   c.churn = grid::GridConfig::ChurnParams{
       .mean_uptime_s = 4 * 3600.0, .mean_downtime_s = 1800.0, .seed = 17};
-  c.audit = true;
   c.audit_interval_events = 2000;  // sweep often
 
   sched::SchedulerSpec specs[3];
@@ -445,17 +455,19 @@ TEST(ShardedIndexStress, EvictionChurnUnderAuditMatchesFlat) {
   specs[1].choose_n = 2;
   specs[2].algorithm = sched::Algorithm::kCombined;
 
-  for (sched::SchedulerSpec& spec : specs) {
+  for (const sched::SchedulerSpec& spec : specs) {
     SCOPED_TRACE(spec.name());
-    spec.options.use_sharded_index = true;
-    const auto sharded = grid::run_once(c, job, spec, /*seed=*/3);
-    spec.options.use_sharded_index = false;
-    const auto flat = grid::run_once(c, job, spec, /*seed=*/3);
-    EXPECT_EQ(sharded.makespan_s, flat.makespan_s);
-    EXPECT_EQ(sharded.tasks_completed, flat.tasks_completed);
-    EXPECT_EQ(sharded.total_file_transfers(), flat.total_file_transfers());
-    EXPECT_EQ(sharded.total_bytes_transferred(),
-              flat.total_bytes_transferred());
+    c.audit = true;
+    const auto audited = grid::run_once(c, job, spec, /*seed=*/3);
+    c.audit = false;
+    const auto plain = grid::run_once(c, job, spec, /*seed=*/3);
+    EXPECT_EQ(audited.tasks_completed, job.num_tasks());
+    EXPECT_EQ(bits(audited.makespan_s), bits(plain.makespan_s));
+    EXPECT_EQ(audited.tasks_completed, plain.tasks_completed);
+    EXPECT_EQ(audited.events_executed, plain.events_executed);
+    EXPECT_EQ(audited.total_file_transfers(), plain.total_file_transfers());
+    EXPECT_EQ(bits(audited.total_bytes_transferred()),
+              bits(plain.total_bytes_transferred()));
   }
 }
 
