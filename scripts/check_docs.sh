@@ -8,7 +8,11 @@
 #   3. the bench flag table in docs/operators-guide.md (the "| flag |
 #      effect |" table) has a row for every `arg == "--..."` flag that
 #      src/scenario/cli.cc parses, and no row for a flag it does not.
-#      Removal notes in prose outside the table are fine.
+#      Removal notes in prose outside the table are fine;
+#   4. the `--help` text in src/scenario/cli.cc lists exactly the flags
+#      that file parses;
+#   5. every path in the "shipped raw output" column of EXPERIMENTS.md's
+#      artifact map is tracked by git (results/ is mostly gitignored).
 #
 #   scripts/check_docs.sh [BUILD_DIR]     # default: build
 #
@@ -88,3 +92,52 @@ if [ -n "$undocumented" ] || [ -n "$stale" ]; then
   exit 1
 fi
 echo "ok — the operators-guide flag table matches src/scenario/cli.cc"
+
+# --- 4. CLI --help text drift -------------------------------------------------
+# The help string runs from the `std::cout << "options:` line to the
+# `std::exit(0)` that ends the --help branch.
+helped=$(awk '
+  /std::cout << "options:/ { in_help = 1 }
+  in_help { print }
+  in_help && /std::exit\(0\)/ { exit }
+' src/scenario/cli.cc | grep -oE -- '--[a-z][a-z-]*' | sort -u)
+if [ -z "$helped" ]; then
+  echo "FAIL — no --help text found in src/scenario/cli.cc" >&2
+  exit 1
+fi
+unhelped=$(comm -23 <(echo "$parsed") <(echo "$helped"))
+stale=$(comm -13 <(echo "$parsed") <(echo "$helped"))
+if [ -n "$unhelped" ] || [ -n "$stale" ]; then
+  for f in $unhelped; do
+    echo "flag $f is parsed by src/scenario/cli.cc but missing from its --help text" >&2
+  done
+  for f in $stale; do
+    echo "flag $f is in the --help text of src/scenario/cli.cc but not parsed" >&2
+  done
+  echo "FAIL — the --help text drifted from the CLI" >&2
+  exit 1
+fi
+echo "ok — the --help text matches the flags src/scenario/cli.cc parses"
+
+# --- 5. artifact-map paths are tracked ----------------------------------------
+shipped=$(awk '
+  /^\| paper artifact \| scenario \| shipped raw output \|/ { in_table = 1; next }
+  in_table && !/^\|/ { exit }
+  in_table { split($0, cell, "|"); print cell[4] }
+' EXPERIMENTS.md | grep -oE 'results/[^`]+' | sort -u)
+if [ -z "$shipped" ]; then
+  echo "FAIL — no artifact map with a \"shipped raw output\" column in EXPERIMENTS.md" >&2
+  exit 1
+fi
+untracked=0
+for path in $shipped; do
+  if ! git ls-files --error-unmatch "$path" >/dev/null 2>&1; then
+    echo "EXPERIMENTS.md artifact map names $path, which git does not track" >&2
+    untracked=1
+  fi
+done
+if [ "$untracked" -ne 0 ]; then
+  echo "FAIL — the artifact map names untracked output (see above)" >&2
+  exit 1
+fi
+echo "ok — every artifact-map output in EXPERIMENTS.md is tracked"

@@ -85,7 +85,7 @@ void check_flow_rates(const FlowRatesSnapshot& snap,
 struct CacheAuditSnapshot {
   std::string label;  // e.g. "site 3 data server"
   std::size_t occupancy = 0;
-  std::size_t capacity = 0;
+  std::size_t capacity = 0;  // most resident files the block budget admits
   std::size_t pinned = 0;                // resident files with pin_count > 0
   std::vector<std::string> structural;   // defects found by the cache itself
 };
@@ -93,7 +93,7 @@ struct CacheAuditSnapshot {
 void check_cache_coherence(const CacheAuditSnapshot& snap,
                            std::vector<Violation>& out);
 
-// Block-store page accounting (block-mode caches only). The FileCache
+// Block-store page accounting. The FileCache
 // produces the snapshot (block_audit_snapshot): the incrementally
 // maintained physical/pinned block counters next to a from-scratch
 // recount over the resident files' extents (page books vs cache books),

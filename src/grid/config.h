@@ -40,10 +40,10 @@ struct GridConfig {
   // bytes in fixed-size blocks, and files whose content overlaps
   // (BlockStoreParams::content_overlap > 0) share physical blocks, so
   // demand fetches and replicas ship only the blocks a site is missing.
-  // Engaged by default with overlap 0, where block accounting is
-  // provably byte-identical to whole-file accounting on uniform
-  // catalogs; reset to std::nullopt (scenario CLI: --whole-file-cache)
-  // for the reference whole-file mode.
+  // The default, overlap 0, reduces exactly to the paper's file-count
+  // capacity on uniform catalogs. Always on: std::nullopt reads as the
+  // default parameters (readers use value_or). The field stays optional
+  // only because existing configuration code engages it with emplace().
   std::optional<storage::BlockStoreParams> block_store =
       storage::BlockStoreParams{};
 

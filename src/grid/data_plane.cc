@@ -6,21 +6,18 @@ DataPlane::DataPlane(const GridConfig& config, const workload::Job& job,
                      const net::GridTopology& topo, sim::Simulator& sim,
                      std::vector<double> bandwidth_estimate_error)
     : topo_(topo),
+      block_map_(job.catalog,
+                 config.block_store.value_or(storage::BlockStoreParams{})),
       bandwidth_estimate_error_(std::move(bandwidth_estimate_error)) {
   flows_ = std::make_unique<net::FlowManager>(sim, topo_.topology);
-
-  if (config.block_store)
-    block_map_ =
-        std::make_unique<storage::BlockMap>(job.catalog, *config.block_store);
 
   const auto num_sites = static_cast<std::size_t>(config.tiers.num_sites);
   servers_.reserve(num_sites);
   for (std::size_t s = 0; s < num_sites; ++s) {
     servers_.push_back(std::make_unique<storage::DataServer>(
         SiteId(static_cast<SiteId::underlying_type>(s)), sim, *flows_,
-        topo_.data_server_nodes[s], topo_.file_server_node, job.catalog,
+        topo_.data_server_nodes[s], topo_.file_server_node, block_map_,
         config.capacity_files, config.eviction));
-    if (block_map_) servers_.back()->cache().attach_block_store(block_map_.get());
   }
 
   if (config.replication) {
@@ -42,7 +39,7 @@ DataPlane::DataPlane(const GridConfig& config, const workload::Job& job,
     }
     replicator_ = std::make_unique<replication::DataReplicator>(
         *config.replication, sim, *flows_, topo_.file_server_node,
-        job.catalog, std::move(servers), std::move(site_info));
+        std::move(servers), std::move(site_info));
     for (std::size_t s = 0; s < num_sites; ++s)
       servers_[s]->set_transfer_listener([this, s](FileId f) {
         replicator_->on_file_fetched(

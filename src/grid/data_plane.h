@@ -63,11 +63,6 @@ class DataPlane {
   [[nodiscard]] const replication::DataReplicator* replicator() const {
     return replicator_.get();
   }
-  // Shared block layout of the catalog; nullptr in whole-file mode.
-  [[nodiscard]] const storage::BlockMap* block_map() const {
-    return block_map_.get();
-  }
-
   // Start/stop the optional proactive replicator (no-ops when disabled).
   void start_replication();
   void stop_replication();
@@ -83,7 +78,7 @@ class DataPlane {
   const net::GridTopology& topo_;
   std::unique_ptr<net::FlowManager> flows_;
   // One immutable block layout, shared read-only by every site cache.
-  std::unique_ptr<storage::BlockMap> block_map_;
+  storage::BlockMap block_map_;
   std::vector<std::unique_ptr<storage::DataServer>> servers_;
   std::unique_ptr<replication::DataReplicator> replicator_;
   std::vector<double> bandwidth_estimate_error_;  // per site; empty if exact

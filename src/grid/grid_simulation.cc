@@ -108,19 +108,16 @@ void GridSimulation::register_audit_checkers() {
           out);
     }
   });
-  if (config_.block_store) {
-    auditor_->add_checker("block-store", [this](auto& out) {
-      for (std::size_t s = 0; s < data_->num_sites(); ++s) {
-        const storage::DataServer& ds =
-            data_->server(SiteId(static_cast<SiteId::underlying_type>(s)));
-        audit::check_block_store(
-            ds.cache().block_audit_snapshot(
-                "site " + std::to_string(ds.site().value()) +
-                " block store"),
-            out);
-      }
-    });
-  }
+  auditor_->add_checker("block-store", [this](auto& out) {
+    for (std::size_t s = 0; s < data_->num_sites(); ++s) {
+      const storage::DataServer& ds =
+          data_->server(SiteId(static_cast<SiteId::underlying_type>(s)));
+      audit::check_block_store(
+          ds.cache().block_audit_snapshot(
+              "site " + std::to_string(ds.site().value()) + " block store"),
+          out);
+    }
+  });
   auditor_->add_checker("index-coherence", [this](auto& out) {
     scheduler_->audit_collect(out);
   });

@@ -42,8 +42,8 @@ struct SiteResult {
   double transfer_s = 0;
   std::uint64_t file_transfers = 0;
   double bytes_transferred = 0;
-  // Block-mode dedup: bytes demand fetches did NOT move because shared
-  // blocks were already resident (0 in whole-file mode / overlap 0).
+  // Dedup: bytes demand fetches did NOT move because shared blocks were
+  // already resident (0 at content overlap 0).
   double bytes_saved = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t evictions = 0;
@@ -102,8 +102,8 @@ struct RunResult {
   }
 
   // Logical demand bytes / wire bytes. 1.0 when nothing was deduplicated
-  // (whole-file mode, overlap 0) and by convention when no demand bytes
-  // moved at all.
+  // (content overlap 0) and by convention when no demand bytes moved at
+  // all.
   [[nodiscard]] double dedup_ratio() const {
     const double moved = total_bytes_transferred();
     const double saved = total_bytes_saved();
@@ -162,7 +162,7 @@ struct AveragedResult {
   double transfers_per_site = 0;
   double total_file_transfers = 0;
   double total_gigabytes = 0;
-  // Block-mode dedup series (0 GB / ratio 1.0 in whole-file mode).
+  // Dedup series (0 GB / ratio 1.0 at content overlap 0).
   double total_gigabytes_saved = 0;
   double dedup_ratio = 1.0;
   double waiting_hours_per_site = 0;

@@ -26,14 +26,12 @@ bool parse_placement(std::string_view name, Placement* out) {
 DataReplicator::DataReplicator(const DataReplicatorParams& params,
                                sim::Simulator& sim, net::FlowManager& flows,
                                NodeId file_server_node,
-                               const workload::FileCatalog& catalog,
                                std::vector<storage::DataServer*> data_servers,
                                std::vector<SiteNetInfo> site_info)
     : params_(params),
       sim_(sim),
       flows_(flows),
       file_server_node_(file_server_node),
-      catalog_(catalog),
       data_servers_(std::move(data_servers)),
       site_info_(std::move(site_info)),
       rng_(params.seed) {
@@ -74,12 +72,6 @@ void DataReplicator::on_file_fetched(FileId file, SiteId origin) {
     if (demand.empty()) demand.resize(num_groups_, 0);
     ++demand[site_info_[origin.value()].man_group];
   }
-}
-
-Bytes DataReplicator::replica_bytes(FileId file, std::size_t target) const {
-  const storage::FileCache& cache = data_servers_[target]->cache();
-  return cache.block_mode() ? cache.missing_bytes(file)
-                            : catalog_.size(file);
 }
 
 SiteId DataReplicator::pick_target(FileId file) {
@@ -134,7 +126,8 @@ SiteId DataReplicator::pick_target(FileId file) {
       for (std::size_t s : candidates) {
         const SiteNetInfo& net = site_info_[s];
         const double transfer =
-            static_cast<double>(replica_bytes(file, s)) /
+            static_cast<double>(
+                data_servers_[s]->cache().missing_bytes(file)) /
                 std::max(net.uplink_bandwidth_bps, 1.0) +
             net.uplink_latency_s;
         const double cost =
@@ -180,13 +173,13 @@ void DataReplicator::scan() {
     replicated_.insert(file);
     storage::DataServer* ds = data_servers_[target.value()];
     FileId f = file;
-    // Priced at flow start (block mode ships only uncovered blocks), and
-    // the completion callback books that same amount so the results
-    // ledger matches the flow manager byte for byte.
-    const double moved =
-        static_cast<double>(replica_bytes(file, target.value()));
+    // Priced at flow start (only the blocks the target does not already
+    // cover ship), and the completion callback books that same amount so
+    // the results ledger matches the flow manager byte for byte.
+    const Bytes bytes = ds->cache().missing_bytes(file);
+    const double moved = static_cast<double>(bytes);
     FlowId flow = flows_.start_flow(
-        file_server_node_, ds->node(), replica_bytes(file, target.value()),
+        file_server_node_, ds->node(), bytes,
         [this, ds, f, moved](FlowId id) {
           in_flight_.erase(id);
           // The demand path may have fetched it meanwhile; and a cache

@@ -28,7 +28,6 @@
 #include "net/flow_manager.h"
 #include "sim/simulator.h"
 #include "storage/data_server.h"
-#include "workload/job.h"
 
 namespace wcs::replication {
 
@@ -85,7 +84,6 @@ class DataReplicator {
   // random/least-loaded policies never read it).
   DataReplicator(const DataReplicatorParams& params, sim::Simulator& sim,
                  net::FlowManager& flows, NodeId file_server_node,
-                 const workload::FileCatalog& catalog,
                  std::vector<storage::DataServer*> data_servers,
                  std::vector<SiteNetInfo> site_info = {});
 
@@ -116,15 +114,10 @@ class DataReplicator {
   // (every site already holds it).
   [[nodiscard]] SiteId pick_target(FileId file);
 
-  // Bytes a replica of `file` at `target` would actually move (block
-  // mode prices only the blocks the target does not already cover).
-  [[nodiscard]] Bytes replica_bytes(FileId file, std::size_t target) const;
-
   DataReplicatorParams params_;
   sim::Simulator& sim_;
   net::FlowManager& flows_;
   NodeId file_server_node_;
-  const workload::FileCatalog& catalog_;
   std::vector<storage::DataServer*> data_servers_;
   std::vector<SiteNetInfo> site_info_;  // site order; same size as servers
   std::uint32_t num_groups_ = 1;

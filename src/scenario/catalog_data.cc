@@ -67,15 +67,15 @@ void register_data_scenarios() {
             "the dedup ratio (report field dedup_ratio) is flat "
             "across block\nsizes for this uniform workload — overlap is "
             "block-aligned — while the\nmakespan tracks the saved wire "
-            "bytes; compare against --whole-file-cache\nfor the no-dedup "
-            "baseline.";
+            "bytes; the no-dedup baseline is\ncontent overlap 0 "
+            "(dedup_ratio 1), e.g. R2's @disjoint rows.";
         return spec;
       });
 
   // R2: eviction policy x dedup. Shared blocks change what an eviction
   // actually frees (evicting a file whose neighbor is resident frees
-  // only the exclusive tail), so policies that agree in whole-file mode
-  // can diverge under overlap. Tight capacity forces steady eviction.
+  // only the exclusive tail), so policies that agree at overlap 0 can
+  // diverge under overlap. Tight capacity forces steady eviction.
   register_scenario(
       "data_eviction_dedup", "R2: eviction policy x content overlap",
       [](const BuildOptions& options) {

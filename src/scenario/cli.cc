@@ -26,7 +26,6 @@ struct CliOptions {
   RunOptions run;
   bool list = false;
   bool dump = false;
-  bool whole_file = false;    // --whole-file-cache: reference data plane
   double block_size_mb = 0;   // --block-size: override, MB (0 = spec's)
   std::string replication;    // --replication-policy: none|random|...
   // Open-system workload-plane overrides (empty = leave the spec alone).
@@ -126,11 +125,15 @@ CliOptions parse(const std::string& default_scenario, int argc, char** argv) {
       no_report = true;
     } else if (arg == "--trace-out") {
       opt.run.trace_out = next();
-    } else if (arg == "--whole-file-cache") {
-      opt.whole_file = true;
     } else if (arg == "--block-size") {
-      opt.block_size_mb = parse_number<double>(arg, next());
-      if (opt.block_size_mb <= 0) usage_error("--block-size must be > 0 MB");
+      const std::string value = next();
+      opt.block_size_mb = parse_number<double>(arg, value);
+      // megabytes() truncates to whole bytes; the block map needs at
+      // least one, and the count must fit 64 bits.
+      const double bytes = opt.block_size_mb * 1e6;
+      if (!(bytes >= 1.0 && bytes < 0x1p64))
+        usage_error("--block-size must be from 1e-6 MB (one byte) to "
+                    "1.8e13 MB, got '" + value + "'");
     } else if (arg == "--replication-policy") {
       opt.replication = next();
     } else if (arg == "--workload") {
@@ -140,11 +143,10 @@ CliOptions parse(const std::string& default_scenario, int argc, char** argv) {
     } else if (arg == "--arrival") {
       opt.arrival = next();
     } else if (arg == "--help" || arg == "-h") {
-      std::cout << "options: --scenario NAME --list-scenarios "
+      std::cout << "options: --help --scenario NAME --list-scenarios "
                    "--dump-scenario [NAME]\n         --tasks N --seeds K "
                    "--jobs N --csv PATH --fast --audit\n         --report "
-                   "PATH --no-report --trace-out PATH\n"
-                   "         --whole-file-cache --block-size MB\n"
+                   "PATH --no-report --trace-out PATH --block-size MB\n"
                    "         --replication-policy none|random|least-loaded|"
                    "hierarchical|network-cost\n"
                    "         --workload NAME --tenants N|W1,W2,... "
@@ -201,16 +203,8 @@ int scenario_main(const std::string& default_scenario, int argc,
   build.fast = opt.fast;
   ScenarioSpec spec = build_scenario(opt.scenario, build);
 
-  // --whole-file-cache: the reference data plane — caches account whole
-  // files, no block sharing. Byte-identical to block mode at content
-  // overlap 0 (the default); the escape hatch pins that equivalence and
-  // serves as the dedup baseline. --block-size resizes the block grid.
-  if (opt.whole_file && opt.block_size_mb > 0)
-    usage_error("--whole-file-cache and --block-size are mutually exclusive");
-  if (opt.whole_file) {
-    spec.base_config.block_store.reset();
-    for (Point& pt : spec.points) pt.config.block_store.reset();
-  } else if (opt.block_size_mb > 0) {
+  // --block-size resizes the block grid of every point.
+  if (opt.block_size_mb > 0) {
     auto resize = [&](grid::GridConfig& c) {
       if (!c.block_store) c.block_store.emplace();
       c.block_store->block_size = megabytes(opt.block_size_mb);

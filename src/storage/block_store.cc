@@ -2,16 +2,26 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace wcs::storage {
 
 namespace {
 
 // ceil(size / block) for a nonempty file; zero-byte files still occupy
-// one (empty) block so every file has a nonempty extent.
+// one (empty) block so every file has a nonempty extent. Extent lengths
+// are 32-bit, so a file/block ratio past that range is refused rather
+// than wrapped (file sizes can come from trace files).
 std::uint32_t block_count(Bytes size, Bytes block) {
   if (size == 0) return 1;
-  return static_cast<std::uint32_t>((size + block - 1) / block);
+  const Bytes n = size / block + (size % block != 0 ? 1 : 0);
+  WCS_CHECK_MSG(n <= std::numeric_limits<std::uint32_t>::max(),
+                "a " << size << "-byte file spans " << n << " blocks of "
+                     << block << " bytes; at most "
+                     << std::numeric_limits<std::uint32_t>::max()
+                     << " blocks per file are supported (raise the block "
+                        "size)");
+  return static_cast<std::uint32_t>(n);
 }
 
 }  // namespace
@@ -82,6 +92,13 @@ Bytes BlockMap::file_bytes(FileId f) const {
   if (shared()) return static_cast<Bytes>(e.count) * params_.block_size;
   const Bytes tail = uniform_ ? tail_bytes_ : tail_[f.value()];
   return static_cast<Bytes>(e.count - 1) * params_.block_size + tail;
+}
+
+std::uint64_t BlockMap::max_resident_files(
+    std::uint64_t capacity_blocks) const {
+  if (!uniform_) return capacity_blocks;  // disjoint, >= 1 block each
+  if (capacity_blocks < blocks_) return 0;
+  return 1 + (capacity_blocks - blocks_) / stride_;
 }
 
 std::uint32_t BlockMap::blocks_per_file_max() const {

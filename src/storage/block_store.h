@@ -15,11 +15,11 @@
 //   file f covers the global blocks [f*stride, f*stride + n)
 //
 // With content_overlap == 0 the stride equals n, extents are disjoint,
-// and block accounting is provably byte-identical to whole-file caching
-// (the golden-run suite pins this). With overlap > 0, neighbouring files
-// share `n - stride` blocks, so a cache that already holds file f only
-// needs the non-shared tail of file f+1 — missing_bytes() is what the
-// data server actually transfers.
+// and block accounting reduces exactly to the paper's file-count
+// capacity (the golden-run suite pins the totals). With overlap > 0,
+// neighbouring files share `n - stride` blocks, so a cache that already
+// holds file f only needs the non-shared tail of file f+1 —
+// missing_bytes() is what the data server actually transfers.
 //
 // Heterogeneous catalogs (the file-size ablation, unit tests) get
 // disjoint per-file extents: content overlap is a property of the
@@ -48,8 +48,8 @@ struct BlockStoreParams {
   Bytes block_size = megabytes(1.0);
 
   // Fraction of a file's blocks shared with each adjacent file id
-  // (uniform catalogs only). 0 = disjoint extents, byte-identical to
-  // whole-file caching; 0.5 = consecutive files share half their blocks.
+  // (uniform catalogs only). 0 = disjoint extents, the paper's
+  // file-count capacity; 0.5 = consecutive files share half their blocks.
   double content_overlap = 0.0;
 };
 
@@ -90,6 +90,13 @@ class BlockMap {
   [[nodiscard]] bool shared() const { return uniform_ && stride_ < blocks_; }
 
   [[nodiscard]] std::uint32_t blocks_per_file_max() const;
+
+  // Most files whose extents fit together in `capacity_blocks` blocks:
+  // k uniform files cover at least n + (k-1)*stride blocks (exactly
+  // capacity_blocks / n at overlap 0); heterogeneous extents are disjoint
+  // and at least one block each.
+  [[nodiscard]] std::uint64_t max_resident_files(
+      std::uint64_t capacity_blocks) const;
 
   // Uniform sliding-window geometry (meaningful only when shared()).
   [[nodiscard]] std::uint32_t stride() const { return stride_; }

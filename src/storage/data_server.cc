@@ -84,19 +84,12 @@ void DataServer::continue_batch() {
     }
     // Miss: fetch from the external file server; the batch blocks until
     // the file lands (files within a batch are fetched sequentially, as
-    // the serial data server implies). In block mode only the blocks no
-    // resident file already covers move over the wire — a fully covered
-    // extent still flows (zero payload, path latency only) so service
-    // order is identical in both modes.
-    Bytes want = catalog_.size(f);
-    if (cache_.block_mode()) {
-      const Bytes missing = cache_.missing_bytes(f);
-      b.in_flight_saved =
-          static_cast<double>(cache_.file_bytes(f) - missing);
-      want = missing;
-    } else {
-      b.in_flight_saved = 0;
-    }
+    // the serial data server implies). Only the blocks no resident file
+    // already covers move over the wire — a fully covered extent still
+    // flows (zero payload, path latency only), so service order does not
+    // depend on content overlap.
+    const Bytes want = cache_.missing_bytes(f);
+    b.in_flight_saved = static_cast<double>(cache_.file_bytes(f) - want);
     b.in_flight_bytes = static_cast<double>(want);
     b.in_flight = flows_.start_flow(
         file_server_node_, node_, want,

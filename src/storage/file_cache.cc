@@ -54,21 +54,12 @@ void FileCache::record_access(FileId f) {
   notify(CacheEvent::kAccessed, f);
 }
 
-void FileCache::attach_block_store(const BlockMap* map) {
-  WCS_CHECK(map != nullptr);
-  WCS_CHECK_MSG(resident_count_ == 0,
-                "attach_block_store on a non-empty cache");
-  blocks_ = map;
-  capacity_blocks_ =
-      static_cast<std::uint64_t>(capacity_) * map->blocks_per_file_max();
-}
-
 std::uint64_t FileCache::covered_blocks(FileId f, bool pinned_only) const {
-  const std::uint32_t n = blocks_->blocks(f);
-  if (!blocks_->shared()) return 0;  // disjoint extents never overlap
-  const std::uint32_t stride = blocks_->stride();
-  const std::uint32_t span = blocks_->neighbour_span();
-  const std::size_t num_files = blocks_->num_files();
+  const std::uint32_t n = blocks_.blocks(f);
+  if (!blocks_.shared()) return 0;  // disjoint extents never overlap
+  const std::uint32_t stride = blocks_.stride();
+  const std::uint32_t span = blocks_.neighbour_span();
+  const std::size_t num_files = blocks_.num_files();
   auto qualifies = [&](std::uint32_t id) {
     if (id >= slots_.size() || !slots_[id].resident) return false;
     return !pinned_only || slots_[id].pins > 0;
@@ -94,41 +85,31 @@ std::uint64_t FileCache::covered_blocks(FileId f, bool pinned_only) const {
 }
 
 std::uint64_t FileCache::exclusive_blocks(FileId f, bool pinned_only) const {
-  return blocks_->blocks(f) - covered_blocks(f, pinned_only);
+  return blocks_.blocks(f) - covered_blocks(f, pinned_only);
 }
 
 Bytes FileCache::missing_bytes(FileId f) const {
-  WCS_CHECK(blocks_ != nullptr);
   if (contains(f)) return 0;
   const std::uint64_t missing = exclusive_blocks(f, /*pinned_only=*/false);
-  if (!blocks_->shared()) {
+  if (!blocks_.shared()) {
     // Disjoint extents: an absent file misses its whole (exact) size.
-    return blocks_->file_bytes(f);
+    return blocks_.file_bytes(f);
   }
-  return missing * blocks_->block_size();
-}
-
-Bytes FileCache::file_bytes(FileId f) const {
-  WCS_CHECK(blocks_ != nullptr);
-  return blocks_->file_bytes(f);
+  return missing * blocks_.block_size();
 }
 
 void FileCache::insert(FileId f) {
   WCS_CHECK_MSG(!contains(f), "file " << f << " already cached");
   Slot& s = slot(f);  // may grow the table; keep the reference local
-  if (blocks_ != nullptr) {
-    // Evict until f's uncovered blocks fit. Evicting can uncover blocks
-    // f shares with the victim, so the need is re-derived per round; the
-    // victim leaves the resident set each time, so the loop is finite.
-    std::uint64_t need = exclusive_blocks(f, /*pinned_only=*/false);
-    while (physical_blocks_ + need > capacity_blocks_) {
-      evict_one();
-      need = exclusive_blocks(f, /*pinned_only=*/false);
-    }
-    physical_blocks_ += need;
-  } else {
-    while (resident_count_ >= capacity_) evict_one();
+  // Evict until f's uncovered blocks fit. Evicting can uncover blocks f
+  // shares with the victim, so the need is re-derived per round; the
+  // victim leaves the resident set each time, so the loop is finite.
+  std::uint64_t need = exclusive_blocks(f, /*pinned_only=*/false);
+  while (physical_blocks_ + need > capacity_blocks_) {
+    evict_one();
+    need = exclusive_blocks(f, /*pinned_only=*/false);
   }
+  physical_blocks_ += need;
   WCS_DCHECK(s.pins == 0);
   s.resident = 1;
   link_back(f.value());
@@ -137,17 +118,12 @@ void FileCache::insert(FileId f) {
 }
 
 bool FileCache::has_insert_room(FileId f) const {
-  if (blocks_ != nullptr) {
-    // Worst case, every unpinned resident is evicted: what remains
-    // physical is exactly the union of pinned extents, and the blocks of
-    // f still covered are those under a pinned neighbour. insert(f)
-    // succeeds iff that end state fits, since its eviction loop stops at
-    // or before it.
-    return pinned_blocks_ + exclusive_blocks(f, /*pinned_only=*/true) <=
-           capacity_blocks_;
-  }
-  return resident_count_ < capacity_ ||
-         pinned_resident_count_ < resident_count_;
+  // Worst case, every unpinned resident is evicted: what remains physical
+  // is exactly the union of pinned extents, and the blocks of f still
+  // covered are those under a pinned neighbour. insert(f) succeeds iff
+  // that end state fits, since its eviction loop stops at or before it.
+  return pinned_blocks_ + exclusive_blocks(f, /*pinned_only=*/true) <=
+         capacity_blocks_;
 }
 
 bool FileCache::try_insert(FileId f) {
@@ -191,12 +167,10 @@ void FileCache::evict_one() {
                 "cache full of pinned files (capacity " << capacity_
                 << ") — capacity must cover the concurrent working set");
   Slot& s = slots_[victim.value()];
-  if (blocks_ != nullptr) {
-    // Only the blocks no other resident covers become free (neighbour
-    // scan never consults the victim itself, so compute before the
-    // residency bit drops).
-    physical_blocks_ -= exclusive_blocks(victim, /*pinned_only=*/false);
-  }
+  // Only the blocks no other resident covers become free (the neighbour
+  // scan never consults the victim itself, so compute before the
+  // residency bit drops).
+  physical_blocks_ -= exclusive_blocks(victim, /*pinned_only=*/false);
   unlink(victim.value());
   s.resident = 0;
   --resident_count_;
@@ -214,22 +188,16 @@ void FileCache::evict_one() {
 void FileCache::pin(FileId f) {
   WCS_CHECK_MSG(contains(f), "pin of absent file " << f);
   Slot& s = slots_[f.value()];
-  if (s.pins++ == 0) {
-    ++pinned_resident_count_;
-    if (blocks_ != nullptr)
-      pinned_blocks_ += exclusive_blocks(f, /*pinned_only=*/true);
-  }
+  if (s.pins++ == 0)
+    pinned_blocks_ += exclusive_blocks(f, /*pinned_only=*/true);
 }
 
 void FileCache::unpin(FileId f) {
   WCS_CHECK_MSG(contains(f), "unpin of absent file " << f);
   Slot& s = slots_[f.value()];
   WCS_CHECK_MSG(s.pins > 0, "unpin of unpinned file " << f);
-  if (--s.pins == 0) {
-    --pinned_resident_count_;
-    if (blocks_ != nullptr)
-      pinned_blocks_ -= exclusive_blocks(f, /*pinned_only=*/true);
-  }
+  if (--s.pins == 0)
+    pinned_blocks_ -= exclusive_blocks(f, /*pinned_only=*/true);
 }
 
 bool FileCache::pinned(FileId f) const {
@@ -240,12 +208,14 @@ bool FileCache::pinned(FileId f) const {
 audit::CacheAuditSnapshot FileCache::audit_snapshot(std::string label) const {
   audit::CacheAuditSnapshot snap;
   snap.label = std::move(label);
-  snap.capacity = capacity_;
+  // Shared blocks let more than capacity_files files reside at once; the
+  // bound is what the block budget admits (capacity_files at overlap 0).
+  snap.capacity = static_cast<std::size_t>(
+      blocks_.max_resident_files(capacity_blocks_));
   snap.occupancy = resident_count_;
   // Full recount of the slot table against the incremental counters
   // and the intrusive eviction order.
   std::size_t resident = 0;
-  std::size_t pinned_files = 0;
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     const Slot& s = slots_[i];
     if (!s.resident) {
@@ -263,21 +233,12 @@ audit::CacheAuditSnapshot FileCache::audit_snapshot(std::string label) const {
       continue;
     }
     ++resident;
-    if (s.pins > 0) {
-      ++snap.pinned;
-      ++pinned_files;
-    }
+    if (s.pins > 0) ++snap.pinned;
   }
   if (resident != resident_count_) {
     std::ostringstream os;
     os << "slot table holds " << resident << " resident files but the "
        << "cache counts " << resident_count_;
-    snap.structural.push_back(os.str());
-  }
-  if (pinned_files != pinned_resident_count_) {
-    std::ostringstream os;
-    os << "slot table holds " << pinned_files
-       << " pinned files but the cache counts " << pinned_resident_count_;
     snap.structural.push_back(os.str());
   }
   // Walk the eviction order; every resident slot must appear exactly
@@ -317,7 +278,6 @@ audit::CacheAuditSnapshot FileCache::audit_snapshot(std::string label) const {
 
 audit::BlockStoreAuditSnapshot FileCache::block_audit_snapshot(
     std::string label) const {
-  WCS_CHECK(blocks_ != nullptr);
   audit::BlockStoreAuditSnapshot snap;
   snap.label = std::move(label);
   snap.capacity_blocks = capacity_blocks_;
@@ -342,7 +302,7 @@ audit::BlockStoreAuditSnapshot FileCache::block_audit_snapshot(
     const Slot& s = slots_[i];
     if (!s.resident) continue;
     const BlockMap::Extent e =
-        blocks_->extent(FileId(static_cast<FileId::underlying_type>(i)));
+        blocks_.extent(FileId(static_cast<FileId::underlying_type>(i)));
     snap.file_block_refs += e.count;
     accumulate(snap.recount_physical, physical_end, physical_any, e);
     if (s.pins > 0)

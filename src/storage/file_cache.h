@@ -23,12 +23,13 @@
 // node-based layout lived behind --legacy-layout for one PR as the A/B
 // baseline and was removed after the flat goldens soaked.)
 //
-// Block mode (attach_block_store, docs/data-plane.md): residency and
-// eviction order stay file-granular, but capacity is accounted in
-// refcounted content BLOCKS, so files whose extents overlap share bytes
-// instead of holding them twice. Whole-file accounting is the reference
-// mode behind --whole-file-cache; with content_overlap == 0 the two are
-// byte-identical (golden-gated).
+// Block accounting (docs/data-plane.md): residency and eviction order
+// are file-granular, but capacity is accounted in refcounted content
+// BLOCKS of the shared BlockMap, so files whose extents overlap share
+// bytes instead of holding them twice. With disjoint extents of one
+// size (content_overlap == 0 on a uniform catalog, the default) every
+// decision reduces exactly to the paper's file-count law (at most
+// capacity_files resident files).
 #pragma once
 
 #include <cstdint>
@@ -60,8 +61,18 @@ using CacheListener = std::function<void(CacheEvent, FileId)>;
 
 class FileCache {
  public:
-  FileCache(std::size_t capacity_files, EvictionPolicy policy)
-      : capacity_(capacity_files), policy_(policy) {
+  // `blocks` must outlive the cache. Capacity is capacity_files *
+  // blocks-per-file BLOCKS, allocatable at block granularity: a resident
+  // file holds a reference on every block of its extent, blocks shared
+  // with other residents are held once, and eviction frees only the
+  // blocks no other resident covers.
+  FileCache(const BlockMap& blocks, std::size_t capacity_files,
+            EvictionPolicy policy)
+      : capacity_(capacity_files),
+        policy_(policy),
+        blocks_(blocks),
+        capacity_blocks_(static_cast<std::uint64_t>(capacity_files) *
+                         blocks.blocks_per_file_max()) {
     WCS_CHECK(capacity_files > 0);
   }
 
@@ -71,12 +82,6 @@ class FileCache {
 
   [[nodiscard]] bool contains(FileId f) const {
     return f.value() < slots_.size() && slots_[f.value()].resident;
-  }
-
-  // Pre-size the slot table for `num_files` distinct file ids (the table
-  // also grows on demand).
-  void reserve_files(std::size_t num_files) {
-    if (num_files > slots_.size()) slots_.resize(num_files);
   }
 
   // Record a task's use of a present file: bumps r_i, refreshes recency.
@@ -94,9 +99,8 @@ class FileCache {
   // a transiently full cache.
   bool try_insert(FileId f);
 
-  // True if insert(f) would succeed without throwing. In whole-file mode
-  // the answer is file-independent; in block mode it depends on how much
-  // of f's extent pinned residents already cover.
+  // True if insert(f) would succeed without throwing. Depends on how
+  // much of f's extent pinned residents already cover.
   [[nodiscard]] bool has_insert_room(FileId f) const;
 
   // Pin/unpin; pins nest. The file must be present.
@@ -122,27 +126,16 @@ class FileCache {
   [[nodiscard]] audit::CacheAuditSnapshot audit_snapshot(
       std::string label) const;
 
-  // --- Block mode --------------------------------------------------------
-  // Attach a block map (must outlive the cache; the cache must be empty).
-  // Capacity becomes capacity_files * blocks-per-file BLOCKS, allocatable
-  // at block granularity: a resident file holds a reference on every
-  // block of its extent, blocks shared with other residents are held
-  // once, and eviction frees only the blocks no other resident covers.
-  // With disjoint extents (content_overlap == 0, uniform catalog) every
-  // decision reduces exactly to the whole-file laws — the golden-run
-  // suite pins byte-identical totals both ways.
-  void attach_block_store(const BlockMap* map);
-
-  [[nodiscard]] bool block_mode() const { return blocks_ != nullptr; }
-  [[nodiscard]] const BlockMap* block_map() const { return blocks_; }
-
+  // --- Block accounting --------------------------------------------------
   // Bytes a fetch of `f` must actually move: the blocks of f's extent no
-  // resident file covers. 0 for resident files. Block mode only.
+  // resident file covers. 0 for resident files.
   [[nodiscard]] Bytes missing_bytes(FileId f) const;
 
   // Full block-granular size of `f` (>= missing_bytes; the difference is
-  // the dedup saving of a fetch issued now). Block mode only.
-  [[nodiscard]] Bytes file_bytes(FileId f) const;
+  // the dedup saving of a fetch issued now).
+  [[nodiscard]] Bytes file_bytes(FileId f) const {
+    return blocks_.file_bytes(f);
+  }
 
   [[nodiscard]] std::uint64_t capacity_blocks() const {
     return capacity_blocks_;
@@ -155,7 +148,7 @@ class FileCache {
   }
 
   // Block-store page accounting snapshot for the invariant auditor
-  // (audit::check_block_store). Block mode only.
+  // (audit::check_block_store).
   [[nodiscard]] audit::BlockStoreAuditSnapshot block_audit_snapshot(
       std::string label) const;
 
@@ -227,12 +220,11 @@ class FileCache {
   std::uint32_t head_ = kNullSlot;  // next eviction candidate
   std::uint32_t tail_ = kNullSlot;  // most recently inserted/accessed
   std::size_t resident_count_ = 0;
-  std::size_t pinned_resident_count_ = 0;  // residents with pins > 0
 
-  // Block mode (null in whole-file mode). physical_/pinned_ count
-  // distinct blocks covered by >= 1 resident / pinned-resident file,
-  // maintained incrementally on insert/evict/pin/unpin transitions.
-  const BlockMap* blocks_ = nullptr;
+  // physical_/pinned_ count distinct blocks covered by >= 1 resident /
+  // pinned-resident file, maintained incrementally on
+  // insert/evict/pin/unpin transitions.
+  const BlockMap& blocks_;
   std::uint64_t capacity_blocks_ = 0;
   std::uint64_t physical_blocks_ = 0;
   std::uint64_t pinned_blocks_ = 0;

@@ -1,6 +1,7 @@
 // A minimal in-memory GridEngine for scheduler unit tests: caches are
-// plain FileCaches the test mutates directly; assignments and
-// cancellations are recorded instead of simulated.
+// plain FileCaches (over the job catalog's default overlap-0 block map,
+// so capacity is a file count) the test mutates directly; assignments
+// and cancellations are recorded instead of simulated.
 #pragma once
 
 #include <map>
@@ -19,10 +20,15 @@ class FakeEngine final : public GridEngine {
   FakeEngine(const workload::Job& job, std::size_t num_sites,
              std::size_t workers_per_site, std::size_t capacity = 1000,
              storage::EvictionPolicy policy = storage::EvictionPolicy::kLru)
-      : job_(job), workers_per_site_(workers_per_site) {
+      : job_(job),
+        workers_per_site_(workers_per_site),
+        blocks_(job.catalog, storage::BlockStoreParams{}) {
     for (std::size_t s = 0; s < num_sites; ++s)
-      caches_.emplace_back(capacity, policy);
+      caches_.emplace_back(blocks_, capacity, policy);
   }
+  // The caches refer to blocks_.
+  FakeEngine(const FakeEngine&) = delete;
+  FakeEngine& operator=(const FakeEngine&) = delete;
 
   [[nodiscard]] const workload::Job& job() const override { return job_; }
   [[nodiscard]] std::size_t num_sites() const override {
@@ -75,6 +81,7 @@ class FakeEngine final : public GridEngine {
  private:
   const workload::Job& job_;
   std::size_t workers_per_site_;
+  storage::BlockMap blocks_;
   std::vector<storage::FileCache> caches_;
 };
 

@@ -177,10 +177,13 @@ TEST(BlockStore, ForwardsStructuralDefects) {
 }
 
 TEST(CacheCoherence, LiveCacheSnapshotIsClean) {
+  // Uniform overlap-0 map: capacity is the paper's file count.
+  const storage::BlockMap blocks(workload::FileCatalog(10, megabytes(25.0)),
+                                 storage::BlockStoreParams{});
   for (auto policy :
        {storage::EvictionPolicy::kLru, storage::EvictionPolicy::kFifo,
         storage::EvictionPolicy::kMinRef}) {
-    storage::FileCache cache(3, policy);
+    storage::FileCache cache(blocks, 3, policy);
     for (unsigned f = 0; f < 5; ++f) {  // exercises eviction
       cache.insert(FileId(f));
       cache.record_access(FileId(f));

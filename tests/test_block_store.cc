@@ -1,10 +1,16 @@
-// Block-level data plane: BlockMap layout laws, FileCache block-mode
-// refcount accounting, the whole-file/block-mode equivalence at content
-// overlap 0 (mirrored churn over 7 seeds), the block-store audit
-// checker, and an end-to-end dedup run (docs/data-plane.md).
+// Block-level data plane: BlockMap layout laws, FileCache block
+// refcount accounting, one live cache checked against the block-store
+// and cache-coherence oracles after every operation (with the paper's
+// whole-file laws asserted at content overlap 0), the block cache
+// mirrored against a whole-file reference model at overlap 0, and an
+// end-to-end dedup run (docs/data-plane.md).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "audit/checkers.h"
@@ -51,7 +57,7 @@ TEST(BlockMapLayout, DisjointUniformExtents) {
 
 TEST(BlockMapLayout, DisjointTailBlockCarriesTheRemainder) {
   // 25.5 MB files: 26 blocks, the last holding 0.5 MB — file_bytes must
-  // stay EXACT so whole-file and block transfers agree byte for byte.
+  // stay EXACT so a fetch moves the catalog size byte for byte.
   auto catalog = uniform_catalog(4, 25.5);
   BlockMap map(catalog, overlap_params(0.0));
   EXPECT_EQ(map.blocks(FileId(0)), 26u);
@@ -107,12 +113,26 @@ TEST(BlockMapLayout, ZeroByteFileOccupiesOneEmptyBlock) {
   EXPECT_EQ(map.block_bytes(FileId(1), 0), 0u);
 }
 
+TEST(BlockMapLayout, BlockCountPastUint32IsRefused) {
+  // 5e9 one-byte blocks do not fit a 32-bit extent length: the map must
+  // refuse the layout with a message, not wrap the count.
+  workload::FileCatalog catalog(1, 5'000'000'000ULL);
+  BlockStoreParams params;
+  params.block_size = 1;
+  try {
+    BlockMap map(catalog, params);
+    FAIL() << "a 5e9-block extent was accepted";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("5000000000 blocks"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(FileCacheBlocks, SharedBlocksAreHeldOnceAndEvictionFreesExclusive) {
   auto catalog = uniform_catalog();
   BlockMap map(catalog, overlap_params(0.5));
-  FileCache cache(2, EvictionPolicy::kLru);
-  cache.attach_block_store(&map);
-  ASSERT_TRUE(cache.block_mode());
+  FileCache cache(map, 2, EvictionPolicy::kLru);
   EXPECT_EQ(cache.capacity_blocks(), 48u);  // 2 files x 24 blocks
 
   cache.insert(FileId(0));
@@ -138,8 +158,7 @@ TEST(FileCacheBlocks, SharedBlocksAreHeldOnceAndEvictionFreesExclusive) {
 TEST(FileCacheBlocks, MissingBytesCountsOnlyUncoveredBlocks) {
   auto catalog = uniform_catalog();
   BlockMap map(catalog, overlap_params(0.5));
-  FileCache cache(4, EvictionPolicy::kLru);
-  cache.attach_block_store(&map);
+  FileCache cache(map, 4, EvictionPolicy::kLru);
 
   EXPECT_EQ(cache.missing_bytes(FileId(2)), megabytes(24.0));
   cache.insert(FileId(1));
@@ -158,8 +177,7 @@ TEST(FileCacheBlocks, MissingBytesCountsOnlyUncoveredBlocks) {
 TEST(FileCacheBlocks, PinnedBlockCounterTracksPinTransitions) {
   auto catalog = uniform_catalog();
   BlockMap map(catalog, overlap_params(0.5));
-  FileCache cache(4, EvictionPolicy::kLru);
-  cache.attach_block_store(&map);
+  FileCache cache(map, 4, EvictionPolicy::kLru);
 
   cache.insert(FileId(0));
   cache.insert(FileId(1));
@@ -181,8 +199,7 @@ TEST(FileCacheBlocks, PinnedBlockCounterTracksPinTransitions) {
 TEST(FileCacheBlocks, InsertRoomIsExactAgainstPinnedCoverage) {
   auto catalog = uniform_catalog();
   BlockMap map(catalog, overlap_params(0.5));
-  FileCache cache(2, EvictionPolicy::kLru);
-  cache.attach_block_store(&map);
+  FileCache cache(map, 2, EvictionPolicy::kLru);
 
   cache.insert(FileId(0));
   cache.pin(FileId(0));
@@ -198,52 +215,165 @@ TEST(FileCacheBlocks, InsertRoomIsExactAgainstPinnedCoverage) {
   EXPECT_TRUE(cache.contains(FileId(2)));  // failed try left state alone
 }
 
+// Violations the two brute-force oracles find in a live cache: the
+// block-store recount (union of resident / pinned extents vs the
+// incremental counters) and the cache-coherence recount (slot table vs
+// the eviction order and the resident count).
+std::vector<audit::Violation> oracle_violations(const FileCache& cache) {
+  std::vector<audit::Violation> out;
+  audit::check_block_store(cache.block_audit_snapshot("churn"), out);
+  audit::check_cache_coherence(cache.audit_snapshot("churn"), out);
+  return out;
+}
+
+// One live cache per (overlap, seed, policy) under random
+// insert/access/pin/unpin churn, checked against both oracles after
+// EVERY operation. At content overlap 0 the block accounting must also
+// obey the paper's whole-file laws, asserted inline: physical blocks =
+// files x blocks-per-file; insert room iff a file slot is free or an
+// unpinned resident can go; and an insert evicts only at size ==
+// capacity, exactly one file.
 TEST(FileCacheBlocks, AuditSnapshotMatchesIncrementalCounters) {
-  auto catalog = uniform_catalog();
-  BlockMap map(catalog, overlap_params(0.5));
-  FileCache cache(3, EvictionPolicy::kLru);
-  cache.attach_block_store(&map);
-  Rng rng(99);
-  std::vector<int> pins(catalog.num_files(), 0);
-  for (int op = 0; op < 4000; ++op) {
-    const FileId f(
-        static_cast<FileId::underlying_type>(rng.index(catalog.num_files())));
-    switch (rng.index(4)) {
-      case 0:
-        if (!cache.contains(f)) (void)cache.try_insert(f);
-        break;
-      case 1:
-        if (cache.contains(f)) cache.record_access(f);
-        break;
-      case 2:
-        if (cache.contains(f) && pins[f.value()] < 3) {
-          cache.pin(f);
-          ++pins[f.value()];
+  auto catalog = uniform_catalog(60, 25.0);
+  for (double overlap : {0.0, 0.5}) {
+    BlockMap map(catalog, overlap_params(overlap));
+    const bool whole_file_laws = !map.shared();
+    for (std::uint64_t seed = 1; seed <= 7; ++seed) {
+      for (auto policy : {EvictionPolicy::kLru, EvictionPolicy::kFifo,
+                          EvictionPolicy::kMinRef}) {
+        SCOPED_TRACE("overlap " + std::to_string(overlap) + ", seed " +
+                     std::to_string(seed) + ", " + to_string(policy));
+        FileCache cache(map, 5, policy);
+        std::size_t evicted = 0;  // by the current operation
+        cache.set_listener([&](CacheEvent e, FileId) {
+          if (e == CacheEvent::kEvicted) ++evicted;
+        });
+        Rng rng(seed * 1000003ULL + static_cast<std::uint64_t>(policy));
+        std::vector<int> pins(catalog.num_files(), 0);
+        for (int op = 0; op < 3000; ++op) {
+          const FileId f(static_cast<FileId::underlying_type>(
+              rng.index(catalog.num_files())));
+          const bool room = cache.has_insert_room(f);
+          if (whole_file_laws) {
+            bool unpinned_resident = false;
+            for (FileId r : cache.contents())
+              unpinned_resident = unpinned_resident || !cache.pinned(r);
+            ASSERT_EQ(room, cache.size() < cache.capacity() ||
+                                unpinned_resident);
+          }
+          const std::size_t size_before = cache.size();
+          evicted = 0;
+          switch (rng.index(4)) {
+            case 0:
+              if (!cache.contains(f)) {
+                ASSERT_EQ(cache.try_insert(f), room);
+                if (whole_file_laws && room) {
+                  ASSERT_EQ(evicted,
+                            size_before == cache.capacity() ? 1u : 0u);
+                }
+              }
+              break;
+            case 1:
+              if (cache.contains(f)) cache.record_access(f);
+              break;
+            case 2:
+              if (cache.contains(f) && pins[f.value()] < 2) {
+                cache.pin(f);
+                ++pins[f.value()];
+              }
+              break;
+            default:
+              if (pins[f.value()] > 0) {
+                cache.unpin(f);
+                --pins[f.value()];
+              }
+              break;
+          }
+          const std::vector<audit::Violation> violations =
+              oracle_violations(cache);
+          ASSERT_TRUE(violations.empty())
+              << "op " << op << ": " << violations.front().message;
+          if (whole_file_laws) {
+            ASSERT_EQ(cache.physical_blocks(), cache.size() * 25u);
+          }
         }
-        break;
-      default:
-        if (pins[f.value()] > 0) {
-          cache.unpin(f);
-          --pins[f.value()];
-        }
-        break;
-    }
-    if (op % 250 == 0) {
-      const audit::BlockStoreAuditSnapshot snap =
-          cache.block_audit_snapshot("churn");
-      EXPECT_EQ(snap.physical_blocks, snap.recount_physical);
-      EXPECT_EQ(snap.pinned_blocks, snap.recount_pinned);
-      std::vector<audit::Violation> violations;
-      audit::check_block_store(snap, violations);
-      EXPECT_TRUE(violations.empty());
+      }
     }
   }
 }
 
-// The equivalence gate behind the block-mode default: at content overlap
-// 0 on a uniform catalog, a block-mode cache and a whole-file cache make
-// IDENTICAL decisions under arbitrary insert/access/pin/unpin churn —
-// same residents, same victims in the same order, same room answers.
+// The paper's whole-file cache as a reference model: capacity in files,
+// pinned files never evicted, victim = first unpinned file in eviction
+// order (LRU: accesses refresh recency; FIFO: insertion order) or, for
+// MinRef, the unpinned file with the fewest past references (lowest id
+// on ties).
+class WholeFileCache {
+ public:
+  WholeFileCache(std::size_t capacity, EvictionPolicy policy)
+      : capacity_(capacity), policy_(policy) {}
+
+  bool contains(FileId f) const {
+    return std::find(order_.begin(), order_.end(), f) != order_.end();
+  }
+  bool has_insert_room(FileId) const {
+    return order_.size() < capacity_ || pick_victim().valid();
+  }
+  bool try_insert(FileId f) {
+    if (!has_insert_room(f)) return false;
+    if (order_.size() == capacity_) {
+      const FileId victim = pick_victim();
+      order_.erase(std::find(order_.begin(), order_.end(), victim));
+      victims_.push_back(victim);
+    }
+    order_.push_back(f);
+    return true;
+  }
+  void record_access(FileId f) {
+    ++refs_[f];
+    if (policy_ == EvictionPolicy::kLru) {
+      order_.erase(std::find(order_.begin(), order_.end(), f));
+      order_.push_back(f);
+    }
+  }
+  void pin(FileId f) { ++pins_[f]; }
+  void unpin(FileId f) { --pins_[f]; }
+
+  std::vector<FileId> contents() const {
+    std::vector<FileId> out(order_.begin(), order_.end());
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+  const std::vector<FileId>& victims() const { return victims_; }
+
+ private:
+  FileId pick_victim() const {
+    FileId victim = FileId::invalid();
+    for (FileId f : order_) {
+      if (pins_.count(f) && pins_.at(f) > 0) continue;
+      if (policy_ != EvictionPolicy::kMinRef) return f;
+      const std::size_t r = refs_.count(f) ? refs_.at(f) : 0;
+      const std::size_t best =
+          victim.valid() && refs_.count(victim) ? refs_.at(victim) : 0;
+      if (!victim.valid() || r < best || (r == best && f < victim)) {
+        victim = f;
+      }
+    }
+    return victim;
+  }
+
+  std::size_t capacity_;
+  EvictionPolicy policy_;
+  std::vector<FileId> order_;  // eviction order, head first
+  std::map<FileId, std::size_t> refs_;
+  std::map<FileId, int> pins_;
+  std::vector<FileId> victims_;
+};
+
+// The equivalence gate behind the block data plane: at content overlap
+// 0 on a uniform catalog, the block cache makes IDENTICAL decisions to
+// the paper's whole-file cache under arbitrary insert/access/pin/unpin
+// churn — same residents, same victims in the same order, same room
+// answers.
 TEST(FileCacheBlocks, MirroredChurnMatchesWholeFileAtOverlapZero) {
   auto catalog = uniform_catalog(60, 25.0);
   BlockMap map(catalog, overlap_params(0.0));
@@ -251,14 +381,9 @@ TEST(FileCacheBlocks, MirroredChurnMatchesWholeFileAtOverlapZero) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     for (auto policy : {EvictionPolicy::kLru, EvictionPolicy::kFifo,
                         EvictionPolicy::kMinRef}) {
-      FileCache whole(5, policy);
-      FileCache block(5, policy);
-      block.attach_block_store(&map);
-      std::vector<FileId> whole_victims;
+      WholeFileCache whole(5, policy);
+      FileCache block(map, 5, policy);
       std::vector<FileId> block_victims;
-      whole.set_listener([&](CacheEvent e, FileId f) {
-        if (e == CacheEvent::kEvicted) whole_victims.push_back(f);
-      });
       block.set_listener([&](CacheEvent e, FileId f) {
         if (e == CacheEvent::kEvicted) block_victims.push_back(f);
       });
@@ -299,15 +424,14 @@ TEST(FileCacheBlocks, MirroredChurnMatchesWholeFileAtOverlapZero) {
         }
       }
       EXPECT_EQ(whole.contents(), block.contents());
-      EXPECT_EQ(whole.evictions(), block.evictions());
-      EXPECT_EQ(whole_victims, block_victims);
+      EXPECT_EQ(whole.victims().size(), block.evictions());
+      EXPECT_EQ(whole.victims(), block_victims);
       // Disjoint extents: the block books must read exactly
       // files x blocks-per-file.
       EXPECT_EQ(block.physical_blocks(), block.size() * 25u);
-      const audit::BlockStoreAuditSnapshot snap =
-          block.block_audit_snapshot("mirror");
       std::vector<audit::Violation> violations;
-      audit::check_block_store(snap, violations);
+      audit::check_block_store(block.block_audit_snapshot("mirror"),
+                               violations);
       EXPECT_TRUE(violations.empty());
     }
   }
@@ -333,31 +457,6 @@ TEST(BlockStoreIntegration, DedupRunAuditsCleanAndSavesBytes) {
   EXPECT_EQ(r.tasks_completed, 200u);
   EXPECT_GT(r.total_bytes_saved(), 0.0);
   EXPECT_GT(r.dedup_ratio(), 1.0);
-}
-
-TEST(BlockStoreIntegration, OverlapZeroRunMatchesWholeFileByteForByte) {
-  workload::CoaddParams cp;
-  cp.num_tasks = 150;
-  cp.seed = 20260808;
-  auto job = workload::generate_coadd(cp);
-
-  grid::GridConfig block;
-  block.tiers.num_sites = 4;
-  block.tiers.workers_per_site = 2;
-  block.capacity_files = 3000;
-  grid::GridConfig whole = block;
-  whole.block_store.reset();
-
-  sched::SchedulerSpec spec;
-  spec.algorithm = sched::Algorithm::kCombined;
-  const auto rb = grid::run_once(block, job, spec, /*seed=*/3);
-  const auto rw = grid::run_once(whole, job, spec, /*seed=*/3);
-  EXPECT_EQ(rb.makespan_s, rw.makespan_s);
-  EXPECT_EQ(rb.events_executed, rw.events_executed);
-  EXPECT_EQ(rb.total_file_transfers(), rw.total_file_transfers());
-  EXPECT_EQ(rb.total_bytes_transferred(), rw.total_bytes_transferred());
-  EXPECT_EQ(rb.total_bytes_saved(), 0.0);
-  EXPECT_EQ(rb.dedup_ratio(), 1.0);
 }
 
 }  // namespace

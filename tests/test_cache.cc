@@ -1,9 +1,13 @@
 // Unit tests for storage::FileCache: eviction policies, pinning,
-// persistent reference counts, listener events.
+// persistent reference counts, listener events. Every cache accounts
+// over a uniform overlap-0 block map, so these pin the paper's
+// file-count capacity laws (Table 1) on the block accounting.
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "common/units.h"
+#include "storage/block_store.h"
 #include "storage/file_cache.h"
 
 namespace wcs::storage {
@@ -11,8 +15,16 @@ namespace {
 
 FileId F(unsigned v) { return FileId(v); }
 
+// 2,000 paper-sized 25 MB files on the default 1 MB block grid:
+// disjoint 25-block extents.
+const BlockMap& paper_files() {
+  static const BlockMap map(workload::FileCatalog(2000, megabytes(25.0)),
+                            BlockStoreParams{});
+  return map;
+}
+
 TEST(FileCache, InsertAndContains) {
-  FileCache c(3, EvictionPolicy::kLru);
+  FileCache c(paper_files(), 3, EvictionPolicy::kLru);
   EXPECT_FALSE(c.contains(F(1)));
   c.insert(F(1));
   EXPECT_TRUE(c.contains(F(1)));
@@ -21,13 +33,13 @@ TEST(FileCache, InsertAndContains) {
 }
 
 TEST(FileCache, DoubleInsertThrows) {
-  FileCache c(3, EvictionPolicy::kLru);
+  FileCache c(paper_files(), 3, EvictionPolicy::kLru);
   c.insert(F(1));
   EXPECT_THROW(c.insert(F(1)), std::logic_error);
 }
 
 TEST(FileCache, CapacityEnforced) {
-  FileCache c(2, EvictionPolicy::kLru);
+  FileCache c(paper_files(), 2, EvictionPolicy::kLru);
   c.insert(F(1));
   c.insert(F(2));
   c.insert(F(3));
@@ -36,7 +48,7 @@ TEST(FileCache, CapacityEnforced) {
 }
 
 TEST(FileCache, LruEvictsLeastRecentlyUsed) {
-  FileCache c(3, EvictionPolicy::kLru);
+  FileCache c(paper_files(), 3, EvictionPolicy::kLru);
   c.insert(F(1));
   c.insert(F(2));
   c.insert(F(3));
@@ -49,7 +61,7 @@ TEST(FileCache, LruEvictsLeastRecentlyUsed) {
 }
 
 TEST(FileCache, FifoIgnoresAccessRecency) {
-  FileCache c(3, EvictionPolicy::kFifo);
+  FileCache c(paper_files(), 3, EvictionPolicy::kFifo);
   c.insert(F(1));
   c.insert(F(2));
   c.insert(F(3));
@@ -60,7 +72,7 @@ TEST(FileCache, FifoIgnoresAccessRecency) {
 }
 
 TEST(FileCache, MinRefEvictsLowestRefCount) {
-  FileCache c(3, EvictionPolicy::kMinRef);
+  FileCache c(paper_files(), 3, EvictionPolicy::kMinRef);
   c.insert(F(1));
   c.insert(F(2));
   c.insert(F(3));
@@ -74,7 +86,7 @@ TEST(FileCache, MinRefEvictsLowestRefCount) {
 }
 
 TEST(FileCache, MinRefTieBreaksByLowestId) {
-  FileCache c(2, EvictionPolicy::kMinRef);
+  FileCache c(paper_files(), 2, EvictionPolicy::kMinRef);
   c.insert(F(5));
   c.insert(F(2));
   c.insert(F(9));  // 5 and 2 both 0 refs; evict lowest id = 2
@@ -83,7 +95,7 @@ TEST(FileCache, MinRefTieBreaksByLowestId) {
 }
 
 TEST(FileCache, PinnedFilesSurviveEviction) {
-  FileCache c(2, EvictionPolicy::kLru);
+  FileCache c(paper_files(), 2, EvictionPolicy::kLru);
   c.insert(F(1));
   c.pin(F(1));
   c.insert(F(2));
@@ -94,7 +106,7 @@ TEST(FileCache, PinnedFilesSurviveEviction) {
 }
 
 TEST(FileCache, PinsNest) {
-  FileCache c(2, EvictionPolicy::kLru);
+  FileCache c(paper_files(), 2, EvictionPolicy::kLru);
   c.insert(F(1));
   c.pin(F(1));
   c.pin(F(1));
@@ -105,18 +117,18 @@ TEST(FileCache, PinsNest) {
 }
 
 TEST(FileCache, UnpinWithoutPinThrows) {
-  FileCache c(2, EvictionPolicy::kLru);
+  FileCache c(paper_files(), 2, EvictionPolicy::kLru);
   c.insert(F(1));
   EXPECT_THROW(c.unpin(F(1)), std::logic_error);
 }
 
 TEST(FileCache, PinAbsentFileThrows) {
-  FileCache c(2, EvictionPolicy::kLru);
+  FileCache c(paper_files(), 2, EvictionPolicy::kLru);
   EXPECT_THROW(c.pin(F(1)), std::logic_error);
 }
 
 TEST(FileCache, AllPinnedInsertThrows) {
-  FileCache c(2, EvictionPolicy::kLru);
+  FileCache c(paper_files(), 2, EvictionPolicy::kLru);
   c.insert(F(1));
   c.insert(F(2));
   c.pin(F(1));
@@ -125,12 +137,12 @@ TEST(FileCache, AllPinnedInsertThrows) {
 }
 
 TEST(FileCache, AccessAbsentFileThrows) {
-  FileCache c(2, EvictionPolicy::kLru);
+  FileCache c(paper_files(), 2, EvictionPolicy::kLru);
   EXPECT_THROW(c.record_access(F(1)), std::logic_error);
 }
 
 TEST(FileCache, RefCountsPersistAcrossEviction) {
-  FileCache c(1, EvictionPolicy::kLru);
+  FileCache c(paper_files(), 1, EvictionPolicy::kLru);
   c.insert(F(1));
   c.record_access(F(1));
   c.record_access(F(1));
@@ -144,12 +156,12 @@ TEST(FileCache, RefCountsPersistAcrossEviction) {
 }
 
 TEST(FileCache, RefCountZeroForUnknownFile) {
-  FileCache c(2, EvictionPolicy::kLru);
+  FileCache c(paper_files(), 2, EvictionPolicy::kLru);
   EXPECT_EQ(c.ref_count(F(77)), 0u);
 }
 
 TEST(FileCache, ContentsSnapshot) {
-  FileCache c(3, EvictionPolicy::kLru);
+  FileCache c(paper_files(), 3, EvictionPolicy::kLru);
   c.insert(F(4));
   c.insert(F(9));
   auto contents = c.contents();
@@ -158,7 +170,7 @@ TEST(FileCache, ContentsSnapshot) {
 }
 
 TEST(FileCache, ListenerSeesAllEventsInOrder) {
-  FileCache c(2, EvictionPolicy::kLru);
+  FileCache c(paper_files(), 2, EvictionPolicy::kLru);
   std::vector<std::pair<CacheEvent, FileId>> events;
   c.set_listener([&](CacheEvent e, FileId f) { events.emplace_back(e, f); });
   c.insert(F(1));
@@ -178,7 +190,7 @@ TEST(FileCache, ListenerRefCountTimingContract) {
   // count is the pre-existing one; kAccessed fires after the increment;
   // at kEvicted time the count reflects everything accumulated while
   // resident.
-  FileCache c(1, EvictionPolicy::kLru);
+  FileCache c(paper_files(), 1, EvictionPolicy::kLru);
   std::vector<std::size_t> counts;
   c.set_listener([&](CacheEvent, FileId f) { counts.push_back(c.ref_count(f)); });
   c.insert(F(1));          // kAdded: 0
@@ -188,13 +200,14 @@ TEST(FileCache, ListenerRefCountTimingContract) {
 }
 
 TEST(FileCache, EvictionCounterAccumulates) {
-  FileCache c(1, EvictionPolicy::kFifo);
+  FileCache c(paper_files(), 1, EvictionPolicy::kFifo);
   for (unsigned i = 0; i < 10; ++i) c.insert(F(i));
   EXPECT_EQ(c.evictions(), 9u);
 }
 
 TEST(FileCache, ZeroCapacityRejected) {
-  EXPECT_THROW(FileCache(0, EvictionPolicy::kLru), std::logic_error);
+  EXPECT_THROW(FileCache(paper_files(), 0, EvictionPolicy::kLru),
+               std::logic_error);
 }
 
 TEST(FileCache, PolicyNames) {
@@ -206,7 +219,7 @@ TEST(FileCache, PolicyNames) {
 class CachePolicyParam : public ::testing::TestWithParam<EvictionPolicy> {};
 
 TEST_P(CachePolicyParam, NeverExceedsCapacityUnderChurn) {
-  FileCache c(16, GetParam());
+  FileCache c(paper_files(), 16, GetParam());
   for (unsigned i = 0; i < 500; ++i) {
     if (!c.contains(F(i % 40))) c.insert(F(i % 40));
     c.record_access(F(i % 40));
@@ -215,7 +228,7 @@ TEST_P(CachePolicyParam, NeverExceedsCapacityUnderChurn) {
 }
 
 TEST_P(CachePolicyParam, PinnedNeverEvictedUnderChurn) {
-  FileCache c(8, GetParam());
+  FileCache c(paper_files(), 8, GetParam());
   c.insert(F(1000));
   c.pin(F(1000));
   for (unsigned i = 0; i < 200; ++i)

@@ -15,12 +15,14 @@ namespace wcs::storage {
 namespace {
 
 // One site (data server) connected to the file server by a 1 MB/s,
-// zero-latency link; all files 1 MB, so each miss costs exactly 1 s.
+// zero-latency link; all files 1 MB, so each miss costs exactly 1 s. The
+// overlap-0 block map makes capacity the paper's file count.
 struct Fixture {
   sim::Simulator sim;
   net::Topology topo;
   NodeId fs, ds_node;
-  workload::FileCatalog catalog{100, megabytes(1)};
+  BlockMap blocks{workload::FileCatalog(100, megabytes(1)),
+                  BlockStoreParams{}};
   std::unique_ptr<net::FlowManager> flows;
   std::unique_ptr<DataServer> ds;
 
@@ -31,7 +33,7 @@ struct Fixture {
     topo.add_link(fs, ds_node, 1e6, 0.0);
     flows = std::make_unique<net::FlowManager>(sim, topo);
     ds = std::make_unique<DataServer>(SiteId(0), sim, *flows, ds_node, fs,
-                                      catalog, capacity, policy);
+                                      blocks, capacity, policy);
   }
 
   static std::vector<FileId> files(std::initializer_list<unsigned> ids) {
@@ -259,9 +261,10 @@ TEST(DataServer, TransfersGoThroughSharedUplinkTopology) {
   NodeId dsn = topo.add_node("ds");
   topo.add_link(fs, gw, 2e6, 0.0);
   LinkId uplink = topo.add_link(gw, dsn, 1e6, 0.0);
-  workload::FileCatalog catalog(10, megabytes(1));
+  const BlockMap blocks(workload::FileCatalog(10, megabytes(1)),
+                       BlockStoreParams{});
   net::FlowManager flows(sim, topo);
-  DataServer ds(SiteId(0), sim, flows, dsn, fs, catalog, 10,
+  DataServer ds(SiteId(0), sim, flows, dsn, fs, blocks, 10,
                 EvictionPolicy::kLru);
   double done = -1;
   std::vector<FileId> batch{FileId(0), FileId(1)};

@@ -18,7 +18,9 @@ struct MiniGrid {
   net::Topology topo;
   NodeId fs;
   std::vector<NodeId> ds_nodes;
-  workload::FileCatalog catalog{50, megabytes(1)};
+  // Overlap 0: every replica moves its file's full 1 MB.
+  storage::BlockMap blocks{workload::FileCatalog(50, megabytes(1)),
+                           storage::BlockStoreParams{}};
   std::unique_ptr<net::FlowManager> flows;
   std::vector<std::unique_ptr<storage::DataServer>> servers;
 
@@ -33,7 +35,7 @@ struct MiniGrid {
     for (std::size_t s = 0; s < sites; ++s)
       servers.push_back(std::make_unique<storage::DataServer>(
           SiteId(static_cast<SiteId::underlying_type>(s)), sim, *flows,
-          ds_nodes[s], fs, catalog, capacity,
+          ds_nodes[s], fs, blocks, capacity,
           storage::EvictionPolicy::kLru));
   }
 
@@ -54,7 +56,7 @@ replication::DataReplicatorParams quick_params() {
 TEST(DataReplicator, TracksPopularity) {
   MiniGrid g;
   replication::DataReplicator repl(quick_params(), g.sim, *g.flows, g.fs,
-                                   g.catalog, g.server_ptrs());
+                                   g.server_ptrs());
   repl.on_file_fetched(FileId(1));
   repl.on_file_fetched(FileId(1));
   repl.on_file_fetched(FileId(2));
@@ -66,7 +68,7 @@ TEST(DataReplicator, TracksPopularity) {
 TEST(DataReplicator, ReplicatesOnlyAboveThreshold) {
   MiniGrid g;
   replication::DataReplicator repl(quick_params(), g.sim, *g.flows, g.fs,
-                                   g.catalog, g.server_ptrs());
+                                   g.server_ptrs());
   repl.start();
   for (int i = 0; i < 3; ++i) repl.on_file_fetched(FileId(7));
   repl.on_file_fetched(FileId(8));  // below threshold
@@ -83,7 +85,7 @@ TEST(DataReplicator, ReplicatesOnlyAboveThreshold) {
 TEST(DataReplicator, ReplicatesEachFileOnce) {
   MiniGrid g;
   replication::DataReplicator repl(quick_params(), g.sim, *g.flows, g.fs,
-                                   g.catalog, g.server_ptrs());
+                                   g.server_ptrs());
   repl.start();
   for (int i = 0; i < 10; ++i) repl.on_file_fetched(FileId(7));
   g.sim.run_until(55);  // several scan rounds
@@ -96,7 +98,7 @@ TEST(DataReplicator, SkipsSitesThatAlreadyHoldTheFile) {
   MiniGrid g;
   g.servers[0]->cache().insert(FileId(7));
   replication::DataReplicator repl(quick_params(), g.sim, *g.flows, g.fs,
-                                   g.catalog, g.server_ptrs());
+                                   g.server_ptrs());
   repl.start();
   for (int i = 0; i < 3; ++i) repl.on_file_fetched(FileId(7));
   g.sim.run_until(25);
@@ -116,8 +118,7 @@ TEST(DataReplicator, LeastLoadedPlacementPrefersShortQueue) {
       std::vector<FileId>{FileId(40), FileId(41)}, [] {});
   replication::DataReplicatorParams p = quick_params();
   p.placement = replication::Placement::kLeastLoaded;
-  replication::DataReplicator repl(p, g.sim, *g.flows, g.fs, g.catalog,
-                                   g.server_ptrs());
+  replication::DataReplicator repl(p, g.sim, *g.flows, g.fs, g.server_ptrs());
   repl.start();
   for (int i = 0; i < 3; ++i) repl.on_file_fetched(FileId(7));
   g.sim.run_until(12);  // one scan while site 0 still has a queue
@@ -130,7 +131,7 @@ TEST(DataReplicator, LeastLoadedPlacementPrefersShortQueue) {
 TEST(DataReplicator, StopCancelsScansAndFlows) {
   MiniGrid g;
   replication::DataReplicator repl(quick_params(), g.sim, *g.flows, g.fs,
-                                   g.catalog, g.server_ptrs());
+                                   g.server_ptrs());
   repl.start();
   for (int i = 0; i < 3; ++i) repl.on_file_fetched(FileId(7));
   repl.stop();

@@ -200,6 +200,12 @@ TEST(ScenarioCliDeathTest, SignedOrOverflowingValueIsUsageError) {
               "--block-size");
   EXPECT_EXIT(run_cli({"--block-size", "inf"}), ::testing::ExitedWithCode(2),
               "--block-size");
+  // Rounds to 0 bytes / past 64 bits of bytes: the block map cannot use
+  // either.
+  EXPECT_EXIT(run_cli({"--block-size", "1e-7"}), ::testing::ExitedWithCode(2),
+              "--block-size");
+  EXPECT_EXIT(run_cli({"--block-size", "1e14"}), ::testing::ExitedWithCode(2),
+              "--block-size");
 }
 
 TEST(ScenarioCliDeathTest, EmptyTenantWeightIsUsageError) {
