@@ -11,7 +11,6 @@
 #include "grid/grid_simulation.h"
 #include "net/flow_manager.h"
 #include "net/tiers.h"
-#include "obs/metrics.h"
 #include "obs/observability.h"
 #include "sched/factory.h"
 #include "sim/simulator.h"
@@ -289,7 +288,7 @@ void BM_ObsOverhead(benchmark::State& state) {
   // The observability contract (DESIGN.md §Observability): with obs
   // disabled the instrumented build must cost < 2% over the seed — every
   // hook is one null-pointer branch. Arg encodes the obs mode:
-  //   0 = disabled, 1 = metrics + profiler, 2 = metrics + profiler + trace.
+  //   0 = disabled, 1 = profiler, 2 = profiler + trace.
   workload::CoaddParams cp;
   cp.num_tasks = 300;
   auto job = workload::generate_coadd(cp);
@@ -297,10 +296,7 @@ void BM_ObsOverhead(benchmark::State& state) {
   config.tiers.num_sites = 10;
   config.capacity_files = 6000;
   config.obs = {};
-  if (state.range(0) >= 1) {
-    config.obs.metrics = true;
-    config.obs.profile = true;
-  }
+  if (state.range(0) >= 1) config.obs.profile = true;
   if (state.range(0) >= 2) config.obs.trace = true;
   sched::SchedulerSpec spec;
   spec.algorithm = sched::Algorithm::kRest;
@@ -316,22 +312,6 @@ BENCHMARK(BM_ObsOverhead)
     ->Arg(0)
     ->Arg(1)
     ->Arg(2);
-
-void BM_MetricsHotPath(benchmark::State& state) {
-  // Counter add + histogram add, the per-event obs cost when enabled.
-  obs::MetricsRegistry registry;
-  obs::Counter& c = registry.counter("bench.counter");
-  obs::FixedHistogram& h = registry.histogram("bench.hist", 0, 7200, 72);
-  std::uint64_t i = 0;
-  for (auto _ : state) {
-    c.add();
-    h.add(static_cast<double>(i % 7200));
-    ++i;
-  }
-  benchmark::DoNotOptimize(c.value());
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MetricsHotPath);
 
 void BM_CoaddGeneration(benchmark::State& state) {
   workload::CoaddParams cp;

@@ -13,6 +13,10 @@
 #      that file parses;
 #   5. every path in the "shipped raw output" column of EXPERIMENTS.md's
 #      artifact map is tracked by git (results/ is mostly gitignored).
+#   6. the environment-variable table in docs/operators-guide.md (the
+#      "| variable | read by | effect |" table) has a row for every
+#      `getenv("WCS_...")` in src/, bench/, tools/ and examples/, and no
+#      row for a variable nothing reads.
 #
 #   scripts/check_docs.sh [BUILD_DIR]     # default: build
 #
@@ -141,3 +145,31 @@ if [ "$untracked" -ne 0 ]; then
   exit 1
 fi
 echo "ok — every artifact-map output in EXPERIMENTS.md is tracked"
+
+# --- 6. environment-variable table drift --------------------------------------
+read_vars=$(grep -rhoE 'getenv\("WCS_[A-Z0-9_]+"\)' src bench tools examples |
+  grep -oE 'WCS_[A-Z0-9_]+' | sort -u)
+# Variables named in the first cell of each row of the table (a row may
+# name one twice, e.g. `WCS_AUDIT=1` / `WCS_AUDIT=0`).
+env_documented=$(awk '
+  /^\| variable \| read by \| effect \|/ { in_table = 1; next }
+  in_table && !/^\|/ { exit }
+  in_table { split($0, cell, "|"); print cell[2] }
+' docs/operators-guide.md | grep -oE 'WCS_[A-Z0-9_]+' | sort -u)
+if [ -z "$env_documented" ]; then
+  echo "FAIL — no \"| variable | read by | effect |\" table in docs/operators-guide.md" >&2
+  exit 1
+fi
+unlisted=$(comm -23 <(echo "$read_vars") <(echo "$env_documented"))
+unread=$(comm -13 <(echo "$read_vars") <(echo "$env_documented"))
+if [ -n "$unlisted" ] || [ -n "$unread" ]; then
+  for v in $unlisted; do
+    echo "$v is read by getenv but has no row in docs/operators-guide.md" >&2
+  done
+  for v in $unread; do
+    echo "$v has a row in docs/operators-guide.md but nothing reads it" >&2
+  done
+  echo "FAIL — the operators-guide environment-variable table drifted" >&2
+  exit 1
+fi
+echo "ok — the operators-guide environment-variable table matches getenv"

@@ -345,12 +345,6 @@ void check_results_ledger(const ResultsLedgerSnapshot& snap,
 
 void check_memory_layout(const MemoryLayoutSnapshot& snap,
                          std::vector<Violation>& out) {
-  for (const std::string& defect : snap.interner_defects) {
-    std::ostringstream os;
-    os << snap.label << " interner (" << snap.interner_symbols
-       << " symbols): " << defect;
-    report(out, "memory-layout", os);
-  }
   for (const std::string& defect : snap.table_defects) {
     std::ostringstream os;
     os << snap.label << ": " << defect;

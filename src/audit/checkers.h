@@ -213,11 +213,10 @@ void check_results_ledger(const ResultsLedgerSnapshot& snap,
 
 // --- (f) memory layout --------------------------------------------------
 
-// Soundness of the flat hot structures (common/arena.h, common/interner.h,
-// the slotted caches and CSR tables). Owners contribute their own
-// findings — NodeArena::structural_defects(), StringInterner::self_check(),
-// slot-aliasing scans of the flat tables — and the checker validates the
-// arena accounting laws on top.
+// Soundness of the flat hot structures (common/arena.h, the slotted caches
+// and CSR tables). Owners contribute their own findings —
+// NodeArena::structural_defects() and slot-aliasing scans of the flat
+// tables — and the checker validates the arena accounting laws on top.
 struct ArenaAccounting {
   std::string label;  // e.g. "flow-table arena"
   std::uint64_t total_allocations = 0;
@@ -232,9 +231,7 @@ struct ArenaAccounting {
 
 struct MemoryLayoutSnapshot {
   std::string label;  // e.g. "run"
-  std::size_t interner_symbols = 0;
-  std::vector<std::string> interner_defects;  // StringInterner::self_check()
-  std::vector<std::string> table_defects;     // SoA slot-aliasing findings
+  std::vector<std::string> table_defects;  // SoA slot-aliasing findings
   std::vector<ArenaAccounting> arenas;
 };
 

@@ -93,10 +93,10 @@ struct GridConfig {
   bool audit = audit::default_enabled();
   std::size_t audit_interval_events = 10000;
 
-  // Observability (src/obs): metrics registry, phase profiler, event
-  // tracer. All read-only, so instrumented runs are byte-identical to
-  // uninstrumented ones. Defaults to the WCS_OBS / WCS_TRACE environment
-  // gates; benches override explicitly (e.g. --trace-out).
+  // Observability (src/obs): phase profiler, event tracer. Both
+  // read-only, so instrumented runs are byte-identical to uninstrumented
+  // ones. Defaults to the WCS_OBS / WCS_TRACE environment gates; benches
+  // override explicitly (e.g. --trace-out).
   obs::Options obs = obs::Options::from_env();
 
   [[nodiscard]] std::uint64_t effective_speed_seed() const {

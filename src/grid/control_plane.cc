@@ -282,7 +282,7 @@ bool ControlPlane::cancel_task(TaskId task, WorkerId worker) {
   rt.queue.erase(qit);
   inst.erase_value(worker);
   ++replicas_cancelled_;
-    note_instance_dropped(task);
+  note_instance_dropped(task);
   trace(metrics::TimelineEventKind::kCancelled, task, worker);
   return true;
 }

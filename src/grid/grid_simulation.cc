@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "common/interner.h"
 #include "common/rng.h"
 
 namespace wcs::grid {
@@ -146,8 +145,6 @@ void GridSimulation::register_audit_checkers() {
   auditor_->add_checker("memory-layout", [this](auto& out) {
     audit::MemoryLayoutSnapshot snap;
     snap.label = "run";
-    snap.interner_symbols = common::global_interner().size();
-    snap.interner_defects = common::global_interner().self_check();
     for (std::size_t s = 0; s < data_->num_sites(); ++s) {
       const storage::DataServer& ds =
           data_->server(SiteId(static_cast<SiteId::underlying_type>(s)));
@@ -258,7 +255,7 @@ metrics::RunResult GridSimulation::run() {
     auditor_->check("end of run");
     audit_results_ledger(result);
   }
-  telemetry_->finish_run(result, sim_, data_->flows());
+  telemetry_->finish();
   return result;
 }
 

@@ -143,9 +143,9 @@ class GridSimulation final : public sched::GridEngine {
   [[nodiscard]] const audit::InvariantAuditor* auditor() const {
     return auditor_.get();
   }
-  // Null unless GridConfig::obs enables an instrument. The registry is
-  // populated with end-of-run totals by run(); the tracer fills as the
-  // simulation progresses.
+  // Null unless GridConfig::obs enables an instrument. The profiler and
+  // the tracer fill as the simulation progresses; run totals are in the
+  // RunResult that run() returns.
   [[nodiscard]] const obs::Observability* observability() const {
     return telemetry_->observability();
   }

@@ -65,37 +65,9 @@ void EngineTelemetry::record_span(SimTime now,
   tracer_->record(span);
 }
 
-void EngineTelemetry::populate_registry(const metrics::RunResult& result,
-                                        const sim::Simulator& sim,
-                                        const net::FlowManager& flows) {
-  obs::MetricsRegistry& reg = *obs_->metrics();
-  reg.counter("engine.assignments").add(result.assignments);
-  reg.counter("engine.replicas_started").add(result.replicas_started);
-  reg.counter("engine.replicas_cancelled").add(result.replicas_cancelled);
-  reg.counter("engine.tasks_completed").add(result.tasks_completed);
-  reg.counter("engine.worker_failures").add(result.worker_failures);
-  reg.counter("engine.worker_recoveries").add(result.worker_recoveries);
-  reg.counter("engine.instances_lost").add(result.instances_lost);
-  reg.gauge("engine.makespan_s").set(result.makespan_s);
-  reg.counter("sim.events_executed").add(sim.executed_events());
-  reg.gauge("sim.peak_live_events")
-      .set(static_cast<double>(sim.peak_live_events()));
-  reg.counter("net.flows_completed").add(flows.completed_flows());
-  reg.counter("net.flows_cancelled").add(flows.cancelled_flows());
-  reg.gauge("net.bytes_delivered").set(flows.bytes_delivered());
-  reg.counter("storage.file_transfers").add(result.total_file_transfers());
-  reg.counter("storage.cache_hits").add(result.total_cache_hits());
-  reg.counter("storage.evictions").add(result.total_evictions());
-  reg.gauge("storage.bytes_transferred")
-      .set(result.total_bytes_transferred());
-}
-
-void EngineTelemetry::finish_run(const metrics::RunResult& result,
-                                 const sim::Simulator& sim,
-                                 const net::FlowManager& flows) {
+void EngineTelemetry::finish() {
   if (!obs_) return;
   obs::ScopedPhase phase(obs_->profiler(), obs::Phase::kReporting);
-  if (obs_->metrics()) populate_registry(result, sim, flows);
   obs_->finish();
 }
 

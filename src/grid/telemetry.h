@@ -1,12 +1,12 @@
 // Engine telemetry: the read-only recording side of a run.
 //
 // Owns the optional per-task lifecycle timeline (metrics::TimelineRecorder)
-// and the optional observability stack (obs::Observability: metrics
-// registry, phase profiler, event tracer), and maps worker-lifecycle
-// transitions onto trace spans (fetch and compute become [start, now]
-// spans; the rest are instants). Everything here observes and never
-// steers: a run with telemetry attached is byte-identical to one
-// without (pinned by test_golden_run).
+// and the optional observability stack (obs::Observability: phase
+// profiler, event tracer), and maps worker-lifecycle transitions onto
+// trace spans (fetch and compute become [start, now] spans; the rest are
+// instants). Everything here observes and never steers: a run with
+// telemetry attached is byte-identical to one without (pinned by
+// test_golden_run).
 #pragma once
 
 #include <memory>
@@ -15,11 +15,8 @@
 #include "common/ids.h"
 #include "common/units.h"
 #include "grid/config.h"
-#include "metrics/results.h"
 #include "metrics/timeline.h"
-#include "net/flow_manager.h"
 #include "obs/observability.h"
-#include "sim/simulator.h"
 
 namespace wcs::grid {
 
@@ -42,10 +39,9 @@ class EngineTelemetry {
   void record(SimTime now, metrics::TimelineEventKind kind, TaskId task,
               WorkerId worker);
 
-  // End-of-run: fill the metrics registry with engine/sim/net/storage
-  // totals and flush trace/report sinks. No-op without observability.
-  void finish_run(const metrics::RunResult& result, const sim::Simulator& sim,
-                  const net::FlowManager& flows);
+  // End-of-run: flush the trace sink, timed as Phase::kReporting. No-op
+  // without observability.
+  void finish();
 
   [[nodiscard]] const metrics::TimelineRecorder* timeline() const {
     return timeline_.get();
@@ -58,9 +54,6 @@ class EngineTelemetry {
  private:
   void record_span(SimTime now, metrics::TimelineEventKind kind, TaskId task,
                    WorkerId worker);
-  void populate_registry(const metrics::RunResult& result,
-                         const sim::Simulator& sim,
-                         const net::FlowManager& flows);
 
   struct WorkerSpans {
     SimTime fetch_started = 0;  // current fetch span start

@@ -101,15 +101,6 @@ FlowManager::FlowManager(sim::Simulator& simulator, const Topology& topology)
 void FlowManager::set_observability(obs::Observability* o) {
   tracer_ = o ? o->tracer() : nullptr;
   profiler_ = o ? o->profiler() : nullptr;
-  if (o && o->metrics()) {
-    realloc_counter_ = &o->metrics()->counter("net.reallocations");
-    // Flow wall time in simulated seconds: WAN transfers of multi-GB
-    // files land in the minutes-to-hours range.
-    flow_seconds_ = &o->metrics()->histogram("net.flow_seconds", 0, 7200, 72);
-  } else {
-    realloc_counter_ = nullptr;
-    flow_seconds_ = nullptr;
-  }
 }
 
 FlowId FlowManager::start_flow(NodeId src, NodeId dst, Bytes bytes,
@@ -165,12 +156,10 @@ void FlowManager::complete(FlowId id) {
   }
   FlowCallback cb = std::move(f.on_complete);
   bytes_delivered_ += f.total;
-  const SimTime elapsed = sim_.now() - f.started;
-  if (flow_seconds_) flow_seconds_->add(elapsed);
   if (tracer_) {
     obs::TraceSpan span;
     span.start = f.started;
-    span.duration_s = elapsed;
+    span.duration_s = sim_.now() - f.started;
     span.kind = obs::SpanKind::kTransfer;
     span.track = f.dst.valid() ? f.dst.value() : 0;
     span.bytes = f.total;
@@ -504,7 +493,6 @@ bool FlowManager::apply_component() {
 
 void FlowManager::reallocate(Flow* joined, const std::vector<Hop>& left,
                              double left_rate) {
-  if (realloc_counter_) realloc_counter_->add();
   // Discovery and certification are charged to kFlowDirtySet, fill and
   // apply to kFlowRebalance; each round is one call of each phase however
   // often the certificate sends it back to the fill.

@@ -252,8 +252,6 @@ class FlowManager {
   // Observability (all null when disabled).
   obs::EventTracer* tracer_ = nullptr;
   obs::PhaseProfiler* profiler_ = nullptr;
-  obs::Counter* realloc_counter_ = nullptr;
-  obs::FixedHistogram* flow_seconds_ = nullptr;
 };
 
 }  // namespace wcs::net

@@ -6,7 +6,7 @@ namespace wcs::obs {
 
 Options Options::all() {
   Options o;
-  o.metrics = o.profile = o.trace = true;
+  o.profile = o.trace = true;
   return o;
 }
 
@@ -14,24 +14,22 @@ Options Options::from_env() {
   Options o;
   // detlint: nondet-source -- WCS_OBS run-config gate, read once at startup; instrumentation is read-only
   if (const char* env = std::getenv("WCS_OBS"); env && *env && *env != '0')
-    o.metrics = o.profile = true;
+    o.profile = true;
   // detlint: nondet-source -- WCS_TRACE run-config gate, read once at startup; tracing is read-only
   if (const char* env = std::getenv("WCS_TRACE"); env && *env && *env != '0')
     o.trace = true;
   return o;
 }
 
-Observability::Observability(const Options& options) : options_(options) {
-  if (!options_.trace_path.empty()) options_.trace = true;
-  if (options_.metrics) metrics_ = std::make_unique<MetricsRegistry>();
-  if (options_.profile) profiler_ = std::make_unique<PhaseProfiler>();
-  if (options_.trace)
-    tracer_ = std::make_unique<EventTracer>(options_.trace_capacity);
+Observability::Observability(const Options& options)
+    : trace_path_(options.trace_path) {
+  if (options.profile) profiler_ = std::make_unique<PhaseProfiler>();
+  if (options.trace || !trace_path_.empty())
+    tracer_ = std::make_unique<EventTracer>(kTraceCapacity);
 }
 
 void Observability::finish() {
-  if (tracer_ && !options_.trace_path.empty())
-    tracer_->write_chrome_trace(options_.trace_path);
+  if (tracer_ && !trace_path_.empty()) tracer_->write_chrome_trace(trace_path_);
 }
 
 }  // namespace wcs::obs

@@ -1,44 +1,46 @@
-// Observability bundle: one per simulation, owning the metrics registry,
-// the event tracer, and the phase profiler (each individually optional).
+// Observability bundle: one per simulation, owning the event tracer and
+// the phase profiler (each individually optional).
 //
 // Instrumentation contract (mirrors src/audit): every instrument is
 // READ-ONLY over simulation state and never feeds a simulation decision,
 // so an instrumented run is byte-identical to an uninstrumented one; with
 // everything disabled the hooks reduce to null-pointer branches
 // (overhead budget: < 2% on bench_micro, see DESIGN.md § Observability).
+// Run totals live in metrics::RunResult, not here.
 //
 // Environment gates (read by Options::from_env(), the GridConfig
 // default):
-//   WCS_OBS=1    enable the metrics registry + phase profiler
-//   WCS_TRACE=1  additionally enable the in-memory event tracer
+//   WCS_OBS=1    enable the phase profiler
+//   WCS_TRACE=1  enable the in-memory event tracer
 // Traces are only written to disk when a trace_path is set explicitly
 // (benches: --trace-out; the env never sets a path, so parallel runs
 // sharing a config cannot clobber one file).
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <string>
 
-#include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
 
 namespace wcs::obs {
 
+// Ring size of the event tracer; older spans are overwritten.
+inline constexpr std::size_t kTraceCapacity = 1 << 16;
+
 struct Options {
-  bool metrics = false;  // counters / gauges / histograms
   bool profile = false;  // wall-clock phase profiler
   bool trace = false;    // ring-buffer event tracer
-  std::size_t trace_capacity = 1 << 16;
   // Dump the Chrome trace here at end of run; empty = keep in memory.
   // Implies trace when non-empty.
   std::string trace_path;
 
   [[nodiscard]] bool any() const {
-    return metrics || profile || trace || !trace_path.empty();
+    return profile || trace || !trace_path.empty();
   }
 
-  // All three instruments on (reports want everything).
+  // Both instruments on (reports want everything).
   [[nodiscard]] static Options all();
   // WCS_OBS / WCS_TRACE, see the header comment.
   [[nodiscard]] static Options from_env();
@@ -50,10 +52,6 @@ class Observability {
 
   // Null when the corresponding instrument is disabled — components hold
   // these pointers and branch on them (their only disabled-mode cost).
-  [[nodiscard]] MetricsRegistry* metrics() { return metrics_.get(); }
-  [[nodiscard]] const MetricsRegistry* metrics() const {
-    return metrics_.get();
-  }
   [[nodiscard]] PhaseProfiler* profiler() { return profiler_.get(); }
   [[nodiscard]] const PhaseProfiler* profiler() const {
     return profiler_.get();
@@ -61,14 +59,11 @@ class Observability {
   [[nodiscard]] EventTracer* tracer() { return tracer_.get(); }
   [[nodiscard]] const EventTracer* tracer() const { return tracer_.get(); }
 
-  [[nodiscard]] const Options& options() const { return options_; }
-
   // End-of-run hook: writes the Chrome trace if a path was configured.
   void finish();
 
  private:
-  Options options_;
-  std::unique_ptr<MetricsRegistry> metrics_;
+  std::string trace_path_;
   std::unique_ptr<PhaseProfiler> profiler_;
   std::unique_ptr<EventTracer> tracer_;
 };

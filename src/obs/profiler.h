@@ -28,7 +28,7 @@ enum class Phase : std::uint8_t {
   kFlowRebalance,      // max-min progressive filling over the component
                        // + settling and rescheduling changed flows
   kCacheEviction,      // victim selection + eviction bookkeeping
-  kReporting,          // metrics/trace/report emission
+  kReporting,          // end-of-run trace flush
 };
 inline constexpr std::size_t kNumPhases = 6;
 

@@ -206,12 +206,11 @@ std::pair<double, double> WorkerCentricScheduler::scan_totals(
   return {total_ref, total_rest};
 }
 
-std::pair<double, double> WorkerCentricScheduler::totals(
-    const SiteIndex& idx) const {
-  // totalRest from the missing-count histogram: every pending task with m
-  // files missing contributes rest_t = 1/m (kFullOverlapRestWeight at
-  // m = 0). The histogram is as long as the largest task's file list —
-  // a workload constant (~100 for Coadd) independent of |pending|.
+double WorkerCentricScheduler::histogram_rest(const SiteIndex& idx) {
+  // Every pending task with m files missing contributes rest_t = 1/m
+  // (kFullOverlapRestWeight at m = 0). The histogram is as long as the
+  // largest task's file list — a workload constant (~100 for Coadd)
+  // independent of |pending|.
   double total_rest = 0;
   if (!idx.missing_hist.empty() && idx.missing_hist[0] > 0)
     total_rest += idx.missing_hist[0] * kFullOverlapRestWeight;
@@ -219,6 +218,12 @@ std::pair<double, double> WorkerCentricScheduler::totals(
     if (idx.missing_hist[m] > 0)
       total_rest += static_cast<double>(idx.missing_hist[m]) /
                     static_cast<double>(m);
+  return total_rest;
+}
+
+std::pair<double, double> WorkerCentricScheduler::totals(
+    const SiteIndex& idx) const {
+  const double total_rest = histogram_rest(idx);
 #ifndef NDEBUG
   // Cross-validate against the pre-optimization O(|pending|) scan.
   const auto [scan_ref, scan_rest] = scan_totals(idx);
@@ -594,22 +599,14 @@ void WorkerCentricScheduler::audit_collect(
     const SiteId site(static_cast<SiteId::underlying_type>(s));
     const SiteIndex& idx = sites_[s];
 
-    // Incremental aggregates vs the full scan over pending tasks. Compute
-    // the histogram-derived totals inline (totals() would re-run its own
-    // debug cross-check).
-    double hist_rest = 0;
-    if (!idx.missing_hist.empty() && idx.missing_hist[0] > 0)
-      hist_rest += idx.missing_hist[0] * kFullOverlapRestWeight;
-    for (std::size_t m = 1; m < idx.missing_hist.size(); ++m)
-      if (idx.missing_hist[m] > 0)
-        hist_rest += static_cast<double>(idx.missing_hist[m]) /
-                     static_cast<double>(m);
+    // Incremental aggregates vs the full scan over pending tasks (not
+    // through totals(), which would re-run its own debug cross-check).
     const auto [scan_ref, scan_rest] = scan_totals(idx);
 
     audit::IndexTotalsSnapshot totals_snap;
     totals_snap.label = "site " + std::to_string(s);
     totals_snap.incremental_ref = static_cast<double>(idx.total_ref);
-    totals_snap.incremental_rest = hist_rest;
+    totals_snap.incremental_rest = histogram_rest(idx);
     totals_snap.scanned_ref = scan_ref;
     totals_snap.scanned_rest = scan_rest;
     audit::check_index_coherence(totals_snap, out);

@@ -184,6 +184,9 @@ class WorkerCentricScheduler final : public Scheduler {
   [[nodiscard]] double weight_of(const SiteIndex& idx, TaskId task,
                                  double total_ref, double total_rest) const;
   [[nodiscard]] double rest_of(const SiteIndex& idx, TaskId task) const;
+  // totalRest over pending tasks for one site, summed from the
+  // missing-count histogram.
+  [[nodiscard]] static double histogram_rest(const SiteIndex& idx);
   // (total_ref, total_rest) over pending tasks for one site, from the
   // incremental aggregates; cross-validated against scan_totals() in
   // debug builds.

@@ -11,19 +11,18 @@
 // array. `Task` is therefore a 24-byte VIEW (id + span + mflop), not an
 // owning record — at 1M tasks the whole job is three contiguous arrays
 // instead of a million little vectors. Task ids are dense 0-based
-// indexes assigned by add_task; the job name is interned (one Symbol,
-// not a heap string per job copy).
+// indexes assigned by add_task.
 #pragma once
 
 #include <cstdint>
 #include <initializer_list>
 #include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/check.h"
 #include "common/ids.h"
-#include "common/interner.h"
 #include "common/stats.h"
 #include "common/units.h"
 
@@ -134,15 +133,9 @@ class TaskRange {
 struct Job {
   FileCatalog catalog;
 
-  // --- name (interned) --------------------------------------------------
-  void set_name(std::string_view name) {
-    name_ = common::global_interner().intern(name);
-  }
-  [[nodiscard]] std::string_view name() const {
-    return name_.valid() ? common::global_interner().view(name_)
-                         : std::string_view{};
-  }
-  [[nodiscard]] common::Symbol name_symbol() const { return name_; }
+  // --- name -------------------------------------------------------------
+  void set_name(std::string_view name) { name_ = name; }
+  [[nodiscard]] std::string_view name() const { return name_; }
 
   // --- task construction ------------------------------------------------
   // Pre-size the SoA arrays (generators know both counts up front).
@@ -191,7 +184,7 @@ struct Job {
   }
 
  private:
-  common::Symbol name_;
+  std::string name_;
   // CSR over file references: task i's files are
   // file_pool_[file_begin_[i] .. file_begin_[i+1]).
   std::vector<std::uint64_t> file_begin_ = {0};

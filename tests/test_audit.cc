@@ -366,7 +366,6 @@ TEST(ResultsLedger, DetectsByteDivergence) {
 MemoryLayoutSnapshot healthy_memory() {
   MemoryLayoutSnapshot s;
   s.label = "test";
-  s.interner_symbols = 3;
   ArenaAccounting a;
   a.label = "flow-table arena";
   a.total_allocations = 1000;
@@ -384,15 +383,6 @@ TEST(MemoryLayout, HealthySnapshotIsClean) {
   auto v = run_checker(
       [](auto& out) { check_memory_layout(healthy_memory(), out); });
   EXPECT_TRUE(v.empty());
-}
-
-TEST(MemoryLayout, ForwardsInternerDefects) {
-  MemoryLayoutSnapshot s = healthy_memory();
-  s.interner_defects.push_back("interner index entry does not round-trip");
-  auto v = run_checker([&](auto& out) { check_memory_layout(s, out); });
-  ASSERT_EQ(v.size(), 1u);
-  EXPECT_EQ(v[0].checker, "memory-layout");
-  EXPECT_TRUE(mentions(v, "round-trip"));
 }
 
 TEST(MemoryLayout, ForwardsTableDefects) {
@@ -572,7 +562,7 @@ TEST(AuditIntegration, AuditedResultsAreIdentical) {
 
 TEST(AuditIntegration, ObservedAndAuditedResultsAreIdentical) {
   // Auditing AND full observability together must still be read-only:
-  // counters, phase scopes, and the span tracer never feed a decision.
+  // phase scopes and the span tracer never feed a decision.
   auto job = small_job();
   sched::SchedulerSpec spec;
   spec.algorithm = sched::Algorithm::kCombined;
@@ -594,14 +584,24 @@ TEST(AuditIntegration, ObservedAndAuditedResultsAreIdentical) {
   EXPECT_EQ(a.total_file_transfers(), b.total_file_transfers());
   EXPECT_EQ(a.total_bytes_transferred(), b.total_bytes_transferred());
 
-  // And the instruments actually observed the run.
-  ASSERT_NE(sim_full.observability(), nullptr);
-  const auto* reg = sim_full.observability()->metrics();
-  ASSERT_NE(reg, nullptr);
-  EXPECT_EQ(reg->find_counter("engine.tasks_completed")->value(), 30u);
-  EXPECT_EQ(reg->find_counter("sim.events_executed")->value(),
+  // And the instruments actually observed the run: the audited loop
+  // steps the kernel one event at a time, and every executed event is
+  // one dispatch call; every completed task is one completion span.
+  const obs::Observability* o = sim_full.observability();
+  ASSERT_NE(o, nullptr);
+  ASSERT_NE(o->profiler(), nullptr);
+  EXPECT_EQ(o->profiler()->slot(obs::Phase::kEventDispatch).calls,
             b.events_executed);
-  EXPECT_GT(sim_full.observability()->tracer()->recorded(), 0u);
+  EXPECT_EQ(o->profiler()->slot(obs::Phase::kReporting).calls, 1u);
+  const obs::EventTracer* tracer = o->tracer();
+  ASSERT_NE(tracer, nullptr);
+  EXPECT_GT(tracer->recorded(), 0u);
+  ASSERT_EQ(tracer->dropped(), 0u);
+  std::size_t completions = 0;
+  for (std::size_t i = 0; i < tracer->size(); ++i)
+    completions += tracer->span(i).kind == obs::SpanKind::kComplete;
+  EXPECT_EQ(b.tasks_completed, 30u);
+  EXPECT_EQ(completions, b.tasks_completed);
 }
 
 TEST(AuditIntegration, AllSchedulersPassEndOfRunAudit) {

@@ -1,7 +1,6 @@
-// Memory-lean hot structures (PR 6): the NodeArena page allocator, the
-// global string interner, and the small flat containers (InlineVec, Csr,
-// DenseIdSet) that replaced per-task node containers, plus the
-// allocation-free contracts the event loop relies on.
+// Memory-lean hot structures: the NodeArena page allocator and the small
+// flat containers (InlineVec, Csr, DenseIdSet) that replaced per-task node
+// containers, plus the allocation-free contracts the event loop relies on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,9 +15,7 @@
 #include "common/dense_id_set.h"
 #include "common/ids.h"
 #include "common/inline_vec.h"
-#include "common/interner.h"
 #include "grid/experiment.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "workload/coadd.h"
 
@@ -131,46 +128,6 @@ TEST(ArenaAlloc, BacksNodeContainers) {
   EXPECT_TRUE(arena.structural_defects().empty());
 }
 
-// --- StringInterner ------------------------------------------------------
-
-TEST(StringInterner, RoundTripsAndDeduplicates) {
-  StringInterner interner;
-  Symbol a = interner.intern("coadd");
-  Symbol b = interner.intern("zipf");
-  Symbol a2 = interner.intern("coadd");
-  EXPECT_EQ(a, a2);  // same text, same symbol
-  EXPECT_NE(a, b);
-  EXPECT_EQ(interner.view(a), "coadd");
-  EXPECT_EQ(interner.view(b), "zipf");
-  EXPECT_EQ(interner.size(), 2u);
-  EXPECT_TRUE(interner.self_check().empty());
-}
-
-TEST(StringInterner, DistinguishesNearCollisions) {
-  // Many keys engineered to crowd the same buckets: distinct texts must
-  // stay distinct symbols and every one must round-trip.
-  StringInterner interner;
-  std::vector<Symbol> symbols;
-  std::vector<std::string> texts;
-  for (int i = 0; i < 500; ++i) {
-    texts.push_back("site-" + std::to_string(i % 50) + "/task-" +
-                    std::to_string(i));
-    symbols.push_back(interner.intern(texts.back()));
-  }
-  for (std::size_t i = 0; i < texts.size(); ++i) {
-    EXPECT_EQ(interner.view(symbols[i]), texts[i]);
-    EXPECT_EQ(interner.intern(texts[i]), symbols[i]);
-  }
-  EXPECT_EQ(interner.size(), texts.size());
-  EXPECT_TRUE(interner.self_check().empty());
-}
-
-TEST(StringInterner, UnknownSymbolRejected) {
-  StringInterner interner;
-  EXPECT_FALSE(interner.known(Symbol(3)));
-  EXPECT_THROW((void)interner.view(Symbol(3)), std::logic_error);
-}
-
 // --- InlineVec -----------------------------------------------------------
 
 TEST(InlineVec, InlineThenSpill) {
@@ -271,25 +228,22 @@ TEST(AllocFree, DisabledInstrumentsAllocateNothing) {
   if (!alloc_counting_enabled())
     GTEST_SKIP() << "allocation counting compiled out (sanitizer build)";
   // The disabled path is a null-instrument branch at every call site;
-  // the enabled steady state (counter bumps, ring overwrite past
-  // capacity) must also be allocation-free.
-  obs::MetricsRegistry registry;
-  obs::Counter& counter = registry.counter("events");
+  // the enabled steady state (ring overwrite past capacity) must also be
+  // allocation-free.
   obs::EventTracer tracer(64);
   obs::TraceSpan span;
   span.kind = obs::SpanKind::kAssign;
   for (int i = 0; i < 200; ++i) tracer.record(span);  // fill the ring
 
-  obs::Counter* disabled = nullptr;
+  obs::EventTracer* disabled = nullptr;
   const AllocSnapshot before = alloc_snapshot();
   for (int i = 0; i < 1000; ++i) {
-    if (disabled) disabled->add(1);  // the component-side disabled branch
-    counter.add(1);
+    if (disabled) disabled->record(span);  // the component-side branch
     tracer.record(span);  // overwrite path: no push_back growth
   }
   const AllocSnapshot after = alloc_snapshot();
   EXPECT_EQ(allocations_between(before, after), 0u);
-  EXPECT_EQ(counter.value(), 1000u);
+  EXPECT_EQ(tracer.recorded(), 1200u);
 }
 
 TEST(AllocFree, ArenaSteadyStateChurnAllocatesNothing) {
@@ -315,8 +269,8 @@ TEST(AllocFree, ArenaSteadyStateChurnAllocatesNothing) {
 TEST(ArenaReuse, RepeatedSeedsAreByteIdentical) {
   // Each seed's simulation builds and tears down the arena-backed flow
   // table and scheduler indexes; running the seed list twice must
-  // reproduce identical totals (no state may leak through the arenas,
-  // pools, or the global interner between runs).
+  // reproduce identical totals (no state may leak through the arenas or
+  // pools between runs).
   workload::CoaddParams cp;
   cp.num_tasks = 120;
   auto job = workload::generate_coadd(cp);

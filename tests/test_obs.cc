@@ -1,106 +1,17 @@
-// Unit tests for the observability layer: metrics registry, event
-// tracer, phase profiler, JSON writer/parser, and the env gates.
+// Unit tests for the observability layer: event tracer, phase profiler,
+// JSON writer/parser, and the env gates.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <sstream>
 
 #include "obs/json.h"
-#include "obs/metrics.h"
 #include "obs/observability.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
 
 namespace wcs::obs {
 namespace {
-
-TEST(Counter, AddsAndReads) {
-  Counter c;
-  EXPECT_EQ(c.value(), 0u);
-  c.add();
-  c.add(41);
-  EXPECT_EQ(c.value(), 42u);
-}
-
-TEST(Gauge, SetAndAdd) {
-  Gauge g;
-  g.set(2.5);
-  g.add(1.5);
-  EXPECT_DOUBLE_EQ(g.value(), 4.0);
-}
-
-TEST(FixedHistogram, BucketsUnderAndOverflow) {
-  FixedHistogram h(0, 10, 5);  // buckets of width 2
-  h.add(-1);                   // underflow
-  h.add(0);                    // bucket 0
-  h.add(3);                    // bucket 1
-  h.add(9.99);                 // bucket 4
-  h.add(10);                   // overflow (hi is exclusive)
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(1), 1u);
-  EXPECT_EQ(h.bucket(4), 1u);
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_DOUBLE_EQ(h.bucket_lower(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bucket_upper(1), 4.0);
-}
-
-TEST(FixedHistogram, QuantileEdges) {
-  FixedHistogram h(0, 100, 10);
-  for (int i = 0; i < 100; ++i) h.add(i);
-  EXPECT_DOUBLE_EQ(h.quantile(0.0), 0.0);  // empty prefix: the lower bound
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 100.0);
-  EXPECT_LE(h.quantile(0.5), h.quantile(0.9));
-}
-
-TEST(FixedHistogram, QuantileUnderOverflowMapToBounds) {
-  FixedHistogram h(10, 20, 2);
-  h.add(0);   // underflow
-  h.add(99);  // overflow
-  EXPECT_DOUBLE_EQ(h.quantile(0.0), 10.0);
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 20.0);
-}
-
-TEST(FixedHistogram, MergeSumsBuckets) {
-  FixedHistogram a(0, 10, 5);
-  FixedHistogram b(0, 10, 5);
-  a.add(1);
-  b.add(1);
-  b.add(5);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 3u);
-  EXPECT_EQ(a.bucket(0), 2u);
-  EXPECT_EQ(a.bucket(2), 1u);
-  EXPECT_DOUBLE_EQ(a.sum(), 7.0);
-}
-
-TEST(MetricsRegistry, InstrumentsAreStableAndNamed) {
-  MetricsRegistry r;
-  Counter& c = r.counter("a.count");
-  c.add(3);
-  EXPECT_EQ(&r.counter("a.count"), &c);  // same instrument on re-lookup
-  EXPECT_EQ(r.find_counter("a.count")->value(), 3u);
-  EXPECT_EQ(r.find_counter("missing"), nullptr);
-  r.gauge("b.gauge").set(1.0);
-  (void)r.histogram("c.hist", 0, 1, 4);
-  EXPECT_EQ(r.size(), 3u);
-}
-
-TEST(MetricsRegistry, JsonDumpParses) {
-  MetricsRegistry r;
-  r.counter("events").add(7);
-  r.gauge("makespan_s").set(123.5);
-  r.histogram("flow_s", 0, 10, 2).add(4);
-  std::ostringstream out;
-  JsonWriter w(out);
-  r.write_json(w);
-  JsonValue doc = parse_json(out.str());
-  ASSERT_TRUE(doc.is_object());
-  EXPECT_DOUBLE_EQ(doc.find("counters")->find("events")->number, 7.0);
-  EXPECT_DOUBLE_EQ(doc.find("gauges")->find("makespan_s")->number, 123.5);
-  EXPECT_TRUE(doc.find("histograms")->find("flow_s")->is_object());
-}
 
 TEST(EventTracer, RingOverwritesOldest) {
   EventTracer t(3);
@@ -212,7 +123,6 @@ TEST(ObsOptions, EnvGates) {
 
   ::setenv("WCS_OBS", "1", 1);
   Options obs = Options::from_env();
-  EXPECT_TRUE(obs.metrics);
   EXPECT_TRUE(obs.profile);
   EXPECT_FALSE(obs.trace);
   EXPECT_TRUE(obs.trace_path.empty());  // env never sets a path
@@ -226,14 +136,20 @@ TEST(ObsOptions, EnvGates) {
 
 TEST(Observability, BundleRespectsOptions) {
   Options o;
-  o.metrics = true;
+  o.profile = true;
   Observability bundle(o);
-  EXPECT_NE(bundle.metrics(), nullptr);
-  EXPECT_EQ(bundle.profiler(), nullptr);
+  EXPECT_NE(bundle.profiler(), nullptr);
   EXPECT_EQ(bundle.tracer(), nullptr);
 
+  Options traced;
+  traced.trace_path = "unused.trace";  // a path implies the tracer
+  EXPECT_TRUE(traced.any());
+  Observability with_path(traced);
+  EXPECT_EQ(with_path.profiler(), nullptr);
+  ASSERT_NE(with_path.tracer(), nullptr);
+  EXPECT_EQ(with_path.tracer()->capacity(), kTraceCapacity);
+
   Observability all(Options::all());
-  EXPECT_NE(all.metrics(), nullptr);
   EXPECT_NE(all.profiler(), nullptr);
   EXPECT_NE(all.tracer(), nullptr);
   all.finish();  // no path configured: must be a no-op

@@ -10,7 +10,6 @@
 #include "common/stats.h"
 #include "grid/experiment.h"
 #include "grid/grid_simulation.h"
-#include "obs/metrics.h"
 #include "workload/coadd.h"
 #include "workload/generators.h"
 
@@ -255,7 +254,7 @@ TEST(EvictionPolicies, AllCompleteAndDiffer) {
   EXPECT_TRUE(transfers[0] != transfers[1] || transfers[1] != transfers[2]);
 }
 
-// --- statistics-toolkit properties (common/stats.h and obs/metrics.h) ---
+// --- statistics-toolkit properties (common/stats.h) ---
 
 TEST(StatsProperties, RunningStatsMergeIsAssociative) {
   // merge(merge(a, b), c) and merge(a, merge(b, c)) must agree with each
@@ -291,68 +290,6 @@ TEST(StatsProperties, RunningStatsMergeIsAssociative) {
       EXPECT_DOUBLE_EQ(s->max(), all.max());
     }
   }
-}
-
-TEST(StatsProperties, FixedHistogramMergeIsAssociativeAndExact) {
-  std::mt19937_64 rng(11);
-  std::uniform_real_distribution<double> dist(-10, 110);  // spills both ends
-  obs::FixedHistogram a(0, 100, 10), b(0, 100, 10), c(0, 100, 10),
-      all(0, 100, 10);
-  auto feed = [&](obs::FixedHistogram& h, int n) {
-    for (int i = 0; i < n; ++i) {
-      double x = dist(rng);
-      h.add(x);
-      all.add(x);
-    }
-  };
-  feed(a, 37);
-  feed(b, 0);  // empty-operand edge case
-  feed(c, 53);
-
-  obs::FixedHistogram left = a;
-  left.merge(b);
-  left.merge(c);
-  obs::FixedHistogram bc = b;
-  bc.merge(c);
-  obs::FixedHistogram right = a;
-  right.merge(bc);
-
-  for (const obs::FixedHistogram* h : {&left, &right}) {
-    EXPECT_EQ(h->count(), all.count());
-    EXPECT_EQ(h->underflow(), all.underflow());
-    EXPECT_EQ(h->overflow(), all.overflow());
-    EXPECT_DOUBLE_EQ(h->sum(), all.sum());
-    for (std::size_t i = 0; i < all.num_buckets(); ++i)
-      EXPECT_EQ(h->bucket(i), all.bucket(i));
-  }
-}
-
-TEST(StatsProperties, FixedHistogramQuantilesAreMonotone) {
-  std::mt19937_64 rng(13);
-  std::exponential_distribution<double> dist(1.0 / 20.0);
-  obs::FixedHistogram h(0, 100, 25);
-  for (int i = 0; i < 500; ++i) h.add(dist(rng));
-  double prev = h.quantile(0);
-  for (int i = 1; i <= 100; ++i) {
-    double q = h.quantile(static_cast<double>(i) / 100.0);
-    EXPECT_GE(q, prev) << "quantile not monotone at q=" << i / 100.0;
-    EXPECT_GE(q, h.lo());
-    EXPECT_LE(q, h.hi());
-    prev = q;
-  }
-}
-
-TEST(StatsProperties, CounterOverflowWrapsModulo64) {
-  // Deltas across a wrap stay correct under unsigned arithmetic — the
-  // documented contract for long-running counters.
-  obs::Counter c;
-  const std::uint64_t near_max = ~std::uint64_t{0} - 2;
-  c.add(near_max);
-  std::uint64_t before = c.value();
-  c.add(10);  // wraps
-  EXPECT_EQ(c.value(), near_max + 10);  // both sides wrap identically
-  EXPECT_EQ(c.value() - before, 10u);
-  EXPECT_LT(c.value(), before);  // it really did wrap
 }
 
 }  // namespace
