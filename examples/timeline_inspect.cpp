@@ -1,7 +1,8 @@
-// Timeline inspection: run one experiment with full lifecycle recording
-// and print where task time actually goes — queue wait vs data wait vs
-// execution — plus a per-worker utilization bar. This is the per-task
-// view of the contention the paper aggregates in Table 3.
+// Timeline inspection: run one experiment with the event tracer on,
+// rebuild every task's lifecycle from the trace, and print where task
+// time actually goes — queue wait vs data wait vs execution — plus a
+// per-worker utilization bar. This is the per-task view of the
+// contention the paper aggregates in Table 3.
 //
 //   ./timeline_inspect [num_tasks] [algorithm] [workers_per_site]
 #include <iomanip>
@@ -11,7 +12,7 @@
 
 #include "grid/experiment.h"
 #include "grid/grid_simulation.h"
-#include "metrics/timeline.h"
+#include "obs/trace.h"
 #include "workload/coadd.h"
 
 using namespace wcs;
@@ -29,7 +30,7 @@ int main(int argc, char** argv) {
   config.tiers.num_sites = 5;
   config.tiers.workers_per_site = workers;
   config.capacity_files = 6000;
-  config.record_timeline = true;
+  config.obs.trace = true;
 
   sched::SchedulerSpec spec;
   for (const auto& s : sched::SchedulerSpec::paper_algorithms())
@@ -39,29 +40,29 @@ int main(int argc, char** argv) {
 
   grid::GridSimulation sim(config, job, sched::make_scheduler(spec));
   auto result = sim.run();
-  const metrics::TimelineRecorder& timeline = *sim.timeline();
+  const obs::LifecycleSummary lifecycle =
+      obs::task_lifecycle(*sim.observability()->tracer());
 
   std::cout << "algorithm " << result.scheduler << ", " << num_tasks
             << " tasks, " << workers << " workers/site — makespan "
             << std::fixed << std::setprecision(0)
             << result.makespan_minutes() << " min\n\n";
 
-  auto stats = timeline.phase_stats();
   auto line = [](const char* label, const RunningStats& s) {
     std::cout << "  " << std::left << std::setw(12) << label << std::right
               << std::fixed << std::setprecision(1) << std::setw(10)
               << s.mean() / 60 << " min avg" << std::setw(10) << s.max() / 60
               << " min max\n";
   };
-  std::cout << "per-task phases (" << stats.exec.count() << " tasks):\n";
-  line("queue wait", stats.queue_wait);
-  line("data wait", stats.data_wait);
-  line("execution", stats.exec);
+  std::cout << "per-task phases (" << lifecycle.exec.count() << " tasks):\n";
+  line("queue wait", lifecycle.queue_wait);
+  line("data wait", lifecycle.data_wait);
+  line("execution", lifecycle.exec);
 
   // Worker busy fractions from exec/fetch spans.
   std::map<unsigned, double> busy;
-  for (const auto& span : timeline.completed_spans())
-    busy[span.worker.value()] += span.total_s() - span.queue_wait_s();
+  for (const obs::TaskPhases& phases : lifecycle.completed)
+    busy[phases.worker.value()] += phases.total_s() - phases.queue_wait_s();
   std::cout << "\nworker utilization (fetch+exec time / makespan):\n";
   for (const auto& [worker, seconds] : busy) {
     double frac = seconds / result.makespan_s;

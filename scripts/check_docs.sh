@@ -17,6 +17,8 @@
 #      "| variable | read by | effect |" table) has a row for every
 #      `getenv("WCS_...")` in src/, bench/, tools/ and examples/, and no
 #      row for a variable nothing reads.
+#   7. the CI "Run every example" step in .github/workflows/ci.yml runs
+#      exactly the `wcs_add_example` targets of examples/CMakeLists.txt.
 #
 #   scripts/check_docs.sh [BUILD_DIR]     # default: build
 #
@@ -173,3 +175,32 @@ if [ -n "$unlisted" ] || [ -n "$unread" ]; then
   exit 1
 fi
 echo "ok — the operators-guide environment-variable table matches getenv"
+
+# --- 7. CI example step drift -------------------------------------------------
+built=$(grep -oE '^wcs_add_example\([a-z_0-9]+\)' examples/CMakeLists.txt |
+  sed -E 's/^wcs_add_example\(//; s/\)$//' | sort -u)
+# The step's script runs from its `- name: Run every example` line to the
+# next line that is not part of the step (a new step or job).
+ran=$(awk '
+  /- name: Run every example/ { in_step = 1; next }
+  in_step && /^ *- |^  [a-z]/ { exit }
+  in_step { print }
+' .github/workflows/ci.yml | grep -oE '\./build/examples/[a-z_0-9]+' |
+  sed -E 's|^\./build/examples/||' | sort -u)
+if [ -z "$built" ] || [ -z "$ran" ]; then
+  echo "FAIL — no wcs_add_example targets or no CI \"Run every example\" step" >&2
+  exit 1
+fi
+unrun=$(comm -23 <(echo "$built") <(echo "$ran"))
+unbuilt=$(comm -13 <(echo "$built") <(echo "$ran"))
+if [ -n "$unrun" ] || [ -n "$unbuilt" ]; then
+  for e in $unrun; do
+    echo "example $e is built by examples/CMakeLists.txt but the CI \"Run every example\" step does not run it" >&2
+  done
+  for e in $unbuilt; do
+    echo "the CI \"Run every example\" step runs $e, which examples/CMakeLists.txt does not build" >&2
+  done
+  echo "FAIL — the CI example step drifted from examples/CMakeLists.txt" >&2
+  exit 1
+fi
+echo "ok — the CI example step runs exactly the examples/CMakeLists.txt targets"

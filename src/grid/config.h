@@ -30,6 +30,15 @@ namespace wcs::grid {
 inline constexpr double kFallbackUplinkBandwidthBps = 1e6;
 inline constexpr double kFallbackSiteMflops = 1e3;
 
+// Worker speeds: sampled from the top500-like table / 100 (Sec. 5.2).
+// Mixed with the topology seed (GridConfig::effective_speed_seed) so the
+// 5 averaged repetitions also re-roll worker speeds, as re-generated
+// platforms would.
+inline constexpr std::uint64_t kWorkerSpeedSeed = 11;
+// Stream of the per-site estimate-error factors (GridConfig::
+// estimate_error), likewise mixed with the topology seed.
+inline constexpr std::uint64_t kEstimateSeed = 23;
+
 struct GridConfig {
   net::TiersParams tiers;  // num_sites / workers_per_site / link params / seed
 
@@ -46,11 +55,6 @@ struct GridConfig {
   // only because existing configuration code engages it with emplace().
   std::optional<storage::BlockStoreParams> block_store =
       storage::BlockStoreParams{};
-
-  // Worker speeds: sampled from the top500-like table / 100 (Sec. 5.2).
-  // Mixed with the topology seed so the 5 averaged repetitions also
-  // re-roll worker speeds, as re-generated platforms would.
-  std::uint64_t worker_speed_seed = 11;
 
   // Optional proactive data replication (Ranganathan & Foster style);
   // disabled by default, as in the paper's main experiments.
@@ -77,12 +81,6 @@ struct GridConfig {
   // (bench_ablation_baselines): the paper's schedulers never read these
   // estimates and are immune by construction.
   double estimate_error = 0.0;
-  std::uint64_t estimate_seed = 23;
-
-  // Record the full per-task lifecycle timeline (metrics::TimelineRecorder,
-  // see GridSimulation::timeline()). Off by default: a 6,000-task run
-  // produces ~25k events.
-  bool record_timeline = false;
 
   // Runtime invariant auditing (src/audit): sweep the registered
   // conservation-law checkers every `audit_interval_events` executed
@@ -100,7 +98,7 @@ struct GridConfig {
   obs::Options obs = obs::Options::from_env();
 
   [[nodiscard]] std::uint64_t effective_speed_seed() const {
-    return worker_speed_seed * 0x9e3779b97f4a7c15ULL ^ tiers.seed;
+    return kWorkerSpeedSeed * 0x9e3779b97f4a7c15ULL ^ tiers.seed;
   }
 };
 

@@ -166,7 +166,7 @@ void ControlPlane::assign_task(TaskId task, WorkerId worker) {
   if (!instances_[task.value()].empty()) ++replicas_started_;
   instances_[task.value()].push_back(worker);
   ++assignments_;
-  trace(metrics::TimelineEventKind::kAssigned, task, worker);
+  trace(LifecycleEvent::kAssigned, task, worker);
 
   WorkerRuntime& rt = workers_[worker.value()];
   rt.queue.push_back(task);
@@ -200,7 +200,7 @@ void ControlPlane::start_next(WorkerId worker) {
   rt.queue.pop_front();
   rt.current = task;
   rt.state = WorkerPhase::kFetching;
-  trace(metrics::TimelineEventKind::kFetchStart, task, worker);
+  trace(LifecycleEvent::kFetchStart, task, worker);
   const workload::Task& t = job_.task(task);
   data_.request_batch(rt.info.site, task, worker, t.files,
                       [this, worker, task] { files_ready(worker, task); });
@@ -211,7 +211,7 @@ void ControlPlane::files_ready(WorkerId worker, TaskId task) {
   WCS_CHECK(rt.state == WorkerPhase::kFetching);
   WCS_CHECK_EQ(rt.current, task);
   rt.state = WorkerPhase::kComputing;
-  trace(metrics::TimelineEventKind::kExecStart, task, worker);
+  trace(LifecycleEvent::kExecStart, task, worker);
   SimTime compute = rt.info.compute_time_s(job_.task(task).mflop);
   rt.compute_event = sim_.schedule_in(
       compute, [this, worker, task] { finish_task(worker, task); });
@@ -237,7 +237,7 @@ void ControlPlane::finish_task(WorkerId worker, TaskId task) {
     ledger.last_completion_s = sim_.now();
   }
   audit_max_completion_ = std::max(audit_max_completion_, sim_.now());
-  trace(metrics::TimelineEventKind::kCompleted, task, worker);
+  trace(LifecycleEvent::kCompleted, task, worker);
   if (completed_count_ == job_.num_tasks() && hooks_.on_all_tasks_completed)
     hooks_.on_all_tasks_completed();
   instances_[task.value()].erase_value(worker);
@@ -261,7 +261,7 @@ bool ControlPlane::cancel_task(TaskId task, WorkerId worker) {
     inst.erase_value(worker);
     ++replicas_cancelled_;
     note_instance_dropped(task);
-    trace(metrics::TimelineEventKind::kCancelled, task, worker);
+    trace(LifecycleEvent::kCancelled, task, worker);
     go_idle(worker);
     return true;
   }
@@ -272,7 +272,7 @@ bool ControlPlane::cancel_task(TaskId task, WorkerId worker) {
     inst.erase_value(worker);
     ++replicas_cancelled_;
     note_instance_dropped(task);
-    trace(metrics::TimelineEventKind::kCancelled, task, worker);
+    trace(LifecycleEvent::kCancelled, task, worker);
     go_idle(worker);
     return true;
   }
@@ -283,7 +283,7 @@ bool ControlPlane::cancel_task(TaskId task, WorkerId worker) {
   inst.erase_value(worker);
   ++replicas_cancelled_;
   note_instance_dropped(task);
-  trace(metrics::TimelineEventKind::kCancelled, task, worker);
+  trace(LifecycleEvent::kCancelled, task, worker);
   return true;
 }
 
@@ -327,7 +327,7 @@ std::vector<TaskId> ControlPlane::withdraw_worker(WorkerId worker) {
   for (TaskId t : lost) {
     instances_[t.value()].erase_value(worker);
     note_instance_dropped(t);
-    trace(metrics::TimelineEventKind::kCancelled, t, worker);
+    trace(LifecycleEvent::kCancelled, t, worker);
   }
   rt.state = WorkerPhase::kOffline;
   return lost;

@@ -35,8 +35,8 @@
 #include "compute/capacity.h"
 #include "grid/config.h"
 #include "grid/data_plane.h"
+#include "grid/telemetry.h"
 #include "metrics/results.h"
-#include "metrics/timeline.h"
 #include "net/tiers.h"
 #include "sched/scheduler.h"
 #include "sim/simulator.h"
@@ -58,11 +58,11 @@ class ControlPlane {
   };
 
   // Callbacks into the composition root. `trace` fans lifecycle events
-  // out to the timeline recorder / obs tracer (may be empty);
+  // out to the engine telemetry's tracer (may be empty);
   // `on_all_tasks_completed` fires once, when the last task finishes
   // (the root uses it to stop churn and drain replication).
   struct Hooks {
-    std::function<void(metrics::TimelineEventKind, TaskId, WorkerId)> trace;
+    std::function<void(LifecycleEvent, TaskId, WorkerId)> trace;
     std::function<void()> on_all_tasks_completed;
   };
 
@@ -155,7 +155,7 @@ class ControlPlane {
     SimTime control_latency = 0;  // one-way worker <-> scheduler
   };
 
-  void trace(metrics::TimelineEventKind kind, TaskId task, WorkerId worker) {
+  void trace(LifecycleEvent kind, TaskId task, WorkerId worker) {
     if (hooks_.trace) hooks_.trace(kind, task, worker);
   }
   void go_idle(WorkerId worker);

@@ -47,7 +47,7 @@ void FaultPlane::fail_worker(WorkerId worker) {
   ++failures_;
   instances_lost_ += lost.size();
   if (trace_)
-    trace_(metrics::TimelineEventKind::kWorkerFailed, TaskId::invalid(),
+    trace_(LifecycleEvent::kWorkerFailed, TaskId::invalid(),
            worker);
   schedule_recovery(worker);
   scheduler_.on_worker_failed(worker, lost);
@@ -57,7 +57,7 @@ void FaultPlane::recover_worker(WorkerId worker) {
   ++recoveries_;
   control_.mark_online(worker);
   if (trace_)
-    trace_(metrics::TimelineEventKind::kWorkerRecovered, TaskId::invalid(),
+    trace_(LifecycleEvent::kWorkerRecovered, TaskId::invalid(),
            worker);
   schedule_failure(worker);
   control_.resume_worker(worker);
@@ -73,7 +73,7 @@ void FaultPlane::fail_now(WorkerId worker) {
   ++failures_;
   instances_lost_ += lost.size();
   if (trace_)
-    trace_(metrics::TimelineEventKind::kWorkerFailed, TaskId::invalid(),
+    trace_(LifecycleEvent::kWorkerFailed, TaskId::invalid(),
            worker);
   scheduler_.on_worker_failed(worker, lost);
 }
@@ -82,7 +82,7 @@ void FaultPlane::recover_now(WorkerId worker) {
   ++recoveries_;
   control_.mark_online(worker);
   if (trace_)
-    trace_(metrics::TimelineEventKind::kWorkerRecovered, TaskId::invalid(),
+    trace_(LifecycleEvent::kWorkerRecovered, TaskId::invalid(),
            worker);
   control_.resume_worker(worker);
 }

@@ -23,7 +23,7 @@
 #include "common/units.h"
 #include "grid/config.h"
 #include "grid/control_plane.h"
-#include "metrics/timeline.h"
+#include "grid/telemetry.h"
 #include "sched/scheduler.h"
 #include "sim/simulator.h"
 
@@ -31,10 +31,9 @@ namespace wcs::grid {
 
 class FaultPlane {
  public:
-  // Fans worker-failure/recovery events out to the timeline/obs tracer
+  // Fans worker-failure/recovery events out to the engine telemetry's tracer
   // (may be empty).
-  using TraceFn =
-      std::function<void(metrics::TimelineEventKind, TaskId, WorkerId)>;
+  using TraceFn = std::function<void(LifecycleEvent, TaskId, WorkerId)>;
 
   // `config.churn` must be set; all references must outlive the plane.
   FaultPlane(const GridConfig& config, sim::Simulator& sim,

@@ -42,7 +42,7 @@ GridSimulation::GridSimulation(const GridConfig& config,
   std::vector<double> mflops_error;
   const auto num_sites = static_cast<std::size_t>(config_.tiers.num_sites);
   if (config_.estimate_error > 0) {
-    Rng estimate_rng(config_.estimate_seed * 0x9e3779b97f4a7c15ULL ^
+    Rng estimate_rng(kEstimateSeed * 0x9e3779b97f4a7c15ULL ^
                      config_.tiers.seed);
     auto draw = [&] {
       double hi = std::log(1.0 + config_.estimate_error);
@@ -62,8 +62,7 @@ GridSimulation::GridSimulation(const GridConfig& config,
   telemetry_ = std::make_unique<EngineTelemetry>(config_, num_workers);
   ControlPlane::Hooks hooks;
   if (telemetry_->recording()) {
-    hooks.trace = [this](metrics::TimelineEventKind kind, TaskId task,
-                         WorkerId worker) {
+    hooks.trace = [this](LifecycleEvent kind, TaskId task, WorkerId worker) {
       telemetry_->record(sim_.now(), kind, task, worker);
     };
   }

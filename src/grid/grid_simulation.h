@@ -10,7 +10,7 @@
 //                                        cache pin/release, replication
 //   FaultPlane   (grid/fault_plane.h)    churn schedule, fail/recover,
 //                                        lost-instance withdrawal
-//   EngineTelemetry (grid/telemetry.h)   timeline + obs trace/metrics
+//   EngineTelemetry (grid/telemetry.h)   obs tracer + phase profiler
 //
 // All policy lives in the planes; this class only constructs them in
 // the deterministic order the golden-run suite pins, runs the kernel to
@@ -32,7 +32,6 @@
 #include "grid/fault_plane.h"
 #include "grid/telemetry.h"
 #include "metrics/results.h"
-#include "metrics/timeline.h"
 #include "net/tiers.h"
 #include "obs/observability.h"
 #include "replication/data_replicator.h"
@@ -134,10 +133,6 @@ class GridSimulation final : public sched::GridEngine {
   // Null unless GridConfig::replication was set.
   [[nodiscard]] const replication::DataReplicator* replicator() const {
     return data_->replicator();
-  }
-  // Null unless GridConfig::record_timeline was set.
-  [[nodiscard]] const metrics::TimelineRecorder* timeline() const {
-    return telemetry_->timeline();
   }
   // Null unless GridConfig::audit was set; populated during run().
   [[nodiscard]] const audit::InvariantAuditor* auditor() const {

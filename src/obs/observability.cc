@@ -25,7 +25,7 @@ Observability::Observability(const Options& options)
     : trace_path_(options.trace_path) {
   if (options.profile) profiler_ = std::make_unique<PhaseProfiler>();
   if (options.trace || !trace_path_.empty())
-    tracer_ = std::make_unique<EventTracer>(kTraceCapacity);
+    tracer_ = std::make_unique<EventTracer>();
 }
 
 void Observability::finish() {

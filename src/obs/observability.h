@@ -17,7 +17,6 @@
 // sharing a config cannot clobber one file).
 #pragma once
 
-#include <cstddef>
 #include <memory>
 #include <string>
 
@@ -26,12 +25,9 @@
 
 namespace wcs::obs {
 
-// Ring size of the event tracer; older spans are overwritten.
-inline constexpr std::size_t kTraceCapacity = 1 << 16;
-
 struct Options {
   bool profile = false;  // wall-clock phase profiler
-  bool trace = false;    // ring-buffer event tracer
+  bool trace = false;    // append-only event tracer
   // Dump the Chrome trace here at end of run; empty = keep in memory.
   // Implies trace when non-empty.
   std::string trace_path;

@@ -1,6 +1,8 @@
 #include "obs/trace.h"
 
 #include <fstream>
+#include <map>
+#include <utility>
 
 #include "common/check.h"
 #include "obs/json.h"
@@ -31,24 +33,12 @@ bool is_instant(SpanKind kind) {
   }
 }
 
-EventTracer::EventTracer(std::size_t capacity) : capacity_(capacity) {
-  WCS_CHECK_MSG(capacity > 0, "tracer needs a non-zero capacity");
-  ring_.reserve(capacity);
-}
-
-const TraceSpan& EventTracer::span(std::size_t i) const {
-  WCS_CHECK(i < ring_.size());
-  if (ring_.size() < capacity_) return ring_[i];
-  return ring_[(next_ + i) % capacity_];
-}
-
 void EventTracer::write_chrome_trace(std::ostream& out) const {
   JsonWriter w(out, /*indent=*/0);
   w.begin_object();
   w.key("traceEvents");
   w.begin_array();
-  for (std::size_t i = 0; i < size(); ++i) {
-    const TraceSpan& s = span(i);
+  for (const TraceSpan& s : spans_) {
     w.begin_object();
     w.member("name", to_string(s.kind));
     w.member("cat", "sim");
@@ -69,8 +59,7 @@ void EventTracer::write_chrome_trace(std::ostream& out) const {
   w.member("displayTimeUnit", "ms");
   w.key("otherData");
   w.begin_object();
-  w.member("recorded", recorded());
-  w.member("dropped", dropped());
+  w.member("recorded", std::uint64_t{spans_.size()});
   w.end_object();
   w.end_object();
 }
@@ -79,6 +68,52 @@ void EventTracer::write_chrome_trace(const std::string& path) const {
   std::ofstream out(path);
   WCS_CHECK_MSG(out.good(), "cannot open trace output " << path);
   write_chrome_trace(out);
+}
+
+LifecycleSummary task_lifecycle(const EventTracer& tracer) {
+  LifecycleSummary summary;
+  // Phases so far of every live instance. Each timestamp is taken from
+  // the span that starts at it (a span's end is start + duration, which
+  // need not round back to the recorded time).
+  std::map<std::pair<TaskId, std::uint32_t>, TaskPhases> open;
+  for (const TraceSpan& s : tracer.spans()) {
+    const std::pair<TaskId, std::uint32_t> key{s.task, s.track};
+    switch (s.kind) {
+      case SpanKind::kAssign: {
+        TaskPhases phases;
+        phases.task = s.task;
+        phases.worker = WorkerId(s.track);
+        phases.assigned = s.start;
+        open[key] = phases;
+        break;
+      }
+      case SpanKind::kFetch:
+        if (auto it = open.find(key); it != open.end())
+          it->second.fetch_start = s.start;
+        break;
+      case SpanKind::kCompute:
+        if (auto it = open.find(key); it != open.end())
+          it->second.exec_start = s.start;
+        break;
+      case SpanKind::kComplete:
+        if (auto it = open.find(key); it != open.end()) {
+          TaskPhases& phases = it->second;
+          phases.completed = s.start;
+          summary.queue_wait.add(phases.queue_wait_s());
+          summary.data_wait.add(phases.data_wait_s());
+          summary.exec.add(phases.exec_s());
+          summary.completed.push_back(phases);
+          open.erase(it);
+        }
+        break;
+      case SpanKind::kCancelled:
+        open.erase(key);
+        break;
+      default:  // transfers, evictions, worker failures
+        break;
+    }
+  }
+  return summary;
 }
 
 }  // namespace wcs::obs

@@ -60,7 +60,6 @@ std::unique_ptr<Scheduler> make_scheduler(const SchedulerSpec& spec) {
     case Algorithm::kStorageAffinity: {
       StorageAffinityParams p;
       p.max_replicas = spec.max_replicas;
-      p.imbalance_factor = spec.imbalance_factor;
       return std::make_unique<StorageAffinityScheduler>(p);
     }
     case Algorithm::kOverlap:

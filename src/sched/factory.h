@@ -32,10 +32,9 @@ struct SchedulerSpec {
   Algorithm algorithm = Algorithm::kRest;
   int choose_n = 1;  // ChooseTask(n); worker-centric metrics only
   CombinedFormula combined_formula = CombinedFormula::kProse;
-  int max_replicas = 2;            // storage affinity + replicating variants
-  double imbalance_factor = 1.25;  // storage affinity only
-  bool task_replication = false;   // worker-centric: replicate when idle
-  std::uint64_t seed = 7;          // randomized ChooseTask only
+  int max_replicas = 2;           // storage affinity + replicating variants
+  bool task_replication = false;  // worker-centric: replicate when idle
+  std::uint64_t seed = 7;         // randomized ChooseTask only
 
   // Human-readable algorithm name as used in the paper's figures and in
   // every report/CSV row (e.g. "rest.2", "combined~verbatim+repl").

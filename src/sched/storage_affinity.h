@@ -55,6 +55,9 @@
 
 namespace wcs::sched {
 
+// Default initial-distribution load cap (StorageAffinityParams).
+inline constexpr double kImbalanceFactor = 1.25;
+
 struct StorageAffinityParams {
   int max_replicas = 2;  // total concurrent instances per task
 
@@ -65,7 +68,7 @@ struct StorageAffinityParams {
   // does not do (its makespan is comparable to the worker-centric
   // algorithms at large capacities, Fig. 4). Reconstruction choice
   // recorded in DESIGN.md §6.
-  double imbalance_factor = 1.25;
+  double imbalance_factor = kImbalanceFactor;
 };
 
 class StorageAffinityScheduler final : public Scheduler {

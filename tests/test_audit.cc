@@ -595,13 +595,16 @@ TEST(AuditIntegration, ObservedAndAuditedResultsAreIdentical) {
   EXPECT_EQ(o->profiler()->slot(obs::Phase::kReporting).calls, 1u);
   const obs::EventTracer* tracer = o->tracer();
   ASSERT_NE(tracer, nullptr);
-  EXPECT_GT(tracer->recorded(), 0u);
-  ASSERT_EQ(tracer->dropped(), 0u);
+  ASSERT_FALSE(tracer->spans().empty());
   std::size_t completions = 0;
-  for (std::size_t i = 0; i < tracer->size(); ++i)
-    completions += tracer->span(i).kind == obs::SpanKind::kComplete;
+  std::size_t assigns = 0;
+  for (const obs::TraceSpan& s : tracer->spans()) {
+    completions += s.kind == obs::SpanKind::kComplete;
+    assigns += s.kind == obs::SpanKind::kAssign;
+  }
   EXPECT_EQ(b.tasks_completed, 30u);
   EXPECT_EQ(completions, b.tasks_completed);
+  EXPECT_EQ(assigns, b.assignments);
 }
 
 TEST(AuditIntegration, AllSchedulersPassEndOfRunAudit) {

@@ -1,7 +1,7 @@
 // Whole-stack determinism: with every optional subsystem enabled at
-// once (replication + churn + timeline + estimate error + randomized
-// ChooseTask), two runs from the same seeds must be event-for-event
-// identical. This is the strongest regression net for the seed
+// once (replication + churn + event tracer + estimate error + randomized
+// ChooseTask), two runs from the same seeds must be span-for-span
+// identical — the task lifecycle, every transfer and every eviction. This is the strongest regression net for the seed
 // discipline (DESIGN.md §5.8) — any ambient entropy or hash-order
 // dependence breaks it.
 #include <gtest/gtest.h>
@@ -20,7 +20,7 @@ GridConfig everything_on() {
   c.tiers.num_sites = 4;
   c.tiers.workers_per_site = 2;
   c.capacity_files = 400;
-  c.record_timeline = true;
+  c.obs.trace = true;
   c.estimate_error = 2.0;
   replication::DataReplicatorParams rp;
   rp.popularity_threshold = 3;
@@ -48,8 +48,8 @@ TEST_P(FullStackDeterminism, EventForEventIdentical) {
   auto run = [&] {
     GridSimulation sim(c, job, sched::make_scheduler(spec));
     auto result = sim.run();
-    WCS_CHECK(sim.timeline() != nullptr);
-    return std::pair{result, sim.timeline()->events()};
+    WCS_CHECK(sim.observability() != nullptr);
+    return std::pair{result, sim.observability()->tracer()->spans()};
   };
   auto [r1, e1] = run();
   auto [r2, e2] = run();
@@ -61,10 +61,12 @@ TEST_P(FullStackDeterminism, EventForEventIdentical) {
   EXPECT_EQ(r1.files_replicated, r2.files_replicated);
   ASSERT_EQ(e1.size(), e2.size());
   for (std::size_t i = 0; i < e1.size(); ++i) {
-    EXPECT_DOUBLE_EQ(e1[i].time, e2[i].time) << "event " << i;
-    EXPECT_EQ(e1[i].kind, e2[i].kind) << "event " << i;
-    EXPECT_EQ(e1[i].task, e2[i].task) << "event " << i;
-    EXPECT_EQ(e1[i].worker, e2[i].worker) << "event " << i;
+    EXPECT_EQ(e1[i].start, e2[i].start) << "span " << i;
+    EXPECT_EQ(e1[i].duration_s, e2[i].duration_s) << "span " << i;
+    EXPECT_EQ(e1[i].kind, e2[i].kind) << "span " << i;
+    EXPECT_EQ(e1[i].track, e2[i].track) << "span " << i;
+    EXPECT_EQ(e1[i].task, e2[i].task) << "span " << i;
+    EXPECT_EQ(e1[i].bytes, e2[i].bytes) << "span " << i;
   }
 }
 

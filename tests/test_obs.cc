@@ -1,35 +1,82 @@
-// Unit tests for the observability layer: event tracer, phase profiler,
+// Unit tests for the observability layer: event tracer and the task
+// lifecycle it records (unit + through the engine), phase profiler,
 // JSON writer/parser, and the env gates.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <sstream>
 
+#include "grid/experiment.h"
+#include "grid/grid_simulation.h"
 #include "obs/json.h"
 #include "obs/observability.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
+#include "workload/coadd.h"
 
 namespace wcs::obs {
 namespace {
 
-TEST(EventTracer, RingOverwritesOldest) {
-  EventTracer t(3);
-  for (std::uint32_t i = 0; i < 5; ++i) {
-    TraceSpan s;
-    s.start = i;
-    s.kind = SpanKind::kAssign;
-    t.record(s);
-  }
-  EXPECT_EQ(t.size(), 3u);
-  EXPECT_EQ(t.recorded(), 5u);
-  EXPECT_EQ(t.dropped(), 2u);
-  EXPECT_DOUBLE_EQ(t.span(0).start, 2.0);  // oldest retained
-  EXPECT_DOUBLE_EQ(t.span(2).start, 4.0);
+TraceSpan lifecycle_span(SimTime start, SpanKind kind, std::uint32_t task,
+                         std::uint32_t worker, double duration_s = 0) {
+  TraceSpan s;
+  s.start = start;
+  s.duration_s = duration_s;
+  s.kind = kind;
+  s.track = worker;
+  s.task = TaskId(task);
+  return s;
+}
+
+TEST(EventTracer, RecordsInOrder) {
+  EventTracer t;
+  t.record(lifecycle_span(1.0, SpanKind::kAssign, 0, 0));
+  t.record(lifecycle_span(2.0, SpanKind::kCancelled, 0, 0));
+  ASSERT_EQ(t.spans().size(), 2u);
+  EXPECT_EQ(t.spans()[0].kind, SpanKind::kAssign);
+  EXPECT_DOUBLE_EQ(t.spans()[1].start, 2.0);
+}
+
+TEST(TaskLifecycle, SpanPhases) {
+  EventTracer t;
+  t.record(lifecycle_span(10, SpanKind::kAssign, 3, 1));
+  t.record(lifecycle_span(12, SpanKind::kFetch, 3, 1, 18));
+  t.record(lifecycle_span(30, SpanKind::kCompute, 3, 1, 12));
+  t.record(lifecycle_span(42, SpanKind::kComplete, 3, 1));
+  LifecycleSummary summary = task_lifecycle(t);
+  ASSERT_EQ(summary.completed.size(), 1u);
+  const TaskPhases& p = summary.completed[0];
+  EXPECT_EQ(p.task, TaskId(3));
+  EXPECT_EQ(p.worker, WorkerId(1));
+  EXPECT_DOUBLE_EQ(p.queue_wait_s(), 2.0);
+  EXPECT_DOUBLE_EQ(p.data_wait_s(), 18.0);
+  EXPECT_DOUBLE_EQ(p.exec_s(), 12.0);
+  EXPECT_DOUBLE_EQ(p.total_s(), 32.0);
+  EXPECT_EQ(summary.exec.count(), 1u);
+  EXPECT_DOUBLE_EQ(summary.queue_wait.mean(), 2.0);
+  EXPECT_DOUBLE_EQ(summary.data_wait.mean(), 18.0);
+}
+
+TEST(TaskLifecycle, CancelledInstancesProduceNoSpan) {
+  // Two concurrent instances: worker 0's is cancelled while fetching
+  // (so it never records a fetch span), the winning replica on worker 1
+  // completes. Other tracks' spans (a transfer) are ignored.
+  EventTracer t;
+  t.record(lifecycle_span(1, SpanKind::kAssign, 0, 0));
+  t.record(lifecycle_span(1, SpanKind::kAssign, 0, 1));
+  t.record(lifecycle_span(3, SpanKind::kCancelled, 0, 0));
+  t.record(lifecycle_span(2, SpanKind::kFetch, 0, 1, 2));
+  t.record(lifecycle_span(3, SpanKind::kTransfer, 0, 0, 1));
+  t.record(lifecycle_span(4, SpanKind::kCompute, 0, 1, 1));
+  t.record(lifecycle_span(5, SpanKind::kComplete, 0, 1));
+  LifecycleSummary summary = task_lifecycle(t);
+  ASSERT_EQ(summary.completed.size(), 1u);
+  EXPECT_EQ(summary.completed[0].worker, WorkerId(1));
+  EXPECT_DOUBLE_EQ(summary.completed[0].fetch_start, 2.0);
 }
 
 TEST(EventTracer, ChromeTraceIsValidJson) {
-  EventTracer t(16);
+  EventTracer t;
   TraceSpan span;
   span.start = 1.5;
   span.duration_s = 0.5;
@@ -147,12 +194,102 @@ TEST(Observability, BundleRespectsOptions) {
   Observability with_path(traced);
   EXPECT_EQ(with_path.profiler(), nullptr);
   ASSERT_NE(with_path.tracer(), nullptr);
-  EXPECT_EQ(with_path.tracer()->capacity(), kTraceCapacity);
+  EXPECT_TRUE(with_path.tracer()->spans().empty());
 
   Observability all(Options::all());
   EXPECT_NE(all.profiler(), nullptr);
   EXPECT_NE(all.tracer(), nullptr);
   all.finish();  // no path configured: must be a no-op
+}
+
+// --- Through the engine ----------------------------------------------------
+
+grid::GridConfig traced_config(int sites, int workers_per_site) {
+  grid::GridConfig c;
+  c.tiers.num_sites = sites;
+  c.tiers.workers_per_site = workers_per_site;
+  c.capacity_files = 300;
+  c.obs.trace = true;
+  return c;
+}
+
+std::size_t count_kind(const EventTracer& tracer, SpanKind kind) {
+  std::size_t n = 0;
+  for (const TraceSpan& s : tracer.spans()) n += s.kind == kind;
+  return n;
+}
+
+TEST(TimelineIntegration, DisabledByDefault) {
+  workload::CoaddParams cp;
+  cp.num_tasks = 10;
+  auto job = workload::generate_coadd(cp);
+  grid::GridConfig c = traced_config(1, 1);
+  c.obs = Options{};
+  sched::SchedulerSpec spec;
+  spec.algorithm = sched::Algorithm::kRest;
+  grid::GridSimulation sim(c, job, sched::make_scheduler(spec));
+  (void)sim.run();
+  EXPECT_EQ(sim.observability(), nullptr);
+}
+
+TEST(TimelineIntegration, CompleteLifecyclePerTask) {
+  workload::CoaddParams cp;
+  cp.num_tasks = 30;
+  auto job = workload::generate_coadd(cp);
+  sched::SchedulerSpec spec;
+  spec.algorithm = sched::Algorithm::kRest;
+  grid::GridSimulation sim(traced_config(2, 1), job,
+                           sched::make_scheduler(spec));
+  auto r = sim.run();
+  ASSERT_NE(sim.observability(), nullptr);
+  LifecycleSummary summary = task_lifecycle(*sim.observability()->tracer());
+  ASSERT_EQ(summary.completed.size(), 30u);
+  for (const TaskPhases& p : summary.completed) {
+    EXPECT_GE(p.queue_wait_s(), 0.0);
+    EXPECT_GT(p.data_wait_s(), 0.0);  // at least one transfer or hit walk
+    EXPECT_GT(p.exec_s(), 0.0);
+    EXPECT_LE(p.completed, r.makespan_s + 1e-9);
+  }
+  // Phase totals are internally consistent with the makespan.
+  EXPECT_EQ(summary.exec.count(), 30u);
+  EXPECT_GT(summary.data_wait.mean(), 0.0);
+}
+
+TEST(TimelineIntegration, ChurnEventsAppear) {
+  workload::CoaddParams cp;
+  cp.num_tasks = 40;
+  auto job = workload::generate_coadd(cp);
+  grid::GridConfig c = traced_config(2, 2);
+  grid::GridConfig::ChurnParams churn;
+  churn.mean_uptime_s = 15000;
+  churn.mean_downtime_s = 4000;
+  c.churn = churn;
+  sched::SchedulerSpec spec;
+  spec.algorithm = sched::Algorithm::kRest;
+  grid::GridSimulation sim(c, job, sched::make_scheduler(spec));
+  auto r = sim.run();
+  EXPECT_EQ(r.tasks_completed, 40u);
+  const EventTracer& tracer = *sim.observability()->tracer();
+  EXPECT_GT(count_kind(tracer, SpanKind::kWorkerFailed), 0u);
+  EXPECT_EQ(task_lifecycle(tracer).completed.size(), 40u);
+}
+
+TEST(TimelineIntegration, PaperScaleTraceKeepsEverySpan) {
+  // One 6,000-task Coadd run on the Table 1 platform logs ~87k spans;
+  // every lifecycle record of it must be kept.
+  auto job = workload::generate_coadd(workload::CoaddParams::paper_6000());
+  grid::GridConfig c;
+  c.audit = false;
+  c.obs.trace = true;
+  sched::SchedulerSpec spec;
+  spec.algorithm = sched::Algorithm::kRest;
+  grid::GridSimulation sim(c, job, sched::make_scheduler(spec));
+  auto r = sim.run();
+  ASSERT_EQ(r.tasks_completed, 6000u);
+  const EventTracer& tracer = *sim.observability()->tracer();
+  EXPECT_EQ(count_kind(tracer, SpanKind::kComplete), r.tasks_completed);
+  EXPECT_EQ(count_kind(tracer, SpanKind::kAssign), r.assignments);
+  EXPECT_EQ(task_lifecycle(tracer).completed.size(), r.tasks_completed);
 }
 
 }  // namespace
