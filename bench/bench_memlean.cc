@@ -122,7 +122,7 @@ double allocs_per_event(const Measurement& m) {
              : 0.0;
 }
 
-Measurement run_point(const wcs::workload::Job& job, std::size_t tasks,
+Measurement run_point(const wcs::workload::Workload& wl, std::size_t tasks,
                       const std::string& scale_label, bool audit) {
   Measurement m;
   m.tasks = tasks;
@@ -141,7 +141,7 @@ Measurement run_point(const wcs::workload::Job& job, std::size_t tasks,
 
   reset_peak_rss();
   m.rss_before_mb = current_rss_mb();
-  wcs::grid::GridSimulation sim(config, job, std::move(scheduler));
+  wcs::grid::GridSimulation sim(config, wl, std::move(scheduler));
 
   const auto alloc_before = wcs::common::alloc_snapshot();
   // detlint: nondet-source -- bench wall-clock measurement, reported as metadata only
@@ -389,10 +389,10 @@ int main(int argc, char** argv) {
     gp.num_files = scale.tasks / 5;  // ~15x sharing at 3 files/task
     gp.files_per_task = 3;
     gp.seed = 1;
-    const auto job = wcs::workload::generate_uniform(gp);
+    const wcs::workload::Workload wl{wcs::workload::generate_uniform(gp)};
 
     const bool audit = opt.audit && scale.tasks <= 100'000;
-    measurements.push_back(run_point(job, scale.tasks, scale.label, audit));
+    measurements.push_back(run_point(wl, scale.tasks, scale.label, audit));
     if (wcs::common::alloc_counting_enabled()) {
       const double rate = allocs_per_event(measurements.back());
       std::printf("  %s: %.4f event-loop allocations/event\n", scale.label,

@@ -156,7 +156,7 @@ void BM_SchedulerWeightScan(benchmark::State& state) {
   // Full worker-centric request cycle cost on a paper-scale pending set.
   workload::CoaddParams cp;
   cp.num_tasks = static_cast<std::size_t>(state.range(0));
-  auto job = workload::generate_coadd(cp);
+  const workload::Workload wl{workload::generate_coadd(cp)};
   grid::GridConfig config;
   config.tiers.num_sites = 10;
   config.capacity_files = 6000;
@@ -164,7 +164,7 @@ void BM_SchedulerWeightScan(benchmark::State& state) {
     state.PauseTiming();
     sched::SchedulerSpec spec;
     spec.algorithm = sched::Algorithm::kCombined;
-    grid::GridSimulation sim(config, job, sched::make_scheduler(spec));
+    grid::GridSimulation sim(config, wl, sched::make_scheduler(spec));
     state.ResumeTiming();
     benchmark::DoNotOptimize(sim.run().makespan_s);
   }
@@ -196,13 +196,13 @@ void BM_ChooseTaskCombined(benchmark::State& state) {
   // weight evaluation — the per-task unit of the choose_task scan.
   workload::CoaddParams cp;
   cp.num_tasks = static_cast<std::size_t>(state.range(0));
-  auto job = workload::generate_coadd(cp);
+  const workload::Workload wl{workload::generate_coadd(cp)};
   grid::GridConfig config;
   config.tiers.num_sites = 10;
   config.capacity_files = 6000;
   sched::SchedulerSpec spec;
   spec.algorithm = sched::Algorithm::kWorkqueue;  // engine substrate only
-  grid::GridSimulation engine(config, job, sched::make_scheduler(spec));
+  grid::GridSimulation engine(config, wl, sched::make_scheduler(spec));
   sched::WorkerCentricParams params;
   params.metric = sched::Metric::kCombined;
   sched::WorkerCentricScheduler scheduler(params);
@@ -230,13 +230,13 @@ void BM_ChooseTask(benchmark::State& state) {
   // consuming a task, so the bag stays at full size for every iteration.
   workload::CoaddParams cp;
   cp.num_tasks = static_cast<std::size_t>(state.range(0));
-  auto job = workload::generate_coadd(cp);
+  const workload::Workload wl{workload::generate_coadd(cp)};
   grid::GridConfig config;
   config.tiers.num_sites = 4;
   config.capacity_files = 6000;
   sched::SchedulerSpec spec;
   spec.algorithm = sched::Algorithm::kWorkqueue;  // engine substrate only
-  grid::GridSimulation engine(config, job, sched::make_scheduler(spec));
+  grid::GridSimulation engine(config, wl, sched::make_scheduler(spec));
   sched::WorkerCentricParams params;
   params.metric = sched::Metric::kCombined;
   params.choose_n = 2;
@@ -265,14 +265,14 @@ void BM_RunMatrix(benchmark::State& state) {
   const auto jobs = static_cast<std::size_t>(state.range(0));
   workload::CoaddParams cp;
   cp.num_tasks = 300;
-  auto job = workload::generate_coadd(cp);
+  const workload::Workload wl{workload::generate_coadd(cp)};
   grid::GridConfig config;
   config.tiers.num_sites = 10;
   config.capacity_files = 6000;
   auto specs = sched::SchedulerSpec::paper_algorithms();
   const std::vector<std::uint64_t> seeds{1, 2, 3, 4};
   for (auto _ : state) {
-    auto rows = grid::run_matrix(config, job, specs, seeds, {}, jobs);
+    auto rows = grid::run_matrix(config, wl, specs, seeds, {}, jobs);
     benchmark::DoNotOptimize(rows.front().makespan_minutes);
   }
   state.SetItemsProcessed(state.iterations() * specs.size() * seeds.size());
@@ -291,7 +291,7 @@ void BM_ObsOverhead(benchmark::State& state) {
   //   0 = disabled, 1 = profiler, 2 = profiler + trace.
   workload::CoaddParams cp;
   cp.num_tasks = 300;
-  auto job = workload::generate_coadd(cp);
+  const workload::Workload wl{workload::generate_coadd(cp)};
   grid::GridConfig config;
   config.tiers.num_sites = 10;
   config.capacity_files = 6000;
@@ -302,7 +302,7 @@ void BM_ObsOverhead(benchmark::State& state) {
   spec.algorithm = sched::Algorithm::kRest;
   spec.choose_n = 2;
   for (auto _ : state) {
-    grid::GridSimulation sim(config, job, sched::make_scheduler(spec));
+    grid::GridSimulation sim(config, wl, sched::make_scheduler(spec));
     benchmark::DoNotOptimize(sim.run().makespan_s);
   }
   state.SetItemsProcessed(state.iterations() * 300);

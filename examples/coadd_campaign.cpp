@@ -20,8 +20,8 @@ int main(int argc, char** argv) {
 
   workload::CoaddParams wp = workload::CoaddParams::paper_6000();
   wp.num_tasks = num_tasks;
-  workload::Job job = workload::generate_coadd(wp);
-  workload::save_job(job, prefix + "_workload.trace");
+  const workload::Workload wl{workload::generate_coadd(wp)};
+  workload::save_job(wl.job, prefix + "_workload.trace");
   std::cout << "workload trace saved to " << prefix << "_workload.trace\n";
 
   grid::GridConfig config;
@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
 
   auto specs = sched::SchedulerSpec::paper_algorithms();
   auto seeds = grid::default_topology_seeds();
-  auto rows = grid::run_matrix(config, job, specs, seeds,
+  auto rows = grid::run_matrix(config, wl, specs, seeds,
                                [](const std::string& s) {
                                  std::cerr << "  [" << s << "]\n";
                                });

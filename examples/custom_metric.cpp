@@ -72,9 +72,9 @@ class NetBytesScheduler final : public sched::Scheduler {
 };
 
 metrics::RunResult run_with(const grid::GridConfig& config,
-                            const workload::Job& job,
+                            const workload::Workload& wl,
                             std::unique_ptr<sched::Scheduler> scheduler) {
-  grid::GridSimulation sim(config, job, std::move(scheduler));
+  grid::GridSimulation sim(config, wl, std::move(scheduler));
   return sim.run();
 }
 
@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
 
   workload::CoaddParams wp;
   wp.num_tasks = num_tasks;
-  workload::Job job = workload::generate_coadd(wp);
+  const workload::Workload wl{workload::generate_coadd(wp)};
 
   grid::GridConfig config;
   config.tiers.num_sites = 10;
@@ -100,14 +100,14 @@ int main(int argc, char** argv) {
   };
 
   for (double penalty : {0.0, 0.5, 1.0, 2.0})
-    report(run_with(config, job,
+    report(run_with(config, wl,
                     std::make_unique<NetBytesScheduler>(penalty)));
 
   for (const auto& spec :
        {sched::Algorithm::kOverlap, sched::Algorithm::kRest}) {
     sched::SchedulerSpec s;
     s.algorithm = spec;
-    report(run_with(config, job, sched::make_scheduler(s)));
+    report(run_with(config, wl, sched::make_scheduler(s)));
   }
 
   std::cout << "\nnote: penalty 0 reduces to byte-weighted overlap; large\n"

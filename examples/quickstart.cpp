@@ -43,9 +43,9 @@ int main(int argc, char** argv) {
   // 1. Workload: a scaled Coadd slice (paper Sec. 5.1).
   workload::CoaddParams wp;
   wp.num_tasks = num_tasks;
-  workload::Job job = workload::generate_coadd(wp);
-  workload::JobStats stats = workload::compute_stats(job);
-  std::cout << "workload: " << job.name() << " — " << stats.num_tasks
+  const workload::Workload wl{workload::generate_coadd(wp)};
+  workload::JobStats stats = workload::compute_stats(wl.job);
+  std::cout << "workload: " << wl.job.name() << " — " << stats.num_tasks
             << " tasks, " << stats.distinct_files << " files, "
             << stats.avg_files_per_task << " files/task avg\n";
 
@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
 
   // 3. Run one simulation.
   sched::SchedulerSpec spec = parse_algorithm(algorithm);
-  grid::GridSimulation sim(config, job, sched::make_scheduler(spec));
+  grid::GridSimulation sim(config, wl, sched::make_scheduler(spec));
   metrics::RunResult result = sim.run();
 
   std::cout << "algorithm: " << result.scheduler << '\n'

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
 
   workload::CoaddParams wp;
   wp.num_tasks = num_tasks;
-  workload::Job job = workload::generate_coadd(wp);
+  const workload::Workload wl{workload::generate_coadd(wp)};
 
   grid::GridConfig config;
   config.tiers.num_sites = 5;
@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   if (spec.name() != algorithm && algorithm == "workqueue")
     spec.algorithm = sched::Algorithm::kWorkqueue;
 
-  grid::GridSimulation sim(config, job, sched::make_scheduler(spec));
+  grid::GridSimulation sim(config, wl, sched::make_scheduler(spec));
   auto result = sim.run();
   const obs::LifecycleSummary lifecycle =
       obs::task_lifecycle(*sim.observability()->tracer());

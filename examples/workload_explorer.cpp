@@ -29,7 +29,7 @@ void characterize(const workload::Job& job) {
   std::cout << '\n';
 }
 
-void scheduling_value(const workload::Job& job) {
+void scheduling_value(const workload::Workload& wl) {
   grid::GridConfig c;
   c.tiers.num_sites = 4;
   c.tiers.workers_per_site = 1;
@@ -39,8 +39,8 @@ void scheduling_value(const workload::Job& job) {
   rest.algorithm = sched::Algorithm::kRest;
   sched::SchedulerSpec wq;
   wq.algorithm = sched::Algorithm::kWorkqueue;
-  auto r_rest = grid::run_once(c, job, rest, 1);
-  auto r_wq = grid::run_once(c, job, wq, 1);
+  auto r_rest = grid::run_once(c, wl, rest, 1);
+  auto r_wq = grid::run_once(c, wl, wq, 1);
   std::cout << "  transfers rest vs workqueue: "
             << r_rest.total_file_transfers() << " vs "
             << r_wq.total_file_transfers() << "  (locality value: "
@@ -58,9 +58,9 @@ int main(int argc, char** argv) {
   workload::CoaddParams coadd;
   coadd.num_tasks = num_tasks;
   coadd.file_size = megabytes(5);
-  workload::Job coadd_job = workload::generate_coadd(coadd);
-  characterize(coadd_job);
-  scheduling_value(coadd_job);
+  const workload::Workload coadd_wl{workload::generate_coadd(coadd)};
+  characterize(coadd_wl.job);
+  scheduling_value(coadd_wl);
 
   workload::GeneratorParams gp;
   gp.num_tasks = num_tasks;
@@ -68,16 +68,16 @@ int main(int argc, char** argv) {
   gp.files_per_task = 25;
   gp.file_size = megabytes(5);
 
-  workload::Job uniform = workload::generate_uniform(gp);
-  characterize(uniform);
+  const workload::Workload uniform{workload::generate_uniform(gp)};
+  characterize(uniform.job);
   scheduling_value(uniform);
 
-  workload::Job zipf = workload::generate_zipf(gp, 1.1);
-  characterize(zipf);
+  const workload::Workload zipf{workload::generate_zipf(gp, 1.1)};
+  characterize(zipf.job);
   scheduling_value(zipf);
 
-  workload::Job partitioned = workload::generate_partitioned(gp);
-  characterize(partitioned);
+  const workload::Workload partitioned{workload::generate_partitioned(gp)};
+  characterize(partitioned.job);
   scheduling_value(partitioned);
 
   std::cout << "\nreading: spatial workloads (coadd) reward data-aware "

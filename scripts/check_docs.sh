@@ -19,6 +19,9 @@
 #      row for a variable nothing reads.
 #   7. the CI "Run every example" step in .github/workflows/ci.yml runs
 #      exactly the `wcs_add_example` targets of examples/CMakeLists.txt.
+#   8. the README "Quickstart (API)" snippet compiles against src/
+#      (`${CXX:-c++} -std=c++20 -fsyntax-only`; <iostream> and the
+#      snippet's #include lines first, the rest wrapped in main()).
 #
 #   scripts/check_docs.sh [BUILD_DIR]     # default: build
 #
@@ -204,3 +207,30 @@ if [ -n "$unrun" ] || [ -n "$unbuilt" ]; then
   exit 1
 fi
 echo "ok — the CI example step runs exactly the examples/CMakeLists.txt targets"
+
+# --- 8. README API snippet compiles -------------------------------------------
+# The first ```cpp block after the "## Quickstart (API)" heading.
+snippet=$(awk '
+  /^## Quickstart \(API\)/ { in_section = 1; next }
+  in_section && /^```cpp/ { in_code = 1; next }
+  in_code && /^```/ { exit }
+  in_code { print }
+' README.md)
+if [ -z "$snippet" ]; then
+  echo "FAIL — no cpp block under \"## Quickstart (API)\" in README.md" >&2
+  exit 1
+fi
+snippet_cc=$(mktemp --suffix=.cc)
+trap 'rm -f "$tmp" "$snippet_cc"' EXIT
+{
+  echo '#include <iostream>'
+  grep -E '^#include' <<<"$snippet"
+  echo 'int main() {'
+  grep -vE '^#include' <<<"$snippet"
+  echo '}'
+} >"$snippet_cc"
+if ! "${CXX:-c++}" -std=c++20 -fsyntax-only -Isrc "$snippet_cc"; then
+  echo "FAIL — the README \"Quickstart (API)\" snippet does not compile" >&2
+  exit 1
+fi
+echo "ok — the README \"Quickstart (API)\" snippet compiles"

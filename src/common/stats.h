@@ -1,5 +1,5 @@
-// Small statistics toolkit: running summaries, percentiles, histograms and
-// empirical CDFs. Used by the metrics recorder and by the workload
+// Small statistics toolkit: running summaries, percentiles, grouped
+// samples and empirical CDFs. Used by the metrics recorder and by the workload
 // characterization benches (Table 2 / Figure 3 of the paper).
 #pragma once
 
@@ -185,43 +185,6 @@ class ReverseCdf {
 
  private:
   std::map<std::size_t, std::size_t> counts_;
-  std::size_t n_ = 0;
-};
-
-// Fixed-width histogram over [lo, hi) with overflow/underflow buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets)
-      : lo_(lo), hi_(hi), buckets_(buckets, 0) {
-    WCS_CHECK(hi > lo);
-    WCS_CHECK(buckets > 0);
-  }
-
-  void add(double x) {
-    ++n_;
-    if (x < lo_) {
-      ++underflow_;
-    } else if (x >= hi_) {
-      ++overflow_;
-    } else {
-      auto idx = static_cast<std::size_t>((x - lo_) / (hi_ - lo_) *
-                                          static_cast<double>(buckets_.size()));
-      ++buckets_[std::min(idx, buckets_.size() - 1)];
-    }
-  }
-
-  [[nodiscard]] std::size_t bucket(std::size_t i) const { return buckets_.at(i); }
-  [[nodiscard]] std::size_t num_buckets() const { return buckets_.size(); }
-  [[nodiscard]] std::size_t underflow() const { return underflow_; }
-  [[nodiscard]] std::size_t overflow() const { return overflow_; }
-  [[nodiscard]] std::size_t count() const { return n_; }
-
- private:
-  double lo_ = 0;
-  double hi_ = 0;
-  std::vector<std::size_t> buckets_;
-  std::size_t underflow_ = 0;
-  std::size_t overflow_ = 0;
   std::size_t n_ = 0;
 };
 

@@ -1,10 +1,11 @@
 // Fixed-size worker thread pool.
 //
-// The experiment runner fans independent run_once() simulations out over
-// this pool (grid::run_matrix / run_averaged); nothing inside a single
-// simulation is threaded. submit() hands back a std::future so callers
-// drain results in whatever order keeps their output deterministic, and
-// exceptions thrown by a task surface at future::get().
+// The experiment runner fans independent run_once() simulations of one
+// workload::Workload out over this pool (grid::run_seeds, run_averaged
+// and run_matrix); nothing inside a single simulation is threaded.
+// submit() hands back a std::future so callers drain results in
+// whatever order keeps their output deterministic, and exceptions
+// thrown by a task surface at future::get().
 #pragma once
 
 #include <condition_variable>

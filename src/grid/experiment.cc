@@ -15,16 +15,10 @@ namespace {
 // filled in submission order from futures, so the caller sees exactly
 // the sequence the serial loop would produce regardless of how the pool
 // interleaves execution.
-// One isolated (spec, topology-seed) simulation; both the Job and the
-// Workload entry points funnel into this signature.
-using RunOnceFn =
-    std::function<metrics::RunResult(const sched::SchedulerSpec&,
-                                     std::uint64_t)>;
-
 std::vector<metrics::RunResult> run_all(
+    const GridConfig& config, const workload::Workload& workload,
     std::span<const sched::SchedulerSpec> specs,
-    std::span<const std::uint64_t> topology_seeds, std::size_t jobs,
-    const RunOnceFn& one) {
+    std::span<const std::uint64_t> topology_seeds, std::size_t jobs) {
   const std::size_t total = specs.size() * topology_seeds.size();
   std::vector<metrics::RunResult> runs;
   runs.reserve(total);
@@ -33,7 +27,7 @@ std::vector<metrics::RunResult> run_all(
   if (workers <= 1) {
     for (const sched::SchedulerSpec& spec : specs)
       for (std::uint64_t seed : topology_seeds)
-        runs.push_back(one(spec, seed));
+        runs.push_back(run_once(config, workload, spec, seed));
     return runs;
   }
 
@@ -42,33 +36,52 @@ std::vector<metrics::RunResult> run_all(
   futures.reserve(total);
   for (const sched::SchedulerSpec& spec : specs)
     for (std::uint64_t seed : topology_seeds)
-      futures.push_back(
-          pool.submit([&one, &spec, seed] { return one(spec, seed); }));
+      futures.push_back(pool.submit([&config, &workload, &spec, seed] {
+        return run_once(config, workload, spec, seed);
+      }));
   for (std::future<metrics::RunResult>& f : futures) runs.push_back(f.get());
   return runs;
 }
 
-RunOnceFn job_runner(const GridConfig& config, const workload::Job& job) {
-  return [&config, &job](const sched::SchedulerSpec& spec,
-                         std::uint64_t seed) {
-    return run_once(config, job, spec, seed);
-  };
+}  // namespace
+
+std::vector<std::uint64_t> default_topology_seeds() {
+  return {1, 2, 3, 4, 5};
 }
 
-RunOnceFn workload_runner(const GridConfig& config,
-                          const workload::Workload& workload) {
-  return [&config, &workload](const sched::SchedulerSpec& spec,
-                              std::uint64_t seed) {
-    return run_once(config, workload, spec, seed);
-  };
+metrics::RunResult run_once(const GridConfig& config,
+                            const workload::Workload& workload,
+                            const sched::SchedulerSpec& spec,
+                            std::uint64_t topology_seed) {
+  GridConfig c = config;
+  c.tiers.seed = topology_seed;
+  GridSimulation simulation(c, workload,
+                            sched::make_scheduler(spec, &workload.arrivals));
+  return simulation.run();
 }
 
-// Shared run_matrix body over an abstract runner.
-std::vector<metrics::AveragedResult> matrix_impl(
+std::vector<metrics::RunResult> run_seeds(
+    const GridConfig& config, const workload::Workload& workload,
+    const sched::SchedulerSpec& spec,
+    std::span<const std::uint64_t> topology_seeds, std::size_t jobs) {
+  WCS_CHECK(!topology_seeds.empty());
+  return run_all(config, workload, std::span(&spec, 1), topology_seeds, jobs);
+}
+
+metrics::AveragedResult run_averaged(
+    const GridConfig& config, const workload::Workload& workload,
+    const sched::SchedulerSpec& spec,
+    std::span<const std::uint64_t> topology_seeds, std::size_t jobs) {
+  return metrics::average(
+      run_seeds(config, workload, spec, topology_seeds, jobs));
+}
+
+std::vector<metrics::AveragedResult> run_matrix(
+    const GridConfig& config, const workload::Workload& workload,
     std::span<const sched::SchedulerSpec> specs,
     std::span<const std::uint64_t> topology_seeds,
     const std::function<void(const std::string&)>& progress,
-    std::size_t jobs, const RunOnceFn& one) {
+    std::size_t jobs) {
   WCS_CHECK(!topology_seeds.empty());
   auto note = [&](const sched::SchedulerSpec& spec,
                   const metrics::AveragedResult& row) {
@@ -86,15 +99,14 @@ std::vector<metrics::AveragedResult> matrix_impl(
   if (std::max<std::size_t>(jobs, 1) == 1) {
     // Serial path streams progress as each algorithm finishes.
     for (const sched::SchedulerSpec& spec : specs) {
-      rows.push_back(metrics::average(
-          run_all(std::span(&spec, 1), topology_seeds, 1, one)));
+      rows.push_back(run_averaged(config, workload, spec, topology_seeds));
       note(spec, rows.back());
     }
     return rows;
   }
 
   const std::vector<metrics::RunResult> runs =
-      run_all(specs, topology_seeds, jobs, one);
+      run_all(config, workload, specs, topology_seeds, jobs);
   for (std::size_t s = 0; s < specs.size(); ++s) {
     rows.push_back(metrics::average(
         std::span(runs).subspan(s * topology_seeds.size(),
@@ -102,88 +114,6 @@ std::vector<metrics::AveragedResult> matrix_impl(
     note(specs[s], rows.back());
   }
   return rows;
-}
-
-}  // namespace
-
-std::vector<std::uint64_t> default_topology_seeds() {
-  return {1, 2, 3, 4, 5};
-}
-
-metrics::RunResult run_once(const GridConfig& config,
-                            const workload::Job& job,
-                            const sched::SchedulerSpec& spec,
-                            std::uint64_t topology_seed) {
-  GridConfig c = config;
-  c.tiers.seed = topology_seed;
-  GridSimulation simulation(c, job, sched::make_scheduler(spec));
-  return simulation.run();
-}
-
-metrics::RunResult run_once(const GridConfig& config,
-                            const workload::Workload& workload,
-                            const sched::SchedulerSpec& spec,
-                            std::uint64_t topology_seed) {
-  GridConfig c = config;
-  c.tiers.seed = topology_seed;
-  const workload::ArrivalSchedule* arrivals =
-      workload.open() ? &workload.arrivals : nullptr;
-  GridSimulation simulation(c, workload,
-                            sched::make_scheduler(spec, arrivals));
-  return simulation.run();
-}
-
-std::vector<metrics::RunResult> run_seeds(
-    const GridConfig& config, const workload::Job& job,
-    const sched::SchedulerSpec& spec,
-    std::span<const std::uint64_t> topology_seeds, std::size_t jobs) {
-  WCS_CHECK(!topology_seeds.empty());
-  return run_all(std::span(&spec, 1), topology_seeds, jobs,
-                 job_runner(config, job));
-}
-
-std::vector<metrics::RunResult> run_seeds(
-    const GridConfig& config, const workload::Workload& workload,
-    const sched::SchedulerSpec& spec,
-    std::span<const std::uint64_t> topology_seeds, std::size_t jobs) {
-  WCS_CHECK(!topology_seeds.empty());
-  return run_all(std::span(&spec, 1), topology_seeds, jobs,
-                 workload_runner(config, workload));
-}
-
-metrics::AveragedResult run_averaged(
-    const GridConfig& config, const workload::Job& job,
-    const sched::SchedulerSpec& spec,
-    std::span<const std::uint64_t> topology_seeds, std::size_t jobs) {
-  return metrics::average(run_seeds(config, job, spec, topology_seeds, jobs));
-}
-
-metrics::AveragedResult run_averaged(
-    const GridConfig& config, const workload::Workload& workload,
-    const sched::SchedulerSpec& spec,
-    std::span<const std::uint64_t> topology_seeds, std::size_t jobs) {
-  return metrics::average(
-      run_seeds(config, workload, spec, topology_seeds, jobs));
-}
-
-std::vector<metrics::AveragedResult> run_matrix(
-    const GridConfig& config, const workload::Job& job,
-    std::span<const sched::SchedulerSpec> specs,
-    std::span<const std::uint64_t> topology_seeds,
-    const std::function<void(const std::string&)>& progress,
-    std::size_t jobs) {
-  return matrix_impl(specs, topology_seeds, progress, jobs,
-                     job_runner(config, job));
-}
-
-std::vector<metrics::AveragedResult> run_matrix(
-    const GridConfig& config, const workload::Workload& workload,
-    std::span<const sched::SchedulerSpec> specs,
-    std::span<const std::uint64_t> topology_seeds,
-    const std::function<void(const std::string&)>& progress,
-    std::size_t jobs) {
-  return matrix_impl(specs, topology_seeds, progress, jobs,
-                     workload_runner(config, workload));
 }
 
 void print_table(std::ostream& out, const std::string& title,

@@ -19,16 +19,21 @@
 #include "metrics/results.h"
 #include "sched/factory.h"
 #include "workload/arrivals.h"
-#include "workload/job.h"
 
 namespace wcs::grid {
 
 // The paper runs each experiment on 5 topologies (Sec. 5.2).
 [[nodiscard]] std::vector<std::uint64_t> default_topology_seeds();
 
+// Every entry point takes a workload::Workload (job + arrival schedule);
+// the paper's closed Coadd batch is a Workload with an empty schedule.
+// The scheduler is built workload-aware (sched::make_scheduler(spec,
+// &workload.arrivals)): multi-tenant schedules get the WRR tenant layer,
+// closed workloads the plain scheduler.
+
 // One run on one topology seed.
 [[nodiscard]] metrics::RunResult run_once(const GridConfig& config,
-                                          const workload::Job& job,
+                                          const workload::Workload& workload,
                                           const sched::SchedulerSpec& spec,
                                           std::uint64_t topology_seed);
 
@@ -36,7 +41,7 @@ namespace wcs::grid {
 // run_averaged(), for callers that need RunResult fields the averaged
 // record drops. `jobs` as in run_averaged().
 [[nodiscard]] std::vector<metrics::RunResult> run_seeds(
-    const GridConfig& config, const workload::Job& job,
+    const GridConfig& config, const workload::Workload& workload,
     const sched::SchedulerSpec& spec,
     std::span<const std::uint64_t> topology_seeds, std::size_t jobs = 1);
 
@@ -49,7 +54,7 @@ namespace wcs::grid {
 // in (spec, seed) submission order, so the output is identical at any
 // `jobs` level.
 [[nodiscard]] metrics::AveragedResult run_averaged(
-    const GridConfig& config, const workload::Job& job,
+    const GridConfig& config, const workload::Workload& workload,
     const sched::SchedulerSpec& spec,
     std::span<const std::uint64_t> topology_seeds, std::size_t jobs = 1);
 
@@ -57,34 +62,6 @@ namespace wcs::grid {
 // `progress` (optional) is invoked with a human-readable note as each
 // algorithm finishes — benches use it to stream status (always from the
 // caller's thread, in spec order). `jobs` as in run_averaged().
-[[nodiscard]] std::vector<metrics::AveragedResult> run_matrix(
-    const GridConfig& config, const workload::Job& job,
-    std::span<const sched::SchedulerSpec> specs,
-    std::span<const std::uint64_t> topology_seeds,
-    const std::function<void(const std::string&)>& progress = {},
-    std::size_t jobs = 1);
-
-// --- Open-system (Workload) forms ---------------------------------------
-// Same protocol over a workload::Workload (job + arrival schedule). The
-// scheduler is built workload-aware (sched::make_scheduler(spec,
-// arrivals)): multi-tenant schedules get the WRR tenant layer, closed
-// workloads take exactly the Job paths above — byte-identical results.
-
-[[nodiscard]] metrics::RunResult run_once(const GridConfig& config,
-                                          const workload::Workload& workload,
-                                          const sched::SchedulerSpec& spec,
-                                          std::uint64_t topology_seed);
-
-[[nodiscard]] std::vector<metrics::RunResult> run_seeds(
-    const GridConfig& config, const workload::Workload& workload,
-    const sched::SchedulerSpec& spec,
-    std::span<const std::uint64_t> topology_seeds, std::size_t jobs = 1);
-
-[[nodiscard]] metrics::AveragedResult run_averaged(
-    const GridConfig& config, const workload::Workload& workload,
-    const sched::SchedulerSpec& spec,
-    std::span<const std::uint64_t> topology_seeds, std::size_t jobs = 1);
-
 [[nodiscard]] std::vector<metrics::AveragedResult> run_matrix(
     const GridConfig& config, const workload::Workload& workload,
     std::span<const sched::SchedulerSpec> specs,

@@ -10,24 +10,12 @@
 namespace wcs::grid {
 
 GridSimulation::GridSimulation(const GridConfig& config,
-                               const workload::Job& job,
-                               std::unique_ptr<sched::Scheduler> scheduler)
-    : GridSimulation(config, job, nullptr, std::move(scheduler)) {}
-
-GridSimulation::GridSimulation(const GridConfig& config,
                                const workload::Workload& workload,
                                std::unique_ptr<sched::Scheduler> scheduler)
-    : GridSimulation(config, workload.job,
-                     workload.open() ? &workload.arrivals : nullptr,
-                     std::move(scheduler)) {}
-
-GridSimulation::GridSimulation(const GridConfig& config,
-                               const workload::Job& job,
-                               const workload::ArrivalSchedule* arrivals,
-                               std::unique_ptr<sched::Scheduler> scheduler)
     : config_(config),
-      job_(job),
-      arrivals_(arrivals),
+      job_(workload.job),
+      // The one place a run is classified closed or open.
+      arrivals_(workload.open() ? &workload.arrivals : nullptr),
       scheduler_(std::move(scheduler)),
       grid_topo_(net::build_tiers_topology(config.tiers)) {
   WCS_CHECK(scheduler_ != nullptr);

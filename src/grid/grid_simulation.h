@@ -45,16 +45,16 @@ namespace wcs::grid {
 
 class GridSimulation final : public sched::GridEngine {
  public:
-  // `job` must outlive the simulation. The scheduler is owned.
-  GridSimulation(const GridConfig& config, const workload::Job& job,
-                 std::unique_ptr<sched::Scheduler> scheduler);
-  // Open-system form: `workload` (job + arrival schedule) must outlive
-  // the simulation. A closed workload (!workload.open()) runs the exact
-  // closed-batch code path — the control plane and schedulers see a null
-  // schedule, so results are byte-identical to the Job constructor.
+  // `workload` (job + arrival schedule) must outlive the simulation; the
+  // scheduler is owned. A closed workload (!workload.open(), e.g. the
+  // paper's Coadd batch) runs the closed-batch code path: the control
+  // plane and schedulers see a null arrival schedule.
   GridSimulation(const GridConfig& config,
                  const workload::Workload& workload,
                  std::unique_ptr<sched::Scheduler> scheduler);
+  // A temporary workload would leave job_ dangling.
+  GridSimulation(const GridConfig& config, workload::Workload&& workload,
+                 std::unique_ptr<sched::Scheduler> scheduler) = delete;
   ~GridSimulation() override;
 
   // Runs the job to completion and returns the collected metrics.
@@ -146,18 +146,13 @@ class GridSimulation final : public sched::GridEngine {
   }
 
  private:
-  GridSimulation(const GridConfig& config, const workload::Job& job,
-                 const workload::ArrivalSchedule* arrivals,
-                 std::unique_ptr<sched::Scheduler> scheduler);
-
   void register_audit_checkers();
   void audit_results_ledger(const metrics::RunResult& result) const;
   [[nodiscard]] metrics::RunResult assemble_result() const;
 
   GridConfig config_;
   const workload::Job& job_;
-  // Open-system arrival schedule; nullptr for closed-batch runs (both
-  // the Job constructor and a non-open Workload).
+  // Open-system arrival schedule; nullptr for a closed workload.
   const workload::ArrivalSchedule* arrivals_ = nullptr;
   std::unique_ptr<sched::Scheduler> scheduler_;
 

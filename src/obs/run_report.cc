@@ -7,24 +7,6 @@
 
 namespace wcs::obs {
 
-ReportRow ReportRow::from(const metrics::AveragedResult& r) {
-  ReportRow row;
-  row.scheduler = r.scheduler;
-  row.runs = r.runs;
-  row.makespan_minutes = r.makespan_minutes;
-  row.transfers_per_site = r.transfers_per_site;
-  row.total_file_transfers = r.total_file_transfers;
-  row.total_gigabytes = r.total_gigabytes;
-  row.waiting_hours_per_site = r.waiting_hours_per_site;
-  row.transfer_hours_per_site = r.transfer_hours_per_site;
-  row.replicas_started = r.replicas_started;
-  row.total_gigabytes_saved = r.total_gigabytes_saved;
-  row.dedup_ratio = r.dedup_ratio;
-  row.jain_fairness = r.jain_fairness;
-  row.tenants = r.tenants;
-  return row;
-}
-
 void RunReport::write(std::ostream& out) const {
   JsonWriter w(out);
   w.begin_object();
@@ -52,7 +34,7 @@ void RunReport::write(std::ostream& out) const {
     w.member("wall_seconds", pt.wall_seconds);
     w.key("schedulers");
     w.begin_array();
-    for (const ReportRow& r : pt.rows) {
+    for (const metrics::AveragedResult& r : pt.rows) {
       w.begin_object();
       w.member("name", r.scheduler);
       w.member("runs", r.runs);

@@ -56,35 +56,15 @@ inline constexpr int kReportSchemaVersion = 2;
 // Oldest schema validate_report still accepts.
 inline constexpr int kMinReportSchemaVersion = 1;
 
-// One scheduler's averaged metrics at one sweep point.
-struct ReportRow {
-  std::string scheduler;
-  std::size_t runs = 0;
-  double makespan_minutes = 0;
-  double transfers_per_site = 0;
-  double total_file_transfers = 0;
-  double total_gigabytes = 0;
-  double waiting_hours_per_site = 0;
-  double transfer_hours_per_site = 0;
-  double replicas_started = 0;
-  // Schema v2: block-store dedup series, written only when
-  // total_gigabytes_saved > 0 (runs without dedup keep the v1 row shape).
-  double total_gigabytes_saved = 0;
-  double dedup_ratio = 1.0;
-  // Schema v2: per-tenant sections (empty for closed-batch benches).
-  double jain_fairness = 1.0;
-  std::vector<metrics::TenantResult> tenants;
-
-  [[nodiscard]] static ReportRow from(const metrics::AveragedResult& r);
-};
-
 struct ReportPoint {
   double x = 0;
   std::string x_label;
   // Elapsed host seconds since the bench started, sampled when this
   // point finished — monotone across points by construction.
   double wall_seconds = 0;
-  std::vector<ReportRow> rows;
+  // One averaged row per scheduler. The writer emits the schema's keys;
+  // AveragedResult fields outside the schema are not written.
+  std::vector<metrics::AveragedResult> rows;
 };
 
 struct RunReport {

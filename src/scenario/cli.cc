@@ -30,7 +30,8 @@ struct CliOptions {
   std::string replication;    // --replication-policy: none|random|...
   // Open-system workload-plane overrides (empty = leave the spec alone).
   std::string workload;  // --workload: generator name
-  std::string tenants;   // --tenants: count or comma-separated weights
+  // --tenants roster (count or comma-separated weights); empty = unset.
+  std::vector<wcs::workload::TenantInfo> tenants;
   std::string arrival;   // --arrival: t0|poisson|diurnal|bursty
 };
 
@@ -59,11 +60,15 @@ T parse_number(const std::string& flag, const std::string& text) {
 }
 
 // --tenants accepts a count ("3": three equal-weight tenants) or an
-// explicit comma-separated weight list ("3,1,2").
+// explicit comma-separated weight list ("3,1,2"). A zero count or a zero
+// weight is a usage error: the roster must name at least one tenant and
+// WRR would starve a zero-weight one.
 std::vector<wcs::workload::TenantInfo> parse_tenants(const std::string& arg) {
   std::vector<wcs::workload::TenantInfo> tenants;
   if (arg.find(',') == std::string::npos) {
     tenants.resize(parse_number<std::uint32_t>("--tenants", arg));
+    if (tenants.empty())
+      usage_error("--tenants count must be >= 1, got '" + arg + "'");
     return tenants;
   }
   std::size_t pos = 0;
@@ -73,6 +78,8 @@ std::vector<wcs::workload::TenantInfo> parse_tenants(const std::string& arg) {
     wcs::workload::TenantInfo t;
     t.weight = parse_number<std::uint32_t>("--tenants",
                                            arg.substr(pos, comma - pos));
+    if (t.weight == 0)
+      usage_error("--tenants weights must be >= 1, got '" + arg + "'");
     tenants.push_back(t);
     pos = comma + 1;
   }
@@ -139,7 +146,7 @@ CliOptions parse(const std::string& default_scenario, int argc, char** argv) {
     } else if (arg == "--workload") {
       opt.workload = next();
     } else if (arg == "--tenants") {
-      opt.tenants = next();
+      opt.tenants = parse_tenants(next());
     } else if (arg == "--arrival") {
       opt.arrival = next();
     } else if (arg == "--help" || arg == "-h") {
@@ -238,7 +245,7 @@ int scenario_main(const std::string& default_scenario, int argc,
   // default coadd generator switch to the multi-tenant/stamped-arrival
   // paths; an explicit --workload always wins.
   if (!opt.tenants.empty()) {
-    spec.workload.open.tenants = parse_tenants(opt.tenants);
+    spec.workload.open.tenants = opt.tenants;
     if (opt.workload.empty() && spec.workload.open.tenants.size() > 1 &&
         spec.workload.generator == "coadd")
       spec.workload.generator = "multi-tenant";

@@ -15,14 +15,6 @@ namespace wcs::scenario {
 
 namespace {
 
-// One row of a figure series: x value + averaged results per row label.
-struct SweepPoint {
-  double x = 0;
-  std::string label;
-  double wall_seconds = 0;
-  std::vector<metrics::AveragedResult> rows;
-};
-
 double elapsed_s(const RunOptions& options) {
   // detlint: nondet-source -- run-harness wall-clock timing, reported as metadata only
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -48,17 +40,15 @@ std::optional<obs::PhaseProfiler> trace_representative_run(
       spec.schedulers.empty() ? spec.points.front().schedulers.front()
                               : spec.schedulers.front();
   err << "  [traced run: " << scheduler.name() << "]\n";
-  const workload::ArrivalSchedule* arrivals =
-      workload.open() ? &workload.arrivals : nullptr;
-  grid::GridSimulation sim(config, workload,
-                           sched::make_scheduler(scheduler, arrivals));
+  grid::GridSimulation sim(
+      config, workload, sched::make_scheduler(scheduler, &workload.arrivals));
   (void)sim.run();
   out << "\nChrome trace written to " << *options.trace_out << '\n';
   return *sim.observability()->profiler();
 }
 
 void write_report(const ScenarioSpec& spec,
-                  const std::vector<SweepPoint>& points,
+                  std::vector<obs::ReportPoint> points,
                   const RunOptions& options, const obs::PhaseProfiler* phases,
                   std::ostream& out) {
   if (!options.report_path) return;
@@ -73,14 +63,7 @@ void write_report(const ScenarioSpec& spec,
   report.config.fast = options.fast;
   report.config.audit = options.audit;
   report.config.trace = options.trace_out.has_value();
-  for (const SweepPoint& pt : points) {
-    obs::ReportPoint rp;
-    rp.x = pt.x;
-    rp.x_label = pt.label;
-    rp.wall_seconds = pt.wall_seconds;
-    for (const auto& r : pt.rows) rp.rows.push_back(obs::ReportRow::from(r));
-    report.points.push_back(std::move(rp));
-  }
+  report.points = std::move(points);
   report.total_wall_seconds = elapsed_s(options);
   report.phases = phases;
   report.write(*options.report_path);
@@ -97,9 +80,9 @@ int run_stats_scenario(const ScenarioSpec& spec, const RunOptions& options,
   metrics::AveragedResult row;
   row.scheduler = "workload-stats";
   row.runs = 1;
-  SweepPoint pt;
+  obs::ReportPoint pt;
   pt.x = sr.x;
-  pt.label = sr.x_label;
+  pt.x_label = sr.x_label;
   pt.wall_seconds = elapsed_s(options);
   pt.rows.push_back(std::move(row));
   write_report(spec, {pt}, options, nullptr, out);
@@ -119,7 +102,7 @@ int run_scenario(const ScenarioSpec& spec, const RunOptions& options) {
       workload::build_workload(spec.workload);
   const std::vector<std::uint64_t> seeds = options.topology_seeds();
 
-  std::vector<SweepPoint> points;
+  std::vector<obs::ReportPoint> points;
   for (const Point& point : spec.points) {
     grid::GridConfig config = point.config;
     config.audit = config.audit || options.audit;
@@ -141,9 +124,9 @@ int run_scenario(const ScenarioSpec& spec, const RunOptions& options) {
     const std::vector<sched::SchedulerSpec>& schedulers =
         point.schedulers.empty() ? spec.schedulers : point.schedulers;
 
-    SweepPoint pt;
+    obs::ReportPoint pt;
     pt.x = point.x;
-    pt.label = point.label;
+    pt.x_label = point.label;
     pt.rows = grid::run_matrix(
         config, wl, schedulers, seeds,
         [&](const std::string& s) {
@@ -159,16 +142,17 @@ int run_scenario(const ScenarioSpec& spec, const RunOptions& options) {
   std::optional<obs::PhaseProfiler> phases =
       trace_representative_run(spec, options, base_workload, out, err);
 
-  for (const SweepPoint& pt : points)
-    grid::print_table(out, spec.title + " — " + spec.x_axis + " = " + pt.label,
+  for (const obs::ReportPoint& pt : points)
+    grid::print_table(out,
+                      spec.title + " — " + spec.x_axis + " = " + pt.x_label,
                       pt.rows);
 
   out << "\nSeries (" << spec.metric_name << " vs " << spec.x_axis << "):\n";
   out << spec.x_axis;
   for (const auto& r : points.front().rows) out << '\t' << r.scheduler;
   out << '\n';
-  for (const SweepPoint& pt : points) {
-    out << pt.label;
+  for (const obs::ReportPoint& pt : points) {
+    out << pt.x_label;
     for (const auto& r : pt.rows)
       out << '\t'
           << static_cast<std::uint64_t>(metric_value(spec.metric, r) + 0.5);
@@ -180,16 +164,17 @@ int run_scenario(const ScenarioSpec& spec, const RunOptions& options) {
     csv.header({spec.x_axis, "algorithm", "makespan_min", "transfers_per_site",
                 "total_transfers", "gigabytes", "waiting_h_per_site",
                 "transfer_h_per_site", "replicas"});
-    for (const SweepPoint& pt : points)
+    for (const obs::ReportPoint& pt : points)
       for (const auto& r : pt.rows)
-        csv.row(pt.label, r.scheduler, r.makespan_minutes,
+        csv.row(pt.x_label, r.scheduler, r.makespan_minutes,
                 r.transfers_per_site, r.total_file_transfers,
                 r.total_gigabytes, r.waiting_hours_per_site,
                 r.transfer_hours_per_site, r.replicas_started);
     out << "\nCSV written to " << *options.csv_path << '\n';
   }
 
-  write_report(spec, points, options, phases ? &*phases : nullptr, out);
+  write_report(spec, std::move(points), options,
+               phases ? &*phases : nullptr, out);
 
   if (!spec.notes.empty()) out << '\n' << spec.notes << '\n';
   return 0;

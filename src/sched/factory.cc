@@ -51,7 +51,23 @@ std::vector<SchedulerSpec> SchedulerSpec::paper_algorithms() {
   return specs;
 }
 
-std::unique_ptr<Scheduler> make_scheduler(const SchedulerSpec& spec) {
+std::unique_ptr<Scheduler> make_scheduler(
+    const SchedulerSpec& spec, const workload::ArrivalSchedule* arrivals) {
+  // More than one tenant implies open(): a closed schedule never wraps.
+  if (arrivals != nullptr && arrivals->num_tenants() > 1) {
+    WCS_CHECK_MSG(!spec.task_replication,
+                  "task replication under the WRR tenant layer is not "
+                  "supported (an inner bag going empty is a tenant-local "
+                  "event, not a job-wide one)");
+    return std::make_unique<TenantWrrScheduler>(
+        *arrivals, [&spec](std::uint32_t tenant) {
+          SchedulerSpec inner = spec;
+          // Independent randomized-ChooseTask streams per tenant: adding
+          // a tenant must not perturb the draws of the others.
+          inner.seed = substream_seed(spec.seed, tenant);
+          return make_scheduler(inner);
+        });
+  }
   switch (spec.algorithm) {
     case Algorithm::kWorkqueue:
       return std::make_unique<WorkqueueScheduler>();
@@ -79,25 +95,6 @@ std::unique_ptr<Scheduler> make_scheduler(const SchedulerSpec& spec) {
   }
   WCS_CHECK(false);
   return nullptr;
-}
-
-std::unique_ptr<Scheduler> make_scheduler(
-    const SchedulerSpec& spec, const workload::ArrivalSchedule* arrivals) {
-  if (arrivals == nullptr || !arrivals->open() ||
-      arrivals->num_tenants() <= 1)
-    return make_scheduler(spec);
-  WCS_CHECK_MSG(!spec.task_replication,
-                "task replication under the WRR tenant layer is not "
-                "supported (an inner bag going empty is a tenant-local "
-                "event, not a job-wide one)");
-  return std::make_unique<TenantWrrScheduler>(
-      *arrivals, [&spec](std::uint32_t tenant) {
-        SchedulerSpec inner = spec;
-        // Independent randomized-ChooseTask streams per tenant: adding a
-        // tenant must not perturb the draws of the others.
-        inner.seed = substream_seed(spec.seed, tenant);
-        return make_scheduler(inner);
-      });
 }
 
 }  // namespace wcs::sched

@@ -46,17 +46,15 @@ struct SchedulerSpec {
   [[nodiscard]] static std::vector<SchedulerSpec> paper_algorithms();
 };
 
+// Builds the scheduler `spec` describes for a run over `arrivals`. A
+// closed run (null or !open() schedule) and a single-tenant open
+// schedule build the plain scheduler; timed arrivals must then be
+// supported by it (checked at run start by GridSimulation). A
+// multi-tenant schedule wraps one inner pull scheduler per tenant in
+// the WRR tenant layer (tenant_wrr.h), deriving each inner's
+// randomized-ChooseTask seed from substream_seed(spec.seed, tenant).
 [[nodiscard]] std::unique_ptr<Scheduler> make_scheduler(
-    const SchedulerSpec& spec);
-
-// Workload-aware construction. Closed workloads (arrivals == nullptr or
-// !arrivals->open()) build exactly make_scheduler(spec). A multi-tenant
-// schedule wraps one inner pull scheduler per tenant in the WRR tenant
-// layer (tenant_wrr.h), deriving each inner's randomized-ChooseTask seed
-// from substream_seed(spec.seed, tenant). Single-tenant timed arrivals
-// build the plain scheduler, which must support them (checked at run
-// start by GridSimulation).
-[[nodiscard]] std::unique_ptr<Scheduler> make_scheduler(
-    const SchedulerSpec& spec, const workload::ArrivalSchedule* arrivals);
+    const SchedulerSpec& spec,
+    const workload::ArrivalSchedule* arrivals = nullptr);
 
 }  // namespace wcs::sched

@@ -94,10 +94,11 @@ class GridEngine {
   // No-op (returns false) if the worker no longer holds that task.
   virtual bool cancel_task(TaskId task, WorkerId worker) = 0;
 
-  // Open-system arrival metadata, or nullptr for the closed batch
-  // (every existing run). When non-null, only tasks with
-  // arrivals()->arrival(t) <= 0 are pending at on_job_submitted();
-  // the rest are delivered later through on_tasks_arrived().
+  // Open-system arrival metadata, or nullptr when the run's workload is
+  // closed (!Workload::open(), e.g. the paper's Coadd batch). When
+  // non-null, only tasks with arrivals()->arrival(t) <= 0 are pending at
+  // on_job_submitted(); the rest are delivered later through
+  // on_tasks_arrived().
   [[nodiscard]] virtual const workload::ArrivalSchedule* arrivals() const {
     return nullptr;
   }

@@ -1,12 +1,11 @@
 // Open-system workload model: tenants and simulated-time arrivals.
 //
-// A closed batch (the paper's setting) is a Job whose tasks are all
-// pending at t=0. The open-system extension attaches an ArrivalSchedule
-// to the Job: per-task arrival times on the simulated clock and a
-// per-task owning tenant. A schedule with no positive arrival time and
-// at most one tenant is CLOSED and must take exactly the legacy code
-// paths — byte-identity with the existing goldens is the acceptance
-// gate for this whole layer (tests/test_golden_run.cc).
+// Every run takes a Workload: a Job plus an ArrivalSchedule (per-task
+// arrival times on the simulated clock and a per-task owning tenant).
+// The paper's closed batch is the special case where every task arrives
+// at t=0 under one tenant. Such a schedule is CLOSED and runs the
+// closed-batch code path, which must reproduce the goldens byte for
+// byte (tests/test_golden_run.cc).
 #pragma once
 
 #include <cstdint>
@@ -53,15 +52,19 @@ struct ArrivalSchedule {
     return false;
   }
   // Open-system semantics needed: timed arrivals or multiple tenants.
-  // !open() is the contract for "takes the legacy closed-batch path".
+  // A !open() schedule is a closed batch: GridSimulation hands the
+  // planes and the scheduler a null schedule instead.
   [[nodiscard]] bool open() const { return timed() || num_tenants() > 1; }
 };
 
 // A job plus when its tasks enter the system. The unit the generator
-// registry produces and the experiment layer runs.
+// registry produces and every simulation runs; `Workload{job}` is the
+// closed batch.
 struct Workload {
   Job job;
-  ArrivalSchedule arrivals;
+  // Empty by default, so `Workload{job}` is the closed batch (the `{}`
+  // keeps that brace form free of -Wmissing-field-initializers).
+  ArrivalSchedule arrivals{};
 
   [[nodiscard]] bool open() const { return arrivals.open(); }
 };

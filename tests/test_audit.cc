@@ -519,13 +519,13 @@ workload::Job small_job() {
 }
 
 TEST(AuditIntegration, AuditedRunIsCleanAndSweeps) {
-  auto job = small_job();
+  const workload::Workload wl{small_job()};
   grid::GridConfig c = audit_test_config();
   c.audit = true;
   c.audit_interval_events = 25;  // force many periodic sweeps
   sched::SchedulerSpec spec;
   spec.algorithm = sched::Algorithm::kRest;
-  grid::GridSimulation sim(c, job, sched::make_scheduler(spec));
+  grid::GridSimulation sim(c, wl, sched::make_scheduler(spec));
   auto r = sim.run();
   EXPECT_EQ(r.tasks_completed, 30u);
   ASSERT_NE(sim.auditor(), nullptr);
@@ -536,19 +536,19 @@ TEST(AuditIntegration, AuditedRunIsCleanAndSweeps) {
 }
 
 TEST(AuditIntegration, AuditedResultsAreIdentical) {
-  auto job = small_job();
+  const workload::Workload wl{small_job()};
   sched::SchedulerSpec spec;
   spec.algorithm = sched::Algorithm::kCombined;
 
   grid::GridConfig plain = audit_test_config();
   plain.audit = false;
-  grid::GridSimulation sim_plain(plain, job, sched::make_scheduler(spec));
+  grid::GridSimulation sim_plain(plain, wl, sched::make_scheduler(spec));
   auto a = sim_plain.run();
 
   grid::GridConfig audited = audit_test_config();
   audited.audit = true;
   audited.audit_interval_events = 10;
-  grid::GridSimulation sim_audit(audited, job, sched::make_scheduler(spec));
+  grid::GridSimulation sim_audit(audited, wl, sched::make_scheduler(spec));
   auto b = sim_audit.run();
 
   // Checkers are read-only: the audited run must be event-for-event
@@ -563,19 +563,19 @@ TEST(AuditIntegration, AuditedResultsAreIdentical) {
 TEST(AuditIntegration, ObservedAndAuditedResultsAreIdentical) {
   // Auditing AND full observability together must still be read-only:
   // phase scopes and the span tracer never feed a decision.
-  auto job = small_job();
+  const workload::Workload wl{small_job()};
   sched::SchedulerSpec spec;
   spec.algorithm = sched::Algorithm::kCombined;
 
   grid::GridConfig plain = audit_test_config();
-  grid::GridSimulation sim_plain(plain, job, sched::make_scheduler(spec));
+  grid::GridSimulation sim_plain(plain, wl, sched::make_scheduler(spec));
   auto a = sim_plain.run();
 
   grid::GridConfig full = audit_test_config();
   full.audit = true;
   full.audit_interval_events = 10;
   full.obs = obs::Options::all();
-  grid::GridSimulation sim_full(full, job, sched::make_scheduler(spec));
+  grid::GridSimulation sim_full(full, wl, sched::make_scheduler(spec));
   auto b = sim_full.run();
 
   EXPECT_EQ(a.makespan_s, b.makespan_s);
@@ -612,13 +612,13 @@ TEST(AuditIntegration, AllSchedulersPassEndOfRunAudit) {
        {sched::Algorithm::kWorkqueue, sched::Algorithm::kXSufferage,
         sched::Algorithm::kOverlap, sched::Algorithm::kRest,
         sched::Algorithm::kCombined}) {
-    auto job = small_job();
+    const workload::Workload wl{small_job()};
     grid::GridConfig c = audit_test_config();
     c.audit = true;
     c.audit_interval_events = 50;
     sched::SchedulerSpec spec;
     spec.algorithm = algo;
-    grid::GridSimulation sim(c, job, sched::make_scheduler(spec));
+    grid::GridSimulation sim(c, wl, sched::make_scheduler(spec));
     EXPECT_NO_THROW({
       auto r = sim.run();
       EXPECT_EQ(r.tasks_completed, 30u);

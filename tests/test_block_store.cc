@@ -441,7 +441,7 @@ TEST(BlockStoreIntegration, DedupRunAuditsCleanAndSavesBytes) {
   workload::CoaddParams cp;
   cp.num_tasks = 200;
   cp.seed = 20260808;
-  auto job = workload::generate_coadd(cp);
+  const workload::Workload wl{workload::generate_coadd(cp)};
 
   grid::GridConfig c;
   c.tiers.num_sites = 5;
@@ -453,7 +453,7 @@ TEST(BlockStoreIntegration, DedupRunAuditsCleanAndSavesBytes) {
 
   sched::SchedulerSpec spec;
   spec.algorithm = sched::Algorithm::kRest;
-  const auto r = grid::run_once(c, job, spec, /*seed=*/7);
+  const auto r = grid::run_once(c, wl, spec, /*seed=*/7);
   EXPECT_EQ(r.tasks_completed, 200u);
   EXPECT_GT(r.total_bytes_saved(), 0.0);
   EXPECT_GT(r.dedup_ratio(), 1.0);

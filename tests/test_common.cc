@@ -224,23 +224,6 @@ TEST(ReverseCdf, EmptyIsSafe) {
   EXPECT_TRUE(cdf.points().empty());
 }
 
-// --- Histogram ----------------------------------------------------------
-
-TEST(Histogram, BucketsAndOverflow) {
-  Histogram h(0, 10, 5);
-  h.add(-1);    // underflow
-  h.add(0);     // bucket 0
-  h.add(3.9);   // bucket 1
-  h.add(9.99);  // bucket 4
-  h.add(10);    // overflow
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(1), 1u);
-  EXPECT_EQ(h.bucket(4), 1u);
-  EXPECT_EQ(h.count(), 5u);
-}
-
 // --- CsvWriter ----------------------------------------------------------
 
 TEST(Csv, WritesHeaderAndRows) {

@@ -70,12 +70,12 @@ class BagScheduler : public sched::Scheduler {
 TEST(ControlPlaneCancel, FalseForWrongWorkerAndUnheldTask) {
   // 1 site, 2 workers; t0 -> w0 and t1 -> w1, both fetching 25 MB over
   // the shared 2 Mbit/s uplink (fetch >> probe time).
-  auto job = tiny_job(2);
+  const workload::Workload wl{tiny_job(2)};
   GridConfig c = exact_config(1, 2, 100);
   auto sched = std::make_unique<BagScheduler>();
   BagScheduler* bag = sched.get();
   bag->bag() = {TaskId(0), TaskId(1)};
-  GridSimulation sim(c, job, std::move(sched));
+  GridSimulation sim(c, wl, std::move(sched));
 
   bool wrong_worker = true, wrong_task = true, held = false;
   sim.simulator().schedule_in(5.0, [&] {
@@ -101,13 +101,13 @@ TEST(ControlPlaneCancel, FalseForWrongWorkerAndUnheldTask) {
 TEST(ControlPlaneCancel, QueuedInstanceCancelledWithoutDisturbingActive) {
   // w0 fetches t0 with t1 queued behind it; cancelling the QUEUED
   // instance must not touch the in-flight batch.
-  auto job = tiny_job(2);
+  const workload::Workload wl{tiny_job(2)};
   GridConfig c = exact_config(1, 1, 100);
   auto sched = std::make_unique<BagScheduler>();
   BagScheduler* bag = sched.get();
   bag->bag() = {TaskId(0), TaskId(1)};
   bag->set_first_idle_grant(2);
-  GridSimulation sim(c, job, std::move(sched));
+  GridSimulation sim(c, wl, std::move(sched));
 
   bool queued_cancel = false;
   std::size_t backlog_after = 99;
@@ -129,7 +129,7 @@ TEST(ControlPlaneChurn, DefaultOnWorkerFailedIsSafeNoOp) {
   // A crash must still withdraw them exactly once, and a bag scheduler
   // that re-offers uncompleted tasks drains the job after recovery with
   // no replica bookkeeping drift.
-  auto job = tiny_job(3);
+  const workload::Workload wl{tiny_job(3)};
   GridConfig c = exact_config(1, 1, 100);
   GridConfig::ChurnParams churn;
   churn.mean_uptime_s = 1e12;  // no random failure within the run
@@ -138,7 +138,7 @@ TEST(ControlPlaneChurn, DefaultOnWorkerFailedIsSafeNoOp) {
   BagScheduler* bag = sched.get();
   bag->bag() = {TaskId(0), TaskId(1), TaskId(2)};
   bag->set_first_idle_grant(2);  // t0 fetching + t1 queued at crash time
-  GridSimulation sim(c, job, std::move(sched));
+  GridSimulation sim(c, wl, std::move(sched));
 
   bool alive_after_crash = true;
   bool cancel_on_offline = true;

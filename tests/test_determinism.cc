@@ -39,14 +39,14 @@ class FullStackDeterminism
 TEST_P(FullStackDeterminism, EventForEventIdentical) {
   workload::CoaddParams cp;
   cp.num_tasks = 120;
-  auto job = workload::generate_coadd(cp);
+  const workload::Workload wl{workload::generate_coadd(cp)};
   GridConfig c = everything_on();
   sched::SchedulerSpec spec;
   spec.algorithm = GetParam();
   spec.choose_n = 2;
 
   auto run = [&] {
-    GridSimulation sim(c, job, sched::make_scheduler(spec));
+    GridSimulation sim(c, wl, sched::make_scheduler(spec));
     auto result = sim.run();
     WCS_CHECK(sim.observability() != nullptr);
     return std::pair{result, sim.observability()->tracer()->spans()};
@@ -82,11 +82,12 @@ TEST(CrossConfigIndependence, WorkloadUnaffectedByPlatformSeed) {
   // platform configuration (no shared RNG state).
   workload::CoaddParams cp;
   cp.num_tasks = 100;
-  auto j1 = workload::generate_coadd(cp);
+  const workload::Workload w1{workload::generate_coadd(cp)};
   GridConfig c = everything_on();
   sched::SchedulerSpec spec;
   spec.algorithm = sched::Algorithm::kRest;
-  (void)run_once(c, j1, spec, 1);
+  (void)run_once(c, w1, spec, 1);
+  const workload::Job& j1 = w1.job;
   auto j2 = workload::generate_coadd(cp);
   ASSERT_EQ(j1.num_tasks(), j2.num_tasks());
   for (std::size_t i = 0; i < j1.num_tasks(); ++i) {

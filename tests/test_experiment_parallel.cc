@@ -116,14 +116,14 @@ void expect_identical(const metrics::AveragedResult& a,
 
 TEST(ParallelRunner, MatrixIsByteIdenticalToSerial) {
   const auto config = small_config();
-  const auto job = small_job();
+  const workload::Workload wl{small_job()};
   const auto specs = two_specs();
   const std::vector<std::uint64_t> seeds{1, 2, 3};
 
   const auto serial =
-      grid::run_matrix(config, job, specs, seeds, {}, /*jobs=*/1);
+      grid::run_matrix(config, wl, specs, seeds, {}, /*jobs=*/1);
   const auto parallel =
-      grid::run_matrix(config, job, specs, seeds, {}, /*jobs=*/4);
+      grid::run_matrix(config, wl, specs, seeds, {}, /*jobs=*/4);
 
   ASSERT_EQ(serial.size(), 2u);
   ASSERT_EQ(parallel.size(), serial.size());
@@ -133,22 +133,22 @@ TEST(ParallelRunner, MatrixIsByteIdenticalToSerial) {
 
 TEST(ParallelRunner, AveragedIsByteIdenticalToSerial) {
   const auto config = small_config();
-  const auto job = small_job();
+  const workload::Workload wl{small_job()};
   const std::vector<std::uint64_t> seeds{1, 2, 3};
   const sched::SchedulerSpec spec = two_specs()[1];  // randomized variant
 
-  expect_identical(grid::run_averaged(config, job, spec, seeds, 1),
-                   grid::run_averaged(config, job, spec, seeds, 4));
+  expect_identical(grid::run_averaged(config, wl, spec, seeds, 1),
+                   grid::run_averaged(config, wl, spec, seeds, 4));
 }
 
 TEST(ParallelRunner, RunSeedsPreservesSeedOrder) {
   const auto config = small_config();
-  const auto job = small_job();
+  const workload::Workload wl{small_job()};
   const std::vector<std::uint64_t> seeds{1, 2, 3, 4};
   const sched::SchedulerSpec spec = two_specs()[0];
 
-  const auto serial = grid::run_seeds(config, job, spec, seeds, 1);
-  const auto parallel = grid::run_seeds(config, job, spec, seeds, 4);
+  const auto serial = grid::run_seeds(config, wl, spec, seeds, 1);
+  const auto parallel = grid::run_seeds(config, wl, spec, seeds, 4);
   ASSERT_EQ(serial.size(), 4u);
   ASSERT_EQ(parallel.size(), 4u);
   for (std::size_t i = 0; i < seeds.size(); ++i) {
@@ -160,12 +160,12 @@ TEST(ParallelRunner, RunSeedsPreservesSeedOrder) {
 
 TEST(ParallelRunner, ProgressFiresOncePerSpecInOrder) {
   const auto config = small_config();
-  const auto job = small_job();
+  const workload::Workload wl{small_job()};
   const auto specs = two_specs();
   const std::vector<std::uint64_t> seeds{1, 2};
 
   std::vector<std::string> notes;
-  (void)grid::run_matrix(config, job, specs, seeds,
+  (void)grid::run_matrix(config, wl, specs, seeds,
                          [&](const std::string& s) { notes.push_back(s); },
                          /*jobs=*/4);
   ASSERT_EQ(notes.size(), 2u);

@@ -60,8 +60,8 @@ class RetryScheduler : public sched::Scheduler {
 TEST(FaultPlane, LostFetchingInstanceCancelsBatchExactlyOnce) {
   // 25 MB over the 2 Mbit/s uplink: the fetch takes ~100 s, so the
   // worker is mid-fetch at t=5 when it crashes.
-  auto job = one_task_job(megabytes(25), 1e-6);
-  GridSimulation sim(churn_config(), job,
+  const workload::Workload wl{one_task_job(megabytes(25), 1e-6)};
+  GridSimulation sim(churn_config(), wl,
                      std::make_unique<RetryScheduler>());
 
   ControlPlane::WorkerPhase phase_at_crash = ControlPlane::WorkerPhase::kIdle;
@@ -90,8 +90,8 @@ TEST(FaultPlane, LostComputingInstanceReleasedExactlyOnce) {
   // at t=5. The crash must cancel the compute event and release the
   // task's cache pins exactly once — the run is audited, so a double
   // release would trip the cache-coherence checker at the next sweep.
-  auto job = one_task_job(megabytes(0.01), 1e9);
-  GridSimulation sim(churn_config(), job,
+  const workload::Workload wl{one_task_job(megabytes(0.01), 1e9)};
+  GridSimulation sim(churn_config(), wl,
                      std::make_unique<RetryScheduler>());
 
   ControlPlane::WorkerPhase phase_at_crash = ControlPlane::WorkerPhase::kIdle;
@@ -115,10 +115,10 @@ TEST(FaultPlane, LostComputingInstanceReleasedExactlyOnce) {
 
 TEST(FaultPlane, IdleCrashLosesNothing) {
   // Crash after the only task completed: nothing to withdraw.
-  auto job = one_task_job(megabytes(0.01), 1e-6);
+  const workload::Workload wl{one_task_job(megabytes(0.01), 1e-6)};
   GridConfig c = churn_config();
   auto sched = std::make_unique<RetryScheduler>();
-  GridSimulation sim(c, job, std::move(sched));
+  GridSimulation sim(c, wl, std::move(sched));
 
   sim.simulator().schedule_in(5.0, [&] {
     ASSERT_EQ(sim.tasks_completed(), 1u);

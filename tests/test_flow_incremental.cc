@@ -433,7 +433,7 @@ TEST(FlowDifferentialGrid, EvictionChurnRunsBitIdenticalUnderAudit) {
   workload::CoaddParams cp;
   cp.num_tasks = 200;
   cp.seed = 9;
-  auto job = workload::generate_coadd(cp);
+  const workload::Workload wl{workload::generate_coadd(cp)};
 
   grid::GridConfig base;
   base.tiers.num_sites = 3;
@@ -447,9 +447,9 @@ TEST(FlowDifferentialGrid, EvictionChurnRunsBitIdenticalUnderAudit) {
     SCOPED_TRACE(spec.name());
     grid::GridConfig c = base;
     c.audit = true;
-    const auto audited = grid::run_once(c, job, spec, /*seed=*/5);
+    const auto audited = grid::run_once(c, wl, spec, /*seed=*/5);
     c.audit = false;
-    const auto plain = grid::run_once(c, job, spec, /*seed=*/5);
+    const auto plain = grid::run_once(c, wl, spec, /*seed=*/5);
 
     EXPECT_EQ(audited.tasks_completed, 200u);
     EXPECT_SAME_BITS(audited.makespan_s, plain.makespan_s);

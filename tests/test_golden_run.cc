@@ -37,13 +37,13 @@ metrics::RunResult run_golden_scenario(const sched::SchedulerSpec& spec) {
   workload::CoaddParams cp;
   cp.num_tasks = 500;
   cp.seed = 20260805;
-  auto job = workload::generate_coadd(cp);
+  const workload::Workload wl{workload::generate_coadd(cp)};
 
   GridConfig c;
   c.tiers.num_sites = 5;
   c.tiers.workers_per_site = 5;
   c.capacity_files = 3000;  // tight enough to exercise eviction
-  return run_once(c, job, spec, /*seed=*/7);
+  return run_once(c, wl, spec, /*seed=*/7);
 }
 
 TEST(GoldenRun, FixedSeedTotalsAreExact) {
@@ -74,8 +74,8 @@ TEST(GoldenRun, ClosedWorkloadPlaneReproducesGoldensExactly) {
   // The open-system workload plane's byte-identity gate: a Workload
   // whose schedule is single-tenant arrive-at-t=0 — whether encoded as
   // the compact empty defaults or as explicit all-zero arrival times
-  // with a named tenant — must take exactly the legacy closed paths and
-  // land on the golden table, byte for byte, for all six schedulers.
+  // with a named tenant — must take the closed-batch path and land on
+  // the golden table, byte for byte, for all six schedulers.
   workload::CoaddParams cp;
   cp.num_tasks = 500;
   cp.seed = 20260805;
@@ -118,13 +118,13 @@ TEST(GoldenRun, ObservabilityDoesNotPerturbGoldens) {
   workload::CoaddParams cp;
   cp.num_tasks = 500;
   cp.seed = 20260805;
-  auto job = workload::generate_coadd(cp);
+  const workload::Workload wl{workload::generate_coadd(cp)};
   GridConfig c;
   c.tiers.num_sites = 5;
   c.tiers.workers_per_site = 5;
   c.capacity_files = 3000;
   c.obs = obs::Options::all();
-  const auto instrumented = run_once(c, job, spec, /*seed=*/7);
+  const auto instrumented = run_once(c, wl, spec, /*seed=*/7);
 
   EXPECT_EQ(instrumented.makespan_s, plain.makespan_s);
   EXPECT_EQ(instrumented.events_executed, plain.events_executed);

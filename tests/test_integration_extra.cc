@@ -30,12 +30,12 @@ sched::SchedulerSpec wq() {
 }
 
 TEST(EngineIntrospection, SiteAndWorkerMapping) {
-  auto job = one_task_job();
+  const workload::Workload wl{one_task_job()};
   GridConfig c;
   c.tiers.num_sites = 3;
   c.tiers.workers_per_site = 2;
   c.capacity_files = 10;
-  GridSimulation sim(c, job, sched::make_scheduler(wq()));
+  GridSimulation sim(c, wl, sched::make_scheduler(wq()));
   EXPECT_EQ(sim.num_sites(), 3u);
   EXPECT_EQ(sim.num_workers(), 6u);
   EXPECT_EQ(sim.site_of(WorkerId(0)), SiteId(0));
@@ -51,12 +51,12 @@ TEST(EngineIntrospection, SiteAndWorkerMapping) {
 }
 
 TEST(EngineIntrospection, TaskCompletionQueries) {
-  auto job = one_task_job();
+  const workload::Workload wl{one_task_job()};
   GridConfig c;
   c.tiers.num_sites = 1;
   c.tiers.workers_per_site = 1;
   c.capacity_files = 10;
-  GridSimulation sim(c, job, sched::make_scheduler(wq()));
+  GridSimulation sim(c, wl, sched::make_scheduler(wq()));
   EXPECT_FALSE(sim.task_completed(TaskId(0)));
   (void)sim.run();
   EXPECT_TRUE(sim.task_completed(TaskId(0)));
@@ -66,13 +66,13 @@ TEST(EngineIntrospection, TaskCompletionQueries) {
 TEST(ControlLatency, ContributesButDoesNotDominate) {
   // With zero-byte-ish compute and one file, makespan = request RTT +
   // transfer; the control overhead must be well under a second.
-  auto job = one_task_job(1);
+  const workload::Workload wl{one_task_job(1)};
   GridConfig c;
   c.tiers.num_sites = 1;
   c.tiers.workers_per_site = 1;
   c.tiers.jitter = 0.0;
   c.capacity_files = 10;
-  GridSimulation sim(c, job, sched::make_scheduler(wq()));
+  GridSimulation sim(c, wl, sched::make_scheduler(wq()));
   auto r = sim.run();
   EXPECT_GT(r.makespan_s, 100.0);        // the 25 MB / 2 Mbit/s transfer
   EXPECT_LT(r.makespan_s, 100.0 + 1.0);  // latencies: well under 1 s
@@ -84,12 +84,12 @@ TEST(SingleSiteSingleWorker, WholeJobSequential) {
   gp.files_per_task = 3;
   gp.num_files = 15;
   gp.file_size = megabytes(1);
-  auto job = workload::generate_partitioned(gp);
+  const workload::Workload wl{workload::generate_partitioned(gp)};
   GridConfig c;
   c.tiers.num_sites = 1;
   c.tiers.workers_per_site = 1;
   c.capacity_files = 100;
-  auto r = run_once(c, job, wq(), 1);
+  auto r = run_once(c, wl, wq(), 1);
   EXPECT_EQ(r.tasks_completed, 5u);
   EXPECT_EQ(r.sites.size(), 1u);
   EXPECT_EQ(r.sites[0].batches_served, 5u);
@@ -97,12 +97,12 @@ TEST(SingleSiteSingleWorker, WholeJobSequential) {
 }
 
 TEST(ManyWorkersFewTasks, IdleWorkersAreHarmless) {
-  auto job = one_task_job();
+  const workload::Workload wl{one_task_job()};
   GridConfig c;
   c.tiers.num_sites = 2;
   c.tiers.workers_per_site = 8;
   c.capacity_files = 50;
-  auto r = run_once(c, job, wq(), 1);
+  auto r = run_once(c, wl, wq(), 1);
   EXPECT_EQ(r.tasks_completed, 1u);
   EXPECT_EQ(r.assignments, 1u);
 }
@@ -112,14 +112,14 @@ TEST(AllAlgorithmsAgreeOnTotalWork, SameJobSameFloor) {
   // exactly the distinct files once — total work is scheduler-invariant.
   workload::CoaddParams cp;
   cp.num_tasks = 60;
-  auto job = workload::generate_coadd(cp);
-  auto stats = workload::compute_stats(job);
+  const workload::Workload wl{workload::generate_coadd(cp)};
+  auto stats = workload::compute_stats(wl.job);
   GridConfig c;
   c.tiers.num_sites = 1;
   c.tiers.workers_per_site = 2;
-  c.capacity_files = job.catalog.num_files();
+  c.capacity_files = wl.job.catalog.num_files();
   for (const auto& spec : sched::SchedulerSpec::paper_algorithms()) {
-    auto r = run_once(c, job, spec, 1);
+    auto r = run_once(c, wl, spec, 1);
     EXPECT_EQ(r.total_file_transfers(), stats.distinct_files)
         << spec.name();
   }
@@ -131,7 +131,7 @@ TEST(ReplicaAccounting, CancelledFetchKeepsBytesConsistent) {
   // transfers * file size exactly.
   workload::CoaddParams cp;
   cp.num_tasks = 30;
-  auto job = workload::generate_coadd(cp);
+  const workload::Workload wl{workload::generate_coadd(cp)};
   GridConfig c;
   c.tiers.num_sites = 3;
   c.tiers.workers_per_site = 3;
@@ -139,7 +139,7 @@ TEST(ReplicaAccounting, CancelledFetchKeepsBytesConsistent) {
   sched::SchedulerSpec sa;
   sa.algorithm = sched::Algorithm::kStorageAffinity;
   sa.max_replicas = 3;
-  auto r = run_once(c, job, sa, 1);
+  auto r = run_once(c, wl, sa, 1);
   EXPECT_EQ(r.tasks_completed, 30u);
   for (const auto& s : r.sites)
     EXPECT_NEAR(s.bytes_transferred,
@@ -151,7 +151,7 @@ TEST(Scale, QuarterWorkloadFinishesQuickly) {
   // for the figure benches (~seconds per run).
   workload::CoaddParams cp;
   cp.num_tasks = 1500;
-  auto job = workload::generate_coadd(cp);
+  const workload::Workload wl{workload::generate_coadd(cp)};
   GridConfig c;
   c.tiers.num_sites = 10;
   c.tiers.workers_per_site = 1;
@@ -159,7 +159,7 @@ TEST(Scale, QuarterWorkloadFinishesQuickly) {
   sched::SchedulerSpec spec;
   spec.algorithm = sched::Algorithm::kCombined;
   spec.choose_n = 2;
-  auto r = run_once(c, job, spec, 1);
+  auto r = run_once(c, wl, spec, 1);
   EXPECT_EQ(r.tasks_completed, 1500u);
   EXPECT_GT(r.events_executed, 1500u);
 }
@@ -175,8 +175,8 @@ TEST(WorkloadScaling, MakespanGrowsWithTasks) {
   for (std::size_t tasks : {50u, 100u, 200u}) {
     workload::CoaddParams cp;
     cp.num_tasks = tasks;
-    auto job = workload::generate_coadd(cp);
-    auto r = run_once(c, job, spec, 1);
+    const workload::Workload wl{workload::generate_coadd(cp)};
+    auto r = run_once(c, wl, spec, 1);
     EXPECT_GT(r.makespan_s, prev);
     prev = r.makespan_s;
   }
@@ -185,12 +185,12 @@ TEST(WorkloadScaling, MakespanGrowsWithTasks) {
 TEST(SiteStatsShape, MatchesConfiguredSites) {
   workload::CoaddParams cp;
   cp.num_tasks = 40;
-  auto job = workload::generate_coadd(cp);
+  const workload::Workload wl{workload::generate_coadd(cp)};
   GridConfig c;
   c.tiers.num_sites = 7;
   c.tiers.workers_per_site = 1;
   c.capacity_files = 500;
-  auto r = run_once(c, job, wq(), 3);
+  auto r = run_once(c, wl, wq(), 3);
   EXPECT_EQ(r.sites.size(), 7u);
   std::uint64_t batches = 0;
   for (const auto& s : r.sites) batches += s.batches_served;

@@ -266,7 +266,7 @@ TEST(ArenaReuse, RepeatedSeedsAreByteIdentical) {
   // pools between runs).
   workload::CoaddParams cp;
   cp.num_tasks = 120;
-  auto job = workload::generate_coadd(cp);
+  const workload::Workload wl{workload::generate_coadd(cp)};
   grid::GridConfig c;
   c.tiers.num_sites = 3;
   c.tiers.workers_per_site = 2;
@@ -274,8 +274,8 @@ TEST(ArenaReuse, RepeatedSeedsAreByteIdentical) {
   sched::SchedulerSpec spec;
   spec.algorithm = sched::Algorithm::kRest;
   const std::uint64_t seeds[] = {3, 7, 11};
-  auto first = grid::run_seeds(c, job, spec, seeds);
-  auto second = grid::run_seeds(c, job, spec, seeds);
+  auto first = grid::run_seeds(c, wl, spec, seeds);
+  auto second = grid::run_seeds(c, wl, spec, seeds);
   ASSERT_EQ(first.size(), second.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
     EXPECT_EQ(first[i].makespan_s, second[i].makespan_s);

@@ -222,12 +222,12 @@ std::size_t count_kind(const EventTracer& tracer, SpanKind kind) {
 TEST(TimelineIntegration, DisabledByDefault) {
   workload::CoaddParams cp;
   cp.num_tasks = 10;
-  auto job = workload::generate_coadd(cp);
+  const workload::Workload wl{workload::generate_coadd(cp)};
   grid::GridConfig c = traced_config(1, 1);
   c.obs = Options{};
   sched::SchedulerSpec spec;
   spec.algorithm = sched::Algorithm::kRest;
-  grid::GridSimulation sim(c, job, sched::make_scheduler(spec));
+  grid::GridSimulation sim(c, wl, sched::make_scheduler(spec));
   (void)sim.run();
   EXPECT_EQ(sim.observability(), nullptr);
 }
@@ -235,10 +235,10 @@ TEST(TimelineIntegration, DisabledByDefault) {
 TEST(TimelineIntegration, CompleteLifecyclePerTask) {
   workload::CoaddParams cp;
   cp.num_tasks = 30;
-  auto job = workload::generate_coadd(cp);
+  const workload::Workload wl{workload::generate_coadd(cp)};
   sched::SchedulerSpec spec;
   spec.algorithm = sched::Algorithm::kRest;
-  grid::GridSimulation sim(traced_config(2, 1), job,
+  grid::GridSimulation sim(traced_config(2, 1), wl,
                            sched::make_scheduler(spec));
   auto r = sim.run();
   ASSERT_NE(sim.observability(), nullptr);
@@ -258,7 +258,7 @@ TEST(TimelineIntegration, CompleteLifecyclePerTask) {
 TEST(TimelineIntegration, ChurnEventsAppear) {
   workload::CoaddParams cp;
   cp.num_tasks = 40;
-  auto job = workload::generate_coadd(cp);
+  const workload::Workload wl{workload::generate_coadd(cp)};
   grid::GridConfig c = traced_config(2, 2);
   grid::GridConfig::ChurnParams churn;
   churn.mean_uptime_s = 15000;
@@ -266,7 +266,7 @@ TEST(TimelineIntegration, ChurnEventsAppear) {
   c.churn = churn;
   sched::SchedulerSpec spec;
   spec.algorithm = sched::Algorithm::kRest;
-  grid::GridSimulation sim(c, job, sched::make_scheduler(spec));
+  grid::GridSimulation sim(c, wl, sched::make_scheduler(spec));
   auto r = sim.run();
   EXPECT_EQ(r.tasks_completed, 40u);
   const EventTracer& tracer = *sim.observability()->tracer();
@@ -277,13 +277,14 @@ TEST(TimelineIntegration, ChurnEventsAppear) {
 TEST(TimelineIntegration, PaperScaleTraceKeepsEverySpan) {
   // One 6,000-task Coadd run on the Table 1 platform logs ~87k spans;
   // every lifecycle record of it must be kept.
-  auto job = workload::generate_coadd(workload::CoaddParams::paper_6000());
+  const workload::Workload wl{
+      workload::generate_coadd(workload::CoaddParams::paper_6000())};
   grid::GridConfig c;
   c.audit = false;
   c.obs.trace = true;
   sched::SchedulerSpec spec;
   spec.algorithm = sched::Algorithm::kRest;
-  grid::GridSimulation sim(c, job, sched::make_scheduler(spec));
+  grid::GridSimulation sim(c, wl, sched::make_scheduler(spec));
   auto r = sim.run();
   ASSERT_EQ(r.tasks_completed, 6000u);
   const EventTracer& tracer = *sim.observability()->tracer();

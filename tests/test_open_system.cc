@@ -81,8 +81,18 @@ TEST(Factory, WorkloadAwareConstructionWrapsOnlyMultiTenant) {
   SchedulerSpec spec;
   spec.algorithm = Algorithm::kRest;
 
-  // Closed batch: the plain scheduler, same name.
+  // Closed batch: the plain scheduler, same name — whether the schedule
+  // is absent, empty, or explicit all-zero arrivals with one named
+  // tenant. Closed Workload runs pass their schedule, not null.
   EXPECT_EQ(make_scheduler(spec, nullptr)->name(), "rest");
+  const workload::ArrivalSchedule empty;
+  EXPECT_EQ(make_scheduler(spec, &empty)->name(), "rest");
+  workload::ArrivalSchedule at_t0;
+  at_t0.arrival_s = {0.0, 0.0, 0.0};
+  at_t0.tenant_of = {0, 0, 0};
+  at_t0.tenants = {workload::TenantInfo{"solo", 2}};
+  ASSERT_FALSE(at_t0.open());
+  EXPECT_EQ(make_scheduler(spec, &at_t0)->name(), "rest");
 
   // Single-tenant timed arrivals: still the plain (pull) scheduler.
   workload::ArrivalSchedule timed;

@@ -39,7 +39,7 @@ TEST_P(AllSchedulers, InvariantsHoldOnCoaddSlice) {
   workload::CoaddParams cp;
   cp.num_tasks = 120;
   cp.seed = 42 + param.seed;
-  auto job = workload::generate_coadd(cp);
+  const workload::Workload wl{workload::generate_coadd(cp)};
 
   GridConfig c;
   c.tiers.num_sites = 3;
@@ -50,16 +50,16 @@ TEST_P(AllSchedulers, InvariantsHoldOnCoaddSlice) {
   spec.choose_n = param.choose_n;
   spec.seed = param.seed;
 
-  auto r = run_once(c, job, spec, param.seed);
+  auto r = run_once(c, wl, spec, param.seed);
 
   // 1. Every task completes exactly once.
-  EXPECT_EQ(r.tasks_completed, job.num_tasks());
+  EXPECT_EQ(r.tasks_completed, wl.job.num_tasks());
 
   // 2. Makespan is positive and the clock is sane.
   EXPECT_GT(r.makespan_s, 0.0);
 
   // 3. Assignment accounting: first instances + replicas.
-  EXPECT_EQ(r.assignments, job.num_tasks() + r.replicas_started);
+  EXPECT_EQ(r.assignments, wl.job.num_tasks() + r.replicas_started);
   EXPECT_LE(r.replicas_cancelled, r.replicas_started);
 
   // 4. Each site's served batches carry consistent accounting.
@@ -73,13 +73,13 @@ TEST_P(AllSchedulers, InvariantsHoldOnCoaddSlice) {
   }
   // Every completed task instance was served one batch; cancelled
   // fetching instances add cancelled batches instead.
-  EXPECT_GE(batches, job.num_tasks());
+  EXPECT_GE(batches, wl.job.num_tasks());
 
   // 5. File-serving accounting: every served or cancelled batch serves at
   // most max|t| files; and every referenced file had to be transferred to
   // some site at least once.
   std::size_t max_files = 0;
-  for (const workload::Task& t : job.tasks())
+  for (const workload::Task& t : wl.job.tasks())
     max_files = std::max(max_files, t.files.size());
   std::uint64_t total_batches = 0;
   for (const auto& s : r.sites)
@@ -87,7 +87,7 @@ TEST_P(AllSchedulers, InvariantsHoldOnCoaddSlice) {
   EXPECT_LE(r.total_file_transfers() + r.total_cache_hits(),
             total_batches * max_files);
   EXPECT_GE(r.total_file_transfers(),
-            workload::compute_stats(job).distinct_files);
+            workload::compute_stats(wl.job).distinct_files);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -122,13 +122,13 @@ TEST_P(WorkloadRegimes, LocalityAwareBeatsBlindPullWhenSharingExists) {
   for (std::size_t i = 0; i < perm.size(); ++i) perm[i] = i;
   Rng shuffle_rng(99);
   shuffle_rng.shuffle(perm);
-  workload::Job job;
-  job.set_name("shuffled-window");
-  job.catalog = ordered.catalog;
+  workload::Workload wl;
+  wl.job.set_name("shuffled-window");
+  wl.job.catalog = ordered.catalog;
   for (std::size_t i = 0; i < perm.size(); ++i) {
     const workload::Task t =
         ordered.task(TaskId(static_cast<TaskId::underlying_type>(perm[i])));
-    job.add_task(t.files, t.mflop);
+    wl.job.add_task(t.files, t.mflop);
   }
   GridConfig c;
   c.tiers.num_sites = 3;
@@ -138,8 +138,8 @@ TEST_P(WorkloadRegimes, LocalityAwareBeatsBlindPullWhenSharingExists) {
   rest.algorithm = sched::Algorithm::kRest;
   sched::SchedulerSpec wq;
   wq.algorithm = sched::Algorithm::kWorkqueue;
-  auto r_rest = run_once(c, job, rest, 1);
-  auto r_wq = run_once(c, job, wq, 1);
+  auto r_rest = run_once(c, wl, rest, 1);
+  auto r_wq = run_once(c, wl, wq, 1);
   EXPECT_LT(r_rest.total_file_transfers(), r_wq.total_file_transfers());
 }
 
@@ -152,7 +152,7 @@ TEST(ZeroSharing, AllLocalitySchedulersDegradeToSameTransfers) {
   gp.num_tasks = 40;
   gp.files_per_task = 6;
   gp.file_size = megabytes(5);
-  auto job = workload::generate_partitioned(gp);
+  const workload::Workload wl{workload::generate_partitioned(gp)};
   GridConfig c;
   c.tiers.num_sites = 2;
   c.tiers.workers_per_site = 1;
@@ -161,7 +161,7 @@ TEST(ZeroSharing, AllLocalitySchedulersDegradeToSameTransfers) {
                  sched::Algorithm::kRest, sched::Algorithm::kCombined}) {
     sched::SchedulerSpec spec;
     spec.algorithm = a;
-    auto r = run_once(c, job, spec, 1);
+    auto r = run_once(c, wl, spec, 1);
     EXPECT_EQ(r.total_file_transfers(), 240u) << spec.name();
     EXPECT_EQ(r.total_cache_hits(), 0u) << spec.name();
   }
@@ -170,7 +170,7 @@ TEST(ZeroSharing, AllLocalitySchedulersDegradeToSameTransfers) {
 TEST(CapacitySweep, TransfersDecreaseMonotonicallyWithCapacity) {
   workload::CoaddParams cp;
   cp.num_tasks = 150;
-  auto job = workload::generate_coadd(cp);
+  const workload::Workload wl{workload::generate_coadd(cp)};
   GridConfig c;
   c.tiers.num_sites = 2;
   c.tiers.workers_per_site = 1;
@@ -184,7 +184,7 @@ TEST(CapacitySweep, TransfersDecreaseMonotonicallyWithCapacity) {
   std::uint64_t last = 0;
   for (std::size_t cap : {120u, 300u, 800u, 2000u}) {
     c.capacity_files = cap;
-    auto r = run_once(c, job, spec, 1);
+    auto r = run_once(c, wl, spec, 1);
     if (first == 0) first = r.total_file_transfers();
     EXPECT_LE(static_cast<double>(r.total_file_transfers()),
               static_cast<double>(prev) * 1.05)
@@ -198,16 +198,16 @@ TEST(CapacitySweep, TransfersDecreaseMonotonicallyWithCapacity) {
 TEST(SiteSweep, MakespanShrinksWithMoreSites) {
   workload::CoaddParams cp;
   cp.num_tasks = 150;
-  auto job = workload::generate_coadd(cp);
+  const workload::Workload wl{workload::generate_coadd(cp)};
   sched::SchedulerSpec spec;
   spec.algorithm = sched::Algorithm::kRest;
   GridConfig c;
   c.tiers.workers_per_site = 1;
   c.capacity_files = 500;
   c.tiers.num_sites = 2;
-  auto r2 = run_once(c, job, spec, 1);
+  auto r2 = run_once(c, wl, spec, 1);
   c.tiers.num_sites = 8;
-  auto r8 = run_once(c, job, spec, 1);
+  auto r8 = run_once(c, wl, spec, 1);
   EXPECT_LT(r8.makespan_s, r2.makespan_s);
 }
 
@@ -224,8 +224,8 @@ TEST(FileSizeSweep, MakespanRoughlyLinearInFileSize) {
     cp.num_tasks = 100;
     cp.file_size = megabytes(mb);
     cp.mflop_per_file = 1e-6;  // isolate the network term
-    auto job = workload::generate_coadd(cp);
-    makespans.push_back(run_once(c, job, spec, 1).makespan_s);
+    const workload::Workload wl{workload::generate_coadd(cp)};
+    makespans.push_back(run_once(c, wl, spec, 1).makespan_s);
   }
   EXPECT_NEAR(makespans[1] / makespans[0], 5.0, 0.8);
   EXPECT_NEAR(makespans[2] / makespans[1], 2.0, 0.3);
@@ -234,7 +234,7 @@ TEST(FileSizeSweep, MakespanRoughlyLinearInFileSize) {
 TEST(EvictionPolicies, AllCompleteAndDiffer) {
   workload::CoaddParams cp;
   cp.num_tasks = 120;
-  auto job = workload::generate_coadd(cp);
+  const workload::Workload wl{workload::generate_coadd(cp)};
   GridConfig c;
   c.tiers.num_sites = 2;
   c.tiers.workers_per_site = 1;
@@ -246,7 +246,7 @@ TEST(EvictionPolicies, AllCompleteAndDiffer) {
        {storage::EvictionPolicy::kLru, storage::EvictionPolicy::kFifo,
         storage::EvictionPolicy::kMinRef}) {
     c.eviction = policy;
-    auto r = run_once(c, job, spec, 1);
+    auto r = run_once(c, wl, spec, 1);
     EXPECT_EQ(r.tasks_completed, 120u);
     transfers.push_back(r.total_file_transfers());
   }

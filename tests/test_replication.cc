@@ -157,7 +157,8 @@ TEST(ReplicationIntegration, RunsToCompletionAndReportsStats) {
   gp.num_files = 300;
   gp.files_per_task = 10;
   gp.file_size = megabytes(5);
-  auto job = workload::generate_zipf(gp, 1.2);  // hot files: replication bites
+  // Hot files: replication bites.
+  const workload::Workload wl{workload::generate_zipf(gp, 1.2)};
   grid::GridConfig c;
   // More sites than the popularity threshold, so a hot file is NOT yet
   // resident everywhere when it becomes replication-eligible.
@@ -170,7 +171,7 @@ TEST(ReplicationIntegration, RunsToCompletionAndReportsStats) {
   c.replication = rp;
   sched::SchedulerSpec spec;
   spec.algorithm = sched::Algorithm::kRest;
-  auto r = grid::run_once(c, job, spec, 1);
+  auto r = grid::run_once(c, wl, spec, 1);
   EXPECT_EQ(r.tasks_completed, 60u);
   EXPECT_GT(r.files_replicated, 0u);
   EXPECT_GT(r.bytes_replicated, 0.0);
@@ -183,7 +184,7 @@ TEST(ReplicationIntegration, RaceWithDemandFetchesSurvives) {
   // demand-fetched at the same site.
   workload::CoaddParams cp;
   cp.num_tasks = 200;
-  auto job = workload::generate_coadd(cp);
+  const workload::Workload wl{workload::generate_coadd(cp)};
   grid::GridConfig c;
   c.tiers.num_sites = 5;
   c.tiers.workers_per_site = 2;
@@ -195,7 +196,7 @@ TEST(ReplicationIntegration, RaceWithDemandFetchesSurvives) {
   c.replication = rp;
   sched::SchedulerSpec sa;
   sa.algorithm = sched::Algorithm::kStorageAffinity;
-  auto r = grid::run_once(c, job, sa, 1);
+  auto r = grid::run_once(c, wl, sa, 1);
   EXPECT_EQ(r.tasks_completed, 200u);
   EXPECT_GT(r.files_replicated, 0u);
 }
@@ -203,21 +204,21 @@ TEST(ReplicationIntegration, RaceWithDemandFetchesSurvives) {
 TEST(ReplicationIntegration, DisabledByDefault) {
   workload::CoaddParams cp;
   cp.num_tasks = 40;
-  auto job = workload::generate_coadd(cp);
+  const workload::Workload wl{workload::generate_coadd(cp)};
   grid::GridConfig c;
   c.tiers.num_sites = 2;
   c.tiers.workers_per_site = 1;
   c.capacity_files = 300;
   sched::SchedulerSpec spec;
   spec.algorithm = sched::Algorithm::kRest;
-  auto r = grid::run_once(c, job, spec, 1);
+  auto r = grid::run_once(c, wl, spec, 1);
   EXPECT_EQ(r.files_replicated, 0u);
 }
 
 TEST(ReplicationIntegration, DeterministicWithReplication) {
   workload::CoaddParams cp;
   cp.num_tasks = 60;
-  auto job = workload::generate_coadd(cp);
+  const workload::Workload wl{workload::generate_coadd(cp)};
   grid::GridConfig c;
   c.tiers.num_sites = 2;
   c.tiers.workers_per_site = 1;
@@ -228,8 +229,8 @@ TEST(ReplicationIntegration, DeterministicWithReplication) {
   c.replication = rp;
   sched::SchedulerSpec spec;
   spec.algorithm = sched::Algorithm::kRest;
-  auto r1 = grid::run_once(c, job, spec, 2);
-  auto r2 = grid::run_once(c, job, spec, 2);
+  auto r1 = grid::run_once(c, wl, spec, 2);
+  auto r2 = grid::run_once(c, wl, spec, 2);
   EXPECT_DOUBLE_EQ(r1.makespan_s, r2.makespan_s);
   EXPECT_EQ(r1.files_replicated, r2.files_replicated);
 }
@@ -247,7 +248,7 @@ TEST(WcTaskReplication, NameCarriesSuffix) {
 TEST(WcTaskReplication, ReplicatesTailAndCancels) {
   workload::CoaddParams cp;
   cp.num_tasks = 80;
-  auto job = workload::generate_coadd(cp);
+  const workload::Workload wl{workload::generate_coadd(cp)};
   grid::GridConfig c;
   c.tiers.num_sites = 3;
   c.tiers.workers_per_site = 2;
@@ -255,7 +256,7 @@ TEST(WcTaskReplication, ReplicatesTailAndCancels) {
   sched::SchedulerSpec spec;
   spec.algorithm = sched::Algorithm::kRest;
   spec.task_replication = true;
-  auto r = grid::run_once(c, job, spec, 1);
+  auto r = grid::run_once(c, wl, spec, 1);
   EXPECT_EQ(r.tasks_completed, 80u);
   EXPECT_GT(r.replicas_started, 0u);
   EXPECT_EQ(r.assignments, 80u + r.replicas_started);
@@ -265,14 +266,14 @@ TEST(WcTaskReplication, ReplicatesTailAndCancels) {
 TEST(WcTaskReplication, OffByDefaultNoReplicas) {
   workload::CoaddParams cp;
   cp.num_tasks = 50;
-  auto job = workload::generate_coadd(cp);
+  const workload::Workload wl{workload::generate_coadd(cp)};
   grid::GridConfig c;
   c.tiers.num_sites = 2;
   c.tiers.workers_per_site = 2;
   c.capacity_files = 300;
   sched::SchedulerSpec spec;
   spec.algorithm = sched::Algorithm::kRest;
-  auto r = grid::run_once(c, job, spec, 1);
+  auto r = grid::run_once(c, wl, spec, 1);
   EXPECT_EQ(r.replicas_started, 0u);
 }
 
@@ -281,7 +282,7 @@ TEST(WcTaskReplication, NeverHurtsCompletionInvariant) {
     workload::CoaddParams cp;
     cp.num_tasks = 60;
     cp.seed = seed;
-    auto job = workload::generate_coadd(cp);
+    const workload::Workload wl{workload::generate_coadd(cp)};
     grid::GridConfig c;
     c.tiers.num_sites = 2;
     c.tiers.workers_per_site = 3;
@@ -290,7 +291,7 @@ TEST(WcTaskReplication, NeverHurtsCompletionInvariant) {
     spec.algorithm = sched::Algorithm::kCombined;
     spec.choose_n = 2;
     spec.task_replication = true;
-    auto r = grid::run_once(c, job, spec, seed);
+    auto r = grid::run_once(c, wl, spec, seed);
     EXPECT_EQ(r.tasks_completed, 60u);
   }
 }

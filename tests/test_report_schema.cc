@@ -32,7 +32,7 @@ RunReport sample_report() {
     pt.x = 3000.0 * (p + 1);
     pt.x_label = std::to_string(3000 * (p + 1)) + " files";
     pt.wall_seconds = 5.0 * (p + 1);
-    ReportRow row;
+    metrics::AveragedResult row;
     row.scheduler = "rest.2";
     row.runs = 5;
     row.makespan_minutes = 1234.5;
@@ -92,7 +92,7 @@ TEST(ReportSchema, AcceptsV1Reports) {
 RunReport tenant_report() {
   RunReport r = sample_report();
   for (ReportPoint& pt : r.points)
-    for (ReportRow& row : pt.rows) {
+    for (metrics::AveragedResult& row : pt.rows) {
       row.jain_fairness = 0.9;
       metrics::TenantResult t;
       t.name = "astro";
@@ -146,7 +146,7 @@ TEST(ReportSchema, RejectsBadTenantFields) {
 RunReport dedup_report() {
   RunReport r = sample_report();
   for (ReportPoint& pt : r.points)
-    for (ReportRow& row : pt.rows) {
+    for (metrics::AveragedResult& row : pt.rows) {
       row.total_gigabytes_saved = 42.5;
       row.dedup_ratio = 1.24;
     }

@@ -213,6 +213,12 @@ TEST(ScenarioCliDeathTest, EmptyTenantWeightIsUsageError) {
               "--tenants");
   EXPECT_EXIT(run_cli({"--tenants", "3,1,"}), ::testing::ExitedWithCode(2),
               "--tenants");
+  // A zero weight would starve its tenant; a zero count would silently
+  // run the closed batch.
+  EXPECT_EXIT(run_cli({"--tenants", "3,0,1"}), ::testing::ExitedWithCode(2),
+              "--tenants");
+  EXPECT_EXIT(run_cli({"--tenants", "0"}), ::testing::ExitedWithCode(2),
+              "--tenants");
 }
 
 TEST(ScenarioCliDeathTest, MalformedJobsEnvironmentIsUsageError) {

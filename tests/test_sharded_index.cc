@@ -439,7 +439,7 @@ TEST(ShardedIndexStress, EvictionChurnUnderAuditMatchesFlat) {
   workload::CoaddParams cp;
   cp.num_tasks = 200;
   cp.seed = 99;
-  const auto job = workload::generate_coadd(cp);
+  const workload::Workload wl{workload::generate_coadd(cp)};
 
   grid::GridConfig c;
   c.tiers.num_sites = 4;
@@ -458,10 +458,10 @@ TEST(ShardedIndexStress, EvictionChurnUnderAuditMatchesFlat) {
   for (const sched::SchedulerSpec& spec : specs) {
     SCOPED_TRACE(spec.name());
     c.audit = true;
-    const auto audited = grid::run_once(c, job, spec, /*seed=*/3);
+    const auto audited = grid::run_once(c, wl, spec, /*seed=*/3);
     c.audit = false;
-    const auto plain = grid::run_once(c, job, spec, /*seed=*/3);
-    EXPECT_EQ(audited.tasks_completed, job.num_tasks());
+    const auto plain = grid::run_once(c, wl, spec, /*seed=*/3);
+    EXPECT_EQ(audited.tasks_completed, wl.job.num_tasks());
     EXPECT_EQ(bits(audited.makespan_s), bits(plain.makespan_s));
     EXPECT_EQ(audited.tasks_completed, plain.tasks_completed);
     EXPECT_EQ(audited.events_executed, plain.events_executed);

@@ -86,9 +86,9 @@ TEST_F(TraceFileTest, ReloadedJobSimulatesIdentically) {
   CoaddParams p;
   p.num_tasks = 80;
   p.seed = 99;
-  Job a = generate_coadd(p);
-  save_job(a, path_.string());
-  Job b = load_job(path_.string());
+  const Workload a{generate_coadd(p)};
+  save_job(a.job, path_.string());
+  const Workload b{load_job(path_.string())};
 
   grid::GridConfig c;
   c.tiers.num_sites = 3;

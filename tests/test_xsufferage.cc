@@ -79,14 +79,14 @@ TEST(XSufferage, EveryTaskAssignedOnce) {
 TEST(XSufferage, EndToEndCompletesCoadd) {
   workload::CoaddParams cp;
   cp.num_tasks = 100;
-  auto job = workload::generate_coadd(cp);
+  const workload::Workload wl{workload::generate_coadd(cp)};
   grid::GridConfig c;
   c.tiers.num_sites = 3;
   c.tiers.workers_per_site = 1;
   c.capacity_files = 400;
   SchedulerSpec spec;
   spec.algorithm = Algorithm::kXSufferage;
-  auto r = grid::run_once(c, job, spec, 1);
+  auto r = grid::run_once(c, wl, spec, 1);
   EXPECT_EQ(r.tasks_completed, 100u);
   EXPECT_EQ(r.assignments, 100u);
 }
@@ -94,7 +94,7 @@ TEST(XSufferage, EndToEndCompletesCoadd) {
 TEST(XSufferage, SurvivesChurn) {
   workload::CoaddParams cp;
   cp.num_tasks = 60;
-  auto job = workload::generate_coadd(cp);
+  const workload::Workload wl{workload::generate_coadd(cp)};
   grid::GridConfig c;
   c.tiers.num_sites = 3;
   c.tiers.workers_per_site = 2;
@@ -105,7 +105,7 @@ TEST(XSufferage, SurvivesChurn) {
   c.churn = churn;
   SchedulerSpec spec;
   spec.algorithm = Algorithm::kXSufferage;
-  auto r = grid::run_once(c, job, spec, 1);
+  auto r = grid::run_once(c, wl, spec, 1);
   EXPECT_EQ(r.tasks_completed, 60u);
 }
 
@@ -115,7 +115,7 @@ TEST(XSufferage, OmniscientEstimatesMatchRestClosely) {
   // rest metric — transfers within ~10 % of rest's.
   workload::CoaddParams cp;
   cp.num_tasks = 200;
-  auto job = workload::generate_coadd(cp);
+  const workload::Workload wl{workload::generate_coadd(cp)};
   grid::GridConfig c;
   c.tiers.num_sites = 4;
   c.tiers.workers_per_site = 1;
@@ -124,8 +124,8 @@ TEST(XSufferage, OmniscientEstimatesMatchRestClosely) {
   xs.algorithm = Algorithm::kXSufferage;
   SchedulerSpec rest;
   rest.algorithm = Algorithm::kRest;
-  auto r_xs = grid::run_once(c, job, xs, 1);
-  auto r_rest = grid::run_once(c, job, rest, 1);
+  auto r_xs = grid::run_once(c, wl, xs, 1);
+  auto r_rest = grid::run_once(c, wl, rest, 1);
   double ratio = static_cast<double>(r_xs.total_file_transfers()) /
                  static_cast<double>(r_rest.total_file_transfers());
   EXPECT_GT(ratio, 0.85);
@@ -138,7 +138,7 @@ TEST(XSufferage, BadEstimatesHurtItButNotRest) {
   // reads estimates) is bit-identical.
   workload::CoaddParams cp;
   cp.num_tasks = 200;
-  auto job = workload::generate_coadd(cp);
+  const workload::Workload wl{workload::generate_coadd(cp)};
   grid::GridConfig c;
   c.tiers.num_sites = 4;
   c.tiers.workers_per_site = 1;
@@ -148,11 +148,11 @@ TEST(XSufferage, BadEstimatesHurtItButNotRest) {
   SchedulerSpec rest;
   rest.algorithm = Algorithm::kRest;
 
-  auto xs_exact = grid::run_once(c, job, xs, 1);
-  auto rest_exact = grid::run_once(c, job, rest, 1);
+  auto xs_exact = grid::run_once(c, wl, xs, 1);
+  auto rest_exact = grid::run_once(c, wl, rest, 1);
   c.estimate_error = 5.0;
-  auto xs_noisy = grid::run_once(c, job, xs, 1);
-  auto rest_noisy = grid::run_once(c, job, rest, 1);
+  auto xs_noisy = grid::run_once(c, wl, xs, 1);
+  auto rest_noisy = grid::run_once(c, wl, rest, 1);
 
   EXPECT_DOUBLE_EQ(rest_exact.makespan_s, rest_noisy.makespan_s);
   EXPECT_GT(xs_noisy.makespan_s, xs_exact.makespan_s);
