@@ -129,7 +129,7 @@ void check_index_coherence(const IndexTotalsSnapshot& snap,
 // rescan. The owning scheduler produces the snapshot: `indexed`/`expected`
 // are the entry count and the schedulable-set size it recomputed, and
 // `defects` are per-entry mismatches (missing task, wrong key/rank,
-// structural damage) it found while comparing bucket state against the
+// structural damage) it found while comparing index state against the
 // live cache, plus any live decision that differs from the scheduler's
 // brute-force decision oracle. The checker turns each into a violation.
 struct ShardedIndexSnapshot {

@@ -18,7 +18,7 @@
 // place their nodes in the arena. All propagate_on_* traits are false
 // and allocators compare equal only when they share an arena, which is
 // the safe configuration for containers that outlive swaps/moves across
-// arenas (we never do that; see ShardedTaskIndex's copy/move members).
+// arenas (we never do that: each FlowManager owns its arena).
 #pragma once
 
 #include <cstddef>

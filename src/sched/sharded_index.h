@@ -1,21 +1,26 @@
-// Sharded pending-task index: the structure behind the O(log B + n)
-// ChooseTask(n) fast path (DESIGN.md §Performance architecture, layer 4).
+// Sharded pending-task index: the structure behind the ChooseTask(n)
+// fast path (DESIGN.md §Performance architecture, layer 4).
 //
 // The paper's worker-centric loop scores EVERY pending task on each idle
 // worker request. PR 1 made each score O(1) (incremental per-(site, task)
 // overlap/ref-sum counters); the scan itself stayed O(|pending|). This
-// index removes the scan: pending tasks are partitioned into buckets
-// keyed by their site-local weight class —
+// index removes the scan: pending tasks are filed under a small dense
+// key with a rank, and the users pick (key, rank) so that a walk visits
+// tasks best-first —
 //
-//   overlap metric   key = |F_t|          (files already at the site)
-//   rest metric      key = |t| - |F_t|    (files still missing)
-//   combined metric  key = |t| - |F_t|,   rank = ref_t within the bucket
-//   storage affinity key = byte overlap against the site cache
+//   overlap metric   key = 0,             rank = |F_t|
+//   rest metric      key = 0,             rank = UINT32_MAX - (|t| - |F_t|)
+//   combined metric  key = |t| - |F_t|,   rank = ref_t
+//   storage affinity key = 0,             rank = cached bytes (high-id ties)
 //
-// — so a request walks buckets best-first and stops after the top n
-// entries instead of touching every task. Buckets are a std::map (sparse
-// key space: byte overlaps reach gigabytes) of std::set entries ordered
-// (rank descending, then task id); every mutation is O(log B + log |b|).
+// — so a request walks one heap (or, for combined, one heap per missing
+// count) best-first and stops after the top n entries instead of
+// touching every task. The buckets are a dense vector indexed by key,
+// bounded by reset()'s num_keys; each bucket is an indexed binary heap
+// (a flat std::vector<Entry> in EntryOrder, every task's heap position
+// kept in its slot). insert/erase are O(log |b|) over contiguous memory;
+// a rank-only update sifts in place (the combined metric's per-access
+// rank + 1 is usually 0–1 swaps).
 //
 // COHERENCE INVARIANT: the index holds exactly the schedulable task set,
 // and each entry's (key, rank) equals what a brute-force recompute from
@@ -24,27 +29,23 @@
 // --audit, check_sharded_index (audit/checkers.h) cross-validates the
 // whole structure against a rescan on every sweep.
 //
-// EQUIVALENCE INVARIANT: within one bucket the scheduler's weight is
-// monotone non-increasing along entry order for every metric (the rest
-// term is constant inside a bucket, and ties in rank sort by the same id
-// order the flat scan uses to break weight ties), so a best-first bucket
-// walk reproduces the flat scan's top-n EXACTLY — identical task choices,
-// identical RNG consumption, byte-identical run totals. The flat scan
-// survives only as each scheduler's decision oracle
-// (reference_candidates() / reference_pick()), which --audit and the
-// property tests compare against the live walk.
+// EQUIVALENCE INVARIANT: along a walk the scheduler's weight is
+// non-increasing for every metric (the rest term is constant inside a
+// combined bucket, and ties in rank sort by the same id order the flat
+// scan uses to break weight ties), so a best-first walk reproduces the
+// flat scan's top-n EXACTLY — identical task choices, identical RNG
+// consumption, byte-identical run totals. The flat scan survives only as
+// each scheduler's decision oracle (reference_candidates() /
+// reference_pick()), which --audit and the property tests compare
+// against the live walk.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/check.h"
 #include "common/ids.h"
 
@@ -69,71 +70,28 @@ class ShardedTaskIndex {
     }
   };
 
-  // Tree nodes live in a per-index NodeArena (common/arena.h): the
-  // steady insert/erase churn recycles node-sized blocks through the
-  // arena's freelists instead of hitting the global heap, and reset()
-  // rewinds the whole pool in O(1). Node placement cannot change
-  // comparator-driven iteration order, so the walk stays byte-identical
-  // to the unpooled index.
-  using EntryAlloc = common::ArenaAlloc<Entry>;
-  using Bucket = std::set<Entry, EntryOrder, EntryAlloc>;
-  using BucketAlloc =
-      common::ArenaAlloc<std::pair<const std::uint64_t, Bucket>>;
-  using BucketMap =
-      std::map<std::uint64_t, Bucket, std::less<std::uint64_t>, BucketAlloc>;
-
   explicit ShardedTaskIndex(bool prefer_high_id = false)
-      : order_{prefer_high_id},
-        arena_(std::make_unique<common::NodeArena>()),
-        buckets_(BucketAlloc(arena_.get())) {}
+      : order_{prefer_high_id} {}
 
-  // Copies rebuild the buckets in a fresh arena (allocators must not be
-  // shared across independently-destroyed indexes); moves transfer the
-  // arena together with the nodes that live in it. Move assignment is
-  // destroy-and-rebuild because the default member-wise order would free
-  // our arena while buckets_ still holds nodes inside it.
-  ShardedTaskIndex(const ShardedTaskIndex& other)
-      : order_(other.order_),
-        arena_(std::make_unique<common::NodeArena>()),
-        buckets_(BucketAlloc(arena_.get())),
-        slots_(other.slots_),
-        size_(other.size_) {
-    for (const auto& [key, bucket] : other.buckets_)
-      buckets_.emplace(key, Bucket(bucket.begin(), bucket.end(), order_,
-                                   EntryAlloc(arena_.get())));
-  }
-  ShardedTaskIndex& operator=(const ShardedTaskIndex& other) {
-    if (this != &other) {
-      ShardedTaskIndex tmp(other);
-      *this = std::move(tmp);
-    }
-    return *this;
-  }
-  ShardedTaskIndex(ShardedTaskIndex&&) noexcept = default;
-  ShardedTaskIndex& operator=(ShardedTaskIndex&& other) noexcept {
-    if (this != &other) {
-      this->~ShardedTaskIndex();
-      new (this) ShardedTaskIndex(std::move(other));
-    }
-    return *this;
-  }
-  ~ShardedTaskIndex() = default;
+  // Drops every entry and sizes the index for task ids [0, num_tasks)
+  // and keys [0, num_keys).
+  void reset(std::size_t num_tasks, std::size_t num_keys);
 
-  // Drops every entry and sizes the slot table for task ids [0, num_tasks).
-  void reset(std::size_t num_tasks);
-
-  // Adds `task` under `key` with `rank`. The task must not be present.
+  // Adds `task` under `key` with `rank`. The task must not be present
+  // and the key must be below num_keys().
   void insert(TaskId task, std::uint64_t key, std::uint64_t rank = 0);
 
   // Removes `task`. The task must be present.
   void erase(TaskId task);
 
-  // Re-keys `task` to (key, rank); O(1) when nothing changed. The task
-  // must be present.
+  // Re-keys `task` to (key, rank); O(1) when nothing changed, a sift in
+  // place when only the rank moved. The task must be present and the
+  // key below num_keys().
   void update(TaskId task, std::uint64_t key, std::uint64_t rank = 0);
 
   [[nodiscard]] bool contains(TaskId task) const {
-    return task.value() < slots_.size() && slots_[task.value()].present;
+    return task.value() < slots_.size() &&
+           slots_[task.value()].pos != kAbsent;
   }
   // Key/rank a task is currently filed under. The task must be present.
   [[nodiscard]] std::uint64_t key_of(TaskId task) const;
@@ -141,36 +99,65 @@ class ShardedTaskIndex {
 
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
-  [[nodiscard]] std::size_t bucket_count() const { return buckets_.size(); }
+  [[nodiscard]] std::size_t num_keys() const { return buckets_.size(); }
 
-  // The bucket structure, for the schedulers' best-first walks (ascending
-  // key order; iterate in reverse when a larger key is better). Empty
-  // buckets are never kept in the map.
-  [[nodiscard]] const BucketMap& buckets() const { return buckets_; }
+  // Visits the entries filed under `key` best-first, in exactly
+  // EntryOrder order, until `fn(const Entry&)` returns false. The
+  // frontier is a small heap of bucket positions whose parents were
+  // visited, so a walk that stops after k entries costs O(k log k). `fn`
+  // must not modify the index or start another walk on it (the frontier
+  // buffer is reused, which keeps walks allocation-free once warm).
+  template <typename Fn>
+  void walk(std::uint64_t key, Fn&& fn) const {
+    const std::vector<Entry>& heap = buckets_.at(key);
+    const auto n = static_cast<std::uint32_t>(heap.size());
+    // std heaps keep the LARGEST element on top; "larger" is "better".
+    const auto worse = [&](std::uint32_t a, std::uint32_t b) {
+      return order_(heap[b], heap[a]);
+    };
+    if (n == 0 || !fn(heap[0])) return;  // most walks end at the root
+    std::vector<std::uint32_t>& frontier = frontier_;
+    frontier.clear();
+    for (std::uint32_t pos = 0;;) {
+      for (std::uint32_t c = 2 * pos + 1; c < n && c <= 2 * pos + 2; ++c) {
+        frontier.push_back(c);
+        std::push_heap(frontier.begin(), frontier.end(), worse);
+      }
+      if (frontier.empty()) return;
+      std::pop_heap(frontier.begin(), frontier.end(), worse);
+      pos = frontier.back();
+      frontier.pop_back();
+      if (!fn(heap[pos])) return;
+    }
+  }
 
-  // Structural self-check for the auditor: every slot marked present has
-  // a matching bucket entry, counts agree, no empty bucket survives,
-  // and the node arena's accounting balances. Returns human-readable
-  // defect descriptions (empty when coherent).
+  // Structural self-check for the auditor: every entry sits where its
+  // slot says, no entry outranks its heap parent, and the entry, slot
+  // and size counts agree. Returns human-readable defect descriptions
+  // (empty when coherent).
   [[nodiscard]] std::vector<std::string> structural_defects() const;
 
-  // The node arena backing this index (bench/audit hook).
-  [[nodiscard]] const common::NodeArena& arena() const { return *arena_; }
-
  private:
+  static constexpr std::uint32_t kAbsent = UINT32_MAX;
+
   struct Slot {
-    bool present = false;
-    std::uint64_t key = 0;
-    std::uint64_t rank = 0;
+    std::uint32_t key = 0;
+    std::uint32_t pos = kAbsent;  // heap position in buckets_[key]
   };
 
+  // Writes `e` at heap position `pos` and records the position.
+  void place(std::vector<Entry>& heap, std::uint32_t pos, const Entry& e) {
+    heap[pos] = e;
+    slots_[e.task.value()].pos = pos;
+  }
+  // Restores heap order around position `pos` after its entry changed.
+  void sift(std::vector<Entry>& heap, std::uint32_t pos);
+
   EntryOrder order_;
-  // Declared before buckets_ so the container (and its nodes) is
-  // destroyed before the arena that owns their storage.
-  std::unique_ptr<common::NodeArena> arena_;
-  BucketMap buckets_;
-  std::vector<Slot> slots_;  // by task id
+  std::vector<std::vector<Entry>> buckets_;  // by key
+  std::vector<Slot> slots_;                  // by task id
   std::size_t size_ = 0;
+  mutable std::vector<std::uint32_t> frontier_;  // reused by walk()
 };
 
 }  // namespace wcs::sched

@@ -51,7 +51,7 @@ void StorageAffinityScheduler::build_affinity_index() {
                         ShardedTaskIndex(/*prefer_high_id=*/true));
   for (std::size_t s = 0; s < num_sites; ++s) {
     SiteId site(static_cast<SiteId::underlying_type>(s));
-    replica_index_[s].reset(num_tasks);
+    replica_index_[s].reset(num_tasks, /*num_keys=*/1);
     const storage::FileCache& cache = engine().site_cache(site);
     for (FileId f : cache.contents()) {
       const Bytes sz = job.catalog.size(f);
@@ -81,7 +81,7 @@ void StorageAffinityScheduler::on_cache_event(SiteId site,
       WCS_DCHECK(bytes[t.value()] >= sz);
       bytes[t.value()] -= sz;
     }
-    if (shard.contains(t)) shard.update(t, bytes[t.value()]);
+    if (shard.contains(t)) shard.update(t, 0, bytes[t.value()]);
   }
 }
 
@@ -94,7 +94,7 @@ void StorageAffinityScheduler::sync_replicable(TaskId task) {
     ShardedTaskIndex& shard = replica_index_[s];
     if (want == shard.contains(task)) continue;
     if (want)
-      shard.insert(task, cached_bytes_[s][task.value()]);
+      shard.insert(task, 0, cached_bytes_[s][task.value()]);
     else
       shard.erase(task);
   }
@@ -222,17 +222,19 @@ TaskId StorageAffinityScheduler::replica_pick(WorkerId worker) const {
   if (!orphans_.empty())
     return TaskId(static_cast<TaskId::underlying_type>(orphans_.first()));
 
-  // Replica pick: best-first bucket walk. Keys are exact byte overlaps
+  // Replica pick: best-first heap walk. Ranks are exact byte overlaps
   // (the scan's doubles represent the same sums exactly — well below
-  // 2^53), buckets sort ties toward the highest id, and tasks already
-  // holding an instance on this worker are skipped in place — the first
-  // acceptable entry IS the scan's argmax.
-  const auto& buckets = replica_index_[engine().site_of(worker).value()]
-                            .buckets();
-  for (auto it = buckets.rbegin(); it != buckets.rend(); ++it)
-    for (const ShardedTaskIndex::Entry& e : it->second)
-      if (!placements_[e.task.value()].contains(worker)) return e.task;
-  return TaskId::invalid();
+  // 2^53), ties walk toward the highest id, and tasks already holding an
+  // instance on this worker are skipped in place — the first acceptable
+  // entry IS the scan's argmax.
+  TaskId pick = TaskId::invalid();
+  replica_index_[engine().site_of(worker).value()].walk(
+      0, [&](const ShardedTaskIndex::Entry& e) {
+        if (placements_[e.task.value()].contains(worker)) return true;
+        pick = e.task;
+        return false;
+      });
+  return pick;
 }
 
 TaskId StorageAffinityScheduler::reference_pick(WorkerId worker) const {
@@ -343,14 +345,14 @@ void StorageAffinityScheduler::audit_collect(
         continue;
       }
       if (!want) continue;
-      // Key vs brute-force byte overlap against the live cache.
+      // Rank vs brute-force byte overlap against the live cache.
       Bytes bytes = 0;
       for (FileId f : job.task(t).files)
         if (cache.contains(f)) bytes += job.catalog.size(f);
-      if (shard.key_of(t) != bytes ||
+      if (shard.rank_of(t) != bytes ||
           cached_bytes_[s][t.value()] != bytes) {
         std::ostringstream os;
-        os << "task " << t << " filed under " << shard.key_of(t)
+        os << "task " << t << " ranked at " << shard.rank_of(t)
            << " bytes (counter " << cached_bytes_[s][t.value()]
            << ") but the rescan finds " << bytes;
         snap.defects.push_back(os.str());

@@ -33,11 +33,11 @@
 // that scan survives only as the oracle reference_pick(). The live path
 // maintains, from cache-change notifications, an incremental
 // per-(site, task) cached-byte counter and a per-site sharded index
-// (sharded_index.h) over the replicable set — bucket key = byte overlap,
+// (sharded_index.h) over the replicable set — one heap, rank = bytes,
 // ties broken toward the highest task id, as the scan breaks them — so a
-// request walks buckets best-first in O(log B) and picks the identical
-// task. Orphan pickup keeps an ordered id set matching the scan's
-// lowest-id-first order. --audit cross-validates counters, bucket keys,
+// request walks the heap best-first and picks the identical task.
+// Orphan pickup keeps an ordered id set matching the scan's
+// lowest-id-first order. --audit cross-validates counters, heap ranks,
 // the orphan set, and every live worker's replica_pick() against
 // reference_pick() on every sweep.
 #pragma once

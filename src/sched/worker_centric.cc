@@ -117,11 +117,14 @@ void WorkerCentricScheduler::build_index() {
       ++idx.missing_hist[task_size_[t] - idx.overlap[t]];
     }
     ShardedTaskIndex& shard = shards_[s];
-    shard.reset(num_tasks);
+    shard.reset(num_tasks, params_.metric == Metric::kCombined
+                               ? max_task_size + std::size_t{1}
+                               : 1);
     for (std::size_t t = 0; t < num_tasks; ++t) {
       if (!pending_[t]) continue;
       TaskId id(static_cast<TaskId::underlying_type>(t));
-      shard.insert(id, shard_key(idx, id), shard_rank(idx, id));
+      const auto [key, rank] = shard_place(idx, id);
+      shard.insert(id, key, rank);
     }
     engine().set_cache_listener(
         site, [this, site](storage::CacheEvent e, FileId f) {
@@ -154,7 +157,8 @@ void WorkerCentricScheduler::on_cache_event(SiteId site,
         ++idx.overlap[t.value()];
         idx.ref_sum[t.value()] += refs;
         idx.total_ref += refs;
-        shard.update(t, shard_key(idx, t), shard_rank(idx, t));
+        const auto [key, rank] = shard_place(idx, t);
+        shard.update(t, key, rank);
       }
       break;
     }
@@ -169,19 +173,20 @@ void WorkerCentricScheduler::on_cache_event(SiteId site,
         --idx.overlap[t.value()];
         idx.ref_sum[t.value()] -= refs;
         idx.total_ref -= refs;
-        shard.update(t, shard_key(idx, t), shard_rank(idx, t));
+        const auto [key, rank] = shard_place(idx, t);
+        shard.update(t, key, rank);
       }
       break;
     }
     case storage::CacheEvent::kAccessed:
       // r_i was incremented by exactly one while the file is resident.
-      // Bucket keys do not depend on reference counts, so only the
-      // combined metric (ranked by ref_t) needs a shard re-key.
+      // Only the combined metric ranks by ref_t, so only it re-files:
+      // rank + 1 in the same bucket, a sift of usually 0-1 swaps.
       for (TaskId t : tasks_of_file_.row(file.value())) {
         idx.ref_sum[t.value()] += 1;
         idx.total_ref += 1;
         if (params_.metric == Metric::kCombined)
-          shard.update(t, shard_key(idx, t), idx.ref_sum[t.value()]);
+          shard.update(t, missing_of(idx, t), idx.ref_sum[t.value()]);
       }
       break;
   }
@@ -330,7 +335,7 @@ using Candidate = WorkerCentricScheduler::Candidate;
 
 // Top-n candidate buffer ordered by (weight desc, task id asc) — the
 // ChooseTask(n) selection order. The reference scan offers every pending
-// task, the live walk only bucket prefixes. n is tiny (1 or 2 in the
+// task, the live index walk only prefixes. n is tiny (1 or 2 in the
 // paper), so insertion beats sorting T entries.
 struct TopN {
   explicit TopN(std::size_t limit) : n(limit) { best.reserve(limit + 1); }
@@ -341,7 +346,7 @@ struct TopN {
   }
 
   // Returns false when the candidate did not make the buffer — in the
-  // bucket walk that ends the current bucket (entries behind it are
+  // index walk that ends the current bucket (entries behind it are
   // ordered no-better under `better`).
   bool offer(Candidate c) {
     if (best.size() == n && !better(c, best.back())) return false;
@@ -351,7 +356,6 @@ struct TopN {
     return true;
   }
 
-  [[nodiscard]] bool full() const { return best.size() == n; }
 
   std::size_t n;
   std::vector<Candidate> best;
@@ -418,42 +422,17 @@ std::vector<Candidate> WorkerCentricScheduler::candidates(SiteId site) const {
 
   TopN topn(std::min<std::size_t>(
       static_cast<std::size_t>(params_.choose_n), pending_list_.size()));
-  // Within one bucket, weight is monotone non-increasing along entry
-  // order (the rest/overlap term is fixed by the key; combined entries
-  // sort by ref_t descending, and ties sort by the id order `better`
-  // uses), so the first rejected entry ends the bucket.
-  auto scan_bucket = [&](const ShardedTaskIndex::Bucket& bucket) {
-    for (const ShardedTaskIndex::Entry& e : bucket)
-      if (!topn.offer({weight_of(idx, e.task, total_ref, total_rest),
-                       e.task}))
-        break;
-  };
-  const auto& buckets = shard.buckets();
-  switch (params_.metric) {
-    case Metric::kOverlap:
-      // Weight == key: larger keys strictly better, so stop as soon as
-      // the buffer is full — later buckets cannot displace anything.
-      for (auto it = buckets.rbegin(); it != buckets.rend(); ++it) {
-        scan_bucket(it->second);
-        if (topn.full()) break;
-      }
-      break;
-    case Metric::kRest:
-      // rest = 1/missing (2 at missing = 0) is strictly decreasing in
-      // the key, so the ascending walk visits buckets best-first.
-      for (const auto& [key, bucket] : buckets) {
-        scan_bucket(bucket);
-        if (topn.full()) break;
-      }
-      break;
-    case Metric::kCombined:
-      // The combined weight mixes a normalized ref term with the rest
-      // term, so no single bucket order dominates globally — visit every
-      // bucket (B <= max |t| + 1, a workload constant), still with the
-      // per-bucket early break.
-      for (const auto& [key, bucket] : buckets) scan_bucket(bucket);
-      break;
-  }
+  // Along every walk the weight is non-increasing and ties come in the id
+  // order `better` uses (sharded_index.h, equivalence invariant), so the
+  // first rejected entry ends the walk. Overlap and rest have one bucket;
+  // combined mixes a normalized ref term with the rest term, so no
+  // missing count dominates and each bucket is walked (B <= max |t| + 1,
+  // a workload constant).
+  for (std::uint64_t key = 0; key < shard.num_keys(); ++key)
+    shard.walk(key, [&](const ShardedTaskIndex::Entry& e) {
+      return topn.offer(
+          {weight_of(idx, e.task, total_ref, total_rest), e.task});
+    });
   return std::move(topn.best);
 }
 
@@ -569,7 +548,8 @@ void WorkerCentricScheduler::re_add_pending(TaskId task) {
     // The task re-enters the site's pending aggregates (and shard).
     idx.total_ref += refs;
     ++idx.missing_hist[missing_of(idx, task)];
-    shards_[s].insert(task, shard_key(idx, task), shard_rank(idx, task));
+    const auto [key, rank] = shard_place(idx, task);
+    shards_[s].insert(task, key, rank);
   }
   for (FileId f : job.task(task).files)
     tasks_of_file_.push(f.value(), task);
@@ -653,13 +633,8 @@ void WorkerCentricScheduler::audit_collect(
         shard_snap.defects.push_back(os.str());
         continue;
       }
-      const std::uint32_t scan_overlap = overlap[t.value()];
-      const std::uint64_t key =
-          params_.metric == Metric::kOverlap
-              ? scan_overlap
-              : task_size_[t.value()] - scan_overlap;
-      const std::uint64_t rank =
-          params_.metric == Metric::kCombined ? ref_sum[t.value()] : 0;
+      const auto [key, rank] =
+          shard_place(t, overlap[t.value()], ref_sum[t.value()]);
       if (shard.key_of(t) != key || shard.rank_of(t) != rank) {
         std::ostringstream os;
         os << "task " << t << " filed under key " << shard.key_of(t)
@@ -668,7 +643,7 @@ void WorkerCentricScheduler::audit_collect(
         shard_snap.defects.push_back(os.str());
       }
     }
-    // Decision coherence: the bucket walk's top-n must equal the flat
+    // Decision coherence: the index walk's top-n must equal the flat
     // scan's, bitwise, before any RNG draw.
     const std::vector<Candidate> live = candidates(site);
     const std::vector<Candidate> reference = reference_candidates(site);

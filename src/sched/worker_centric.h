@@ -28,15 +28,15 @@
 //   2. the combined metric's totalRef/totalRest aggregates (exact
 //      integer sum + missing-count histogram) make the normalizers O(1)
 //      per decision instead of a second O(T) scan;
-//   3. a sharded pending-task index (sharded_index.h) — per-site buckets
-//      keyed by the weight class, i.e. |F_t| for overlap and
-//      |t| - |F_t| for rest/combined, ranked by ref_t inside a combined
-//      bucket — resolves ChooseTask(n) by a best-first bucket walk in
-//      O(log B + n) instead of scanning the pending bag.
+//   3. a sharded pending-task index (sharded_index.h) — per site, one
+//      heap ranked in weight order (overlap, rest) or one heap per
+//      missing count |t| - |F_t| ranked by ref_t (combined) — resolves
+//      ChooseTask(n) by a best-first walk that stops after the top n
+//      instead of scanning the pending bag.
 //
 // The semantics are byte-identical at every layer: tests cross-check
 // weights against the naive computation, and --audit cross-validates
-// every counter, aggregate, and bucket against a brute-force rescan and
+// every counter, aggregate, and index entry against a brute-force rescan and
 // every site's top-n candidates against reference_candidates(), the flat
 // O(|pending|) scan kept as the decision oracle. The property suite
 // replays random interleavings and runs that comparison after every
@@ -148,7 +148,7 @@ class WorkerCentricScheduler final : public Scheduler {
 
   // The top-n pending tasks ChooseTask(n) samples from at `site`, best
   // first by (weight desc, task id asc): the decision before the RNG
-  // draw, resolved by the sharded bucket walk. Empty when nothing is
+  // draw, resolved by the sharded index walk. Empty when nothing is
   // pending.
   [[nodiscard]] std::vector<Candidate> candidates(SiteId site) const;
 
@@ -204,20 +204,24 @@ class WorkerCentricScheduler final : public Scheduler {
   [[nodiscard]] TaskId choose_task(SiteId site);
 
   // --- Sharded pending-task index (layer 3; see file comment) ----------
-  // Bucket key of a pending task at one site: |F_t| for overlap (bigger
-  // is better), |t| - |F_t| for rest/combined (smaller is better).
-  [[nodiscard]] std::uint64_t shard_key(const SiteIndex& idx,
-                                        TaskId task) const {
-    return params_.metric == Metric::kOverlap ? idx.overlap[task.value()]
-                                              : missing_of(idx, task);
+  // (key, rank) of a pending task with `overlap` of its files at the
+  // site and ref-sum `ref_sum`. Combined: key = missing count, rank =
+  // ref_t (weight is strictly increasing in ref_t at a fixed missing
+  // count). Overlap and rest: key 0, rank = |F_t|, resp. UINT32_MAX -
+  // missing count, so one heap holds the weight order itself.
+  using ShardPlace = std::pair<std::uint64_t, std::uint64_t>;
+  [[nodiscard]] ShardPlace shard_place(TaskId task, std::uint32_t overlap,
+                                       std::uint64_t ref_sum) const {
+    const std::uint32_t missing = task_size_[task.value()] - overlap;
+    if (params_.metric == Metric::kCombined) return {missing, ref_sum};
+    return {0, params_.metric == Metric::kOverlap
+                   ? overlap
+                   : std::uint64_t{UINT32_MAX} - missing};
   }
-  // Within-bucket rank: ref_t for combined (weight is strictly
-  // increasing in ref_t at fixed missing-count), 0 otherwise (all
-  // weights inside a bucket are equal for overlap/rest).
-  [[nodiscard]] std::uint64_t shard_rank(const SiteIndex& idx,
-                                         TaskId task) const {
-    return params_.metric == Metric::kCombined ? idx.ref_sum[task.value()]
-                                               : 0;
+  [[nodiscard]] ShardPlace shard_place(const SiteIndex& idx,
+                                       TaskId task) const {
+    return shard_place(task, idx.overlap[task.value()],
+                       idx.ref_sum[task.value()]);
   }
 
   // Replication phase (only when params_.replicate_when_idle). Returns
@@ -233,8 +237,8 @@ class WorkerCentricScheduler final : public Scheduler {
   WorkerCentricParams params_;
   Rng rng_;
   std::vector<SiteIndex> sites_;
-  // One shard per site, holding exactly the pending bag keyed/ranked by
-  // shard_key/shard_rank.
+  // One shard per site, holding exactly the pending bag filed by
+  // shard_place.
   std::vector<ShardedTaskIndex> shards_;
   // Inverted file -> pending-tasks index as one CSR pool (three flat
   // arrays) instead of a vector-of-vectors: rows support exactly the

@@ -261,7 +261,7 @@ TEST(AllocFree, ArenaSteadyStateChurnAllocatesNothing) {
 
 TEST(ArenaReuse, RepeatedSeedsAreByteIdentical) {
   // Each seed's simulation builds and tears down the arena-backed flow
-  // table and scheduler indexes; running the seed list twice must
+  // table and the scheduler indexes; running the seed list twice must
   // reproduce identical totals (no state may leak through the arenas or
   // pools between runs).
   workload::CoaddParams cp;

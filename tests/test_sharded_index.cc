@@ -14,10 +14,14 @@
 #include <cstdint>
 #include <random>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "audit/checkers.h"
+#include "common/alloc_stats.h"
 #include "fake_engine.h"
 #include "grid/experiment.h"
 #include "sched/sharded_index.h"
@@ -37,73 +41,228 @@ std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 // --- ShardedTaskIndex structural tests ---------------------------------
 
+// Every task filed under `key`, in walk order.
+std::vector<TaskId> walk_all(const ShardedTaskIndex& idx, std::uint64_t key) {
+  std::vector<TaskId> order;
+  idx.walk(key, [&](const ShardedTaskIndex::Entry& e) {
+    order.push_back(e.task);
+    return true;
+  });
+  return order;
+}
+
 TEST(ShardedTaskIndex, InsertEraseUpdateMaintainBuckets) {
   ShardedTaskIndex idx;
-  idx.reset(8);
+  idx.reset(8, /*num_keys=*/8);
   EXPECT_TRUE(idx.empty());
+  EXPECT_EQ(idx.num_keys(), 8u);
 
   idx.insert(tid(0), /*key=*/3);
   idx.insert(tid(1), /*key=*/3);
   idx.insert(tid(2), /*key=*/7);
   EXPECT_EQ(idx.size(), 3u);
-  EXPECT_EQ(idx.bucket_count(), 2u);
+  EXPECT_EQ(walk_all(idx, 3), (std::vector<TaskId>{tid(0), tid(1)}));
+  EXPECT_EQ(walk_all(idx, 7), (std::vector<TaskId>{tid(2)}));
   EXPECT_TRUE(idx.contains(tid(1)));
   EXPECT_FALSE(idx.contains(tid(5)));
   EXPECT_EQ(idx.key_of(tid(2)), 7u);
 
-  // Re-keying moves between buckets; the vacated bucket disappears.
+  // Re-keying moves between buckets; the vacated bucket walks empty.
   idx.update(tid(2), /*key=*/3);
-  EXPECT_EQ(idx.bucket_count(), 1u);
+  EXPECT_TRUE(walk_all(idx, 7).empty());
+  EXPECT_EQ(walk_all(idx, 3), (std::vector<TaskId>{tid(0), tid(1), tid(2)}));
   EXPECT_EQ(idx.key_of(tid(2)), 3u);
   // A no-op update leaves everything in place.
   idx.update(tid(2), /*key=*/3);
   EXPECT_EQ(idx.size(), 3u);
+  // A rank-only update re-orders within the bucket.
+  idx.update(tid(1), /*key=*/3, /*rank=*/4);
+  EXPECT_EQ(walk_all(idx, 3), (std::vector<TaskId>{tid(1), tid(0), tid(2)}));
+  EXPECT_TRUE(idx.structural_defects().empty());
 
   idx.erase(tid(0));
   idx.erase(tid(1));
   idx.erase(tid(2));
   EXPECT_TRUE(idx.empty());
-  EXPECT_EQ(idx.bucket_count(), 0u);
+  EXPECT_TRUE(walk_all(idx, 3).empty());
   EXPECT_TRUE(idx.structural_defects().empty());
 }
 
 TEST(ShardedTaskIndex, BucketOrderIsRankDescThenLowId) {
   ShardedTaskIndex idx;
-  idx.reset(4);
+  idx.reset(4, /*num_keys=*/2);
   idx.insert(tid(2), /*key=*/1, /*rank=*/5);
   idx.insert(tid(0), /*key=*/1, /*rank=*/9);
   idx.insert(tid(3), /*key=*/1, /*rank=*/5);
   idx.insert(tid(1), /*key=*/1, /*rank=*/9);
 
-  std::vector<TaskId> order;
-  for (const auto& e : idx.buckets().at(1)) order.push_back(e.task);
   // rank 9 before rank 5; within a rank, ascending id (the flat
   // ChooseTask tie-break).
-  EXPECT_EQ(order, (std::vector<TaskId>{tid(0), tid(1), tid(2), tid(3)}));
+  EXPECT_EQ(walk_all(idx, 1),
+            (std::vector<TaskId>{tid(0), tid(1), tid(2), tid(3)}));
 }
 
 TEST(ShardedTaskIndex, PreferHighIdReversesTieOrder) {
   ShardedTaskIndex idx(/*prefer_high_id=*/true);
-  idx.reset(4);
+  idx.reset(4, /*num_keys=*/5);
   for (unsigned t : {1u, 3u, 0u, 2u}) idx.insert(tid(t), /*key=*/4);
 
-  std::vector<TaskId> order;
-  for (const auto& e : idx.buckets().at(4)) order.push_back(e.task);
   // Equal ranks, descending id: the storage-affinity replica tie-break.
-  EXPECT_EQ(order, (std::vector<TaskId>{tid(3), tid(2), tid(1), tid(0)}));
+  EXPECT_EQ(walk_all(idx, 4),
+            (std::vector<TaskId>{tid(3), tid(2), tid(1), tid(0)}));
+}
+
+TEST(ShardedTaskIndex, WalkStopsWhenTheVisitorDeclines) {
+  ShardedTaskIndex idx;
+  idx.reset(6, /*num_keys=*/1);
+  for (unsigned t = 0; t < 6; ++t) idx.insert(tid(t), 0, /*rank=*/t % 3);
+  std::vector<TaskId> seen;
+  idx.walk(0, [&](const ShardedTaskIndex::Entry& e) {
+    seen.push_back(e.task);
+    return seen.size() < 3;
+  });
+  EXPECT_EQ(seen, (std::vector<TaskId>{tid(2), tid(5), tid(1)}));
+}
+
+TEST(ShardedTaskIndex, WalkAndRankSiftsAllocateNothingOnceWarm) {
+  if (!common::alloc_counting_enabled())
+    GTEST_SKIP() << "allocation counting compiled out (sanitizer build)";
+  ShardedTaskIndex idx;
+  idx.reset(64, /*num_keys=*/2);
+  for (unsigned t = 0; t < 64; ++t) idx.insert(tid(t), t % 2, t % 5);
+  std::size_t visited = 0;
+  auto full_walks = [&] {
+    for (std::uint64_t key = 0; key < 2; ++key)
+      idx.walk(key, [&](const ShardedTaskIndex::Entry&) {
+        ++visited;
+        return true;
+      });
+  };
+  full_walks();  // sizes the frontier buffer
+  const common::AllocSnapshot before = common::alloc_snapshot();
+  for (unsigned round = 0; round < 100; ++round) {
+    full_walks();
+    const TaskId t = tid(round % 64);
+    idx.update(t, idx.key_of(t), idx.rank_of(t) + 1);  // kAccessed
+  }
+  const common::AllocSnapshot after = common::alloc_snapshot();
+  EXPECT_EQ(common::allocations_between(before, after), 0u);
+  EXPECT_EQ(visited, 101u * 64u);
 }
 
 TEST(ShardedTaskIndex, ResetDropsEverything) {
   ShardedTaskIndex idx;
-  idx.reset(2);
+  idx.reset(2, /*num_keys=*/3);
   idx.insert(tid(0), 1);
   idx.insert(tid(1), 2);
-  idx.reset(5);
+  idx.reset(5, /*num_keys=*/10);
   EXPECT_TRUE(idx.empty());
   EXPECT_FALSE(idx.contains(tid(0)));
+  EXPECT_TRUE(walk_all(idx, 1).empty());
   idx.insert(tid(4), 9, 3);
   EXPECT_EQ(idx.rank_of(tid(4)), 3u);
   EXPECT_TRUE(idx.structural_defects().empty());
+}
+
+TEST(ShardedTaskIndex, OutOfRangeKeyThrows) {
+  // The bucket array is dense, so a key past reset()'s bound is refused
+  // instead of silently growing it.
+  ShardedTaskIndex idx;
+  idx.reset(4, /*num_keys=*/3);
+  EXPECT_THROW(idx.insert(tid(0), /*key=*/3), std::logic_error);
+  EXPECT_FALSE(idx.contains(tid(0)));
+  idx.insert(tid(0), /*key=*/2, /*rank=*/5);
+  EXPECT_THROW(idx.update(tid(0), /*key=*/1u << 30), std::logic_error);
+  // A refused update leaves the entry where it was.
+  EXPECT_EQ(idx.key_of(tid(0)), 2u);
+  EXPECT_EQ(idx.rank_of(tid(0)), 5u);
+  EXPECT_TRUE(idx.structural_defects().empty());
+}
+
+// --- ShardedTaskIndex differential test --------------------------------
+//
+// About 100k seeded mixed operations — insert, erase, key moves of +-1
+// (the kAdded / kEvicted re-key), rank + 1 (the combined kAccessed
+// path), arbitrary rank raises and drops — against a std::set of
+// (key, rank, id). After every operation each bucket's full walk must
+// equal the oracle's order and the structure must report no defect.
+
+void run_index_differential(bool prefer_high_id, std::uint64_t seed) {
+  constexpr std::size_t kTasks = 48;
+  constexpr std::uint64_t kKeys = 6;
+  std::mt19937_64 rng(seed);
+  ShardedTaskIndex idx(prefer_high_id);
+  idx.reset(kTasks, kKeys);
+
+  using Filed = std::tuple<std::uint64_t, std::uint64_t, unsigned>;
+  std::set<Filed> oracle;  // (key, rank, id)
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> where(kTasks);
+  std::vector<char> present(kTasks, 0);
+
+  auto file = [&](unsigned t, std::uint64_t key, std::uint64_t rank) {
+    if (present[t]) {
+      oracle.erase({where[t].first, where[t].second, t});
+      idx.update(tid(t), key, rank);
+    } else {
+      idx.insert(tid(t), key, rank);
+    }
+    oracle.insert({key, rank, t});
+    where[t] = {key, rank};
+    present[t] = 1;
+  };
+  auto expected_walk = [&](std::uint64_t key) {
+    std::vector<std::pair<std::uint64_t, unsigned>> v;
+    for (const auto& [k, rank, t] : oracle)
+      if (k == key) v.emplace_back(rank, t);
+    std::sort(v.begin(), v.end(), [&](const auto& a, const auto& b) {
+      if (a.first != b.first) return a.first > b.first;
+      return prefer_high_id ? a.second > b.second : a.second < b.second;
+    });
+    std::vector<TaskId> order;
+    for (const auto& [rank, t] : v) order.push_back(tid(t));
+    return order;
+  };
+
+  for (int step = 0; step < 100000; ++step) {
+    const auto t = static_cast<unsigned>(rng() % kTasks);
+    const unsigned op = static_cast<unsigned>(rng() % 100);
+    if (!present[t]) {
+      file(t, rng() % kKeys, rng() % 8);
+    } else if (op < 20) {
+      idx.erase(tid(t));
+      oracle.erase({where[t].first, where[t].second, t});
+      present[t] = 0;
+    } else if (op < 45) {
+      const auto [key, rank] = where[t];
+      const std::uint64_t moved =
+          (op % 2 == 0 && key + 1 < kKeys) || key == 0 ? key + 1 : key - 1;
+      file(t, moved, rank + rng() % 3);
+    } else if (op < 75) {
+      file(t, where[t].first, where[t].second + 1);
+    } else if (op < 95) {
+      file(t, where[t].first, rng() % 12);
+    } else {
+      file(t, where[t].first, where[t].second);  // no-op update
+    }
+
+    ASSERT_EQ(idx.size(), oracle.size()) << "step " << step;
+    for (std::uint64_t key = 0; key < kKeys; ++key)
+      ASSERT_EQ(walk_all(idx, key), expected_walk(key))
+          << "step " << step << " key " << key;
+    if (present[t]) {
+      ASSERT_EQ(idx.key_of(tid(t)), where[t].first) << "step " << step;
+      ASSERT_EQ(idx.rank_of(tid(t)), where[t].second) << "step " << step;
+    }
+    const std::vector<std::string> defects = idx.structural_defects();
+    ASSERT_TRUE(defects.empty()) << "step " << step << ": " << defects[0];
+  }
+}
+
+TEST(ShardedTaskIndex, DifferentialLowIdTies) {
+  run_index_differential(/*prefer_high_id=*/false, 0x5EED1);
+}
+TEST(ShardedTaskIndex, DifferentialHighIdTies) {
+  run_index_differential(/*prefer_high_id=*/true, 0x5EED2);
 }
 
 TEST(ShardedIndexAudit, CheckerFlagsCountMismatchAndDefects) {
