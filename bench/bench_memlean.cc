@@ -10,7 +10,6 @@
 //                                fallback
 //   event-loop heap allocations  global operator-new counter delta
 //                                across run() (0 under sanitizers)
-//   flow-arena stats             NodeArena page/freelist accounting
 //
 // The acceptance gate is the allocation rate: the pooled/slotted hot
 // structures must average under kMaxAllocsPerEvent event-loop heap
@@ -37,7 +36,6 @@
 #include <vector>
 
 #include "common/alloc_stats.h"
-#include "common/arena.h"
 #include "common/check.h"
 #include "grid/grid_simulation.h"
 #include "obs/json.h"
@@ -48,7 +46,7 @@ namespace {
 
 // Event-loop heap-allocation budget, per executed event. The steady
 // state is pooled and allocation-free; the budget covers warmup growth
-// (slot tables, arena pages, callback captures) amortized over the run,
+// (slot tables, id indexes, callback captures) amortized over the run,
 // which dominates small scales (measured: ~0.89 at 5k tasks, ~0.51 at
 // 100k, falling with scale). Any per-event allocation on the hot path
 // pushes the rate past 1.0 immediately, so the gate still bites.
@@ -73,7 +71,6 @@ struct Measurement {
   double rss_before_mb = 0;  // floor inherited from earlier runs (malloc
                              // retains freed pages), for reading peaks
   std::uint64_t event_loop_allocations = 0;  // 0 when counting disabled
-  wcs::common::NodeArena::Stats flow_arena;
 };
 
 // Best-effort reset of the kernel's peak-RSS watermark so each run
@@ -159,7 +156,6 @@ Measurement run_point(const wcs::workload::Workload& wl, std::size_t tasks,
   m.peak_rss_mb = peak_rss_mb();
   m.event_loop_allocations =
       wcs::common::allocations_between(alloc_before, alloc_after);
-  m.flow_arena = sim.data_plane().flows().arena().stats();
 
   WCS_CHECK_EQ(m.result.tasks_completed, tasks);
   std::printf(
@@ -202,14 +198,6 @@ void write_memlean_entry(wcs::obs::JsonWriter& w, const Measurement& m) {
   w.member("rss_before_mb", m.rss_before_mb);
   w.member("event_loop_allocations", m.event_loop_allocations);
   w.member("allocations_per_event", allocs_per_event(m));
-  w.key("flow_arena");
-  w.begin_object();
-  w.member("pages", static_cast<std::uint64_t>(m.flow_arena.pages));
-  w.member("page_bytes", static_cast<std::uint64_t>(m.flow_arena.page_bytes));
-  w.member("total_allocations", m.flow_arena.total_allocations);
-  w.member("freelist_hits", m.flow_arena.freelist_hits);
-  w.member("large_allocations", m.flow_arena.large_allocations);
-  w.end_object();
   w.end_object();
 }
 

@@ -135,7 +135,7 @@ void BM_BlockPin(benchmark::State& state) {
   double saved = 0;
   unsigned i = 0;
   for (auto _ : state) {
-    FileId f(i % kFiles);
+    FileId f(static_cast<FileId::underlying_type>(i % kFiles));
     if (!cache.contains(f)) {
       saved += static_cast<double>(cache.file_bytes(f)) -
                static_cast<double>(cache.missing_bytes(f));

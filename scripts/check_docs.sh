@@ -22,6 +22,14 @@
 #   8. the README "Quickstart (API)" snippet compiles against src/
 #      (`${CXX:-c++} -std=c++20 -fsyntax-only`; <iostream> and the
 #      snippet's #include lines first, the rest wrapped in main()).
+#   9. every repo path that README.md, DESIGN.md, EXPERIMENTS.md,
+#      docs/*.md and perfbench/README.md name under src/, tests/, bench/,
+#      scripts/, tools/, examples/, perfbench/ or docs/, and every
+#      results/perf_*.md they cite, exists. A path naming a build target
+#      (e.g. bench/bench_memlean) counts when its .cc source exists.
+#      Patterns (a `*`, `<` or `{` right after the path) and paths
+#      inside longer ones (build/bench/..., ../src) are not checked, nor
+#      are other results/ files (example commands write outputs there).
 #
 #   scripts/check_docs.sh [BUILD_DIR]     # default: build
 #
@@ -234,3 +242,20 @@ if ! "${CXX:-c++}" -std=c++20 -fsyntax-only -Isrc "$snippet_cc"; then
   exit 1
 fi
 echo "ok — the README \"Quickstart (API)\" snippet compiles"
+
+# --- 9. paths named in the docs exist -----------------------------------------
+missing=0
+for page in README.md DESIGN.md EXPERIMENTS.md docs/*.md perfbench/README.md; do
+  while IFS=: read -r line path; do
+    path=$(sed -E 's|[./]+$||' <<<"$path")  # sentence-ending . or trailing /
+    if [ ! -e "$path" ] && [ ! -e "$path.cc" ]; then
+      echo "$page:$line names $path, which does not exist" >&2
+      missing=1
+    fi
+  done < <(grep -noP '(?<![\w./-])(?:(?:src|tests|bench|scripts|tools|examples|perfbench|docs)/|results/perf_)[\w./-]++(?![*<{])' "$page")
+done
+if [ "$missing" -ne 0 ]; then
+  echo "FAIL — the docs name repo paths that do not exist (see above)" >&2
+  exit 1
+fi
+echo "ok — every repo path the docs name exists"

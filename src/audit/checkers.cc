@@ -350,46 +350,6 @@ void check_memory_layout(const MemoryLayoutSnapshot& snap,
     os << snap.label << ": " << defect;
     report(out, "memory-layout", os);
   }
-  for (const ArenaAccounting& a : snap.arenas) {
-    for (const std::string& defect : a.defects) {
-      std::ostringstream os;
-      os << snap.label << " " << a.label << ": " << defect;
-      report(out, "memory-layout", os);
-    }
-    if (a.live_allocations > a.total_allocations) {
-      std::ostringstream os;
-      os << snap.label << " " << a.label << ": " << a.live_allocations
-         << " live allocations exceed " << a.total_allocations
-         << " ever made";
-      report(out, "memory-layout", os);
-    }
-    if (a.large_live > a.large_allocations) {
-      std::ostringstream os;
-      os << snap.label << " " << a.label << ": " << a.large_live
-         << " live large blocks exceed " << a.large_allocations
-         << " ever made";
-      report(out, "memory-layout", os);
-    }
-    if (a.freelist_hits > a.total_allocations) {
-      std::ostringstream os;
-      os << snap.label << " " << a.label << ": " << a.freelist_hits
-         << " freelist hits exceed " << a.total_allocations
-         << " allocations (each hit is one allocation)";
-      report(out, "memory-layout", os);
-    }
-    // Small-object storage cannot outgrow the page pool: every live
-    // small block occupies at least kAlign bytes of some page.
-    const std::uint64_t small_live = a.live_allocations - a.large_live;
-    const std::uint64_t reserved =
-        static_cast<std::uint64_t>(a.pages) * a.page_bytes;
-    if (small_live * 16 > reserved) {
-      std::ostringstream os;
-      os << snap.label << " " << a.label << ": " << small_live
-         << " live small blocks cannot fit the " << reserved
-         << " bytes of pooled pages";
-      report(out, "memory-layout", os);
-    }
-  }
 }
 
 }  // namespace wcs::audit

@@ -213,26 +213,13 @@ void check_results_ledger(const ResultsLedgerSnapshot& snap,
 
 // --- (f) memory layout --------------------------------------------------
 
-// Soundness of the flat hot structures (common/arena.h, the slotted caches
-// and CSR tables). Owners contribute their own findings —
-// NodeArena::structural_defects() and slot-aliasing scans of the flat
-// tables — and the checker validates the arena accounting laws on top.
-struct ArenaAccounting {
-  std::string label;  // e.g. "flow-table arena"
-  std::uint64_t total_allocations = 0;
-  std::uint64_t live_allocations = 0;
-  std::uint64_t freelist_hits = 0;
-  std::uint64_t large_allocations = 0;
-  std::uint64_t large_live = 0;
-  std::size_t pages = 0;
-  std::size_t page_bytes = 0;
-  std::vector<std::string> defects;  // NodeArena::structural_defects()
-};
-
+// Soundness of the flat hot structures (the flow manager's slot table,
+// the data servers' batch ledgers). Owners contribute their own findings —
+// FlowManager::memory_defects() and DataServer::memory_defects() — and
+// the checker reports each one.
 struct MemoryLayoutSnapshot {
   std::string label;  // e.g. "run"
-  std::vector<std::string> table_defects;  // SoA slot-aliasing findings
-  std::vector<ArenaAccounting> arenas;
+  std::vector<std::string> table_defects;  // owners' self-check findings
 };
 
 void check_memory_layout(const MemoryLayoutSnapshot& snap,

@@ -139,19 +139,8 @@ void GridSimulation::register_audit_checkers() {
         snap.table_defects.push_back("site " + std::to_string(s) +
                                      " data server: " + d);
     }
-    const common::NodeArena& arena = data_->flows().arena();
-    audit::ArenaAccounting acc;
-    acc.label = "flow-table arena";
-    const common::NodeArena::Stats& st = arena.stats();
-    acc.total_allocations = st.total_allocations;
-    acc.live_allocations = st.live_allocations;
-    acc.freelist_hits = st.freelist_hits;
-    acc.large_allocations = st.large_allocations;
-    acc.large_live = st.large_live;
-    acc.pages = st.pages;
-    acc.page_bytes = st.page_bytes;
-    acc.defects = arena.structural_defects();
-    snap.arenas.push_back(std::move(acc));
+    for (std::string& d : data_->flows().memory_defects())
+      snap.table_defects.push_back("flow table: " + d);
     audit::check_memory_layout(snap, out);
   });
 }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <sstream>
+#include <utility>
 
 namespace wcs::net {
 
@@ -87,7 +89,6 @@ void progressive_fill(const std::vector<FlowPtr>& pool,
 
 FlowManager::FlowManager(sim::Simulator& simulator, const Topology& topology)
     : sim_(simulator), topo_(topology),
-      flows_(FlowMapAlloc(&flow_arena_)),
       link_bytes_(topology.num_links(), 0),
       links_(topology.num_links()),
       link_cap_(topology.num_links(), 0),
@@ -105,9 +106,8 @@ void FlowManager::set_observability(obs::Observability* o) {
 
 FlowId FlowManager::start_flow(NodeId src, NodeId dst, Bytes bytes,
                                FlowCallback on_complete) {
-  FlowId id(next_flow_++);
-  Flow f;
-  f.id = id;
+  const FlowId id(slot_of_.size());
+  Flow& f = acquire(id);
   // Copy the links: the topology's route cache may rehash.
   const Route& route = topo_.route(src, dst);
   f.route.resize(route.size());
@@ -119,18 +119,55 @@ FlowId FlowManager::start_flow(NodeId src, NodeId dst, Bytes bytes,
   f.started = sim_.now();
   f.last_update = sim_.now();
   f.dst = dst;
-  SimTime latency = topo_.path_latency(src, dst);
-  auto [it, ok] = flows_.emplace(id, std::move(f));
-  WCS_CHECK(ok);
-  it->second.pending_event =
-      sim_.schedule_in(latency, [this, id] { activate(id); });
+  f.pending_event = sim_.schedule_in(topo_.path_latency(src, dst),
+                                     [this, id] { activate(id); });
   return id;
 }
 
+FlowManager::Flow* FlowManager::find(FlowId id) {
+  return const_cast<Flow*>(std::as_const(*this).find(id));
+}
+
+const FlowManager::Flow* FlowManager::find(FlowId id) const {
+  if (id.value() >= slot_of_.size()) return nullptr;
+  const std::uint32_t slot = slot_of_[id.value()];
+  return slot == kNoSlot ? nullptr : &slots_[slot];
+}
+
+bool FlowManager::live(std::size_t slot) const {
+  const std::uint64_t id = slots_[slot].id.value();
+  return id < slot_of_.size() && slot_of_[id] == slot;
+}
+
+FlowManager::Flow& FlowManager::acquire(FlowId id) {
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  slot_of_.push_back(slot);
+  Flow& f = slots_[slot];
+  std::vector<Hop> route = std::move(f.route);
+  f = Flow{};
+  f.route = std::move(route);
+  f.id = id;
+  return f;
+}
+
+void FlowManager::release(Flow& f) {
+  std::uint32_t& slot = slot_of_[f.id.value()];
+  free_slots_.push_back(slot);
+  slot = kNoSlot;
+  f.on_complete = nullptr;  // drop a cancelled flow's captures now
+}
+
 void FlowManager::activate(FlowId id) {
-  auto it = flows_.find(id);
-  WCS_CHECK(it != flows_.end());
-  Flow& f = it->second;
+  Flow* fp = find(id);
+  WCS_CHECK(fp != nullptr);
+  Flow& f = *fp;
   f.active = true;
   f.pending_event = EventId::invalid();
   f.last_update = sim_.now();
@@ -145,9 +182,9 @@ void FlowManager::activate(FlowId id) {
 }
 
 void FlowManager::complete(FlowId id) {
-  auto it = flows_.find(id);
-  WCS_CHECK(it != flows_.end());
-  Flow& f = it->second;
+  Flow* fp = find(id);
+  WCS_CHECK(fp != nullptr);
+  Flow& f = *fp;
   // Credit the final stretch since the last settle to the link counters
   // before the flow disappears.
   if (f.active && f.rate > 0) {
@@ -171,19 +208,16 @@ void FlowManager::complete(FlowId id) {
   const bool shared = f.active && !f.draining;
   const double rate = f.rate;
   if (f.pooled) leave_pool(f);
-  std::vector<Hop> released = std::move(f.route);
-  flows_.erase(it);
   ++completed_;
-  if (shared) {
-    reallocate(nullptr, released, rate);
-  }
+  if (shared) reallocate(nullptr, f.route, rate);
+  release(f);
   if (cb) cb(id);
 }
 
 bool FlowManager::cancel(FlowId id) {
-  auto it = flows_.find(id);
-  if (it == flows_.end()) return false;
-  Flow& f = it->second;
+  Flow* fp = find(id);
+  if (fp == nullptr) return false;
+  Flow& f = *fp;
   if (f.pending_event.valid()) sim_.cancel(f.pending_event);
   // Settle the bytes this flow moved so link statistics stay accurate.
   if (f.active && f.rate > 0) {
@@ -193,12 +227,9 @@ bool FlowManager::cancel(FlowId id) {
   const bool shared = f.active && !f.draining;
   const double rate = f.rate;
   if (f.pooled) leave_pool(f);
-  std::vector<Hop> released = std::move(f.route);
-  flows_.erase(it);
   ++cancelled_;
-  if (shared) {
-    reallocate(nullptr, released, rate);
-  }
+  if (shared) reallocate(nullptr, f.route, rate);
+  release(f);
   return true;
 }
 
@@ -225,16 +256,16 @@ audit::FlowAuditSnapshot FlowManager::audit_snapshot() const {
   }
 
   // Canonical order: flows sorted by id. The snapshot is audit-only,
-  // but defect messages and per-link FP sums should not depend on a
-  // hash table's bucket layout.
+  // but defect messages and per-link FP sums should not depend on which
+  // slots the flows reuse.
   std::vector<const Flow*> ordered;
-  ordered.reserve(flows_.size());
-  // detlint: unordered-loop -- collect-then-sort: 'ordered' is sorted by flow id below
-  for (const auto& [id, f] : flows_) ordered.push_back(&f);
+  ordered.reserve(active_flows());
+  for (std::size_t s = 0; s < slots_.size(); ++s)
+    if (live(s)) ordered.push_back(&slots_[s]);
   std::sort(ordered.begin(), ordered.end(),
             [](const Flow* a, const Flow* b) { return a->id < b->id; });
 
-  snap.flows.reserve(flows_.size());
+  snap.flows.reserve(ordered.size());
   for (const Flow* fp : ordered) {
     const Flow& f = *fp;
     audit::FlowProgress p;
@@ -267,10 +298,10 @@ audit::FlowRatesSnapshot FlowManager::audit_rates_snapshot() const {
   // audited runs stay byte-identical, and must not trust the structures
   // it checks.
   std::vector<const Flow*> pool;
-  pool.reserve(flows_.size());
-  // detlint: unordered-loop -- collect-then-sort: 'pool' is sorted by flow id below
-  for (const auto& [id, f] : flows_)
-    if (f.active && !f.draining) pool.push_back(&f);
+  pool.reserve(active_flows());
+  for (std::size_t s = 0; s < slots_.size(); ++s)
+    if (live(s) && slots_[s].active && !slots_[s].draining)
+      pool.push_back(&slots_[s]);
   std::sort(pool.begin(), pool.end(),
             [](const Flow* a, const Flow* b) { return a->id < b->id; });
 
@@ -303,9 +334,57 @@ audit::FlowRatesSnapshot FlowManager::audit_rates_snapshot() const {
 }
 
 double FlowManager::flow_rate(FlowId id) const {
-  auto it = flows_.find(id);
-  if (it == flows_.end()) return 0;
-  return it->second.active ? it->second.rate : 0;
+  const Flow* f = find(id);
+  return f != nullptr && f->active ? f->rate : 0;
+}
+
+std::vector<std::string> FlowManager::memory_defects() const {
+  std::vector<std::string> defects;
+  auto defect = [&defects](auto&&... parts) {
+    std::ostringstream os;
+    (os << ... << parts);
+    defects.push_back(os.str());
+  };
+  // id -> slot -> id, counting the live ids.
+  std::size_t live_ids = 0;
+  for (std::size_t id = 0; id < slot_of_.size(); ++id) {
+    const std::uint32_t slot = slot_of_[id];
+    if (slot == kNoSlot) continue;
+    ++live_ids;
+    if (slot >= slots_.size()) {
+      defect("flow ", id, " maps to slot ", slot, " past the ",
+             slots_.size(), " slots");
+    } else if (slots_[slot].id.value() != id) {
+      defect("flow ", id, " maps to slot ", slot, " holding flow ",
+             slots_[slot].id.value());
+    }
+  }
+  // The free stack: in range, each slot once, none live.
+  std::vector<bool> is_free(slots_.size(), false);
+  for (const std::uint32_t slot : free_slots_) {
+    if (slot >= slots_.size()) {
+      defect("free slot ", slot, " past the ", slots_.size(), " slots");
+    } else if (is_free[slot]) {
+      defect("slot ", slot, " freed twice");
+    } else {
+      is_free[slot] = true;
+      if (live(slot))
+        defect("slot ", slot, " is live and on the free stack");
+    }
+  }
+  // slot -> id -> slot over the occupied slots, whose count is the live
+  // count.
+  std::size_t occupied = 0;
+  for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
+    if (is_free[slot]) continue;
+    ++occupied;
+    if (!live(slot))
+      defect("occupied slot ", slot, " holds flow ", slots_[slot].id.value(),
+             " whose index entry is not that slot");
+  }
+  if (live_ids != occupied)
+    defect(live_ids, " live flows but ", occupied, " occupied slots");
+  return defects;
 }
 
 void FlowManager::join_pool(Flow& f) {

@@ -42,13 +42,12 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <unordered_map>
-#include <utility>
+#include <string>
 #include <vector>
 
 #include "audit/checkers.h"
-#include "common/arena.h"
 #include "common/check.h"
 #include "common/ids.h"
 #include "common/units.h"
@@ -81,7 +80,9 @@ class FlowManager {
   // stay counted in the link statistics.
   bool cancel(FlowId id);
 
-  [[nodiscard]] std::size_t active_flows() const { return flows_.size(); }
+  [[nodiscard]] std::size_t active_flows() const {
+    return slots_.size() - free_slots_.size();
+  }
   [[nodiscard]] std::uint64_t completed_flows() const { return completed_; }
   [[nodiscard]] std::uint64_t cancelled_flows() const { return cancelled_; }
 
@@ -117,8 +118,11 @@ class FlowManager {
   // still in its latency phase. Primarily for tests.
   [[nodiscard]] double flow_rate(FlowId id) const;
 
-  // The arena backing the flow table (memory-layout audit / bench hook).
-  [[nodiscard]] const common::NodeArena& arena() const { return flow_arena_; }
+  // Slot-table self-check for the `memory-layout` audit checker: the
+  // live count equals the number of occupied slots, the id -> slot index
+  // and each occupied slot's id agree, and no slot is both live and on
+  // the free stack, or on the free stack twice. Empty when sound.
+  [[nodiscard]] std::vector<std::string> memory_defects() const;
 
  private:
   struct Flow;
@@ -126,7 +130,7 @@ class FlowManager {
   // One link of a flow's route, threaded into that link's member list
   // (intrusive and doubly linked) while the flow shares bandwidth. The
   // list nodes live in the route itself, so pool membership costs no
-  // allocation beyond the route copy every flow already makes.
+  // allocation.
   struct Hop {
     LinkId link;
     Flow* flow = nullptr;
@@ -166,6 +170,16 @@ class FlowManager {
 
   void activate(FlowId id);
   void complete(FlowId id);
+
+  // The live flow with this id, or nullptr once it has finished.
+  [[nodiscard]] Flow* find(FlowId id);
+  [[nodiscard]] const Flow* find(FlowId id) const;
+  // True when `slot` holds a live flow (it is not on the free stack).
+  [[nodiscard]] bool live(std::size_t slot) const;
+  // Take a free slot (or a new one) for a new flow id; everything but the
+  // route's capacity is reset. release() returns a finished flow's slot.
+  Flow& acquire(FlowId id);
+  void release(Flow& f);
 
   // Thread a flow into (or out of) its links' member lists.
   void join_pool(Flow& f);
@@ -209,22 +223,19 @@ class FlowManager {
   // Progress credited since the flow's last settle at its current rate.
   [[nodiscard]] double unsettled_bytes(const Flow& f, SimTime now) const;
 
-  // Flow-table nodes recycle through a per-manager arena: flow start /
-  // completion churn is the network side's entire allocation traffic.
-  // The bucket array exceeds the small-object ceiling and goes through
-  // the arena's (counted) large path. Node placement cannot change
-  // unordered_map iteration order — that is fixed by the bucket count
-  // and insertion sequence, both allocator-independent. Nodes never move,
-  // so Hop pointers into a flow's route stay valid while it is pooled.
-  using FlowMapAlloc = common::ArenaAlloc<std::pair<const FlowId, Flow>>;
-  using FlowMap = std::unordered_map<FlowId, Flow, std::hash<FlowId>,
-                                     std::equal_to<FlowId>, FlowMapAlloc>;
-
   sim::Simulator& sim_;
   const Topology& topo_;
-  common::NodeArena flow_arena_;  // declared before flows_ (dtor order)
-  FlowMap flows_;
-  std::uint64_t next_flow_ = 0;
+
+  // The flow table. Growing a deque at its end never moves the existing
+  // slots, so Hop pointers into a pooled flow's route stay valid. A
+  // finished flow's slot goes on the free stack and a later start_flow()
+  // reuses it, route capacity included, so warm flow churn allocates
+  // nothing. slot_of_ maps every id ever started (ids are the dense start
+  // sequence) to its slot, or kNoSlot once the flow has finished.
+  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+  std::deque<Flow> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  std::vector<std::uint32_t> slot_of_;
   std::uint64_t completed_ = 0;
   std::uint64_t cancelled_ = 0;
   double bytes_started_ = 0;

@@ -89,7 +89,7 @@ SiteId DataReplicator::pick_target(FileId file) {
     return best;
   };
 
-  std::size_t chosen;
+  std::size_t chosen = candidates.front();
   switch (params_.placement) {
     case Placement::kRandom:
       chosen = candidates[rng_.index(candidates.size())];
@@ -120,7 +120,6 @@ SiteId DataReplicator::pick_target(FileId file) {
       // DIANA cost: delivery time over the site's uplink, inflated by the
       // backlog the new replica would queue behind. Strict < keeps the
       // lowest site id on ties.
-      chosen = candidates.front();
       double best_cost = 0;
       bool first = true;
       for (std::size_t s : candidates) {

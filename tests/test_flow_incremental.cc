@@ -6,7 +6,8 @@
 // assigns it. That fill is FlowManager::audit_rates_snapshot(), the one
 // oracle the `flow-rates` audit checker also uses. This suite drives one
 // live FlowManager through operation sequences and compares every pool
-// flow's rate against the oracle after every operation:
+// flow's rate against the oracle after every operation, beside the flow
+// table's slot-table self-check (FlowManager::memory_defects()):
 //
 //   * randomized churn (7 seeds x 3 topology families): start / cancel /
 //     advance over partitioned multi-star platforms (many small
@@ -29,6 +30,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -74,8 +76,11 @@ struct Harness {
 
   bool step() { return sim.step(); }
 
+  // Stops at the first failure: past a broken check the flow table is
+  // untrustworthy, and stepping on may never terminate.
   void run_all() {
-    while (step()) expect_matches_oracle("during drain");
+    while (!::testing::Test::HasFailure() && step())
+      expect_matches_oracle("during drain");
     EXPECT_EQ(flows->active_flows(), 0u);
   }
 
@@ -93,6 +98,8 @@ struct Harness {
     audit::check_flow_conservation(flows->audit_snapshot(), violations);
     EXPECT_TRUE(violations.empty())
         << (violations.empty() ? "" : violations.front().message);
+    const std::vector<std::string> defects = flows->memory_defects();
+    EXPECT_TRUE(defects.empty()) << (defects.empty() ? "" : defects.front());
   }
 
   // Flows currently sharing bandwidth (the oracle's pool).
@@ -134,6 +141,7 @@ void random_churn(Harness& h, Rng& rng,
         if (!h.step()) break;
     }
     h.expect_matches_oracle("after op");
+    if (::testing::Test::HasFailure()) return;
   }
   h.run_all();
 }
@@ -216,6 +224,7 @@ TEST_P(FlowDifferential, RandomChurnOnEqualBandwidthTreeStaysBitIdentical) {
       live.clear();
     }
     h.expect_matches_oracle("after op");
+    if (::testing::Test::HasFailure()) return;
   }
   h.run_all();
 }

@@ -169,6 +169,20 @@ TEST(Flows, CancelCompletedFlowReturnsFalse) {
   FlowId id = f.flows->start_flow(a, b, 1000, [](FlowId) {});
   f.sim.run();
   EXPECT_FALSE(f.flows->cancel(id));
+  // A second flow reuses the finished flow's slot; the old id stays
+  // finished while the new one is live.
+  FlowId next = f.flows->start_flow(a, b, 1000, [](FlowId) {});
+  EXPECT_NE(next, id);
+  f.sim.step();  // activation: `next` joins the pool
+  EXPECT_EQ(f.flows->active_flows(), 1u);
+  EXPECT_DOUBLE_EQ(f.flows->flow_rate(next), 1e6);
+  EXPECT_EQ(f.flows->flow_rate(id), 0.0);
+  EXPECT_FALSE(f.flows->cancel(id));
+  EXPECT_EQ(f.flows->active_flows(), 1u);
+  EXPECT_TRUE(f.flows->memory_defects().empty());
+  EXPECT_TRUE(f.flows->cancel(next));
+  EXPECT_FALSE(f.flows->cancel(next));
+  EXPECT_TRUE(f.flows->memory_defects().empty());
 }
 
 TEST(Flows, LinkBytesAccounting) {

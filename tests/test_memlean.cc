@@ -1,132 +1,28 @@
-// Memory-lean hot structures: the NodeArena page allocator and the small
-// flat containers (InlineVec, Csr, DenseIdSet) that replaced per-task node
-// containers, plus the allocation-free contracts the event loop relies on.
+// Memory-lean hot structures: the small flat containers (InlineVec, Csr,
+// DenseIdSet) that replaced per-task node containers, plus the
+// allocation-free contracts the event loop relies on (disabled
+// instruments, warm flow-table churn).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
-#include <map>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/alloc_stats.h"
-#include "common/arena.h"
 #include "common/csr.h"
 #include "common/dense_id_set.h"
 #include "common/ids.h"
 #include "common/inline_vec.h"
 #include "grid/experiment.h"
+#include "net/flow_manager.h"
+#include "net/topology.h"
 #include "obs/trace.h"
+#include "sim/simulator.h"
 #include "workload/coadd.h"
 
 namespace wcs::common {
 namespace {
-
-// --- NodeArena -----------------------------------------------------------
-
-TEST(NodeArena, ServesSizeClassesAndCounts) {
-  NodeArena arena;
-  void* a = arena.allocate(24, 8);
-  void* b = arena.allocate(24, 8);
-  void* c = arena.allocate(512, 16);  // largest small class
-  ASSERT_NE(a, nullptr);
-  EXPECT_NE(a, b);
-  const NodeArena::Stats& st = arena.stats();
-  EXPECT_EQ(st.total_allocations, 3u);
-  EXPECT_EQ(st.live_allocations, 3u);
-  EXPECT_EQ(st.large_allocations, 0u);
-  EXPECT_EQ(st.pages, 1u);
-  EXPECT_EQ(st.page_bytes, 64u * 1024u);
-  arena.deallocate(a, 24, 8);
-  arena.deallocate(b, 24, 8);
-  arena.deallocate(c, 512, 16);
-  EXPECT_EQ(arena.stats().live_allocations, 0u);
-}
-
-TEST(NodeArena, FreelistRecyclesSameClass) {
-  NodeArena arena;
-  void* a = arena.allocate(40, 8);
-  arena.deallocate(a, 40, 8);
-  // Same size class (33..48 bytes) must reuse the freed block.
-  void* b = arena.allocate(33, 8);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(arena.stats().freelist_hits, 1u);
-  arena.deallocate(b, 33, 8);
-}
-
-TEST(NodeArena, LargeBlocksBypassPages) {
-  NodeArena arena;
-  void* big = arena.allocate(4096, 16);
-  ASSERT_NE(big, nullptr);
-  std::memset(big, 0xab, 4096);
-  const NodeArena::Stats& st = arena.stats();
-  EXPECT_EQ(st.large_allocations, 1u);
-  EXPECT_EQ(st.large_live, 1u);
-  EXPECT_EQ(st.pages, 0u);  // no page mapped for a large block
-  arena.deallocate(big, 4096, 16);
-  EXPECT_EQ(arena.stats().large_live, 0u);
-  EXPECT_TRUE(arena.structural_defects().empty());
-}
-
-TEST(NodeArena, GrowsAcrossPages) {
-  NodeArena arena(1024);  // tiny pages: 2 blocks of 512 per page
-  std::vector<void*> blocks;
-  for (int i = 0; i < 10; ++i) blocks.push_back(arena.allocate(512, 16));
-  EXPECT_EQ(arena.stats().pages, 5u);
-  for (void* p : blocks) arena.deallocate(p, 512, 16);
-  EXPECT_TRUE(arena.structural_defects().empty());
-}
-
-TEST(NodeArena, ResetRewindsOverPooledPages) {
-  NodeArena arena(1024);
-  // First run: record the block addresses of a fixed allocation script.
-  auto script = [&arena] {
-    std::vector<void*> out;
-    for (int i = 0; i < 6; ++i) out.push_back(arena.allocate(200, 16));
-    // Interleave a free so a later allocation takes the freelist path.
-    arena.deallocate(out[2], 200, 16);
-    out.push_back(arena.allocate(200, 16));
-    out.erase(out.begin() + 2);
-    return out;
-  };
-  std::vector<void*> first = script();
-  const std::size_t pages_after_first = arena.stats().pages;
-  for (void* p : first) arena.deallocate(p, 200, 16);
-  arena.reset();
-
-  // Replay: the same script over the SAME pages yields the same
-  // addresses and maps no new pages — the arena-reuse property the
-  // run_seeds loop depends on.
-  std::vector<void*> second = script();
-  EXPECT_EQ(first, second);
-  EXPECT_EQ(arena.stats().pages, pages_after_first);
-  EXPECT_EQ(arena.stats().resets, 1u);
-  for (void* p : second) arena.deallocate(p, 200, 16);
-  EXPECT_TRUE(arena.structural_defects().empty());
-}
-
-TEST(NodeArena, ResetWithLiveAllocationsThrows) {
-  NodeArena arena;
-  void* p = arena.allocate(32, 8);
-  EXPECT_THROW(arena.reset(), std::logic_error);
-  arena.deallocate(p, 32, 8);
-  EXPECT_NO_THROW(arena.reset());
-}
-
-TEST(ArenaAlloc, BacksNodeContainers) {
-  NodeArena arena;
-  {
-    using Alloc = ArenaAlloc<std::pair<const int, int>>;
-    std::map<int, int, std::less<int>, Alloc> m{Alloc(&arena)};
-    for (int i = 0; i < 100; ++i) m[i] = i * i;
-    EXPECT_GE(arena.stats().live_allocations, 100u);
-    EXPECT_EQ(m.at(40), 1600);
-    m.clear();
-  }
-  EXPECT_EQ(arena.stats().live_allocations, 0u);
-  arena.reset();
-  EXPECT_TRUE(arena.structural_defects().empty());
-}
 
 // --- InlineVec -----------------------------------------------------------
 
@@ -239,31 +135,46 @@ TEST(AllocFree, DisabledInstrumentsAllocateNothing) {
   EXPECT_EQ(allocations_between(before, after), 0u);
 }
 
-TEST(AllocFree, ArenaSteadyStateChurnAllocatesNothing) {
+TEST(AllocFree, WarmFlowChurnAllocatesNothing) {
   if (!alloc_counting_enabled())
     GTEST_SKIP() << "allocation counting compiled out (sanitizer build)";
-  NodeArena arena;
-  // Warm up: one block resident so the page is mapped.
-  void* warm = arena.allocate(64, 16);
+  // A finished flow's slot, route capacity included, serves the next
+  // start; the callback captures one reference, which fits
+  // std::function's inline buffer.
+  sim::Simulator sim;
+  net::Topology topo;
+  const NodeId a = topo.add_node("a");
+  const NodeId b = topo.add_node("b");
+  const NodeId c = topo.add_node("c");
+  topo.add_link(a, b, 1e6, 0.001);
+  topo.add_link(b, c, 1e6, 0.001);
+  net::FlowManager flows(sim, topo);
+  std::uint64_t done = 0;
+  auto churn = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      flows.start_flow(a, c, 1000, [&done](FlowId) { ++done; });
+      sim.run();
+    }
+  };
+  // The kernel's event-state vector and the flow id index grow with every
+  // start, geometrically: after 2500 warm-up starts both have room for
+  // the 500 measured ones.
+  churn(2500);
   const AllocSnapshot before = alloc_snapshot();
-  for (int i = 0; i < 10000; ++i) {
-    void* p = arena.allocate(64, 16);
-    arena.deallocate(p, 64, 16);
-  }
+  churn(500);
   const AllocSnapshot after = alloc_snapshot();
   EXPECT_EQ(allocations_between(before, after), 0u);
-  // First round bump-allocates; every later round recycles it.
-  EXPECT_EQ(arena.stats().freelist_hits, 9999u);
-  arena.deallocate(warm, 64, 16);
+  EXPECT_EQ(done, 3000u);
+  EXPECT_EQ(flows.active_flows(), 0u);
+  EXPECT_TRUE(flows.memory_defects().empty());
 }
 
-// --- run_seeds reuse property -------------------------------------------
+// --- run_seeds determinism ----------------------------------------------
 
-TEST(ArenaReuse, RepeatedSeedsAreByteIdentical) {
-  // Each seed's simulation builds and tears down the arena-backed flow
-  // table and the scheduler indexes; running the seed list twice must
-  // reproduce identical totals (no state may leak through the arenas or
-  // pools between runs).
+TEST(SeedReuse, RepeatedSeedsAreByteIdentical) {
+  // Each seed's simulation builds and tears down the flow table and the
+  // scheduler indexes; running the seed list twice must reproduce
+  // identical totals (no state may leak between runs).
   workload::CoaddParams cp;
   cp.num_tasks = 120;
   const workload::Workload wl{workload::generate_coadd(cp)};

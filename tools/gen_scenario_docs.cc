@@ -169,7 +169,8 @@ int main(int argc, char** argv) {
   md << "     Regenerate with: ./build/tools/gen_scenario_docs "
         "docs/scenario-catalog.md\n";
   md << "     scripts/check_docs.sh (CI `docs` job) fails when this page\n";
-  md << "     drifts from the registry in src/scenario/catalog.cc. -->\n\n";
+  md << "     drifts from the registry that register_builtin_scenarios()\n";
+  md << "     builds in src/scenario/catalog_paper.cc. -->\n\n";
   md << "Every paper table/figure plus the ablation and extension studies "
         "is a\nnamed entry in the declarative scenario registry "
         "(`src/scenario`). Each\nsection below is rendered from the spec "
