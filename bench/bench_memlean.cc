@@ -17,7 +17,7 @@
 // --legacy-layout A/B baseline this bench originally compared against
 // was removed after one PR of soak; the historical ratio was >= 3x.)
 //
-// Unlike the figure benches this is not a scenario-catalog shim — the
+// Unlike wcs_bench this does not run a scenario-catalog entry — the
 // sweep axis is the task scale — but it speaks the same CLI subset
 // reproduce.sh drives (--fast/--audit/--jobs/--csv) and emits a
 // schema-v1 run report (results/bench_memlean.json) plus the canonical

@@ -30,6 +30,11 @@
 #      Patterns (a `*`, `<` or `{` right after the path) and paths
 #      inside longer ones (build/bench/..., ../src) are not checked, nor
 #      are other results/ files (example commands write outputs there).
+#  10. every binary that README.md, DESIGN.md, EXPERIMENTS.md, docs/*.md,
+#      .claude/skills/verify/SKILL.md, .github/workflows/ci.yml and
+#      scripts/*.sh run as `build/<dir>/<name>` is an `add_executable` or
+#      `wcs_add_*` target of a CMakeLists.txt in the tree. Patterns (a
+#      `*`, `<`, `{` or `$` right after the name) are not checked.
 #
 #   scripts/check_docs.sh [BUILD_DIR]     # default: build
 #
@@ -259,3 +264,24 @@ if [ "$missing" -ne 0 ]; then
   exit 1
 fi
 echo "ok — every repo path the docs name exists"
+
+# --- 10. binaries the docs, CI and scripts run are CMake targets --------------
+targets=$(find . -name CMakeLists.txt -not -path './build*' -not -path './.*' |
+  xargs grep -ohE '(add_executable|wcs_add_[a-z]+)\([A-Za-z0-9_]+' |
+  sed -E 's/^.*\(//' | sort -u)
+unbuilt=0
+for file in README.md DESIGN.md EXPERIMENTS.md docs/*.md \
+    .claude/skills/verify/SKILL.md .github/workflows/ci.yml scripts/*.sh; do
+  [ -f "$file" ] || continue
+  while IFS=: read -r line path; do
+    if ! grep -qxF "${path##*/}" <<<"$targets"; then
+      echo "$file:$line runs $path, which no CMakeLists.txt builds" >&2
+      unbuilt=1
+    fi
+  done < <(grep -noP '(?<![\w-])build/\w+/\w++(?![*<{$])' "$file")
+done
+if [ "$unbuilt" -ne 0 ]; then
+  echo "FAIL — docs, CI or scripts run binaries that are not CMake targets (see above)" >&2
+  exit 1
+fi
+echo "ok — every binary the docs, CI and scripts run is a CMake target"

@@ -7,11 +7,15 @@
 #   scripts/reproduce.sh --audit            # invariant auditor on every run
 #   WCS_BENCH_JOBS=8 scripts/reproduce.sh   # same, via the environment
 #
-# Independent (algorithm, topology-seed) runs are fanned out over worker
-# threads; the default is all hardware threads and the output is
-# bit-identical at any --jobs level. Outputs land in results/: one .txt
-# per bench, CSV series, and a schema-versioned JSON run report per bench
-# (results/bench_<name>.json, validated by tools/report_lint at the end).
+# Runs every scenario that `wcs_bench --list-scenarios` prints, then
+# bench_memlean and bench_micro. Independent (algorithm, topology-seed)
+# runs are fanned out over worker threads; the default is all hardware
+# threads and the output is bit-identical at any --jobs level. Outputs
+# land in results/: a console log (results/<name>.log) per program run,
+# a CSV series and a schema-versioned JSON run report per scenario
+# (results/<scenario>.csv, results/<scenario>.json; the reports and
+# results/bench_memlean.json are validated by tools/report_lint at the
+# end).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,25 +40,25 @@ ctest --test-dir build --output-on-failure
 scripts/check_detlint.sh
 
 mkdir -p results
-for bench in build/bench/bench_*; do
-  [[ -x "$bench" && -f "$bench" ]] || continue
-  name=$(basename "$bench")
+REPORTS=()
+for name in $(build/bench/wcs_bench --list-scenarios | grep -v '^ '); do
   echo "=== $name ==="
-  if [[ "$name" == "bench_micro" ]]; then
-    # google-benchmark JSON, distinct from the run-report schema files.
-    "$bench" --benchmark_out="results/$name.gbench.json" \
-      --benchmark_out_format=json | tee "results/$name.txt"
-  else
-    "$bench" $FAST_FLAG $AUDIT_FLAG "${JOBS_FLAGS[@]}" \
-      --csv "results/$name.csv" | tee "results/$name.txt"
-  fi
+  build/bench/wcs_bench --scenario "$name" $FAST_FLAG $AUDIT_FLAG \
+    "${JOBS_FLAGS[@]}" --csv "results/$name.csv" | tee "results/$name.log"
+  REPORTS+=("results/$name.json")
 done
 
+echo "=== bench_memlean ==="
+build/bench/bench_memlean $FAST_FLAG $AUDIT_FLAG "${JOBS_FLAGS[@]}" \
+  --csv results/bench_memlean.csv | tee results/bench_memlean.log
+REPORTS+=(results/bench_memlean.json)
+
+echo "=== bench_micro ==="
+# google-benchmark JSON, distinct from the run-report schema files.
+build/bench/bench_micro --benchmark_out=results/bench_micro.gbench.json \
+  --benchmark_out_format=json | tee results/bench_micro.log
+
 echo "=== report_lint ==="
-REPORTS=()
-for report in results/bench_*.json; do
-  [[ "$report" == *.gbench.json ]] || REPORTS+=("$report")
-done
 build/tools/report_lint "${REPORTS[@]}"
 
 echo "done — see results/"

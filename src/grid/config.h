@@ -78,7 +78,7 @@ struct GridConfig {
   // [1/(1+e), 1+e] once per run. 0 = omniscient (default). The paper's
   // Sec. 2.4 argument — dynamic metrics are hard to obtain, data
   // placement is easy — is regenerated by sweeping this knob
-  // (bench_ablation_baselines): the paper's schedulers never read these
+  // (scenario ablation_baselines): the paper's schedulers never read these
   // estimates and are immune by construction.
   double estimate_error = 0.0;
 

@@ -10,7 +10,7 @@
 //
 // Schema v1 (all units spelled out in key names):
 //   schema_version        int, == 1
-//   bench                 string, non-empty ("bench_fig5_transfers")
+//   bench                 string, non-empty ("fig5_transfers")
 //   title / x_axis / metric  strings
 //   config {tasks, seeds, jobs: int >= 1; fast, audit, trace: bool}
 //   total_wall_seconds    number >= 0
@@ -68,7 +68,7 @@ struct ReportPoint {
 };
 
 struct RunReport {
-  std::string bench;   // binary name, e.g. "bench_fig5_transfers"
+  std::string bench;   // scenario or program name ("fig5_transfers")
   std::string title;   // human title ("Figure 5: ...")
   std::string x_axis;  // sweep variable name
   std::string metric;  // headline metric name

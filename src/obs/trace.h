@@ -5,8 +5,8 @@
 // The engine records the task lifecycle (assign -> fetch -> compute ->
 // complete), the flow layer records transfers, and the storage layer
 // records evictions. Each record is a 40-byte POD appended in amortised
-// O(1) and nothing is ever dropped: the 6,000-task bench_fig6_workers
-// run logs ~130k spans (~5 MB). The tracer is opt-in (WCS_TRACE,
+// O(1) and nothing is ever dropped: the 6,000-task fig6_workers
+// scenario run logs ~130k spans (~5 MB). The tracer is opt-in (WCS_TRACE,
 // --trace-out).
 //
 // Timestamps are SIMULATED time (exported as microseconds, the

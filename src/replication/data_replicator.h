@@ -10,7 +10,7 @@
 //
 // The paper argues replication is NECESSARY for task-centric scheduling
 // (to dissolve hot spots) but merely ORTHOGONAL for worker-centric
-// scheduling; bench_ext_replication quantifies both claims. The
+// scheduling; the ext_replication scenario quantifies both claims. The
 // data_replication_policy scenario (R3) ablates the placement policies
 // against each other across topologies.
 #pragma once

@@ -20,7 +20,6 @@ namespace {
 
 struct CliOptions {
   std::string scenario;
-  std::string bench_name = "bench";  // argv[0] basename
   std::size_t tasks = 6000;
   bool fast = false;
   RunOptions run;
@@ -86,15 +85,8 @@ std::vector<wcs::workload::TenantInfo> parse_tenants(const std::string& arg) {
   return tenants;
 }
 
-CliOptions parse(const std::string& default_scenario, int argc, char** argv) {
+CliOptions parse(int argc, char** argv) {
   CliOptions opt;
-  opt.scenario = default_scenario;
-  if (argc > 0 && argv[0] != nullptr && *argv[0] != '\0') {
-    std::string self = argv[0];
-    std::size_t slash = self.find_last_of('/');
-    opt.bench_name =
-        slash == std::string::npos ? self : self.substr(slash + 1);
-  }
   bool no_report = false;
   if (const char* env = std::getenv("WCS_BENCH_FAST"); env && *env == '1')
     opt.fast = true;
@@ -163,6 +155,9 @@ CliOptions parse(const std::string& default_scenario, int argc, char** argv) {
       usage_error("unknown option " + arg);
     }
   }
+  if (opt.scenario.empty() && !opt.list)
+    usage_error("a run needs --scenario NAME (--list-scenarios prints the "
+                "catalog)");
   if (opt.tasks == 0)
     usage_error("--tasks must be >= 1 (0 would produce an empty sweep)");
   if (opt.run.seeds == 0)
@@ -173,13 +168,8 @@ CliOptions parse(const std::string& default_scenario, int argc, char** argv) {
     opt.run.seeds = std::min<std::size_t>(opt.run.seeds, 2);
   }
 
-  // The report keeps the binary's artifact name when the shim runs its
-  // own scenario (CI consumes results/<bench>.json); a --scenario
-  // override reports under the scenario's name instead.
-  opt.run.report_name =
-      opt.scenario == default_scenario ? opt.bench_name : opt.scenario;
   if (!opt.run.report_path)
-    opt.run.report_path = "results/" + opt.run.report_name + ".json";
+    opt.run.report_path = "results/" + opt.scenario + ".json";
   if (no_report) opt.run.report_path.reset();
   opt.run.tasks = opt.tasks;
   opt.run.fast = opt.fast;
@@ -188,15 +178,13 @@ CliOptions parse(const std::string& default_scenario, int argc, char** argv) {
 
 }  // namespace
 
-int scenario_main(const std::string& default_scenario, int argc,
-                  char** argv) {
+int scenario_main(int argc, char** argv) {
   register_builtin_scenarios();
-  CliOptions opt = parse(default_scenario, argc, argv);
+  CliOptions opt = parse(argc, argv);
 
   if (opt.list) {
     for (const std::string& name : scenario_names())
-      std::cout << name << (name == default_scenario ? " (default)" : "")
-                << "\n    " << scenario_summary(name) << '\n';
+      std::cout << name << "\n    " << scenario_summary(name) << '\n';
     return 0;
   }
   if (!has_scenario(opt.scenario)) {

@@ -1,9 +1,10 @@
-// Shared bench CLI: every bench binary is a shim over scenario_main().
+// Scenario CLI: the wcs_bench program is scenario_main() and nothing
+// else.
 //
-// scenario_main(default_scenario, argc, argv) registers the built-in
-// catalog, parses the shared flag set, and runs the selected scenario:
+// scenario_main(argc, argv) registers the built-in catalog, parses the
+// shared flag set, and runs the selected scenario:
 //
-//   --scenario NAME   run a different catalog entry (default: the shim's)
+//   --scenario NAME   the catalog entry to run (required for a run)
 //   --list-scenarios  print every registered scenario and exit
 //   --dump-scenario [NAME]  print the built spec as JSON and exit
 //   --tasks N         workload size (default 6000 = the paper's slice)
@@ -15,7 +16,7 @@
 //   --audit           run every simulation with the invariant auditor on
 //                     (src/audit); read-only checkers, identical output
 //   --report PATH     write the machine-readable run report here (default
-//                     results/<bench>.json; --no-report disables)
+//                     results/<scenario>.json; --no-report disables)
 //   --trace-out P     additionally run one representative simulation with
 //                     full observability and dump its Chrome trace to P
 //   --workload NAME   override the spec's workload generator (registry
@@ -38,18 +39,17 @@
 // smoke runs); WCS_BENCH_JOBS=N sets the default for --jobs. WCS_AUDIT=1
 // implies --audit (see audit::default_enabled()).
 //
+// A run without --scenario exits with status 2.
+//
 // Numeric values (N, K, MB, tenant counts and weights, WCS_BENCH_JOBS)
 // must be plain unsigned decimals that fit their field; anything else —
 // a sign, trailing characters, an empty tenant weight, an overflow —
 // exits with status 2 and a message naming the flag.
 #pragma once
 
-#include <string>
-
 namespace wcs::scenario {
 
-// Returns the process exit code. `default_scenario` must name a built-in
-// catalog entry (scenario/catalog.h).
-int scenario_main(const std::string& default_scenario, int argc, char** argv);
+// Returns the process exit code.
+int scenario_main(int argc, char** argv);
 
 }  // namespace wcs::scenario

@@ -53,7 +53,7 @@ void write_report(const ScenarioSpec& spec,
                   std::ostream& out) {
   if (!options.report_path) return;
   obs::RunReport report;
-  report.bench = options.report_name;
+  report.bench = spec.name;
   report.title = spec.title;
   report.x_axis = spec.x_axis;
   report.metric = spec.metric_name;

@@ -5,7 +5,7 @@
 // schema v2; open-system scenarios add per-tenant sections), and an
 // optional Chrome trace of one representative run.
 //
-// This is the engine behind every bench binary; the CLI wrapper
+// This is the engine behind wcs_bench; the CLI wrapper
 // (scenario/cli.h) parses the shared flag set into RunOptions.
 #pragma once
 
@@ -26,7 +26,6 @@ struct RunOptions {
   std::size_t jobs = ThreadPool::default_concurrency();
   std::optional<std::string> csv_path;
   bool audit = false;  // sticky: can only turn auditing on
-  std::string report_name = "scenario";    // report `bench` field
   std::optional<std::string> report_path;  // none = reporting disabled
   std::optional<std::string> trace_out;    // Chrome trace destination
 

@@ -2,8 +2,8 @@
 //
 // A ScenarioSpec is a plain data description of one paper figure/table
 // experiment: the workload, the sweep axis (one GridConfig per point),
-// the scheduler set, and the headline metric. Bench binaries are thin
-// shims that look a spec up by name and hand it to the runner
+// the scheduler set, and the headline metric. The wcs_bench program
+// looks a spec up by name and hands it to the runner
 // (scenario/runner.h); the catalog of every paper figure/table plus the
 // ablation and extension studies lives in scenario/catalog.h.
 //

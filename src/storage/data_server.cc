@@ -1,22 +1,22 @@
 #include "storage/data_server.h"
 
-#include <algorithm>
 #include <sstream>
 #include <unordered_set>
 
 namespace wcs::storage {
 
 DataServer::~DataServer() {
-  if (current_ != nullptr) delete current_;
-  for (Batch* b : queue_) delete b;
-  for (Batch* b : pool_) delete b;
-  for (Batch* head : executing_by_worker_) {
+  auto delete_chain = [](Batch* head) {
     while (head != nullptr) {
-      Batch* next = head->next_exec;
+      Batch* next = head->next;
       delete head;
       head = next;
     }
-  }
+  };
+  delete current_;
+  delete_chain(queue_head_);
+  for (Batch* b : pool_) delete b;
+  for (Batch* head : executing_by_worker_) delete_chain(head);
 }
 
 DataServer::Batch* DataServer::alloc_batch() {
@@ -38,7 +38,7 @@ void DataServer::free_batch(Batch* b) {
   b->in_flight = FlowId::invalid();
   b->in_flight_bytes = 0;
   b->in_flight_saved = 0;
-  b->next_exec = nullptr;
+  b->next = nullptr;
   pool_.push_back(b);
 }
 
@@ -57,14 +57,23 @@ void DataServer::request_batch(TaskId task, WorkerId worker,
   batch->done = std::move(done);
   batch->enqueued = sim_.now();
   batch->service_start = 0;
-  queue_.push_back(batch);
+  batch->next = nullptr;
+  if (queue_tail_ != nullptr)
+    queue_tail_->next = batch;
+  else
+    queue_head_ = batch;
+  queue_tail_ = batch;
+  ++queued_;
   serve_next();
 }
 
 void DataServer::serve_next() {
-  if (current_ != nullptr || queue_.empty()) return;
-  current_ = queue_.front();
-  queue_.pop_front();
+  if (current_ != nullptr || queue_head_ == nullptr) return;
+  current_ = queue_head_;
+  queue_head_ = current_->next;
+  if (queue_head_ == nullptr) queue_tail_ = nullptr;
+  current_->next = nullptr;
+  --queued_;
   current_->service_start = sim_.now();
   stats_.waiting_s += sim_.now() - current_->enqueued;
   continue_batch();
@@ -109,12 +118,12 @@ void DataServer::continue_batch() {
   const std::size_t w = completed->worker.value();
   if (w >= executing_by_worker_.size())
     executing_by_worker_.resize(w + 1, nullptr);
-  for (Batch* e = executing_by_worker_[w]; e != nullptr; e = e->next_exec)
+  for (Batch* e = executing_by_worker_[w]; e != nullptr; e = e->next)
     WCS_CHECK_MSG(e->task != completed->task,
                   "batch for task " << completed->task << " on worker "
                                     << completed->worker
                                     << " completed twice");
-  completed->next_exec = executing_by_worker_[w];
+  completed->next = executing_by_worker_[w];
   executing_by_worker_[w] = completed;
   if (done) done();
   serve_next();
@@ -161,12 +170,17 @@ bool DataServer::cancel_batch(TaskId task, WorkerId worker) {
     serve_next();
     return true;
   }
-  auto it = std::find_if(queue_.begin(), queue_.end(), [&](const Batch* b) {
-    return b->task == task && b->worker == worker;
-  });
-  if (it == queue_.end()) return false;
-  free_batch(*it);
-  queue_.erase(it);
+  Batch* prev = nullptr;
+  Batch* b = queue_head_;
+  while (b != nullptr && !(b->task == task && b->worker == worker)) {
+    prev = b;
+    b = b->next;
+  }
+  if (b == nullptr) return false;
+  (prev != nullptr ? prev->next : queue_head_) = b->next;
+  if (queue_tail_ == b) queue_tail_ = prev;
+  --queued_;
+  free_batch(b);
   ++stats_.batches_cancelled;
   return true;
 }
@@ -176,12 +190,12 @@ void DataServer::release(TaskId task, WorkerId worker) {
   Batch** link =
       w < executing_by_worker_.size() ? &executing_by_worker_[w] : nullptr;
   while (link != nullptr && *link != nullptr && (*link)->task != task)
-    link = &(*link)->next_exec;
+    link = &(*link)->next;
   WCS_CHECK_MSG(link != nullptr && *link != nullptr,
                 "release of unknown batch: task " << task << " worker "
                                                   << worker);
   Batch* b = *link;
-  *link = b->next_exec;
+  *link = b->next;
   drop_pins(b->pinned);
   free_batch(b);
 }
@@ -198,13 +212,26 @@ std::vector<std::string> DataServer::memory_defects() const {
     }
   };
   claim(current_, "current");
-  for (const Batch* b : queue_) claim(b, "queue");
+  // A chain walk stops at its first aliased batch, so a cycle is
+  // reported once and never loops.
+  std::size_t queue_walked = 0;
+  for (const Batch* b = queue_head_; b != nullptr; b = b->next) {
+    if (!seen.insert(b).second) {
+      defects.push_back("batch object aliased into a second ledger (queue)");
+      break;
+    }
+    ++queue_walked;
+  }
+  if (queue_walked != queued_) {
+    std::ostringstream os;
+    os << "queue chain holds " << queue_walked << " batches, count says "
+       << queued_;
+    defects.push_back(os.str());
+  }
   for (const Batch* b : pool_) claim(b, "pool");
   for (std::size_t w = 0; w < executing_by_worker_.size(); ++w) {
     for (const Batch* b = executing_by_worker_[w]; b != nullptr;
-         b = b->next_exec) {
-      // claim() also breaks the walk on a chain cycle: the second visit
-      // of an aliased batch is reported once and we stop.
+         b = b->next) {
       if (!seen.insert(b).second) {
         defects.push_back(
             "batch object aliased into a second ledger (executing)");

@@ -13,13 +13,14 @@
 // counts and bytes (Figure 5).
 //
 // Batch objects are recycled through a free pool (their file/pin vectors
-// keep their capacity), and the pins of executing tasks stay inside the
-// batch object, indexed by worker id in a flat table — the steady-state
-// request/serve/release cycle performs no heap allocation.
+// keep their capacity), the FIFO of queued batches is a chain through
+// the batch objects themselves, and the pins of executing tasks stay
+// inside the batch object, indexed by worker id in a flat table — the
+// steady-state request/serve/release cycle performs no heap allocation
+// (tests/test_memlean.cc asserts it).
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <span>
 #include <string>
@@ -96,7 +97,7 @@ class DataServer {
   [[nodiscard]] FileCache& cache() { return cache_; }
   [[nodiscard]] SiteId site() const { return site_; }
   [[nodiscard]] NodeId node() const { return node_; }
-  [[nodiscard]] std::size_t queue_length() const { return queue_.size(); }
+  [[nodiscard]] std::size_t queue_length() const { return queued_; }
   [[nodiscard]] bool busy() const { return current_ != nullptr; }
 
   // Batch-pool accounting (audit/bench hook).
@@ -120,7 +121,7 @@ class DataServer {
     FlowId in_flight = FlowId::invalid();
     double in_flight_bytes = 0;      // payload of the in-flight fetch
     double in_flight_saved = 0;      // dedup saving of that fetch
-    Batch* next_exec = nullptr;      // executing-ledger chain
+    Batch* next = nullptr;  // chain of the ledger holding it (queue/executing)
   };
 
   Batch* alloc_batch();
@@ -137,11 +138,14 @@ class DataServer {
   NodeId node_;
   NodeId file_server_node_;
   FileCache cache_;
-  std::deque<Batch*> queue_;
+  // Queued batches in arrival order, chained through Batch::next.
+  Batch* queue_head_ = nullptr;
+  Batch* queue_tail_ = nullptr;
+  std::size_t queued_ = 0;
   Batch* current_ = nullptr;
   // Completed batches stay alive (holding their pins) in a per-worker
   // table until release(); recycled batches wait in pool_. Each slot
-  // chains through Batch::next_exec — a worker normally holds one
+  // chains through Batch::next — a worker normally holds one
   // executing batch, but the API permits several (task, worker) batches
   // at once.
   std::vector<Batch*> executing_by_worker_;  // indexed by WorkerId

@@ -221,6 +221,31 @@ TEST(DataServer, ManyQueuedBatchesKeepFifoOrder) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
+TEST(DataServer, CancelFromMiddleAndTailKeepsFifoOrder) {
+  // Batch 0 goes into service; 1..4 queue. Cancelling a middle and the
+  // last queued batch must leave a queue that still appends in order.
+  Fixture f;
+  std::vector<int> order;
+  auto request = [&](int i) {
+    f.ds->request_batch(TaskId(i), WorkerId(i),
+                        Fixture::files({static_cast<unsigned>(10 + i)}),
+                        [&order, i] { order.push_back(i); });
+  };
+  for (int i = 0; i < 5; ++i) request(i);
+  EXPECT_EQ(f.ds->queue_length(), 4u);
+  EXPECT_TRUE(f.ds->cancel_batch(TaskId(2), WorkerId(2)));
+  EXPECT_TRUE(f.ds->cancel_batch(TaskId(4), WorkerId(4)));
+  EXPECT_EQ(f.ds->queue_length(), 2u);
+  request(5);
+  EXPECT_EQ(f.ds->queue_length(), 3u);
+  EXPECT_TRUE(f.ds->memory_defects().empty());
+  f.sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 3, 5}));
+  EXPECT_EQ(f.ds->queue_length(), 0u);
+  EXPECT_EQ(f.ds->stats().batches_cancelled, 2u);
+  EXPECT_TRUE(f.ds->memory_defects().empty());
+}
+
 TEST(DataServer, ConcurrentExternalInsertOfInFlightFileIsTolerated) {
   // Regression: a proactive replica (or any external writer) lands the
   // same file while the demand fetch is mid-flight. The arrival must not

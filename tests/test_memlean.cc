@@ -1,7 +1,7 @@
 // Memory-lean hot structures: the small flat containers (InlineVec, Csr,
 // DenseIdSet) that replaced per-task node containers, plus the
 // allocation-free contracts the event loop relies on (disabled
-// instruments, warm flow-table churn).
+// instruments, warm flow-table churn, the warm data-server cycle).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +19,7 @@
 #include "net/topology.h"
 #include "obs/trace.h"
 #include "sim/simulator.h"
+#include "storage/data_server.h"
 #include "workload/coadd.h"
 
 namespace wcs::common {
@@ -167,6 +168,70 @@ TEST(AllocFree, WarmFlowChurnAllocatesNothing) {
   EXPECT_EQ(done, 3000u);
   EXPECT_EQ(flows.active_flows(), 0u);
   EXPECT_TRUE(flows.memory_defects().empty());
+}
+
+TEST(AllocFree, WarmDataServerCycleAllocatesNothing) {
+  if (!alloc_counting_enabled())
+    GTEST_SKIP() << "allocation counting compiled out (sanitizer build)";
+  // One data server holding 50 of 300 files behind a 1 MB/s uplink. A
+  // round queues one 3-file batch for each of three workers, serves them
+  // in order and releases them. The batch pool, the queue chain through
+  // the batches and the per-worker executing table are all reused, so a
+  // warm round allocates nothing: with every file resident, and with
+  // every file a miss that evicts (LRU over a 300-file cycle).
+  sim::Simulator sim;
+  net::Topology topo;
+  const NodeId fs = topo.add_node("fs");
+  const NodeId ds_node = topo.add_node("ds");
+  topo.add_link(fs, ds_node, 1e6, 0.0);
+  net::FlowManager flows(sim, topo);
+  const storage::BlockMap blocks{workload::FileCatalog(300, megabytes(1)),
+                                 storage::BlockStoreParams{}};
+  storage::DataServer ds(SiteId(0), sim, flows, ds_node, fs, blocks, 50,
+                         storage::EvictionPolicy::kLru);
+  constexpr std::uint32_t kWorkers = 3;
+  std::uint64_t served = 0;
+  std::uint32_t next_task = 0;
+  std::uint32_t next_file = 0;
+  std::vector<FileId> batch(3);
+  // `span` files are requested round-robin: 9 stay resident, 300 miss.
+  auto rounds = [&](int n, std::uint32_t span) {
+    for (int r = 0; r < n; ++r) {
+      for (std::uint32_t w = 0; w < kWorkers; ++w) {
+        for (FileId& f : batch) f = FileId(next_file++ % span);
+        ds.request_batch(TaskId(next_task + w), WorkerId(w), batch,
+                         [&served] { ++served; });
+      }
+      sim.run();
+      for (std::uint32_t w = 0; w < kWorkers; ++w)
+        ds.release(TaskId(next_task + w), WorkerId(w));
+      next_task += kWorkers;
+    }
+  };
+  // Misses grow the kernel's event-state vector and the flow id index
+  // with every fetch, geometrically: after the 1000 warm-up rounds both
+  // have room for the 200 measured ones.
+  rounds(1000, 300);
+  const storage::DataServer::Stats cold = ds.stats();
+  AllocSnapshot before = alloc_snapshot();
+  rounds(200, 300);
+  AllocSnapshot after = alloc_snapshot();
+  EXPECT_EQ(allocations_between(before, after), 0u) << "misses";
+  EXPECT_EQ(ds.stats().file_transfers - cold.file_transfers, 200u * 9);
+  EXPECT_EQ(ds.stats().cache_hits, cold.cache_hits);
+
+  rounds(1, 9);
+  const storage::DataServer::Stats warm = ds.stats();
+  before = alloc_snapshot();
+  rounds(500, 9);
+  after = alloc_snapshot();
+  EXPECT_EQ(allocations_between(before, after), 0u) << "hits";
+  EXPECT_EQ(ds.stats().cache_hits - warm.cache_hits, 500u * 9);
+  EXPECT_EQ(ds.stats().file_transfers, warm.file_transfers);
+
+  EXPECT_EQ(served, 1701u * kWorkers);
+  EXPECT_EQ(ds.queue_length(), 0u);
+  EXPECT_TRUE(ds.memory_defects().empty());
 }
 
 // --- run_seeds determinism ----------------------------------------------

@@ -16,7 +16,7 @@ namespace {
 
 RunReport sample_report() {
   RunReport r;
-  r.bench = "bench_fig5_transfers";
+  r.bench = "fig5_transfers";
   r.title = "Figure 5: file transfers";
   r.x_axis = "capacity_files";
   r.metric = "transfers per site";

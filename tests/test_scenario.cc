@@ -128,7 +128,6 @@ TEST(ScenarioReport, ReportIsSchemaValid) {
   ro.jobs = 2;
   ro.tasks = 120;
   ro.fast = true;
-  ro.report_name = "test_scenario_report";
   const std::string path =
       testing::TempDir() + "/test_scenario_report.json";
   ro.report_path = path;
@@ -137,31 +136,37 @@ TEST(ScenarioReport, ReportIsSchemaValid) {
   ro.err = &err;
   ASSERT_EQ(run_scenario(spec, ro), 0);
   EXPECT_TRUE(obs::validate_report_file(path).empty());
+  // The report is named after the scenario it ran.
+  EXPECT_EQ(obs::parse_json_file(path).find("bench")->string,
+            "table3_contention");
+}
+
+// Runs scenario_main over `args` (argv[0] prepended).
+int run_cli(std::vector<std::string> args) {
+  args.insert(args.begin(), "wcs_bench");
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  return scenario_main(static_cast<int>(argv.size()), argv.data());
 }
 
 TEST(ScenarioCli, UnknownScenarioFailsWithUsageError) {
-  std::string arg0 = "bench_test";
-  std::string a1 = "--scenario";
-  std::string a2 = "fig99_bogus";
-  std::string a3 = "--no-report";
-  char* argv[] = {arg0.data(), a1.data(), a2.data(), a3.data()};
-  EXPECT_EQ(scenario_main("fig5_transfers", 4, argv), 2);
+  EXPECT_EQ(run_cli({"--scenario", "fig99_bogus", "--no-report"}), 2);
 }
 
 TEST(ScenarioCli, ListScenariosSucceeds) {
-  std::string arg0 = "bench_test";
-  std::string a1 = "--list-scenarios";
-  char* argv[] = {arg0.data(), a1.data()};
-  EXPECT_EQ(scenario_main("fig5_transfers", 2, argv), 0);
+  EXPECT_EQ(run_cli({"--list-scenarios"}), 0);
 }
 
-// Runs scenario_main("fig5_transfers") over `args` (argv[0] prepended).
-int run_cli(std::vector<std::string> args) {
-  args.insert(args.begin(), "bench_test");
-  std::vector<char*> argv;
-  for (std::string& a : args) argv.push_back(a.data());
-  return scenario_main("fig5_transfers", static_cast<int>(argv.size()),
-                       argv.data());
+// The CLI's override path (flag parsing, --tasks/--seeds/--fast into the
+// build and run options) for every registry entry; ScenarioSmoke calls
+// the runner directly and skips it.
+TEST(ScenarioCli, EveryScenarioRunsThroughTheCli) {
+  register_builtin_scenarios();
+  for (const std::string& name : scenario_names())
+    EXPECT_EQ(run_cli({"--scenario", name, "--tasks", "120", "--seeds", "1",
+                       "--jobs", "2", "--fast", "--no-report"}),
+              0)
+        << name;
 }
 
 TEST(ScenarioCli, WellFormedNumbersParse) {
@@ -169,6 +174,11 @@ TEST(ScenarioCli, WellFormedNumbersParse) {
                      "--block-size", "0.5", "--tenants", "3,1,2",
                      "--list-scenarios"}),
             0);
+}
+
+TEST(ScenarioCliDeathTest, MissingScenarioIsUsageError) {
+  EXPECT_EXIT(run_cli({"--fast", "--no-report"}),
+              ::testing::ExitedWithCode(2), "--scenario");
 }
 
 // Every malformed numeric value is a usage error (exit 2) naming its

@@ -111,8 +111,7 @@ void render_scenario(const JsonValue& spec, const std::string& summary,
   const JsonValue* schedulers = spec.find("schedulers");
   if (schedulers != nullptr && !schedulers->array.empty())
     md << "- **Schedulers**: " << scheduler_list(*schedulers) << "\n";
-  md << "- **Run**: `./build/bench/bench_" << name
-     << "` (any bench accepts `--scenario " << name << "`)\n";
+  md << "- **Run**: `./build/bench/wcs_bench --scenario " << name << "`\n";
 
   const JsonValue* points = spec.find("points");
   if (points != nullptr && !points->array.empty()) {

@@ -2,7 +2,7 @@
 // (v1 and v2 — v2 adds the optional per-tenant sections; see
 // obs/run_report.h).
 //
-//   report_lint results/bench_*.json
+//   report_lint results/<scenario>.json ...
 //
 // Prints every violation (prefixed with the offending path) and exits
 // non-zero if any file fails — CI runs this over the smoke-bench
