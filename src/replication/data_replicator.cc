@@ -3,6 +3,12 @@
 #include <algorithm>
 
 namespace wcs::replication {
+namespace {
+// Grows `v` to at least `n` entries, doubling like FileCache's slots.
+void grow(std::vector<std::uint32_t>& v, std::size_t n) {
+  if (v.size() < n) v.resize(std::max(n, v.size() * 2));
+}
+}  // namespace
 
 const char* to_string(Placement placement) {
   switch (placement) {
@@ -34,7 +40,7 @@ DataReplicator::DataReplicator(const DataReplicatorParams& params,
       file_server_node_(file_server_node),
       data_servers_(std::move(data_servers)),
       site_info_(std::move(site_info)),
-      rng_(params.seed) {
+      rng_(kReplicationSeed) {
   WCS_CHECK(params_.popularity_threshold > 0);
   WCS_CHECK(params_.check_interval_s > 0);
   WCS_CHECK(!data_servers_.empty());
@@ -55,22 +61,22 @@ void DataReplicator::stop() {
   if (stopped_) return;
   stopped_ = true;
   if (next_scan_.valid()) sim_.cancel(next_scan_);
-  // Cancel in sorted id order: FlowManager::cancel reallocates the
-  // remaining flows, so the cancellation sequence is observable.
-  std::vector<FlowId> pending(in_flight_.begin(), in_flight_.end());
-  std::sort(pending.begin(), pending.end());
-  for (FlowId f : pending) flows_.cancel(f);
+  // Cancel in start (= ascending id) order: FlowManager::cancel
+  // reallocates the remaining flows, so the sequence is observable.
+  for (FlowId f : in_flight_) flows_.cancel(f);
   in_flight_.clear();
 }
 
 void DataReplicator::on_file_fetched(FileId file, SiteId origin) {
   if (stopped_) return;
-  ++popularity_[file];
+  const std::size_t f = file.value();
+  grow(popularity_, f + 1);
+  if (++popularity_[f] == params_.popularity_threshold)
+    eligible_.push_back(file);
   if (params_.placement == Placement::kHierarchicalParent &&
       origin.value() < site_info_.size()) {
-    std::vector<std::uint32_t>& demand = group_demand_[file];
-    if (demand.empty()) demand.resize(num_groups_, 0);
-    ++demand[site_info_[origin.value()].man_group];
+    grow(group_demand_, (f + 1) * num_groups_);
+    ++group_demand_[f * num_groups_ + site_info_[origin.value()].man_group];
   }
 }
 
@@ -102,12 +108,11 @@ SiteId DataReplicator::pick_target(FileId file) {
       // lowest group id. A file that crossed the popularity threshold
       // without per-group records (listener not wired) lands in group 0.
       std::uint32_t best_group = 0;
-      auto it = group_demand_.find(file);
-      if (it != group_demand_.end()) {
-        const std::vector<std::uint32_t>& demand = it->second;
-        for (std::uint32_t g = 1; g < demand.size(); ++g)
-          if (demand[g] > demand[best_group]) best_group = g;
-      }
+      const std::size_t row = file.value() * num_groups_;
+      if (row < group_demand_.size())
+        for (std::uint32_t g = 1; g < num_groups_; ++g)
+          if (group_demand_[row + g] > group_demand_[row + best_group])
+            best_group = g;
       std::vector<std::size_t> in_group;
       for (std::size_t s : candidates)
         if (site_info_[s].man_group == best_group) in_group.push_back(s);
@@ -148,30 +153,22 @@ void DataReplicator::scan() {
   if (stopped_) return;
   ++stats_.rounds;
 
-  // Hot files first, deterministically.
-  std::vector<std::pair<std::size_t, FileId>> hot;
-  // detlint: unordered-loop -- collect-then-sort: 'hot' is canonically sorted by (count, id) before any use
-  for (const auto& [file, count] : popularity_) {
-    if (count < params_.popularity_threshold) continue;
-    if (replicated_.count(file)) continue;
-    hot.emplace_back(count, file);
-  }
-  std::sort(hot.begin(), hot.end(), [](const auto& a, const auto& b) {
-    if (a.first != b.first) return a.first > b.first;
-    return a.second < b.second;
-  });
-  if (hot.size() > params_.max_replicas_per_round)
-    hot.resize(params_.max_replicas_per_round);
+  // Hottest eligible files first: (count desc, id asc). Copy the round
+  // out before placing it, so an append to eligible_ cannot invalidate it.
+  const auto k = std::min(eligible_.size(), params_.max_replicas_per_round);
+  std::partial_sort(eligible_.begin(), eligible_.begin() + k, eligible_.end(),
+                    [this](FileId a, FileId b) {
+                      const std::uint32_t ca = popularity_[a.value()];
+                      const std::uint32_t cb = popularity_[b.value()];
+                      return ca != cb ? ca > cb : a < b;
+                    });
+  const std::vector<FileId> round(eligible_.begin(), eligible_.begin() + k);
+  eligible_.erase(eligible_.begin(), eligible_.begin() + k);
 
-  for (const auto& [count, file] : hot) {
+  for (FileId file : round) {
     SiteId target = pick_target(file);
-    if (!target.valid()) {
-      replicated_.insert(file);  // everywhere already; never revisit
-      continue;
-    }
-    replicated_.insert(file);
+    if (!target.valid()) continue;  // everywhere already; never revisit
     storage::DataServer* ds = data_servers_[target.value()];
-    FileId f = file;
     // Priced at flow start (only the blocks the target does not already
     // cover ship), and the completion callback books that same amount so
     // the results ledger matches the flow manager byte for byte.
@@ -179,15 +176,17 @@ void DataReplicator::scan() {
     const double moved = static_cast<double>(bytes);
     FlowId flow = flows_.start_flow(
         file_server_node_, ds->node(), bytes,
-        [this, ds, f, moved](FlowId id) {
-          in_flight_.erase(id);
+        [this, ds, file, moved](FlowId id) {
+          const auto it = std::find(in_flight_.begin(), in_flight_.end(), id);
+          WCS_DCHECK(it != in_flight_.end());
+          in_flight_.erase(it);
           // The demand path may have fetched it meanwhile; and a cache
           // momentarily full of pinned files just drops the replica.
-          if (!ds->cache().contains(f)) (void)ds->cache().try_insert(f);
+          if (!ds->cache().contains(file)) (void)ds->cache().try_insert(file);
           ++stats_.files_replicated;
           stats_.bytes_replicated += moved;
         });
-    in_flight_.insert(flow);
+    in_flight_.push_back(flow);
   }
 
   next_scan_ = sim_.schedule_in(params_.check_interval_s, [this] { scan(); });

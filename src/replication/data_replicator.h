@@ -3,10 +3,10 @@
 // Scheduling in Distributed Data-Intensive Applications", HPDC'02).
 //
 // The replicator watches global file popularity (every fetch from the
-// external file server counts) and periodically pushes files whose
-// popularity crossed a threshold to an additional site, chosen at random
-// or least-loaded. Replication traffic flows over the same links as
-// demand fetches, so the bandwidth cost is modeled, not assumed away.
+// external file server counts). A file becomes eligible on the fetch that
+// brings its count to the threshold; each periodic scan pushes the hottest
+// eligible files to another site over the same links as demand fetches,
+// so the bandwidth cost is modeled, not assumed away.
 //
 // The paper argues replication is NECESSARY for task-centric scheduling
 // (to dissolve hot spots) but merely ORTHOGONAL for worker-centric
@@ -18,8 +18,6 @@
 #include <cstdint>
 #include <functional>
 #include <string_view>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/ids.h"
@@ -61,14 +59,16 @@ struct SiteNetInfo {
   SimTime uplink_latency_s = 0;
 };
 
+// Stream of the random placement's target draws.
+inline constexpr std::uint64_t kReplicationSeed = 13;
+
 struct DataReplicatorParams {
   // A file becomes replication-eligible once this many demand fetches
   // have been observed for it across all sites.
   std::size_t popularity_threshold = 8;
   Placement placement = Placement::kLeastLoaded;
-  SimTime check_interval_s = 3600;       // popularity scan period
+  SimTime check_interval_s = 3600;       // scan (round) period
   std::size_t max_replicas_per_round = 25;  // throttle per scan
-  std::uint64_t seed = 13;
 };
 
 class DataReplicator {
@@ -104,8 +104,7 @@ class DataReplicator {
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] std::size_t popularity(FileId file) const {
-    auto it = popularity_.find(file);
-    return it == popularity_.end() ? 0 : it->second;
+    return file.value() < popularity_.size() ? popularity_[file.value()] : 0;
   }
 
  private:
@@ -123,15 +122,17 @@ class DataReplicator {
   std::uint32_t num_groups_ = 1;
   Rng rng_;
 
-  std::unordered_map<FileId, std::size_t> popularity_;
-  // Per-MAN-group demand counts, tracked only for the hierarchical
-  // placement (indexed file -> group -> fetches).
-  std::unordered_map<FileId, std::vector<std::uint32_t>> group_demand_;
-  // Files already pushed (or being pushed) this job; one proactive
-  // replica per file keeps the mechanism bounded, as in the original
-  // scheme's per-popularity-event replication.
-  std::unordered_set<FileId> replicated_;
-  std::unordered_set<FlowId> in_flight_;
+  // Demand fetches per file id, grown on demand like FileCache's slots.
+  std::vector<std::uint32_t> popularity_;
+  // Per-MAN-group demand [file * num_groups_ + group], hierarchical
+  // placement only; its size stays a multiple of num_groups_.
+  std::vector<std::uint32_t> group_demand_;
+  // Files whose count reached the threshold and that no scan has taken;
+  // a count crosses it once, so a taken file never returns (one proactive
+  // replica per file, as in the original per-popularity-event scheme).
+  std::vector<FileId> eligible_;
+  // Replication flows in start order, which is ascending id order.
+  std::vector<FlowId> in_flight_;
   EventId next_scan_;
   bool stopped_ = false;
   Stats stats_;

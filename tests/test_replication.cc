@@ -2,6 +2,9 @@
 // worker-centric task-replication extension.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/rng.h"
 #include "grid/experiment.h"
 #include "grid/grid_simulation.h"
 #include "replication/data_replicator.h"
@@ -51,6 +54,66 @@ replication::DataReplicatorParams quick_params() {
   p.popularity_threshold = 3;
   p.check_interval_s = 10;
   return p;
+}
+
+// Sites holding `file`, in site order.
+std::vector<std::size_t> holders(MiniGrid& g, FileId file) {
+  std::vector<std::size_t> out;
+  for (std::size_t s = 0; s < g.servers.size(); ++s)
+    if (g.servers[s]->cache().contains(file)) out.push_back(s);
+  return out;
+}
+
+// One site-info entry per MAN group in `groups` (site order).
+std::vector<replication::SiteNetInfo> grouped(
+    std::initializer_list<std::uint32_t> groups) {
+  std::vector<replication::SiteNetInfo> out;
+  for (std::uint32_t g : groups) out.push_back({g, 1e6, 0.001});
+  return out;
+}
+
+// Fetches file 7 once from each site in `origins` (the count meets the
+// threshold), runs one scan of `placement` over the sites `info` describes,
+// with `preloaded` sites already holding the file, and returns the sites
+// that hold it afterwards.
+std::vector<std::size_t> place_file_7(
+    replication::Placement placement,
+    std::vector<replication::SiteNetInfo> info,
+    std::initializer_list<unsigned> origins,
+    std::initializer_list<std::size_t> preloaded = {}) {
+  MiniGrid g(info.size());
+  for (std::size_t s : preloaded) g.servers[s]->cache().insert(FileId(7));
+  replication::DataReplicatorParams p = quick_params();
+  p.popularity_threshold = origins.size();
+  p.placement = placement;
+  replication::DataReplicator repl(p, g.sim, *g.flows, g.fs, g.server_ptrs(),
+                                   std::move(info));
+  repl.start();
+  for (unsigned site : origins) repl.on_file_fetched(FileId(7), SiteId(site));
+  g.sim.run_until(25);
+  EXPECT_EQ(repl.stats().files_replicated, 1u);
+  repl.stop();
+  return holders(g, FileId(7));
+}
+
+// Test-only oracle: the brute-force full scan. Ranks every file whose
+// count reached `threshold` and that no earlier round took by (count
+// desc, id asc), takes the first `k` and marks them taken.
+std::vector<FileId> oracle_round(const std::vector<std::size_t>& counts,
+                                 std::size_t threshold, std::size_t k,
+                                 std::vector<bool>& taken) {
+  std::vector<FileId> hot;
+  for (std::size_t f = 0; f < counts.size(); ++f)
+    if (counts[f] >= threshold && !taken[f])
+      hot.push_back(FileId(static_cast<FileId::underlying_type>(f)));
+  std::sort(hot.begin(), hot.end(), [&](FileId a, FileId b) {
+    if (counts[a.value()] != counts[b.value()])
+      return counts[a.value()] > counts[b.value()];
+    return a < b;
+  });
+  if (hot.size() > k) hot.resize(k);
+  for (FileId f : hot) taken[f.value()] = true;
+  return hot;
 }
 
 TEST(DataReplicator, TracksPopularity) {
@@ -142,11 +205,149 @@ TEST(DataReplicator, StopCancelsScansAndFlows) {
   repl.stop();
 }
 
+TEST(DataReplicator, StopCancelsInFlightFlows) {
+  MiniGrid g;
+  replication::DataReplicator repl(quick_params(), g.sim, *g.flows, g.fs,
+                                   g.server_ptrs());
+  repl.start();
+  for (unsigned f : {7u, 8u, 9u})
+    for (int i = 0; i < 3; ++i) repl.on_file_fetched(FileId(f));
+  g.sim.run_until(10.5);  // the first round started its flows
+  ASSERT_EQ(repl.stats().rounds, 1u);
+  ASSERT_GE(g.flows->active_flows(), 2u);
+  const std::size_t started = g.flows->active_flows();
+  repl.stop();
+  g.sim.run();
+  EXPECT_EQ(repl.stats().files_replicated, 0u);
+  EXPECT_EQ(repl.stats().bytes_replicated, 0.0);
+  EXPECT_EQ(g.flows->completed_flows(), 0u);
+  EXPECT_EQ(g.flows->cancelled_flows(), started);
+  for (unsigned f : {7u, 8u, 9u}) EXPECT_TRUE(holders(g, FileId(f)).empty());
+}
+
+TEST(DataReplicator, SelectionMatchesFullScanOracle) {
+  constexpr std::size_t kFiles = 40;
+  constexpr SimTime kInterval = 100;
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    MiniGrid g(3, 100);  // ample capacity: nothing is evicted
+    replication::DataReplicatorParams p = quick_params();
+    p.check_interval_s = kInterval;
+    p.max_replicas_per_round = 2;
+    replication::DataReplicator repl(p, g.sim, *g.flows, g.fs,
+                                     g.server_ptrs());
+    repl.start();
+    Rng rng(seed);
+    std::vector<std::size_t> counts(kFiles, 0);
+    std::vector<bool> taken(kFiles, false);
+    std::vector<bool> resident(kFiles, false);
+    std::size_t picked = 0;
+    for (int round = 1; round <= 15; ++round) {
+      for (int i = 0; i < 8; ++i) {
+        const std::size_t f = rng.index(kFiles);
+        ++counts[f];
+        repl.on_file_fetched(
+            FileId(static_cast<FileId::underlying_type>(f)),
+            SiteId(static_cast<SiteId::underlying_type>(rng.index(3))));
+      }
+      // Half an interval past the round: its flows have all landed.
+      g.sim.run_until(round * kInterval + kInterval / 2);
+      std::vector<FileId> fresh;
+      for (std::size_t f = 0; f < kFiles; ++f) {
+        const FileId id(static_cast<FileId::underlying_type>(f));
+        if (!resident[f] && !holders(g, id).empty()) fresh.push_back(id);
+        resident[f] = !holders(g, id).empty();
+      }
+      std::vector<FileId> expected =
+          oracle_round(counts, p.popularity_threshold,
+                       p.max_replicas_per_round, taken);
+      picked += expected.size();
+      std::sort(expected.begin(), expected.end());
+      EXPECT_EQ(fresh, expected) << "round " << round;
+      EXPECT_EQ(repl.stats().files_replicated, picked);
+    }
+    EXPECT_GT(picked, 10u);
+    repl.stop();
+  }
+}
+
+TEST(DataReplicator, TiedCountsTakeLowestIdFirst) {
+  MiniGrid g;
+  replication::DataReplicatorParams p = quick_params();
+  p.max_replicas_per_round = 1;
+  replication::DataReplicator repl(p, g.sim, *g.flows, g.fs, g.server_ptrs());
+  repl.start();
+  for (unsigned f : {9u, 4u, 6u})
+    for (int i = 0; i < 3; ++i) repl.on_file_fetched(FileId(f));
+  for (int i = 0; i < 5; ++i) repl.on_file_fetched(FileId(11));
+  for (int i = 0; i < 2; ++i) repl.on_file_fetched(FileId(2));  // below
+  const std::vector<unsigned> order{11, 4, 6, 9};
+  for (std::size_t round = 0; round < order.size(); ++round) {
+    g.sim.run_until(10.0 * static_cast<double>(round + 1) + 5);
+    for (std::size_t i = 0; i < order.size(); ++i)
+      EXPECT_EQ(holders(g, FileId(order[i])).size(), i <= round ? 1u : 0u)
+          << "round " << round << " file " << order[i];
+  }
+  EXPECT_TRUE(holders(g, FileId(2)).empty());
+  repl.stop();
+}
+
+TEST(DataReplicator, HierarchicalPicksGroupWithMostDemand) {
+  // Group 1 (sites 2, 3) asked twice; its lowest idle site wins.
+  EXPECT_EQ(place_file_7(replication::Placement::kHierarchicalParent,
+                         grouped({0, 0, 1, 1}), {0, 3, 3}),
+            std::vector<std::size_t>{2});
+}
+
+TEST(DataReplicator, HierarchicalTieGoesToLowestGroup) {
+  // Group 0 is the higher-numbered pair, so the tie-break is visible.
+  EXPECT_EQ(place_file_7(replication::Placement::kHierarchicalParent,
+                         grouped({1, 1, 0, 0}), {0, 0, 3, 3}),
+            std::vector<std::size_t>{2});
+}
+
+TEST(DataReplicator, HierarchicalFallsBackWhenGroupHoldsTheFile) {
+  // Every site of the hot group already holds it: all candidates compete.
+  EXPECT_EQ(place_file_7(replication::Placement::kHierarchicalParent,
+                         grouped({0, 0, 1, 1}), {2, 2, 2}, {2, 3}),
+            (std::vector<std::size_t>{0, 2, 3}));
+}
+
+TEST(DataReplicator, NetworkCostPicksCheapestUplink) {
+  std::vector<replication::SiteNetInfo> info = grouped({0, 0, 0});
+  info[1].uplink_bandwidth_bps = 2e6;
+  info[2].uplink_bandwidth_bps = 4e6;
+  EXPECT_EQ(place_file_7(replication::Placement::kNetworkCost, info,
+                         {0, 0, 0}),
+            std::vector<std::size_t>{2});
+  // Equal cost: the lowest site id wins.
+  info[1].uplink_bandwidth_bps = 4e6;
+  EXPECT_EQ(place_file_7(replication::Placement::kNetworkCost, info,
+                         {0, 0, 0}),
+            std::vector<std::size_t>{1});
+}
+
 TEST(DataReplicator, PlacementNames) {
-  EXPECT_STREQ(replication::to_string(replication::Placement::kRandom),
-               "random");
-  EXPECT_STREQ(replication::to_string(replication::Placement::kLeastLoaded),
+  using replication::Placement;
+  for (Placement p : {Placement::kRandom, Placement::kLeastLoaded,
+                      Placement::kHierarchicalParent,
+                      Placement::kNetworkCost}) {
+    Placement parsed = Placement::kRandom;
+    ASSERT_TRUE(replication::parse_placement(replication::to_string(p),
+                                             &parsed));
+    EXPECT_EQ(parsed, p);
+  }
+  EXPECT_STREQ(replication::to_string(Placement::kRandom), "random");
+  EXPECT_STREQ(replication::to_string(Placement::kLeastLoaded),
                "least-loaded");
+  EXPECT_STREQ(replication::to_string(Placement::kHierarchicalParent),
+               "hierarchical");
+  EXPECT_STREQ(replication::to_string(Placement::kNetworkCost),
+               "network-cost");
+  Placement untouched = Placement::kNetworkCost;
+  EXPECT_FALSE(replication::parse_placement("nearest", &untouched));
+  EXPECT_FALSE(replication::parse_placement("", &untouched));
+  EXPECT_EQ(untouched, Placement::kNetworkCost);
 }
 
 // --- Integration through GridSimulation ----------------------------------
@@ -199,6 +400,38 @@ TEST(ReplicationIntegration, RaceWithDemandFetchesSurvives) {
   auto r = grid::run_once(c, wl, sa, 1);
   EXPECT_EQ(r.tasks_completed, 200u);
   EXPECT_GT(r.files_replicated, 0u);
+}
+
+TEST(ReplicationIntegration, AdversarialConfigDrainsUnderAudit) {
+  // Every fetched file is eligible at once and a round runs every
+  // simulated second, under every placement, with the auditor sweeping.
+  workload::CoaddParams cp;
+  cp.num_tasks = 60;
+  const workload::Workload wl{workload::generate_coadd(cp)};
+  using replication::Placement;
+  for (Placement placement :
+       {Placement::kRandom, Placement::kLeastLoaded,
+        Placement::kHierarchicalParent, Placement::kNetworkCost}) {
+    for (sched::Algorithm algorithm :
+         {sched::Algorithm::kRest, sched::Algorithm::kStorageAffinity}) {
+      SCOPED_TRACE(replication::to_string(placement));
+      grid::GridConfig c;
+      c.tiers.num_sites = 3;
+      c.tiers.workers_per_site = 2;
+      c.capacity_files = 500;
+      c.audit = true;
+      replication::DataReplicatorParams rp;
+      rp.popularity_threshold = 1;
+      rp.check_interval_s = 1;
+      rp.placement = placement;
+      c.replication = rp;
+      sched::SchedulerSpec spec;
+      spec.algorithm = algorithm;
+      auto r = grid::run_once(c, wl, spec, 1);
+      EXPECT_EQ(r.tasks_completed, 60u) << spec.name();
+      EXPECT_GT(r.files_replicated, 0u) << spec.name();
+    }
+  }
 }
 
 TEST(ReplicationIntegration, DisabledByDefault) {
