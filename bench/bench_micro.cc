@@ -301,9 +301,11 @@ class UpkeepEngine final : public sched::GridEngine {
 void BM_IndexUpkeep(benchmark::State& state) {
   // Sharded-index upkeep of one combined site: the kAdded / kAccessed
   // (and kEvicted) stream a worker fetching the 6,000-task Coadd bag in
-  // task order produces at the paper's 6,000-file capacity. Every event
-  // re-files each pending task that shares the file; nothing is
-  // assigned, so the bag stays full. One iteration is one task's fetches.
+  // task order produces at the paper's 6,000-file capacity, then one
+  // ChooseTask decision. Every event updates the counters of each
+  // pending task that shares the file and marks it; the decision
+  // re-files the marked tasks once. Nothing is assigned, so the bag
+  // stays full. One iteration is one task's fetches and one decision.
   const workload::Job job = workload::generate_coadd({});
   UpkeepEngine engine(job, /*capacity_files=*/6000);
   sched::WorkerCentricParams params;
@@ -316,6 +318,7 @@ void BM_IndexUpkeep(benchmark::State& state) {
   for (auto _ : state) {
     const auto& files = job.task(TaskId(static_cast<unsigned>(task))).files;
     for (FileId f : files) engine.fetch(f);
+    benchmark::DoNotOptimize(scheduler.peek_choice(SiteId(0u)));
     fetches += static_cast<std::int64_t>(files.size());
     task = (task + 1) % job.num_tasks();
   }

@@ -126,7 +126,8 @@ void check_index_coherence(const IndexTotalsSnapshot& snap,
                            std::vector<Violation>& out);
 
 // Sharded pending-task index (sched/sharded_index.h) vs a brute-force
-// rescan. The owning scheduler produces the snapshot: `indexed`/`expected`
+// rescan. The owning scheduler refreshes the index (re-keys the tasks
+// cache events marked) and produces the snapshot: `indexed`/`expected`
 // are the entry count and the schedulable-set size it recomputed, and
 // `defects` are per-entry mismatches (missing task, wrong key/rank,
 // structural damage) it found while comparing index state against the

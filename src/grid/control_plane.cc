@@ -189,7 +189,9 @@ void ControlPlane::assign_task(TaskId task, WorkerId worker) {
 // decision only ever runs from a LATER event (on_worker_idle after the
 // request latency, on_task_completed after the compute timer), so by the
 // time ChooseTask walks its index every prior cache mutation has already
-// been folded in. The --audit sweeps re-verify that coherence against a
+// been folded into the counters, and has marked the tasks it touched;
+// the decision re-keys those marked tasks before it walks. The --audit
+// sweeps refresh the same way and re-verify that coherence against a
 // brute-force rescan between events.
 void ControlPlane::start_next(WorkerId worker) {
   WorkerRuntime& rt = workers_[worker.value()];

@@ -50,11 +50,12 @@ class GridEngine {
   // listener per site — exactly one scheduler drives a run, and it owns
   // the slot). The worker-centric scheduler subscribes for its
   // incremental overlap/ref-sum counters, storage affinity for its
-  // incremental byte-overlap index; both re-key their sharded
-  // pending-task index from the same events. Notifications fire
-  // synchronously inside the cache mutation, i.e. strictly before the
-  // next scheduling decision (see grid/control_plane.cc for the event
-  // ordering this guarantees).
+  // incremental byte-overlap index; both mark the tasks an event touches
+  // in their sharded pending-task index and re-key the marked tasks at
+  // the next decision that walks it. Notifications fire synchronously
+  // inside the cache mutation, i.e. strictly before the next scheduling
+  // decision (see grid/control_plane.cc for the event ordering this
+  // guarantees).
   virtual void set_cache_listener(SiteId site,
                                   storage::CacheListener listener) = 0;
 

@@ -5,10 +5,11 @@
 namespace wcs::sched {
 
 void ShardedTaskIndex::reset(std::size_t num_tasks, std::size_t num_keys) {
-  WCS_CHECK(num_tasks < kAbsent && num_keys <= kAbsent);  // 32-bit slots
+  WCS_CHECK(num_tasks < kAbsent && num_keys <= kStale);  // 32-bit slots
   for (std::vector<Entry>& heap : buckets_) heap.clear();
   buckets_.resize(num_keys);
   slots_.assign(num_tasks, Slot{});
+  stale_.clear();
   size_ = 0;
 }
 
@@ -29,9 +30,9 @@ void ShardedTaskIndex::insert(TaskId task, std::uint64_t key,
 void ShardedTaskIndex::erase(TaskId task) {
   WCS_CHECK_MSG(contains(task), "sharded index: erase of absent " << task);
   Slot& slot = slots_[task.value()];
-  std::vector<Entry>& heap = buckets_[slot.key];
+  std::vector<Entry>& heap = buckets_[bucket_of(slot)];
   const std::uint32_t pos = slot.pos;
-  slot = Slot{};
+  slot = Slot{};  // drops the mark; refresh() skips the listed task
   const Entry last = heap.back();
   heap.pop_back();
   if (pos < heap.size()) {
@@ -46,7 +47,8 @@ void ShardedTaskIndex::update(TaskId task, std::uint64_t key,
   WCS_CHECK_MSG(contains(task), "sharded index: update of absent " << task);
   WCS_CHECK_MSG(key < num_keys(), "sharded index: key " << key
                                       << " out of range for " << task);
-  const Slot slot = slots_[task.value()];
+  Slot& slot = slots_[task.value()];
+  slot.key = bucket_of(slot);  // filed now, so no longer stale
   if (slot.key != key) {
     erase(task);
     insert(task, key, rank);
@@ -78,13 +80,13 @@ void ShardedTaskIndex::sift(std::vector<Entry>& heap, std::uint32_t pos) {
 
 std::uint64_t ShardedTaskIndex::key_of(TaskId task) const {
   WCS_CHECK_MSG(contains(task), "sharded index: key_of absent " << task);
-  return slots_[task.value()].key;
+  return bucket_of(slots_[task.value()]);
 }
 
 std::uint64_t ShardedTaskIndex::rank_of(TaskId task) const {
   WCS_CHECK_MSG(contains(task), "sharded index: rank_of absent " << task);
   const Slot& slot = slots_[task.value()];
-  return buckets_[slot.key][slot.pos].rank;
+  return buckets_[bucket_of(slot)][slot.pos].rank;
 }
 
 std::vector<std::string> ShardedTaskIndex::structural_defects() const {
@@ -95,7 +97,7 @@ std::vector<std::string> ShardedTaskIndex::structural_defects() const {
     for (std::size_t pos = 0; pos < heap.size(); ++pos) {
       ++entries;
       const TaskId t = heap[pos].task;
-      if (t.value() >= slots_.size() || slots_[t.value()].key != key ||
+      if (t.value() >= slots_.size() || bucket_of(slots_[t.value()]) != key ||
           slots_[t.value()].pos != pos) {
         std::ostringstream os;
         os << "entry (task " << t << ", key " << key << ", position " << pos
@@ -118,6 +120,24 @@ std::vector<std::string> ShardedTaskIndex::structural_defects() const {
     std::ostringstream os;
     os << "size drifted: counter " << size_ << ", bucket entries " << entries
        << ", present slots " << present;
+    defects.push_back(os.str());
+  }
+  // Stale list vs marks: refresh() only visits listed tasks, so a mark
+  // off the list would never be re-keyed.
+  std::vector<char> listed(slots_.size(), 0);
+  for (TaskId t : stale_) {  // mark() indexed slots_, so t is in range
+    listed[t.value()] = 1;
+    const Slot& s = slots_[t.value()];
+    if (s.pos == kAbsent && (s.key & kStale)) {
+      std::ostringstream os;
+      os << "stale list names absent task " << t << " whose slot is marked";
+      defects.push_back(os.str());
+    }
+  }
+  for (std::size_t t = 0; t < slots_.size(); ++t) {
+    if (!(slots_[t].key & kStale) || listed[t]) continue;
+    std::ostringstream os;
+    os << "task " << t << " is marked stale but not on the stale list";
     defects.push_back(os.str());
   }
   return defects;

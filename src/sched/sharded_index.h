@@ -18,26 +18,35 @@
 // touching every task. The buckets are a dense vector indexed by key,
 // bounded by reset()'s num_keys; each bucket is an indexed binary heap
 // (a flat std::vector<Entry> in EntryOrder, every task's heap position
-// kept in its slot). insert/erase are O(log |b|) over contiguous memory;
-// a rank-only update sifts in place (the combined metric's per-access
-// rank + 1 is usually 0–1 swaps).
+// kept in its slot). insert/erase are O(log |b|) over contiguous memory.
 //
-// COHERENCE INVARIANT: the index holds exactly the schedulable task set,
-// and each entry's (key, rank) equals what a brute-force recompute from
-// the live cache would produce. Owners re-key entries from the same
-// cache-change notifications that maintain the PR 1 counters; under
-// --audit, check_sharded_index (audit/checkers.h) cross-validates the
-// whole structure against a rescan on every sweep.
+// DEFERRED RE-KEY: a cache event changes the counters a task's (key,
+// rank) derives from, but the owner only reads the heaps when a worker
+// asks for work. So an event just mark()s each task it touches — O(1),
+// idempotent: a stale bit in the task's slot plus one entry on a stale
+// list — and the next decision refresh()es the index first, re-filing
+// each still-marked task once from its current counters. A task touched
+// by k events between two decisions is re-filed once, not k times; an
+// erased task drops its mark and is skipped. walk() requires a refreshed
+// index.
+//
+// COHERENCE INVARIANT: after refresh(), the index holds exactly the
+// schedulable task set, and each entry's (key, rank) equals what a
+// brute-force recompute from the live cache would produce. Under --audit,
+// check_sharded_index (audit/checkers.h) refreshes and then
+// cross-validates the whole structure against a rescan on every sweep.
 //
 // EQUIVALENCE INVARIANT: along a walk the scheduler's weight is
 // non-increasing for every metric (the rest term is constant inside a
 // combined bucket, and ties in rank sort by the same id order the flat
 // scan uses to break weight ties), so a best-first walk reproduces the
 // flat scan's top-n EXACTLY — identical task choices, identical RNG
-// consumption, byte-identical run totals. The flat scan survives only as
-// each scheduler's decision oracle (reference_candidates() /
-// reference_pick()), which --audit and the property tests compare
-// against the live walk.
+// consumption, byte-identical run totals. EntryOrder is a strict total
+// order, so this holds whatever order the entries were filed in: when a
+// refresh happens (decision time, or an audit sweep) never shows in a
+// decision. The flat scan survives only as each scheduler's decision
+// oracle (reference_candidates() / reference_pick()), which --audit and
+// the property tests compare against the live walk.
 #pragma once
 
 #include <algorithm>
@@ -81,13 +90,36 @@ class ShardedTaskIndex {
   // and the key must be below num_keys().
   void insert(TaskId task, std::uint64_t key, std::uint64_t rank = 0);
 
-  // Removes `task`. The task must be present.
+  // Removes `task` (and its mark, if any). The task must be present.
   void erase(TaskId task);
 
-  // Re-keys `task` to (key, rank); O(1) when nothing changed, a sift in
-  // place when only the rank moved. The task must be present and the
-  // key below num_keys().
+  // Re-keys `task` to (key, rank) now, clearing its mark; O(1) when
+  // nothing changed, a sift in place when only the rank moved. The task
+  // must be present and the key below num_keys().
   void update(TaskId task, std::uint64_t key, std::uint64_t rank = 0);
+
+  // Flags a present task for re-keying at the next refresh(). O(1) and
+  // idempotent: a marked task is listed once however often it is marked.
+  void mark(TaskId task) {
+    WCS_DCHECK(contains(task));
+    std::uint32_t& key = slots_[task.value()].key;
+    if (key & kStale) return;
+    key |= kStale;
+    stale_.push_back(task);
+  }
+
+  // Re-keys every task still marked to `place(task)` — a (key, rank)
+  // pair — and empties the stale list. A task erased since its mark (or
+  // erased and re-inserted, which files it fresh) is skipped.
+  template <typename Place>
+  void refresh(Place&& place) {
+    for (TaskId task : stale_) {
+      if (!(slots_[task.value()].key & kStale)) continue;
+      const auto [key, rank] = place(task);
+      update(task, key, rank);
+    }
+    stale_.clear();
+  }
 
   [[nodiscard]] bool contains(TaskId task) const {
     return task.value() < slots_.size() &&
@@ -98,6 +130,9 @@ class ShardedTaskIndex {
   [[nodiscard]] std::uint64_t rank_of(TaskId task) const;
 
   [[nodiscard]] std::size_t size() const { return size_; }
+  // Entries on the stale list: each task marked since the last refresh()
+  // once (twice if erased and re-inserted in between).
+  [[nodiscard]] std::size_t stale_count() const { return stale_.size(); }
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t num_keys() const { return buckets_.size(); }
 
@@ -106,9 +141,11 @@ class ShardedTaskIndex {
   // frontier is a small heap of bucket positions whose parents were
   // visited, so a walk that stops after k entries costs O(k log k). `fn`
   // must not modify the index or start another walk on it (the frontier
-  // buffer is reused, which keeps walks allocation-free once warm).
+  // buffer is reused, which keeps walks allocation-free once warm). The
+  // index must be refreshed: no task may be marked.
   template <typename Fn>
   void walk(std::uint64_t key, Fn&& fn) const {
+    WCS_DCHECK(stale_.empty());
     const std::vector<Entry>& heap = buckets_.at(key);
     const auto n = static_cast<std::uint32_t>(heap.size());
     // std heaps keep the LARGEST element on top; "larger" is "better".
@@ -132,18 +169,29 @@ class ShardedTaskIndex {
   }
 
   // Structural self-check for the auditor: every entry sits where its
-  // slot says, no entry outranks its heap parent, and the entry, slot
-  // and size counts agree. Returns human-readable defect descriptions
-  // (empty when coherent).
+  // slot says, no entry outranks its heap parent, the entry, slot and
+  // size counts agree, every marked slot is on the stale list, and no
+  // listed task is marked while absent. Returns human-readable defect
+  // descriptions (empty when coherent).
   [[nodiscard]] std::vector<std::string> structural_defects() const;
+
+  // Test hook: forgets the stale list but keeps the marks, the corruption
+  // structural_defects() must report.
+  void drop_stale_list_for_test() { stale_.clear(); }
 
  private:
   static constexpr std::uint32_t kAbsent = UINT32_MAX;
+  // Keys stay below num_keys <= kStale, so a slot's top key bit is free
+  // to carry the mark.
+  static constexpr std::uint32_t kStale = 1u << 31;
 
   struct Slot {
-    std::uint32_t key = 0;
+    std::uint32_t key = 0;        // bucket, | kStale while marked
     std::uint32_t pos = kAbsent;  // heap position in buckets_[key]
   };
+  [[nodiscard]] static std::uint32_t bucket_of(const Slot& slot) {
+    return slot.key & ~kStale;
+  }
 
   // Writes `e` at heap position `pos` and records the position.
   void place(std::vector<Entry>& heap, std::uint32_t pos, const Entry& e) {
@@ -157,6 +205,7 @@ class ShardedTaskIndex {
   std::vector<std::vector<Entry>> buckets_;  // by key
   std::vector<Slot> slots_;                  // by task id
   std::size_t size_ = 0;
+  std::vector<TaskId> stale_;  // marked tasks, in mark order
   mutable std::vector<std::uint32_t> frontier_;  // reused by walk()
 };
 

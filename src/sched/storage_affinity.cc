@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <sstream>
-#include <unordered_set>
 
 namespace wcs::sched {
 
@@ -81,8 +79,15 @@ void StorageAffinityScheduler::on_cache_event(SiteId site,
       WCS_DCHECK(bytes[t.value()] >= sz);
       bytes[t.value()] -= sz;
     }
-    if (shard.contains(t)) shard.update(t, 0, bytes[t.value()]);
+    if (shard.contains(t)) shard.mark(t);
   }
+}
+
+void StorageAffinityScheduler::refresh_replica_index(std::size_t s) const {
+  const std::vector<Bytes>& bytes = cached_bytes_[s];
+  replica_index_[s].refresh([&](TaskId task) {
+    return std::pair<std::uint64_t, std::uint64_t>{0, bytes[task.value()]};
+  });
 }
 
 void StorageAffinityScheduler::sync_replicable(TaskId task) {
@@ -106,21 +111,30 @@ void StorageAffinityScheduler::distribute_all() {
 
   // Projected per-site contents: what the site's storage will hold once
   // the tasks already queued there have run — capacity-bounded FIFO, like
-  // the real storage under churn.
+  // the real storage under churn. `order` is a ring of fixed size with
+  // the oldest file at `head`: a full ring evicts that file for each new
+  // one. It holds max(capacity, current contents) files, but never more
+  // than the catalog, since no more distinct files can be projected.
   struct VirtualCache {
-    std::unordered_set<FileId> present;
-    std::deque<FileId> order;
-    std::size_t capacity;
+    common::DenseIdSet present;  // by file id
+    std::vector<FileId> order;
+    std::size_t head = 0;
   };
+  const std::size_t num_files = job.catalog.num_files();
   std::vector<VirtualCache> vcache(num_sites);
   std::vector<double> site_load(num_sites, 0);
   for (std::size_t s = 0; s < num_sites; ++s) {
-    SiteId site(static_cast<SiteId::underlying_type>(s));
-    vcache[s].capacity = engine().site_cache(site).capacity();
+    const storage::FileCache& cache =
+        engine().site_cache(SiteId(static_cast<SiteId::underlying_type>(s)));
+    VirtualCache& vc = vcache[s];
+    vc.present.reset(num_files);
+    const auto contents = cache.contents();
+    vc.order.resize(std::max(std::min(cache.capacity(), num_files),
+                             contents.size()));
     // Current contents count toward the projection (empty on a cold run).
-    for (FileId f : engine().site_cache(site).contents()) {
-      vcache[s].present.insert(f);
-      vcache[s].order.push_back(f);
+    for (FileId f : contents) {
+      vc.order[vc.present.size()] = f;
+      vc.present.insert(f.value());
     }
   }
 
@@ -158,7 +172,7 @@ void StorageAffinityScheduler::distribute_all() {
       if (worker_load_[candidate.value()] >= load_cap) continue;
       double overlap = 0;
       for (FileId f : task.files)
-        if (vcache[s].present.count(f))
+        if (vcache[s].present.contains(f.value()))
           overlap += static_cast<double>(job.catalog.size(f));
       bool wins = best_site == num_sites || overlap > best_overlap ||
                   (overlap == best_overlap &&
@@ -179,14 +193,17 @@ void StorageAffinityScheduler::distribute_all() {
 
     // Update the projection with this task's files.
     VirtualCache& vc = vcache[best_site];
+    const std::size_t slots = vc.order.size();  // 0 only without files
     for (FileId f : task.files) {
-      if (!vc.present.insert(f).second) continue;
-      vc.order.push_back(f);
-      if (vc.present.size() > vc.capacity) {
-        FileId victim = vc.order.front();
-        vc.order.pop_front();
-        vc.present.erase(victim);
+      if (vc.present.contains(f.value())) continue;
+      if (vc.present.size() == slots) {
+        vc.present.erase(vc.order[vc.head].value());
+        vc.order[vc.head] = f;
+        vc.head = (vc.head + 1) % slots;
+      } else {
+        vc.order[(vc.head + vc.present.size()) % slots] = f;
       }
+      vc.present.insert(f.value());
     }
   }
 }
@@ -227,8 +244,10 @@ TaskId StorageAffinityScheduler::replica_pick(WorkerId worker) const {
   // 2^53), ties walk toward the highest id, and tasks already holding an
   // instance on this worker are skipped in place — the first acceptable
   // entry IS the scan's argmax.
+  const std::size_t site = engine().site_of(worker).value();
+  refresh_replica_index(site);
   TaskId pick = TaskId::invalid();
-  replica_index_[engine().site_of(worker).value()].walk(
+  replica_index_[site].walk(
       0, [&](const ShardedTaskIndex::Entry& e) {
         if (placements_[e.task.value()].contains(worker)) return true;
         pick = e.task;
@@ -322,6 +341,7 @@ void StorageAffinityScheduler::audit_collect(
 
   for (std::size_t s = 0; s < replica_index_.size(); ++s) {
     const SiteId site(static_cast<SiteId::underlying_type>(s));
+    refresh_replica_index(s);
     const ShardedTaskIndex& shard = replica_index_[s];
     const storage::FileCache& cache = engine().site_cache(site);
 

@@ -35,7 +35,10 @@
 // per-(site, task) cached-byte counter and a per-site sharded index
 // (sharded_index.h) over the replicable set — one heap, rank = bytes,
 // ties broken toward the highest task id, as the scan breaks them — so a
-// request walks the heap best-first and picks the identical task.
+// request walks the heap best-first and picks the identical task. A
+// cache event only marks the indexed tasks it touches; replica_pick()
+// refreshes the site's heap before walking it, so a task is re-filed
+// once per pick, not once per event.
 // Orphan pickup keeps an ordered id set matching the scan's
 // lowest-id-first order. --audit cross-validates counters, heap ranks,
 // the orphan set, and every live worker's replica_pick() against
@@ -125,8 +128,11 @@ class StorageAffinityScheduler final : public Scheduler {
   // cached-byte counters from current cache contents, and subscribes to
   // cache-change notifications.
   void build_affinity_index();
-  // Re-keys cached_bytes_ and the replica index for one cache mutation.
+  // Updates cached_bytes_ for one cache mutation and marks the indexed
+  // tasks it touches.
   void on_cache_event(SiteId site, storage::CacheEvent event, FileId file);
+  // Re-keys the tasks cache events marked in site `s`'s replica index.
+  void refresh_replica_index(std::size_t s) const;
   // Re-derives `task`'s membership in every site's replica index from
   // its placement/completion state (replicable = incomplete, has at
   // least one instance, below max_replicas).
@@ -145,7 +151,9 @@ class StorageAffinityScheduler final : public Scheduler {
   // in one CSR pool (swap-erase on completion is the only mutation).
   common::Csr<TaskId> tasks_of_file_;
   std::vector<std::vector<Bytes>> cached_bytes_;  // [site][task]
-  std::vector<ShardedTaskIndex> replica_index_;   // per site, high-id ties
+  // Per site, high-id ties. Mutable: the index is a cache of
+  // cached_bytes_, and the const pick and audit paths refresh it.
+  mutable std::vector<ShardedTaskIndex> replica_index_;
   // Incomplete tasks with no live instance, as a bitmap whose
   // lowest-member query matches the scan's lowest-id-first pickup.
   common::DenseIdSet orphans_;

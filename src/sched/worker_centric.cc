@@ -98,13 +98,13 @@ void WorkerCentricScheduler::build_index() {
     SiteId site(static_cast<SiteId::underlying_type>(s));
     SiteIndex& idx = sites_[s];
     idx.overlap.assign(num_tasks, 0);
-    idx.ref_sum.assign(num_tasks, 0);
+    if (tracks_refs()) idx.ref_sum.assign(num_tasks, 0);
     const storage::FileCache& cache = engine().site_cache(site);
     for (FileId f : cache.contents()) {
       auto refs = static_cast<std::uint64_t>(cache.ref_count(f));
       for (TaskId t : tasks_of_file_.row(f.value())) {
         ++idx.overlap[t.value()];
-        idx.ref_sum[t.value()] += refs;
+        if (tracks_refs()) idx.ref_sum[t.value()] += refs;
       }
     }
     // Seed the incremental aggregates over the initially-pending bag
@@ -113,7 +113,7 @@ void WorkerCentricScheduler::build_index() {
     idx.missing_hist.assign(max_task_size + 1, 0);
     for (std::size_t t = 0; t < num_tasks; ++t) {
       if (!pending_[t]) continue;
-      idx.total_ref += idx.ref_sum[t];
+      if (tracks_refs()) idx.total_ref += idx.ref_sum[t];
       ++idx.missing_hist[task_size_[t] - idx.overlap[t]];
     }
     ShardedTaskIndex& shard = shards_[s];
@@ -136,14 +136,17 @@ void WorkerCentricScheduler::build_index() {
 void WorkerCentricScheduler::on_cache_event(SiteId site,
                                             storage::CacheEvent event,
                                             FileId file) {
+  // An access only bumps r_i, which nothing but the combined metric reads.
+  if (event == storage::CacheEvent::kAccessed && !tracks_refs()) return;
   SiteIndex& idx = sites_[site.value()];
   // The listener fires after the cache mutated, so ref_count(file) is the
   // post-event value: on kAdded the pre-existing count, on kEvicted the
   // count accumulated while resident (insert/evict do not change counts).
   // The inverted index only holds PENDING tasks (trimmed in
   // remove_pending, restored in re_add_pending), so every task touched
-  // here also updates the site's incremental totals — and is re-keyed in
-  // the site's shard, which indexes exactly the pending bag.
+  // here also updates the site's incremental totals — and is marked in
+  // the site's shard, which indexes exactly the pending bag and re-keys
+  // it at the site's next decision.
   ShardedTaskIndex& shard = shards_[site.value()];
   switch (event) {
     case storage::CacheEvent::kAdded: {
@@ -155,10 +158,11 @@ void WorkerCentricScheduler::on_cache_event(SiteId site,
         --idx.missing_hist[missing];
         ++idx.missing_hist[missing - 1];
         ++idx.overlap[t.value()];
-        idx.ref_sum[t.value()] += refs;
-        idx.total_ref += refs;
-        const auto [key, rank] = shard_place(idx, t);
-        shard.update(t, key, rank);
+        if (tracks_refs()) {
+          idx.ref_sum[t.value()] += refs;
+          idx.total_ref += refs;
+        }
+        shard.mark(t);
       }
       break;
     }
@@ -171,22 +175,20 @@ void WorkerCentricScheduler::on_cache_event(SiteId site,
         --idx.missing_hist[missing];
         ++idx.missing_hist[missing + 1];
         --idx.overlap[t.value()];
-        idx.ref_sum[t.value()] -= refs;
-        idx.total_ref -= refs;
-        const auto [key, rank] = shard_place(idx, t);
-        shard.update(t, key, rank);
+        if (tracks_refs()) {
+          idx.ref_sum[t.value()] -= refs;
+          idx.total_ref -= refs;
+        }
+        shard.mark(t);
       }
       break;
     }
     case storage::CacheEvent::kAccessed:
       // r_i was incremented by exactly one while the file is resident.
-      // Only the combined metric ranks by ref_t, so only it re-files:
-      // rank + 1 in the same bucket, a sift of usually 0-1 swaps.
       for (TaskId t : tasks_of_file_.row(file.value())) {
         idx.ref_sum[t.value()] += 1;
         idx.total_ref += 1;
-        if (params_.metric == Metric::kCombined)
-          shard.update(t, missing_of(idx, t), idx.ref_sum[t.value()]);
+        shard.mark(t);
       }
       break;
   }
@@ -205,7 +207,8 @@ std::pair<double, double> WorkerCentricScheduler::scan_totals(
   double total_ref = 0;
   double total_rest = 0;
   for (TaskId t : pending_list_) {
-    total_ref += static_cast<double>(idx.ref_sum[t.value()]);
+    if (tracks_refs())
+      total_ref += static_cast<double>(idx.ref_sum[t.value()]);
     total_rest += rest_of(idx, t);
   }
   return {total_ref, total_rest};
@@ -412,6 +415,7 @@ std::vector<Candidate> WorkerCentricScheduler::reference_candidates(
 
 std::vector<Candidate> WorkerCentricScheduler::candidates(SiteId site) const {
   const SiteIndex& idx = sites_[site.value()];
+  refresh_shard(site.value());
   const ShardedTaskIndex& shard = shards_[site.value()];
   WCS_DCHECK_EQ(shard.size(), pending_list_.size());
 
@@ -447,7 +451,7 @@ void WorkerCentricScheduler::remove_pending(TaskId task) {
   // The task leaves every site's pending aggregates (and shard).
   for (std::size_t s = 0; s < sites_.size(); ++s) {
     SiteIndex& idx = sites_[s];
-    idx.total_ref -= idx.ref_sum[task.value()];
+    if (tracks_refs()) idx.total_ref -= idx.ref_sum[task.value()];
     WCS_DCHECK(idx.missing_hist[missing_of(idx, task)] > 0);
     --idx.missing_hist[missing_of(idx, task)];
     shards_[s].erase(task);
@@ -544,9 +548,11 @@ void WorkerCentricScheduler::re_add_pending(TaskId task) {
     }
     SiteIndex& idx = sites_[s];
     idx.overlap[task.value()] = overlap;
-    idx.ref_sum[task.value()] = refs;
     // The task re-enters the site's pending aggregates (and shard).
-    idx.total_ref += refs;
+    if (tracks_refs()) {
+      idx.ref_sum[task.value()] = refs;
+      idx.total_ref += refs;
+    }
     ++idx.missing_hist[missing_of(idx, task)];
     const auto [key, rank] = shard_place(idx, task);
     shards_[s].insert(task, key, rank);
@@ -593,7 +599,8 @@ void WorkerCentricScheduler::audit_collect(
 
     // Per-task overlap/ref-sum counters vs a full recompute from the live
     // cache. O(files resident * tasks per file), the cost build_index()
-    // pays once — affordable at audit-sweep frequency.
+    // pays once — affordable at audit-sweep frequency. Ref sums exist,
+    // and are compared, only under the combined metric.
     const storage::FileCache& cache = engine().site_cache(site);
     std::vector<std::uint32_t> overlap(task_size_.size(), 0);
     std::vector<std::uint64_t> ref_sum(task_size_.size(), 0);
@@ -601,25 +608,29 @@ void WorkerCentricScheduler::audit_collect(
       const auto refs = static_cast<std::uint64_t>(cache.ref_count(f));
       for (TaskId t : tasks_of_file_.row(f.value())) {
         ++overlap[t.value()];
-        ref_sum[t.value()] += refs;
+        if (tracks_refs()) ref_sum[t.value()] += refs;
       }
     }
     for (TaskId t : pending_list_) {
+      const std::uint64_t live_refs =
+          tracks_refs() ? idx.ref_sum[t.value()] : 0;
       if (idx.overlap[t.value()] == overlap[t.value()] &&
-          idx.ref_sum[t.value()] == ref_sum[t.value()])
+          live_refs == ref_sum[t.value()])
         continue;
       std::ostringstream os;
       os << "site " << s << " task " << t << " index drifted: incremental"
          << " overlap " << idx.overlap[t.value()] << " / refSum "
-         << idx.ref_sum[t.value()] << " vs recomputed "
-         << overlap[t.value()] << " / " << ref_sum[t.value()]
-         << " (task has " << job.task(t).files.size() << " files)";
+         << live_refs << " vs recomputed " << overlap[t.value()] << " / "
+         << ref_sum[t.value()] << " (task has " << job.task(t).files.size()
+         << " files)";
       out.push_back(audit::Violation{"index-coherence", os.str()});
     }
 
-    // Sharded-index coherence: the shard must hold exactly the pending
-    // bag, with every entry keyed/ranked as the brute-force recompute
-    // (`overlap`/`ref_sum` above, straight from the cache) dictates.
+    // Sharded-index coherence: once refreshed, the shard must hold
+    // exactly the pending bag, with every entry keyed/ranked as the
+    // brute-force recompute (`overlap`/`ref_sum` above, straight from the
+    // cache) dictates.
+    refresh_shard(s);
     const ShardedTaskIndex& shard = shards_[s];
     audit::ShardedIndexSnapshot shard_snap;
     shard_snap.label = "site " + std::to_string(s) + " shard";

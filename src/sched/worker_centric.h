@@ -24,7 +24,9 @@
 // tasks, intersect file sets). Three incremental layers remove that:
 //
 //   1. per-(site, task) overlap/ref-sum counters, updated from
-//      cache-change notifications, make one weight evaluation O(1);
+//      cache-change notifications, make one weight evaluation O(1)
+//      (ref sums are kept only under combined, the one metric that
+//      reads them);
 //   2. the combined metric's totalRef/totalRest aggregates (exact
 //      integer sum + missing-count histogram) make the normalizers O(1)
 //      per decision instead of a second O(T) scan;
@@ -33,6 +35,12 @@
 //      missing count |t| - |F_t| ranked by ref_t (combined) — resolves
 //      ChooseTask(n) by a best-first walk that stops after the top n
 //      instead of scanning the pending bag.
+//
+// A cache event costs O(1) per pending task sharing the file: it bumps
+// the counters and aggregates and marks the task in the site's shard.
+// The heaps are re-filed only when a worker of that site asks for work:
+// candidates() refreshes the shard first, re-keying each marked task
+// once, so heap upkeep scales with decisions, not with cache events.
 //
 // The semantics are byte-identical at every layer: tests cross-check
 // weights against the naive computation, and --audit cross-validates
@@ -166,7 +174,9 @@ class WorkerCentricScheduler final : public Scheduler {
  private:
   struct SiteIndex {
     std::vector<std::uint32_t> overlap;   // |F_t| per task
-    std::vector<std::uint64_t> ref_sum;   // sum of r_i over F_t per task
+    // Sum of r_i over F_t per task; allocated (and total_ref nonzero)
+    // only under the combined metric, the one that ranks by ref_t.
+    std::vector<std::uint64_t> ref_sum;
     // Aggregates over PENDING tasks only, maintained incrementally so the
     // combined metric's totals are O(1)-ish per decision instead of an
     // O(|pending|) scan. total_ref is exact integer arithmetic;
@@ -178,6 +188,10 @@ class WorkerCentricScheduler final : public Scheduler {
                                                // m files missing at the site
   };
 
+  // Only the combined metric ranks by ref_t; the others keep no ref sums.
+  [[nodiscard]] bool tracks_refs() const {
+    return params_.metric == Metric::kCombined;
+  }
   void build_index();
   void on_cache_event(SiteId site, storage::CacheEvent event, FileId file);
   void remove_pending(TaskId task);
@@ -221,7 +235,12 @@ class WorkerCentricScheduler final : public Scheduler {
   [[nodiscard]] ShardPlace shard_place(const SiteIndex& idx,
                                        TaskId task) const {
     return shard_place(task, idx.overlap[task.value()],
-                       idx.ref_sum[task.value()]);
+                       tracks_refs() ? idx.ref_sum[task.value()] : 0);
+  }
+  // Re-keys the tasks cache events marked in site `s`'s shard.
+  void refresh_shard(std::size_t s) const {
+    shards_[s].refresh(
+        [&](TaskId task) { return shard_place(sites_[s], task); });
   }
 
   // Replication phase (only when params_.replicate_when_idle). Returns
@@ -238,8 +257,9 @@ class WorkerCentricScheduler final : public Scheduler {
   Rng rng_;
   std::vector<SiteIndex> sites_;
   // One shard per site, holding exactly the pending bag filed by
-  // shard_place.
-  std::vector<ShardedTaskIndex> shards_;
+  // shard_place once refreshed. Mutable: a shard is a cache of the
+  // counters, and the const decision and audit paths refresh it.
+  mutable std::vector<ShardedTaskIndex> shards_;
   // Inverted file -> pending-tasks index as one CSR pool (three flat
   // arrays) instead of a vector-of-vectors: rows support exactly the
   // mutations the scheduler performs (swap-erase on assignment, bounded

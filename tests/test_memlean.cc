@@ -1,7 +1,8 @@
 // Memory-lean hot structures: the small flat containers (InlineVec, Csr,
 // DenseIdSet) that replaced per-task node containers, plus the
 // allocation-free contracts the event loop relies on (disabled
-// instruments, warm flow-table churn, the warm data-server cycle).
+// instruments, warm flow-table churn, the warm data-server cycle,
+// storage affinity's submit-time projection).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,10 +15,12 @@
 #include "common/dense_id_set.h"
 #include "common/ids.h"
 #include "common/inline_vec.h"
+#include "fake_engine.h"
 #include "grid/experiment.h"
 #include "net/flow_manager.h"
 #include "net/topology.h"
 #include "obs/trace.h"
+#include "sched/storage_affinity.h"
 #include "sim/simulator.h"
 #include "storage/data_server.h"
 #include "workload/coadd.h"
@@ -232,6 +235,35 @@ TEST(AllocFree, WarmDataServerCycleAllocatesNothing) {
   EXPECT_EQ(served, 1701u * kWorkers);
   EXPECT_EQ(ds.queue_length(), 0u);
   EXPECT_TRUE(ds.memory_defects().empty());
+}
+
+TEST(AllocFree, StorageAffinitySubmitDoesNotAllocatePerFile) {
+  if (!alloc_counting_enabled())
+    GTEST_SKIP() << "allocation counting compiled out (sanitizer build)";
+  // on_job_submitted projects every site's future cache contents while it
+  // places the whole bag. Doubling the distinct files of a 300-task Coadd
+  // job doubles the files each site's projection holds; with the same
+  // tasks, sites and workers the submit must not allocate more, so the
+  // projection costs no allocation per file.
+  auto submit_allocations = [](std::size_t distinct_files) {
+    workload::CoaddParams cp;
+    cp.num_tasks = 300;
+    cp.target_distinct_files = distinct_files;
+    const workload::Job job = workload::generate_coadd(cp);
+    sched::testing::FakeEngine engine(job, /*num_sites=*/4,
+                                      /*workers_per_site=*/2,
+                                      /*capacity=*/100000);
+    sched::StorageAffinityScheduler scheduler{sched::StorageAffinityParams{}};
+    scheduler.attach(engine);
+    const AllocSnapshot before = alloc_snapshot();
+    scheduler.on_job_submitted();
+    const AllocSnapshot after = alloc_snapshot();
+    EXPECT_EQ(engine.assignments.size(), cp.num_tasks);
+    return allocations_between(before, after);
+  };
+  const std::uint64_t base = submit_allocations(2000);
+  const std::uint64_t doubled = submit_allocations(4000);
+  EXPECT_LE(doubled, base) << "base " << base << ", doubled " << doubled;
 }
 
 // --- run_seeds determinism ----------------------------------------------

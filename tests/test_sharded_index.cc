@@ -179,6 +179,116 @@ TEST(ShardedTaskIndex, OutOfRangeKeyThrows) {
   EXPECT_TRUE(idx.structural_defects().empty());
 }
 
+// --- Deferred re-key: mark / refresh ----------------------------------
+
+// A place() that files every task at (key, rank) and counts its calls.
+struct CountingPlace {
+  std::uint64_t key = 0;
+  std::uint64_t rank = 0;
+  std::vector<TaskId> calls;
+  std::pair<std::uint64_t, std::uint64_t> operator()(TaskId t) {
+    calls.push_back(t);
+    return {key, rank};
+  }
+};
+
+TEST(ShardedTaskIndex, MarkIsIdempotentAndRefreshReKeysOnce) {
+  ShardedTaskIndex idx;
+  idx.reset(4, /*num_keys=*/3);
+  for (unsigned t = 0; t < 4; ++t) idx.insert(tid(t), 0, /*rank=*/t);
+  idx.mark(tid(2));
+  idx.mark(tid(2));
+  idx.mark(tid(0));
+  idx.mark(tid(2));
+  EXPECT_EQ(idx.stale_count(), 2u);
+  // Marked but not yet refreshed: the old filing stands, coherently.
+  EXPECT_EQ(idx.key_of(tid(2)), 0u);
+  EXPECT_EQ(idx.rank_of(tid(2)), 2u);
+  EXPECT_TRUE(idx.structural_defects().empty());
+
+  CountingPlace place{.key = 2, .rank = 9, .calls = {}};
+  idx.refresh(place);
+  EXPECT_EQ(place.calls, (std::vector<TaskId>{tid(2), tid(0)}));
+  EXPECT_EQ(idx.key_of(tid(2)), 2u);
+  EXPECT_EQ(idx.rank_of(tid(2)), 9u);
+  EXPECT_EQ(idx.key_of(tid(0)), 2u);
+  EXPECT_EQ(walk_all(idx, 2), (std::vector<TaskId>{tid(0), tid(2)}));
+  EXPECT_EQ(walk_all(idx, 0), (std::vector<TaskId>{tid(3), tid(1)}));
+  EXPECT_TRUE(idx.structural_defects().empty());
+
+  // The list was emptied: a second refresh re-keys nothing.
+  EXPECT_EQ(idx.stale_count(), 0u);
+  place.calls.clear();
+  idx.refresh(place);
+  EXPECT_TRUE(place.calls.empty());
+}
+
+TEST(ShardedTaskIndex, RefreshSkipsErasedAndReinsertedTasks) {
+  ShardedTaskIndex idx;
+  idx.reset(4, /*num_keys=*/2);
+  for (unsigned t = 0; t < 4; ++t) idx.insert(tid(t), 0, /*rank=*/t);
+  idx.mark(tid(1));
+  idx.mark(tid(2));
+  idx.mark(tid(3));
+  idx.erase(tid(1));                    // erased: dropped
+  idx.erase(tid(2));                    // erased and re-inserted: filed
+  idx.insert(tid(2), 1, /*rank=*/5);    // fresh, so not stale
+  EXPECT_TRUE(idx.structural_defects().empty());
+
+  CountingPlace place{.key = 0, .rank = 7, .calls = {}};
+  idx.refresh(place);
+  EXPECT_EQ(place.calls, (std::vector<TaskId>{tid(3)}));
+  EXPECT_FALSE(idx.contains(tid(1)));
+  EXPECT_EQ(idx.key_of(tid(2)), 1u);
+  EXPECT_EQ(idx.rank_of(tid(2)), 5u);
+  EXPECT_EQ(idx.rank_of(tid(3)), 7u);
+  EXPECT_TRUE(idx.structural_defects().empty());
+
+  // Marked again after the re-insert, the task is listed twice but
+  // re-keyed once.
+  idx.mark(tid(0));
+  idx.erase(tid(0));
+  idx.insert(tid(0), 0, /*rank=*/1);
+  idx.mark(tid(0));
+  EXPECT_EQ(idx.stale_count(), 2u);
+  EXPECT_TRUE(idx.structural_defects().empty());
+  place.calls.clear();
+  idx.refresh(place);
+  EXPECT_EQ(place.calls, (std::vector<TaskId>{tid(0)}));
+  EXPECT_EQ(idx.rank_of(tid(0)), 7u);
+}
+
+TEST(ShardedTaskIndex, StructuralDefectsCatchAnUnlistedMark) {
+  ShardedTaskIndex idx;
+  idx.reset(3, /*num_keys=*/1);
+  idx.insert(tid(0), 0);
+  idx.insert(tid(1), 0);
+  idx.mark(tid(1));
+  ASSERT_TRUE(idx.structural_defects().empty());
+  idx.drop_stale_list_for_test();  // the mark survives, the list does not
+  const std::vector<std::string> defects = idx.structural_defects();
+  ASSERT_EQ(defects.size(), 1u);
+  EXPECT_NE(defects[0].find("not on the stale list"), std::string::npos)
+      << defects[0];
+}
+
+TEST(ShardedTaskIndex, UpdateClearsAMark) {
+  ShardedTaskIndex idx;
+  idx.reset(2, /*num_keys=*/2);
+  idx.insert(tid(0), 0, 1);
+  idx.insert(tid(1), 0, 2);
+  idx.mark(tid(0));
+  idx.mark(tid(1));
+  idx.update(tid(0), 0, 3);  // rank only
+  idx.update(tid(1), 1, 2);  // key move
+  CountingPlace place;
+  idx.refresh(place);
+  EXPECT_TRUE(place.calls.empty());
+  EXPECT_EQ(idx.rank_of(tid(0)), 3u);
+  EXPECT_EQ(idx.key_of(tid(1)), 1u);
+  EXPECT_TRUE(idx.structural_defects().empty());
+}
+
 // --- ShardedTaskIndex differential test --------------------------------
 //
 // About 100k seeded mixed operations — insert, erase, key moves of +-1
@@ -429,6 +539,127 @@ TEST(ShardedIndexProperty, CombinedVerbatimChooseTwo) {
                               CombinedFormula::kVerbatim, 0xFEED);
 }
 
+// --- Deferred re-key property: k cache events per decision -------------
+//
+// Heap re-filing waits for the next decision at a site, so a site may
+// collect many marks between two walks. With k random cache events
+// (adds, LRU evictions, accesses) between decisions, every decision's
+// candidates() must equal reference_candidates() bitwise, and the audit
+// must be clean right after. Assignments, completions and crash re-adds
+// keep the bag moving.
+
+bool same_candidates(const std::vector<WorkerCentricScheduler::Candidate>& a,
+                     const std::vector<WorkerCentricScheduler::Candidate>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const auto& x, const auto& y) {
+                      return x.task == y.task &&
+                             bits(x.weight) == bits(y.weight);
+                    });
+}
+
+void run_deferred_rekey_property(Metric metric, int events_per_decision,
+                                 std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const std::size_t num_tasks = 80;
+  const std::size_t num_files = 60;
+  const std::size_t num_sites = 3;
+  const std::size_t workers_per_site = 2;
+  const std::size_t num_workers = num_sites * workers_per_site;
+  const workload::Job job = random_job(rng, num_tasks, num_files);
+  FakeEngine eng(job, num_sites, workers_per_site, /*capacity=*/12);
+
+  WorkerCentricParams params;
+  params.metric = metric;
+  params.choose_n = 2;
+  WorkerCentricScheduler sched(params);
+  sched.attach(eng);
+  sched.on_job_submitted();
+
+  std::vector<std::pair<TaskId, WorkerId>> live;
+  for (int decision = 0; decision < 150; ++decision) {
+    for (int e = 0; e < events_per_decision; ++e)
+      eng.add_file(
+          SiteId(static_cast<SiteId::underlying_type>(rng() % num_sites)),
+          FileId(static_cast<FileId::underlying_type>(rng() % num_files)));
+    const WorkerId w(
+        static_cast<WorkerId::underlying_type>(rng() % num_workers));
+    if (sched.pending_count() > 0) {
+      const SiteId s = eng.site_of(w);
+      ASSERT_TRUE(same_candidates(sched.candidates(s),
+                                  sched.reference_candidates(s)))
+          << "decision " << decision;
+      if (rng() % 2 == 0) {
+        sched.on_worker_idle(w);
+        live.push_back(eng.assignments.back());
+      }
+    }
+    if (!live.empty() && rng() % 4 == 0) {
+      // Complete one instance, or crash its worker (the re-add path).
+      const std::size_t i = rng() % live.size();
+      const auto [t, owner] = live[i];
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+      if (rng() % 2 == 0)
+        sched.on_task_completed(t, owner);
+      else
+        sched.on_worker_failed(owner, {t});
+    }
+    expect_no_violations(sched, decision);
+  }
+}
+
+class DeferredReKey
+    : public ::testing::TestWithParam<std::tuple<Metric, int>> {};
+
+TEST_P(DeferredReKey, CandidatesMatchTheScanAfterKEvents) {
+  const auto [metric, k] = GetParam();
+  run_deferred_rekey_property(metric, k,
+                              0xDEFE44u + static_cast<unsigned>(k) * 7 +
+                                  static_cast<unsigned>(metric));
+}
+
+std::string deferred_rekey_name(
+    const ::testing::TestParamInfo<std::tuple<Metric, int>>& param_info) {
+  return std::string(to_string(std::get<0>(param_info.param))) + "_k" +
+         std::to_string(std::get<1>(param_info.param));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllMetrics, DeferredReKey,
+    ::testing::Combine(::testing::Values(Metric::kOverlap, Metric::kRest,
+                                         Metric::kCombined),
+                       ::testing::Values(1, 8, 64)),
+    deferred_rekey_name);
+
+TEST(DeferredReKeyCrash, MarkedTaskReAddedAfterACrashIsFiledFresh) {
+  // t0 {0,1}, t1 {1,2}, t2 {2,3}, t3 {3,0}; one worker per site.
+  const workload::Job job = make_job({{0, 1}, {1, 2}, {2, 3}, {3, 0}}, 4);
+  FakeEngine eng(job, /*num_sites=*/2, /*workers_per_site=*/1);
+  WorkerCentricParams params;
+  params.metric = Metric::kCombined;
+  WorkerCentricScheduler sched(params);
+  sched.attach(eng);
+  sched.on_job_submitted();
+
+  const SiteId s1(1u);
+  const WorkerId w0(0u);
+  eng.add_file(s1, FileId(1u));  // marks t0 and t1 at site 1
+  // Site 0 holds nothing, so every weight ties and t0 (lowest id) goes to
+  // w0; that erases t0, still marked, from site 1's shard.
+  sched.on_worker_idle(w0);
+  ASSERT_EQ(eng.assignments.back(), std::make_pair(tid(0), w0));
+  eng.add_file(s1, FileId(0u));  // t0 is not pending: only t3 is marked
+  sched.on_worker_failed(w0, {tid(0)});  // re-add against the live cache
+  ASSERT_TRUE(sched.is_pending(tid(0)));
+  eng.add_file(s1, FileId(1u));  // an access: t0 is marked again
+
+  const auto live = sched.candidates(s1);
+  ASSERT_TRUE(same_candidates(live, sched.reference_candidates(s1)));
+  ASSERT_FALSE(live.empty());
+  EXPECT_EQ(live.front().task, tid(0));  // both files resident at site 1
+  EXPECT_EQ(sched.overlap_cardinality(s1, tid(0)), 2u);
+  expect_no_violations(sched, /*step=*/0);
+}
+
 // --- Storage-affinity property tests -----------------------------------
 //
 // Every idle request must hand out exactly reference_pick(worker) as
@@ -525,6 +756,40 @@ TEST(ShardedIndexProperty, StorageAffinityReplicaPicksMatchFlat) {
     expect_no_violations(sched, step);
   }
   EXPECT_GT(sched.replications(), 0u);
+}
+
+TEST(ShardedIndexProperty, StorageAffinityPickMatchesAfterLongEventStream) {
+  // Thousands of cache events with no pick in between: every indexed
+  // task collects marks, and the first pick per site re-files them all.
+  std::mt19937_64 rng(0x57A7);
+  const std::size_t num_tasks = 40;
+  const std::size_t num_files = 50;
+  const std::size_t num_sites = 3;
+  const std::size_t workers_per_site = 2;
+  const workload::Job job = random_job(rng, num_tasks, num_files);
+  FakeEngine eng(job, num_sites, workers_per_site, /*capacity=*/15);
+  StorageAffinityScheduler sched{StorageAffinityParams{}};
+  sched.attach(eng);
+  sched.on_job_submitted();
+
+  for (int round = 0; round < 4; ++round) {
+    for (int e = 0; e < 3000; ++e)
+      eng.add_file(
+          SiteId(static_cast<SiteId::underlying_type>(rng() % num_sites)),
+          FileId(static_cast<FileId::underlying_type>(rng() % num_files)));
+    for (std::size_t w = 0; w < num_sites * workers_per_site; ++w) {
+      const WorkerId worker(static_cast<WorkerId::underlying_type>(w));
+      ASSERT_EQ(sched.replica_pick(worker), sched.reference_pick(worker))
+          << "round " << round << " worker " << worker;
+    }
+    expect_no_violations(sched, round);
+    // One hand-out per round changes the replicable set.
+    idle_matches_oracle(
+        sched, eng,
+        WorkerId(static_cast<WorkerId::underlying_type>(
+            rng() % (num_sites * workers_per_site))),
+        round);
+  }
 }
 
 TEST(ShardedIndexProperty, StorageAffinityOrphanPickupMatchesFlat) {
