@@ -13,7 +13,8 @@
 //
 // The acceptance gate is the allocation rate: the pooled/slotted hot
 // structures must average under kMaxAllocsPerEvent event-loop heap
-// allocations per executed event at every scale. (The node-based
+// allocations per executed event at every scale of 100k tasks and up
+// (kMaxAllocsPerEventSmall below that). (The node-based
 // --legacy-layout A/B baseline this bench originally compared against
 // was removed after one PR of soak; the historical ratio was >= 3x.)
 //
@@ -44,13 +45,17 @@
 
 namespace {
 
-// Event-loop heap-allocation budget, per executed event. The steady
-// state is pooled and allocation-free; the budget covers warmup growth
-// (slot tables, id indexes, callback captures) amortized over the run,
-// which dominates small scales (measured: ~0.89 at 5k tasks, ~0.51 at
-// 100k, falling with scale). Any per-event allocation on the hot path
-// pushes the rate past 1.0 immediately, so the gate still bites.
-constexpr double kMaxAllocsPerEvent = 1.0;
+// Event-loop heap-allocation budget, per executed event, at 100k tasks
+// and up. The steady state is pooled and allocation-free; the budget
+// covers warmup growth (slot tables, id indexes, index buckets, route
+// tables) amortized over the run, which falls with scale (measured:
+// 0.0361 at 100k, 22,893 allocations over 634k events). One allocation
+// per task on the hot path adds ~0.16 per event, so the gate bites.
+constexpr double kMaxAllocsPerEvent = 0.075;
+// Below 100k tasks the per-run warmup dominates (measured: 0.2323 at 5k
+// tasks, 0.1468 at 20k), so a small custom --tasks point keeps the
+// historical budget: any per-event allocation still pushes it past 1.
+constexpr double kMaxAllocsPerEventSmall = 1.0;
 
 struct Options {
   bool fast = false;   // skip the 1M point
@@ -385,8 +390,10 @@ int main(int argc, char** argv) {
       const double rate = allocs_per_event(measurements.back());
       std::printf("  %s: %.4f event-loop allocations/event\n", scale.label,
                   rate);
-      WCS_CHECK_MSG(rate <= kMaxAllocsPerEvent,
-                    "event loop must average <= " << kMaxAllocsPerEvent
+      const double budget = scale.tasks >= 100'000 ? kMaxAllocsPerEvent
+                                                   : kMaxAllocsPerEventSmall;
+      WCS_CHECK_MSG(rate <= budget,
+                    "event loop must average <= " << budget
                         << " heap allocations per event at " << scale.label
                         << "; measured " << rate);
     }

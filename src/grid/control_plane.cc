@@ -71,32 +71,41 @@ void ControlPlane::start() {
   // Scheduled before the worker pull loop so same-timestamp ties resolve
   // arrival-first, deterministically.
   if (arrivals_ != nullptr) {
-    std::vector<std::pair<double, TaskId>> timed;
+    arrival_order_.clear();
+    arrival_order_.reserve(job_.num_tasks());
     for (std::size_t i = 0; i < job_.num_tasks(); ++i) {
       const TaskId id(static_cast<TaskId::underlying_type>(i));
-      const double at = arrivals_->arrival(id);
-      if (at > 0) timed.emplace_back(at, id);
+      if (arrivals_->arrival(id) > 0) arrival_order_.push_back(id);
     }
     // Stable: ids stay ascending within one arrival instant.
-    std::stable_sort(timed.begin(), timed.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.first < b.first;
+    std::stable_sort(arrival_order_.begin(), arrival_order_.end(),
+                     [this](TaskId a, TaskId b) {
+                       return arrivals_->arrival(a) < arrivals_->arrival(b);
                      });
-    for (std::size_t lo = 0; lo < timed.size();) {
+    std::size_t widest = 0;
+    for (std::size_t lo = 0; lo < arrival_order_.size();) {
+      const double at = arrivals_->arrival(arrival_order_[lo]);
       std::size_t hi = lo;
-      while (hi < timed.size() && timed[hi].first == timed[lo].first) ++hi;
-      std::vector<TaskId> batch;
-      batch.reserve(hi - lo);
-      for (std::size_t i = lo; i < hi; ++i) batch.push_back(timed[i].second);
-      sim_.schedule_at(timed[lo].first,
-                       [this, batch = std::move(batch)] { arrive(batch); });
+      while (hi < arrival_order_.size() &&
+             arrivals_->arrival(arrival_order_[hi]) == at)
+        ++hi;
+      widest = std::max(widest, hi - lo);
+      // Two 32-bit bounds and `this`: 16 bytes, trivially copyable, so the
+      // closure fits std::function's inline buffer.
+      sim_.schedule_at(at, [this, lo = static_cast<std::uint32_t>(lo),
+                            hi = static_cast<std::uint32_t>(hi)] {
+        arrive(lo, hi);
+      });
       lo = hi;
     }
+    arrival_batch_.reserve(widest);
   }
   for (WorkerRuntime& rt : workers_) go_idle(rt.info.id);
 }
 
-void ControlPlane::arrive(const std::vector<TaskId>& batch) {
+void ControlPlane::arrive(std::uint32_t lo, std::uint32_t hi) {
+  std::vector<TaskId>& batch = arrival_batch_;
+  batch.assign(arrival_order_.begin() + lo, arrival_order_.begin() + hi);
   for (TaskId t : batch) {
     WCS_CHECK_MSG(!arrived_[t.value()], "task " << t << " arrived twice");
     arrived_[t.value()] = 1;

@@ -159,9 +159,10 @@ class ControlPlane {
     if (hooks_.trace) hooks_.trace(kind, task, worker);
   }
   void go_idle(WorkerId worker);
-  // Arrival-event body: marks the batch arrived, then hands it to the
-  // scheduler (open-system runs only).
-  void arrive(const std::vector<TaskId>& batch);
+  // Arrival-event body for arrival_order_[lo, hi), one arrival instant:
+  // marks the batch arrived, then hands it to the scheduler (open-system
+  // runs only).
+  void arrive(std::uint32_t lo, std::uint32_t hi);
   void start_next(WorkerId worker);
   void files_ready(WorkerId worker, TaskId task);
   void finish_task(WorkerId worker, TaskId task);
@@ -216,6 +217,12 @@ class ControlPlane {
   std::vector<double> mflops_estimate_error_;  // per site; empty if exact
   // Open-system state (allocated only when arrivals_ != nullptr).
   std::vector<char> arrived_;            // by task id
+  // Tasks with a positive arrival time, by (arrival time, id); each
+  // arrival event names its instant's range. The batch handed to the
+  // scheduler is copied into one reused buffer, reserved to the widest
+  // instant, so an arrival allocates nothing.
+  std::vector<TaskId> arrival_order_;
+  std::vector<TaskId> arrival_batch_;
   std::vector<double> completion_time_;  // by task id; -1 = not completed
   std::vector<TenantLedger> tenants_;
 };

@@ -4,6 +4,9 @@
 
 namespace wcs::replication {
 namespace {
+// Largest scan round the constructor reserves room for.
+constexpr std::size_t kRoundReserve = 1024;
+
 // Grows `v` to at least `n` entries, doubling like FileCache's slots.
 void grow(std::vector<std::uint32_t>& v, std::size_t n) {
   if (v.size() < n) v.resize(std::max(n, v.size() * 2));
@@ -50,6 +53,10 @@ DataReplicator::DataReplicator(const DataReplicatorParams& params,
   WCS_CHECK(site_info_.size() == data_servers_.size());
   for (const SiteNetInfo& s : site_info_)
     num_groups_ = std::max(num_groups_, s.man_group + 1);
+  // A throttle above kRoundReserve (in effect "unlimited") grows on demand.
+  round_.reserve(std::min(params_.max_replicas_per_round, kRoundReserve));
+  candidates_.reserve(data_servers_.size());
+  in_group_.reserve(data_servers_.size());
 }
 
 void DataReplicator::start() {
@@ -63,7 +70,7 @@ void DataReplicator::stop() {
   if (next_scan_.valid()) sim_.cancel(next_scan_);
   // Cancel in start (= ascending id) order: FlowManager::cancel
   // reallocates the remaining flows, so the sequence is observable.
-  for (FlowId f : in_flight_) flows_.cancel(f);
+  for (const InFlight& r : in_flight_) flows_.cancel(r.id);
   in_flight_.clear();
 }
 
@@ -81,7 +88,8 @@ void DataReplicator::on_file_fetched(FileId file, SiteId origin) {
 }
 
 SiteId DataReplicator::pick_target(FileId file) {
-  std::vector<std::size_t> candidates;
+  std::vector<std::size_t>& candidates = candidates_;
+  candidates.clear();
   for (std::size_t s = 0; s < data_servers_.size(); ++s)
     if (!data_servers_[s]->cache().contains(file)) candidates.push_back(s);
   if (candidates.empty()) return SiteId::invalid();
@@ -113,7 +121,8 @@ SiteId DataReplicator::pick_target(FileId file) {
         for (std::uint32_t g = 1; g < num_groups_; ++g)
           if (group_demand_[row + g] > group_demand_[row + best_group])
             best_group = g;
-      std::vector<std::size_t> in_group;
+      std::vector<std::size_t>& in_group = in_group_;
+      in_group.clear();
       for (std::size_t s : candidates)
         if (site_info_[s].man_group == best_group) in_group.push_back(s);
       // Every site of the hottest group already holds the file: fall back
@@ -162,10 +171,10 @@ void DataReplicator::scan() {
                       const std::uint32_t cb = popularity_[b.value()];
                       return ca != cb ? ca > cb : a < b;
                     });
-  const std::vector<FileId> round(eligible_.begin(), eligible_.begin() + k);
+  round_.assign(eligible_.begin(), eligible_.begin() + k);
   eligible_.erase(eligible_.begin(), eligible_.begin() + k);
 
-  for (FileId file : round) {
+  for (FileId file : round_) {
     SiteId target = pick_target(file);
     if (!target.valid()) continue;  // everywhere already; never revisit
     storage::DataServer* ds = data_servers_[target.value()];
@@ -174,22 +183,28 @@ void DataReplicator::scan() {
     // the results ledger matches the flow manager byte for byte.
     const Bytes bytes = ds->cache().missing_bytes(file);
     const double moved = static_cast<double>(bytes);
-    FlowId flow = flows_.start_flow(
-        file_server_node_, ds->node(), bytes,
-        [this, ds, file, moved](FlowId id) {
-          const auto it = std::find(in_flight_.begin(), in_flight_.end(), id);
-          WCS_DCHECK(it != in_flight_.end());
-          in_flight_.erase(it);
-          // The demand path may have fetched it meanwhile; and a cache
-          // momentarily full of pinned files just drops the replica.
-          if (!ds->cache().contains(file)) (void)ds->cache().try_insert(file);
-          ++stats_.files_replicated;
-          stats_.bytes_replicated += moved;
-        });
-    in_flight_.push_back(flow);
+    const FlowId flow =
+        flows_.start_flow(file_server_node_, ds->node(), bytes,
+                          [this](FlowId id) { on_replica_done(id); });
+    in_flight_.push_back(InFlight{flow, ds, file, moved});
   }
 
   next_scan_ = sim_.schedule_in(params_.check_interval_s, [this] { scan(); });
+}
+
+void DataReplicator::on_replica_done(FlowId id) {
+  const auto it =
+      std::find_if(in_flight_.begin(), in_flight_.end(),
+                   [id](const InFlight& r) { return r.id == id; });
+  WCS_DCHECK(it != in_flight_.end());
+  const InFlight done = *it;
+  in_flight_.erase(it);
+  // The demand path may have fetched it meanwhile; and a cache
+  // momentarily full of pinned files just drops the replica.
+  storage::FileCache& cache = done.target->cache();
+  if (!cache.contains(done.file)) (void)cache.try_insert(done.file);
+  ++stats_.files_replicated;
+  stats_.bytes_replicated += done.moved;
 }
 
 }  // namespace wcs::replication

@@ -108,10 +108,21 @@ class DataReplicator {
   }
 
  private:
+  // One replication flow: where it lands and what its completion books.
+  struct InFlight {
+    FlowId id;
+    storage::DataServer* target = nullptr;
+    FileId file;
+    double moved = 0;  // bytes priced at flow start
+  };
+
   void scan();
   // Site to receive a replica of `file`; invalid id if none is suitable
   // (every site already holds it).
   [[nodiscard]] SiteId pick_target(FileId file);
+  // Completion of replication flow `id`: drops its record, inserts the
+  // replica and books the bytes.
+  void on_replica_done(FlowId id);
 
   DataReplicatorParams params_;
   sim::Simulator& sim_;
@@ -131,8 +142,17 @@ class DataReplicator {
   // a count crosses it once, so a taken file never returns (one proactive
   // replica per file, as in the original per-popularity-event scheme).
   std::vector<FileId> eligible_;
-  // Replication flows in start order, which is ascending id order.
-  std::vector<FlowId> in_flight_;
+  // Replication flows in start order, which is ascending id order. The
+  // flow callback captures only `this`, so it fits std::function's
+  // inline buffer; the record carries the rest.
+  std::vector<InFlight> in_flight_;
+  // Scratch reused by every scan, reserved up front: the round being
+  // placed (a copy, so an append to eligible_ cannot invalidate it; at
+  // most max_replicas_per_round files) and pick_target's site pools (at
+  // most one entry per site).
+  std::vector<FileId> round_;
+  std::vector<std::size_t> candidates_;
+  std::vector<std::size_t> in_group_;
   EventId next_scan_;
   bool stopped_ = false;
   Stats stats_;

@@ -10,6 +10,7 @@ void ShardedTaskIndex::reset(std::size_t num_tasks, std::size_t num_keys) {
   buckets_.resize(num_keys);
   slots_.assign(num_tasks, Slot{});
   stale_.clear();
+  stale_.reserve(num_tasks);
   size_ = 0;
 }
 

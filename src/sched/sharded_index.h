@@ -83,8 +83,16 @@ class ShardedTaskIndex {
       : order_{prefer_high_id} {}
 
   // Drops every entry and sizes the index for task ids [0, num_tasks)
-  // and keys [0, num_keys).
+  // and keys [0, num_keys). The stale list is reserved to num_tasks up
+  // front: a mark lists a task once until it is erased, so marking grows
+  // the list only after an erase and re-insert between two refreshes.
   void reset(std::size_t num_tasks, std::size_t num_keys);
+
+  // Reserves room for `n` entries under `key`, so a caller that knows a
+  // bucket's population files it without regrowing the heap.
+  void reserve(std::uint64_t key, std::size_t n) {
+    buckets_.at(key).reserve(n);
+  }
 
   // Adds `task` under `key` with `rank`. The task must not be present
   // and the key must be below num_keys().

@@ -96,6 +96,7 @@ TenantWrrScheduler::TenantWrrScheduler(
   }
   credit_.assign(k, 0);
   served_.assign(k, 0);
+  per_tenant_.resize(k);
 }
 
 void TenantWrrScheduler::attach(GridEngine& engine) {
@@ -183,19 +184,22 @@ void TenantWrrScheduler::on_worker_failed(WorkerId worker,
                   starving_.end());
   // Route each tenant's lost instances to its inner (order preserved);
   // inners re-home them, which may refill empty bags.
-  std::vector<std::vector<TaskId>> per_tenant(inners_.size());
-  for (TaskId t : lost) per_tenant[schedule_.tenant(t)].push_back(t);
+  split_by_tenant(lost);
   for (std::size_t t = 0; t < inners_.size(); ++t)
-    inners_[t]->on_worker_failed(worker, per_tenant[t]);
+    inners_[t]->on_worker_failed(worker, per_tenant_[t]);
   feed_starving();
 }
 
 void TenantWrrScheduler::on_tasks_arrived(const std::vector<TaskId>& tasks) {
-  std::vector<std::vector<TaskId>> per_tenant(inners_.size());
-  for (TaskId t : tasks) per_tenant[schedule_.tenant(t)].push_back(t);
+  split_by_tenant(tasks);
   for (std::size_t t = 0; t < inners_.size(); ++t)
-    if (!per_tenant[t].empty()) inners_[t]->on_tasks_arrived(per_tenant[t]);
+    if (!per_tenant_[t].empty()) inners_[t]->on_tasks_arrived(per_tenant_[t]);
   feed_starving();
+}
+
+void TenantWrrScheduler::split_by_tenant(const std::vector<TaskId>& tasks) {
+  for (std::vector<TaskId>& bucket : per_tenant_) bucket.clear();
+  for (TaskId t : tasks) per_tenant_[schedule_.tenant(t)].push_back(t);
 }
 
 std::size_t TenantWrrScheduler::pending_count() const {

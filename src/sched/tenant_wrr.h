@@ -79,6 +79,8 @@ class TenantWrrScheduler final : public Scheduler {
   // Smooth-WRR pick over tenants with pending work; -1 if none.
   [[nodiscard]] int pick_tenant();
   void feed_starving();
+  // Fills per_tenant_ with `tasks` by tenant, order preserved.
+  void split_by_tenant(const std::vector<TaskId>& tasks);
   void subscribe(std::uint32_t tenant, SiteId site,
                  storage::CacheListener listener);
 
@@ -91,6 +93,9 @@ class TenantWrrScheduler final : public Scheduler {
   // Per-site inner cache listeners, in tenant registration order.
   std::vector<std::vector<storage::CacheListener>> fanout_;
   std::deque<WorkerId> starving_;
+  // Per-tenant split of one arrival batch or one crash's lost tasks,
+  // cleared per call so routing allocates nothing once warm.
+  std::vector<std::vector<TaskId>> per_tenant_;
 };
 
 }  // namespace wcs::sched

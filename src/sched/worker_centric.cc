@@ -24,6 +24,9 @@ WorkerCentricScheduler::WorkerCentricScheduler(
     const WorkerCentricParams& params)
     : params_(params), rng_(params.seed) {
   WCS_CHECK_MSG(params.choose_n >= 1, "ChooseTask(n) needs n >= 1");
+  // TopN inserts before it trims, so it holds up to n + 1 entries.
+  choice_buf_.reserve(static_cast<std::size_t>(params.choose_n) + 1);
+  weight_buf_.reserve(static_cast<std::size_t>(params.choose_n));
 }
 
 std::string WorkerCentricScheduler::name() const {
@@ -94,6 +97,10 @@ void WorkerCentricScheduler::build_index() {
   // incremental updates.
   sites_.assign(engine().num_sites(), SiteIndex{});
   shards_.assign(engine().num_sites(), ShardedTaskIndex{});
+  const std::size_t num_keys =
+      params_.metric == Metric::kCombined ? max_task_size + std::size_t{1}
+                                          : 1;
+  std::vector<std::size_t> per_key;  // initial bucket sizes, one site
   for (std::size_t s = 0; s < sites_.size(); ++s) {
     SiteId site(static_cast<SiteId::underlying_type>(s));
     SiteIndex& idx = sites_[s];
@@ -116,10 +123,18 @@ void WorkerCentricScheduler::build_index() {
       if (tracks_refs()) idx.total_ref += idx.ref_sum[t];
       ++idx.missing_hist[task_size_[t] - idx.overlap[t]];
     }
+    // File the initially-pending bag, each bucket sized once up front
+    // (the overlap / rest key is 0; combined keys are missing counts).
     ShardedTaskIndex& shard = shards_[s];
-    shard.reset(num_tasks, params_.metric == Metric::kCombined
-                               ? max_task_size + std::size_t{1}
-                               : 1);
+    shard.reset(num_tasks, num_keys);
+    per_key.assign(num_keys, 0);
+    for (std::size_t t = 0; t < num_tasks; ++t) {
+      if (!pending_[t]) continue;
+      const TaskId id(static_cast<TaskId::underlying_type>(t));
+      ++per_key[shard_place(idx, id).first];
+    }
+    for (std::size_t key = 0; key < num_keys; ++key)
+      shard.reserve(key, per_key[key]);
     for (std::size_t t = 0; t < num_tasks; ++t) {
       if (!pending_[t]) continue;
       TaskId id(static_cast<TaskId::underlying_type>(t));
@@ -337,11 +352,14 @@ namespace {
 using Candidate = WorkerCentricScheduler::Candidate;
 
 // Top-n candidate buffer ordered by (weight desc, task id asc) — the
-// ChooseTask(n) selection order. The reference scan offers every pending
+// ChooseTask(n) selection order — kept in a caller-owned vector, so a
+// decision reuses its buffer. The reference scan offers every pending
 // task, the live index walk only prefixes. n is tiny (1 or 2 in the
 // paper), so insertion beats sorting T entries.
 struct TopN {
-  explicit TopN(std::size_t limit) : n(limit) { best.reserve(limit + 1); }
+  TopN(std::vector<Candidate>& out, std::size_t limit) : n(limit), best(out) {
+    best.clear();
+  }
 
   static bool better(const Candidate& a, const Candidate& b) {
     if (a.weight != b.weight) return a.weight > b.weight;
@@ -359,17 +377,16 @@ struct TopN {
     return true;
   }
 
-
   std::size_t n;
-  std::vector<Candidate> best;
+  std::vector<Candidate>& best;
 };
 
 // Samples among the best-n proportionally to weight (uniform when all
-// weights are zero — see Rng::weighted_index).
-TaskId pick_from(const std::vector<Candidate>& best, Rng& rng) {
+// weights are zero — see Rng::weighted_index); `weights` is scratch.
+TaskId pick_from(const std::vector<Candidate>& best,
+                 std::vector<double>& weights, Rng& rng) {
   if (best.size() == 1) return best[0].task;
-  std::vector<double> weights;
-  weights.reserve(best.size());
+  weights.clear();
   for (const Candidate& c : best) weights.push_back(c.weight);
   return best[rng.weighted_index(weights)].task;
 }
@@ -394,7 +411,8 @@ void describe(std::ostream& os, const std::vector<Candidate>& list) {
 
 TaskId WorkerCentricScheduler::choose_task(SiteId site) {
   WCS_CHECK(!pending_list_.empty());
-  return pick_from(candidates(site), rng_);
+  fill_candidates(site, choice_buf_);
+  return pick_from(choice_buf_, weight_buf_, rng_);
 }
 
 std::vector<Candidate> WorkerCentricScheduler::reference_candidates(
@@ -406,14 +424,23 @@ std::vector<Candidate> WorkerCentricScheduler::reference_candidates(
   if (params_.metric == Metric::kCombined)
     std::tie(total_ref, total_rest) = totals(idx);
 
-  TopN topn(std::min<std::size_t>(
-      static_cast<std::size_t>(params_.choose_n), pending_list_.size()));
+  std::vector<Candidate> out;
+  TopN topn(out, std::min<std::size_t>(
+                     static_cast<std::size_t>(params_.choose_n),
+                     pending_list_.size()));
   for (TaskId t : pending_list_)
     topn.offer({weight_of(idx, t, total_ref, total_rest), t});
-  return std::move(topn.best);
+  return out;
 }
 
 std::vector<Candidate> WorkerCentricScheduler::candidates(SiteId site) const {
+  std::vector<Candidate> out;
+  fill_candidates(site, out);
+  return out;
+}
+
+void WorkerCentricScheduler::fill_candidates(
+    SiteId site, std::vector<Candidate>& out) const {
   const SiteIndex& idx = sites_[site.value()];
   refresh_shard(site.value());
   const ShardedTaskIndex& shard = shards_[site.value()];
@@ -424,8 +451,9 @@ std::vector<Candidate> WorkerCentricScheduler::candidates(SiteId site) const {
   if (params_.metric == Metric::kCombined)
     std::tie(total_ref, total_rest) = totals(idx);
 
-  TopN topn(std::min<std::size_t>(
-      static_cast<std::size_t>(params_.choose_n), pending_list_.size()));
+  TopN topn(out, std::min<std::size_t>(
+                     static_cast<std::size_t>(params_.choose_n),
+                     pending_list_.size()));
   // Along every walk the weight is non-increasing and ties come in the id
   // order `better` uses (sharded_index.h, equivalence invariant), so the
   // first rejected entry ends the walk. Overlap and rest have one bucket;
@@ -437,7 +465,6 @@ std::vector<Candidate> WorkerCentricScheduler::candidates(SiteId site) const {
       return topn.offer(
           {weight_of(idx, e.task, total_ref, total_rest), e.task});
     });
-  return std::move(topn.best);
 }
 
 void WorkerCentricScheduler::remove_pending(TaskId task) {

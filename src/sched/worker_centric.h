@@ -213,8 +213,11 @@ class WorkerCentricScheduler final : public Scheduler {
                                          TaskId task) const {
     return task_size_[task.value()] - idx.overlap[task.value()];
   }
+  // candidates(site), written into `out` (cleared first): the index
+  // walk behind both candidates() and choose_task().
+  void fill_candidates(SiteId site, std::vector<Candidate>& out) const;
   // ChooseTask(n): samples one of candidates(site) proportionally to
-  // weight.
+  // weight, through the reused choice_buf_ / weight_buf_.
   [[nodiscard]] TaskId choose_task(SiteId site);
 
   // --- Sharded pending-task index (layer 3; see file comment) ----------
@@ -277,6 +280,10 @@ class WorkerCentricScheduler final : public Scheduler {
   // Workers that asked for work while the bag was empty, in ask order
   // (deque: feed_starving pops the front in O(1)).
   std::deque<WorkerId> starving_;
+  // Decision scratch, reserved to n + 1 / n entries at construction, so a
+  // warm ChooseTask(n) allocates nothing.
+  std::vector<Candidate> choice_buf_;
+  std::vector<double> weight_buf_;
 };
 
 }  // namespace wcs::sched

@@ -32,7 +32,6 @@ void DataServer::free_batch(Batch* b) {
   // Recycle: clear the payload but keep the vectors' capacity, so the
   // steady-state request/serve/release cycle stops allocating.
   b->files.clear();
-  b->pinned.clear();
   b->done = nullptr;
   b->next_index = 0;
   b->in_flight = FlowId::invalid();
@@ -86,7 +85,6 @@ void DataServer::continue_batch() {
     if (cache_.contains(f)) {
       cache_.record_access(f);
       cache_.pin(f);
-      b.pinned.push_back(f);
       ++b.next_index;
       ++stats_.cache_hits;
       continue;
@@ -148,21 +146,20 @@ void DataServer::on_file_arrived(FileId file) {
     cache_.insert(file);  // may evict unpinned residents
   cache_.record_access(file);
   cache_.pin(file);
-  b.pinned.push_back(file);
   ++b.next_index;
   if (transfer_listener_) transfer_listener_(file);
   continue_batch();
 }
 
-void DataServer::drop_pins(const std::vector<FileId>& pins) {
-  for (FileId f : pins) cache_.unpin(f);
+void DataServer::drop_pins(const Batch& b) {
+  for (FileId f : std::span(b.files).first(b.next_index)) cache_.unpin(f);
 }
 
 bool DataServer::cancel_batch(TaskId task, WorkerId worker) {
   if (current_ != nullptr && current_->task == task &&
       current_->worker == worker) {
     if (current_->in_flight.valid()) flows_.cancel(current_->in_flight);
-    drop_pins(current_->pinned);
+    drop_pins(*current_);
     stats_.transfer_s += sim_.now() - current_->service_start;
     ++stats_.batches_cancelled;
     free_batch(current_);
@@ -196,7 +193,7 @@ void DataServer::release(TaskId task, WorkerId worker) {
                                                   << worker);
   Batch* b = *link;
   *link = b->next;
-  drop_pins(b->pinned);
+  drop_pins(*b);
   free_batch(b);
 }
 

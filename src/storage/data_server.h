@@ -12,8 +12,9 @@
 // (service) time — the two columns of the paper's Table 3 — plus transfer
 // counts and bytes (Figure 5).
 //
-// Batch objects are recycled through a free pool (their file/pin vectors
-// keep their capacity), the FIFO of queued batches is a chain through
+// Batch objects are recycled through a free pool (their file vector
+// keeps its capacity; the pins are the prefix of it made resident so
+// far), the FIFO of queued batches is a chain through
 // the batch objects themselves, and the pins of executing tasks stay
 // inside the batch object, indexed by worker id in a flat table — the
 // steady-state request/serve/release cycle performs no heap allocation
@@ -116,8 +117,9 @@ class DataServer {
     BatchCallback done;
     SimTime enqueued = 0;
     SimTime service_start = 0;
-    std::size_t next_index = 0;      // next file to ensure resident
-    std::vector<FileId> pinned;      // pins taken so far
+    // Next file to ensure resident; files[0, next_index) are the pins
+    // taken so far (a hit and an arrival both pin, then advance).
+    std::size_t next_index = 0;
     FlowId in_flight = FlowId::invalid();
     double in_flight_bytes = 0;      // payload of the in-flight fetch
     double in_flight_saved = 0;      // dedup saving of that fetch
@@ -130,7 +132,8 @@ class DataServer {
   void serve_next();
   void continue_batch();
   void on_file_arrived(FileId file);
-  void drop_pins(const std::vector<FileId>& pins);
+  // Unpins the files `b` has pinned so far, in pin order.
+  void drop_pins(const Batch& b);
 
   SiteId site_;
   sim::Simulator& sim_;

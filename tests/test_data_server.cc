@@ -198,6 +198,39 @@ TEST(DataServer, CancelInServiceBatchAbortsFlowAndServesNext) {
   EXPECT_NEAR(second_done, 2.5, 1e-9);
 }
 
+TEST(DataServer, CancelMidBatchUnpinsTakenPrefix) {
+  // Batch 0 holds files 1 and 2. Batch 1 pins 1 (hit), fetches 3, pins 2
+  // (hit) and is cancelled while 4 is in flight: exactly the files it
+  // pinned so far are unpinned, once each, so every pin count is back
+  // where it was before its request.
+  Fixture f;
+  f.ds->request_batch(TaskId(0), WorkerId(0), Fixture::files({1, 2}), [] {});
+  f.sim.run();  // t = 2: batch 0 executes, holding its pins
+  const std::uint64_t held_blocks = f.ds->cache().pinned_blocks();
+  bool fired = false;
+  f.ds->request_batch(TaskId(1), WorkerId(1), Fixture::files({1, 3, 2, 4, 5}),
+                      [&] { fired = true; });
+  // File 3 lands at t = 3; at t = 3.5 file 4 is in flight.
+  f.sim.schedule_in(1.5, [&] {
+    EXPECT_TRUE(f.ds->cache().pinned(FileId(3)));
+    EXPECT_TRUE(f.ds->cancel_batch(TaskId(1), WorkerId(1)));
+  });
+  f.sim.run();
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(f.ds->cache().pinned_blocks(), held_blocks);
+  EXPECT_TRUE(f.ds->cache().pinned(FileId(1)));
+  EXPECT_TRUE(f.ds->cache().pinned(FileId(2)));
+  EXPECT_TRUE(f.ds->cache().contains(FileId(3)));
+  EXPECT_FALSE(f.ds->cache().pinned(FileId(3)));
+  EXPECT_FALSE(f.ds->cache().contains(FileId(4)));
+  // Releasing batch 0 drops the last pins: none was taken twice.
+  f.ds->release(TaskId(0), WorkerId(0));
+  for (unsigned i : {1u, 2u, 3u})
+    EXPECT_FALSE(f.ds->cache().pinned(FileId(i))) << "file " << i;
+  EXPECT_EQ(f.ds->cache().pinned_blocks(), 0u);
+  EXPECT_TRUE(f.ds->memory_defects().empty());
+}
+
 TEST(DataServer, CancelUnknownBatchReturnsFalse) {
   Fixture f;
   EXPECT_FALSE(f.ds->cancel_batch(TaskId(3), WorkerId(3)));

@@ -2,7 +2,9 @@
 // DenseIdSet) that replaced per-task node containers, plus the
 // allocation-free contracts the event loop relies on (disabled
 // instruments, warm flow-table churn, the warm data-server cycle,
-// storage affinity's submit-time projection).
+// storage affinity's submit-time projection, the warm ChooseTask(n)
+// decision, and an open-system run whose allocations do not scale with
+// its task count).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,13 +19,18 @@
 #include "common/inline_vec.h"
 #include "fake_engine.h"
 #include "grid/experiment.h"
+#include "grid/grid_simulation.h"
 #include "net/flow_manager.h"
 #include "net/topology.h"
 #include "obs/trace.h"
+#include "replication/data_replicator.h"
+#include "sched/factory.h"
 #include "sched/storage_affinity.h"
+#include "sched/worker_centric.h"
 #include "sim/simulator.h"
 #include "storage/data_server.h"
 #include "workload/coadd.h"
+#include "workload/registry.h"
 
 namespace wcs::common {
 namespace {
@@ -264,6 +271,108 @@ TEST(AllocFree, StorageAffinitySubmitDoesNotAllocatePerFile) {
   const std::uint64_t base = submit_allocations(2000);
   const std::uint64_t doubled = submit_allocations(4000);
   EXPECT_LE(doubled, base) << "base " << base << ", doubled " << doubled;
+}
+
+TEST(AllocFree, WarmChooseTaskAllocatesNothing) {
+  if (!alloc_counting_enabled())
+    GTEST_SKIP() << "allocation counting compiled out (sanitizer build)";
+  // A decision walks the site's index into the scheduler's reused
+  // candidate buffer and samples through its reused weight buffer, so
+  // once each site has decided (and the walk's frontier has grown), a
+  // decision allocates nothing: every metric, deterministic and
+  // randomized ChooseTask(n).
+  workload::CoaddParams cp;
+  cp.num_tasks = 300;
+  const workload::Job job = workload::generate_coadd(cp);
+  constexpr std::size_t kSites = 4;
+  for (sched::Metric metric : {sched::Metric::kOverlap, sched::Metric::kRest,
+                               sched::Metric::kCombined}) {
+    for (int n : {1, 2}) {
+      SCOPED_TRACE(std::string(sched::to_string(metric)) + "." +
+                   std::to_string(n));
+      sched::testing::FakeEngine engine(job, kSites, /*workers_per_site=*/2);
+      sched::WorkerCentricParams params;
+      params.metric = metric;
+      params.choose_n = n;
+      sched::WorkerCentricScheduler scheduler(params);
+      scheduler.attach(engine);
+      scheduler.on_job_submitted();
+      // Distinct cache contents per site, added after submit so the
+      // first decisions also refresh marked tasks.
+      for (std::size_t s = 0; s < kSites; ++s)
+        for (FileId f : job.tasks()[s * 7].files)
+          engine.add_file(SiteId(static_cast<SiteId::underlying_type>(s)),
+                          f);
+      auto decide = [&](int calls) {
+        for (int i = 0; i < calls; ++i) {
+          const SiteId site(static_cast<SiteId::underlying_type>(
+              static_cast<std::size_t>(i) % kSites));
+          EXPECT_TRUE(scheduler.peek_choice(site).valid());
+        }
+      };
+      decide(4 * static_cast<int>(kSites));
+      const AllocSnapshot before = alloc_snapshot();
+      decide(1000);
+      const AllocSnapshot after = alloc_snapshot();
+      EXPECT_EQ(allocations_between(before, after), 0u);
+    }
+  }
+}
+
+TEST(AllocFree, OpenSystemRunDoesNotAllocatePerTask) {
+  if (!alloc_counting_enabled())
+    GTEST_SKIP() << "allocation counting compiled out (sanitizer build)";
+  // A reduced open_dedup: three WRR tenants with Poisson arrivals over
+  // blocks that half-overlap, and network-cost replication that fires.
+  // Doubling the task count must add less than one in-run allocation per
+  // added task: arrivals, tenant routing, ChooseTask(n) and replica
+  // placement reuse their buffers, and what remains is geometric growth
+  // and per-run set-up.
+  workload::register_builtin_generators();
+  struct Run {
+    std::size_t tasks = 0;
+    std::uint64_t allocations = 0;
+    std::uint64_t replicated = 0;
+  };
+  auto run = [](std::size_t num_tasks) {
+    workload::GeneratorSpec gen;
+    gen.generator = "multi-tenant";
+    gen.coadd.num_tasks = num_tasks;
+    gen.open.process = workload::ArrivalProcess::kPoisson;
+    gen.open.mean_interarrival_s = 2000.0;
+    gen.open.tenants = {{"a", 3}, {"b", 1}, {"c", 2}};
+    const workload::Workload wl = workload::build_workload(gen);
+    grid::GridConfig c;
+    c.tiers.num_sites = 4;
+    c.tiers.workers_per_site = 2;
+    c.capacity_files = 600;
+    c.audit = false;
+    c.block_store.emplace();
+    c.block_store->content_overlap = 0.5;
+    replication::DataReplicatorParams rp;
+    rp.popularity_threshold = 3;
+    rp.placement = replication::Placement::kNetworkCost;
+    c.replication = rp;
+    sched::SchedulerSpec spec;
+    spec.algorithm = sched::Algorithm::kRest;
+    spec.choose_n = 2;
+    grid::GridSimulation sim(c, wl, sched::make_scheduler(spec, &wl.arrivals));
+    const AllocSnapshot before = alloc_snapshot();
+    const metrics::RunResult r = sim.run();
+    const AllocSnapshot after = alloc_snapshot();
+    EXPECT_EQ(r.tasks_completed, wl.job.num_tasks());
+    return Run{wl.job.num_tasks(), allocations_between(before, after),
+               r.files_replicated};
+  };
+  const Run base = run(240);
+  const Run doubled = run(480);
+  EXPECT_GT(base.replicated, 0u);
+  EXPECT_GT(doubled.replicated, 0u);
+  ASSERT_GT(doubled.tasks, base.tasks);
+  const std::uint64_t added_tasks = doubled.tasks - base.tasks;
+  EXPECT_LT(doubled.allocations, base.allocations + added_tasks)
+      << base.allocations << " allocations at " << base.tasks << " tasks, "
+      << doubled.allocations << " at " << doubled.tasks;
 }
 
 // --- run_seeds determinism ----------------------------------------------
