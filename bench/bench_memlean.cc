@@ -9,7 +9,11 @@
 //                                kernel supports clear_refs), getrusage
 //                                fallback
 //   event-loop heap allocations  global operator-new counter delta
-//                                across run() (0 under sanitizers)
+//                                across run(), net of the invariant
+//                                auditor's own (--audit; its set-up,
+//                                sweeps and their labels, booked by
+//                                GridSimulation::audit_allocations()),
+//                                0 under sanitizers
 //
 // The acceptance gate is the allocation rate: the pooled/slotted hot
 // structures must average under kMaxAllocsPerEvent event-loop heap
@@ -76,6 +80,7 @@ struct Measurement {
   double rss_before_mb = 0;  // floor inherited from earlier runs (malloc
                              // retains freed pages), for reading peaks
   std::uint64_t event_loop_allocations = 0;  // 0 when counting disabled
+  std::uint64_t audit_allocations = 0;       // the auditor's, excluded above
 };
 
 // Best-effort reset of the kernel's peak-RSS watermark so each run
@@ -159,15 +164,21 @@ Measurement run_point(const wcs::workload::Workload& wl, std::size_t tasks,
           ? static_cast<double>(m.result.events_executed) / m.wall_s
           : 0;
   m.peak_rss_mb = peak_rss_mb();
+  m.audit_allocations = sim.audit_allocations();
   m.event_loop_allocations =
-      wcs::common::allocations_between(alloc_before, alloc_after);
+      wcs::common::allocations_between(alloc_before, alloc_after) -
+      m.audit_allocations;
 
   WCS_CHECK_EQ(m.result.tasks_completed, tasks);
   std::printf(
       "BM_EndToEnd_%s  wall %8.2fs  %10.0f events/s  "
-      "peak RSS %8.1f MB  %12llu event-loop allocs\n",
+      "peak RSS %8.1f MB  %12llu event-loop allocs",
       scale_label.c_str(), m.wall_s, m.events_per_s, m.peak_rss_mb,
       static_cast<unsigned long long>(m.event_loop_allocations));
+  if (audit)
+    std::printf("  (+%llu by the auditor)",
+                static_cast<unsigned long long>(m.audit_allocations));
+  std::printf("\n");
   std::fflush(stdout);
   return m;
 }

@@ -14,14 +14,16 @@ ControlPlane::ControlPlane(const GridConfig& config, const workload::Job& job,
                            const net::GridTopology& topo, sim::Simulator& sim,
                            DataPlane& data, sched::Scheduler& scheduler,
                            std::vector<double> mflops_estimate_error,
-                           Hooks hooks)
+                           EngineTelemetry& telemetry,
+                           std::function<void()> on_all_tasks_completed)
     : config_(config),
       job_(job),
       arrivals_(arrivals),
       sim_(sim),
       data_(data),
       scheduler_(scheduler),
-      hooks_(std::move(hooks)),
+      telemetry_(telemetry),
+      on_all_tasks_completed_(std::move(on_all_tasks_completed)),
       mflops_estimate_error_(std::move(mflops_estimate_error)) {
   Rng speed_rng(config_.effective_speed_seed());
   const auto num_sites = static_cast<std::size_t>(config_.tiers.num_sites);
@@ -249,8 +251,8 @@ void ControlPlane::finish_task(WorkerId worker, TaskId task) {
   }
   audit_max_completion_ = std::max(audit_max_completion_, sim_.now());
   trace(LifecycleEvent::kCompleted, task, worker);
-  if (completed_count_ == job_.num_tasks() && hooks_.on_all_tasks_completed)
-    hooks_.on_all_tasks_completed();
+  if (completed_count_ == job_.num_tasks() && on_all_tasks_completed_)
+    on_all_tasks_completed_();
   instances_[task.value()].erase_value(worker);
 
   WCS_TRACE("task " << task << " done on worker " << worker << " at "

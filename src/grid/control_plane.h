@@ -57,15 +57,6 @@ class ControlPlane {
     kOffline,     // crashed; recovers after the churn downtime
   };
 
-  // Callbacks into the composition root. `trace` fans lifecycle events
-  // out to the engine telemetry's tracer (may be empty);
-  // `on_all_tasks_completed` fires once, when the last task finishes
-  // (the root uses it to stop churn and drain replication).
-  struct Hooks {
-    std::function<void(LifecycleEvent, TaskId, WorkerId)> trace;
-    std::function<void()> on_all_tasks_completed;
-  };
-
   // All references must outlive the plane. Worker speeds are sampled
   // here (top500/100, Sec. 5.2) from config.effective_speed_seed();
   // `mflops_estimate_error` is the per-site multiplicative error applied
@@ -74,12 +65,17 @@ class ControlPlane {
   // start() turns every positive arrival time into a simulation event
   // delivering that batch to the scheduler, and the plane keeps
   // per-tenant conservation ledgers plus per-task completion times for
-  // the tenant metrics.
+  // the tenant metrics. Lifecycle transitions go to `telemetry` when it
+  // is recording; `on_all_tasks_completed` fires once, when the last task
+  // finishes (the composition root uses it to stop churn and drain
+  // replication).
   ControlPlane(const GridConfig& config, const workload::Job& job,
                const workload::ArrivalSchedule* arrivals,
                const net::GridTopology& topo, sim::Simulator& sim,
                DataPlane& data, sched::Scheduler& scheduler,
-               std::vector<double> mflops_estimate_error, Hooks hooks);
+               std::vector<double> mflops_estimate_error,
+               EngineTelemetry& telemetry,
+               std::function<void()> on_all_tasks_completed);
 
   ControlPlane(const ControlPlane&) = delete;
   ControlPlane& operator=(const ControlPlane&) = delete;
@@ -156,7 +152,8 @@ class ControlPlane {
   };
 
   void trace(LifecycleEvent kind, TaskId task, WorkerId worker) {
-    if (hooks_.trace) hooks_.trace(kind, task, worker);
+    if (telemetry_.recording())
+      telemetry_.record(sim_.now(), kind, task, worker);
   }
   void go_idle(WorkerId worker);
   // Arrival-event body for arrival_order_[lo, hi), one arrival instant:
@@ -197,7 +194,8 @@ class ControlPlane {
   sim::Simulator& sim_;
   DataPlane& data_;
   sched::Scheduler& scheduler_;
-  Hooks hooks_;
+  EngineTelemetry& telemetry_;
+  std::function<void()> on_all_tasks_completed_;
 
   std::vector<WorkerRuntime> workers_;
   std::vector<char> completed_;  // by task id

@@ -4,12 +4,12 @@ namespace wcs::grid {
 
 FaultPlane::FaultPlane(const GridConfig& config, sim::Simulator& sim,
                        ControlPlane& control, sched::Scheduler& scheduler,
-                       TraceFn trace)
+                       EngineTelemetry& telemetry)
     : churn_(*config.churn),
       sim_(sim),
       control_(control),
       scheduler_(scheduler),
-      trace_(std::move(trace)),
+      telemetry_(telemetry),
       rng_(config.churn->seed * 0x9e3779b97f4a7c15ULL ^ config.tiers.seed),
       churn_events_(control.num_workers()) {
   WCS_CHECK_MSG(churn_.mean_uptime_s > 0 && churn_.mean_downtime_s > 0,
@@ -46,9 +46,7 @@ void FaultPlane::fail_worker(WorkerId worker) {
   std::vector<TaskId> lost = control_.withdraw_worker(worker);
   ++failures_;
   instances_lost_ += lost.size();
-  if (trace_)
-    trace_(LifecycleEvent::kWorkerFailed, TaskId::invalid(),
-           worker);
+  trace(LifecycleEvent::kWorkerFailed, worker);
   schedule_recovery(worker);
   scheduler_.on_worker_failed(worker, lost);
 }
@@ -56,9 +54,7 @@ void FaultPlane::fail_worker(WorkerId worker) {
 void FaultPlane::recover_worker(WorkerId worker) {
   ++recoveries_;
   control_.mark_online(worker);
-  if (trace_)
-    trace_(LifecycleEvent::kWorkerRecovered, TaskId::invalid(),
-           worker);
+  trace(LifecycleEvent::kWorkerRecovered, worker);
   schedule_failure(worker);
   control_.resume_worker(worker);
 }
@@ -72,18 +68,14 @@ void FaultPlane::fail_now(WorkerId worker) {
   std::vector<TaskId> lost = control_.withdraw_worker(worker);
   ++failures_;
   instances_lost_ += lost.size();
-  if (trace_)
-    trace_(LifecycleEvent::kWorkerFailed, TaskId::invalid(),
-           worker);
+  trace(LifecycleEvent::kWorkerFailed, worker);
   scheduler_.on_worker_failed(worker, lost);
 }
 
 void FaultPlane::recover_now(WorkerId worker) {
   ++recoveries_;
   control_.mark_online(worker);
-  if (trace_)
-    trace_(LifecycleEvent::kWorkerRecovered, TaskId::invalid(),
-           worker);
+  trace(LifecycleEvent::kWorkerRecovered, worker);
   control_.resume_worker(worker);
 }
 

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -31,14 +30,12 @@ namespace wcs::grid {
 
 class FaultPlane {
  public:
-  // Fans worker-failure/recovery events out to the engine telemetry's tracer
-  // (may be empty).
-  using TraceFn = std::function<void(LifecycleEvent, TaskId, WorkerId)>;
-
   // `config.churn` must be set; all references must outlive the plane.
+  // Worker failures and recoveries go to `telemetry` when it is
+  // recording.
   FaultPlane(const GridConfig& config, sim::Simulator& sim,
              ControlPlane& control, sched::Scheduler& scheduler,
-             TraceFn trace);
+             EngineTelemetry& telemetry);
 
   FaultPlane(const FaultPlane&) = delete;
   FaultPlane& operator=(const FaultPlane&) = delete;
@@ -70,12 +67,16 @@ class FaultPlane {
   void schedule_recovery(WorkerId worker);
   void fail_worker(WorkerId worker);
   void recover_worker(WorkerId worker);
+  void trace(LifecycleEvent kind, WorkerId worker) {
+    if (telemetry_.recording())
+      telemetry_.record(sim_.now(), kind, TaskId::invalid(), worker);
+  }
 
   const GridConfig::ChurnParams churn_;
   sim::Simulator& sim_;
   ControlPlane& control_;
   sched::Scheduler& scheduler_;
-  TraceFn trace_;
+  EngineTelemetry& telemetry_;
   Rng rng_;
   std::vector<EventId> churn_events_;  // per worker: next failure/recovery
   std::uint64_t failures_ = 0;

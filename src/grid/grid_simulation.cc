@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "common/alloc_stats.h"
 #include "common/rng.h"
 
 namespace wcs::grid {
@@ -48,25 +49,15 @@ GridSimulation::GridSimulation(const GridConfig& config,
   const std::size_t num_workers =
       num_sites * static_cast<std::size_t>(config_.tiers.workers_per_site);
   telemetry_ = std::make_unique<EngineTelemetry>(config_, num_workers);
-  ControlPlane::Hooks hooks;
-  if (telemetry_->recording()) {
-    hooks.trace = [this](LifecycleEvent kind, TaskId task, WorkerId worker) {
-      telemetry_->record(sim_.now(), kind, task, worker);
-    };
-  }
-  hooks.on_all_tasks_completed = [this] {
-    data_->stop_replication();  // no more scans; drain cleanly
-    if (fault_) fault_->stop();
-  };
-  const FaultPlane::TraceFn fault_trace = hooks.trace;
-  control_ = std::make_unique<ControlPlane>(config_, job_, arrivals_,
-                                            grid_topo_, sim_, *data_,
-                                            *scheduler_,
-                                            std::move(mflops_error),
-                                            std::move(hooks));
+  control_ = std::make_unique<ControlPlane>(
+      config_, job_, arrivals_, grid_topo_, sim_, *data_, *scheduler_,
+      std::move(mflops_error), *telemetry_, [this] {
+        data_->stop_replication();  // no more scans; drain cleanly
+        if (fault_) fault_->stop();
+      });
   if (config_.churn)
     fault_ = std::make_unique<FaultPlane>(config_, sim_, *control_,
-                                          *scheduler_, fault_trace);
+                                          *scheduler_, *telemetry_);
 
   if (obs::Observability* o = telemetry_->observability()) {
     sim_.set_profiler(o->profiler());
@@ -199,9 +190,19 @@ metrics::RunResult GridSimulation::run() {
   control_->start();
   if (fault_) fault_->start();
 
+  // Runs auditor work, booking its heap allocations to audit_allocations_.
+  auto audit_step = [this](auto&& fn) {
+    const common::AllocSnapshot before = common::alloc_snapshot();
+    fn();
+    audit_allocations_ +=
+        common::allocations_between(before, common::alloc_snapshot());
+  };
+
   if (config_.audit) {
-    auditor_ = std::make_unique<audit::InvariantAuditor>();
-    register_audit_checkers();
+    audit_step([this] {
+      auditor_ = std::make_unique<audit::InvariantAuditor>();
+      register_audit_checkers();
+    });
     // Step manually so the checkers sweep the live simulation every
     // audit_interval_events executed events. The checkers are read-only:
     // results are byte-identical to the sim_.run() path below.
@@ -210,8 +211,10 @@ metrics::RunResult GridSimulation::run() {
     std::size_t next_sweep = sim_.executed_events() + interval;
     while (sim_.step()) {
       if (sim_.executed_events() >= next_sweep) {
-        auditor_->check("periodic sweep at t=" + std::to_string(sim_.now()) +
-                        "s");
+        audit_step([this] {
+          auditor_->check("periodic sweep at t=" +
+                          std::to_string(sim_.now()) + "s");
+        });
         next_sweep = sim_.executed_events() + interval;
       }
     }
@@ -228,8 +231,10 @@ metrics::RunResult GridSimulation::run() {
   metrics::RunResult result = assemble_result();
   if (auditor_) {
     drained_ = true;
-    auditor_->check("end of run");
-    audit_results_ledger(result);
+    audit_step([&] {
+      auditor_->check("end of run");
+      audit_results_ledger(result);
+    });
   }
   telemetry_->finish();
   return result;

@@ -138,6 +138,13 @@ class GridSimulation final : public sched::GridEngine {
   [[nodiscard]] const audit::InvariantAuditor* auditor() const {
     return auditor_.get();
   }
+  // Heap allocations the auditor made inside run(): its set-up, every
+  // sweep with its label, and the end-of-run checks. A caller counting
+  // allocations across run() subtracts these to get the event loop's
+  // own. 0 without auditing or allocation counting.
+  [[nodiscard]] std::uint64_t audit_allocations() const {
+    return audit_allocations_;
+  }
   // Null unless GridConfig::obs enables an instrument. The profiler and
   // the tracer fill as the simulation progresses; run totals are in the
   // RunResult that run() returns.
@@ -165,6 +172,7 @@ class GridSimulation final : public sched::GridEngine {
 
   std::unique_ptr<audit::InvariantAuditor> auditor_;
   SimTime audit_prev_now_ = 0;
+  std::uint64_t audit_allocations_ = 0;
   bool drained_ = false;
   bool ran_ = false;
 };

@@ -2,11 +2,11 @@
 // fast path (DESIGN.md §Performance architecture, layer 4).
 //
 // The paper's worker-centric loop scores EVERY pending task on each idle
-// worker request. PR 1 made each score O(1) (incremental per-(site, task)
-// overlap/ref-sum counters); the scan itself stayed O(|pending|). This
-// index removes the scan: pending tasks are filed under a small dense
-// key with a rank, and the users pick (key, rank) so that a walk visits
-// tasks best-first —
+// worker request. Per-(site, task) counters, fed through the shared
+// file -> task index (residency.h), make each score O(1); this index
+// removes the scan: pending tasks are filed under a small dense key with
+// a rank, and the users pick (key, rank) so that a walk visits tasks
+// best-first —
 //
 //   overlap metric   key = 0,             rank = |F_t|
 //   rest metric      key = 0,             rank = UINT32_MAX - (|t| - |F_t|)

@@ -17,7 +17,6 @@ void StorageAffinityScheduler::on_job_submitted() {
   const std::size_t num_tasks = engine().job().num_tasks();
   placements_.assign(num_tasks, {});
   completed_.assign(num_tasks, 0);
-  worker_load_.assign(engine().num_workers(), 0);
   orphans_.reset(num_tasks);
   // Subscribe to cache notifications BEFORE any assignment so no
   // mutation can slip past the incremental byte counters.
@@ -35,27 +34,18 @@ void StorageAffinityScheduler::build_affinity_index() {
   const std::size_t num_tasks = job.num_tasks();
   const std::size_t num_sites = engine().num_sites();
 
-  // CSR build: count row widths, finalize, fill in task order — each
-  // row ends up in the same order the old per-file push_back produced.
-  tasks_of_file_.reset(job.catalog.num_files());
-  for (const workload::Task& t : job.tasks())
-    for (FileId f : t.files) tasks_of_file_.count(f.value());
-  tasks_of_file_.finalize();
-  for (const workload::Task& t : job.tasks())
-    for (FileId f : t.files) tasks_of_file_.push(f.value(), t.id);
-
+  index_.build(job, [](TaskId) { return true; });
   cached_bytes_.assign(num_sites, std::vector<Bytes>(num_tasks, 0));
   replica_index_.assign(num_sites,
                         ShardedTaskIndex(/*prefer_high_id=*/true));
   for (std::size_t s = 0; s < num_sites; ++s) {
     SiteId site(static_cast<SiteId::underlying_type>(s));
     replica_index_[s].reset(num_tasks, /*num_keys=*/1);
-    const storage::FileCache& cache = engine().site_cache(site);
-    for (FileId f : cache.contents()) {
-      const Bytes sz = job.catalog.size(f);
-      for (TaskId t : tasks_of_file_.row(f.value()))
-        cached_bytes_[s][t.value()] += sz;
-    }
+    index_.for_each_resident(engine().site_cache(site),
+                             [&](FileId f, TaskId t) {
+                               cached_bytes_[s][t.value()] +=
+                                   job.catalog.size(f);
+                             });
     engine().set_cache_listener(
         site, [this, site](storage::CacheEvent e, FileId f) {
           on_cache_event(site, e, f);
@@ -72,7 +62,7 @@ void StorageAffinityScheduler::on_cache_event(SiteId site,
   const Bytes sz = engine().job().catalog.size(file);
   std::vector<Bytes>& bytes = cached_bytes_[site.value()];
   ShardedTaskIndex& shard = replica_index_[site.value()];
-  for (TaskId t : tasks_of_file_.row(file.value())) {
+  for (TaskId t : index_.tasks_of(file)) {
     if (event == storage::CacheEvent::kAdded) {
       bytes[t.value()] += sz;
     } else {
@@ -91,10 +81,7 @@ void StorageAffinityScheduler::refresh_replica_index(std::size_t s) const {
 }
 
 void StorageAffinityScheduler::sync_replicable(TaskId task) {
-  const auto& instances = placements_[task.value()];
-  const bool want =
-      !completed_[task.value()] && !instances.empty() &&
-      instances.size() < static_cast<std::size_t>(params_.max_replicas);
+  const bool want = replicable(task);
   for (std::size_t s = 0; s < replica_index_.size(); ++s) {
     ShardedTaskIndex& shard = replica_index_[s];
     if (want == shard.contains(task)) continue;
@@ -123,6 +110,7 @@ void StorageAffinityScheduler::distribute_all() {
   const std::size_t num_files = job.catalog.num_files();
   std::vector<VirtualCache> vcache(num_sites);
   std::vector<double> site_load(num_sites, 0);
+  std::vector<std::uint32_t> worker_load(engine().num_workers(), 0);
   for (std::size_t s = 0; s < num_sites; ++s) {
     const storage::FileCache& cache =
         engine().site_cache(SiteId(static_cast<SiteId::underlying_type>(s)));
@@ -154,8 +142,7 @@ void StorageAffinityScheduler::distribute_all() {
   auto least_loaded_worker = [&](std::size_t site) {
     WorkerId best = WorkerId::invalid();
     for (WorkerId w : site_workers[site])
-      if (!best.valid() ||
-          worker_load_[w.value()] < worker_load_[best.value()])
+      if (!best.valid() || worker_load[w.value()] < worker_load[best.value()])
         best = w;
     return best;
   };
@@ -169,7 +156,7 @@ void StorageAffinityScheduler::distribute_all() {
     for (std::size_t s = 0; s < num_sites; ++s) {
       WorkerId candidate = least_loaded_worker(s);
       WCS_CHECK_MSG(candidate.valid(), "site without workers");
-      if (worker_load_[candidate.value()] >= load_cap) continue;
+      if (worker_load[candidate.value()] >= load_cap) continue;
       double overlap = 0;
       for (FileId f : task.files)
         if (vcache[s].present.contains(f.value()))
@@ -187,7 +174,7 @@ void StorageAffinityScheduler::distribute_all() {
     WorkerId best_worker = least_loaded_worker(best_site);
 
     placements_[task.id.value()].push_back(best_worker);
-    ++worker_load_[best_worker.value()];
+    ++worker_load[best_worker.value()];
     site_load[best_site] += 1;
     engine().assign_task(task.id, best_worker);
 
@@ -206,16 +193,6 @@ void StorageAffinityScheduler::distribute_all() {
       vc.present.insert(f.value());
     }
   }
-}
-
-double StorageAffinityScheduler::cache_affinity(TaskId task,
-                                                SiteId site) const {
-  const workload::Job& job = engine().job();
-  const storage::FileCache& cache = engine().site_cache(site);
-  double bytes = 0;
-  for (FileId f : job.task(task).files)
-    if (cache.contains(f)) bytes += static_cast<double>(job.catalog.size(f));
-  return bytes;
 }
 
 void StorageAffinityScheduler::on_worker_idle(WorkerId worker) {
@@ -263,9 +240,10 @@ TaskId StorageAffinityScheduler::reference_pick(WorkerId worker) const {
 
   // The incomplete task with the largest storage affinity to this
   // worker's site among tasks that can still gain an instance.
-  const SiteId site = engine().site_of(worker);
+  const storage::FileCache& cache =
+      engine().site_cache(engine().site_of(worker));
   TaskId best = TaskId::invalid();
-  double best_affinity = -1;
+  Bytes best_affinity = 0;
   for (std::size_t i = 0; i < placements_.size(); ++i) {
     if (completed_[i]) continue;
     const auto& instances = placements_[i];
@@ -273,12 +251,13 @@ TaskId StorageAffinityScheduler::reference_pick(WorkerId worker) const {
       continue;
     TaskId t(static_cast<TaskId::underlying_type>(i));
     if (instances.contains(worker)) continue;  // never two on one worker
-    double affinity = cache_affinity(t, site);
+    const Bytes affinity = residency(cache, engine().job(), t).bytes;
     // Ties (typically all-zero affinity) go to the HIGHEST task id: queues
     // were filled in task order, so high ids sit at queue tails, farthest
     // from execution — replicating those migrates real work instead of
     // racing a task that is about to start anyway.
-    if (affinity > best_affinity || (affinity == best_affinity && t > best)) {
+    if (!best.valid() || affinity > best_affinity ||
+        (affinity == best_affinity && t > best)) {
       best_affinity = affinity;
       best = t;
     }
@@ -321,12 +300,7 @@ void StorageAffinityScheduler::on_task_completed(TaskId task,
                                                  WorkerId worker) {
   completed_[task.value()] = 1;
   sync_replicable(task);  // completed: leaves every replica index
-  // Trim the inverted index so cache events stop touching this task.
-  for (FileId f : engine().job().task(task).files) {
-    const bool removed = tasks_of_file_.erase_swap(f.value(), task);
-    WCS_DCHECK(removed);
-    (void)removed;
-  }
+  index_.untrack(task);     // cache events stop touching it
   for (WorkerId w : placements_[task.value()]) {
     if (w == worker) continue;
     engine().cancel_task(task, w);
@@ -352,10 +326,7 @@ void StorageAffinityScheduler::audit_collect(
     std::size_t expected = 0;
     for (std::size_t i = 0; i < placements_.size(); ++i) {
       const TaskId t(static_cast<TaskId::underlying_type>(i));
-      const auto& instances = placements_[i];
-      const bool want =
-          !completed_[i] && !instances.empty() &&
-          instances.size() < static_cast<std::size_t>(params_.max_replicas);
+      const bool want = replicable(t);
       if (want) ++expected;
       if (want != shard.contains(t)) {
         std::ostringstream os;
@@ -366,9 +337,7 @@ void StorageAffinityScheduler::audit_collect(
       }
       if (!want) continue;
       // Rank vs brute-force byte overlap against the live cache.
-      Bytes bytes = 0;
-      for (FileId f : job.task(t).files)
-        if (cache.contains(f)) bytes += job.catalog.size(f);
+      const Bytes bytes = residency(cache, job, t).bytes;
       if (shard.rank_of(t) != bytes ||
           cached_bytes_[s][t.value()] != bytes) {
         std::ostringstream os;

@@ -29,16 +29,16 @@
 //
 // Complexity: the replica pick is the hot path (it runs on every idle
 // transition for the rest of the run). A brute-force pick rescans every
-// task and intersects its file set with the cache, O(T * I) per request;
-// that scan survives only as the oracle reference_pick(). The live path
-// maintains, from cache-change notifications, an incremental
-// per-(site, task) cached-byte counter and a per-site sharded index
-// (sharded_index.h) over the replicable set — one heap, rank = bytes,
-// ties broken toward the highest task id, as the scan breaks them — so a
-// request walks the heap best-first and picks the identical task. A
-// cache event only marks the indexed tasks it touches; replica_pick()
-// refreshes the site's heap before walking it, so a task is re-filed
-// once per pick, not once per event.
+// task with residency(), the per-task scan the data-aware schedulers
+// share (sched/residency.h): O(T * I) per request, kept only as the
+// oracle reference_pick(). The live path keeps a per-(site, task)
+// cached-byte counter, updated from cache events through the shared
+// file -> task index, and a per-site sharded index (sharded_index.h)
+// over the replicable set — one heap, rank = bytes, ties toward the
+// highest task id, as the scan breaks them — so a request walks the heap
+// best-first and picks the identical task. A cache event only marks the
+// indexed tasks it touches; replica_pick() refreshes the site's heap
+// before walking it, so a task is re-filed once per pick, not per event.
 // Orphan pickup keeps an ordered id set matching the scan's
 // lowest-id-first order. --audit cross-validates counters, heap ranks,
 // the orphan set, and every live worker's replica_pick() against
@@ -50,9 +50,9 @@
 #include <string>
 #include <vector>
 
-#include "common/csr.h"
 #include "common/dense_id_set.h"
 #include "common/inline_vec.h"
+#include "sched/residency.h"
 #include "sched/scheduler.h"
 #include "sched/sharded_index.h"
 
@@ -120,11 +120,9 @@ class StorageAffinityScheduler final : public Scheduler {
 
  private:
   void distribute_all();
-  // Byte overlap between a task's input set and a site's current cache.
-  [[nodiscard]] double cache_affinity(TaskId task, SiteId site) const;
 
   // --- Sharded replica index (see file comment) -------------------------
-  // Builds the inverted file->task index, seeds the per-(site, task)
+  // Builds the file -> task index, seeds the per-(site, task)
   // cached-byte counters from current cache contents, and subscribes to
   // cache-change notifications.
   void build_affinity_index();
@@ -133,9 +131,13 @@ class StorageAffinityScheduler final : public Scheduler {
   void on_cache_event(SiteId site, storage::CacheEvent event, FileId file);
   // Re-keys the tasks cache events marked in site `s`'s replica index.
   void refresh_replica_index(std::size_t s) const;
-  // Re-derives `task`'s membership in every site's replica index from
-  // its placement/completion state (replicable = incomplete, has at
-  // least one instance, below max_replicas).
+  // Incomplete, with at least one instance and below max_replicas.
+  [[nodiscard]] bool replicable(TaskId task) const {
+    const auto& instances = placements_[task.value()];
+    return !completed_[task.value()] && !instances.empty() &&
+           instances.size() < static_cast<std::size_t>(params_.max_replicas);
+  }
+  // Re-derives `task`'s membership in every site's replica index.
   void sync_replicable(TaskId task);
 
   StorageAffinityParams params_;
@@ -143,13 +145,11 @@ class StorageAffinityScheduler final : public Scheduler {
   // (every paper configuration), larger settings spill.
   std::vector<common::InlineVec<WorkerId, 2>> placements_;
   std::vector<char> completed_;
-  std::vector<std::uint32_t> worker_load_;  // queued+running per worker
   std::uint64_t replications_ = 0;
 
-  // The inverted index holds INCOMPLETE tasks only (trimmed on
-  // completion) so cache events stop touching finished tasks; it lives
-  // in one CSR pool (swap-erase on completion is the only mutation).
-  common::Csr<TaskId> tasks_of_file_;
+  // Tracks INCOMPLETE tasks only (untracked on completion), so cache
+  // events stop touching finished tasks.
+  TaskFileIndex index_;
   std::vector<std::vector<Bytes>> cached_bytes_;  // [site][task]
   // Per site, high-id ties. Mutable: the index is a cache of
   // cached_bytes_, and the const pick and audit paths refresh it.

@@ -52,45 +52,26 @@ void WorkerCentricScheduler::on_job_submitted() {
 void WorkerCentricScheduler::build_index() {
   const workload::Job& job = engine().job();
   const std::size_t num_tasks = job.num_tasks();
-  const std::size_t num_files = job.catalog.num_files();
-
-  // CSR build: count row widths, finalize, fill in task order — each
-  // row ends up in the same order the old per-file push_back produced.
-  tasks_of_file_.reset(num_files);
   task_size_.assign(num_tasks, 0);
   std::uint32_t max_task_size = 0;
   for (const workload::Task& t : job.tasks()) {
-    for (FileId f : t.files) tasks_of_file_.count(f.value());
     task_size_[t.id.value()] = static_cast<std::uint32_t>(t.files.size());
     max_task_size = std::max(max_task_size, task_size_[t.id.value()]);
   }
-  tasks_of_file_.finalize();
 
-  // Open-system runs: only tasks already arrived at t=0 start pending.
-  // The CSR rows above were COUNTED over all tasks, so a later arrival
-  // re-enters its rows through re_add_pending without overflowing them.
-  // Closed runs (arrivals == nullptr) take the every-task path verbatim.
+  // Open-system runs: only tasks already arrived at t=0 start pending;
+  // a later arrival is tracked through re_add_pending. Closed runs
+  // (arrivals == nullptr) start with every task pending.
   const workload::ArrivalSchedule* arrivals = engine().arrivals();
   auto initially_pending = [arrivals](TaskId t) {
     return arrivals == nullptr || arrivals->arrival(t) <= 0;
   };
+  index_.build(job, initially_pending);
+  pending_.reset(num_tasks);
   for (const workload::Task& t : job.tasks())
-    if (initially_pending(t.id))
-      for (FileId f : t.files) tasks_of_file_.push(f.value(), t.id);
-
-  pending_.assign(num_tasks, 0);
-  pending_list_.clear();
-  pending_list_.reserve(num_tasks);
-  pending_pos_.resize(num_tasks);
+    if (initially_pending(t.id)) pending_.insert(t.id);
   placements_.assign(num_tasks, {});
   completed_.assign(num_tasks, 0);
-  for (std::size_t i = 0; i < num_tasks; ++i) {
-    TaskId id(static_cast<TaskId::underlying_type>(i));
-    if (!initially_pending(id)) continue;
-    pending_[i] = 1;
-    pending_pos_[i] = static_cast<std::uint32_t>(pending_list_.size());
-    pending_list_.push_back(id);
-  }
 
   // Seed the per-site overlap/ref-sum counters from whatever the caches
   // already hold (usually nothing; tests may pre-warm), then subscribe to
@@ -107,39 +88,28 @@ void WorkerCentricScheduler::build_index() {
     idx.overlap.assign(num_tasks, 0);
     if (tracks_refs()) idx.ref_sum.assign(num_tasks, 0);
     const storage::FileCache& cache = engine().site_cache(site);
-    for (FileId f : cache.contents()) {
-      auto refs = static_cast<std::uint64_t>(cache.ref_count(f));
-      for (TaskId t : tasks_of_file_.row(f.value())) {
-        ++idx.overlap[t.value()];
-        if (tracks_refs()) idx.ref_sum[t.value()] += refs;
-      }
-    }
+    index_.for_each_resident(cache, [&](FileId f, TaskId t) {
+      ++idx.overlap[t.value()];
+      if (tracks_refs()) idx.ref_sum[t.value()] += cache.ref_count(f);
+    });
     // Seed the incremental aggregates over the initially-pending bag
-    // (every task, in a closed run).
-    idx.total_ref = 0;
+    // (every task, in a closed run), and file it in the shard with each
+    // bucket sized once up front (the overlap / rest key is 0; combined
+    // keys are missing counts).
     idx.missing_hist.assign(max_task_size + 1, 0);
-    for (std::size_t t = 0; t < num_tasks; ++t) {
-      if (!pending_[t]) continue;
-      if (tracks_refs()) idx.total_ref += idx.ref_sum[t];
-      ++idx.missing_hist[task_size_[t] - idx.overlap[t]];
+    per_key.assign(num_keys, 0);
+    for (TaskId t : pending_) {
+      if (tracks_refs()) idx.total_ref += idx.ref_sum[t.value()];
+      ++idx.missing_hist[missing_of(idx, t)];
+      ++per_key[shard_place(idx, t).first];
     }
-    // File the initially-pending bag, each bucket sized once up front
-    // (the overlap / rest key is 0; combined keys are missing counts).
     ShardedTaskIndex& shard = shards_[s];
     shard.reset(num_tasks, num_keys);
-    per_key.assign(num_keys, 0);
-    for (std::size_t t = 0; t < num_tasks; ++t) {
-      if (!pending_[t]) continue;
-      const TaskId id(static_cast<TaskId::underlying_type>(t));
-      ++per_key[shard_place(idx, id).first];
-    }
     for (std::size_t key = 0; key < num_keys; ++key)
       shard.reserve(key, per_key[key]);
-    for (std::size_t t = 0; t < num_tasks; ++t) {
-      if (!pending_[t]) continue;
-      TaskId id(static_cast<TaskId::underlying_type>(t));
-      const auto [key, rank] = shard_place(idx, id);
-      shard.insert(id, key, rank);
+    for (TaskId t : pending_) {
+      const auto [key, rank] = shard_place(idx, t);
+      shard.insert(t, key, rank);
     }
     engine().set_cache_listener(
         site, [this, site](storage::CacheEvent e, FileId f) {
@@ -157,17 +127,16 @@ void WorkerCentricScheduler::on_cache_event(SiteId site,
   // The listener fires after the cache mutated, so ref_count(file) is the
   // post-event value: on kAdded the pre-existing count, on kEvicted the
   // count accumulated while resident (insert/evict do not change counts).
-  // The inverted index only holds PENDING tasks (trimmed in
-  // remove_pending, restored in re_add_pending), so every task touched
-  // here also updates the site's incremental totals — and is marked in
-  // the site's shard, which indexes exactly the pending bag and re-keys
-  // it at the site's next decision.
+  // The file index tracks only PENDING tasks (untracked in
+  // assign_pending, tracked again in re_add_pending), so every task
+  // touched here also updates the site's incremental totals — and is
+  // marked in the site's shard, which indexes exactly the pending bag and
+  // re-keys it at the site's next decision.
   ShardedTaskIndex& shard = shards_[site.value()];
+  const std::uint64_t refs = engine().site_cache(site).ref_count(file);
   switch (event) {
-    case storage::CacheEvent::kAdded: {
-      auto refs = static_cast<std::uint64_t>(
-          engine().site_cache(site).ref_count(file));
-      for (TaskId t : tasks_of_file_.row(file.value())) {
+    case storage::CacheEvent::kAdded:
+      for (TaskId t : index_.tasks_of(file)) {
         const std::uint32_t missing = missing_of(idx, t);
         WCS_DCHECK(missing > 0);  // the file was not resident before
         --idx.missing_hist[missing];
@@ -180,11 +149,8 @@ void WorkerCentricScheduler::on_cache_event(SiteId site,
         shard.mark(t);
       }
       break;
-    }
-    case storage::CacheEvent::kEvicted: {
-      auto refs = static_cast<std::uint64_t>(
-          engine().site_cache(site).ref_count(file));
-      for (TaskId t : tasks_of_file_.row(file.value())) {
+    case storage::CacheEvent::kEvicted:
+      for (TaskId t : index_.tasks_of(file)) {
         WCS_DCHECK(idx.overlap[t.value()] > 0);
         const std::uint32_t missing = missing_of(idx, t);
         --idx.missing_hist[missing];
@@ -197,10 +163,9 @@ void WorkerCentricScheduler::on_cache_event(SiteId site,
         shard.mark(t);
       }
       break;
-    }
     case storage::CacheEvent::kAccessed:
       // r_i was incremented by exactly one while the file is resident.
-      for (TaskId t : tasks_of_file_.row(file.value())) {
+      for (TaskId t : index_.tasks_of(file)) {
         idx.ref_sum[t.value()] += 1;
         idx.total_ref += 1;
         shard.mark(t);
@@ -209,22 +174,14 @@ void WorkerCentricScheduler::on_cache_event(SiteId site,
   }
 }
 
-double WorkerCentricScheduler::rest_of(const SiteIndex& idx,
-                                       TaskId task) const {
-  WCS_DCHECK_LE(idx.overlap[task.value()], task_size_[task.value()]);
-  const std::uint32_t missing = missing_of(idx, task);
-  return missing == 0 ? kFullOverlapRestWeight
-                      : 1.0 / static_cast<double>(missing);
-}
-
 std::pair<double, double> WorkerCentricScheduler::scan_totals(
     const SiteIndex& idx) const {
   double total_ref = 0;
   double total_rest = 0;
-  for (TaskId t : pending_list_) {
+  for (TaskId t : pending_) {
     if (tracks_refs())
       total_ref += static_cast<double>(idx.ref_sum[t.value()]);
-    total_rest += rest_of(idx, t);
+    total_rest += rest_weight(missing_of(idx, t));
   }
   return {total_ref, total_rest};
 }
@@ -262,20 +219,20 @@ std::pair<double, double> WorkerCentricScheduler::totals_of(
   return totals(sites_.at(site.value()));
 }
 
-double WorkerCentricScheduler::weight_of(const SiteIndex& idx, TaskId task,
-                                         double total_ref,
-                                         double total_rest) const {
+double WorkerCentricScheduler::weight_from(std::uint32_t overlap,
+                                           std::uint32_t size,
+                                           std::uint64_t ref_sum,
+                                           double total_ref,
+                                           double total_rest) const {
   switch (params_.metric) {
     case Metric::kOverlap:
-      return static_cast<double>(idx.overlap[task.value()]);
+      return static_cast<double>(overlap);
     case Metric::kRest:
-      return rest_of(idx, task);
+      return rest_weight(size - overlap);
     case Metric::kCombined: {
       double ref_term =
-          total_ref > 0
-              ? static_cast<double>(idx.ref_sum[task.value()]) / total_ref
-              : 0.0;
-      double rest = rest_of(idx, task);
+          total_ref > 0 ? static_cast<double>(ref_sum) / total_ref : 0.0;
+      double rest = rest_weight(size - overlap);
       if (params_.combined_formula == CombinedFormula::kProse)
         return ref_term + (total_rest > 0 ? rest / total_rest : 0.0);
       return ref_term + total_rest / rest;  // verbatim paper formula
@@ -297,49 +254,20 @@ double WorkerCentricScheduler::naive_weight(SiteId site, TaskId task) const {
   const workload::Job& job = engine().job();
   const storage::FileCache& cache = engine().site_cache(site);
 
-  auto overlap_and_refs = [&](TaskId t) {
-    std::size_t overlap = 0;
-    std::uint64_t refs = 0;
-    for (FileId f : job.task(t).files) {
-      if (cache.contains(f)) {
-        ++overlap;
-        refs += cache.ref_count(f);
-      }
-    }
-    return std::pair{overlap, refs};
+  auto size = [&](TaskId t) {
+    return static_cast<std::uint32_t>(job.task(t).files.size());
   };
-  auto rest_naive = [&](TaskId t) {
-    auto [overlap, refs] = overlap_and_refs(t);
-    (void)refs;
-    std::size_t missing = job.task(t).files.size() - overlap;
-    return missing == 0 ? kFullOverlapRestWeight
-                        : 1.0 / static_cast<double>(missing);
-  };
-
-  switch (params_.metric) {
-    case Metric::kOverlap:
-      return static_cast<double>(overlap_and_refs(task).first);
-    case Metric::kRest:
-      return rest_naive(task);
-    case Metric::kCombined: {
-      double total_ref = 0;
-      double total_rest = 0;
-      for (TaskId t : pending_list_) {
-        total_ref += static_cast<double>(overlap_and_refs(t).second);
-        total_rest += rest_naive(t);
-      }
-      double ref_term =
-          total_ref > 0
-              ? static_cast<double>(overlap_and_refs(task).second) / total_ref
-              : 0.0;
-      double rest = rest_naive(task);
-      if (params_.combined_formula == CombinedFormula::kProse)
-        return ref_term + (total_rest > 0 ? rest / total_rest : 0.0);
-      return ref_term + total_rest / rest;
+  double total_ref = 0;
+  double total_rest = 0;
+  if (params_.metric == Metric::kCombined) {
+    for (TaskId t : pending_) {
+      const Residency r = residency(cache, job, t);
+      total_ref += static_cast<double>(r.refs);
+      total_rest += rest_weight(size(t) - r.files);
     }
   }
-  WCS_CHECK(false);
-  return 0;
+  const Residency r = residency(cache, job, task);
+  return weight_from(r.files, size(task), r.refs, total_ref, total_rest);
 }
 
 std::size_t WorkerCentricScheduler::overlap_cardinality(SiteId site,
@@ -410,7 +338,7 @@ void describe(std::ostream& os, const std::vector<Candidate>& list) {
 }  // namespace
 
 TaskId WorkerCentricScheduler::choose_task(SiteId site) {
-  WCS_CHECK(!pending_list_.empty());
+  WCS_CHECK(!pending_.empty());
   fill_candidates(site, choice_buf_);
   return pick_from(choice_buf_, weight_buf_, rng_);
 }
@@ -427,8 +355,8 @@ std::vector<Candidate> WorkerCentricScheduler::reference_candidates(
   std::vector<Candidate> out;
   TopN topn(out, std::min<std::size_t>(
                      static_cast<std::size_t>(params_.choose_n),
-                     pending_list_.size()));
-  for (TaskId t : pending_list_)
+                     pending_.size()));
+  for (TaskId t : pending_)
     topn.offer({weight_of(idx, t, total_ref, total_rest), t});
   return out;
 }
@@ -444,7 +372,7 @@ void WorkerCentricScheduler::fill_candidates(
   const SiteIndex& idx = sites_[site.value()];
   refresh_shard(site.value());
   const ShardedTaskIndex& shard = shards_[site.value()];
-  WCS_DCHECK_EQ(shard.size(), pending_list_.size());
+  WCS_DCHECK_EQ(shard.size(), pending_.size());
 
   double total_ref = 0;
   double total_rest = 0;
@@ -453,7 +381,7 @@ void WorkerCentricScheduler::fill_candidates(
 
   TopN topn(out, std::min<std::size_t>(
                      static_cast<std::size_t>(params_.choose_n),
-                     pending_list_.size()));
+                     pending_.size()));
   // Along every walk the weight is non-increasing and ties come in the id
   // order `better` uses (sharded_index.h, equivalence invariant), so the
   // first rejected entry ends the walk. Overlap and rest have one bucket;
@@ -467,14 +395,8 @@ void WorkerCentricScheduler::fill_candidates(
     });
 }
 
-void WorkerCentricScheduler::remove_pending(TaskId task) {
-  WCS_CHECK(is_pending(task));
-  pending_[task.value()] = 0;
-  std::uint32_t pos = pending_pos_[task.value()];
-  TaskId last = pending_list_.back();
-  pending_list_[pos] = last;
-  pending_pos_[last.value()] = pos;
-  pending_list_.pop_back();
+void WorkerCentricScheduler::assign_pending(TaskId task, WorkerId worker) {
+  pending_.erase(task);
   // The task leaves every site's pending aggregates (and shard).
   for (std::size_t s = 0; s < sites_.size(); ++s) {
     SiteIndex& idx = sites_[s];
@@ -483,22 +405,15 @@ void WorkerCentricScheduler::remove_pending(TaskId task) {
     --idx.missing_hist[missing_of(idx, task)];
     shards_[s].erase(task);
   }
-  // Trim the inverted index so cache events stop touching this task.
-  for (FileId f : engine().job().task(task).files) {
-    const bool removed = tasks_of_file_.erase_swap(f.value(), task);
-    WCS_DCHECK(removed);
-    (void)removed;
-  }
-}
-
-void WorkerCentricScheduler::forget_starving(WorkerId worker) {
-  std::erase(starving_, worker);
+  index_.untrack(task);  // cache events stop touching it
+  placements_[task.value()].push_back(worker);
+  engine().assign_task(task, worker);
 }
 
 void WorkerCentricScheduler::on_worker_idle(WorkerId worker) {
   obs::ScopedPhase phase(profiler_, obs::Phase::kSchedulerDecision);
-  forget_starving(worker);
-  if (pending_list_.empty()) {
+  std::erase(starving_, worker);
+  if (pending_.empty()) {
     // Bag is empty; optionally shave the tail by replicating. A worker
     // left without work is remembered: a crash elsewhere may refill the
     // bag, and feed_starving() then serves it.
@@ -506,10 +421,7 @@ void WorkerCentricScheduler::on_worker_idle(WorkerId worker) {
     starving_.push_back(worker);
     return;
   }
-  TaskId task = choose_task(engine().site_of(worker));
-  remove_pending(task);
-  placements_[task.value()].push_back(worker);
-  engine().assign_task(task, worker);
+  assign_pending(choose_task(engine().site_of(worker)), worker);
 }
 
 bool WorkerCentricScheduler::replicate_for(WorkerId worker) {
@@ -527,9 +439,8 @@ bool WorkerCentricScheduler::replicate_for(WorkerId worker) {
       continue;
     TaskId t(static_cast<TaskId::underlying_type>(i));
     if (instances.contains(worker)) continue;
-    std::size_t missing = 0;
-    for (FileId f : job.task(t).files)
-      if (!cache.contains(f)) ++missing;
+    const std::size_t missing =
+        job.task(t).files.size() - residency(cache, job, t).files;
     // Fewest missing files (the rest metric's criterion applied to
     // replicas); ties to the highest id (assigned latest, most likely to
     // still be far from finishing).
@@ -561,47 +472,31 @@ void WorkerCentricScheduler::re_add_pending(TaskId task) {
   const workload::Job& job = engine().job();
 
   // Rebuild the per-site counters against the LIVE cache state (they went
-  // stale the moment the task left the inverted index).
+  // stale the moment the task left the index).
   for (std::size_t s = 0; s < sites_.size(); ++s) {
-    SiteId site(static_cast<SiteId::underlying_type>(s));
-    const storage::FileCache& cache = engine().site_cache(site);
-    std::uint32_t overlap = 0;
-    std::uint64_t refs = 0;
-    for (FileId f : job.task(task).files) {
-      if (cache.contains(f)) {
-        ++overlap;
-        refs += cache.ref_count(f);
-      }
-    }
+    const SiteId site(static_cast<SiteId::underlying_type>(s));
+    const Residency r = residency(engine().site_cache(site), job, task);
     SiteIndex& idx = sites_[s];
-    idx.overlap[task.value()] = overlap;
+    idx.overlap[task.value()] = r.files;
     // The task re-enters the site's pending aggregates (and shard).
     if (tracks_refs()) {
-      idx.ref_sum[task.value()] = refs;
-      idx.total_ref += refs;
+      idx.ref_sum[task.value()] = r.refs;
+      idx.total_ref += r.refs;
     }
     ++idx.missing_hist[missing_of(idx, task)];
     const auto [key, rank] = shard_place(idx, task);
     shards_[s].insert(task, key, rank);
   }
-  for (FileId f : job.task(task).files)
-    tasks_of_file_.push(f.value(), task);
-
-  pending_[task.value()] = 1;
-  pending_pos_[task.value()] =
-      static_cast<std::uint32_t>(pending_list_.size());
-  pending_list_.push_back(task);
+  index_.track(task);
+  pending_.insert(task);
 }
 
 void WorkerCentricScheduler::feed_starving() {
-  while (!pending_list_.empty() && !starving_.empty()) {
+  while (!pending_.empty() && !starving_.empty()) {
     WorkerId worker = starving_.front();
     starving_.pop_front();
     if (!engine().worker_alive(worker)) continue;
-    TaskId task = choose_task(engine().site_of(worker));
-    remove_pending(task);
-    placements_[task.value()].push_back(worker);
-    engine().assign_task(task, worker);
+    assign_pending(choose_task(engine().site_of(worker)), worker);
   }
 }
 
@@ -624,56 +519,37 @@ void WorkerCentricScheduler::audit_collect(
     totals_snap.scanned_rest = scan_rest;
     audit::check_index_coherence(totals_snap, out);
 
-    // Per-task overlap/ref-sum counters vs a full recompute from the live
-    // cache. O(files resident * tasks per file), the cost build_index()
-    // pays once — affordable at audit-sweep frequency. Ref sums exist,
+    // Per-task counters, and the shard once refreshed, vs residency()
+    // against the live cache: the shard must hold exactly the pending
+    // bag, each entry keyed/ranked as the rescan dictates. Ref sums exist,
     // and are compared, only under the combined metric.
     const storage::FileCache& cache = engine().site_cache(site);
-    std::vector<std::uint32_t> overlap(task_size_.size(), 0);
-    std::vector<std::uint64_t> ref_sum(task_size_.size(), 0);
-    for (FileId f : cache.contents()) {
-      const auto refs = static_cast<std::uint64_t>(cache.ref_count(f));
-      for (TaskId t : tasks_of_file_.row(f.value())) {
-        ++overlap[t.value()];
-        if (tracks_refs()) ref_sum[t.value()] += refs;
-      }
-    }
-    for (TaskId t : pending_list_) {
-      const std::uint64_t live_refs =
-          tracks_refs() ? idx.ref_sum[t.value()] : 0;
-      if (idx.overlap[t.value()] == overlap[t.value()] &&
-          live_refs == ref_sum[t.value()])
-        continue;
-      std::ostringstream os;
-      os << "site " << s << " task " << t << " index drifted: incremental"
-         << " overlap " << idx.overlap[t.value()] << " / refSum "
-         << live_refs << " vs recomputed " << overlap[t.value()] << " / "
-         << ref_sum[t.value()] << " (task has " << job.task(t).files.size()
-         << " files)";
-      out.push_back(audit::Violation{"index-coherence", os.str()});
-    }
-
-    // Sharded-index coherence: once refreshed, the shard must hold
-    // exactly the pending bag, with every entry keyed/ranked as the
-    // brute-force recompute (`overlap`/`ref_sum` above, straight from the
-    // cache) dictates.
     refresh_shard(s);
     const ShardedTaskIndex& shard = shards_[s];
     audit::ShardedIndexSnapshot shard_snap;
     shard_snap.label = "site " + std::to_string(s) + " shard";
     shard_snap.indexed = shard.size();
-    shard_snap.expected = pending_list_.size();
+    shard_snap.expected = pending_.size();
     shard_snap.defects = shard.structural_defects();
-    for (TaskId t : pending_list_) {
+    for (TaskId t : pending_) {
+      const Residency r = residency(cache, job, t);
+      const std::uint64_t refs = tracks_refs() ? r.refs : 0;
+      const std::uint64_t live_refs =
+          tracks_refs() ? idx.ref_sum[t.value()] : 0;
+      if (idx.overlap[t.value()] != r.files || live_refs != refs) {
+        std::ostringstream os;
+        os << "site " << s << " task " << t << " index drifted: incremental"
+           << " overlap " << idx.overlap[t.value()] << " / refSum "
+           << live_refs << " vs recomputed " << r.files << " / " << refs
+           << " (task has " << job.task(t).files.size() << " files)";
+        out.push_back(audit::Violation{"index-coherence", os.str()});
+      }
+      const auto [key, rank] = shard_place(t, r.files, refs);
       if (!shard.contains(t)) {
         std::ostringstream os;
         os << "pending task " << t << " missing from the shard";
         shard_snap.defects.push_back(os.str());
-        continue;
-      }
-      const auto [key, rank] =
-          shard_place(t, overlap[t.value()], ref_sum[t.value()]);
-      if (shard.key_of(t) != key || shard.rank_of(t) != rank) {
+      } else if (shard.key_of(t) != key || shard.rank_of(t) != rank) {
         std::ostringstream os;
         os << "task " << t << " filed under key " << shard.key_of(t)
            << " / rank " << shard.rank_of(t) << " but the rescan wants "
@@ -699,7 +575,7 @@ void WorkerCentricScheduler::audit_collect(
 
 void WorkerCentricScheduler::on_worker_failed(
     WorkerId worker, const std::vector<TaskId>& lost) {
-  forget_starving(worker);
+  std::erase(starving_, worker);
   for (TaskId t : lost) {
     auto& instances = placements_[t.value()];
     instances.erase_value(worker);

@@ -24,9 +24,10 @@
 // tasks, intersect file sets). Three incremental layers remove that:
 //
 //   1. per-(site, task) overlap/ref-sum counters, updated from
-//      cache-change notifications, make one weight evaluation O(1)
-//      (ref sums are kept only under combined, the one metric that
-//      reads them);
+//      cache-change notifications through the file -> pending-task index
+//      the data-aware schedulers share (sched/residency.h), make one
+//      weight evaluation O(1) (ref sums are kept only under combined,
+//      the one metric that reads them);
 //   2. the combined metric's totalRef/totalRest aggregates (exact
 //      integer sum + missing-count histogram) make the normalizers O(1)
 //      per decision instead of a second O(T) scan;
@@ -43,10 +44,11 @@
 // once, so heap upkeep scales with decisions, not with cache events.
 //
 // The semantics are byte-identical at every layer: tests cross-check
-// weights against the naive computation, and --audit cross-validates
-// every counter, aggregate, and index entry against a brute-force rescan and
-// every site's top-n candidates against reference_candidates(), the flat
-// O(|pending|) scan kept as the decision oracle. The property suite
+// weights against the naive computation over residency(), the shared
+// per-task scan, and --audit cross-validates every counter and index
+// entry against residency(), every aggregate against a pending-bag scan,
+// and every site's top-n candidates against reference_candidates(), the
+// flat O(|pending|) scan kept as the decision oracle. The property suite
 // replays random interleavings and runs that comparison after every
 // operation.
 #pragma once
@@ -56,9 +58,9 @@
 #include <string>
 #include <vector>
 
-#include "common/csr.h"
 #include "common/inline_vec.h"
 #include "common/rng.h"
+#include "sched/residency.h"
 #include "sched/scheduler.h"
 #include "sched/sharded_index.h"
 
@@ -116,8 +118,8 @@ class WorkerCentricScheduler final : public Scheduler {
 
   // Invariant audit: cross-validates every site's incremental aggregates
   // (total_ref + missing-count histogram) against the O(|pending|) scan,
-  // the per-task overlap/ref-sum counters against a full recompute from
-  // the live cache contents, the shard against that recompute, and
+  // the per-task overlap/ref-sum counters against residency() on the
+  // live cache, the shard against that recompute, and
   // candidates() against reference_candidates(), bitwise. The aggregate
   // check is the auditable promotion of the debug-only WCS_DCHECK in
   // totals().
@@ -134,10 +136,10 @@ class WorkerCentricScheduler final : public Scheduler {
   [[nodiscard]] double naive_weight(SiteId site, TaskId task) const;
 
   [[nodiscard]] std::size_t pending_count() const override {
-    return pending_list_.size();
+    return pending_.size();
   }
   [[nodiscard]] bool is_pending(TaskId task) const {
-    return task.value() < pending_.size() && pending_[task.value()];
+    return pending_.contains(task);
   }
   [[nodiscard]] std::size_t overlap_cardinality(SiteId site,
                                                 TaskId task) const;
@@ -194,10 +196,26 @@ class WorkerCentricScheduler final : public Scheduler {
   }
   void build_index();
   void on_cache_event(SiteId site, storage::CacheEvent event, FileId file);
-  void remove_pending(TaskId task);
+  // Takes `task` out of the bag (and every site's aggregates, shard and
+  // the file index) and assigns it to `worker`.
+  void assign_pending(TaskId task, WorkerId worker);
+  // CalculateWeight() of a task with `overlap` of its `size` files at the
+  // site and ref-sum `ref_sum`, given the site's totals: the one formula
+  // behind the index (weight_of) and naive_weight().
+  [[nodiscard]] double weight_from(std::uint32_t overlap, std::uint32_t size,
+                                   std::uint64_t ref_sum, double total_ref,
+                                   double total_rest) const;
   [[nodiscard]] double weight_of(const SiteIndex& idx, TaskId task,
-                                 double total_ref, double total_rest) const;
-  [[nodiscard]] double rest_of(const SiteIndex& idx, TaskId task) const;
+                                 double total_ref, double total_rest) const {
+    return weight_from(idx.overlap[task.value()], task_size_[task.value()],
+                       tracks_refs() ? idx.ref_sum[task.value()] : 0,
+                       total_ref, total_rest);
+  }
+  // rest_t of a task with `missing` files still to transfer.
+  [[nodiscard]] static double rest_weight(std::size_t missing) {
+    return missing == 0 ? kFullOverlapRestWeight
+                        : 1.0 / static_cast<double>(missing);
+  }
   // totalRest over pending tasks for one site, summed from the
   // missing-count histogram.
   [[nodiscard]] static double histogram_rest(const SiteIndex& idx);
@@ -211,6 +229,7 @@ class WorkerCentricScheduler final : public Scheduler {
       const SiteIndex& idx) const;
   [[nodiscard]] std::uint32_t missing_of(const SiteIndex& idx,
                                          TaskId task) const {
+    WCS_DCHECK_LE(idx.overlap[task.value()], task_size_[task.value()]);
     return task_size_[task.value()] - idx.overlap[task.value()];
   }
   // candidates(site), written into `out` (cleared first): the index
@@ -253,8 +272,6 @@ class WorkerCentricScheduler final : public Scheduler {
   void re_add_pending(TaskId task);
   // Hand pending tasks to workers that starved on an empty bag.
   void feed_starving();
-  // Drop `worker` from the starving list if present.
-  void forget_starving(WorkerId worker);
 
   WorkerCentricParams params_;
   Rng rng_;
@@ -263,15 +280,11 @@ class WorkerCentricScheduler final : public Scheduler {
   // shard_place once refreshed. Mutable: a shard is a cache of the
   // counters, and the const decision and audit paths refresh it.
   mutable std::vector<ShardedTaskIndex> shards_;
-  // Inverted file -> pending-tasks index as one CSR pool (three flat
-  // arrays) instead of a vector-of-vectors: rows support exactly the
-  // mutations the scheduler performs (swap-erase on assignment, bounded
-  // re-push after a crash) without per-file heap blocks.
-  common::Csr<TaskId> tasks_of_file_;
+  // Tracks exactly the pending bag: untracked on assignment, tracked
+  // again on a crash re-add or an arrival.
+  TaskFileIndex index_;
   std::vector<std::uint32_t> task_size_;  // |t| per task
-  std::vector<char> pending_;         // by task id
-  std::vector<TaskId> pending_list_;  // dense list for scanning
-  std::vector<std::uint32_t> pending_pos_;  // task id -> index in list
+  PendingBag pending_;
   // Replication bookkeeping (kept even when replication is off: the
   // engine reports completions regardless). Two inline slots cover every
   // paper configuration (max_replicas = 2); larger settings spill.

@@ -1,8 +1,8 @@
 #include "sched/xsufferage.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <sstream>
 
 namespace wcs::sched {
 
@@ -12,36 +12,26 @@ void XSufferageScheduler::on_job_submitted() {
   const std::size_t num_tasks = job.num_tasks();
   const std::size_t num_sites = engine().num_sites();
 
-  tasks_of_file_.assign(job.catalog.num_files(), {});
+  index_.build(job, [](TaskId) { return true; });
+  pending_.reset(num_tasks);
   task_bytes_.assign(num_tasks, 0);
-  for (const workload::Task& t : job.tasks()) {
-    for (FileId f : t.files) {
-      tasks_of_file_[f.value()].push_back(t.id);
-      task_bytes_[t.id.value()] +=
-          static_cast<double>(job.catalog.size(f));
-    }
-  }
   double total_bytes = 0;
-  for (double b : task_bytes_) total_bytes += b;
+  for (const workload::Task& t : job.tasks()) {
+    pending_.insert(t.id);
+    for (FileId f : t.files) task_bytes_[t.id.value()] += job.catalog.size(f);
+    total_bytes += static_cast<double>(task_bytes_[t.id.value()]);
+  }
   avg_task_bytes_ = num_tasks ? total_bytes / static_cast<double>(num_tasks)
                               : 0.0;
 
-  pending_.assign(num_tasks, 1);
-  pending_list_.resize(num_tasks);
-  pending_pos_.resize(num_tasks);
-  for (std::size_t i = 0; i < num_tasks; ++i) {
-    pending_list_[i] = TaskId(static_cast<TaskId::underlying_type>(i));
-    pending_pos_[i] = static_cast<std::uint32_t>(i);
-  }
-
-  cached_bytes_.assign(num_sites, std::vector<double>(num_tasks, 0));
+  cached_bytes_.assign(num_sites, std::vector<Bytes>(num_tasks, 0));
   for (std::size_t s = 0; s < num_sites; ++s) {
     SiteId site(static_cast<SiteId::underlying_type>(s));
-    for (FileId f : engine().site_cache(site).contents()) {
-      double bytes = static_cast<double>(job.catalog.size(f));
-      for (TaskId t : tasks_of_file_[f.value()])
-        cached_bytes_[s][t.value()] += bytes;
-    }
+    index_.for_each_resident(engine().site_cache(site),
+                             [&](FileId f, TaskId t) {
+                               cached_bytes_[s][t.value()] +=
+                                   job.catalog.size(f);
+                             });
     engine().set_cache_listener(
         site, [this, site](storage::CacheEvent e, FileId f) {
           on_cache_event(site, e, f);
@@ -53,12 +43,16 @@ void XSufferageScheduler::on_cache_event(SiteId site,
                                          storage::CacheEvent event,
                                          FileId file) {
   if (event == storage::CacheEvent::kAccessed) return;  // bytes unchanged
-  double bytes =
-      static_cast<double>(engine().job().catalog.size(file));
-  double delta = event == storage::CacheEvent::kAdded ? bytes : -bytes;
+  const Bytes bytes = engine().job().catalog.size(file);
   auto& per_task = cached_bytes_[site.value()];
-  for (TaskId t : tasks_of_file_[file.value()])
-    per_task[t.value()] += delta;
+  for (TaskId t : index_.tasks_of(file)) {
+    if (event == storage::CacheEvent::kAdded) {
+      per_task[t.value()] += bytes;
+    } else {
+      WCS_DCHECK(per_task[t.value()] >= bytes);
+      per_task[t.value()] -= bytes;
+    }
+  }
 }
 
 double XSufferageScheduler::estimated_completion(TaskId task,
@@ -69,17 +63,19 @@ double XSufferageScheduler::estimated_completion(TaskId task,
   double queue_wait =
       static_cast<double>(engine().data_server_backlog(site)) *
       avg_task_bytes_ / bw;
-  double missing =
-      std::max(0.0, task_bytes_[task.value()] - cached_bytes_[s][task.value()]);
+  // Exact: integers below 2^53, and a task's cached bytes never exceed
+  // its total.
+  WCS_DCHECK_LE(cached_bytes_[s][task.value()], task_bytes_[task.value()]);
+  const auto missing = static_cast<double>(task_bytes_[task.value()] -
+                                           cached_bytes_[s][task.value()]);
   return queue_wait + missing / bw +
          engine().job().task(task).mflop / mflops;
 }
 
 void XSufferageScheduler::on_worker_idle(WorkerId worker) {
   obs::ScopedPhase phase(profiler_, obs::Phase::kSchedulerDecision);
-  starving_.erase(std::remove(starving_.begin(), starving_.end(), worker),
-                  starving_.end());
-  if (pending_list_.empty()) {
+  std::erase(starving_, worker);
+  if (pending_.empty()) {
     starving_.push_back(worker);
     return;
   }
@@ -91,7 +87,7 @@ void XSufferageScheduler::on_worker_idle(WorkerId worker) {
   TaskId best_local_task = TaskId::invalid();
   double best_local_ect = std::numeric_limits<double>::infinity();
 
-  for (TaskId t : pending_list_) {
+  for (TaskId t : pending_) {
     double ect1 = std::numeric_limits<double>::infinity();
     double ect2 = std::numeric_limits<double>::infinity();
     SiteId arg1 = SiteId::invalid();
@@ -127,57 +123,49 @@ void XSufferageScheduler::on_worker_idle(WorkerId worker) {
   TaskId chosen = best_sufferage_task.valid() ? best_sufferage_task
                                               : best_local_task;
   WCS_CHECK(chosen.valid());
-  remove_pending(chosen);
+  pending_.erase(chosen);
+  index_.untrack(chosen);  // cache events stop touching it
   engine().assign_task(chosen, worker);
-}
-
-void XSufferageScheduler::remove_pending(TaskId task) {
-  WCS_CHECK(pending_[task.value()]);
-  pending_[task.value()] = 0;
-  std::uint32_t pos = pending_pos_[task.value()];
-  TaskId last = pending_list_.back();
-  pending_list_[pos] = last;
-  pending_pos_[last.value()] = pos;
-  pending_list_.pop_back();
-  for (FileId f : engine().job().task(task).files) {
-    auto& vec = tasks_of_file_[f.value()];
-    auto it = std::find(vec.begin(), vec.end(), task);
-    WCS_DCHECK(it != vec.end());
-    *it = vec.back();
-    vec.pop_back();
-  }
 }
 
 void XSufferageScheduler::on_task_completed(TaskId, WorkerId) {}
 
 void XSufferageScheduler::on_worker_failed(WorkerId worker,
                                            const std::vector<TaskId>& lost) {
-  starving_.erase(std::remove(starving_.begin(), starving_.end(), worker),
-                  starving_.end());
+  std::erase(starving_, worker);
   const workload::Job& job = engine().job();
   for (TaskId t : lost) {
     // Re-home: rebuild cached-bytes counters and rejoin the pending pool.
     for (std::size_t s = 0; s < cached_bytes_.size(); ++s) {
-      SiteId site(static_cast<SiteId::underlying_type>(s));
-      const storage::FileCache& cache = engine().site_cache(site);
-      double bytes = 0;
-      for (FileId f : job.task(t).files)
-        if (cache.contains(f))
-          bytes += static_cast<double>(job.catalog.size(f));
-      cached_bytes_[s][t.value()] = bytes;
+      const SiteId site(static_cast<SiteId::underlying_type>(s));
+      cached_bytes_[s][t.value()] =
+          residency(engine().site_cache(site), job, t).bytes;
     }
-    for (FileId f : job.task(t).files)
-      tasks_of_file_[f.value()].push_back(t);
-    pending_[t.value()] = 1;
-    pending_pos_[t.value()] =
-        static_cast<std::uint32_t>(pending_list_.size());
-    pending_list_.push_back(t);
+    index_.track(t);
+    pending_.insert(t);
   }
-  while (!pending_list_.empty() && !starving_.empty()) {
+  while (!pending_.empty() && !starving_.empty()) {
     WorkerId w = starving_.front();
     starving_.erase(starving_.begin());
     if (!engine().worker_alive(w)) continue;
     on_worker_idle(w);
+  }
+}
+
+void XSufferageScheduler::audit_collect(
+    std::vector<audit::Violation>& out) const {
+  const workload::Job& job = engine().job();
+  for (std::size_t s = 0; s < cached_bytes_.size(); ++s) {
+    const SiteId site(static_cast<SiteId::underlying_type>(s));
+    const storage::FileCache& cache = engine().site_cache(site);
+    for (TaskId t : pending_) {
+      const Bytes bytes = residency(cache, job, t).bytes;
+      if (cached_bytes_[s][t.value()] == bytes) continue;
+      std::ostringstream os;
+      os << "site " << s << " task " << t << " cached-bytes counter "
+         << cached_bytes_[s][t.value()] << " but the rescan finds " << bytes;
+      out.push_back(audit::Violation{"index-coherence", os.str()});
+    }
   }
 }
 

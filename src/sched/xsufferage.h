@@ -24,8 +24,11 @@
 //             + missing_bytes(t, s) / bw(s)              -- own transfer
 //             + mflop(t) / mflops(s)                     -- compute
 //
-// missing_bytes is tracked incrementally from cache events (same device
-// as the worker-centric scheduler's index), so a request costs O(T * S).
+// missing_bytes comes from an exact per-(site, task) cached-bytes
+// counter, kept incremental from cache events through the file -> task
+// index the worker-centric and storage-affinity schedulers use too
+// (sched/residency.h), so a request costs O(T * S). --audit checks
+// every pending task's counters against residency(), the shared scan.
 // Estimate-quality sensitivity is measured in EXPERIMENTS.md ablation
 // A4 (GridConfig::estimate_error skews the bandwidth/CPU numbers this
 // scheduler sees; the data-aware schedulers never read them).
@@ -35,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "sched/residency.h"
 #include "sched/scheduler.h"
 
 namespace wcs::sched {
@@ -57,24 +61,26 @@ class XSufferageScheduler final : public Scheduler {
                         const std::vector<TaskId>& lost) override;
   [[nodiscard]] std::string name() const override { return "xsufferage"; }
 
+  // Invariant audit: every pending task's cached-bytes counter at every
+  // site equals residency() against the live cache.
+  void audit_collect(std::vector<audit::Violation>& out) const override;
+
   // Unassigned tasks (audit/test hook; running tasks are not counted).
-  [[nodiscard]] std::size_t pending_count() const {
-    return pending_list_.size();
+  [[nodiscard]] std::size_t pending_count() const override {
+    return pending_.size();
   }
   // Estimated completion time of a pending task at a site (test hook).
   [[nodiscard]] double estimated_completion(TaskId task, SiteId site) const;
 
  private:
-  void remove_pending(TaskId task);
   void on_cache_event(SiteId site, storage::CacheEvent event, FileId file);
 
-  // cached_bytes_[s][t]: bytes of t's input set resident at site s.
-  std::vector<std::vector<double>> cached_bytes_;
-  std::vector<double> task_bytes_;  // total input bytes per task
-  std::vector<std::vector<TaskId>> tasks_of_file_;
-  std::vector<char> pending_;
-  std::vector<TaskId> pending_list_;
-  std::vector<std::uint32_t> pending_pos_;
+  // cached_bytes_[s][t]: bytes of t's input set resident at site s,
+  // exact for pending tasks (the index tracks only those).
+  std::vector<std::vector<Bytes>> cached_bytes_;
+  std::vector<Bytes> task_bytes_;  // total input bytes per task
+  TaskFileIndex index_;
+  PendingBag pending_;
   std::vector<WorkerId> starving_;
   double avg_task_bytes_ = 0;
 };

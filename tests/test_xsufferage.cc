@@ -3,6 +3,7 @@
 
 #include "fake_engine.h"
 #include "grid/experiment.h"
+#include "sched/residency.h"
 #include "sched/xsufferage.h"
 #include "workload/coadd.h"
 
@@ -76,6 +77,61 @@ TEST(XSufferage, EveryTaskAssignedOnce) {
   EXPECT_EQ(xs.pending_count(), 0u);
 }
 
+TEST(XSufferage, CrashReAddLeavesCountersEqualToResidency) {
+  workload::Job job;
+  job.set_name("hetero");
+  for (Bytes b : {Bytes{1'000'000}, Bytes{3'000'000}, Bytes{500'000},
+                  Bytes{2'000'000}})
+    job.catalog.add_file(b);
+  job.add_task({FileId(0), FileId(1)}, 1.0);
+  job.add_task({FileId(1), FileId(2), FileId(3)}, 2.0);
+  job.add_task({FileId(0), FileId(3)}, 3.0);
+  workload::validate_job(job);
+  FakeEngine eng(job, 2, 1, /*capacity=*/2);  // LRU: inserts evict
+  XSufferageScheduler xs;
+  xs.attach(eng);
+  xs.on_job_submitted();
+
+  xs.on_worker_idle(WorkerId(0));
+  ASSERT_EQ(eng.assignments.size(), 1u);
+  const TaskId lost = eng.assignments[0].first;
+  // While `lost` runs, the index no longer tracks it: these adds and
+  // evictions leave its counters stale.
+  for (unsigned f : {0u, 1u, 3u}) eng.add_file(SiteId(0), FileId(f));
+  for (unsigned f : {2u, 3u, 1u}) eng.add_file(SiteId(1), FileId(f));
+  xs.on_worker_failed(WorkerId(0), {lost});
+  EXPECT_EQ(xs.pending_count(), job.num_tasks());
+
+  std::vector<audit::Violation> violations;
+  xs.audit_collect(violations);
+  EXPECT_TRUE(violations.empty());
+  for (unsigned s = 0; s < 2; ++s) {
+    const SiteId site(s);
+    Bytes total = 0;
+    for (FileId f : job.task(lost).files) total += job.catalog.size(f);
+    const Bytes missing =
+        total - residency(eng.site_cache(site), job, lost).bytes;
+    EXPECT_DOUBLE_EQ(
+        xs.estimated_completion(lost, site),
+        static_cast<double>(missing) / grid::kFallbackUplinkBandwidthBps +
+            job.task(lost).mflop / grid::kFallbackSiteMflops);
+  }
+}
+
+TEST(XSufferage, AuditCatchesCountersThatMissedACacheEvent) {
+  auto job = make_job({{0, 1}, {1, 2}}, 3);
+  FakeEngine eng(job, 1, 1);
+  XSufferageScheduler xs;
+  xs.attach(eng);
+  xs.on_job_submitted();
+  eng.cache(SiteId(0)).set_listener({});  // the scheduler stops hearing
+  eng.add_file(SiteId(0), FileId(1));
+  std::vector<audit::Violation> violations;
+  xs.audit_collect(violations);
+  ASSERT_EQ(violations.size(), 2u);  // both pending tasks read file 1
+  EXPECT_EQ(violations[0].checker, "index-coherence");
+}
+
 TEST(XSufferage, EndToEndCompletesCoadd) {
   workload::CoaddParams cp;
   cp.num_tasks = 100;
@@ -107,6 +163,14 @@ TEST(XSufferage, SurvivesChurn) {
   spec.algorithm = Algorithm::kXSufferage;
   auto r = grid::run_once(c, wl, spec, 1);
   EXPECT_EQ(r.tasks_completed, 60u);
+  // Crash re-adds under the auditor: every sweep checks the cached-bytes
+  // counters against residency(), and the results do not move.
+  c.audit = true;
+  c.audit_interval_events = 50;
+  const auto audited = grid::run_once(c, wl, spec, 1);
+  EXPECT_GT(audited.worker_failures, 0u);
+  EXPECT_EQ(audited.makespan_s, r.makespan_s);
+  EXPECT_EQ(audited.events_executed, r.events_executed);
 }
 
 TEST(XSufferage, OmniscientEstimatesMatchRestClosely) {
