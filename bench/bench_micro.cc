@@ -175,8 +175,9 @@ BENCHMARK(BM_SchedulerWeightScan)->Unit(benchmark::kMillisecond)->Arg(1000);
 
 void BM_EventKernelWithCancellation(benchmark::State& state) {
   // Schedule/cancel churn: every other event is cancelled before firing,
-  // the pattern worker timeouts and replica cancellations produce. Guards
-  // the lazy-deletion scheme (no hashing on schedule/cancel/pop).
+  // the pattern worker timeouts and replica cancellations produce. A
+  // cancel takes its key out of the heap at once, so the run pops only
+  // live events.
   for (auto _ : state) {
     sim::Simulator sim;
     std::vector<EventId> ids;
@@ -190,6 +191,50 @@ void BM_EventKernelWithCancellation(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10000);
 }
 BENCHMARK(BM_EventKernelWithCancellation);
+
+// A steady heap of N live events; each firing moves k others to a new
+// time and re-arms itself, the pattern of flow completions under rate
+// changes. One iteration is one step.
+class RescheduleChurn {
+ public:
+  RescheduleChurn(std::size_t n, std::size_t k) : ids_(n), k_(k) {
+    for (std::size_t i = 0; i < n; ++i) arm(i);
+  }
+  sim::Simulator& sim() { return sim_; }
+
+ private:
+  double delay() {
+    x_ ^= x_ << 13;  // xorshift64
+    x_ ^= x_ >> 7;
+    x_ ^= x_ << 17;
+    return static_cast<double>(x_ % 1000);
+  }
+  void arm(std::size_t i) {
+    ids_[i] = sim_.schedule_in(delay(), [this, i] { fire(i); });
+  }
+  void fire(std::size_t i) {
+    for (std::size_t m = 0; m < k_; ++m)
+      (void)sim_.reschedule(ids_[static_cast<std::size_t>(x_ % ids_.size())],
+                            sim_.now() + delay());
+    arm(i);
+  }
+
+  sim::Simulator sim_;
+  std::vector<EventId> ids_;
+  std::size_t k_;
+  std::uint64_t x_ = 88172645463325252u;
+};
+
+void BM_EventKernelReschedule(benchmark::State& state) {
+  RescheduleChurn churn(static_cast<std::size_t>(state.range(0)),
+                        static_cast<std::size_t>(state.range(1)));
+  for (auto _ : state) benchmark::DoNotOptimize(churn.sim().step());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventKernelReschedule)
+    ->Args({1000, 1})
+    ->Args({1000, 4})
+    ->Args({100000, 4});
 
 void BM_ChooseTaskCombined(benchmark::State& state) {
   // Per-decision cost of the combined metric at a paper-scale pending

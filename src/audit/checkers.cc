@@ -301,21 +301,39 @@ void check_event_kernel(const EventKernelSnapshot& snap,
        << "s < previous sweep " << snap.previous_now << "s";
     report(out, "event-kernel", os);
   }
-  if (snap.live_count != snap.recount_live) {
+  if (snap.misplaced != 0 || snap.in_heap != snap.heap_size ||
+      snap.in_heap + snap.on_free_list != snap.slots) {
     std::ostringstream os;
-    os << "live-event counter " << snap.live_count
-       << " != recount of per-event states " << snap.recount_live
-       << " (lazy-deletion bookkeeping drifted)";
+    os << "slot table out of step: " << snap.slots << " slots, "
+       << snap.in_heap << " at their heap position (heap holds "
+       << snap.heap_size << "), " << snap.on_free_list
+       << " on the free list, " << snap.misplaced << " misplaced";
     report(out, "event-kernel", os);
   }
-  const std::uint64_t accounted = snap.recount_live + snap.recount_cancelled +
-                                  snap.recount_fired;
-  if (accounted != snap.scheduled_total) {
+  if (snap.heap_order_violations != 0) {
     std::ostringstream os;
-    os << "event states unaccounted: live " << snap.recount_live
-       << " + cancelled " << snap.recount_cancelled << " + fired "
-       << snap.recount_fired << " != " << snap.scheduled_total
-       << " events ever scheduled";
+    os << "heap order broken: " << snap.heap_order_violations
+       << " keys fire before their parent";
+    report(out, "event-kernel", os);
+  }
+  if (snap.live_count != snap.heap_size) {
+    std::ostringstream os;
+    os << "live-event counter " << snap.live_count << " != heap size "
+       << snap.heap_size;
+    report(out, "event-kernel", os);
+  }
+  if (snap.heap_size + snap.cancelled + snap.fired != snap.scheduled) {
+    std::ostringstream os;
+    os << "events unaccounted: live " << snap.heap_size << " + cancelled "
+       << snap.cancelled << " + fired " << snap.fired << " != "
+       << snap.scheduled << " events ever scheduled";
+    report(out, "event-kernel", os);
+  }
+  if (snap.scheduled + snap.rescheduled != snap.seqs_issued) {
+    std::ostringstream os;
+    os << "seq counter drifted: " << snap.scheduled << " scheduled + "
+       << snap.rescheduled << " rescheduled != " << snap.seqs_issued
+       << " seqs issued";
     report(out, "event-kernel", os);
   }
 }

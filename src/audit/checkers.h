@@ -18,7 +18,10 @@
 //   index-coherence     scheduler's incremental totals == full recompute
 //   task-lifecycle      pending -> assigned -> running -> completed
 //                       exactly once; placements match worker queues
-//   event-kernel        fire-time monotonicity; live/tombstone counts
+//   event-kernel        fire-time monotonicity; every slot in the heap
+//                       at its recorded position or on the free list,
+//                       once; heap order; live counter == heap size;
+//                       scheduled = live + cancelled + fired
 //   results-ledger      makespan == max completion; reported bytes ==
 //                       flow-ledger bytes
 #pragma once
@@ -187,12 +190,22 @@ void check_tenant_accounting(const TenantAccountingSnapshot& snap,
 
 struct EventKernelSnapshot {
   double now = 0;
-  double previous_now = 0;       // clock at the previous sweep
-  std::size_t live_count = 0;    // kernel's incremental live counter
-  std::size_t recount_live = 0;  // recounted from the per-event states
-  std::size_t recount_cancelled = 0;
-  std::size_t recount_fired = 0;
-  std::uint64_t scheduled_total = 0;  // events ever scheduled
+  double previous_now = 0;        // clock at the previous sweep
+  std::size_t live_count = 0;     // kernel's incremental live counter
+  // Recounted from the heap and the slot table
+  // (Simulator::audit_snapshot).
+  std::size_t slots = 0;
+  std::size_t heap_size = 0;
+  std::size_t in_heap = 0;        // slots at their recorded heap position
+  std::size_t on_free_list = 0;
+  std::size_t misplaced = 0;      // bad, disagreeing or repeated entries
+  std::size_t heap_order_violations = 0;
+  // Lifetime counters.
+  std::uint64_t scheduled = 0;
+  std::uint64_t cancelled = 0;
+  std::uint64_t fired = 0;
+  std::uint64_t rescheduled = 0;
+  std::uint64_t seqs_issued = 0;  // one per schedule or reschedule
 };
 
 void check_event_kernel(const EventKernelSnapshot& snap,

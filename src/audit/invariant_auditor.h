@@ -1,7 +1,7 @@
 // Runtime invariant auditor.
 //
 // The simulator keeps several pieces of redundant state for speed
-// (incremental scheduler totals, a lazy-deletion event kernel, per-link
+// (incremental scheduler totals, a slot-table event kernel, per-link
 // byte counters); each is a conservation law that can silently drift
 // under refactoring. The InvariantAuditor holds a registry of pluggable
 // checkers that sweep the LIVE simulation — every N executed events and

@@ -108,15 +108,8 @@ void GridSimulation::register_audit_checkers() {
     });
   }
   auditor_->add_checker("event-kernel", [this](auto& out) {
-    audit::EventKernelSnapshot snap;
-    snap.now = sim_.now();
+    audit::EventKernelSnapshot snap = sim_.audit_snapshot();
     snap.previous_now = audit_prev_now_;
-    snap.live_count = sim_.live_events();
-    const sim::Simulator::EventCounts counts = sim_.recount_events();
-    snap.recount_live = counts.live;
-    snap.recount_cancelled = counts.cancelled;
-    snap.recount_fired = counts.fired;
-    snap.scheduled_total = counts.scheduled;
     audit::check_event_kernel(snap, out);
     audit_prev_now_ = sim_.now();  // audit-only bookkeeping
   });

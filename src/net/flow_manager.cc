@@ -548,24 +548,24 @@ bool FlowManager::apply_component() {
     }
     f.last_update = now;
     f.rate = new_rate;
-    if (f.pending_event.valid()) {
-      sim_.cancel(f.pending_event);
-      f.pending_event = EventId::invalid();
-    }
-    const FlowId fid = f.id;
+    SimTime delay = 0;
     if (f.remaining <= kEpsilonBytes) {
       // Finished within FP dust of this instant: complete now-ish and
       // release the flow's share for the next round.
       f.rate = 0;
       f.draining = true;
       leave_pool(f);
-      f.pending_event = sim_.schedule_in(0, [this, fid] { complete(fid); });
       for (const Hop& h : f.route) drained_links_.push_back(h.link);
-      continue;
+    } else {
+      WCS_CHECK_MSG(f.rate > 0, "active flow with zero rate");
+      delay = f.remaining / f.rate;
     }
-    WCS_CHECK_MSG(f.rate > 0, "active flow with zero rate");
-    f.pending_event =
-        sim_.schedule_in(f.remaining / f.rate, [this, fid] { complete(fid); });
+    // A pooled flow's pending event is its completion (activate() clears
+    // the latency event before the flow joins), so it moves in place.
+    if (!sim_.reschedule(f.pending_event, now + delay)) {
+      const FlowId fid = f.id;
+      f.pending_event = sim_.schedule_in(delay, [this, fid] { complete(fid); });
+    }
   }
   return !drained_links_.empty();
 }

@@ -8,7 +8,8 @@ namespace {
 constexpr std::size_t kRoundReserve = 1024;
 
 // Grows `v` to at least `n` entries, doubling like FileCache's slots.
-void grow(std::vector<std::uint32_t>& v, std::size_t n) {
+template <typename T>
+void grow(std::vector<T>& v, std::size_t n) {
   if (v.size() < n) v.resize(std::max(n, v.size() * 2));
 }
 }  // namespace
@@ -77,9 +78,14 @@ void DataReplicator::stop() {
 void DataReplicator::on_file_fetched(FileId file, SiteId origin) {
   if (stopped_) return;
   const std::size_t f = file.value();
-  grow(popularity_, f + 1);
-  if (++popularity_[f] == params_.popularity_threshold)
-    eligible_.push_back(file);
+  grow(files_, f + 1);
+  FileState& st = files_[f];
+  if (++st.count == params_.popularity_threshold) {
+    eligible_.emplace_back();
+    sift_up(eligible_.size() - 1, file);
+  } else if (st.heap_pos != kNotEligible) {
+    sift_up(st.heap_pos, file);  // a count only rises
+  }
   if (params_.placement == Placement::kHierarchicalParent &&
       origin.value() < site_info_.size()) {
     grow(group_demand_, (f + 1) * num_groups_);
@@ -158,21 +164,58 @@ SiteId DataReplicator::pick_target(FileId file) {
   return SiteId(static_cast<SiteId::underlying_type>(chosen));
 }
 
+bool DataReplicator::hotter(FileId a, FileId b) const {
+  const std::uint32_t ca = files_[a.value()].count;
+  const std::uint32_t cb = files_[b.value()].count;
+  return ca != cb ? ca > cb : a < b;
+}
+
+void DataReplicator::sift_up(std::size_t i, FileId file) {
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!hotter(file, eligible_[parent])) break;
+    eligible_[i] = eligible_[parent];
+    files_[eligible_[i].value()].heap_pos = static_cast<std::uint32_t>(i);
+    i = parent;
+  }
+  eligible_[i] = file;
+  files_[file.value()].heap_pos = static_cast<std::uint32_t>(i);
+}
+
+FileId DataReplicator::pop_hottest() {
+  const FileId top = eligible_.front();
+  files_[top.value()].heap_pos = kNotEligible;
+  const FileId last = eligible_.back();
+  eligible_.pop_back();
+  const std::size_t n = eligible_.size();
+  if (n == 0) return top;
+  // Sift `last` down from the root's hole.
+  std::size_t i = 0;
+  for (;;) {
+    std::size_t child = 2 * i + 1;
+    if (child >= n) break;
+    if (child + 1 < n && hotter(eligible_[child + 1], eligible_[child]))
+      ++child;
+    if (!hotter(eligible_[child], last)) break;
+    eligible_[i] = eligible_[child];
+    files_[eligible_[i].value()].heap_pos = static_cast<std::uint32_t>(i);
+    i = child;
+  }
+  eligible_[i] = last;
+  files_[last.value()].heap_pos = static_cast<std::uint32_t>(i);
+  return top;
+}
+
 void DataReplicator::scan() {
   if (stopped_) return;
   ++stats_.rounds;
 
-  // Hottest eligible files first: (count desc, id asc). Copy the round
-  // out before placing it, so an append to eligible_ cannot invalidate it.
+  // Hottest eligible files first: (count desc, id asc), a total order.
+  // The round is popped out before it is placed, so a fetch during
+  // placement cannot disturb it.
   const auto k = std::min(eligible_.size(), params_.max_replicas_per_round);
-  std::partial_sort(eligible_.begin(), eligible_.begin() + k, eligible_.end(),
-                    [this](FileId a, FileId b) {
-                      const std::uint32_t ca = popularity_[a.value()];
-                      const std::uint32_t cb = popularity_[b.value()];
-                      return ca != cb ? ca > cb : a < b;
-                    });
-  round_.assign(eligible_.begin(), eligible_.begin() + k);
-  eligible_.erase(eligible_.begin(), eligible_.begin() + k);
+  round_.clear();
+  for (std::size_t i = 0; i < k; ++i) round_.push_back(pop_hottest());
 
   for (FileId file : round_) {
     SiteId target = pick_target(file);

@@ -104,7 +104,7 @@ class DataReplicator {
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] std::size_t popularity(FileId file) const {
-    return file.value() < popularity_.size() ? popularity_[file.value()] : 0;
+    return file.value() < files_.size() ? files_[file.value()].count : 0;
   }
 
  private:
@@ -116,6 +116,20 @@ class DataReplicator {
     double moved = 0;  // bytes priced at flow start
   };
 
+  static constexpr std::uint32_t kNotEligible = UINT32_MAX;
+
+  // One file's demand and its place in the eligible heap.
+  struct FileState {
+    std::uint32_t count = 0;  // demand fetches seen
+    std::uint32_t heap_pos = kNotEligible;
+  };
+
+  // eligible_ order: hotter first, then lower id.
+  [[nodiscard]] bool hotter(FileId a, FileId b) const;
+  // Fill the hole at `i` of eligible_ with `file`, toward the root.
+  void sift_up(std::size_t i, FileId file);
+  // Remove and return the hottest eligible file.
+  FileId pop_hottest();
   void scan();
   // Site to receive a replica of `file`; invalid id if none is suitable
   // (every site already holds it).
@@ -133,23 +147,24 @@ class DataReplicator {
   std::uint32_t num_groups_ = 1;
   Rng rng_;
 
-  // Demand fetches per file id, grown on demand like FileCache's slots.
-  std::vector<std::uint32_t> popularity_;
+  // Per-file record by file id, grown on demand like FileCache's slots.
+  std::vector<FileState> files_;
   // Per-MAN-group demand [file * num_groups_ + group], hierarchical
   // placement only; its size stays a multiple of num_groups_.
   std::vector<std::uint32_t> group_demand_;
-  // Files whose count reached the threshold and that no scan has taken;
-  // a count crosses it once, so a taken file never returns (one proactive
-  // replica per file, as in the original per-popularity-event scheme).
+  // Files whose count reached the threshold and that no scan has taken,
+  // as an indexed max-heap in hotter() order (positions in files_); a
+  // count crosses the threshold once, so a taken file never returns (one
+  // proactive replica per file, as in the original per-popularity-event
+  // scheme).
   std::vector<FileId> eligible_;
   // Replication flows in start order, which is ascending id order. The
   // flow callback captures only `this`, so it fits std::function's
   // inline buffer; the record carries the rest.
   std::vector<InFlight> in_flight_;
   // Scratch reused by every scan, reserved up front: the round being
-  // placed (a copy, so an append to eligible_ cannot invalidate it; at
-  // most max_replicas_per_round files) and pick_target's site pools (at
-  // most one entry per site).
+  // placed (at most max_replicas_per_round files popped from eligible_)
+  // and pick_target's site pools (at most one entry per site).
   std::vector<FileId> round_;
   std::vector<std::size_t> candidates_;
   std::vector<std::size_t> in_group_;

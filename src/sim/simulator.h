@@ -7,17 +7,26 @@
 // deterministic order they were scheduled. Everything above (network
 // flows, data servers, workers, schedulers) is driven from these events.
 //
-// Cancellation is lazy: event ids are dense sequence numbers, so
-// per-event state lives in a flat byte vector instead of hash sets, and a
-// cancelled entry is simply skipped when the heap pops it. Scheduling,
-// cancelling, and popping therefore do no hashing on the hot path.
+// Layout: an indexed binary heap of small POD keys (time, seq, slot) and
+// a slot table holding each event's callback, its heap position and a
+// generation. Sifts move 24-byte keys, never callbacks. A fired or
+// cancelled event's slot goes on a free list threaded through the slots'
+// position field, so the kernel owns exactly two vectors, neither
+// longer than the peak number of live events.
+//
+// An EventId is (generation << 32) | slot. The generation advances when
+// the event fires or is cancelled, so a stale id (fired, cancelled, or
+// its slot reused) is refused by cancel/reschedule. Cancel removes the
+// key from the heap at once; `reschedule` moves a live event in place
+// under the same id and gives it a fresh seq, so the FIFO tie-break is
+// exactly that of a cancel followed by a schedule.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
+#include "audit/checkers.h"
 #include "common/check.h"
 #include "common/ids.h"
 #include "common/units.h"
@@ -50,43 +59,64 @@ class Simulator {
   // Schedule `cb` at the absolute simulated time `at` (>= now()).
   EventId schedule_at(SimTime at, EventCallback cb) {
     WCS_CHECK_MSG(at >= now_, "event in the past: " << at << " < " << now_);
-    EventId id(next_seq_++);
-    state_.push_back(EventState::kLive);  // state_[id.value()]
+    std::uint32_t s = free_head_;
+    if (s == kNone) {
+      s = static_cast<std::uint32_t>(slots_.size());
+      slots_.emplace_back();
+    } else {
+      free_head_ = slots_[s].pos;
+    }
+    Slot& slot = slots_[s];
+    slot.cb = std::move(cb);
+    ++scheduled_;
     ++live_count_;
     if (live_count_ > peak_live_) peak_live_ = live_count_;
-    queue_.push(Entry{at, id, std::move(cb)});
-    return id;
+    heap_.emplace_back();
+    sift_up(heap_.size() - 1, Key{at, next_seq_++, s});
+    return EventId((std::uint64_t{slot.generation} << 32) | s);
   }
 
-  // Cancel a pending event. Cancelling an already-fired or
-  // already-cancelled event is a no-op (returns false). The heap entry
-  // stays behind as a tombstone and is discarded when popped.
+  // Cancel a pending event and drop its callback. Cancelling a fired,
+  // cancelled or otherwise stale id is a no-op (returns false).
   bool cancel(EventId id) {
-    if (!id.valid() || id.value() >= state_.size()) return false;
-    if (state_[id.value()] != EventState::kLive) return false;
-    state_[id.value()] = EventState::kCancelled;
-    --live_count_;
+    const std::uint32_t s = live_slot(id);
+    if (s == kNone) return false;
+    remove_at(slots_[s].pos);
+    slots_[s].cb = nullptr;
+    release(s);
+    ++cancelled_;
+    return true;
+  }
+
+  // Move the live event `id` to the absolute time `at` (>= now()),
+  // keeping its callback and id. It takes a fresh seq, so among events at
+  // `at` it runs after every one scheduled before this call. Returns
+  // false (and changes nothing) when `id` is stale.
+  bool reschedule(EventId id, SimTime at) {
+    WCS_CHECK_MSG(at >= now_, "event in the past: " << at << " < " << now_);
+    const std::uint32_t s = live_slot(id);
+    if (s == kNone) return false;
+    ++rescheduled_;
+    place(slots_[s].pos, Key{at, next_seq_++, s});
     return true;
   }
 
   // Run a single event. Returns false if no live event remains.
   bool step() {
-    while (!queue_.empty()) {
-      Entry e = pop();
-      EventState& st = state_[e.id.value()];
-      if (st == EventState::kCancelled) continue;  // tombstone
-      WCS_DCHECK(st == EventState::kLive);
-      st = EventState::kFired;
-      --live_count_;
-      now_ = e.time;
-      ++executed_;
-      {
-        obs::ScopedPhase phase(profiler_, obs::Phase::kEventDispatch);
-        e.cb();
-      }
-      return true;
+    if (heap_.empty()) return false;
+    const Key top = heap_.front();
+    remove_at(0);
+    // Move the callback out first: it may schedule, growing slots_, and
+    // its own slot is free for reuse while it runs.
+    EventCallback cb = std::move(slots_[top.slot].cb);
+    release(top.slot);
+    now_ = top.time;
+    ++executed_;
+    {
+      obs::ScopedPhase phase(profiler_, obs::Phase::kEventDispatch);
+      cb();
     }
-    return false;
+    return true;
   }
 
   // Run until the queue drains.
@@ -98,15 +128,7 @@ class Simulator {
   // Run events with time <= deadline, then set the clock to the deadline
   // (if it has not already passed it).
   void run_until(SimTime deadline) {
-    for (;;) {
-      // Tombstones must not gate the deadline check: a cancelled entry at
-      // the top says nothing about when the next LIVE event fires.
-      while (!queue_.empty() &&
-             state_[queue_.top().id.value()] == EventState::kCancelled)
-        queue_.pop();
-      if (queue_.empty() || queue_.top().time > deadline) break;
-      if (!step()) break;
-    }
+    while (!heap_.empty() && heap_.front().time <= deadline) step();
     if (now_ < deadline) now_ = deadline;
   }
 
@@ -117,65 +139,143 @@ class Simulator {
   [[nodiscard]] std::size_t peak_live_events() const { return peak_live_; }
 
   // --- Audit introspection ----------------------------------------------
-  // The incrementally-maintained live counter (O(1)), and a full recount
-  // of the per-event lifecycle bytes (O(events ever scheduled)). The
-  // invariant auditor cross-checks one against the other.
+  // The incrementally-maintained live counter (O(1)), and a recount of
+  // the heap and slot table (O(peak live events)) with the lifetime
+  // counters. The invariant auditor cross-checks one against the other.
   [[nodiscard]] std::size_t live_events() const { return live_count_; }
 
-  struct EventCounts {
-    std::size_t live = 0;
-    std::size_t cancelled = 0;
-    std::size_t fired = 0;
-    std::uint64_t scheduled = 0;  // events ever scheduled
-  };
-  [[nodiscard]] EventCounts recount_events() const {
-    EventCounts counts;
-    counts.scheduled = next_seq_;
-    for (EventState s : state_) {
-      switch (s) {
-        case EventState::kLive: ++counts.live; break;
-        case EventState::kCancelled: ++counts.cancelled; break;
-        case EventState::kFired: ++counts.fired; break;
+  // Everything but previous_now, which only the auditor knows.
+  [[nodiscard]] audit::EventKernelSnapshot audit_snapshot() const {
+    audit::EventKernelSnapshot r;
+    r.now = now_;
+    r.live_count = live_count_;
+    r.slots = slots_.size();
+    r.heap_size = heap_.size();
+    r.scheduled = scheduled_;
+    r.cancelled = cancelled_;
+    r.fired = executed_;
+    r.rescheduled = rescheduled_;
+    r.seqs_issued = next_seq_;
+    std::vector<bool> seen(slots_.size(), false);
+    for (std::size_t i = 0; i < heap_.size(); ++i) {
+      const std::uint32_t s = heap_[i].slot;
+      if (s >= slots_.size() || seen[s] || slots_[s].pos != i) {
+        ++r.misplaced;
+      } else {
+        seen[s] = true;
+        ++r.in_heap;
       }
+      if (i > 0 && before(heap_[i], heap_[(i - 1) / 2]))
+        ++r.heap_order_violations;
     }
-    return counts;
+    for (std::uint32_t s = free_head_; s != kNone; s = slots_[s].pos) {
+      if (s >= slots_.size() || seen[s]) {
+        ++r.misplaced;  // also ends a cycle
+        break;
+      }
+      seen[s] = true;
+      ++r.on_free_list;
+    }
+    return r;
   }
 
  private:
-  enum class EventState : std::uint8_t { kLive, kCancelled, kFired };
+  static constexpr std::uint32_t kNone = UINT32_MAX;
 
-  struct Entry {
+  struct Key {
     SimTime time = 0;
-    EventId id;
+    std::uint64_t seq = 0;
+    std::uint32_t slot = 0;
+  };
+
+  struct Slot {
     EventCallback cb;
+    // Heap position while live; the next free slot while free.
+    std::uint32_t pos = kNone;
+    std::uint32_t generation = 0;
   };
 
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.id > b.id;  // FIFO among simultaneous events
+  // FIFO among simultaneous events: seq breaks time ties.
+  static bool before(const Key& a, const Key& b) {
+    return a.time != b.time ? a.time < b.time : a.seq < b.seq;
+  }
+
+  // The slot of a live event, or kNone for an invalid or stale id.
+  [[nodiscard]] std::uint32_t live_slot(EventId id) const {
+    if (!id.valid()) return kNone;
+    const auto s = static_cast<std::uint32_t>(id.value());
+    if (s >= slots_.size() ||
+        slots_[s].generation != static_cast<std::uint32_t>(id.value() >> 32))
+      return kNone;
+    return s;
+  }
+
+  // Retire a fired or cancelled event's slot: stale its ids and push it
+  // on the free list.
+  void release(std::uint32_t s) {
+    Slot& slot = slots_[s];
+    ++slot.generation;
+    slot.pos = free_head_;
+    free_head_ = s;
+    --live_count_;
+  }
+
+  void set(std::size_t i, const Key& k) {
+    heap_[i] = k;
+    slots_[k.slot].pos = static_cast<std::uint32_t>(i);
+  }
+
+  // Fill the hole at `i` with `k`, moving it toward the root.
+  void sift_up(std::size_t i, const Key& k) {
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / 2;
+      if (!before(k, heap_[parent])) break;
+      set(i, heap_[parent]);
+      i = parent;
     }
-  };
+    set(i, k);
+  }
 
-  Entry pop() {
-    // std::priority_queue::top() returns const&; the callback must be
-    // moved out, so we const_cast on the known-safe pattern (the element
-    // is removed immediately after).
-    Entry e = std::move(const_cast<Entry&>(queue_.top()));
-    queue_.pop();
-    return e;
+  // Fill the hole at `i` with `k`, moving it toward the leaves.
+  void sift_down(std::size_t i, const Key& k) {
+    const std::size_t n = heap_.size();
+    for (;;) {
+      std::size_t child = 2 * i + 1;
+      if (child >= n) break;
+      if (child + 1 < n && before(heap_[child + 1], heap_[child])) ++child;
+      if (!before(heap_[child], k)) break;
+      set(i, heap_[child]);
+      i = child;
+    }
+    set(i, k);
+  }
+
+  // Put `k` at position `i` and restore the heap order around it.
+  void place(std::size_t i, const Key& k) {
+    if (i > 0 && before(k, heap_[(i - 1) / 2]))
+      sift_up(i, k);
+    else
+      sift_down(i, k);
+  }
+
+  // Remove the key at position `i`; the last key fills the hole.
+  void remove_at(std::size_t i) {
+    const Key last = heap_.back();
+    heap_.pop_back();
+    if (i < heap_.size()) place(i, last);
   }
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
-  // Per-event lifecycle, indexed by the (dense) event sequence number —
-  // one byte per event ever scheduled, in lieu of live/cancelled hash
-  // sets.
-  std::vector<EventState> state_;
+  std::vector<Key> heap_;
+  std::vector<Slot> slots_;
+  std::uint32_t free_head_ = kNone;
   std::size_t live_count_ = 0;
   std::size_t peak_live_ = 0;
   std::size_t executed_ = 0;
+  std::uint64_t scheduled_ = 0;
+  std::uint64_t cancelled_ = 0;
+  std::uint64_t rescheduled_ = 0;
   obs::PhaseProfiler* profiler_ = nullptr;
 };
 

@@ -290,10 +290,14 @@ EventKernelSnapshot healthy_kernel() {
   EventKernelSnapshot s;
   s.now = 120;
   s.previous_now = 60;
-  s.live_count = s.recount_live = 5;
-  s.recount_cancelled = 2;
-  s.recount_fired = 93;
-  s.scheduled_total = 100;
+  s.live_count = s.heap_size = s.in_heap = 5;
+  s.on_free_list = 3;
+  s.slots = 8;
+  s.cancelled = 2;
+  s.fired = 93;
+  s.scheduled = 100;
+  s.rescheduled = 40;
+  s.seqs_issued = 140;
   return s;
 }
 
@@ -312,20 +316,50 @@ TEST(EventKernel, DetectsTimeRunningBackwards) {
   EXPECT_TRUE(mentions(v, "backwards"));
 }
 
-TEST(EventKernel, DetectsLiveCounterDrift) {
+TEST(EventKernel, DetectsSlotInNeitherHeapNorFreeList) {
   EventKernelSnapshot s = healthy_kernel();
-  s.live_count = s.recount_live + 1;
+  s.slots += 1;  // a leaked slot
   auto v = run_checker([&](auto& out) { check_event_kernel(s, out); });
   ASSERT_EQ(v.size(), 1u);
-  EXPECT_TRUE(mentions(v, "lazy-deletion"));
+  EXPECT_TRUE(mentions(v, "slot table"));
+  s = healthy_kernel();
+  s.misplaced = 1;  // e.g. a free-list cycle
+  v = run_checker([&](auto& out) { check_event_kernel(s, out); });
+  ASSERT_EQ(v.size(), 1u);
+  EXPECT_TRUE(mentions(v, "slot table"));
+}
+
+TEST(EventKernel, DetectsBrokenHeapOrder) {
+  EventKernelSnapshot s = healthy_kernel();
+  s.heap_order_violations = 1;
+  auto v = run_checker([&](auto& out) { check_event_kernel(s, out); });
+  ASSERT_EQ(v.size(), 1u);
+  EXPECT_TRUE(mentions(v, "heap order"));
+}
+
+TEST(EventKernel, DetectsLiveCounterDrift) {
+  EventKernelSnapshot s = healthy_kernel();
+  s.live_count = s.heap_size + 1;
+  auto v = run_checker([&](auto& out) { check_event_kernel(s, out); });
+  ASSERT_EQ(v.size(), 1u);
+  EXPECT_TRUE(mentions(v, "live-event counter"));
 }
 
 TEST(EventKernel, DetectsUnaccountedEvents) {
   EventKernelSnapshot s = healthy_kernel();
-  s.scheduled_total += 1;
+  s.scheduled += 1;
+  s.seqs_issued += 1;  // keep the seq law intact: only one law breaks
   auto v = run_checker([&](auto& out) { check_event_kernel(s, out); });
   ASSERT_EQ(v.size(), 1u);
   EXPECT_TRUE(mentions(v, "unaccounted"));
+}
+
+TEST(EventKernel, DetectsUncountedReschedule) {
+  EventKernelSnapshot s = healthy_kernel();
+  s.seqs_issued += 1;
+  auto v = run_checker([&](auto& out) { check_event_kernel(s, out); });
+  ASSERT_EQ(v.size(), 1u);
+  EXPECT_TRUE(mentions(v, "seq counter"));
 }
 
 // --- results ledger -----------------------------------------------------

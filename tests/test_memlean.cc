@@ -1,14 +1,15 @@
 // Memory-lean hot structures: the small flat containers (InlineVec, Csr,
 // DenseIdSet) that replaced per-task node containers, plus the
 // allocation-free contracts the event loop relies on (disabled
-// instruments, warm flow-table churn, the warm data-server cycle,
-// storage affinity's submit-time projection, the warm ChooseTask(n)
-// decision, and an open-system run whose allocations do not scale with
-// its task count).
+// instruments, warm event-kernel and flow-table churn, the warm
+// data-server cycle, storage affinity's submit-time projection, the warm
+// ChooseTask(n) decision, and an open-system run whose allocations do not
+// scale with its task count).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -167,9 +168,8 @@ TEST(AllocFree, WarmFlowChurnAllocatesNothing) {
       sim.run();
     }
   };
-  // The kernel's event-state vector and the flow id index grow with every
-  // start, geometrically: after 2500 warm-up starts both have room for
-  // the 500 measured ones.
+  // The flow id index grows with every start, geometrically: after 2500
+  // warm-up starts it has room for the 500 measured ones.
   churn(2500);
   const AllocSnapshot before = alloc_snapshot();
   churn(500);
@@ -178,6 +178,53 @@ TEST(AllocFree, WarmFlowChurnAllocatesNothing) {
   EXPECT_EQ(done, 3000u);
   EXPECT_EQ(flows.active_flows(), 0u);
   EXPECT_TRUE(flows.memory_defects().empty());
+}
+
+TEST(AllocFree, WarmEventKernelChurnAllocatesNothing) {
+  if (!alloc_counting_enabled())
+    GTEST_SKIP() << "allocation counting compiled out (sanitizer build)";
+  // 256 live events, one per handle. Each firing cancels and re-arms
+  // another handle, moves two more (a stale pick is refused) and re-arms
+  // its own, so 256 stay live. The kernel keeps no per-event history:
+  // its heap and slot table are as long as the peak live count, and
+  // closures of two words fit std::function's inline buffer.
+  sim::Simulator sim;
+  std::vector<EventId> ids(256);
+  std::uint64_t x = 88172645463325252u;  // xorshift64
+  auto draw = [&x] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
+  };
+  std::uint64_t fired = 0;
+  std::function<void(std::size_t)> arm;
+  auto fire = [&](std::size_t i) {
+    ++fired;
+    const std::size_t j = draw() % ids.size();
+    if (sim.cancel(ids[j])) arm(j);  // i's own id is already stale
+    for (int m = 0; m < 2; ++m)
+      (void)sim.reschedule(ids[draw() % ids.size()],
+                           sim.now() + static_cast<double>(draw() % 50));
+    arm(i);
+  };
+  arm = [&](std::size_t i) {
+    auto* f = &fire;
+    ids[i] = sim.schedule_in(static_cast<double>(draw() % 50),
+                             [f, i] { (*f)(i); });
+  };
+  for (std::size_t i = 0; i < ids.size(); ++i) arm(i);
+  for (int i = 0; i < 20000; ++i) ASSERT_TRUE(sim.step());
+  const std::size_t warm_peak = sim.peak_live_events();
+  const AllocSnapshot before = alloc_snapshot();
+  for (int i = 0; i < 20000; ++i) ASSERT_TRUE(sim.step());
+  const AllocSnapshot after = alloc_snapshot();
+  EXPECT_EQ(allocations_between(before, after), 0u);
+  EXPECT_EQ(fired, 40000u);
+  EXPECT_EQ(sim.peak_live_events(), warm_peak);
+  EXPECT_EQ(sim.live_events(), ids.size());
+  EXPECT_GT(sim.audit_snapshot().cancelled, 1000u);
+  EXPECT_GT(sim.audit_snapshot().rescheduled, 10000u);
 }
 
 TEST(AllocFree, WarmDataServerCycleAllocatesNothing) {
@@ -218,9 +265,8 @@ TEST(AllocFree, WarmDataServerCycleAllocatesNothing) {
       next_task += kWorkers;
     }
   };
-  // Misses grow the kernel's event-state vector and the flow id index
-  // with every fetch, geometrically: after the 1000 warm-up rounds both
-  // have room for the 200 measured ones.
+  // Misses grow the flow id index with every fetch, geometrically: after
+  // the 1000 warm-up rounds it has room for the 200 measured ones.
   rounds(1000, 300);
   const storage::DataServer::Stats cold = ds.stats();
   AllocSnapshot before = alloc_snapshot();

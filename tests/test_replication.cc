@@ -22,12 +22,14 @@ struct MiniGrid {
   NodeId fs;
   std::vector<NodeId> ds_nodes;
   // Overlap 0: every replica moves its file's full 1 MB.
-  storage::BlockMap blocks{workload::FileCatalog(50, megabytes(1)),
-                           storage::BlockStoreParams{}};
+  storage::BlockMap blocks;
   std::unique_ptr<net::FlowManager> flows;
   std::vector<std::unique_ptr<storage::DataServer>> servers;
 
-  explicit MiniGrid(std::size_t sites = 2, std::size_t capacity = 20) {
+  explicit MiniGrid(std::size_t sites = 2, std::size_t capacity = 20,
+                    std::size_t files = 50)
+      : blocks{workload::FileCatalog(files, megabytes(1)),
+               storage::BlockStoreParams{}} {
     fs = topo.add_node("fs");
     for (std::size_t s = 0; s < sites; ++s) {
       NodeId n = topo.add_node("ds" + std::to_string(s));
@@ -225,49 +227,71 @@ TEST(DataReplicator, StopCancelsInFlightFlows) {
   for (unsigned f : {7u, 8u, 9u}) EXPECT_TRUE(holders(g, FileId(f)).empty());
 }
 
-TEST(DataReplicator, SelectionMatchesFullScanOracle) {
-  constexpr std::size_t kFiles = 40;
+// Drives a replicator (2 files per round, threshold 3) with `fetches`
+// random demand fetches per round over `files` files and checks every
+// round's new replicas against oracle_round. With `hot` > 0, half the
+// fetches go to files [0, hot), so they keep raising the counts of files
+// already eligible. Returns the largest backlog (eligible files no scan
+// has taken) seen right after a round.
+std::size_t check_selection_against_oracle(std::uint64_t seed,
+                                           std::size_t files,
+                                           std::size_t fetches, int rounds,
+                                           std::size_t hot) {
   constexpr SimTime kInterval = 100;
+  MiniGrid g(3, files + 60, files);  // ample capacity: nothing is evicted
+  replication::DataReplicatorParams p = quick_params();
+  p.check_interval_s = kInterval;
+  p.max_replicas_per_round = 2;
+  replication::DataReplicator repl(p, g.sim, *g.flows, g.fs, g.server_ptrs());
+  repl.start();
+  Rng rng(seed);
+  std::vector<std::size_t> counts(files, 0);
+  std::vector<bool> taken(files, false);
+  std::vector<bool> resident(files, false);
+  std::size_t picked = 0;
+  std::size_t max_backlog = 0;
+  for (int round = 1; round <= rounds; ++round) {
+    for (std::size_t i = 0; i < fetches; ++i) {
+      const std::size_t f = hot > 0 && rng.bernoulli(0.5) ? rng.index(hot)
+                                                          : rng.index(files);
+      ++counts[f];
+      repl.on_file_fetched(
+          FileId(static_cast<FileId::underlying_type>(f)),
+          SiteId(static_cast<SiteId::underlying_type>(rng.index(3))));
+    }
+    // Half an interval past the round: its flows have all landed.
+    g.sim.run_until(round * kInterval + kInterval / 2);
+    std::vector<FileId> fresh;
+    for (std::size_t f = 0; f < files; ++f) {
+      const FileId id(static_cast<FileId::underlying_type>(f));
+      if (!resident[f] && !holders(g, id).empty()) fresh.push_back(id);
+      resident[f] = !holders(g, id).empty();
+    }
+    std::vector<FileId> expected =
+        oracle_round(counts, p.popularity_threshold,
+                     p.max_replicas_per_round, taken);
+    picked += expected.size();
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(fresh, expected) << "round " << round;
+    EXPECT_EQ(repl.stats().files_replicated, picked);
+    std::size_t backlog = 0;
+    for (std::size_t f = 0; f < files; ++f)
+      backlog += counts[f] >= p.popularity_threshold && !taken[f] ? 1 : 0;
+    max_backlog = std::max(max_backlog, backlog);
+  }
+  EXPECT_GT(picked, 10u);
+  repl.stop();
+  return max_backlog;
+}
+
+TEST(DataReplicator, SelectionMatchesFullScanOracle) {
   for (std::uint64_t seed : {1u, 2u, 3u}) {
     SCOPED_TRACE(seed);
-    MiniGrid g(3, 100);  // ample capacity: nothing is evicted
-    replication::DataReplicatorParams p = quick_params();
-    p.check_interval_s = kInterval;
-    p.max_replicas_per_round = 2;
-    replication::DataReplicator repl(p, g.sim, *g.flows, g.fs,
-                                     g.server_ptrs());
-    repl.start();
-    Rng rng(seed);
-    std::vector<std::size_t> counts(kFiles, 0);
-    std::vector<bool> taken(kFiles, false);
-    std::vector<bool> resident(kFiles, false);
-    std::size_t picked = 0;
-    for (int round = 1; round <= 15; ++round) {
-      for (int i = 0; i < 8; ++i) {
-        const std::size_t f = rng.index(kFiles);
-        ++counts[f];
-        repl.on_file_fetched(
-            FileId(static_cast<FileId::underlying_type>(f)),
-            SiteId(static_cast<SiteId::underlying_type>(rng.index(3))));
-      }
-      // Half an interval past the round: its flows have all landed.
-      g.sim.run_until(round * kInterval + kInterval / 2);
-      std::vector<FileId> fresh;
-      for (std::size_t f = 0; f < kFiles; ++f) {
-        const FileId id(static_cast<FileId::underlying_type>(f));
-        if (!resident[f] && !holders(g, id).empty()) fresh.push_back(id);
-        resident[f] = !holders(g, id).empty();
-      }
-      std::vector<FileId> expected =
-          oracle_round(counts, p.popularity_threshold,
-                       p.max_replicas_per_round, taken);
-      picked += expected.size();
-      std::sort(expected.begin(), expected.end());
-      EXPECT_EQ(fresh, expected) << "round " << round;
-      EXPECT_EQ(repl.stats().files_replicated, picked);
-    }
-    EXPECT_GT(picked, 10u);
-    repl.stop();
+    // 40 files, 8 fetches a round: the eligible list stays short.
+    check_selection_against_oracle(seed, 40, 8, 15, 0);
+    // 400 files, 120 fetches a round, half on 60 hot files: a backlog
+    // of well over 100 eligible files while counts rise under it.
+    EXPECT_GT(check_selection_against_oracle(seed, 400, 120, 20, 60), 100u);
   }
 }
 
