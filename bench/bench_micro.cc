@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <optional>
 
 #include "common/thread_pool.h"
 #include "grid/experiment.h"
@@ -438,6 +439,33 @@ void BM_CoaddGeneration(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 6000);
 }
 BENCHMARK(BM_CoaddGeneration)->Unit(benchmark::kMillisecond);
+
+void BM_GridConstruct(benchmark::State& state) {
+  // Set-up cost of one simulation on a 40-site x 8-worker Tiers grid:
+  // topology, worker latencies, data plane, scheduler and its indexes.
+  // Tear-down is not timed.
+  workload::CoaddParams cp;
+  cp.num_tasks = 4000;
+  const workload::Workload wl{workload::generate_coadd(cp)};
+  grid::GridConfig config;
+  config.tiers.num_sites = 40;
+  config.tiers.workers_per_site = 8;
+  config.capacity_files = 2000;
+  config.audit = false;
+  config.obs = {};
+  sched::SchedulerSpec spec;
+  spec.algorithm = sched::Algorithm::kRest;
+  for (auto _ : state) {
+    std::optional<grid::GridSimulation> sim;
+    sim.emplace(config, wl, sched::make_scheduler(spec));
+    benchmark::DoNotOptimize(&*sim);
+    state.PauseTiming();
+    sim.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_GridConstruct)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -38,8 +38,10 @@ ControlPlane::ControlPlane(const GridConfig& config, const workload::Job& job,
       rt.info.site = SiteId(static_cast<SiteId::underlying_type>(s));
       rt.info.node = topo.worker_nodes[s][w];
       rt.info.mflops = compute::sample_worker_mflops(speed_rng);
+      // One scheduler-rooted tree serves every worker; on the Tiers tree
+      // this equals path_latency(worker, scheduler) bit for bit.
       rt.control_latency =
-          topo.topology.path_latency(rt.info.node, topo.scheduler_node);
+          topo.topology.latency_to(rt.info.node, topo.scheduler_node);
     }
   }
 

@@ -108,7 +108,8 @@ FlowId FlowManager::start_flow(NodeId src, NodeId dst, Bytes bytes,
                                FlowCallback on_complete) {
   const FlowId id(slot_of_.size());
   Flow& f = acquire(id);
-  // Copy the links: the topology's route cache may rehash.
+  // Copy the links into the flow's own hops (each hop also carries the
+  // flow's node in that link's member list).
   const Route& route = topo_.route(src, dst);
   f.route.resize(route.size());
   for (std::size_t i = 0; i < route.size(); ++i) f.route[i].link = route[i];

@@ -79,7 +79,12 @@ GridTopology build_tiers_topology(const TiersParams& p) {
     }
   }
 
+  // A connected graph with one link fewer than nodes is a tree: every
+  // host has exactly one path to every other, which is what lets the
+  // control plane read all worker latencies from one scheduler-rooted
+  // shortest-path tree.
   WCS_CHECK(t.connected());
+  WCS_CHECK_EQ(t.num_links(), t.num_nodes() - 1);
   return out;
 }
 

@@ -28,9 +28,13 @@ LinkId Topology::add_link(NodeId a, NodeId b, double bandwidth_bps,
   return id;
 }
 
-void Topology::build_table(NodeId src) const {
-  RouteTable table;
+Topology::RouteTable& Topology::table(NodeId root) const {
+  WCS_CHECK(root.valid() && root.value() < nodes_.size());
   const auto n = nodes_.size();
+  if (tables_.empty()) tables_.resize(n);
+  RouteTable& table = tables_[root.value()];
+  if (!table.parent_link.empty()) return table;
+
   std::vector<double> dist(n, std::numeric_limits<double>::infinity());
   table.parent_link.assign(n, LinkId::invalid());
 
@@ -38,8 +42,8 @@ void Topology::build_table(NodeId src) const {
   // equal-latency route choices deterministic across runs and platforms.
   using QEntry = std::pair<double, NodeId::underlying_type>;
   std::priority_queue<QEntry, std::vector<QEntry>, std::greater<>> pq;
-  dist[src.value()] = 0;
-  pq.emplace(0.0, src.value());
+  dist[root.value()] = 0;
+  pq.emplace(0.0, root.value());
   while (!pq.empty()) {
     auto [d, u] = pq.top();
     pq.pop();
@@ -61,40 +65,52 @@ void Topology::build_table(NodeId src) const {
       }
     }
   }
-  tables_.emplace(src, std::move(table));
+  return table;
 }
 
 const Route& Topology::route(NodeId src, NodeId dst) const {
-  WCS_CHECK(src.valid() && src.value() < nodes_.size());
   WCS_CHECK(dst.valid() && dst.value() < nodes_.size());
-  auto it = tables_.find(src);
-  if (it == tables_.end()) {
-    build_table(src);
-    it = tables_.find(src);
-  }
-  RouteTable& table = it->second;
-  auto rit = table.routes.find(dst);
-  if (rit != table.routes.end()) return rit->second;
+  RouteTable& t = table(src);
+  if (t.routes.empty()) t.routes.resize(nodes_.size());
+  Route& cached = t.routes[dst.value()];
+  if (!cached.empty() || src == dst) return cached;
 
-  Route r;
-  if (src != dst) {
-    NodeId cur = dst;
-    while (cur != src) {
-      LinkId pl = table.parent_link[cur.value()];
-      WCS_CHECK_MSG(pl.valid(), "node " << dst << " unreachable from " << src);
-      r.push_back(pl);
-      cur = other_end(links_[pl.value()], cur);
-    }
-    std::reverse(r.begin(), r.end());
+  // Walk dst's parent links up to the root once to count the hops, then
+  // again to fill the route back to front (src -> dst order).
+  std::size_t hops = 0;
+  for (NodeId cur = dst; cur != src; ++hops) {
+    LinkId pl = t.parent_link[cur.value()];
+    WCS_CHECK_MSG(pl.valid(), "node " << dst << " unreachable from " << src);
+    cur = other_end(links_[pl.value()], cur);
   }
-  auto [ins, ok] = table.routes.emplace(dst, std::move(r));
-  WCS_CHECK(ok);
-  return ins->second;
+  cached.resize(hops);
+  NodeId cur = dst;
+  for (std::size_t i = hops; i-- > 0;) {
+    cached[i] = t.parent_link[cur.value()];
+    cur = other_end(links_[cached[i].value()], cur);
+  }
+  return cached;
 }
 
 SimTime Topology::path_latency(NodeId src, NodeId dst) const {
   SimTime total = 0;
   for (LinkId lid : route(src, dst)) total += links_[lid.value()].latency_s;
+  return total;
+}
+
+SimTime Topology::latency_to(NodeId src, NodeId dst) const {
+  WCS_CHECK(src.valid() && src.value() < nodes_.size());
+  const RouteTable& t = table(dst);
+  // Parent links lead toward the root, so walking them from src visits
+  // the path's links in src -> dst order.
+  SimTime total = 0;
+  for (NodeId cur = src; cur != dst;) {
+    LinkId pl = t.parent_link[cur.value()];
+    WCS_CHECK_MSG(pl.valid(), "node " << src << " cannot reach " << dst);
+    const Link& l = links_[pl.value()];
+    total += l.latency_s;
+    cur = other_end(l, cur);
+  }
   return total;
 }
 

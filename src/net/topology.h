@@ -2,11 +2,11 @@
 //
 // The topology is static for the lifetime of a simulation. Routes are
 // computed with Dijkstra (edge weight = latency, deterministic
-// tie-breaking) and cached per source node.
+// tie-breaking): one shortest-path tree per root node, built on first
+// use, with the routes read from it kept in dense per-node vectors.
 #pragma once
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/check.h"
@@ -57,6 +57,13 @@ class Topology {
   // Sum of link latencies along route(src, dst).
   [[nodiscard]] SimTime path_latency(NodeId src, NodeId dst) const;
 
+  // Sum of link latencies from src to dst along the shortest-path tree
+  // rooted at dst, added in src-to-dst link order. Every src shares dst's
+  // one tree, so asking for many sources costs one Dijkstra, not one per
+  // source. Where the shortest path is unique (always, on a tree) this is
+  // bit-identical to path_latency(src, dst). Throws if src is unreachable.
+  [[nodiscard]] SimTime latency_to(NodeId src, NodeId dst) const;
+
   // Minimum link bandwidth along route(src, dst); +inf when src == dst.
   [[nodiscard]] double path_bandwidth(NodeId src, NodeId dst) const;
 
@@ -64,20 +71,23 @@ class Topology {
   [[nodiscard]] bool connected() const;
 
  private:
-  // Per-source shortest path tree: parent link of each node.
+  // The shortest-path tree rooted at one node and the routes read from
+  // it so far, both indexed by node. The tree is built on first use, the
+  // route slots on the first route() from this root; an empty
+  // routes[dst] with dst != root means "not read yet".
   struct RouteTable {
-    std::vector<LinkId> parent_link;  // indexed by node
-    std::unordered_map<NodeId, Route> routes;
+    std::vector<LinkId> parent_link;  // toward the root; empty until built
+    std::vector<Route> routes;        // routes[dst]: root -> dst
   };
 
-  void build_table(NodeId src) const;
+  RouteTable& table(NodeId root) const;
   [[nodiscard]] NodeId other_end(const Link& l, NodeId from) const {
     return l.a == from ? l.b : l.a;
   }
 
   std::vector<Node> nodes_;
   std::vector<Link> links_;
-  mutable std::unordered_map<NodeId, RouteTable> tables_;
+  mutable std::vector<RouteTable> tables_;  // indexed by root; lazily sized
 };
 
 }  // namespace wcs::net

@@ -68,17 +68,6 @@ BlockMap::BlockMap(const workload::FileCatalog& catalog,
   num_blocks_ = first_.back();
 }
 
-BlockMap::Extent BlockMap::extent(FileId f) const {
-  WCS_CHECK_MSG(f.valid() && f.value() < num_files_,
-                "file " << f << " outside the block map ("
-                        << num_files_ << " files)");
-  if (uniform_)
-    return {static_cast<std::uint64_t>(f.value()) * stride_, blocks_};
-  return {first_[f.value()],
-          static_cast<std::uint32_t>(first_[f.value() + 1] -
-                                     first_[f.value()])};
-}
-
 Bytes BlockMap::block_bytes(FileId f, std::uint32_t index) const {
   const Extent e = extent(f);
   WCS_CHECK(index < e.count);

@@ -63,7 +63,16 @@ class BlockMap {
     std::uint64_t first = 0;
     std::uint32_t count = 0;
   };
-  [[nodiscard]] Extent extent(FileId f) const;
+  [[nodiscard]] Extent extent(FileId f) const {
+    WCS_CHECK_MSG(f.valid() && f.value() < num_files_,
+                  "file " << f << " outside the block map (" << num_files_
+                          << " files)");
+    if (uniform_)
+      return {static_cast<std::uint64_t>(f.value()) * stride_, blocks_};
+    return {first_[f.value()],
+            static_cast<std::uint32_t>(first_[f.value() + 1] -
+                                       first_[f.value()])};
+  }
 
   [[nodiscard]] std::uint32_t blocks(FileId f) const {
     return extent(f).count;

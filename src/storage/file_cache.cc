@@ -55,8 +55,8 @@ void FileCache::record_access(FileId f) {
 }
 
 std::uint64_t FileCache::covered_blocks(FileId f, bool pinned_only) const {
-  const std::uint32_t n = blocks_.blocks(f);
   if (!blocks_.shared()) return 0;  // disjoint extents never overlap
+  const std::uint32_t n = blocks_.blocks(f);
   const std::uint32_t stride = blocks_.stride();
   const std::uint32_t span = blocks_.neighbour_span();
   const std::size_t num_files = blocks_.num_files();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "common/rng.h"
 
@@ -153,13 +152,17 @@ Job generate_coadd(const CoaddParams& p) {
   const std::size_t pool_base = next_file;
   if (p.popular_picks_per_task > 0 && pool_size > 0) {
     const ZipfCdf pool_zipf(pool_size, p.popular_zipf_exponent);
+    const std::size_t picks = std::min(p.popular_picks_per_task, pool_size);
     for (std::vector<FileId>& files : task_files) {
-      std::unordered_set<std::size_t> picked;
-      while (picked.size() < std::min(p.popular_picks_per_task, pool_size)) {
-        std::size_t rank = pool_zipf.sample(rng);
-        if (picked.insert(rank - 1).second)
-          files.push_back(FileId(
-              static_cast<FileId::underlying_type>(pool_base + rank - 1)));
+      // A repeated draw is redrawn; only this task's picks, appended
+      // after its window files, can repeat it.
+      const auto first_pick = static_cast<std::ptrdiff_t>(files.size());
+      while (files.size() - static_cast<std::size_t>(first_pick) < picks) {
+        const FileId f(static_cast<FileId::underlying_type>(
+            pool_base + pool_zipf.sample(rng) - 1));
+        if (std::find(files.begin() + first_pick, files.end(), f) ==
+            files.end())
+          files.push_back(f);
       }
     }
     next_file = pool_base + pool_size;

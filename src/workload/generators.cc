@@ -1,7 +1,6 @@
 #include "workload/generators.h"
 
 #include <numeric>
-#include <unordered_set>
 
 #include "common/rng.h"
 
@@ -25,39 +24,44 @@ Job make_job(std::string_view name, const GeneratorParams& p,
   return job;
 }
 
+// Draws `files_per_task` distinct files per task, redrawing a repeat. `seen`
+// marks the current task's picks and is cleared after each task, so the
+// draws are exactly those of a per-task set without its allocations.
+template <typename Draw>
+std::vector<std::vector<FileId>> distinct_picks(const GeneratorParams& p,
+                                                Draw draw) {
+  std::vector<std::vector<FileId>> sets(p.num_tasks);
+  std::vector<char> seen(p.num_files, 0);
+  for (auto& set : sets) {
+    set.reserve(p.files_per_task);
+    while (set.size() < p.files_per_task) {
+      const std::size_t f = draw();
+      if (seen[f] != 0) continue;
+      seen[f] = 1;
+      set.push_back(FileId(static_cast<FileId::underlying_type>(f)));
+    }
+    for (FileId f : set) seen[f.value()] = 0;
+  }
+  return sets;
+}
+
 }  // namespace
 
 Job generate_uniform(const GeneratorParams& p) {
   WCS_CHECK(p.files_per_task <= p.num_files);
   Rng rng(p.seed);
-  std::vector<std::vector<FileId>> sets(p.num_tasks);
-  for (auto& set : sets) {
-    set.reserve(p.files_per_task);
-    std::unordered_set<std::size_t> picked;
-    while (picked.size() < p.files_per_task) {
-      std::size_t f = rng.index(p.num_files);
-      if (picked.insert(f).second)
-        set.push_back(FileId(static_cast<FileId::underlying_type>(f)));
-    }
-  }
-  return make_job("uniform", p, std::move(sets), p.num_files);
+  return make_job("uniform", p,
+                  distinct_picks(p, [&] { return rng.index(p.num_files); }),
+                  p.num_files);
 }
 
 Job generate_zipf(const GeneratorParams& p, double exponent) {
   WCS_CHECK(p.files_per_task <= p.num_files);
   Rng rng(p.seed);
   const ZipfCdf file_zipf(p.num_files, exponent);
-  std::vector<std::vector<FileId>> sets(p.num_tasks);
-  for (auto& set : sets) {
-    set.reserve(p.files_per_task);
-    std::unordered_set<std::size_t> picked;
-    while (picked.size() < p.files_per_task) {
-      std::size_t f = file_zipf.sample(rng) - 1;
-      if (picked.insert(f).second)
-        set.push_back(FileId(static_cast<FileId::underlying_type>(f)));
-    }
-  }
-  return make_job("zipf", p, std::move(sets), p.num_files);
+  return make_job("zipf", p,
+                  distinct_picks(p, [&] { return file_zipf.sample(rng) - 1; }),
+                  p.num_files);
 }
 
 Job generate_partitioned(const GeneratorParams& p) {

@@ -1,6 +1,7 @@
 #include "workload/job.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 namespace wcs::workload {
@@ -33,21 +34,25 @@ JobStats compute_stats(const Job& job) {
 }
 
 void validate_job(const Job& job) {
-  // Scratch reused across tasks: duplicate detection by sorting a copy
-  // of the (small) file set instead of a per-task hash set.
-  std::vector<FileId> sorted;
+  // One mark bit per catalog file, set while its task is checked and
+  // cleared right after (a task's bits are the only ones set, so its
+  // words are zeroed whole): each task is checked in list order in O(its
+  // files), with one allocation per call however many tasks the job has.
+  const std::size_t num_files = job.catalog.num_files();
+  std::vector<std::uint64_t> seen((num_files + 63) / 64, 0);
   for (const Task& t : job.tasks()) {
     WCS_CHECK_MSG(!t.files.empty(), "task " << t.id << " has no input files");
     WCS_CHECK_MSG(t.mflop > 0, "task " << t.id << " has no compute cost");
-    sorted.assign(t.files.begin(), t.files.end());
-    std::sort(sorted.begin(), sorted.end());
-    for (std::size_t i = 0; i < sorted.size(); ++i) {
-      FileId f = sorted[i];
-      WCS_CHECK_MSG(f.valid() && f.value() < job.catalog.num_files(),
+    for (FileId f : t.files) {
+      WCS_CHECK_MSG(f.valid() && f.value() < num_files,
                     "task " << t.id << " references unknown file " << f);
-      WCS_CHECK_MSG(i == 0 || sorted[i - 1] != f,
+      const std::uint64_t bit = std::uint64_t{1} << (f.value() % 64);
+      std::uint64_t& word = seen[f.value() / 64];
+      WCS_CHECK_MSG((word & bit) == 0,
                     "task " << t.id << " references file " << f << " twice");
+      word |= bit;
     }
+    for (FileId f : t.files) seen[f.value() / 64] = 0;
   }
 }
 

@@ -3,8 +3,8 @@
 // allocation-free contracts the event loop relies on (disabled
 // instruments, warm event-kernel and flow-table churn, the warm
 // data-server cycle, storage affinity's submit-time projection, the warm
-// ChooseTask(n) decision, and an open-system run whose allocations do not
-// scale with its task count).
+// ChooseTask(n) decision, job validation, and an open-system run whose
+// allocations do not scale with its task count).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,6 +31,7 @@
 #include "sim/simulator.h"
 #include "storage/data_server.h"
 #include "workload/coadd.h"
+#include "workload/job.h"
 #include "workload/registry.h"
 
 namespace wcs::common {
@@ -145,6 +146,20 @@ TEST(AllocFree, DisabledInstrumentsAllocateNothing) {
   }
   const AllocSnapshot after = alloc_snapshot();
   EXPECT_EQ(allocations_between(before, after), 0u);
+}
+
+TEST(AllocFree, JobValidationAllocationsDoNotScaleWithTasks) {
+  if (!alloc_counting_enabled())
+    GTEST_SKIP() << "allocation counting compiled out (sanitizer build)";
+  auto validation_allocations = [](std::size_t tasks) {
+    workload::CoaddParams p = workload::CoaddParams::paper_6000();
+    p.num_tasks = tasks;
+    const workload::Job job = workload::generate_coadd(p);
+    const AllocSnapshot before = alloc_snapshot();
+    workload::validate_job(job);
+    return allocations_between(before, alloc_snapshot());
+  };
+  EXPECT_EQ(validation_allocations(1000), validation_allocations(10000));
 }
 
 TEST(AllocFree, WarmFlowChurnAllocatesNothing) {

@@ -1,7 +1,12 @@
 // Unit + property tests for net::Topology and the Tiers generator.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <utility>
+
 #include "common/units.h"
+#include "fnv1a.h"
 #include "net/tiers.h"
 #include "net/topology.h"
 
@@ -17,6 +22,56 @@ Topology line3(double bw = mbps(8), double lat = 0.01) {
   t.add_link(a, b, bw, lat);
   t.add_link(b, c, bw, lat);
   return t;
+}
+
+// a-b-d (fast) vs a-c-d (slow).
+Topology square() {
+  Topology t;
+  NodeId a = t.add_node("a");
+  NodeId b = t.add_node("b");
+  NodeId c = t.add_node("c");
+  NodeId d = t.add_node("d");
+  t.add_link(a, b, 1e6, 0.001);
+  t.add_link(b, d, 1e6, 0.001);
+  t.add_link(a, c, 1e6, 0.1);
+  t.add_link(c, d, 1e6, 0.1);
+  return t;
+}
+
+// a-c-d and a-b-d at equal latency, the c links added first: the
+// deterministic tie-break (lower node index settles first) picks a-b-d.
+Topology tied_square() {
+  Topology t;
+  NodeId a = t.add_node("a");
+  NodeId b = t.add_node("b");
+  NodeId c = t.add_node("c");
+  NodeId d = t.add_node("d");
+  t.add_link(a, c, 1e6, 0.001);
+  t.add_link(c, d, 1e6, 0.001);
+  t.add_link(a, b, 1e6, 0.001);
+  t.add_link(b, d, 1e6, 0.001);
+  return t;
+}
+
+// FNV-1a over route(src, dst) for every pair in ascending order. With
+// `warm_descending`, every route is first asked for in descending order:
+// the cache fills lazily, and the order it fills in must not change an
+// answer.
+std::uint64_t route_fingerprint(const Topology& t, bool warm_descending) {
+  const auto n = static_cast<NodeId::underlying_type>(t.num_nodes());
+  if (warm_descending)
+    for (NodeId::underlying_type i = n; i-- > 0;)
+      for (NodeId::underlying_type j = n; j-- > 0;)
+        (void)t.route(NodeId(i), NodeId(j));
+  wcs::testing::Fnv1a h;
+  for (NodeId::underlying_type i = 0; i < n; ++i) {
+    for (NodeId::underlying_type j = 0; j < n; ++j) {
+      const Route& r = t.route(NodeId(i), NodeId(j));
+      h.add(r.size());
+      for (LinkId l : r) h.add(l.value());
+    }
+  }
+  return h.value();
 }
 
 TEST(Topology, AddNodesAndLinks) {
@@ -79,17 +134,42 @@ TEST(Topology, PathBandwidthIsBottleneck) {
 }
 
 TEST(Topology, PicksLowerLatencyPath) {
-  // square: a-b-d (fast) vs a-c-d (slow)
-  Topology t;
-  NodeId a = t.add_node("a");
-  NodeId b = t.add_node("b");
-  NodeId c = t.add_node("c");
-  NodeId d = t.add_node("d");
-  t.add_link(a, b, 1e6, 0.001);
-  t.add_link(b, d, 1e6, 0.001);
-  t.add_link(a, c, 1e6, 0.1);
-  t.add_link(c, d, 1e6, 0.1);
-  EXPECT_DOUBLE_EQ(t.path_latency(a, d), 0.002);
+  Topology t = square();
+  EXPECT_DOUBLE_EQ(t.path_latency(NodeId(0), NodeId(3)), 0.002);
+}
+
+TEST(Topology, TieBreaksTowardLowerNodeIndex) {
+  Topology t = tied_square();
+  EXPECT_EQ(t.route(NodeId(0), NodeId(3)), (Route{LinkId(2), LinkId(3)}));
+  EXPECT_EQ(t.route(NodeId(3), NodeId(0)), (Route{LinkId(3), LinkId(2)}));
+}
+
+// The constants were recorded from the per-source map cache that the
+// dense per-node cache replaced: every route stays exactly what it was.
+TEST(Topology, RoutesMatchRecordedFingerprints) {
+  for (bool warm_descending : {false, true}) {
+    SCOPED_TRACE(warm_descending ? "warmed descending" : "cold");
+    EXPECT_EQ(route_fingerprint(line3(), warm_descending),
+              0x47d04b66993a6885ull);
+    EXPECT_EQ(route_fingerprint(square(), warm_descending),
+              0x5fd95d68ddbcdce5ull);
+    EXPECT_EQ(route_fingerprint(tied_square(), warm_descending),
+              0x0a04398070a9ece5ull);
+    EXPECT_EQ(route_fingerprint(build_tiers_topology(TiersParams{}).topology,
+                                warm_descending),
+              0x22ee2a50f5f89925ull);
+  }
+}
+
+TEST(Topology, LatencyToFollowsTheDestinationTree) {
+  Topology t = square();
+  EXPECT_DOUBLE_EQ(t.latency_to(NodeId(0), NodeId(3)), 0.002);
+  EXPECT_DOUBLE_EQ(t.latency_to(NodeId(2), NodeId(3)), 0.1);
+  EXPECT_DOUBLE_EQ(t.latency_to(NodeId(3), NodeId(3)), 0.0);
+  Topology split;
+  split.add_node("a");
+  split.add_node("b");
+  EXPECT_THROW((void)split.latency_to(NodeId(0), NodeId(1)), std::logic_error);
 }
 
 TEST(Topology, UnreachableThrows) {
@@ -185,6 +265,41 @@ TEST(Tiers, JitterStaysWithinBounds) {
       double bw = g.topology.link(uplink).bandwidth_bps;
       EXPECT_GE(bw, p.uplink_bandwidth_bps * 0.75 - 1);
       EXPECT_LE(bw, p.uplink_bandwidth_bps * 1.25 + 1);
+    }
+  }
+}
+
+TEST(Tiers, IsATree) {
+  for (auto [sites, workers] : {std::pair{10, 1}, {40, 8}, {4, 7}, {1, 1}}) {
+    TiersParams p;
+    p.num_sites = sites;
+    p.workers_per_site = workers;
+    GridTopology g = build_tiers_topology(p);
+    EXPECT_TRUE(g.topology.connected());
+    EXPECT_EQ(g.topology.num_links(), g.topology.num_nodes() - 1);
+  }
+}
+
+// The control plane reads every worker's scheduler latency from the one
+// scheduler-rooted tree; on a tree that is path_latency bit for bit.
+TEST(Tiers, TreeLatencyEqualsPathLatencyBitwise) {
+  for (auto [sites, workers] : {std::pair{10, 1}, {40, 8}, {4, 7}}) {
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      TiersParams p;
+      p.num_sites = sites;
+      p.workers_per_site = workers;
+      p.seed = seed;
+      const GridTopology g = build_tiers_topology(p);
+      for (const auto& site : g.worker_nodes) {
+        for (NodeId w : site) {
+          const SimTime tree = g.topology.latency_to(w, g.scheduler_node);
+          const SimTime path = g.topology.path_latency(w, g.scheduler_node);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(tree),
+                    std::bit_cast<std::uint64_t>(path))
+              << sites << "x" << workers << " seed " << seed << " worker "
+              << w;
+        }
+      }
     }
   }
 }

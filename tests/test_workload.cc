@@ -3,12 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <sstream>
+#include <string>
 #include <unordered_set>
 
+#include "fnv1a.h"
 #include "workload/coadd.h"
 #include "workload/generators.h"
 #include "workload/job.h"
+#include "workload/open.h"
 #include "workload/trace.h"
 
 namespace wcs::workload {
@@ -54,6 +59,66 @@ TEST(ValidateJob, RejectsUnknownFile) {
   job.catalog = FileCatalog(1, 1);
   job.add_task({FileId(7)}, 1);
   EXPECT_THROW(validate_job(job), std::logic_error);
+}
+
+// validate_job's failure message, or "" when the job passes.
+std::string validation_error(const Job& job) {
+  try {
+    validate_job(job);
+  } catch (const std::logic_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ValidateJob, RejectsInvalidDefaultFileId) {
+  Job job;
+  job.catalog = FileCatalog(3, 1);
+  job.add_task({FileId(0)}, 1);
+  job.add_task({FileId(2), FileId()}, 1);
+  EXPECT_NE(validation_error(job).find(
+                "task 1 references unknown file <invalid>"),
+            std::string::npos)
+      << validation_error(job);
+}
+
+TEST(ValidateJob, RejectsNonAdjacentDuplicate) {
+  Job job;
+  job.catalog = FileCatalog(5, 1);
+  job.add_task({FileId(0), FileId(1)}, 1);
+  job.add_task({FileId(3), FileId(0), FileId(4), FileId(3)}, 1);
+  EXPECT_NE(validation_error(job).find("task 1 references file 3 twice"),
+            std::string::npos)
+      << validation_error(job);
+}
+
+TEST(ValidateJob, RejectsDuplicateAtEndOfList) {
+  Job job;
+  job.catalog = FileCatalog(5, 1);
+  job.add_task({FileId(4), FileId(2), FileId(1), FileId(0), FileId(2)}, 1);
+  EXPECT_NE(validation_error(job).find("task 0 references file 2 twice"),
+            std::string::npos)
+      << validation_error(job);
+}
+
+TEST(ValidateJob, RejectsEmptyTask) {
+  Job job;
+  job.catalog = FileCatalog(2, 1);
+  job.add_task({FileId(0), FileId(1)}, 1);
+  job.add_task(std::span<const FileId>(), 1);
+  EXPECT_NE(validation_error(job).find("task 1 has no input files"),
+            std::string::npos)
+      << validation_error(job);
+}
+
+TEST(ValidateJob, FileMayRepeatAcrossTasks) {
+  // The per-task duplicate marks are cleared between tasks.
+  Job job;
+  job.catalog = FileCatalog(3, 1);
+  job.add_task({FileId(2), FileId(0)}, 1);
+  job.add_task({FileId(0), FileId(2)}, 1);
+  job.add_task({FileId(2)}, 1);
+  EXPECT_EQ(validation_error(job), "");
 }
 
 TEST(ValidateJob, RejectsZeroComputeCost) {
@@ -276,6 +341,64 @@ TEST(Generators, UniformRequiresFeasibleParams) {
   p.num_files = 5;
   p.files_per_task = 10;
   EXPECT_THROW((void)generate_uniform(p), std::logic_error);
+}
+
+// --- Generated-job fingerprints ------------------------------------------
+//
+// FNV-1a over every catalog size, every task's file list (length first)
+// and its mflop bits. The constants pin the generators' exact output, so
+// a change to how a generator draws or de-duplicates its picks must
+// consume the same RNG draws to keep them.
+
+std::uint64_t fingerprint(const Job& job) {
+  wcs::testing::Fnv1a h;
+  h.add(job.catalog.num_files());
+  for (FileId::underlying_type f = 0; f < job.catalog.num_files(); ++f)
+    h.add(job.catalog.size(FileId(f)));
+  h.add(job.num_tasks());
+  for (const Task& t : job.tasks()) {
+    h.add(t.files.size());
+    for (FileId f : t.files) h.add(f.value());
+    h.add(std::bit_cast<std::uint64_t>(t.mflop));
+  }
+  return h.value();
+}
+
+TEST(GeneratedJobFingerprint, CoaddPaper6000) {
+  CoaddParams p = CoaddParams::paper_6000();
+  p.seed = 42;
+  EXPECT_EQ(fingerprint(generate_coadd(p)), 0xe15b7d3711f68567ull);
+  p.seed = 7;
+  EXPECT_EQ(fingerprint(generate_coadd(p)), 0xdb300dfb5cf53a83ull);
+}
+
+TEST(GeneratedJobFingerprint, MultiTenantThreeTenants) {
+  // Three Coadd tenants weighted 3:1:2 over a 3,000-task bag, Poisson
+  // arrivals at rho 0.9 on ten workers (the open_dedup benchmark shape).
+  CoaddParams bag = CoaddParams::paper_6000();
+  bag.num_tasks = 3000;
+  bag.seed = 42;
+  OpenParams open;
+  open.process = ArrivalProcess::kPoisson;
+  open.seed = 42;
+  for (std::uint32_t weight : {3u, 1u, 2u}) {
+    TenantInfo t;
+    t.weight = weight;
+    open.tenants.push_back(t);
+  }
+  open.mean_interarrival_s = 7800.0 / (10.0 * 0.9) * 3.0;
+  EXPECT_EQ(fingerprint(generate_multi_tenant(bag, open).job),
+            0xa71339cf1909af1full);
+}
+
+TEST(GeneratedJobFingerprint, UniformAndZipf) {
+  GeneratorParams p;
+  p.num_tasks = 500;
+  p.num_files = 400;
+  p.files_per_task = 30;
+  p.seed = 11;
+  EXPECT_EQ(fingerprint(generate_uniform(p)), 0x991e198ca9f4aed6ull);
+  EXPECT_EQ(fingerprint(generate_zipf(p, 1.1)), 0x854547c5eb32c1eaull);
 }
 
 // --- Trace round trip -----------------------------------------------------
