@@ -101,6 +101,24 @@ void check_cache_coherence(const CacheAuditSnapshot& snap,
        << snap.occupancy << " are resident";
     report(out, "cache-coherence", os);
   }
+  if (snap.live_nodes + snap.free_nodes != snap.pool_nodes) {
+    std::ostringstream os;
+    os << snap.label << " node pool of " << snap.pool_nodes << " holds "
+       << snap.live_nodes << " live + " << snap.free_nodes << " free nodes";
+    report(out, "cache-coherence", os);
+  }
+  if (snap.unreferenced_live > 0) {
+    std::ostringstream os;
+    os << snap.label << " has " << snap.unreferenced_live
+       << " eviction-order nodes their file's record does not point to";
+    report(out, "cache-coherence", os);
+  }
+  if (snap.referenced_free > 0) {
+    std::ostringstream os;
+    os << snap.label << " has " << snap.referenced_free
+       << " free nodes that a file record points to";
+    report(out, "cache-coherence", os);
+  }
   for (const std::string& defect : snap.structural) {
     std::ostringstream os;
     os << snap.label << " eviction structure unsound: " << defect;

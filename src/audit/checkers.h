@@ -11,7 +11,10 @@
 //                       accounting; started = delivered + in-flight +
 //                       cancelled remainder
 //   cache-coherence     occupancy <= capacity; pinned <= occupancy;
-//                       LRU/FIFO/MinRef order<->entry structure sound
+//                       LRU/FIFO/MinRef order<->entry structure sound;
+//                       every order node pointed to by its file's
+//                       record, no free node pointed to, live + free
+//                       nodes == pool size
 //   block-store         physical/pinned block counters == extent-union
 //                       recounts; pinned <= physical <= capacity; union
 //                       <= per-file block-ref sum
@@ -90,6 +93,14 @@ struct CacheAuditSnapshot {
   std::size_t occupancy = 0;
   std::size_t capacity = 0;  // most resident files the block budget admits
   std::size_t pinned = 0;                // resident files with pin_count > 0
+  // Resident-node pool recounts (FileCache keeps LRU links and pins in
+  // nodes owned only by resident files).
+  std::size_t pool_nodes = 0;         // nodes ever allocated
+  std::size_t live_nodes = 0;         // walked on the eviction order
+  std::size_t free_nodes = 0;         // walked on the free list
+  std::size_t unreferenced_live = 0;  // order nodes their file's record
+                                      // does not point to
+  std::size_t referenced_free = 0;    // free nodes a file record points to
   std::vector<std::string> structural;   // defects found by the cache itself
 };
 

@@ -7,6 +7,9 @@
 // worker failure), which is exactly the mutation set the schedulers
 // perform. A row can never grow past the capacity it was counted with —
 // the schedulers re-add only elements they previously removed.
+//
+// Offsets and cursors are 32-bit (8 B per row instead of 16): finalize()
+// refuses a pool of 2^32 or more elements.
 #pragma once
 
 #include <cstdint>
@@ -28,13 +31,24 @@ class Csr {
   }
 
   // Counting pass: declare one future element in `row`.
-  void count(std::size_t row) { ++begin_[row + 1]; }
+  void count(std::size_t row) {
+    WCS_CHECK_MSG(begin_[row + 1] < kMaxPool,
+                  "CSR row " << row << " exceeds 32-bit offsets");
+    ++begin_[row + 1];
+  }
 
   // Turn the counts into offsets and allocate the pool. All rows start
   // empty; fill with push().
   void finalize() {
-    for (std::size_t r = 1; r < begin_.size(); ++r) begin_[r] += begin_[r - 1];
-    pool_.resize(begin_.back());
+    std::uint64_t total = 0;
+    for (std::size_t r = 1; r < begin_.size(); ++r) {
+      total += begin_[r];
+      WCS_CHECK_MSG(total <= kMaxPool, "CSR pool of " << total
+                                           << " elements exceeds 32-bit "
+                                              "offsets");
+      begin_[r] = static_cast<std::uint32_t>(total);
+    }
+    pool_.resize(total);
     for (std::size_t r = 0; r + 1 < begin_.size(); ++r) end_[r] = begin_[r];
   }
 
@@ -86,8 +100,10 @@ class Csr {
   }
 
  private:
-  std::vector<std::uint64_t> begin_;  // rows + 1 offsets into pool_
-  std::vector<std::uint64_t> end_;    // per-row fill cursor
+  static constexpr std::uint64_t kMaxPool = 0xffffffffu;
+
+  std::vector<std::uint32_t> begin_;  // rows + 1 offsets into pool_
+  std::vector<std::uint32_t> end_;    // per-row fill cursor
   std::vector<V> pool_;
 };
 

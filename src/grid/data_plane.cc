@@ -101,8 +101,8 @@ void DataPlane::set_observability(obs::Observability* obs,
   flows_->set_observability(obs);
   if (obs == nullptr) return;
   for (const auto& ds : servers_)
-    ds->cache().set_obs(obs->profiler(), obs->tracer(),
-                        [&sim] { return sim.now(); }, ds->site().value());
+    ds->cache().set_obs(obs->profiler(), obs->tracer(), &sim,
+                        ds->site().value());
 }
 
 std::vector<metrics::SiteResult> DataPlane::site_results() const {

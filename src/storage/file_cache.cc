@@ -1,9 +1,10 @@
 #include "storage/file_cache.h"
 
 #include <algorithm>
-#include <limits>
 #include <sstream>
 #include <utility>
+
+#include "sim/simulator.h"
 
 namespace wcs::storage {
 
@@ -16,12 +17,45 @@ const char* to_string(EvictionPolicy policy) {
   return "?";
 }
 
+void FileCache::allocate_tables() {
+  files_.resize(blocks_.num_files());
+  // Residents never outnumber what the block budget admits (nor the
+  // catalog), so the pool never grows past this reservation.
+  pool_.reserve(static_cast<std::size_t>(
+      std::min<std::uint64_t>(blocks_.max_resident_files(capacity_blocks_),
+                              blocks_.num_files())));
+}
+
+std::uint32_t FileCache::take_node(FileId f) {
+  std::uint32_t idx = free_;
+  if (idx != kNull) {
+    free_ = pool_[idx].next;
+  } else {
+    WCS_DCHECK(pool_.size() < pool_.capacity());  // never reallocates
+    idx = static_cast<std::uint32_t>(pool_.size());
+    pool_.emplace_back();
+  }
+  Node& n = pool_[idx];
+  n.file = f.value();
+  n.pins = 0;
+  files_[f.value()].node = idx + 1;
+  return idx;
+}
+
+void FileCache::free_node(std::uint32_t idx) {
+  Node& n = pool_[idx];
+  files_[n.file].node = kAbsent;
+  n.prev = kNull;
+  n.next = free_;
+  free_ = idx;
+}
+
 void FileCache::link_back(std::uint32_t idx) {
-  Slot& s = slots_[idx];
-  s.prev = tail_;
-  s.next = kNullSlot;
-  if (tail_ != kNullSlot) {
-    slots_[tail_].next = idx;
+  Node& n = pool_[idx];
+  n.prev = tail_;
+  n.next = kNull;
+  if (tail_ != kNull) {
+    pool_[tail_].next = idx;
   } else {
     head_ = idx;
   }
@@ -29,27 +63,27 @@ void FileCache::link_back(std::uint32_t idx) {
 }
 
 void FileCache::unlink(std::uint32_t idx) {
-  Slot& s = slots_[idx];
-  if (s.prev != kNullSlot) {
-    slots_[s.prev].next = s.next;
+  Node& n = pool_[idx];
+  if (n.prev != kNull) {
+    pool_[n.prev].next = n.next;
   } else {
-    head_ = s.next;
+    head_ = n.next;
   }
-  if (s.next != kNullSlot) {
-    slots_[s.next].prev = s.prev;
+  if (n.next != kNull) {
+    pool_[n.next].prev = n.prev;
   } else {
-    tail_ = s.prev;
+    tail_ = n.prev;
   }
-  s.prev = s.next = kNullSlot;
+  n.prev = n.next = kNull;
 }
 
 void FileCache::record_access(FileId f) {
   WCS_CHECK_MSG(contains(f), "access to absent file " << f);
-  Slot& s = slots_[f.value()];
-  ++s.refs;
+  FileRecord& r = files_[f.value()];
+  ++r.refs;
   if (policy_ == EvictionPolicy::kLru) {
-    unlink(f.value());
-    link_back(f.value());
+    unlink(r.node - 1);
+    link_back(r.node - 1);
   }
   notify(CacheEvent::kAccessed, f);
 }
@@ -61,8 +95,8 @@ std::uint64_t FileCache::covered_blocks(FileId f, bool pinned_only) const {
   const std::uint32_t span = blocks_.neighbour_span();
   const std::size_t num_files = blocks_.num_files();
   auto qualifies = [&](std::uint32_t id) {
-    if (id >= slots_.size() || !slots_[id].resident) return false;
-    return !pinned_only || slots_[id].pins > 0;
+    if (id >= files_.size() || files_[id].node == kAbsent) return false;
+    return !pinned_only || pool_[files_[id].node - 1].pins > 0;
   };
   // Nearest qualifying neighbour on each side gives the maximal cover:
   // extents all have length n, so a closer neighbour's extent strictly
@@ -100,7 +134,7 @@ Bytes FileCache::missing_bytes(FileId f) const {
 
 void FileCache::insert(FileId f) {
   WCS_CHECK_MSG(!contains(f), "file " << f << " already cached");
-  Slot& s = slot(f);  // may grow the table; keep the reference local
+  if (files_.empty()) allocate_tables();
   // Evict until f's uncovered blocks fit. Evicting can uncover blocks f
   // shares with the victim, so the need is re-derived per round; the
   // victim leaves the resident set each time, so the loop is finite.
@@ -110,9 +144,7 @@ void FileCache::insert(FileId f) {
     need = exclusive_blocks(f, /*pinned_only=*/false);
   }
   physical_blocks_ += need;
-  WCS_DCHECK(s.pins == 0);
-  s.resident = 1;
-  link_back(f.value());
+  link_back(take_node(f));
   ++resident_count_;
   notify(CacheEvent::kAdded, f);
 }
@@ -132,52 +164,50 @@ bool FileCache::try_insert(FileId f) {
   return true;
 }
 
-FileId FileCache::pick_victim() const {
-  FileId victim = FileId::invalid();
+std::uint32_t FileCache::pick_victim() const {
   if (policy_ == EvictionPolicy::kMinRef) {
     // Min (refs, id) over resident unpinned files — a strict total
     // order, so the victim is independent of scan order. O(n); MinRef
     // is an ablation policy, not a hot default.
-    std::size_t best = std::numeric_limits<std::size_t>::max();
-    for (std::uint32_t i = head_; i != kNullSlot; i = slots_[i].next) {
-      const Slot& s = slots_[i];
-      if (s.pins > 0) continue;
-      FileId f(i);
-      std::size_t r = s.refs;
-      if (r < best || (r == best && (!victim.valid() || f < victim))) {
-        best = r;
-        victim = f;
+    std::uint32_t victim = kNull;
+    std::uint32_t best_refs = 0;
+    std::uint32_t best_file = 0;
+    for (std::uint32_t i = head_; i != kNull; i = pool_[i].next) {
+      const Node& n = pool_[i];
+      if (n.pins > 0) continue;
+      const std::uint32_t r = files_[n.file].refs;
+      if (victim == kNull || r < best_refs ||
+          (r == best_refs && n.file < best_file)) {
+        victim = i;
+        best_refs = r;
+        best_file = n.file;
       }
     }
-  } else {
-    for (std::uint32_t i = head_; i != kNullSlot; i = slots_[i].next) {
-      if (slots_[i].pins == 0) {
-        victim = FileId(i);
-        break;
-      }
-    }
+    return victim;
   }
-  return victim;
+  for (std::uint32_t i = head_; i != kNull; i = pool_[i].next)
+    if (pool_[i].pins == 0) return i;
+  return kNull;
 }
 
 void FileCache::evict_one() {
   obs::ScopedPhase phase(profiler_, obs::Phase::kCacheEviction);
-  FileId victim = pick_victim();
-  WCS_CHECK_MSG(victim.valid(),
+  const std::uint32_t idx = pick_victim();
+  WCS_CHECK_MSG(idx != kNull,
                 "cache full of pinned files (capacity " << capacity_
                 << ") — capacity must cover the concurrent working set");
-  Slot& s = slots_[victim.value()];
+  const FileId victim(pool_[idx].file);
   // Only the blocks no other resident covers become free (the neighbour
-  // scan never consults the victim itself, so compute before the
-  // residency bit drops).
+  // scan never consults the victim itself, so compute before its record
+  // drops the node).
   physical_blocks_ -= exclusive_blocks(victim, /*pinned_only=*/false);
-  unlink(victim.value());
-  s.resident = 0;
+  unlink(idx);
+  free_node(idx);
   --resident_count_;
   ++evictions_;
-  if (tracer_ && now_fn_) {
+  if (tracer_ && sim_) {
     obs::TraceSpan span;
-    span.start = now_fn_();
+    span.start = sim_->now();
     span.kind = obs::SpanKind::kEviction;
     span.track = obs_track_;
     tracer_->record(span);
@@ -187,22 +217,21 @@ void FileCache::evict_one() {
 
 void FileCache::pin(FileId f) {
   WCS_CHECK_MSG(contains(f), "pin of absent file " << f);
-  Slot& s = slots_[f.value()];
-  if (s.pins++ == 0)
+  if (node_of(f).pins++ == 0)
     pinned_blocks_ += exclusive_blocks(f, /*pinned_only=*/true);
 }
 
 void FileCache::unpin(FileId f) {
   WCS_CHECK_MSG(contains(f), "unpin of absent file " << f);
-  Slot& s = slots_[f.value()];
-  WCS_CHECK_MSG(s.pins > 0, "unpin of unpinned file " << f);
-  if (--s.pins == 0)
+  Node& n = node_of(f);
+  WCS_CHECK_MSG(n.pins > 0, "unpin of unpinned file " << f);
+  if (--n.pins == 0)
     pinned_blocks_ -= exclusive_blocks(f, /*pinned_only=*/true);
 }
 
 bool FileCache::pinned(FileId f) const {
   WCS_CHECK_MSG(contains(f), "pinned() on absent file " << f);
-  return slots_[f.value()].pins > 0;
+  return node_of(f).pins > 0;
 }
 
 audit::CacheAuditSnapshot FileCache::audit_snapshot(std::string label) const {
@@ -213,60 +242,73 @@ audit::CacheAuditSnapshot FileCache::audit_snapshot(std::string label) const {
   snap.capacity = static_cast<std::size_t>(
       blocks_.max_resident_files(capacity_blocks_));
   snap.occupancy = resident_count_;
-  // Full recount of the slot table against the incremental counters
-  // and the intrusive eviction order.
+  snap.pool_nodes = pool_.size();
+  // Walk the free list first (bounded by the pool size, so a cycle
+  // cannot hang the auditor) and mark its nodes.
+  std::vector<char> is_free(pool_.size(), 0);
+  for (std::uint32_t i = free_; i != kNull; i = pool_[i].next) {
+    if (i >= pool_.size() || ++snap.free_nodes > pool_.size()) {
+      snap.structural.push_back("free list leaves the pool or cycles");
+      break;
+    }
+    is_free[i] = 1;
+    if (pool_[i].pins != 0) {
+      std::ostringstream os;
+      os << "free node " << i << " still holds pins";
+      snap.structural.push_back(os.str());
+    }
+  }
+  // Full recount of the per-file records against the incremental
+  // counter; every record's node must hold that file.
   std::size_t resident = 0;
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    const Slot& s = slots_[i];
-    if (!s.resident) {
-      if (s.prev != kNullSlot || s.next != kNullSlot || i == head_) {
-        std::ostringstream os;
-        os << "file " << i << " is linked into the eviction order but "
-           << "not resident";
-        snap.structural.push_back(os.str());
-      }
-      if (s.pins != 0) {
-        std::ostringstream os;
-        os << "file " << i << " is pinned but not resident";
-        snap.structural.push_back(os.str());
-      }
+  for (std::size_t f = 0; f < files_.size(); ++f) {
+    const std::uint32_t node = files_[f].node;
+    if (node == kAbsent) continue;
+    ++resident;
+    if (node > pool_.size() || pool_[node - 1].file != f) {
+      std::ostringstream os;
+      os << "file " << f << "'s record points to node " << node - 1
+         << ", which does not hold it";
+      snap.structural.push_back(os.str());
       continue;
     }
-    ++resident;
-    if (s.pins > 0) ++snap.pinned;
+    if (is_free[node - 1] != 0) ++snap.referenced_free;
+    if (pool_[node - 1].pins > 0) ++snap.pinned;
   }
   if (resident != resident_count_) {
     std::ostringstream os;
-    os << "slot table holds " << resident << " resident files but the "
+    os << "file records hold " << resident << " resident files but the "
        << "cache counts " << resident_count_;
     snap.structural.push_back(os.str());
   }
-  // Walk the eviction order; every resident slot must appear exactly
+  // Walk the eviction order; every resident node must appear exactly
   // once and the links must round-trip. Bound the walk so a cycle
   // cannot hang the auditor.
-  std::size_t walked = 0;
-  std::uint32_t prev = kNullSlot;
-  for (std::uint32_t i = head_; i != kNullSlot; i = slots_[i].next) {
-    if (++walked > resident_count_) {
+  std::uint32_t prev = kNull;
+  for (std::uint32_t i = head_; i != kNull; i = pool_[i].next) {
+    if (i >= pool_.size()) {
+      snap.structural.push_back("eviction order leaves the node pool");
+      break;
+    }
+    if (++snap.live_nodes > resident_count_) {
       snap.structural.push_back(
           "eviction order is longer than the resident count (cycle?)");
       break;
     }
-    if (!slots_[i].resident) {
+    const Node& n = pool_[i];
+    if (n.file >= files_.size() || files_[n.file].node != i + 1)
+      ++snap.unreferenced_live;
+    if (n.prev != prev) {
       std::ostringstream os;
-      os << "file " << i << " is in the eviction order but not resident";
-      snap.structural.push_back(os.str());
-    }
-    if (slots_[i].prev != prev) {
-      std::ostringstream os;
-      os << "file " << i << " order position does not round-trip";
+      os << "node " << i << " (file " << n.file
+         << ") order position does not round-trip";
       snap.structural.push_back(os.str());
     }
     prev = i;
   }
-  if (walked != resident_count_ && snap.structural.empty()) {
+  if (snap.live_nodes != resident_count_ && snap.structural.empty()) {
     std::ostringstream os;
-    os << "eviction order holds " << walked << " files but "
+    os << "eviction order holds " << snap.live_nodes << " files but "
        << resident_count_ << " are resident";
     snap.structural.push_back(os.str());
   }
@@ -298,14 +340,15 @@ audit::BlockStoreAuditSnapshot FileCache::block_audit_snapshot(
     end = any ? std::max(end, stop) : stop;
     any = true;
   };
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    const Slot& s = slots_[i];
-    if (!s.resident) continue;
+  for (std::size_t i = 0; i < files_.size(); ++i) {
+    const std::uint32_t node = files_[i].node;
+    if (node == kAbsent) continue;
     const BlockMap::Extent e =
         blocks_.extent(FileId(static_cast<FileId::underlying_type>(i)));
     snap.file_block_refs += e.count;
     accumulate(snap.recount_physical, physical_end, physical_any, e);
-    if (s.pins > 0)
+    // A dangling record is cache-coherence's finding; skip, not crash.
+    if (node <= pool_.size() && pool_[node - 1].pins > 0)
       accumulate(snap.recount_pinned, pinned_end, pinned_any, e);
   }
   return snap;
@@ -314,8 +357,8 @@ audit::BlockStoreAuditSnapshot FileCache::block_audit_snapshot(
 std::vector<FileId> FileCache::contents() const {
   std::vector<FileId> out;
   out.reserve(resident_count_);
-  for (std::size_t i = 0; i < slots_.size(); ++i)
-    if (slots_[i].resident)
+  for (std::size_t i = 0; i < files_.size(); ++i)
+    if (files_[i].node != kAbsent)
       out.push_back(FileId(static_cast<FileId::underlying_type>(i)));
   return out;
 }

@@ -17,11 +17,14 @@
 // Eviction policies: LRU (default), FIFO, and MinRef (evict the file with
 // the fewest past references) for the eviction-policy ablation bench.
 //
-// Storage layout: one 16-byte slot per file id — residency flag, pin
-// count, persistent ref count, and intrusive prev/next links forming the
-// eviction order. Zero allocations per hit/miss/evict. (The pre-PR-6
-// node-based layout lived behind --legacy-layout for one PR as the A/B
-// baseline and was removed after the flat goldens soaked.)
+// Storage layout: two tables. Every catalog file has one 8-byte record
+// (pool node + 1, 0 when absent; persistent ref count), allocated at
+// exactly BlockMap::num_files() on the first insert, never in the
+// constructor. Only resident files own a 16-byte node (file id, pin
+// count, intrusive prev/next links forming the eviction order) in a pool
+// reserved once to the most files the block budget admits; evicted
+// nodes go on a free list threaded through `next`. Zero allocations per
+// hit/miss/evict after the first insert.
 //
 // Block accounting (docs/data-plane.md): residency and eviction order
 // are file-granular, but capacity is accounted in refcounted content
@@ -44,6 +47,10 @@
 #include "obs/profiler.h"
 #include "obs/trace.h"
 #include "storage/block_store.h"
+
+namespace wcs::sim {
+class Simulator;
+}  // namespace wcs::sim
 
 namespace wcs::storage {
 
@@ -81,7 +88,7 @@ class FileCache {
   [[nodiscard]] EvictionPolicy policy() const { return policy_; }
 
   [[nodiscard]] bool contains(FileId f) const {
-    return f.value() < slots_.size() && slots_[f.value()].resident;
+    return f.value() < files_.size() && files_[f.value()].node != kAbsent;
   }
 
   // Record a task's use of a present file: bumps r_i, refreshes recency.
@@ -111,7 +118,7 @@ class FileCache {
   // Past references r_i of a file at this storage; persists across
   // eviction. Zero for files never seen here.
   [[nodiscard]] std::size_t ref_count(FileId f) const {
-    return f.value() < slots_.size() ? slots_[f.value()].refs : 0;
+    return f.value() < files_.size() ? files_[f.value()].refs : 0;
   }
 
   [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
@@ -120,9 +127,10 @@ class FileCache {
   [[nodiscard]] std::vector<FileId> contents() const;
 
   // Read-only state snapshot for the invariant auditor: occupancy vs
-  // capacity, pin counts, and structural soundness of the eviction
-  // order (links <-> residency round-trip). `label` names this cache in
-  // violation reports (audit::check_cache_coherence).
+  // capacity, pin counts, structural soundness of the eviction order
+  // (links round-trip, bounded walk) and the node pool's recounts
+  // (record <-> node links, live + free == pool size). `label` names
+  // this cache in violation reports (audit::check_cache_coherence).
   [[nodiscard]] audit::CacheAuditSnapshot audit_snapshot(
       std::string label) const;
 
@@ -158,47 +166,60 @@ class FileCache {
 
   // Attach observability instruments (the single listener slot belongs to
   // the scheduler's incremental index, so tracing gets its own hook).
-  // `now_fn` supplies the simulated clock and is only called on actual
-  // evictions; `track` is this cache's site id for the trace timeline.
-  // Read-only: never changes victim selection.
+  // `sim` (not owned; must outlive the cache) supplies the simulated
+  // clock and is only read on actual evictions; `track` is this cache's
+  // site id for the trace timeline. Read-only: never changes victim
+  // selection.
   void set_obs(obs::PhaseProfiler* profiler, obs::EventTracer* tracer,
-               std::function<SimTime()> now_fn, std::uint32_t track) {
+               const sim::Simulator* sim, std::uint32_t track) {
     profiler_ = profiler;
     tracer_ = tracer;
-    now_fn_ = std::move(now_fn);
+    sim_ = sim;
     obs_track_ = track;
   }
 
  private:
-  static constexpr std::uint32_t kNullSlot = 0xffffffffu;
+  static constexpr std::uint32_t kNull = 0xffffffffu;  // no node
+  static constexpr std::uint32_t kAbsent = 0;          // FileRecord::node
 
-  // One 16-byte record per file id. prev/next thread the resident slots
-  // into the eviction order (head = next candidate); refs persists
-  // across eviction.
-  struct Slot {
-    std::uint32_t prev = kNullSlot;
-    std::uint32_t next = kNullSlot;
+  // One 8-byte record per catalog file. `node` is 1 + the index of the
+  // file's pool node while it is resident, kAbsent otherwise; refs
+  // persists across eviction.
+  struct FileRecord {
+    std::uint32_t node = kAbsent;
     std::uint32_t refs = 0;
-    std::uint16_t pins = 0;
-    std::uint8_t resident = 0;
-    std::uint8_t unused = 0;
   };
-  static_assert(sizeof(Slot) == 16);
+  static_assert(sizeof(FileRecord) == 8);
 
-  Slot& slot(FileId f) {
-    if (f.value() >= slots_.size()) {
-      std::size_t grown = slots_.empty() ? 64 : slots_.size() * 2;
-      if (grown < f.value() + 1) grown = f.value() + 1;
-      slots_.resize(grown);
-    }
-    return slots_[f.value()];
+  // One 16-byte node per resident file. prev/next thread the live nodes
+  // into the eviction order (head = next candidate); a free node is
+  // chained into the free list through `next`.
+  struct Node {
+    std::uint32_t file = 0;
+    std::uint32_t prev = kNull;
+    std::uint32_t next = kNull;
+    std::uint32_t pins = 0;
+  };
+  static_assert(sizeof(Node) == 16);
+
+  [[nodiscard]] Node& node_of(FileId f) {
+    return pool_[files_[f.value()].node - 1];
   }
+  [[nodiscard]] const Node& node_of(FileId f) const {
+    return pool_[files_[f.value()].node - 1];
+  }
+
+  // Sizes both tables on the first insert (the only allocations).
+  void allocate_tables();
+  [[nodiscard]] std::uint32_t take_node(FileId f);
+  void free_node(std::uint32_t idx);
 
   void link_back(std::uint32_t idx);
   void unlink(std::uint32_t idx);
 
   void evict_one();
-  [[nodiscard]] FileId pick_victim() const;
+  // Pool index of the next victim, kNull when every resident is pinned.
+  [[nodiscard]] std::uint32_t pick_victim() const;
   void notify(CacheEvent e, FileId f) {
     if (listener_) listener_(e, f);
   }
@@ -216,9 +237,11 @@ class FileCache {
   std::size_t capacity_ = 0;
   EvictionPolicy policy_ = EvictionPolicy::kLru;
 
-  std::vector<Slot> slots_;
-  std::uint32_t head_ = kNullSlot;  // next eviction candidate
-  std::uint32_t tail_ = kNullSlot;  // most recently inserted/accessed
+  std::vector<FileRecord> files_;  // empty until the first insert
+  std::vector<Node> pool_;
+  std::uint32_t free_ = kNull;  // free-list head
+  std::uint32_t head_ = kNull;  // next eviction candidate
+  std::uint32_t tail_ = kNull;  // most recently inserted/accessed
   std::size_t resident_count_ = 0;
 
   // physical_/pinned_ count distinct blocks covered by >= 1 resident /
@@ -235,7 +258,7 @@ class FileCache {
   // Observability (null/empty when disabled).
   obs::PhaseProfiler* profiler_ = nullptr;
   obs::EventTracer* tracer_ = nullptr;
-  std::function<SimTime()> now_fn_;
+  const sim::Simulator* sim_ = nullptr;
   std::uint32_t obs_track_ = 0;
 };
 

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/rng.h"
+#include "workload/unchecked.h"
 
 namespace wcs::workload {
 
@@ -18,7 +19,7 @@ std::size_t clamped_normal(Rng& rng, double mean, double stddev,
 
 }  // namespace
 
-Job generate_coadd(const CoaddParams& p) {
+Job unchecked::coadd(const CoaddParams& p) {
   WCS_CHECK(p.num_tasks > 0);
   WCS_CHECK(p.num_rows > 0);
   WCS_CHECK(p.window_min > 0 && p.window_min <= p.window_max);
@@ -175,7 +176,11 @@ Job generate_coadd(const CoaddParams& p) {
   for (const std::vector<FileId>& files : task_files)
     job.add_task(files,
                  p.mflop_per_file * static_cast<double>(files.size()));
+  return job;
+}
 
+Job generate_coadd(const CoaddParams& p) {
+  Job job = unchecked::coadd(p);
   validate_job(job);
   return job;
 }

@@ -3,6 +3,7 @@
 #include <numeric>
 
 #include "common/rng.h"
+#include "workload/unchecked.h"
 
 namespace wcs::workload {
 
@@ -20,6 +21,10 @@ Job make_job(std::string_view name, const GeneratorParams& p,
   for (const std::vector<FileId>& files : file_sets)
     job.add_task(files,
                  p.mflop_per_file * static_cast<double>(files.size()));
+  return job;
+}
+
+Job checked(Job job) {
   validate_job(job);
   return job;
 }
@@ -47,7 +52,7 @@ std::vector<std::vector<FileId>> distinct_picks(const GeneratorParams& p,
 
 }  // namespace
 
-Job generate_uniform(const GeneratorParams& p) {
+Job unchecked::uniform(const GeneratorParams& p) {
   WCS_CHECK(p.files_per_task <= p.num_files);
   Rng rng(p.seed);
   return make_job("uniform", p,
@@ -55,7 +60,7 @@ Job generate_uniform(const GeneratorParams& p) {
                   p.num_files);
 }
 
-Job generate_zipf(const GeneratorParams& p, double exponent) {
+Job unchecked::zipf(const GeneratorParams& p, double exponent) {
   WCS_CHECK(p.files_per_task <= p.num_files);
   Rng rng(p.seed);
   const ZipfCdf file_zipf(p.num_files, exponent);
@@ -64,7 +69,7 @@ Job generate_zipf(const GeneratorParams& p, double exponent) {
                   p.num_files);
 }
 
-Job generate_partitioned(const GeneratorParams& p) {
+Job unchecked::partitioned(const GeneratorParams& p) {
   std::vector<std::vector<FileId>> sets(p.num_tasks);
   std::size_t next = 0;
   for (auto& set : sets) {
@@ -73,6 +78,18 @@ Job generate_partitioned(const GeneratorParams& p) {
       set.push_back(FileId(static_cast<FileId::underlying_type>(next++)));
   }
   return make_job("partitioned", p, std::move(sets), next);
+}
+
+Job generate_uniform(const GeneratorParams& p) {
+  return checked(unchecked::uniform(p));
+}
+
+Job generate_zipf(const GeneratorParams& p, double exponent) {
+  return checked(unchecked::zipf(p, exponent));
+}
+
+Job generate_partitioned(const GeneratorParams& p) {
+  return checked(unchecked::partitioned(p));
 }
 
 Job generate_sliding_window(std::size_t num_tasks, std::size_t width,
@@ -93,7 +110,7 @@ Job generate_sliding_window(std::size_t num_tasks, std::size_t width,
       sets[t].push_back(FileId(static_cast<FileId::underlying_type>(f)));
     }
   }
-  return make_job("sliding-window", p, std::move(sets), catalog);
+  return checked(make_job("sliding-window", p, std::move(sets), catalog));
 }
 
 }  // namespace wcs::workload

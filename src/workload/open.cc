@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "workload/unchecked.h"
 
 namespace wcs::workload {
 
@@ -125,8 +126,8 @@ std::vector<double> draw_arrivals(std::size_t count, const OpenParams& params,
   return out;
 }
 
-Workload generate_multi_tenant(const CoaddParams& bag,
-                               const OpenParams& open) {
+Workload unchecked::multi_tenant(const CoaddParams& bag,
+                                const OpenParams& open) {
   std::vector<TenantInfo> tenants = open.tenants;
   if (tenants.empty()) tenants.push_back({"tenant0", 1});
   const std::size_t k = tenants.size();
@@ -146,7 +147,7 @@ Workload generate_multi_tenant(const CoaddParams& bag,
     CoaddParams p = bag;
     p.num_tasks = n;
     p.seed = substream_seed(open.seed, 0x10000u + t);
-    const Job tenant_bag = generate_coadd(p);
+    const Job tenant_bag = unchecked::coadd(p);
 
     const std::vector<double> times =
         draw_arrivals(tenant_bag.num_tasks(), open, static_cast<std::uint32_t>(t));
@@ -170,6 +171,12 @@ Workload generate_multi_tenant(const CoaddParams& bag,
       wl.arrivals.tenant_of.push_back(static_cast<std::uint32_t>(t));
     }
   }
+  return wl;
+}
+
+Workload generate_multi_tenant(const CoaddParams& bag,
+                               const OpenParams& open) {
+  Workload wl = unchecked::multi_tenant(bag, open);
   validate_job(wl.job);
   validate_arrivals(wl.arrivals, wl.job);
   return wl;

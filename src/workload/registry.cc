@@ -4,6 +4,7 @@
 
 #include "common/check.h"
 #include "workload/trace.h"
+#include "workload/unchecked.h"
 
 namespace wcs::workload {
 
@@ -79,23 +80,23 @@ void register_builtin_generators() {
   register_generator(
       "coadd", "synthetic Coadd, the paper's Table 2 / Figure 3 workload",
       [](const GeneratorSpec& spec) {
-        return closed_bag(generate_coadd(spec.coadd), spec);
+        return closed_bag(unchecked::coadd(spec.coadd), spec);
       });
   register_generator(
       "uniform", "unstructured sharing: uniform draws from one catalog",
       [](const GeneratorSpec& spec) {
-        return closed_bag(generate_uniform(spec.synthetic), spec);
+        return closed_bag(unchecked::uniform(spec.synthetic), spec);
       });
   register_generator(
       "zipf", "skewed popularity: Zipf-ranked file draws",
       [](const GeneratorSpec& spec) {
-        return closed_bag(generate_zipf(spec.synthetic, spec.zipf_exponent),
+        return closed_bag(unchecked::zipf(spec.synthetic, spec.zipf_exponent),
                           spec);
       });
   register_generator(
       "partitioned", "zero sharing: disjoint per-task input sets",
       [](const GeneratorSpec& spec) {
-        return closed_bag(generate_partitioned(spec.synthetic), spec);
+        return closed_bag(unchecked::partitioned(spec.synthetic), spec);
       });
   register_generator(
       "trace", "replay a saved workload trace file (trace_path)",
@@ -108,7 +109,7 @@ void register_builtin_generators() {
       "multi-tenant",
       "per-tenant Coadd bag streams with Poisson/diurnal/bursty arrivals",
       [](const GeneratorSpec& spec) {
-        return generate_multi_tenant(spec.coadd, spec.open);
+        return unchecked::multi_tenant(spec.coadd, spec.open);
       });
 }
 

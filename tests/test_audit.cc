@@ -126,6 +126,39 @@ TEST(CacheCoherence, ForwardsStructuralDefects) {
   EXPECT_TRUE(mentions(v, "eviction structure unsound"));
 }
 
+TEST(CacheCoherence, DetectsBrokenNodeLinksInACopiedSnapshot) {
+  const storage::BlockMap blocks(workload::FileCatalog(10, megabytes(25.0)),
+                                 storage::BlockStoreParams{});
+  storage::FileCache cache(blocks, 3, storage::EvictionPolicy::kLru);
+  for (unsigned f = 0; f < 5; ++f) cache.insert(FileId(f));  // 2 evictions
+  const CacheAuditSnapshot healthy = cache.audit_snapshot("site 4 cache");
+  EXPECT_EQ(healthy.pool_nodes, 3u);
+  EXPECT_EQ(healthy.live_nodes, 3u);
+  EXPECT_EQ(healthy.free_nodes, 0u);
+  EXPECT_TRUE(
+      run_checker([&](auto& out) { check_cache_coherence(healthy, out); })
+          .empty());
+
+  // A node on the eviction order whose file's record points elsewhere.
+  CacheAuditSnapshot s = healthy;
+  s.unreferenced_live = 1;
+  auto v = run_checker([&](auto& out) { check_cache_coherence(s, out); });
+  ASSERT_EQ(v.size(), 1u);
+  EXPECT_EQ(v[0].checker, "cache-coherence");
+  EXPECT_TRUE(mentions(v, "record does not point to"));
+  EXPECT_TRUE(mentions(v, "site 4 cache"));
+
+  // A live node also chained on the free list: it is counted twice and
+  // its file's record points to a free node.
+  s = healthy;
+  ++s.free_nodes;
+  ++s.referenced_free;
+  v = run_checker([&](auto& out) { check_cache_coherence(s, out); });
+  ASSERT_EQ(v.size(), 2u);
+  EXPECT_TRUE(mentions(v, "3 live + 1 free"));
+  EXPECT_TRUE(mentions(v, "free nodes that a file record points to"));
+}
+
 // --- block store --------------------------------------------------------
 
 TEST(BlockStore, DetectsCounterDriftFromRecount) {

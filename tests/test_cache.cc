@@ -1,11 +1,21 @@
 // Unit tests for storage::FileCache: eviction policies, pinning,
-// persistent reference counts, listener events. Every cache accounts
-// over a uniform overlap-0 block map, so these pin the paper's
-// file-count capacity laws (Table 1) on the block accounting.
+// persistent reference counts, listener events. The unit cases account
+// over a uniform overlap-0 block map, so they pin the paper's file-count
+// capacity laws (Table 1) on the block accounting; the differential test
+// at the end also covers overlapping extents against a brute-force
+// reference model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <map>
+#include <ostream>
+#include <random>
+#include <set>
+#include <string>
 #include <vector>
 
+#include "audit/checkers.h"
 #include "common/units.h"
 #include "storage/block_store.h"
 #include "storage/file_cache.h"
@@ -240,6 +250,197 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, CachePolicyParam,
                          ::testing::Values(EvictionPolicy::kLru,
                                            EvictionPolicy::kFifo,
                                            EvictionPolicy::kMinRef));
+
+// --- Differential test against a brute-force reference model -------------
+
+using Event = std::pair<CacheEvent, FileId>;
+
+// The cache's contract restated as plainly as possible: a list for the
+// eviction order, maps for refs and pins, and block sets recounted from
+// the extents on every question.
+class ReferenceCache {
+ public:
+  ReferenceCache(const BlockMap& blocks, std::size_t capacity_files,
+                 EvictionPolicy policy)
+      : blocks_(blocks),
+        policy_(policy),
+        capacity_blocks_(capacity_files * blocks.blocks_per_file_max()) {}
+
+  bool contains(FileId f) const {
+    return std::find(order_.begin(), order_.end(), f) != order_.end();
+  }
+  std::size_t ref_count(FileId f) const {
+    auto it = refs_.find(f);
+    return it == refs_.end() ? 0 : it->second;
+  }
+  bool pinned(FileId f) const { return pins_.count(f) > 0; }
+
+  std::uint64_t physical_blocks() const { return union_of(order_, {}); }
+  std::uint64_t pinned_blocks() const { return union_of(pinned_files(), {}); }
+
+  // What insert(f) needs: every unpinned resident may go, so f fits iff
+  // the pinned extents plus f's fit.
+  bool has_insert_room(FileId f) const {
+    return union_of(pinned_files(), f) <= capacity_blocks_;
+  }
+
+  void insert(FileId f, std::vector<Event>& events) {
+    while (union_of(order_, f) > capacity_blocks_) {
+      const FileId victim = pick_victim();
+      order_.remove(victim);
+      events.emplace_back(CacheEvent::kEvicted, victim);
+    }
+    order_.push_back(f);
+    events.emplace_back(CacheEvent::kAdded, f);
+  }
+
+  void access(FileId f, std::vector<Event>& events) {
+    ++refs_[f];
+    if (policy_ == EvictionPolicy::kLru) {
+      order_.remove(f);
+      order_.push_back(f);
+    }
+    events.emplace_back(CacheEvent::kAccessed, f);
+  }
+
+  void pin(FileId f) { ++pins_[f]; }
+  void unpin(FileId f) {
+    if (--pins_[f] == 0) pins_.erase(f);
+  }
+
+  std::vector<FileId> contents() const {
+    std::vector<FileId> out(order_.begin(), order_.end());
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+ private:
+  std::list<FileId> pinned_files() const {
+    std::list<FileId> out;
+    for (FileId f : order_)
+      if (pinned(f)) out.push_back(f);
+    return out;
+  }
+
+  // |union of the extents of `files` (plus `extra` when valid)|.
+  std::uint64_t union_of(const std::list<FileId>& files, FileId extra) const {
+    std::set<std::uint64_t> covered;
+    auto add = [&](FileId f) {
+      const BlockMap::Extent e = blocks_.extent(f);
+      for (std::uint32_t i = 0; i < e.count; ++i) covered.insert(e.first + i);
+    };
+    for (FileId f : files) add(f);
+    if (extra.valid()) add(extra);
+    return covered.size();
+  }
+
+  FileId pick_victim() const {
+    FileId victim = FileId::invalid();
+    for (FileId f : order_) {
+      if (pinned(f)) continue;
+      if (policy_ != EvictionPolicy::kMinRef) return f;
+      if (!victim.valid() || ref_count(f) < ref_count(victim) ||
+          (ref_count(f) == ref_count(victim) && f < victim))
+        victim = f;
+    }
+    return victim;
+  }
+
+  const BlockMap& blocks_;
+  EvictionPolicy policy_;
+  std::uint64_t capacity_blocks_;
+  std::list<FileId> order_;  // front = next eviction candidate
+  std::map<FileId, std::size_t> refs_;
+  std::map<FileId, std::size_t> pins_;
+};
+
+struct DiffCase {
+  EvictionPolicy policy;
+  double overlap;
+};
+
+// Names the case in test listings (the default printer would dump the
+// struct's bytes, padding included).
+void PrintTo(const DiffCase& c, std::ostream* os) {
+  *os << to_string(c.policy) << " at overlap " << c.overlap;
+}
+
+class CacheDifferential : public ::testing::TestWithParam<DiffCase> {};
+
+TEST_P(CacheDifferential, MatchesReferenceModelStepByStep) {
+  const DiffCase c = GetParam();
+  constexpr unsigned kFiles = 48;
+  constexpr std::size_t kCapacity = 6;
+  BlockStoreParams params;
+  params.content_overlap = c.overlap;
+  const BlockMap blocks(workload::FileCatalog(kFiles, megabytes(25.0)),
+                        params);
+  for (std::uint32_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    FileCache cache(blocks, kCapacity, c.policy);
+    ReferenceCache ref(blocks, kCapacity, c.policy);
+    std::vector<Event> got;
+    std::vector<Event> want;
+    cache.set_listener(
+        [&](CacheEvent e, FileId f) { got.emplace_back(e, f); });
+    std::mt19937 rng(seed);
+    for (int step = 0; step < 1500; ++step) {
+      const FileId f(static_cast<FileId::underlying_type>(rng() % kFiles));
+      const unsigned op = rng() % 8;
+      if (!ref.contains(f)) {
+        if (op < 4) {  // try_insert
+          const bool room = ref.has_insert_room(f);
+          ASSERT_EQ(cache.has_insert_room(f), room) << "step " << step;
+          ASSERT_EQ(cache.try_insert(f), room) << "step " << step;
+          if (room) ref.insert(f, want);
+        } else if (ref.has_insert_room(f)) {  // insert
+          cache.insert(f);
+          ref.insert(f, want);
+        }
+      } else if (op < 3) {
+        cache.record_access(f);
+        ref.access(f, want);
+      } else if (op < 5) {
+        cache.pin(f);
+        ref.pin(f);
+      } else if (ref.pinned(f)) {
+        cache.unpin(f);
+        ref.unpin(f);
+      }
+      ASSERT_EQ(got, want) << "step " << step;
+      ASSERT_EQ(cache.contents(), ref.contents()) << "step " << step;
+      ASSERT_EQ(cache.size(), ref.contents().size());
+      ASSERT_EQ(cache.physical_blocks(), ref.physical_blocks())
+          << "step " << step;
+      ASSERT_EQ(cache.pinned_blocks(), ref.pinned_blocks())
+          << "step " << step;
+      for (unsigned g = 0; g < kFiles; ++g) {
+        ASSERT_EQ(cache.ref_count(F(g)), ref.ref_count(F(g)));
+        if (ref.contains(F(g))) {
+          ASSERT_EQ(cache.pinned(F(g)), ref.pinned(F(g)));
+        }
+      }
+    }
+    std::vector<audit::Violation> violations;
+    audit::check_cache_coherence(cache.audit_snapshot("diff"), violations);
+    audit::check_block_store(cache.block_audit_snapshot("diff"), violations);
+    EXPECT_TRUE(violations.empty());
+    EXPECT_GT(cache.evictions(), 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PoliciesAndOverlaps, CacheDifferential,
+    ::testing::Values(DiffCase{EvictionPolicy::kLru, 0.0},
+                      DiffCase{EvictionPolicy::kFifo, 0.0},
+                      DiffCase{EvictionPolicy::kMinRef, 0.0},
+                      DiffCase{EvictionPolicy::kLru, 0.5},
+                      DiffCase{EvictionPolicy::kFifo, 0.5},
+                      DiffCase{EvictionPolicy::kMinRef, 0.5}),
+    [](const ::testing::TestParamInfo<DiffCase>& param_info) {
+      return std::string(to_string(param_info.param.policy)) +
+             (param_info.param.overlap > 0 ? "_overlap50" : "_disjoint");
+    });
 
 }  // namespace
 }  // namespace wcs::storage

@@ -2,7 +2,8 @@
 // DenseIdSet) that replaced per-task node containers, plus the
 // allocation-free contracts the event loop relies on (disabled
 // instruments, warm event-kernel and flow-table churn, the warm
-// data-server cycle, storage affinity's submit-time projection, the warm
+// data-server cycle, the file cache's first-insert tables and warm
+// cycle, storage affinity's submit-time projection, the warm
 // ChooseTask(n) decision, job validation, and an open-system run whose
 // allocations do not scale with its task count).
 #include <gtest/gtest.h>
@@ -110,6 +111,45 @@ TEST(Csr, EraseSwapMatchesVectorMotion) {
   csr.push(0, 7);
   EXPECT_EQ(csr.row_size(0), 4u);
   EXPECT_TRUE(csr.row_bounds_sound());
+}
+
+TEST(Csr, ManyRowsKeepTheirOwnWindows) {
+  // Rows of 0..3 elements over 10,000 rows: the 32-bit offsets place
+  // every row right after the previous one, and swap-erase plus re-push
+  // stay inside each row's window.
+  Csr<std::uint32_t> csr;
+  const std::size_t rows = 10000;
+  csr.reset(rows);
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t i = 0; i < r % 4; ++i) csr.count(r);
+  csr.finalize();
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t i = 0; i < r % 4; ++i)
+      csr.push(r, static_cast<std::uint32_t>(r * 4 + i));
+  for (std::size_t r = 0; r < rows; ++r) {
+    ASSERT_EQ(csr.row_capacity(r), r % 4);
+    ASSERT_EQ(csr.row_size(r), r % 4);
+    for (std::size_t i = 0; i < r % 4; ++i)
+      ASSERT_EQ(csr.row(r)[i], r * 4 + i);
+  }
+  const std::size_t last = rows - 1;  // 9999 % 4 == 3 elements
+  EXPECT_TRUE(csr.erase_swap(last, static_cast<std::uint32_t>(last * 4)));
+  csr.push(last, 7);
+  EXPECT_EQ(csr.row(last)[2], 7u);
+  EXPECT_TRUE(csr.row_bounds_sound());
+}
+
+TEST(Csr, RowBookkeepingCostsEightBytesPerRow) {
+  if (!alloc_counting_enabled())
+    GTEST_SKIP() << "allocation counting compiled out (sanitizer build)";
+  // reset(rows) allocates rows + 1 offsets and rows cursors, 4 B each;
+  // an empty pool allocates nothing.
+  Csr<TaskId> csr;
+  const AllocSnapshot before = alloc_snapshot();
+  csr.reset(1000);
+  const AllocSnapshot after = alloc_snapshot();
+  EXPECT_EQ(allocations_between(before, after), 2u);
+  EXPECT_EQ(after.bytes - before.bytes, (1001u + 1000u) * 4u);
 }
 
 // --- DenseIdSet ----------------------------------------------------------
@@ -240,6 +280,41 @@ TEST(AllocFree, WarmEventKernelChurnAllocatesNothing) {
   EXPECT_EQ(sim.live_events(), ids.size());
   EXPECT_GT(sim.audit_snapshot().cancelled, 1000u);
   EXPECT_GT(sim.audit_snapshot().rescheduled, 10000u);
+}
+
+TEST(AllocFree, FileCacheAllocatesItsTablesOnceAtFirstInsert) {
+  if (!alloc_counting_enabled())
+    GTEST_SKIP() << "allocation counting compiled out (sanitizer build)";
+  // The constructor allocates nothing; the first insert sizes the
+  // per-file records (8 B per catalog file) and reserves the resident
+  // node pool (16 B per admissible resident), one allocation each.
+  // After that a warm insert / evict / access / pin cycle is free.
+  const storage::BlockMap blocks{workload::FileCatalog(1000, megabytes(1)),
+                                 storage::BlockStoreParams{}};
+  const AllocSnapshot start = alloc_snapshot();
+  storage::FileCache cache(blocks, 40, storage::EvictionPolicy::kLru);
+  const AllocSnapshot constructed = alloc_snapshot();
+  EXPECT_EQ(allocations_between(start, constructed), 0u);
+  cache.insert(FileId(0));
+  const AllocSnapshot first = alloc_snapshot();
+  EXPECT_EQ(allocations_between(constructed, first), 2u);
+  EXPECT_EQ(first.bytes - constructed.bytes, 1000u * 8u + 40u * 16u);
+  std::uint32_t next = 1;
+  auto cycle = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      const FileId f(next++ % 1000);
+      if (!cache.contains(f)) cache.insert(f);  // evicts once full
+      cache.record_access(f);
+      cache.pin(f);
+      cache.unpin(f);
+    }
+  };
+  cycle(200);
+  const AllocSnapshot before = alloc_snapshot();
+  cycle(3000);
+  EXPECT_EQ(allocations_between(before, alloc_snapshot()), 0u);
+  EXPECT_EQ(cache.size(), 40u);
+  EXPECT_GT(cache.evictions(), 3000u);
 }
 
 TEST(AllocFree, WarmDataServerCycleAllocatesNothing) {

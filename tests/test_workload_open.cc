@@ -3,6 +3,7 @@
 // the trace round-trip of arrival-timed workloads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <vector>
 
@@ -32,6 +33,57 @@ TEST(WorkloadRegistry, DefaultSpecBuildsClosedCoadd) {
   EXPECT_EQ(wl.job.num_tasks(), 40u);
   EXPECT_FALSE(wl.open());
   EXPECT_TRUE(wl.arrivals.arrival_s.empty());
+}
+
+TEST(WorkloadRegistry, BuildWorkloadRefusesAnInvalidGeneratedJob) {
+  // Builtins hand build_workload unchecked jobs and it validates once at
+  // the boundary, so that one check must also catch a registered
+  // generator's bad job.
+  if (!has_generator("test-duplicate-file")) {
+    register_generator("test-duplicate-file", "refused by validate_job",
+                       [](const GeneratorSpec&) {
+                         Workload wl;
+                         wl.job.catalog = FileCatalog(3, 1);
+                         wl.job.add_task({FileId(1), FileId(1)}, 1);
+                         return wl;
+                       });
+  }
+  GeneratorSpec spec;
+  spec.generator = "test-duplicate-file";
+  EXPECT_THROW((void)build_workload(spec), std::logic_error);
+}
+
+TEST(WorkloadRegistry, BuiltinsMatchTheirPublicGenerators) {
+  register_builtin_generators();
+  auto same = [](const Job& a, const Job& b) {
+    if (a.num_tasks() != b.num_tasks() ||
+        a.catalog.num_files() != b.catalog.num_files())
+      return false;
+    for (std::size_t t = 0; t < a.num_tasks(); ++t) {
+      const TaskId id(static_cast<TaskId::underlying_type>(t));
+      const Task x = a.task(id);
+      const Task y = b.task(id);
+      if (!std::equal(x.files.begin(), x.files.end(), y.files.begin(),
+                      y.files.end()) ||
+          x.mflop != y.mflop)
+        return false;
+    }
+    return true;
+  };
+  GeneratorSpec spec;
+  spec.coadd.num_tasks = 60;
+  EXPECT_TRUE(same(build_workload(spec).job, generate_coadd(spec.coadd)));
+  spec.generator = "zipf";
+  EXPECT_TRUE(same(build_workload(spec).job,
+                   generate_zipf(spec.synthetic, spec.zipf_exponent)));
+  spec.generator = "multi-tenant";
+  spec.open.tenants = {{"a", 1}, {"b", 2}};
+  spec.open.process = ArrivalProcess::kPoisson;
+  const Workload built = build_workload(spec);
+  const Workload direct = generate_multi_tenant(spec.coadd, spec.open);
+  EXPECT_TRUE(same(built.job, direct.job));
+  EXPECT_EQ(built.arrivals.arrival_s, direct.arrivals.arrival_s);
+  EXPECT_EQ(built.arrivals.tenant_of, direct.arrivals.tenant_of);
 }
 
 TEST(WorkloadRegistry, OpenParamsStampArrivalsOverClosedBuiltins) {
