@@ -48,11 +48,11 @@ class GridEngine {
 
   // Register interest in one site's cache mutations (at most one
   // listener per site — exactly one scheduler drives a run, and it owns
-  // the slot). The worker-centric scheduler subscribes for its
-  // incremental overlap/ref-sum counters, storage affinity for its
-  // incremental byte-overlap index; both mark the tasks an event touches
-  // in their sharded pending-task index and re-key the marked tasks at
-  // the next decision that walks it. Notifications fire synchronously
+  // the slot). Each data-aware scheduler subscribes to keep its residency
+  // table (sched/residency.h) current; worker-centric and storage
+  // affinity also mark the tasks an event touches in their sharded
+  // pending-task index and re-key the marked tasks at the next decision
+  // that walks it. Notifications fire synchronously
   // inside the cache mutation, i.e. strictly before the next scheduling
   // decision (see grid/control_plane.cc for the event ordering this
   // guarantees).

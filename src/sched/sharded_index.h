@@ -2,8 +2,8 @@
 // fast path (DESIGN.md §Performance architecture, layer 4).
 //
 // The paper's worker-centric loop scores EVERY pending task on each idle
-// worker request. Per-(site, task) counters, fed through the shared
-// file -> task index (residency.h), make each score O(1); this index
+// worker request. The per-(site, task) counters of the one residency
+// table (ResidencyTable, residency.h) make each score O(1); this index
 // removes the scan: pending tasks are filed under a small dense key with
 // a rank, and the users pick (key, rank) so that a walk visits tasks
 // best-first —
@@ -33,8 +33,8 @@
 // COHERENCE INVARIANT: after refresh(), the index holds exactly the
 // schedulable task set, and each entry's (key, rank) equals what a
 // brute-force recompute from the live cache would produce. Under --audit,
-// check_sharded_index (audit/checkers.h) refreshes and then
-// cross-validates the whole structure against a rescan on every sweep.
+// check_sharded_index (audit/checkers.h) refreshes and then checks every
+// entry against the counters, which index-coherence recounts, each sweep.
 //
 // EQUIVALENCE INVARIANT: along a walk the scheduler's weight is
 // non-increasing for every metric (the rest term is constant inside a

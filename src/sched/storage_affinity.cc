@@ -18,9 +18,25 @@ void StorageAffinityScheduler::on_job_submitted() {
   placements_.assign(num_tasks, {});
   completed_.assign(num_tasks, 0);
   orphans_.reset(num_tasks);
-  // Subscribe to cache notifications BEFORE any assignment so no
-  // mutation can slip past the incremental byte counters.
-  build_affinity_index();
+  // Seed the byte counters from current cache contents and subscribe to
+  // cache notifications BEFORE any assignment, so no mutation can slip
+  // past them; an event marks the indexed tasks it touches.
+  residency_.build(engine(), ResidencyTable::kBytes,
+                   [](TaskId) { return true; });
+  replica_index_.assign(engine().num_sites(),
+                        ShardedTaskIndex(/*prefer_high_id=*/true));
+  for (std::size_t s = 0; s < replica_index_.size(); ++s) {
+    SiteId site(static_cast<SiteId::underlying_type>(s));
+    replica_index_[s].reset(num_tasks, /*num_keys=*/1);
+    engine().set_cache_listener(
+        site, [this, site](storage::CacheEvent e, FileId f) {
+          ShardedTaskIndex& shard = replica_index_[site.value()];
+          residency_.on_cache_event(site, e, f,
+                                    [&](TaskId t, const Residency&) {
+                                      if (shard.contains(t)) shard.mark(t);
+                                    });
+        });
+  }
   distribute_all();
   // Seed replica-index membership now that every task holds exactly one
   // instance (distribute_all places all of them; no cache events fire
@@ -29,54 +45,10 @@ void StorageAffinityScheduler::on_job_submitted() {
     sync_replicable(TaskId(static_cast<TaskId::underlying_type>(i)));
 }
 
-void StorageAffinityScheduler::build_affinity_index() {
-  const workload::Job& job = engine().job();
-  const std::size_t num_tasks = job.num_tasks();
-  const std::size_t num_sites = engine().num_sites();
-
-  index_.build(job, [](TaskId) { return true; });
-  cached_bytes_.assign(num_sites, std::vector<Bytes>(num_tasks, 0));
-  replica_index_.assign(num_sites,
-                        ShardedTaskIndex(/*prefer_high_id=*/true));
-  for (std::size_t s = 0; s < num_sites; ++s) {
-    SiteId site(static_cast<SiteId::underlying_type>(s));
-    replica_index_[s].reset(num_tasks, /*num_keys=*/1);
-    index_.for_each_resident(engine().site_cache(site),
-                             [&](FileId f, TaskId t) {
-                               cached_bytes_[s][t.value()] +=
-                                   job.catalog.size(f);
-                             });
-    engine().set_cache_listener(
-        site, [this, site](storage::CacheEvent e, FileId f) {
-          on_cache_event(site, e, f);
-        });
-  }
-}
-
-void StorageAffinityScheduler::on_cache_event(SiteId site,
-                                              storage::CacheEvent event,
-                                              FileId file) {
-  // Byte overlap only changes when residency changes; accesses bump
-  // reference counts, which storage affinity never reads.
-  if (event == storage::CacheEvent::kAccessed) return;
-  const Bytes sz = engine().job().catalog.size(file);
-  std::vector<Bytes>& bytes = cached_bytes_[site.value()];
-  ShardedTaskIndex& shard = replica_index_[site.value()];
-  for (TaskId t : index_.tasks_of(file)) {
-    if (event == storage::CacheEvent::kAdded) {
-      bytes[t.value()] += sz;
-    } else {
-      WCS_DCHECK(bytes[t.value()] >= sz);
-      bytes[t.value()] -= sz;
-    }
-    if (shard.contains(t)) shard.mark(t);
-  }
-}
-
 void StorageAffinityScheduler::refresh_replica_index(std::size_t s) const {
-  const std::vector<Bytes>& bytes = cached_bytes_[s];
   replica_index_[s].refresh([&](TaskId task) {
-    return std::pair<std::uint64_t, std::uint64_t>{0, bytes[task.value()]};
+    return std::pair<std::uint64_t, std::uint64_t>{
+        0, residency_.bytes(s, task)};
   });
 }
 
@@ -86,7 +58,7 @@ void StorageAffinityScheduler::sync_replicable(TaskId task) {
     ShardedTaskIndex& shard = replica_index_[s];
     if (want == shard.contains(task)) continue;
     if (want)
-      shard.insert(task, 0, cached_bytes_[s][task.value()]);
+      shard.insert(task, 0, residency_.bytes(s, task));
     else
       shard.erase(task);
   }
@@ -299,8 +271,8 @@ void StorageAffinityScheduler::on_worker_failed(
 void StorageAffinityScheduler::on_task_completed(TaskId task,
                                                  WorkerId worker) {
   completed_[task.value()] = 1;
-  sync_replicable(task);  // completed: leaves every replica index
-  index_.untrack(task);     // cache events stop touching it
+  sync_replicable(task);     // completed: leaves every replica index
+  residency_.untrack(task);  // cache events stop touching it
   for (WorkerId w : placements_[task.value()]) {
     if (w == worker) continue;
     engine().cancel_task(task, w);
@@ -311,13 +283,12 @@ void StorageAffinityScheduler::on_task_completed(TaskId task,
 void StorageAffinityScheduler::audit_collect(
     std::vector<audit::Violation>& out) const {
   if (replica_index_.empty()) return;  // before on_job_submitted()
-  const workload::Job& job = engine().job();
+  residency_.audit_collect(
+      [this](TaskId t) { return !completed_[t.value()]; }, out);
 
   for (std::size_t s = 0; s < replica_index_.size(); ++s) {
-    const SiteId site(static_cast<SiteId::underlying_type>(s));
     refresh_replica_index(s);
     const ShardedTaskIndex& shard = replica_index_[s];
-    const storage::FileCache& cache = engine().site_cache(site);
 
     audit::ShardedIndexSnapshot snap;
     snap.label = "site " + std::to_string(s) + " replica index";
@@ -336,14 +307,11 @@ void StorageAffinityScheduler::audit_collect(
         continue;
       }
       if (!want) continue;
-      // Rank vs brute-force byte overlap against the live cache.
-      const Bytes bytes = residency(cache, job, t).bytes;
-      if (shard.rank_of(t) != bytes ||
-          cached_bytes_[s][t.value()] != bytes) {
+      // Rank vs the byte counter, which the table's audit recounts.
+      if (shard.rank_of(t) != residency_.bytes(s, t)) {
         std::ostringstream os;
         os << "task " << t << " ranked at " << shard.rank_of(t)
-           << " bytes (counter " << cached_bytes_[s][t.value()]
-           << ") but the rescan finds " << bytes;
+           << " bytes but its counter holds " << residency_.bytes(s, t);
         snap.defects.push_back(os.str());
       }
     }

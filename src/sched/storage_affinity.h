@@ -31,14 +31,15 @@
 // transition for the rest of the run). A brute-force pick rescans every
 // task with residency(), the per-task scan the data-aware schedulers
 // share (sched/residency.h): O(T * I) per request, kept only as the
-// oracle reference_pick(). The live path keeps a per-(site, task)
-// cached-byte counter, updated from cache events through the shared
-// file -> task index, and a per-site sharded index (sharded_index.h)
-// over the replicable set — one heap, rank = bytes, ties toward the
-// highest task id, as the scan breaks them — so a request walks the heap
-// best-first and picks the identical task. A cache event only marks the
-// indexed tasks it touches; replica_pick() refreshes the site's heap
-// before walking it, so a task is re-filed once per pick, not per event.
+// oracle reference_pick(). The live path reads per-(site, task) cached
+// bytes from the one residency table the data-aware schedulers share
+// (ResidencyTable, 8 B per pair), kept current from cache events, and
+// keeps a per-site sharded index (sharded_index.h) over the replicable
+// set — one heap, rank = bytes, ties toward the highest task id, as the
+// scan breaks them — so a request walks the heap best-first and picks
+// the identical task. A cache event only marks the indexed tasks it
+// touches; replica_pick() refreshes the site's heap before walking it,
+// so a task is re-filed once per pick, not per event.
 // Orphan pickup keeps an ordered id set matching the scan's
 // lowest-id-first order. --audit cross-validates counters, heap ranks,
 // the orphan set, and every live worker's replica_pick() against
@@ -90,11 +91,10 @@ class StorageAffinityScheduler final : public Scheduler {
     return "storage-affinity";
   }
 
-  // Invariant audit: cross-validates the incremental cached-byte
-  // counters and the per-site replica index against a brute-force
-  // recompute from the live caches, the orphan set against the placement
-  // table, and replica_pick() against reference_pick() for every live
-  // worker.
+  // Invariant audit: recounts the residency table's cached bytes against
+  // the live caches, and cross-validates each site's replica index
+  // against those counters, the orphan set against the placement table,
+  // and replica_pick() against reference_pick() for every live worker.
   void audit_collect(std::vector<audit::Violation>& out) const override;
 
   // The task on_worker_idle(worker) would hand out: the lowest-id orphan
@@ -122,13 +122,6 @@ class StorageAffinityScheduler final : public Scheduler {
   void distribute_all();
 
   // --- Sharded replica index (see file comment) -------------------------
-  // Builds the file -> task index, seeds the per-(site, task)
-  // cached-byte counters from current cache contents, and subscribes to
-  // cache-change notifications.
-  void build_affinity_index();
-  // Updates cached_bytes_ for one cache mutation and marks the indexed
-  // tasks it touches.
-  void on_cache_event(SiteId site, storage::CacheEvent event, FileId file);
   // Re-keys the tasks cache events marked in site `s`'s replica index.
   void refresh_replica_index(std::size_t s) const;
   // Incomplete, with at least one instance and below max_replicas.
@@ -147,12 +140,12 @@ class StorageAffinityScheduler final : public Scheduler {
   std::vector<char> completed_;
   std::uint64_t replications_ = 0;
 
-  // Tracks INCOMPLETE tasks only (untracked on completion), so cache
-  // events stop touching finished tasks.
-  TaskFileIndex index_;
-  std::vector<std::vector<Bytes>> cached_bytes_;  // [site][task]
-  // Per site, high-id ties. Mutable: the index is a cache of
-  // cached_bytes_, and the const pick and audit paths refresh it.
+  // Cached bytes per (site, task), exact for INCOMPLETE tasks only
+  // (untracked on completion), so cache events stop touching finished
+  // tasks.
+  ResidencyTable residency_;
+  // Per site, high-id ties. Mutable: the index is a cache of the
+  // table's bytes, and the const pick and audit paths refresh it.
   mutable std::vector<ShardedTaskIndex> replica_index_;
   // Incomplete tasks with no live instance, as a bitmap whose
   // lowest-member query matches the scan's lowest-id-first pickup.

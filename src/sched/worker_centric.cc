@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <iomanip>
-#include <limits>
 #include <sstream>
 
 #include "audit/checkers.h"
@@ -46,10 +45,6 @@ std::string WorkerCentricScheduler::name() const {
 
 void WorkerCentricScheduler::on_job_submitted() {
   obs::ScopedPhase phase(profiler_, obs::Phase::kSchedulerDecision);
-  build_index();
-}
-
-void WorkerCentricScheduler::build_index() {
   const workload::Job& job = engine().job();
   const std::size_t num_tasks = job.num_tasks();
   task_size_.assign(num_tasks, 0);
@@ -61,54 +56,49 @@ void WorkerCentricScheduler::build_index() {
 
   // Open-system runs: only tasks already arrived at t=0 start pending;
   // a later arrival is tracked through re_add_pending. Closed runs
-  // (arrivals == nullptr) start with every task pending.
+  // (arrivals == nullptr) start with every task pending. The table seeds
+  // the pending tasks' counters from whatever the caches already hold
+  // (usually nothing; tests may pre-warm).
   const workload::ArrivalSchedule* arrivals = engine().arrivals();
   auto initially_pending = [arrivals](TaskId t) {
     return arrivals == nullptr || arrivals->arrival(t) <= 0;
   };
-  index_.build(job, initially_pending);
+  // Only the combined metric ranks by ref_t; the others keep no ref sums.
+  const bool combined = params_.metric == Metric::kCombined;
+  residency_.build(engine(),
+                   ResidencyTable::kFiles | (combined ? ResidencyTable::kRefs
+                                                      : 0u),
+                   initially_pending);
   pending_.reset(num_tasks);
   for (const workload::Task& t : job.tasks())
     if (initially_pending(t.id)) pending_.insert(t.id);
   placements_.assign(num_tasks, {});
   completed_.assign(num_tasks, 0);
 
-  // Seed the per-site overlap/ref-sum counters from whatever the caches
-  // already hold (usually nothing; tests may pre-warm), then subscribe to
-  // incremental updates.
   sites_.assign(engine().num_sites(), SiteIndex{});
   shards_.assign(engine().num_sites(), ShardedTaskIndex{});
-  const std::size_t num_keys =
-      params_.metric == Metric::kCombined ? max_task_size + std::size_t{1}
-                                          : 1;
+  const std::size_t num_keys = combined ? max_task_size + std::size_t{1} : 1;
   std::vector<std::size_t> per_key;  // initial bucket sizes, one site
   for (std::size_t s = 0; s < sites_.size(); ++s) {
     SiteId site(static_cast<SiteId::underlying_type>(s));
     SiteIndex& idx = sites_[s];
-    idx.overlap.assign(num_tasks, 0);
-    if (tracks_refs()) idx.ref_sum.assign(num_tasks, 0);
-    const storage::FileCache& cache = engine().site_cache(site);
-    index_.for_each_resident(cache, [&](FileId f, TaskId t) {
-      ++idx.overlap[t.value()];
-      if (tracks_refs()) idx.ref_sum[t.value()] += cache.ref_count(f);
-    });
     // Seed the incremental aggregates over the initially-pending bag
     // (every task, in a closed run), and file it in the shard with each
     // bucket sized once up front (the overlap / rest key is 0; combined
-    // keys are missing counts).
+    // keys are missing counts). Then subscribe to incremental updates.
     idx.missing_hist.assign(max_task_size + 1, 0);
     per_key.assign(num_keys, 0);
     for (TaskId t : pending_) {
-      if (tracks_refs()) idx.total_ref += idx.ref_sum[t.value()];
-      ++idx.missing_hist[missing_of(idx, t)];
-      ++per_key[shard_place(idx, t).first];
+      idx.total_ref += residency_.refs(s, t);
+      ++idx.missing_hist[missing_of(s, t)];
+      ++per_key[shard_place(s, t).first];
     }
     ShardedTaskIndex& shard = shards_[s];
     shard.reset(num_tasks, num_keys);
     for (std::size_t key = 0; key < num_keys; ++key)
       shard.reserve(key, per_key[key]);
     for (TaskId t : pending_) {
-      const auto [key, rank] = shard_place(idx, t);
+      const auto [key, rank] = shard_place(s, t);
       shard.insert(t, key, rank);
     }
     engine().set_cache_listener(
@@ -121,67 +111,30 @@ void WorkerCentricScheduler::build_index() {
 void WorkerCentricScheduler::on_cache_event(SiteId site,
                                             storage::CacheEvent event,
                                             FileId file) {
-  // An access only bumps r_i, which nothing but the combined metric reads.
-  if (event == storage::CacheEvent::kAccessed && !tracks_refs()) return;
-  SiteIndex& idx = sites_[site.value()];
-  // The listener fires after the cache mutated, so ref_count(file) is the
-  // post-event value: on kAdded the pre-existing count, on kEvicted the
-  // count accumulated while resident (insert/evict do not change counts).
-  // The file index tracks only PENDING tasks (untracked in
-  // assign_pending, tracked again in re_add_pending), so every task
-  // touched here also updates the site's incremental totals — and is
-  // marked in the site's shard, which indexes exactly the pending bag and
+  // The table tracks exactly the pending bag, so each task it hands back
+  // moves the site's totals and is marked in the site's shard, which
   // re-keys it at the site's next decision.
-  ShardedTaskIndex& shard = shards_[site.value()];
-  const std::uint64_t refs = engine().site_cache(site).ref_count(file);
-  switch (event) {
-    case storage::CacheEvent::kAdded:
-      for (TaskId t : index_.tasks_of(file)) {
-        const std::uint32_t missing = missing_of(idx, t);
-        WCS_DCHECK(missing > 0);  // the file was not resident before
-        --idx.missing_hist[missing];
-        ++idx.missing_hist[missing - 1];
-        ++idx.overlap[t.value()];
-        if (tracks_refs()) {
-          idx.ref_sum[t.value()] += refs;
-          idx.total_ref += refs;
-        }
-        shard.mark(t);
-      }
-      break;
-    case storage::CacheEvent::kEvicted:
-      for (TaskId t : index_.tasks_of(file)) {
-        WCS_DCHECK(idx.overlap[t.value()] > 0);
-        const std::uint32_t missing = missing_of(idx, t);
-        --idx.missing_hist[missing];
-        ++idx.missing_hist[missing + 1];
-        --idx.overlap[t.value()];
-        if (tracks_refs()) {
-          idx.ref_sum[t.value()] -= refs;
-          idx.total_ref -= refs;
-        }
-        shard.mark(t);
-      }
-      break;
-    case storage::CacheEvent::kAccessed:
-      // r_i was incremented by exactly one while the file is resident.
-      for (TaskId t : index_.tasks_of(file)) {
-        idx.ref_sum[t.value()] += 1;
-        idx.total_ref += 1;
-        shard.mark(t);
-      }
-      break;
-  }
+  const std::size_t s = site.value();
+  SiteIndex& idx = sites_[s];
+  ShardedTaskIndex& shard = shards_[s];
+  const auto touched = [&](TaskId t, const Residency& step) {
+    // The task had missing + step.files files missing (mod 2^32).
+    const std::uint32_t missing = missing_of(s, t);
+    --idx.missing_hist[missing + step.files];
+    ++idx.missing_hist[missing];
+    idx.total_ref += step.refs;
+    shard.mark(t);
+  };
+  residency_.on_cache_event(site, event, file, touched);
 }
 
 std::pair<double, double> WorkerCentricScheduler::scan_totals(
-    const SiteIndex& idx) const {
+    std::size_t s) const {
   double total_ref = 0;
   double total_rest = 0;
   for (TaskId t : pending_) {
-    if (tracks_refs())
-      total_ref += static_cast<double>(idx.ref_sum[t.value()]);
-    total_rest += rest_weight(missing_of(idx, t));
+    total_ref += static_cast<double>(residency_.refs(s, t));
+    total_rest += rest_weight(missing_of(s, t));
   }
   return {total_ref, total_rest};
 }
@@ -202,11 +155,12 @@ double WorkerCentricScheduler::histogram_rest(const SiteIndex& idx) {
 }
 
 std::pair<double, double> WorkerCentricScheduler::totals(
-    const SiteIndex& idx) const {
+    std::size_t s) const {
+  const SiteIndex& idx = sites_.at(s);
   const double total_rest = histogram_rest(idx);
 #ifndef NDEBUG
   // Cross-validate against the pre-optimization O(|pending|) scan.
-  const auto [scan_ref, scan_rest] = scan_totals(idx);
+  const auto [scan_ref, scan_rest] = scan_totals(s);
   WCS_DCHECK_EQ(scan_ref, static_cast<double>(idx.total_ref));
   WCS_DCHECK(std::abs(scan_rest - total_rest) <=
              1e-9 * std::max(1.0, std::abs(scan_rest)));
@@ -216,7 +170,7 @@ std::pair<double, double> WorkerCentricScheduler::totals(
 
 std::pair<double, double> WorkerCentricScheduler::totals_of(
     SiteId site) const {
-  return totals(sites_.at(site.value()));
+  return totals(site.value());
 }
 
 double WorkerCentricScheduler::weight_from(std::uint32_t overlap,
@@ -244,9 +198,8 @@ double WorkerCentricScheduler::weight_from(std::uint32_t overlap,
 
 double WorkerCentricScheduler::weight(SiteId site, TaskId task) const {
   WCS_CHECK_MSG(is_pending(task), "weight() of non-pending task " << task);
-  const SiteIndex& idx = sites_.at(site.value());
-  auto [total_ref, total_rest] = totals(idx);
-  return weight_of(idx, task, total_ref, total_rest);
+  auto [total_ref, total_rest] = totals(site.value());
+  return weight_of(site.value(), task, total_ref, total_rest);
 }
 
 double WorkerCentricScheduler::naive_weight(SiteId site, TaskId task) const {
@@ -272,7 +225,8 @@ double WorkerCentricScheduler::naive_weight(SiteId site, TaskId task) const {
 
 std::size_t WorkerCentricScheduler::overlap_cardinality(SiteId site,
                                                         TaskId task) const {
-  return sites_.at(site.value()).overlap.at(task.value());
+  WCS_CHECK_LT(site.value(), sites_.size());
+  return residency_.files(site.value(), task);
 }
 
 namespace {
@@ -345,19 +299,20 @@ TaskId WorkerCentricScheduler::choose_task(SiteId site) {
 
 std::vector<Candidate> WorkerCentricScheduler::reference_candidates(
     SiteId site) const {
-  const SiteIndex& idx = sites_.at(site.value());
+  const std::size_t s = site.value();
+  WCS_CHECK_LT(s, sites_.size());
 
   double total_ref = 0;
   double total_rest = 0;
   if (params_.metric == Metric::kCombined)
-    std::tie(total_ref, total_rest) = totals(idx);
+    std::tie(total_ref, total_rest) = totals(s);
 
   std::vector<Candidate> out;
   TopN topn(out, std::min<std::size_t>(
                      static_cast<std::size_t>(params_.choose_n),
                      pending_.size()));
   for (TaskId t : pending_)
-    topn.offer({weight_of(idx, t, total_ref, total_rest), t});
+    topn.offer({weight_of(s, t, total_ref, total_rest), t});
   return out;
 }
 
@@ -369,15 +324,15 @@ std::vector<Candidate> WorkerCentricScheduler::candidates(SiteId site) const {
 
 void WorkerCentricScheduler::fill_candidates(
     SiteId site, std::vector<Candidate>& out) const {
-  const SiteIndex& idx = sites_[site.value()];
-  refresh_shard(site.value());
-  const ShardedTaskIndex& shard = shards_[site.value()];
+  const std::size_t s = site.value();
+  refresh_shard(s);
+  const ShardedTaskIndex& shard = shards_[s];
   WCS_DCHECK_EQ(shard.size(), pending_.size());
 
   double total_ref = 0;
   double total_rest = 0;
   if (params_.metric == Metric::kCombined)
-    std::tie(total_ref, total_rest) = totals(idx);
+    std::tie(total_ref, total_rest) = totals(s);
 
   TopN topn(out, std::min<std::size_t>(
                      static_cast<std::size_t>(params_.choose_n),
@@ -391,7 +346,7 @@ void WorkerCentricScheduler::fill_candidates(
   for (std::uint64_t key = 0; key < shard.num_keys(); ++key)
     shard.walk(key, [&](const ShardedTaskIndex::Entry& e) {
       return topn.offer(
-          {weight_of(idx, e.task, total_ref, total_rest), e.task});
+          {weight_of(s, e.task, total_ref, total_rest), e.task});
     });
 }
 
@@ -400,12 +355,12 @@ void WorkerCentricScheduler::assign_pending(TaskId task, WorkerId worker) {
   // The task leaves every site's pending aggregates (and shard).
   for (std::size_t s = 0; s < sites_.size(); ++s) {
     SiteIndex& idx = sites_[s];
-    if (tracks_refs()) idx.total_ref -= idx.ref_sum[task.value()];
-    WCS_DCHECK(idx.missing_hist[missing_of(idx, task)] > 0);
-    --idx.missing_hist[missing_of(idx, task)];
+    idx.total_ref -= residency_.refs(s, task);
+    WCS_DCHECK(idx.missing_hist[missing_of(s, task)] > 0);
+    --idx.missing_hist[missing_of(s, task)];
     shards_[s].erase(task);
   }
-  index_.untrack(task);  // cache events stop touching it
+  residency_.untrack(task);  // cache events stop touching it
   placements_[task.value()].push_back(worker);
   engine().assign_task(task, worker);
 }
@@ -469,25 +424,17 @@ void WorkerCentricScheduler::on_task_completed(TaskId task, WorkerId worker) {
 void WorkerCentricScheduler::re_add_pending(TaskId task) {
   WCS_CHECK(!is_pending(task));
   WCS_CHECK(!completed_[task.value()]);
-  const workload::Job& job = engine().job();
-
   // Rebuild the per-site counters against the LIVE cache state (they went
-  // stale the moment the task left the index).
+  // stale the moment the task left the table); the task then re-enters
+  // every site's pending aggregates and shard.
+  residency_.track(task);
   for (std::size_t s = 0; s < sites_.size(); ++s) {
-    const SiteId site(static_cast<SiteId::underlying_type>(s));
-    const Residency r = residency(engine().site_cache(site), job, task);
     SiteIndex& idx = sites_[s];
-    idx.overlap[task.value()] = r.files;
-    // The task re-enters the site's pending aggregates (and shard).
-    if (tracks_refs()) {
-      idx.ref_sum[task.value()] = r.refs;
-      idx.total_ref += r.refs;
-    }
-    ++idx.missing_hist[missing_of(idx, task)];
-    const auto [key, rank] = shard_place(idx, task);
+    idx.total_ref += residency_.refs(s, task);
+    ++idx.missing_hist[missing_of(s, task)];
+    const auto [key, rank] = shard_place(s, task);
     shards_[s].insert(task, key, rank);
   }
-  index_.track(task);
   pending_.insert(task);
 }
 
@@ -502,14 +449,15 @@ void WorkerCentricScheduler::feed_starving() {
 
 void WorkerCentricScheduler::audit_collect(
     std::vector<audit::Violation>& out) const {
-  const workload::Job& job = engine().job();
+  residency_.audit_collect(
+      [this](TaskId t) { return pending_.contains(t); }, out);
   for (std::size_t s = 0; s < sites_.size(); ++s) {
     const SiteId site(static_cast<SiteId::underlying_type>(s));
     const SiteIndex& idx = sites_[s];
 
     // Incremental aggregates vs the full scan over pending tasks (not
     // through totals(), which would re-run its own debug cross-check).
-    const auto [scan_ref, scan_rest] = scan_totals(idx);
+    const auto [scan_ref, scan_rest] = scan_totals(s);
 
     audit::IndexTotalsSnapshot totals_snap;
     totals_snap.label = "site " + std::to_string(s);
@@ -519,11 +467,9 @@ void WorkerCentricScheduler::audit_collect(
     totals_snap.scanned_rest = scan_rest;
     audit::check_index_coherence(totals_snap, out);
 
-    // Per-task counters, and the shard once refreshed, vs residency()
-    // against the live cache: the shard must hold exactly the pending
-    // bag, each entry keyed/ranked as the rescan dictates. Ref sums exist,
-    // and are compared, only under the combined metric.
-    const storage::FileCache& cache = engine().site_cache(site);
+    // The shard once refreshed vs the table's counters (which the table's
+    // audit above recounts against residency()): it must hold exactly the
+    // pending bag, each entry keyed/ranked as the counters dictate.
     refresh_shard(s);
     const ShardedTaskIndex& shard = shards_[s];
     audit::ShardedIndexSnapshot shard_snap;
@@ -532,19 +478,7 @@ void WorkerCentricScheduler::audit_collect(
     shard_snap.expected = pending_.size();
     shard_snap.defects = shard.structural_defects();
     for (TaskId t : pending_) {
-      const Residency r = residency(cache, job, t);
-      const std::uint64_t refs = tracks_refs() ? r.refs : 0;
-      const std::uint64_t live_refs =
-          tracks_refs() ? idx.ref_sum[t.value()] : 0;
-      if (idx.overlap[t.value()] != r.files || live_refs != refs) {
-        std::ostringstream os;
-        os << "site " << s << " task " << t << " index drifted: incremental"
-           << " overlap " << idx.overlap[t.value()] << " / refSum "
-           << live_refs << " vs recomputed " << r.files << " / " << refs
-           << " (task has " << job.task(t).files.size() << " files)";
-        out.push_back(audit::Violation{"index-coherence", os.str()});
-      }
-      const auto [key, rank] = shard_place(t, r.files, refs);
+      const auto [key, rank] = shard_place(s, t);
       if (!shard.contains(t)) {
         std::ostringstream os;
         os << "pending task " << t << " missing from the shard";
@@ -552,7 +486,7 @@ void WorkerCentricScheduler::audit_collect(
       } else if (shard.key_of(t) != key || shard.rank_of(t) != rank) {
         std::ostringstream os;
         os << "task " << t << " filed under key " << shard.key_of(t)
-           << " / rank " << shard.rank_of(t) << " but the rescan wants "
+           << " / rank " << shard.rank_of(t) << " but its counters want "
            << key << " / " << rank;
         shard_snap.defects.push_back(os.str());
       }

@@ -23,9 +23,9 @@
 // Complexity: the paper's algorithm is O(T * I) per request (scan all
 // tasks, intersect file sets). Three incremental layers remove that:
 //
-//   1. per-(site, task) overlap/ref-sum counters, updated from
-//      cache-change notifications through the file -> pending-task index
-//      the data-aware schedulers share (sched/residency.h), make one
+//   1. per-(site, task) overlap/ref-sum counters in the residency table
+//      the data-aware schedulers share (sched/residency.h), updated from
+//      cache-change notifications for the pending tasks only, make one
 //      weight evaluation O(1) (ref sums are kept only under combined,
 //      the one metric that reads them);
 //   2. the combined metric's totalRef/totalRest aggregates (exact
@@ -37,18 +37,20 @@
 //      ChooseTask(n) by a best-first walk that stops after the top n
 //      instead of scanning the pending bag.
 //
-// A cache event costs O(1) per pending task sharing the file: it bumps
-// the counters and aggregates and marks the task in the site's shard.
+// A cache event costs O(1) per pending task sharing the file: the table
+// bumps its counters, and this scheduler's hook moves the aggregates and
+// marks the task in the site's shard.
 // The heaps are re-filed only when a worker of that site asks for work:
 // candidates() refreshes the shard first, re-keying each marked task
 // once, so heap upkeep scales with decisions, not with cache events.
 //
 // The semantics are byte-identical at every layer: tests cross-check
 // weights against the naive computation over residency(), the shared
-// per-task scan, and --audit cross-validates every counter and index
-// entry against residency(), every aggregate against a pending-bag scan,
-// and every site's top-n candidates against reference_candidates(), the
-// flat O(|pending|) scan kept as the decision oracle. The property suite
+// per-task scan, and --audit recounts every counter against residency(),
+// every index entry against the counters, every aggregate against a
+// pending-bag scan, and every site's top-n candidates against
+// reference_candidates(), the flat O(|pending|) scan kept as the
+// decision oracle. The property suite
 // replays random interleavings and runs that comparison after every
 // operation.
 #pragma once
@@ -118,11 +120,10 @@ class WorkerCentricScheduler final : public Scheduler {
 
   // Invariant audit: cross-validates every site's incremental aggregates
   // (total_ref + missing-count histogram) against the O(|pending|) scan,
-  // the per-task overlap/ref-sum counters against residency() on the
-  // live cache, the shard against that recompute, and
-  // candidates() against reference_candidates(), bitwise. The aggregate
-  // check is the auditable promotion of the debug-only WCS_DCHECK in
-  // totals().
+  // the residency table's counters against residency() on the live
+  // cache, the shard against those counters, and candidates() against
+  // reference_candidates(), bitwise. The aggregate check is the auditable
+  // promotion of the debug-only WCS_DCHECK in totals().
   void audit_collect(std::vector<audit::Violation>& out) const override;
 
   // --- Introspection (tests, examples) ---------------------------------
@@ -174,30 +175,23 @@ class WorkerCentricScheduler final : public Scheduler {
   [[nodiscard]] TaskId peek_choice(SiteId site) { return choose_task(site); }
 
  private:
+  // Aggregates over PENDING tasks at one site, maintained incrementally
+  // so the combined metric's totals are O(1)-ish per decision instead of
+  // an O(|pending|) scan. total_ref is exact integer arithmetic (nonzero
+  // only under combined, the one metric that ranks by ref_t); total_rest
+  // is derived from a histogram of missing-file counts (rest_t =
+  // 1/missing depends only on `missing`), which keeps it exactly
+  // reproducible — no floating-point accumulation drift.
   struct SiteIndex {
-    std::vector<std::uint32_t> overlap;   // |F_t| per task
-    // Sum of r_i over F_t per task; allocated (and total_ref nonzero)
-    // only under the combined metric, the one that ranks by ref_t.
-    std::vector<std::uint64_t> ref_sum;
-    // Aggregates over PENDING tasks only, maintained incrementally so the
-    // combined metric's totals are O(1)-ish per decision instead of an
-    // O(|pending|) scan. total_ref is exact integer arithmetic;
-    // total_rest is derived from a histogram of missing-file counts
-    // (rest_t = 1/missing depends only on `missing`), which keeps it
-    // exactly reproducible — no floating-point accumulation drift.
-    std::uint64_t total_ref = 0;               // sum of ref_sum[t], t pending
+    std::uint64_t total_ref = 0;               // sum of ref_t, t pending
     std::vector<std::uint32_t> missing_hist;   // [m] = # pending tasks with
                                                // m files missing at the site
   };
 
-  // Only the combined metric ranks by ref_t; the others keep no ref sums.
-  [[nodiscard]] bool tracks_refs() const {
-    return params_.metric == Metric::kCombined;
-  }
-  void build_index();
+  // Moves the site's aggregates and shard marks for each touched task.
   void on_cache_event(SiteId site, storage::CacheEvent event, FileId file);
   // Takes `task` out of the bag (and every site's aggregates, shard and
-  // the file index) and assigns it to `worker`.
+  // the residency table) and assigns it to `worker`.
   void assign_pending(TaskId task, WorkerId worker);
   // CalculateWeight() of a task with `overlap` of its `size` files at the
   // site and ref-sum `ref_sum`, given the site's totals: the one formula
@@ -205,11 +199,10 @@ class WorkerCentricScheduler final : public Scheduler {
   [[nodiscard]] double weight_from(std::uint32_t overlap, std::uint32_t size,
                                    std::uint64_t ref_sum, double total_ref,
                                    double total_rest) const;
-  [[nodiscard]] double weight_of(const SiteIndex& idx, TaskId task,
+  [[nodiscard]] double weight_of(std::size_t s, TaskId task,
                                  double total_ref, double total_rest) const {
-    return weight_from(idx.overlap[task.value()], task_size_[task.value()],
-                       tracks_refs() ? idx.ref_sum[task.value()] : 0,
-                       total_ref, total_rest);
+    return weight_from(residency_.files(s, task), task_size_[task.value()],
+                       residency_.refs(s, task), total_ref, total_rest);
   }
   // rest_t of a task with `missing` files still to transfer.
   [[nodiscard]] static double rest_weight(std::size_t missing) {
@@ -219,18 +212,17 @@ class WorkerCentricScheduler final : public Scheduler {
   // totalRest over pending tasks for one site, summed from the
   // missing-count histogram.
   [[nodiscard]] static double histogram_rest(const SiteIndex& idx);
-  // (total_ref, total_rest) over pending tasks for one site, from the
+  // (total_ref, total_rest) over pending tasks for site `s`, from the
   // incremental aggregates; cross-validated against scan_totals() in
   // debug builds.
-  [[nodiscard]] std::pair<double, double> totals(const SiteIndex& idx) const;
+  [[nodiscard]] std::pair<double, double> totals(std::size_t s) const;
   // The pre-optimization O(|pending|) scan, kept for WCS_DCHECK
   // cross-validation.
-  [[nodiscard]] std::pair<double, double> scan_totals(
-      const SiteIndex& idx) const;
-  [[nodiscard]] std::uint32_t missing_of(const SiteIndex& idx,
-                                         TaskId task) const {
-    WCS_DCHECK_LE(idx.overlap[task.value()], task_size_[task.value()]);
-    return task_size_[task.value()] - idx.overlap[task.value()];
+  [[nodiscard]] std::pair<double, double> scan_totals(std::size_t s) const;
+  [[nodiscard]] std::uint32_t missing_of(std::size_t s, TaskId task) const {
+    const std::uint32_t overlap = residency_.files(s, task);
+    WCS_DCHECK_LE(overlap, task_size_[task.value()]);
+    return task_size_[task.value()] - overlap;
   }
   // candidates(site), written into `out` (cleared first): the index
   // walk behind both candidates() and choose_task().
@@ -240,29 +232,22 @@ class WorkerCentricScheduler final : public Scheduler {
   [[nodiscard]] TaskId choose_task(SiteId site);
 
   // --- Sharded pending-task index (layer 3; see file comment) ----------
-  // (key, rank) of a pending task with `overlap` of its files at the
-  // site and ref-sum `ref_sum`. Combined: key = missing count, rank =
-  // ref_t (weight is strictly increasing in ref_t at a fixed missing
-  // count). Overlap and rest: key 0, rank = |F_t|, resp. UINT32_MAX -
-  // missing count, so one heap holds the weight order itself.
-  using ShardPlace = std::pair<std::uint64_t, std::uint64_t>;
-  [[nodiscard]] ShardPlace shard_place(TaskId task, std::uint32_t overlap,
-                                       std::uint64_t ref_sum) const {
-    const std::uint32_t missing = task_size_[task.value()] - overlap;
-    if (params_.metric == Metric::kCombined) return {missing, ref_sum};
+  // (key, rank) of a pending task at site `s`. Combined: key = missing
+  // count, rank = ref_t (weight is strictly increasing in ref_t at a
+  // fixed missing count). Overlap and rest: key 0, rank = |F_t|, resp.
+  // UINT32_MAX - missing count, so one heap holds the weight order itself.
+  [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> shard_place(
+      std::size_t s, TaskId task) const {
+    const std::uint32_t missing = missing_of(s, task);
+    if (params_.metric == Metric::kCombined)
+      return {missing, residency_.refs(s, task)};
     return {0, params_.metric == Metric::kOverlap
-                   ? overlap
+                   ? residency_.files(s, task)
                    : std::uint64_t{UINT32_MAX} - missing};
-  }
-  [[nodiscard]] ShardPlace shard_place(const SiteIndex& idx,
-                                       TaskId task) const {
-    return shard_place(task, idx.overlap[task.value()],
-                       tracks_refs() ? idx.ref_sum[task.value()] : 0);
   }
   // Re-keys the tasks cache events marked in site `s`'s shard.
   void refresh_shard(std::size_t s) const {
-    shards_[s].refresh(
-        [&](TaskId task) { return shard_place(sites_[s], task); });
+    shards_[s].refresh([&](TaskId task) { return shard_place(s, task); });
   }
 
   // Replication phase (only when params_.replicate_when_idle). Returns
@@ -280,9 +265,10 @@ class WorkerCentricScheduler final : public Scheduler {
   // shard_place once refreshed. Mutable: a shard is a cache of the
   // counters, and the const decision and audit paths refresh it.
   mutable std::vector<ShardedTaskIndex> shards_;
-  // Tracks exactly the pending bag: untracked on assignment, tracked
-  // again on a crash re-add or an arrival.
-  TaskFileIndex index_;
+  // |F_t| (and ref_t under combined) per (site, task), exact for exactly
+  // the pending bag: untracked on assignment, tracked again on a crash
+  // re-add or an arrival.
+  ResidencyTable residency_;
   std::vector<std::uint32_t> task_size_;  // |t| per task
   PendingBag pending_;
   // Replication bookkeeping (kept even when replication is off: the

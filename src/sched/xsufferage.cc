@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <limits>
-#include <sstream>
 
 namespace wcs::sched {
 
@@ -10,9 +9,9 @@ void XSufferageScheduler::on_job_submitted() {
   obs::ScopedPhase phase(profiler_, obs::Phase::kSchedulerDecision);
   const workload::Job& job = engine().job();
   const std::size_t num_tasks = job.num_tasks();
-  const std::size_t num_sites = engine().num_sites();
 
-  index_.build(job, [](TaskId) { return true; });
+  residency_.build(engine(), ResidencyTable::kBytes,
+                   [](TaskId) { return true; });
   pending_.reset(num_tasks);
   task_bytes_.assign(num_tasks, 0);
   double total_bytes = 0;
@@ -24,34 +23,13 @@ void XSufferageScheduler::on_job_submitted() {
   avg_task_bytes_ = num_tasks ? total_bytes / static_cast<double>(num_tasks)
                               : 0.0;
 
-  cached_bytes_.assign(num_sites, std::vector<Bytes>(num_tasks, 0));
-  for (std::size_t s = 0; s < num_sites; ++s) {
+  for (std::size_t s = 0; s < engine().num_sites(); ++s) {
     SiteId site(static_cast<SiteId::underlying_type>(s));
-    index_.for_each_resident(engine().site_cache(site),
-                             [&](FileId f, TaskId t) {
-                               cached_bytes_[s][t.value()] +=
-                                   job.catalog.size(f);
-                             });
     engine().set_cache_listener(
         site, [this, site](storage::CacheEvent e, FileId f) {
-          on_cache_event(site, e, f);
+          residency_.on_cache_event(site, e, f,
+                                    [](TaskId, const Residency&) {});
         });
-  }
-}
-
-void XSufferageScheduler::on_cache_event(SiteId site,
-                                         storage::CacheEvent event,
-                                         FileId file) {
-  if (event == storage::CacheEvent::kAccessed) return;  // bytes unchanged
-  const Bytes bytes = engine().job().catalog.size(file);
-  auto& per_task = cached_bytes_[site.value()];
-  for (TaskId t : index_.tasks_of(file)) {
-    if (event == storage::CacheEvent::kAdded) {
-      per_task[t.value()] += bytes;
-    } else {
-      WCS_DCHECK(per_task[t.value()] >= bytes);
-      per_task[t.value()] -= bytes;
-    }
   }
 }
 
@@ -65,9 +43,10 @@ double XSufferageScheduler::estimated_completion(TaskId task,
       avg_task_bytes_ / bw;
   // Exact: integers below 2^53, and a task's cached bytes never exceed
   // its total.
-  WCS_DCHECK_LE(cached_bytes_[s][task.value()], task_bytes_[task.value()]);
-  const auto missing = static_cast<double>(task_bytes_[task.value()] -
-                                           cached_bytes_[s][task.value()]);
+  const Bytes cached = residency_.bytes(s, task);
+  WCS_DCHECK_LE(cached, task_bytes_[task.value()]);
+  const auto missing =
+      static_cast<double>(task_bytes_[task.value()] - cached);
   return queue_wait + missing / bw +
          engine().job().task(task).mflop / mflops;
 }
@@ -124,7 +103,7 @@ void XSufferageScheduler::on_worker_idle(WorkerId worker) {
                                               : best_local_task;
   WCS_CHECK(chosen.valid());
   pending_.erase(chosen);
-  index_.untrack(chosen);  // cache events stop touching it
+  residency_.untrack(chosen);  // cache events stop touching it
   engine().assign_task(chosen, worker);
 }
 
@@ -133,40 +112,27 @@ void XSufferageScheduler::on_task_completed(TaskId, WorkerId) {}
 void XSufferageScheduler::on_worker_failed(WorkerId worker,
                                            const std::vector<TaskId>& lost) {
   std::erase(starving_, worker);
-  const workload::Job& job = engine().job();
   for (TaskId t : lost) {
     // Re-home: rebuild cached-bytes counters and rejoin the pending pool.
-    for (std::size_t s = 0; s < cached_bytes_.size(); ++s) {
-      const SiteId site(static_cast<SiteId::underlying_type>(s));
-      cached_bytes_[s][t.value()] =
-          residency(engine().site_cache(site), job, t).bytes;
-    }
-    index_.track(t);
+    residency_.track(t);
     pending_.insert(t);
   }
+  feed_starving();
+}
+
+void XSufferageScheduler::feed_starving() {
   while (!pending_.empty() && !starving_.empty()) {
-    WorkerId w = starving_.front();
-    starving_.erase(starving_.begin());
-    if (!engine().worker_alive(w)) continue;
-    on_worker_idle(w);
+    const WorkerId worker = starving_.front();
+    starving_.pop_front();
+    if (!engine().worker_alive(worker)) continue;
+    on_worker_idle(worker);
   }
 }
 
 void XSufferageScheduler::audit_collect(
     std::vector<audit::Violation>& out) const {
-  const workload::Job& job = engine().job();
-  for (std::size_t s = 0; s < cached_bytes_.size(); ++s) {
-    const SiteId site(static_cast<SiteId::underlying_type>(s));
-    const storage::FileCache& cache = engine().site_cache(site);
-    for (TaskId t : pending_) {
-      const Bytes bytes = residency(cache, job, t).bytes;
-      if (cached_bytes_[s][t.value()] == bytes) continue;
-      std::ostringstream os;
-      os << "site " << s << " task " << t << " cached-bytes counter "
-         << cached_bytes_[s][t.value()] << " but the rescan finds " << bytes;
-      out.push_back(audit::Violation{"index-coherence", os.str()});
-    }
-  }
+  residency_.audit_collect(
+      [this](TaskId t) { return pending_.contains(t); }, out);
 }
 
 }  // namespace wcs::sched

@@ -25,16 +25,18 @@
 //             + mflop(t) / mflops(s)                     -- compute
 //
 // missing_bytes comes from an exact per-(site, task) cached-bytes
-// counter, kept incremental from cache events through the file -> task
-// index the worker-centric and storage-affinity schedulers use too
-// (sched/residency.h), so a request costs O(T * S). --audit checks
-// every pending task's counters against residency(), the shared scan.
+// counter in the one residency table the worker-centric and
+// storage-affinity schedulers use too (sched/residency.h; 8 B per pair),
+// kept incremental from cache events, so a request costs O(T * S).
+// --audit recounts every pending task's counters against residency(),
+// the shared scan, through the table's audit.
 // Estimate-quality sensitivity is measured in EXPERIMENTS.md ablation
 // A4 (GridConfig::estimate_error skews the bandwidth/CPU numbers this
 // scheduler sees; the data-aware schedulers never read them).
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -47,9 +49,9 @@ class XSufferageScheduler final : public Scheduler {
  public:
   XSufferageScheduler() = default;
 
-  // Rebuilds the pending set and the per-(site, task) cached-bytes
-  // matrix from the engine's current cache contents, then subscribes to
-  // cache events to keep the matrix incremental.
+  // Rebuilds the pending set and the residency table's per-(site, task)
+  // cached bytes from the engine's current cache contents, then
+  // subscribes to cache events to keep them incremental.
   void on_job_submitted() override;
   // Max-sufferage pick among tasks whose best-MCT site is the
   // requester's; falls back to the smallest local MCT so a free worker
@@ -73,15 +75,15 @@ class XSufferageScheduler final : public Scheduler {
   [[nodiscard]] double estimated_completion(TaskId task, SiteId site) const;
 
  private:
-  void on_cache_event(SiteId site, storage::CacheEvent event, FileId file);
+  // Hand pending tasks to workers that starved on an empty bag.
+  void feed_starving();
 
-  // cached_bytes_[s][t]: bytes of t's input set resident at site s,
-  // exact for pending tasks (the index tracks only those).
-  std::vector<std::vector<Bytes>> cached_bytes_;
+  // Bytes of t's input set resident at each site, exact for pending
+  // tasks (the table tracks only those).
+  ResidencyTable residency_;
   std::vector<Bytes> task_bytes_;  // total input bytes per task
-  TaskFileIndex index_;
   PendingBag pending_;
-  std::vector<WorkerId> starving_;
+  std::deque<WorkerId> starving_;  // asked on an empty bag, in ask order
   double avg_task_bytes_ = 0;
 };
 

@@ -1,5 +1,6 @@
 // Memory-lean hot structures: the small flat containers (InlineVec, Csr,
-// DenseIdSet) that replaced per-task node containers, plus the
+// DenseIdSet) that replaced per-task node containers, the residency
+// table's per-(site, task) pair cost, plus the
 // allocation-free contracts the event loop relies on (disabled
 // instruments, warm event-kernel and flow-table churn, the warm
 // data-server cycle, the file cache's first-insert tables and warm
@@ -27,6 +28,7 @@
 #include "obs/trace.h"
 #include "replication/data_replicator.h"
 #include "sched/factory.h"
+#include "sched/residency.h"
 #include "sched/storage_affinity.h"
 #include "sched/worker_centric.h"
 #include "sim/simulator.h"
@@ -150,6 +152,40 @@ TEST(Csr, RowBookkeepingCostsEightBytesPerRow) {
   const AllocSnapshot after = alloc_snapshot();
   EXPECT_EQ(allocations_between(before, after), 2u);
   EXPECT_EQ(after.bytes - before.bytes, (1001u + 1000u) * 4u);
+}
+
+// --- ResidencyTable -------------------------------------------------------
+
+TEST(ResidencyTable, PairCostsFourTwelveOrEightBytes) {
+  if (!alloc_counting_enabled())
+    GTEST_SKIP() << "allocation counting compiled out (sanitizer build)";
+  // build() allocates each requested column once, num_sites * num_tasks
+  // entries; its file index does not depend on the site count. So two
+  // more sites cost exactly 2 * num_tasks pairs more, and no allocation
+  // more: 4 B a pair under overlap/rest (files), 12 B under combined
+  // (files + refs), 8 B under storage affinity and XSufferage (bytes).
+  const workload::Job job =
+      sched::testing::make_job({{0, 1}, {1, 2}, {2}, {0}, {1, 2}}, 3);
+  using Table = sched::ResidencyTable;
+  auto build = [&](std::size_t sites, unsigned columns) {
+    sched::testing::FakeEngine engine(job, sites, 1);
+    Table table;
+    const AllocSnapshot before = alloc_snapshot();
+    table.build(engine, columns, [](TaskId) { return true; });
+    const AllocSnapshot after = alloc_snapshot();
+    return std::pair{allocations_between(before, after),
+                     after.bytes - before.bytes};
+  };
+  const std::pair<unsigned, std::uint64_t> cases[] = {
+      {Table::kFiles, 4}, {Table::kFiles | Table::kRefs, 12},
+      {Table::kBytes, 8}};
+  for (const auto& [columns, pair_bytes] : cases) {
+    const auto [one_allocs, one_bytes] = build(1, columns);
+    const auto [three_allocs, three_bytes] = build(3, columns);
+    EXPECT_EQ(three_allocs, one_allocs) << "columns " << columns;
+    EXPECT_EQ(three_bytes - one_bytes, 2 * job.num_tasks() * pair_bytes)
+        << "columns " << columns;
+  }
 }
 
 // --- DenseIdSet ----------------------------------------------------------

@@ -1,15 +1,24 @@
 // The residency layer the data-aware schedulers share (sched/residency.h):
-// the file -> task index, the per-task scan, and the pending bag.
+// the per-(site, task) residency table, the file -> task index, the
+// per-task scan, and the pending bag; and the table under eviction
+// pressure end to end, for every scheduler that keeps one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "fake_engine.h"
+#include "grid/grid_simulation.h"
+#include "obs/trace.h"
+#include "sched/factory.h"
 #include "sched/residency.h"
+#include "workload/coadd.h"
+#include "workload/registry.h"
 
 namespace wcs::sched {
 namespace {
@@ -143,6 +152,186 @@ TEST(PendingBag, EraseSwapsTheLastTaskIntoTheGap) {
   EXPECT_THROW(bag.insert(TaskId(1)), std::logic_error);
   EXPECT_EQ(bag.size(), 5u);
 }
+
+// --- ResidencyTable ------------------------------------------------------
+
+constexpr unsigned kAllColumns = ResidencyTable::kFiles |
+                                 ResidencyTable::kRefs |
+                                 ResidencyTable::kBytes;
+
+// Subscribes `table` to every site of `eng`; `touched` counts the tasks
+// handed to the hook.
+void listen(FakeEngine& eng, ResidencyTable& table, std::size_t& touched) {
+  for (unsigned s = 0; s < eng.num_sites(); ++s) {
+    const SiteId site(s);
+    eng.set_cache_listener(site, [&table, &touched, site](
+                                     storage::CacheEvent e, FileId f) {
+      table.on_cache_event(site, e, f,
+                           [&touched](TaskId, const Residency&) {
+                             ++touched;
+                           });
+    });
+  }
+}
+
+TEST(ResidencyTable, TrackedCountersFollowAddsEvictionsAndAccesses) {
+  std::mt19937 rng(5);
+  std::vector<std::vector<unsigned>> sets(12);
+  for (auto& files : sets) {
+    for (unsigned f = 0; f < 10; ++f)
+      if (rng() % 3 == 0) files.push_back(f);
+    if (files.empty()) files.push_back(static_cast<unsigned>(rng() % 10));
+  }
+  const auto job = make_job(std::move(sets), 10);
+  // Capacity 3 of 10 files: most adds evict.
+  FakeEngine eng(job, 2, 1, /*capacity=*/3);
+  eng.add_file(SiteId(1), FileId(4));  // seeded, not replayed
+
+  ResidencyTable table;
+  table.build(eng, kAllColumns, [](TaskId t) { return t.value() % 4 != 0; });
+  std::vector<char> tracked(job.num_tasks());
+  for (const workload::Task& t : job.tasks())
+    tracked[t.id.value()] = t.id.value() % 4 != 0;
+  std::size_t touched = 0;
+  listen(eng, table, touched);
+
+  for (int step = 0; step < 300; ++step) {
+    const TaskId t(static_cast<TaskId::underlying_type>(rng() %
+                                                        job.num_tasks()));
+    if (rng() % 5 == 0) {
+      if (tracked[t.value()])
+        table.untrack(t);
+      else
+        table.track(t);
+      tracked[t.value()] ^= 1;
+    } else {
+      eng.add_file(SiteId(static_cast<SiteId::underlying_type>(rng() % 2)),
+                   FileId(static_cast<FileId::underlying_type>(rng() % 10)));
+    }
+    for (unsigned s = 0; s < 2; ++s)
+      for (const workload::Task& task : job.tasks()) {
+        if (!tracked[task.id.value()]) continue;
+        const Residency r = residency(eng.site_cache(SiteId(s)), job, task.id);
+        ASSERT_EQ(table.files(s, task.id), r.files) << "step " << step;
+        ASSERT_EQ(table.refs(s, task.id), r.refs) << "step " << step;
+        ASSERT_EQ(table.bytes(s, task.id), r.bytes) << "step " << step;
+      }
+    std::vector<audit::Violation> v;
+    table.audit_collect([&](TaskId x) { return tracked[x.value()] != 0; }, v);
+    ASSERT_TRUE(v.empty()) << v.front().message;
+  }
+  EXPECT_GT(touched, 0u);
+}
+
+TEST(ResidencyTable, AnAccessTouchesNothingWithoutARefsColumn) {
+  const auto job = make_job({{0, 1}, {1}}, 2);
+  for (unsigned columns :
+       {unsigned{ResidencyTable::kFiles}, unsigned{ResidencyTable::kBytes},
+        unsigned{ResidencyTable::kFiles | ResidencyTable::kRefs}}) {
+    FakeEngine eng(job, 1, 1);
+    ResidencyTable table;
+    table.build(eng, columns, [](TaskId) { return true; });
+    std::size_t touched = 0;
+    listen(eng, table, touched);
+    eng.cache(SiteId(0)).insert(FileId(1));
+    EXPECT_EQ(touched, 2u);  // both readers of file 1
+    eng.cache(SiteId(0)).record_access(FileId(1));
+    const bool refs = (columns & ResidencyTable::kRefs) != 0;
+    EXPECT_EQ(touched, refs ? 4u : 2u);
+    if (refs) {
+      EXPECT_EQ(table.refs(0, TaskId(0)), 1u);
+    }
+  }
+}
+
+TEST(ResidencyTable, AuditReportsEveryDriftedPair) {
+  const auto job = make_job({{0, 1}, {1, 2}, {2}}, 3);
+  FakeEngine eng(job, 2, 1);
+  ResidencyTable table;
+  table.build(eng, ResidencyTable::kBytes, [](TaskId) { return true; });
+  eng.add_file(SiteId(1), FileId(1));  // no listener: the table misses it
+  std::vector<audit::Violation> v;
+  table.audit_collect([](TaskId t) { return t.value() != 1; }, v);
+  ASSERT_EQ(v.size(), 1u);  // task 1 also reads file 1 but is untracked
+  EXPECT_EQ(v[0].checker, "index-coherence");
+  EXPECT_NE(v[0].message.find("site 1 task 0"), std::string::npos);
+  // Only the kept bytes column drifted; files and refs read the recount.
+  const std::string size = std::to_string(job.catalog.size(FileId(1)));
+  EXPECT_EQ(v[0].message, "site 1 task 0 counters files/bytes/refs 1/0/1 "
+                          "but the residency() recount finds 1/" +
+                              size + "/1");
+}
+
+// --- End to end: eviction under the auditor ------------------------------
+
+struct EvictionCase {
+  std::string name;
+  Algorithm algorithm;
+  int choose_n;
+  bool tenants;  // three WRR tenants with Poisson arrivals
+};
+
+class EvictionUnderAudit : public ::testing::TestWithParam<EvictionCase> {};
+
+// Coadd at ~100 tasks on 3 one-worker sites whose caches hold just more
+// than the largest task, audited every 50 events and traced: every
+// scheduler that keeps a residency table must see kEvicted events (and
+// the caches must trace them) without an index-coherence or
+// sharded-index violation.
+TEST_P(EvictionUnderAudit, EvictsWithoutAnAuditViolation) {
+  const EvictionCase& c = GetParam();
+  workload::register_builtin_generators();
+  workload::GeneratorSpec gen;
+  gen.coadd.num_tasks = 100;
+  if (c.tenants) {
+    gen.generator = "multi-tenant";
+    gen.open.process = workload::ArrivalProcess::kPoisson;
+    gen.open.mean_interarrival_s = 120.0;
+    gen.open.tenants = {{"a", 3}, {"b", 1}, {"c", 2}};
+  }
+  const workload::Workload wl = workload::build_workload(gen);
+  std::size_t largest = 0;
+  for (const workload::Task& t : wl.job.tasks())
+    largest = std::max(largest, t.files.size());
+
+  grid::GridConfig config;
+  config.tiers.num_sites = 3;
+  config.tiers.workers_per_site = 1;
+  config.capacity_files = largest + 10;
+  config.audit = true;
+  config.audit_interval_events = 50;
+  config.obs.trace = true;
+  SchedulerSpec spec;
+  spec.algorithm = c.algorithm;
+  spec.choose_n = c.choose_n;
+  std::unique_ptr<Scheduler> scheduler = make_scheduler(spec, &wl.arrivals);
+  if (c.tenants) {
+    EXPECT_EQ(scheduler->name(), "rest+wrr");
+  }
+  grid::GridSimulation sim(config, wl, std::move(scheduler));
+  metrics::RunResult r;
+  ASSERT_NO_THROW(r = sim.run());
+  EXPECT_EQ(r.tasks_completed, wl.job.num_tasks());
+  EXPECT_GT(r.total_evictions(), 0u);
+  std::size_t eviction_spans = 0;
+  for (const obs::TraceSpan& span : sim.observability()->tracer()->spans())
+    eviction_spans += span.kind == obs::SpanKind::kEviction;
+  EXPECT_GT(eviction_spans, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schedulers, EvictionUnderAudit,
+    ::testing::Values(
+        EvictionCase{"rest", Algorithm::kRest, 1, false},
+        EvictionCase{"combined", Algorithm::kCombined, 1, false},
+        EvictionCase{"rest2", Algorithm::kRest, 2, false},
+        EvictionCase{"storage_affinity", Algorithm::kStorageAffinity, 1,
+                     false},
+        EvictionCase{"xsufferage", Algorithm::kXSufferage, 1, false},
+        EvictionCase{"rest_wrr3", Algorithm::kRest, 1, true}),
+    [](const ::testing::TestParamInfo<EvictionCase>& param_info) {
+      return param_info.param.name;
+    });
 
 }  // namespace
 }  // namespace wcs::sched

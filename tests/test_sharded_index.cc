@@ -450,7 +450,7 @@ void run_worker_centric_property(Metric metric, int choose_n,
   params.combined_formula = formula;
   WorkerCentricScheduler sched(params);
 
-  // Pre-warm a few files so build_index() seeds non-trivial counters.
+  // Pre-warm a few files so on_job_submitted() seeds non-trivial counters.
   for (int i = 0; i < 8; ++i) {
     SiteId s(static_cast<SiteId::underlying_type>(rng() % num_sites));
     FileId f(static_cast<FileId::underlying_type>(rng() % num_files));

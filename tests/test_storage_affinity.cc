@@ -218,6 +218,25 @@ TEST(StorageAffinity, ReplicationPrefersHighestByteOverlap) {
   EXPECT_EQ(eng.assignments[0].first, TaskId(0));
 }
 
+TEST(StorageAffinity, AuditCatchesCountersThatMissedACacheEvent) {
+  auto job = make_job({{0, 1}, {1, 2}, {2}}, 3);
+  FakeEngine eng(job, 2, 1);
+  auto sa = make_sa();
+  sa.attach(eng);
+  sa.on_job_submitted();
+  eng.cache(SiteId(1)).set_listener({});  // the scheduler stops hearing
+  eng.add_file(SiteId(1), FileId(1));
+  std::vector<audit::Violation> violations;
+  sa.audit_collect(violations);
+  // Tasks 0 and 1 read file 1 and are incomplete; their replica-index
+  // ranks at site 1 drifted with the counters.
+  ASSERT_GE(violations.size(), 2u);
+  EXPECT_EQ(violations[0].checker, "index-coherence");
+  EXPECT_EQ(violations[1].checker, "index-coherence");
+  EXPECT_NE(violations[0].message.find("site 1 task 0"), std::string::npos)
+      << violations[0].message;
+}
+
 // --- Workqueue baseline ---------------------------------------------------
 
 TEST(Workqueue, FifoOrder) {

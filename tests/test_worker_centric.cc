@@ -340,6 +340,29 @@ TEST(Index, WarmStartCachesAreIndexed) {
   EXPECT_EQ(sched.overlap_cardinality(SiteId(0), TaskId(1)), 1u);
 }
 
+TEST(Index, AuditCatchesCountersThatMissedACacheEvent) {
+  for (Metric metric : {Metric::kRest, Metric::kCombined}) {
+    auto job = tiny_job();
+    FakeEngine eng(job, 1, 1);
+    auto sched = make_sched(metric);
+    sched.attach(eng);
+    sched.on_job_submitted();
+    eng.cache(SiteId(0)).set_listener({});  // the scheduler stops hearing
+    eng.add_file(SiteId(0), FileId(1));
+    std::vector<audit::Violation> violations;
+    sched.audit_collect(violations);
+    // Both pending tasks that read file 1 drifted; the shard, filed from
+    // the same stale counters, drifted with them.
+    ASSERT_GE(violations.size(), 2u) << to_string(metric);
+    EXPECT_EQ(violations[0].checker, "index-coherence");
+    EXPECT_EQ(violations[1].checker, "index-coherence");
+    const std::string& message = violations[0].message;
+    EXPECT_NE(message.find("counters files/bytes/refs 0/"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("recount finds 1/"), std::string::npos) << message;
+  }
+}
+
 // --- Incremental index == naive recomputation (the key property) ----------
 
 class IndexConsistency
