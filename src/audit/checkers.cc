@@ -119,6 +119,19 @@ void check_cache_coherence(const CacheAuditSnapshot& snap,
        << " free nodes that a file record points to";
     report(out, "cache-coherence", os);
   }
+  if (snap.stray_pages > 0 || snap.shared_pages > 0) {
+    std::ostringstream os;
+    os << snap.label << " record directory has " << snap.stray_pages
+       << " entries outside every carved page and " << snap.shared_pages
+       << " entries sharing a page";
+    report(out, "cache-coherence", os);
+  }
+  if (snap.directory_pages != snap.carved_pages) {
+    std::ostringstream os;
+    os << snap.label << " record directory holds " << snap.directory_pages
+       << " pages but " << snap.carved_pages << " were carved";
+    report(out, "cache-coherence", os);
+  }
   for (const std::string& defect : snap.structural) {
     std::ostringstream os;
     os << snap.label << " eviction structure unsound: " << defect;

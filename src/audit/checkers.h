@@ -101,6 +101,12 @@ struct CacheAuditSnapshot {
   std::size_t unreferenced_live = 0;  // order nodes their file's record
                                       // does not point to
   std::size_t referenced_free = 0;    // free nodes a file record points to
+  // Per-file record directory recounts (FileCache keeps its records in
+  // pages carved on demand; common::PagedTable::audit).
+  std::size_t directory_pages = 0;  // non-null directory entries
+  std::size_t carved_pages = 0;     // pages carved from the chunks
+  std::size_t stray_pages = 0;      // entries at no carved page
+  std::size_t shared_pages = 0;     // entries at a page another holds
   std::vector<std::string> structural;   // defects found by the cache itself
 };
 

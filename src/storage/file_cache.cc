@@ -18,12 +18,16 @@ const char* to_string(EvictionPolicy policy) {
 }
 
 void FileCache::allocate_tables() {
-  files_.resize(blocks_.num_files());
   // Residents never outnumber what the block budget admits (nor the
-  // catalog), so the pool never grows past this reservation.
-  pool_.reserve(static_cast<std::size_t>(
+  // catalog), so the pool never grows past this reservation, and a full
+  // cache's residents fill at least that many records' worth of pages.
+  const auto residents = static_cast<std::size_t>(
       std::min<std::uint64_t>(blocks_.max_resident_files(capacity_blocks_),
-                              blocks_.num_files())));
+                              blocks_.num_files()));
+  using Records = common::PagedTable<FileRecord>;
+  files_.reset(blocks_.num_files(),
+               (residents + Records::kPageIds - 1) / Records::kPageIds);
+  pool_.reserve(residents);
 }
 
 std::uint32_t FileCache::take_node(FileId f) {
@@ -38,7 +42,7 @@ std::uint32_t FileCache::take_node(FileId f) {
   Node& n = pool_[idx];
   n.file = f.value();
   n.pins = 0;
-  files_[f.value()].node = idx + 1;
+  files_.touch(f.value()).node = idx + 1;
   return idx;
 }
 
@@ -95,8 +99,9 @@ std::uint64_t FileCache::covered_blocks(FileId f, bool pinned_only) const {
   const std::uint32_t span = blocks_.neighbour_span();
   const std::size_t num_files = blocks_.num_files();
   auto qualifies = [&](std::uint32_t id) {
-    if (id >= files_.size() || files_[id].node == kAbsent) return false;
-    return !pinned_only || pool_[files_[id].node - 1].pins > 0;
+    const FileRecord* r = files_.find(id);
+    if (r == nullptr || r->node == kAbsent) return false;
+    return !pinned_only || pool_[r->node - 1].pins > 0;
   };
   // Nearest qualifying neighbour on each side gives the maximal cover:
   // extents all have length n, so a closer neighbour's extent strictly
@@ -261,20 +266,19 @@ audit::CacheAuditSnapshot FileCache::audit_snapshot(std::string label) const {
   // Full recount of the per-file records against the incremental
   // counter; every record's node must hold that file.
   std::size_t resident = 0;
-  for (std::size_t f = 0; f < files_.size(); ++f) {
-    const std::uint32_t node = files_[f].node;
-    if (node == kAbsent) continue;
+  files_.for_each([&](std::size_t f, const FileRecord& r) {
+    if (r.node == kAbsent) return;
     ++resident;
-    if (node > pool_.size() || pool_[node - 1].file != f) {
+    if (r.node > pool_.size() || pool_[r.node - 1].file != f) {
       std::ostringstream os;
-      os << "file " << f << "'s record points to node " << node - 1
+      os << "file " << f << "'s record points to node " << r.node - 1
          << ", which does not hold it";
       snap.structural.push_back(os.str());
-      continue;
+      return;
     }
-    if (is_free[node - 1] != 0) ++snap.referenced_free;
-    if (pool_[node - 1].pins > 0) ++snap.pinned;
-  }
+    if (is_free[r.node - 1] != 0) ++snap.referenced_free;
+    if (pool_[r.node - 1].pins > 0) ++snap.pinned;
+  });
   if (resident != resident_count_) {
     std::ostringstream os;
     os << "file records hold " << resident << " resident files but the "
@@ -296,8 +300,8 @@ audit::CacheAuditSnapshot FileCache::audit_snapshot(std::string label) const {
       break;
     }
     const Node& n = pool_[i];
-    if (n.file >= files_.size() || files_[n.file].node != i + 1)
-      ++snap.unreferenced_live;
+    const FileRecord* r = files_.find(n.file);
+    if (r == nullptr || r->node != i + 1) ++snap.unreferenced_live;
     if (n.prev != prev) {
       std::ostringstream os;
       os << "node " << i << " (file " << n.file
@@ -315,6 +319,11 @@ audit::CacheAuditSnapshot FileCache::audit_snapshot(std::string label) const {
   if (tail_ != prev) {
     snap.structural.push_back("eviction order tail does not round-trip");
   }
+  const auto pages = files_.audit();
+  snap.directory_pages = pages.directory_pages;
+  snap.carved_pages = pages.carved_pages;
+  snap.stray_pages = pages.stray_pages;
+  snap.shared_pages = pages.shared_pages;
   return snap;
 }
 
@@ -340,26 +349,26 @@ audit::BlockStoreAuditSnapshot FileCache::block_audit_snapshot(
     end = any ? std::max(end, stop) : stop;
     any = true;
   };
-  for (std::size_t i = 0; i < files_.size(); ++i) {
-    const std::uint32_t node = files_[i].node;
-    if (node == kAbsent) continue;
+  files_.for_each([&](std::size_t i, const FileRecord& r) {
+    if (r.node == kAbsent) return;
     const BlockMap::Extent e =
         blocks_.extent(FileId(static_cast<FileId::underlying_type>(i)));
     snap.file_block_refs += e.count;
     accumulate(snap.recount_physical, physical_end, physical_any, e);
     // A dangling record is cache-coherence's finding; skip, not crash.
-    if (node <= pool_.size() && pool_[node - 1].pins > 0)
+    if (r.node <= pool_.size() && pool_[r.node - 1].pins > 0)
       accumulate(snap.recount_pinned, pinned_end, pinned_any, e);
-  }
+  });
   return snap;
 }
 
 std::vector<FileId> FileCache::contents() const {
   std::vector<FileId> out;
   out.reserve(resident_count_);
-  for (std::size_t i = 0; i < files_.size(); ++i)
-    if (files_[i].node != kAbsent)
+  files_.for_each([&](std::size_t i, const FileRecord& r) {
+    if (r.node != kAbsent)
       out.push_back(FileId(static_cast<FileId::underlying_type>(i)));
+  });
   return out;
 }
 

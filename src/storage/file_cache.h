@@ -18,13 +18,21 @@
 // the fewest past references) for the eviction-policy ablation bench.
 //
 // Storage layout: two tables. Every catalog file has one 8-byte record
-// (pool node + 1, 0 when absent; persistent ref count), allocated at
-// exactly BlockMap::num_files() on the first insert, never in the
-// constructor. Only resident files own a 16-byte node (file id, pin
-// count, intrusive prev/next links forming the eviction order) in a pool
-// reserved once to the most files the block budget admits; evicted
-// nodes go on a free list threaded through `next`. Zero allocations per
-// hit/miss/evict after the first insert.
+// (pool node + 1, 0 when absent; persistent ref count) in a
+// common::PagedTable: a directory of one page pointer per 128 catalog
+// files, sized at BlockMap::num_files() on the first insert (never in
+// the constructor), and 1 KiB pages of 128 records carved, zeroed, the
+// first time a file of the page is inserted. A site whose files cluster
+// in a slice of the catalog therefore pays 8 B per file of each touched
+// page plus 8 B per 128 catalog files, not 8 B per catalog file. A file
+// whose page was never carved reads as absent with 0 refs. The first
+// chunk of pages is sized from the capacity (a full cache touches at
+// least capacity / 128 pages); later chunks double. Only resident files
+// own a 16-byte node (file id, pin count, intrusive prev/next links
+// forming the eviction order) in a pool reserved once to the most files
+// the block budget admits; evicted nodes go on a free list threaded
+// through `next`. Hits, misses and evictions allocate nothing, except
+// an insert whose page needs a new chunk: O(log pages) times per cache.
 //
 // Block accounting (docs/data-plane.md): residency and eviction order
 // are file-granular, but capacity is accounted in refcounted content
@@ -43,6 +51,7 @@
 #include "audit/checkers.h"
 #include "common/check.h"
 #include "common/ids.h"
+#include "common/paged_table.h"
 #include "common/units.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
@@ -88,7 +97,8 @@ class FileCache {
   [[nodiscard]] EvictionPolicy policy() const { return policy_; }
 
   [[nodiscard]] bool contains(FileId f) const {
-    return f.value() < files_.size() && files_[f.value()].node != kAbsent;
+    const FileRecord* r = files_.find(f.value());
+    return r != nullptr && r->node != kAbsent;
   }
 
   // Record a task's use of a present file: bumps r_i, refreshes recency.
@@ -118,7 +128,8 @@ class FileCache {
   // Past references r_i of a file at this storage; persists across
   // eviction. Zero for files never seen here.
   [[nodiscard]] std::size_t ref_count(FileId f) const {
-    return f.value() < files_.size() ? files_[f.value()].refs : 0;
+    const FileRecord* r = files_.find(f.value());
+    return r != nullptr ? r->refs : 0;
   }
 
   [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
@@ -129,7 +140,9 @@ class FileCache {
   // Read-only state snapshot for the invariant auditor: occupancy vs
   // capacity, pin counts, structural soundness of the eviction order
   // (links round-trip, bounded walk) and the node pool's recounts
-  // (record <-> node links, live + free == pool size). `label` names
+  // (record <-> node links, live + free == pool size) and the record
+  // table's page directory (every entry a distinct carved page, as many
+  // entries as carved pages). `label` names
   // this cache in violation reports (audit::check_cache_coherence).
   [[nodiscard]] audit::CacheAuditSnapshot audit_snapshot(
       std::string label) const;
@@ -182,9 +195,9 @@ class FileCache {
   static constexpr std::uint32_t kNull = 0xffffffffu;  // no node
   static constexpr std::uint32_t kAbsent = 0;          // FileRecord::node
 
-  // One 8-byte record per catalog file. `node` is 1 + the index of the
-  // file's pool node while it is resident, kAbsent otherwise; refs
-  // persists across eviction.
+  // One 8-byte record per catalog file of a carved page. `node` is 1 +
+  // the index of the file's pool node while it is resident, kAbsent
+  // otherwise; refs persists across eviction.
   struct FileRecord {
     std::uint32_t node = kAbsent;
     std::uint32_t refs = 0;
@@ -209,7 +222,8 @@ class FileCache {
     return pool_[files_[f.value()].node - 1];
   }
 
-  // Sizes both tables on the first insert (the only allocations).
+  // Sizes the record directory, and reserves the node pool, on the
+  // first insert.
   void allocate_tables();
   [[nodiscard]] std::uint32_t take_node(FileId f);
   void free_node(std::uint32_t idx);
@@ -237,7 +251,7 @@ class FileCache {
   std::size_t capacity_ = 0;
   EvictionPolicy policy_ = EvictionPolicy::kLru;
 
-  std::vector<FileRecord> files_;  // empty until the first insert
+  common::PagedTable<FileRecord> files_;  // empty until the first insert
   std::vector<Node> pool_;
   std::uint32_t free_ = kNull;  // free-list head
   std::uint32_t head_ = kNull;  // next eviction candidate

@@ -159,6 +159,42 @@ TEST(CacheCoherence, DetectsBrokenNodeLinksInACopiedSnapshot) {
   EXPECT_TRUE(mentions(v, "free nodes that a file record points to"));
 }
 
+TEST(CacheCoherence, DetectsBrokenRecordDirectoryInACopiedSnapshot) {
+  // 1000 files = 8 record pages; inserting files of pages 0, 3 and 7
+  // carves three pages.
+  const storage::BlockMap blocks(workload::FileCatalog(1000, megabytes(1)),
+                                 storage::BlockStoreParams{});
+  storage::FileCache cache(blocks, 3, storage::EvictionPolicy::kLru);
+  for (unsigned f : {1u, 400u, 999u, 2u}) cache.insert(FileId(f));
+  const CacheAuditSnapshot healthy = cache.audit_snapshot("site 5 cache");
+  EXPECT_EQ(healthy.directory_pages, 3u);
+  EXPECT_EQ(healthy.carved_pages, 3u);
+  EXPECT_EQ(healthy.stray_pages, 0u);
+  EXPECT_EQ(healthy.shared_pages, 0u);
+  EXPECT_TRUE(
+      run_checker([&](auto& out) { check_cache_coherence(healthy, out); })
+          .empty());
+
+  // A directory entry pointing into no carved page, and another aliasing
+  // a page an earlier entry holds.
+  CacheAuditSnapshot s = healthy;
+  s.stray_pages = 1;
+  s.shared_pages = 1;
+  auto v = run_checker([&](auto& out) { check_cache_coherence(s, out); });
+  ASSERT_EQ(v.size(), 1u);
+  EXPECT_EQ(v[0].checker, "cache-coherence");
+  EXPECT_TRUE(mentions(v, "1 entries outside every carved page"));
+  EXPECT_TRUE(mentions(v, "1 entries sharing a page"));
+  EXPECT_TRUE(mentions(v, "site 5 cache"));
+
+  // A carved page the directory lost.
+  s = healthy;
+  --s.directory_pages;
+  v = run_checker([&](auto& out) { check_cache_coherence(s, out); });
+  ASSERT_EQ(v.size(), 1u);
+  EXPECT_TRUE(mentions(v, "holds 2 pages but 3 were carved"));
+}
+
 // --- block store --------------------------------------------------------
 
 TEST(BlockStore, DetectsCounterDriftFromRecount) {

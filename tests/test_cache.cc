@@ -357,23 +357,32 @@ class ReferenceCache {
 struct DiffCase {
   EvictionPolicy policy;
   double overlap;
+  bool sparse = false;  // clustered ids on a large catalog
 };
 
 // Names the case in test listings (the default printer would dump the
 // struct's bytes, padding included).
 void PrintTo(const DiffCase& c, std::ostream* os) {
   *os << to_string(c.policy) << " at overlap " << c.overlap;
+  if (c.sparse) *os << ", sparse ids";
 }
 
 class CacheDifferential : public ::testing::TestWithParam<DiffCase> {};
 
 TEST_P(CacheDifferential, MatchesReferenceModelStepByStep) {
   const DiffCase c = GetParam();
-  constexpr unsigned kFiles = 48;
+  // Dense cases draw uniformly from 48 files. Sparse cases draw 90% of
+  // their ids from three 200-id clusters (one ends the catalog in its
+  // partial last record page) and 10% uniformly from 60,000 files, so
+  // the cache's record pages are carved out of id order, most pages stay
+  // null, and the page table grows through several chunks.
+  const unsigned files = c.sparse ? 60000 : 48;
   constexpr std::size_t kCapacity = 6;
+  constexpr unsigned kClusterIds = 200;
+  const unsigned clusters[] = {1000, 30100, 59800};
   BlockStoreParams params;
   params.content_overlap = c.overlap;
-  const BlockMap blocks(workload::FileCatalog(kFiles, megabytes(25.0)),
+  const BlockMap blocks(workload::FileCatalog(files, megabytes(25.0)),
                         params);
   for (std::uint32_t seed : {1u, 2u, 3u}) {
     SCOPED_TRACE(seed);
@@ -384,8 +393,26 @@ TEST_P(CacheDifferential, MatchesReferenceModelStepByStep) {
     cache.set_listener(
         [&](CacheEvent e, FileId f) { got.emplace_back(e, f); });
     std::mt19937 rng(seed);
+    // Ids whose refs and pins are compared after every step: all of a
+    // dense catalog; the clusters, every id drawn so far and a stride of
+    // mostly never-drawn ids (null pages) of a sparse one.
+    std::set<unsigned> probes;
+    if (c.sparse) {
+      for (unsigned base : clusters)
+        for (unsigned g = base; g < base + kClusterIds; ++g) probes.insert(g);
+      for (unsigned g = 0; g < files; g += 1009) probes.insert(g);
+    } else {
+      for (unsigned g = 0; g < files; ++g) probes.insert(g);
+    }
+    auto draw = [&]() -> unsigned {
+      if (!c.sparse) return static_cast<unsigned>(rng() % files);
+      if (rng() % 10 == 0) return static_cast<unsigned>(rng() % files);
+      const unsigned base = clusters[rng() % 3];
+      return base + static_cast<unsigned>(rng() % kClusterIds);
+    };
     for (int step = 0; step < 1500; ++step) {
-      const FileId f(static_cast<FileId::underlying_type>(rng() % kFiles));
+      const FileId f(static_cast<FileId::underlying_type>(draw()));
+      probes.insert(f.value());
       const unsigned op = rng() % 8;
       if (!ref.contains(f)) {
         if (op < 4) {  // try_insert
@@ -414,7 +441,7 @@ TEST_P(CacheDifferential, MatchesReferenceModelStepByStep) {
           << "step " << step;
       ASSERT_EQ(cache.pinned_blocks(), ref.pinned_blocks())
           << "step " << step;
-      for (unsigned g = 0; g < kFiles; ++g) {
+      for (unsigned g : probes) {
         ASSERT_EQ(cache.ref_count(F(g)), ref.ref_count(F(g)));
         if (ref.contains(F(g))) {
           ASSERT_EQ(cache.pinned(F(g)), ref.pinned(F(g)));
@@ -422,10 +449,16 @@ TEST_P(CacheDifferential, MatchesReferenceModelStepByStep) {
       }
     }
     std::vector<audit::Violation> violations;
-    audit::check_cache_coherence(cache.audit_snapshot("diff"), violations);
+    const audit::CacheAuditSnapshot snap = cache.audit_snapshot("diff");
+    audit::check_cache_coherence(snap, violations);
     audit::check_block_store(cache.block_audit_snapshot("diff"), violations);
     EXPECT_TRUE(violations.empty());
     EXPECT_GT(cache.evictions(), 0u);
+    // A one-page first chunk (capacity 6) then doubles: more than 31
+    // carved pages means at least six chunks.
+    if (c.sparse) {
+      EXPECT_GT(snap.carved_pages, 31u);
+    }
   }
 }
 
@@ -436,10 +469,14 @@ INSTANTIATE_TEST_SUITE_P(
                       DiffCase{EvictionPolicy::kMinRef, 0.0},
                       DiffCase{EvictionPolicy::kLru, 0.5},
                       DiffCase{EvictionPolicy::kFifo, 0.5},
-                      DiffCase{EvictionPolicy::kMinRef, 0.5}),
+                      DiffCase{EvictionPolicy::kMinRef, 0.5},
+                      DiffCase{EvictionPolicy::kLru, 0.0, true},
+                      DiffCase{EvictionPolicy::kFifo, 0.5, true},
+                      DiffCase{EvictionPolicy::kMinRef, 0.5, true}),
     [](const ::testing::TestParamInfo<DiffCase>& param_info) {
       return std::string(to_string(param_info.param.policy)) +
-             (param_info.param.overlap > 0 ? "_overlap50" : "_disjoint");
+             (param_info.param.overlap > 0 ? "_overlap50" : "_disjoint") +
+             (param_info.param.sparse ? "_sparse" : "");
     });
 
 }  // namespace

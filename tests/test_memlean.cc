@@ -1,6 +1,7 @@
 // Memory-lean hot structures: the small flat containers (InlineVec, Csr,
-// DenseIdSet) that replaced per-task node containers, the residency
-// table's per-(site, task) pair cost, plus the
+// DenseIdSet, PagedTable) that replaced per-task node containers and
+// catalog-sized tables, the residency table's per-(site, task) pair
+// cost, the file cache's per-page record cost, plus the
 // allocation-free contracts the event loop relies on (disabled
 // instruments, warm event-kernel and flow-table churn, the warm
 // data-server cycle, the file cache's first-insert tables and warm
@@ -20,6 +21,7 @@
 #include "common/dense_id_set.h"
 #include "common/ids.h"
 #include "common/inline_vec.h"
+#include "common/paged_table.h"
 #include "fake_engine.h"
 #include "grid/experiment.h"
 #include "grid/grid_simulation.h"
@@ -207,6 +209,135 @@ TEST(DenseIdSet, InsertEraseFirst) {
   EXPECT_FALSE(s.contains(41));
 }
 
+// --- PagedTable ----------------------------------------------------------
+
+struct Rec {
+  std::uint32_t a = 0;
+  std::uint32_t b = 0;
+};
+using Paged = PagedTable<Rec>;
+constexpr std::size_t kIdsPerPage = Paged::kPageIds;
+
+TEST(PagedTable, PagePointersStayValidAcrossChunkGrowth) {
+  // A one-page first chunk: every later page forces or follows a new,
+  // doubled chunk, and no earlier record moves.
+  Paged t;
+  t.reset(100 * kIdsPerPage, 1);
+  std::vector<Rec*> first_of_page;
+  for (std::size_t p = 0; p < 100; ++p) {
+    Rec& r = t.touch(p * kIdsPerPage + p % kIdsPerPage);
+    r.a = static_cast<std::uint32_t>(p + 1);
+    first_of_page.push_back(&r);
+  }
+  EXPECT_EQ(t.chunks(), 7u);  // 1 + 2 + 4 + ... + 32 = 63, then 37
+  for (std::size_t p = 0; p < 100; ++p) {
+    const std::size_t id = p * kIdsPerPage + p % kIdsPerPage;
+    EXPECT_EQ(t.find(id), first_of_page[p]);
+    EXPECT_EQ(&t.touch(id), first_of_page[p]);
+    EXPECT_EQ(t[id].a, p + 1);
+  }
+  const Paged::AuditCounts a = t.audit();
+  EXPECT_EQ(a.directory_pages, 100u);
+  EXPECT_EQ(a.carved_pages, 100u);
+  EXPECT_EQ(a.stray_pages, 0u);
+  EXPECT_EQ(a.shared_pages, 0u);
+}
+
+TEST(PagedTable, CarvedPagesReadAsZero) {
+  Paged t;
+  EXPECT_TRUE(t.empty());
+  EXPECT_EQ(t.find(0), nullptr);  // no directory yet
+  t.reset(1000, 2);
+  EXPECT_FALSE(t.empty());
+  EXPECT_EQ(t.find(5), nullptr);  // page never touched
+  EXPECT_EQ(t.find(1000), nullptr);  // out of range
+  t.touch(5).a = 7;
+  // Every other record of the carved page is zero...
+  for (std::size_t id = 0; id < kIdsPerPage; ++id) {
+    ASSERT_NE(t.find(id), nullptr);
+    EXPECT_EQ(t.find(id)->a, id == 5 ? 7u : 0u);
+    EXPECT_EQ(t.find(id)->b, 0u);
+  }
+  // ...and so is every record of a page carved after reset(), even where
+  // the allocator hands back memory the earlier pages dirtied.
+  for (std::size_t id = 0; id < 1000; id += 3) t.touch(id) = Rec{9, 9};
+  t.reset(1000, 2);
+  for (std::size_t id = 5; id < 1000; id += kIdsPerPage) {
+    EXPECT_EQ(t.find(id), nullptr);
+    const Rec& r = t.touch(id);
+    EXPECT_EQ(r.a, 0u);
+    EXPECT_EQ(r.b, 0u);
+  }
+}
+
+TEST(PagedTable, ForEachVisitsIdsInAscendingOrder) {
+  // Pages carved out of id order (the carve order is 7, 2, 5, 0)
+  // still come back in id order; the last page is partial.
+  Paged t;
+  const std::size_t ids = 7 * kIdsPerPage + 10;
+  t.reset(ids, 1);
+  for (std::size_t id : {7 * kIdsPerPage + 3, 2 * kIdsPerPage + 1,
+                         5 * kIdsPerPage + 127, std::size_t{0}})
+    t.touch(id).a = static_cast<std::uint32_t>(id);
+  std::vector<std::size_t> seen;
+  t.for_each([&](std::size_t id, const Rec& r) {
+    seen.push_back(id);
+    if (r.a != 0) {
+      EXPECT_EQ(r.a, id);
+    }
+  });
+  ASSERT_EQ(seen.size(), 3 * kIdsPerPage + 10);
+  EXPECT_TRUE(std::is_sorted(seen.begin(), seen.end()));
+  EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end());
+  EXPECT_EQ(seen.front(), 0u);
+  EXPECT_EQ(seen[kIdsPerPage], 2 * kIdsPerPage);
+  EXPECT_EQ(seen.back(), ids - 1);
+}
+
+TEST(PagedTable, AllocationsGrowAsLogOfPages) {
+  if (!alloc_counting_enabled())
+    GTEST_SKIP() << "allocation counting compiled out (sanitizer build)";
+  // 1M ids = 7,813 pages. reset() allocates the directory only; carving
+  // every page from a one-page first chunk takes 13 doubling chunks
+  // (1 + 2 + ... + 2048 = 4,095 pages, then the last 3,718), whose bytes
+  // add up to exactly one page per page. Re-touching allocates nothing.
+  constexpr std::size_t kIds = 1000000;
+  constexpr std::size_t kPages = (kIds + kIdsPerPage - 1) / kIdsPerPage;
+  Paged t;
+  const AllocSnapshot start = alloc_snapshot();
+  t.reset(kIds, 1);
+  const AllocSnapshot directory = alloc_snapshot();
+  EXPECT_EQ(allocations_between(start, directory), 1u);
+  EXPECT_EQ(directory.bytes - start.bytes, kPages * sizeof(Rec*));
+  std::size_t log2_pages = 0;
+  while ((std::size_t{1} << log2_pages) < kPages) ++log2_pages;
+  for (std::size_t id = 0; id < kIds; id += kIdsPerPage) t.touch(id);
+  const AllocSnapshot carved = alloc_snapshot();
+  EXPECT_EQ(allocations_between(directory, carved), 13u);
+  EXPECT_LE(allocations_between(directory, carved), log2_pages + 1);
+  EXPECT_EQ(carved.bytes - directory.bytes, kPages * Paged::kPageBytes);
+  for (std::size_t id = 0; id < kIds; id += 97) t.touch(id).a = 1;
+  EXPECT_EQ(allocations_between(carved, alloc_snapshot()), 0u);
+  EXPECT_EQ(t.chunks(), 13u);
+}
+
+TEST(PagedTable, AuditFindsStrayAndSharedDirectoryEntries) {
+  Paged t;
+  t.reset(10 * kIdsPerPage, 1);
+  for (std::size_t p = 0; p < 4; ++p) t.touch(p * kIdsPerPage);
+  Rec outside[kIdsPerPage];
+  // Page 1 now aliases page 0, page 2 points at a record inside page 3
+  // (not a page start), and page 9 at memory no chunk holds.
+  t.set_page_for_test(1 * kIdsPerPage, &t[0]);
+  t.set_page_for_test(2 * kIdsPerPage, &t[3 * kIdsPerPage + 1]);
+  t.set_page_for_test(9 * kIdsPerPage, outside);
+  const Paged::AuditCounts a = t.audit();
+  EXPECT_EQ(a.directory_pages, 5u);
+  EXPECT_EQ(a.carved_pages, 4u);
+  EXPECT_EQ(a.stray_pages, 2u);
+  EXPECT_EQ(a.shared_pages, 1u);
+}
+
 // --- allocation-free contracts ------------------------------------------
 
 TEST(AllocFree, DisabledInstrumentsAllocateNothing) {
@@ -321,10 +452,12 @@ TEST(AllocFree, WarmEventKernelChurnAllocatesNothing) {
 TEST(AllocFree, FileCacheAllocatesItsTablesOnceAtFirstInsert) {
   if (!alloc_counting_enabled())
     GTEST_SKIP() << "allocation counting compiled out (sanitizer build)";
-  // The constructor allocates nothing; the first insert sizes the
-  // per-file records (8 B per catalog file) and reserves the resident
-  // node pool (16 B per admissible resident), one allocation each.
-  // After that a warm insert / evict / access / pin cycle is free.
+  // The constructor allocates nothing. The first insert allocates the
+  // record directory (8 B per 128 catalog files), the first chunk of
+  // record pages (capacity / 128 pages, at least one 1 KiB page) and the
+  // resident node pool (16 B per admissible resident), one allocation
+  // each. Pages carved later come from doubling chunks; once every page
+  // is carved, a warm insert / evict / access / pin cycle is free.
   const storage::BlockMap blocks{workload::FileCatalog(1000, megabytes(1)),
                                  storage::BlockStoreParams{}};
   const AllocSnapshot start = alloc_snapshot();
@@ -333,8 +466,8 @@ TEST(AllocFree, FileCacheAllocatesItsTablesOnceAtFirstInsert) {
   EXPECT_EQ(allocations_between(start, constructed), 0u);
   cache.insert(FileId(0));
   const AllocSnapshot first = alloc_snapshot();
-  EXPECT_EQ(allocations_between(constructed, first), 2u);
-  EXPECT_EQ(first.bytes - constructed.bytes, 1000u * 8u + 40u * 16u);
+  EXPECT_EQ(allocations_between(constructed, first), 3u);
+  EXPECT_EQ(first.bytes - constructed.bytes, 8u * 8u + 1024u + 40u * 16u);
   std::uint32_t next = 1;
   auto cycle = [&](int n) {
     for (int i = 0; i < n; ++i) {
@@ -345,12 +478,37 @@ TEST(AllocFree, FileCacheAllocatesItsTablesOnceAtFirstInsert) {
       cache.unpin(f);
     }
   };
-  cycle(200);
+  cycle(1000);  // carves all 8 pages: chunks of 1, 2, 4 and 1 page
+  EXPECT_EQ(cache.audit_snapshot("warm").carved_pages, 8u);
   const AllocSnapshot before = alloc_snapshot();
   cycle(3000);
   EXPECT_EQ(allocations_between(before, alloc_snapshot()), 0u);
   EXPECT_EQ(cache.size(), 40u);
   EXPECT_GT(cache.evictions(), 3000u);
+}
+
+TEST(FileCacheRecords, OneClusterCostsTheDirectoryPlusOneChunk) {
+  if (!alloc_counting_enabled())
+    GTEST_SKIP() << "allocation counting compiled out (sanitizer build)";
+  // On a 1M-file catalog, a cache whose files all fall in one 128-id
+  // page pays the directory (8 B per 128 catalog files), one 1 KiB chunk
+  // and its node pool, not 8 B for every catalog file (8 MB).
+  constexpr std::uint32_t kFiles = 1000000;
+  const storage::BlockMap blocks{workload::FileCatalog(kFiles, megabytes(1)),
+                                 storage::BlockStoreParams{}};
+  storage::FileCache cache(blocks, 40, storage::EvictionPolicy::kLru);
+  const AllocSnapshot before = alloc_snapshot();
+  for (std::uint32_t f = 5 * 128; f < 6 * 128; ++f) {
+    cache.insert(FileId(f));
+    cache.record_access(FileId(f));
+  }
+  const AllocSnapshot after = alloc_snapshot();
+  EXPECT_EQ(allocations_between(before, after), 3u);
+  EXPECT_EQ(after.bytes - before.bytes,
+            (kFiles + 127) / 128 * 8u + 1024u + 40u * 16u);
+  EXPECT_EQ(cache.size(), 40u);
+  EXPECT_EQ(cache.ref_count(FileId(5 * 128)), 1u);
+  EXPECT_EQ(cache.ref_count(FileId(4 * 128)), 0u);  // page never carved
 }
 
 TEST(AllocFree, WarmDataServerCycleAllocatesNothing) {

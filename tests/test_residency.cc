@@ -264,11 +264,13 @@ TEST(ResidencyTable, AuditReportsEveryDriftedPair) {
 
 // --- End to end: eviction under the auditor ------------------------------
 
+// The name comes last: gtest lists an unprintable parameter as its bytes,
+// and a leading std::string would put a heap address into each test name.
 struct EvictionCase {
-  std::string name;
   Algorithm algorithm;
   int choose_n;
   bool tenants;  // three WRR tenants with Poisson arrivals
+  std::string name;
 };
 
 class EvictionUnderAudit : public ::testing::TestWithParam<EvictionCase> {};
@@ -322,13 +324,13 @@ TEST_P(EvictionUnderAudit, EvictsWithoutAnAuditViolation) {
 INSTANTIATE_TEST_SUITE_P(
     Schedulers, EvictionUnderAudit,
     ::testing::Values(
-        EvictionCase{"rest", Algorithm::kRest, 1, false},
-        EvictionCase{"combined", Algorithm::kCombined, 1, false},
-        EvictionCase{"rest2", Algorithm::kRest, 2, false},
-        EvictionCase{"storage_affinity", Algorithm::kStorageAffinity, 1,
-                     false},
-        EvictionCase{"xsufferage", Algorithm::kXSufferage, 1, false},
-        EvictionCase{"rest_wrr3", Algorithm::kRest, 1, true}),
+        EvictionCase{Algorithm::kRest, 1, false, "rest"},
+        EvictionCase{Algorithm::kCombined, 1, false, "combined"},
+        EvictionCase{Algorithm::kRest, 2, false, "rest2"},
+        EvictionCase{Algorithm::kStorageAffinity, 1, false,
+                     "storage_affinity"},
+        EvictionCase{Algorithm::kXSufferage, 1, false, "xsufferage"},
+        EvictionCase{Algorithm::kRest, 1, true, "rest_wrr3"}),
     [](const ::testing::TestParamInfo<EvictionCase>& param_info) {
       return param_info.param.name;
     });
