@@ -35,6 +35,12 @@
 #      scripts/*.sh run as `build/<dir>/<name>` is an `add_executable` or
 #      `wcs_add_*` target of a CMakeLists.txt in the tree. Patterns (a
 #      `*`, `<`, `{` or `$` right after the name) are not checked.
+#  11. every backticked snake_case identifier (a whole backtick span)
+#      on the pages rule 9 scans occurs as a word in the tracked files
+#      under src/, tests/, bench/, tools/, perfbench/, examples/,
+#      scripts/ or .github/, or in a tracked results/*.txt (where
+#      EXPERIMENTS.md's bench_* section names live), so the docs name no
+#      function, member or option the code no longer has.
 #
 #   scripts/check_docs.sh [BUILD_DIR]     # default: build
 #
@@ -285,3 +291,21 @@ if [ "$unbuilt" -ne 0 ]; then
   exit 1
 fi
 echo "ok — every binary the docs, CI and scripts run is a CMake target"
+
+# --- 11. identifiers named in the docs exist ----------------------------------
+unknown=0
+for page in README.md DESIGN.md EXPERIMENTS.md docs/*.md perfbench/README.md; do
+  while IFS=: read -r line name; do
+    name=${name//\`/}
+    if ! git grep -qwF -e "$name" -- src tests bench tools perfbench examples \
+        scripts .github 'results/*.txt'; then
+      echo "$page:$line names \`$name\`, which no tracked source contains" >&2
+      unknown=1
+    fi
+  done < <(grep -noE '`[a-z][a-z0-9]*_[a-z0-9_]*`' "$page" | sort -t: -k2 -u)
+done
+if [ "$unknown" -ne 0 ]; then
+  echo "FAIL — the docs name identifiers the tree does not have (see above)" >&2
+  exit 1
+fi
+echo "ok — every snake_case identifier the docs name occurs in the tree"

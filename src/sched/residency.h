@@ -3,8 +3,8 @@
 // pick and XSufferage's transfer estimate rank tasks by (DESIGN.md
 // §Performance architecture, layer 4). It is modelled once, here:
 //
-//   ResidencyTable  the per-(site, task) counters all three schedulers
-//                   read: the one place their layout lives;
+//   ResidencyTable  the per-(site, task) counters and decision index all
+//                   three schedulers read: the one place they live;
 //   TaskFileIndex   file -> tracked-task rows, so a cache event on file f
 //                   touches exactly the live tasks that read f;
 //   residency()     the brute-force per-task scan: rebuilds a task's
@@ -16,13 +16,17 @@
 #include <cstdint>
 #include <span>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "audit/checkers.h"
 #include "common/check.h"
 #include "common/csr.h"
 #include "common/ids.h"
 #include "common/units.h"
 #include "sched/scheduler.h"
+#include "sched/sharded_index.h"
 #include "storage/file_cache.h"
 #include "workload/job.h"
 
@@ -104,15 +108,32 @@ class TaskFileIndex {
 
 // Per-(site, task) residency counters over the tasks its owner tracks:
 // |F_t| (`files`), ref_t (`refs`) and cached bytes (`bytes`), each a
-// dense site-major column allocated only when the owner asks for it.
-// Per (site, task) pair that is 4 B under overlap/rest (files), 12 B
-// under combined (files + refs) and 8 B under storage affinity and
-// XSufferage (bytes). A cache event moves the counters of every tracked
-// task reading the file, O(1) each, so a tracked task's counters equal
-// residency() against the live caches, which audit_collect() recounts.
-// An untracked task's counters are stale until track().
-class ResidencyTable {
+// dense site-major column allocated only when the owner asks for it:
+// 4 B a pair under overlap/rest (files), 12 B under combined (files +
+// refs), 8 B under storage affinity and XSufferage (bytes). Cache events
+// keep a tracked task's counters equal to residency() against the live
+// caches (audit_collect() recounts them); an untracked task's counters
+// are stale until track(). On request (fill_index) the table also keeps
+// its owner's decision index: one ShardedTaskIndex per site, filing the
+// tracked tasks the owner wants under the (key, rank) its place(site,
+// task) derives from the counters, re-keyed by refresh() once events
+// marked them.
+//
+// `Touched`, the owner's hook (see build()), is given at construction
+// and kept by value, so a site's listener (just the table and the site
+// index) fits std::function's inline buffer and the hook inlines.
+struct NoHook {
+  void operator()(std::size_t, TaskId, const Residency&) const {}
+};
+
+template <typename Touched = NoHook>
+class BasicResidencyTable {
  public:
+  explicit BasicResidencyTable(Touched touched = {}) : touched_(touched) {}
+  // The cache listeners build() installs hold the table's address.
+  BasicResidencyTable(const BasicResidencyTable&) = delete;
+  BasicResidencyTable& operator=(const BasicResidencyTable&) = delete;
+
   // Counter columns, or-ed into build()'s `columns`.
   enum Column : unsigned {
     kFiles = 1u << 0,  // u32 |F_t|: worker-centric
@@ -121,45 +142,35 @@ class ResidencyTable {
   };
 
   // Sizes the requested columns for engine.job() over engine.num_sites()
-  // sites (the engine must outlive the table), tracks in task order every
-  // task `live(task)` accepts, and seeds their counters from the current
-  // cache contents.
+  // sites, tracks in task order every task `live(task)` accepts, seeds
+  // their counters from the current caches, and subscribes to each
+  // site's cache through `engine`, the engine the owner is attached to
+  // (it must outlive the table). Each event (fired after the mutation)
+  // moves the counters of each tracked reader of the file, in row order,
+  // then calls touched(site, task, step) and marks the task if indexed.
+  // `step` is what the event added to each counter, modulo 2^n (an
+  // eviction adds the negation of its insert's step; 0 in the columns
+  // not kept), so an owner moves its aggregates with the same +=.
+  // Without a refs column an access touches nothing.
   template <typename Live>
-  void build(const GridEngine& engine, unsigned columns, Live live) {
+  void build(GridEngine& engine, unsigned columns, Live live) {
     engine_ = &engine;
     columns_ = columns;
     num_sites_ = engine.num_sites();
     num_tasks_ = engine.job().num_tasks();
-    index_.build(engine.job(), live);
+    readers_.build(engine.job(), live);
     const std::size_t pairs = num_sites_ * num_tasks_;
     files_.assign(has(kFiles) ? pairs : 0, 0);
     refs_.assign(has(kRefs) ? pairs : 0, 0);
     bytes_.assign(has(kBytes) ? pairs : 0, 0);
-    for (std::size_t s = 0; s < num_sites_; ++s)
-      index_.for_each_resident(cache_of(s), [&](FileId f, TaskId t) {
+    shards_.clear();
+    for (std::size_t s = 0; s < num_sites_; ++s) {
+      readers_.for_each_resident(cache_of(s), [&](FileId f, TaskId t) {
         add(at(s, t), insert_step(s, f));
       });
-  }
-
-  // Applies one cache event at `site` (the listener fires after the cache
-  // mutated) to every tracked task reading `file`, in index row order,
-  // calling touched(task, step) after that task's counters moved. `step`
-  // is what the event added to each counter, modulo 2^n (an eviction adds
-  // the negation of its insert's step), 0 in the columns not kept, so an
-  // owner moves its own aggregates with the same +=. An access only bumps
-  // r_i, so without a refs column it touches nothing.
-  template <typename Touched>
-  void on_cache_event(SiteId site, storage::CacheEvent event, FileId file,
-                      Touched&& touched) {
-    if (event == storage::CacheEvent::kAccessed && !has(kRefs)) return;
-    const std::size_t s = site.value();
-    Residency step{.refs = 1};  // kAccessed: r_i grew by exactly one
-    if (event != storage::CacheEvent::kAccessed) step = insert_step(s, file);
-    if (event == storage::CacheEvent::kEvicted)
-      step = {0u - step.files, 0u - step.bytes, 0u - step.refs};
-    for (TaskId t : index_.tasks_of(file)) {
-      add(at(s, t), step);
-      touched(t, step);
+      engine.set_cache_listener(
+          SiteId(static_cast<SiteId::underlying_type>(s)),
+          [this, s](storage::CacheEvent e, FileId f) { on_event(s, e, f); });
     }
   }
 
@@ -173,10 +184,13 @@ class ResidencyTable {
       if (has(kRefs)) refs_[i] = r.refs;
       if (has(kBytes)) bytes_[i] = r.bytes;
     }
-    index_.track(task);
+    readers_.track(task);
   }
-  // Cache events stop touching `task`, which must be tracked.
-  void untrack(TaskId task) { index_.untrack(task); }
+  // Cache events stop touching `task` (tracked, and not indexed).
+  void untrack(TaskId task) {
+    WCS_DCHECK(!indexed(task));
+    readers_.untrack(task);
+  }
 
   // A tracked task's counters at site index `site`. files() and bytes()
   // need their column; refs() reads 0 without one.
@@ -198,7 +212,7 @@ class ResidencyTable {
                      std::vector<audit::Violation>& out) const {
     for (std::size_t s = 0; s < num_sites_; ++s)
       for (std::size_t i = 0; i < num_tasks_; ++i) {
-        const TaskId t(static_cast<TaskId::underlying_type>(i));
+        const TaskId t = task_id(i);
         if (!tracked(t)) continue;
         const Residency r = residency(cache_of(s), engine_->job(), t);
         const Residency live{has(kFiles) ? files(s, t) : r.files,
@@ -214,7 +228,116 @@ class ResidencyTable {
       }
   }
 
+  // --- Decision index ----------------------------------------------------
+  // `place(site, task)` is the (key, rank) the owner files a task under
+  // at site index `site`; `want(task)` is whether it files the task.
+
+  // One index per site over keys [0, num_keys), ties as `prefer_high_id`
+  // selects (ShardedTaskIndex::EntryOrder), filing every tracked task
+  // `want` accepts, each bucket reserved to its population first.
+  template <typename Want, typename Place>
+  void fill_index(std::size_t num_keys, bool prefer_high_id, Want want,
+                  Place place) {
+    shards_.assign(num_sites_, ShardedTaskIndex(prefer_high_id));
+    std::vector<std::size_t> per_key;
+    for (std::size_t s = 0; s < num_sites_; ++s) {
+      per_key.assign(num_keys, 0);
+      for (std::size_t i = 0; i < num_tasks_; ++i)
+        if (want(task_id(i))) ++per_key[place(s, task_id(i)).first];
+      shards_[s].reset(num_tasks_, num_keys);
+      for (std::size_t key = 0; key < num_keys; ++key)
+        shards_[s].reserve(key, per_key[key]);
+    }
+    for (std::size_t i = 0; i < num_tasks_; ++i)
+      if (want(task_id(i))) index(task_id(i), place);
+  }
+
+  // Files a tracked, unindexed task at every site.
+  template <typename Place>
+  void index(TaskId task, Place place) {
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      const auto [key, rank] = place(s, task);
+      shards_[s].insert(task, key, rank);
+    }
+  }
+  // Erases an indexed task at every site.
+  void unindex(TaskId task) {
+    for (ShardedTaskIndex& shard : shards_) shard.erase(task);
+  }
+  // Every site files the same tasks, so site 0 answers for all.
+  [[nodiscard]] bool indexed(TaskId task) const {
+    return !shards_.empty() && shards_[0].contains(task);
+  }
+  [[nodiscard]] std::size_t index_keys() const {
+    return shards_.empty() ? 0 : shards_[0].num_keys();
+  }
+
+  // Re-keys the tasks cache events marked at `site`. Const: the index
+  // caches the counters, and const decision and audit paths refresh it.
+  template <typename Place>
+  void refresh(std::size_t site, Place place) const {
+    shards_[site].refresh([&](TaskId task) { return place(site, task); });
+  }
+  // ShardedTaskIndex::walk over a refreshed site's index.
+  template <typename Fn>
+  void walk(std::size_t site, std::uint64_t key, Fn&& fn) const {
+    shards_[site].walk(key, std::forward<Fn>(fn));
+  }
+
+  // Refreshes every site's index and appends a sharded-index violation
+  // for each structural defect, wanted task missing, indexed task not
+  // wanted, and entry whose key or rank differs from `place`.
+  template <typename Want, typename Place>
+  void audit_index(Want want, Place place,
+                   std::vector<audit::Violation>& out) const {
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      refresh(s, place);
+      const ShardedTaskIndex& shard = shards_[s];
+      audit::ShardedIndexSnapshot snap;
+      snap.label = "site " + std::to_string(s) + " index";
+      snap.indexed = shard.size();
+      snap.defects = shard.structural_defects();
+      for (std::size_t i = 0; i < num_tasks_; ++i) {
+        const TaskId t = task_id(i);
+        const bool wanted = want(t);
+        snap.expected += wanted ? 1 : 0;
+        std::string defect;
+        if (wanted != shard.contains(t)) {
+          defect =
+              wanted ? " wanted but not indexed" : " indexed but not wanted";
+        } else if (wanted) {
+          const auto [key, rank] = place(s, t);
+          if (shard.key_of(t) != key || shard.rank_of(t) != rank)
+            defect = " filed under key " + std::to_string(shard.key_of(t)) +
+                     " / rank " + std::to_string(shard.rank_of(t)) +
+                     " but its place is " + std::to_string(key) + " / " +
+                     std::to_string(rank);
+        }
+        if (!defect.empty())
+          snap.defects.push_back("task " + std::to_string(i) + defect);
+      }
+      audit::check_sharded_index(snap, out);
+    }
+  }
+
  private:
+  // Applies one cache event at site index `s` (see build()).
+  void on_event(std::size_t s, storage::CacheEvent event, FileId file) {
+    if (event == storage::CacheEvent::kAccessed && !has(kRefs)) return;
+    Residency step{.refs = 1};  // kAccessed: r_i grew by exactly one
+    if (event != storage::CacheEvent::kAccessed) step = insert_step(s, file);
+    if (event == storage::CacheEvent::kEvicted)
+      step = {0u - step.files, 0u - step.bytes, 0u - step.refs};
+    ShardedTaskIndex* shard = shards_.empty() ? nullptr : &shards_[s];
+    for (TaskId t : readers_.tasks_of(file)) {
+      add(at(s, t), step);
+      touched_(s, t, step);
+      if (shard != nullptr && shard->contains(t)) shard->mark(t);
+    }
+  }
+  [[nodiscard]] static TaskId task_id(std::size_t i) {
+    return TaskId(static_cast<TaskId::underlying_type>(i));
+  }
   [[nodiscard]] bool has(Column c) const { return (columns_ & c) != 0; }
   [[nodiscard]] std::size_t at(std::size_t site, TaskId task) const {
     return site * num_tasks_ + task.value();
@@ -239,14 +362,21 @@ class ResidencyTable {
   }
 
   const GridEngine* engine_ = nullptr;
+  Touched touched_;
   unsigned columns_ = 0;
   std::size_t num_sites_ = 0;
   std::size_t num_tasks_ = 0;
-  TaskFileIndex index_;
+  TaskFileIndex readers_;
   std::vector<std::uint32_t> files_;  // [site * num_tasks + task]
   std::vector<std::uint64_t> refs_;
   std::vector<Bytes> bytes_;
+  // One decision index per site once fill_index() ran, else empty.
+  // Mutable: refresh() re-keys from const paths (see there).
+  mutable std::vector<ShardedTaskIndex> shards_;
 };
+
+// The table of an owner with no per-event aggregates of its own.
+using ResidencyTable = BasicResidencyTable<>;
 
 // Unassigned tasks: a membership flag per task id plus a dense list for
 // scanning, each task's list position kept beside it. Removal swaps the

@@ -48,14 +48,12 @@ class GridEngine {
 
   // Register interest in one site's cache mutations (at most one
   // listener per site — exactly one scheduler drives a run, and it owns
-  // the slot). Each data-aware scheduler subscribes to keep its residency
-  // table (sched/residency.h) current; worker-centric and storage
-  // affinity also mark the tasks an event touches in their sharded
-  // pending-task index and re-key the marked tasks at the next decision
-  // that walks it. Notifications fire synchronously
-  // inside the cache mutation, i.e. strictly before the next scheduling
-  // decision (see grid/control_plane.cc for the event ordering this
-  // guarantees).
+  // the slot). The one caller is the residency table's build()
+  // (sched/residency.h), which keeps the counters and the per-site
+  // decision index of the data-aware schedulers current. Notifications
+  // fire synchronously inside the cache mutation, i.e. strictly before
+  // the next scheduling decision (see grid/control_plane.cc for the
+  // event ordering this guarantees).
   virtual void set_cache_listener(SiteId site,
                                   storage::CacheListener listener) = 0;
 

@@ -31,10 +31,9 @@
 // index.
 //
 // COHERENCE INVARIANT: after refresh(), the index holds exactly the
-// schedulable task set, and each entry's (key, rank) equals what a
-// brute-force recompute from the live cache would produce. Under --audit,
-// check_sharded_index (audit/checkers.h) refreshes and then checks every
-// entry against the counters, which index-coherence recounts, each sweep.
+// schedulable task set, each entry keyed and ranked from the live
+// counters. Under --audit the owning ResidencyTable's audit_index()
+// checks that every sweep.
 //
 // EQUIVALENCE INVARIANT: along a walk the scheduler's weight is
 // non-increasing for every metric (the rest term is constant inside a

@@ -20,48 +20,23 @@ void StorageAffinityScheduler::on_job_submitted() {
   orphans_.reset(num_tasks);
   // Seed the byte counters from current cache contents and subscribe to
   // cache notifications BEFORE any assignment, so no mutation can slip
-  // past them; an event marks the indexed tasks it touches.
+  // past them.
   residency_.build(engine(), ResidencyTable::kBytes,
                    [](TaskId) { return true; });
-  replica_index_.assign(engine().num_sites(),
-                        ShardedTaskIndex(/*prefer_high_id=*/true));
-  for (std::size_t s = 0; s < replica_index_.size(); ++s) {
-    SiteId site(static_cast<SiteId::underlying_type>(s));
-    replica_index_[s].reset(num_tasks, /*num_keys=*/1);
-    engine().set_cache_listener(
-        site, [this, site](storage::CacheEvent e, FileId f) {
-          ShardedTaskIndex& shard = replica_index_[site.value()];
-          residency_.on_cache_event(site, e, f,
-                                    [&](TaskId t, const Residency&) {
-                                      if (shard.contains(t)) shard.mark(t);
-                                    });
-        });
-  }
   distribute_all();
-  // Seed replica-index membership now that every task holds exactly one
+  // File the replicable tasks now that every task holds exactly one
   // instance (distribute_all places all of them; no cache events fire
   // synchronously during assignment, so the byte counters are current).
-  for (std::size_t i = 0; i < num_tasks; ++i)
-    sync_replicable(TaskId(static_cast<TaskId::underlying_type>(i)));
-}
-
-void StorageAffinityScheduler::refresh_replica_index(std::size_t s) const {
-  replica_index_[s].refresh([&](TaskId task) {
-    return std::pair<std::uint64_t, std::uint64_t>{
-        0, residency_.bytes(s, task)};
-  });
+  residency_.fill_index(/*num_keys=*/1, /*prefer_high_id=*/true,
+                        [this](TaskId t) { return replicable(t); }, place());
 }
 
 void StorageAffinityScheduler::sync_replicable(TaskId task) {
-  const bool want = replicable(task);
-  for (std::size_t s = 0; s < replica_index_.size(); ++s) {
-    ShardedTaskIndex& shard = replica_index_[s];
-    if (want == shard.contains(task)) continue;
-    if (want)
-      shard.insert(task, 0, residency_.bytes(s, task));
-    else
-      shard.erase(task);
-  }
+  if (replicable(task) == residency_.indexed(task)) return;
+  if (residency_.indexed(task))
+    residency_.unindex(task);
+  else
+    residency_.index(task, place());
 }
 
 void StorageAffinityScheduler::distribute_all() {
@@ -194,14 +169,13 @@ TaskId StorageAffinityScheduler::replica_pick(WorkerId worker) const {
   // instance on this worker are skipped in place — the first acceptable
   // entry IS the scan's argmax.
   const std::size_t site = engine().site_of(worker).value();
-  refresh_replica_index(site);
+  residency_.refresh(site, place());
   TaskId pick = TaskId::invalid();
-  replica_index_[site].walk(
-      0, [&](const ShardedTaskIndex::Entry& e) {
-        if (placements_[e.task.value()].contains(worker)) return true;
-        pick = e.task;
-        return false;
-      });
+  residency_.walk(site, 0, [&](const ShardedTaskIndex::Entry& e) {
+    if (placements_[e.task.value()].contains(worker)) return true;
+    pick = e.task;
+    return false;
+  });
   return pick;
 }
 
@@ -271,7 +245,7 @@ void StorageAffinityScheduler::on_worker_failed(
 void StorageAffinityScheduler::on_task_completed(TaskId task,
                                                  WorkerId worker) {
   completed_[task.value()] = 1;
-  sync_replicable(task);     // completed: leaves every replica index
+  sync_replicable(task);     // completed: leaves the index
   residency_.untrack(task);  // cache events stop touching it
   for (WorkerId w : placements_[task.value()]) {
     if (w == worker) continue;
@@ -282,42 +256,13 @@ void StorageAffinityScheduler::on_task_completed(TaskId task,
 
 void StorageAffinityScheduler::audit_collect(
     std::vector<audit::Violation>& out) const {
-  if (replica_index_.empty()) return;  // before on_job_submitted()
+  if (placements_.empty()) return;  // before on_job_submitted()
   residency_.audit_collect(
       [this](TaskId t) { return !completed_[t.value()]; }, out);
-
-  for (std::size_t s = 0; s < replica_index_.size(); ++s) {
-    refresh_replica_index(s);
-    const ShardedTaskIndex& shard = replica_index_[s];
-
-    audit::ShardedIndexSnapshot snap;
-    snap.label = "site " + std::to_string(s) + " replica index";
-    snap.indexed = shard.size();
-    snap.defects = shard.structural_defects();
-    std::size_t expected = 0;
-    for (std::size_t i = 0; i < placements_.size(); ++i) {
-      const TaskId t(static_cast<TaskId::underlying_type>(i));
-      const bool want = replicable(t);
-      if (want) ++expected;
-      if (want != shard.contains(t)) {
-        std::ostringstream os;
-        os << "task " << t << (want ? " replicable but not indexed"
-                                    : " indexed but not replicable");
-        snap.defects.push_back(os.str());
-        continue;
-      }
-      if (!want) continue;
-      // Rank vs the byte counter, which the table's audit recounts.
-      if (shard.rank_of(t) != residency_.bytes(s, t)) {
-        std::ostringstream os;
-        os << "task " << t << " ranked at " << shard.rank_of(t)
-           << " bytes but its counter holds " << residency_.bytes(s, t);
-        snap.defects.push_back(os.str());
-      }
-    }
-    snap.expected = expected;
-    audit::check_sharded_index(snap, out);
-  }
+  // Every site's index vs the byte counters, which the table's audit
+  // above recounts: it must file exactly the replicable tasks.
+  residency_.audit_index([this](TaskId t) { return replicable(t); }, place(),
+                         out);
 
   // Orphan set vs the placement table.
   audit::ShardedIndexSnapshot orphan_snap;

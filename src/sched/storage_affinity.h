@@ -29,17 +29,11 @@
 //
 // Complexity: the replica pick is the hot path (it runs on every idle
 // transition for the rest of the run). A brute-force pick rescans every
-// task with residency(), the per-task scan the data-aware schedulers
-// share (sched/residency.h): O(T * I) per request, kept only as the
-// oracle reference_pick(). The live path reads per-(site, task) cached
-// bytes from the one residency table the data-aware schedulers share
-// (ResidencyTable, 8 B per pair), kept current from cache events, and
-// keeps a per-site sharded index (sharded_index.h) over the replicable
-// set — one heap, rank = bytes, ties toward the highest task id, as the
-// scan breaks them — so a request walks the heap best-first and picks
-// the identical task. A cache event only marks the indexed tasks it
-// touches; replica_pick() refreshes the site's heap before walking it,
-// so a task is re-filed once per pick, not per event.
+// task with residency() (sched/residency.h): O(T * I) per request, kept
+// only as the oracle reference_pick(). The live path walks the per-site
+// index of the residency table the data-aware schedulers share: one heap
+// of the replicable set ranked by cached bytes, ties toward the highest
+// task id as the scan breaks them, so the walk picks the identical task.
 // Orphan pickup keeps an ordered id set matching the scan's
 // lowest-id-first order. --audit cross-validates counters, heap ranks,
 // the orphan set, and every live worker's replica_pick() against
@@ -49,6 +43,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/dense_id_set.h"
@@ -92,8 +87,8 @@ class StorageAffinityScheduler final : public Scheduler {
   }
 
   // Invariant audit: recounts the residency table's cached bytes against
-  // the live caches, and cross-validates each site's replica index
-  // against those counters, the orphan set against the placement table,
+  // the live caches, and cross-validates each site's index against those
+  // counters, the orphan set against the placement table,
   // and replica_pick() against reference_pick() for every live worker.
   void audit_collect(std::vector<audit::Violation>& out) const override;
 
@@ -122,15 +117,21 @@ class StorageAffinityScheduler final : public Scheduler {
   void distribute_all();
 
   // --- Sharded replica index (see file comment) -------------------------
-  // Re-keys the tasks cache events marked in site `s`'s replica index.
-  void refresh_replica_index(std::size_t s) const;
-  // Incomplete, with at least one instance and below max_replicas.
+  // The residency table's `place`: (key, rank) of a replicable task at
+  // site `s`, one key ranked by cached bytes.
+  [[nodiscard]] auto place() const {
+    return [this](std::size_t s, TaskId task) {
+      return std::pair{std::uint64_t{0}, residency_.bytes(s, task)};
+    };
+  }
+  // Incomplete, with at least one instance and below max_replicas: the
+  // tasks the index files.
   [[nodiscard]] bool replicable(TaskId task) const {
     const auto& instances = placements_[task.value()];
     return !completed_[task.value()] && !instances.empty() &&
            instances.size() < static_cast<std::size_t>(params_.max_replicas);
   }
-  // Re-derives `task`'s membership in every site's replica index.
+  // Re-derives `task`'s membership in the index.
   void sync_replicable(TaskId task);
 
   StorageAffinityParams params_;
@@ -142,11 +143,8 @@ class StorageAffinityScheduler final : public Scheduler {
 
   // Cached bytes per (site, task), exact for INCOMPLETE tasks only
   // (untracked on completion), so cache events stop touching finished
-  // tasks.
+  // tasks. Its per-site index (high-id ties) files the replicable tasks.
   ResidencyTable residency_;
-  // Per site, high-id ties. Mutable: the index is a cache of the
-  // table's bytes, and the const pick and audit paths refresh it.
-  mutable std::vector<ShardedTaskIndex> replica_index_;
   // Incomplete tasks with no live instance, as a bitmap whose
   // lowest-member query matches the scan's lowest-id-first pickup.
   common::DenseIdSet orphans_;

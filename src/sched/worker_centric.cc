@@ -75,57 +75,20 @@ void WorkerCentricScheduler::on_job_submitted() {
   placements_.assign(num_tasks, {});
   completed_.assign(num_tasks, 0);
 
-  sites_.assign(engine().num_sites(), SiteIndex{});
-  shards_.assign(engine().num_sites(), ShardedTaskIndex{});
-  const std::size_t num_keys = combined ? max_task_size + std::size_t{1} : 1;
-  std::vector<std::size_t> per_key;  // initial bucket sizes, one site
-  for (std::size_t s = 0; s < sites_.size(); ++s) {
-    SiteId site(static_cast<SiteId::underlying_type>(s));
-    SiteIndex& idx = sites_[s];
-    // Seed the incremental aggregates over the initially-pending bag
-    // (every task, in a closed run), and file it in the shard with each
-    // bucket sized once up front (the overlap / rest key is 0; combined
-    // keys are missing counts). Then subscribe to incremental updates.
-    idx.missing_hist.assign(max_task_size + 1, 0);
-    per_key.assign(num_keys, 0);
+  // Seed the incremental aggregates over the initially-pending bag
+  // (every task, in a closed run), and file it in the index (the overlap
+  // / rest key is 0; combined keys are missing counts).
+  sites_.assign(engine().num_sites(),
+                SiteIndex{0, std::vector<std::uint32_t>(max_task_size + 1)});
+  for (std::size_t s = 0; s < sites_.size(); ++s)
     for (TaskId t : pending_) {
-      idx.total_ref += residency_.refs(s, t);
-      ++idx.missing_hist[missing_of(s, t)];
-      ++per_key[shard_place(s, t).first];
+      sites_[s].total_ref += residency_.refs(s, t);
+      ++sites_[s].missing_hist[missing_of(s, t)];
     }
-    ShardedTaskIndex& shard = shards_[s];
-    shard.reset(num_tasks, num_keys);
-    for (std::size_t key = 0; key < num_keys; ++key)
-      shard.reserve(key, per_key[key]);
-    for (TaskId t : pending_) {
-      const auto [key, rank] = shard_place(s, t);
-      shard.insert(t, key, rank);
-    }
-    engine().set_cache_listener(
-        site, [this, site](storage::CacheEvent e, FileId f) {
-          on_cache_event(site, e, f);
-        });
-  }
-}
-
-void WorkerCentricScheduler::on_cache_event(SiteId site,
-                                            storage::CacheEvent event,
-                                            FileId file) {
-  // The table tracks exactly the pending bag, so each task it hands back
-  // moves the site's totals and is marked in the site's shard, which
-  // re-keys it at the site's next decision.
-  const std::size_t s = site.value();
-  SiteIndex& idx = sites_[s];
-  ShardedTaskIndex& shard = shards_[s];
-  const auto touched = [&](TaskId t, const Residency& step) {
-    // The task had missing + step.files files missing (mod 2^32).
-    const std::uint32_t missing = missing_of(s, t);
-    --idx.missing_hist[missing + step.files];
-    ++idx.missing_hist[missing];
-    idx.total_ref += step.refs;
-    shard.mark(t);
-  };
-  residency_.on_cache_event(site, event, file, touched);
+  residency_.fill_index(combined ? max_task_size + std::size_t{1} : 1,
+                        /*prefer_high_id=*/false,
+                        [this](TaskId t) { return pending_.contains(t); },
+                        shard_place());
 }
 
 std::pair<double, double> WorkerCentricScheduler::scan_totals(
@@ -325,9 +288,7 @@ std::vector<Candidate> WorkerCentricScheduler::candidates(SiteId site) const {
 void WorkerCentricScheduler::fill_candidates(
     SiteId site, std::vector<Candidate>& out) const {
   const std::size_t s = site.value();
-  refresh_shard(s);
-  const ShardedTaskIndex& shard = shards_[s];
-  WCS_DCHECK_EQ(shard.size(), pending_.size());
+  residency_.refresh(s, shard_place());
 
   double total_ref = 0;
   double total_rest = 0;
@@ -343,8 +304,8 @@ void WorkerCentricScheduler::fill_candidates(
   // combined mixes a normalized ref term with the rest term, so no
   // missing count dominates and each bucket is walked (B <= max |t| + 1,
   // a workload constant).
-  for (std::uint64_t key = 0; key < shard.num_keys(); ++key)
-    shard.walk(key, [&](const ShardedTaskIndex::Entry& e) {
+  for (std::uint64_t key = 0; key < residency_.index_keys(); ++key)
+    residency_.walk(s, key, [&](const ShardedTaskIndex::Entry& e) {
       return topn.offer(
           {weight_of(s, e.task, total_ref, total_rest), e.task});
     });
@@ -352,14 +313,14 @@ void WorkerCentricScheduler::fill_candidates(
 
 void WorkerCentricScheduler::assign_pending(TaskId task, WorkerId worker) {
   pending_.erase(task);
-  // The task leaves every site's pending aggregates (and shard).
+  // The task leaves every site's pending aggregates and the table.
   for (std::size_t s = 0; s < sites_.size(); ++s) {
     SiteIndex& idx = sites_[s];
     idx.total_ref -= residency_.refs(s, task);
     WCS_DCHECK(idx.missing_hist[missing_of(s, task)] > 0);
     --idx.missing_hist[missing_of(s, task)];
-    shards_[s].erase(task);
   }
+  residency_.unindex(task);
   residency_.untrack(task);  // cache events stop touching it
   placements_[task.value()].push_back(worker);
   engine().assign_task(task, worker);
@@ -426,15 +387,14 @@ void WorkerCentricScheduler::re_add_pending(TaskId task) {
   WCS_CHECK(!completed_[task.value()]);
   // Rebuild the per-site counters against the LIVE cache state (they went
   // stale the moment the task left the table); the task then re-enters
-  // every site's pending aggregates and shard.
+  // every site's pending aggregates and the index.
   residency_.track(task);
   for (std::size_t s = 0; s < sites_.size(); ++s) {
     SiteIndex& idx = sites_[s];
     idx.total_ref += residency_.refs(s, task);
     ++idx.missing_hist[missing_of(s, task)];
-    const auto [key, rank] = shard_place(s, task);
-    shards_[s].insert(task, key, rank);
   }
+  residency_.index(task, shard_place());
   pending_.insert(task);
 }
 
@@ -449,16 +409,17 @@ void WorkerCentricScheduler::feed_starving() {
 
 void WorkerCentricScheduler::audit_collect(
     std::vector<audit::Violation>& out) const {
-  residency_.audit_collect(
-      [this](TaskId t) { return pending_.contains(t); }, out);
+  const auto pending = [this](TaskId t) { return pending_.contains(t); };
+  residency_.audit_collect(pending, out);
+  // Every site's index vs the counters the table's audit above recounts:
+  // it must file exactly the pending bag, as shard_place() keys it.
+  residency_.audit_index(pending, shard_place(), out);
   for (std::size_t s = 0; s < sites_.size(); ++s) {
     const SiteId site(static_cast<SiteId::underlying_type>(s));
     const SiteIndex& idx = sites_[s];
-
     // Incremental aggregates vs the full scan over pending tasks (not
     // through totals(), which would re-run its own debug cross-check).
     const auto [scan_ref, scan_rest] = scan_totals(s);
-
     audit::IndexTotalsSnapshot totals_snap;
     totals_snap.label = "site " + std::to_string(s);
     totals_snap.incremental_ref = static_cast<double>(idx.total_ref);
@@ -467,43 +428,18 @@ void WorkerCentricScheduler::audit_collect(
     totals_snap.scanned_rest = scan_rest;
     audit::check_index_coherence(totals_snap, out);
 
-    // The shard once refreshed vs the table's counters (which the table's
-    // audit above recounts against residency()): it must hold exactly the
-    // pending bag, each entry keyed/ranked as the counters dictate.
-    refresh_shard(s);
-    const ShardedTaskIndex& shard = shards_[s];
-    audit::ShardedIndexSnapshot shard_snap;
-    shard_snap.label = "site " + std::to_string(s) + " shard";
-    shard_snap.indexed = shard.size();
-    shard_snap.expected = pending_.size();
-    shard_snap.defects = shard.structural_defects();
-    for (TaskId t : pending_) {
-      const auto [key, rank] = shard_place(s, t);
-      if (!shard.contains(t)) {
-        std::ostringstream os;
-        os << "pending task " << t << " missing from the shard";
-        shard_snap.defects.push_back(os.str());
-      } else if (shard.key_of(t) != key || shard.rank_of(t) != rank) {
-        std::ostringstream os;
-        os << "task " << t << " filed under key " << shard.key_of(t)
-           << " / rank " << shard.rank_of(t) << " but its counters want "
-           << key << " / " << rank;
-        shard_snap.defects.push_back(os.str());
-      }
-    }
     // Decision coherence: the index walk's top-n must equal the flat
     // scan's, bitwise, before any RNG draw.
     const std::vector<Candidate> live = candidates(site);
     const std::vector<Candidate> reference = reference_candidates(site);
-    if (!same_bits(live, reference)) {
-      std::ostringstream os;
-      os << "ChooseTask(" << params_.choose_n << ") candidates ";
-      describe(os, live);
-      os << " differ from the reference scan ";
-      describe(os, reference);
-      shard_snap.defects.push_back(os.str());
-    }
-    audit::check_sharded_index(shard_snap, out);
+    if (same_bits(live, reference)) continue;
+    std::ostringstream os;
+    os << "site " << s << " ChooseTask(" << params_.choose_n
+       << ") candidates ";
+    describe(os, live);
+    os << " differ from the reference scan ";
+    describe(os, reference);
+    out.push_back(audit::Violation{"sharded-index", os.str()});
   }
 }
 

@@ -31,28 +31,23 @@
 //   2. the combined metric's totalRef/totalRest aggregates (exact
 //      integer sum + missing-count histogram) make the normalizers O(1)
 //      per decision instead of a second O(T) scan;
-//   3. a sharded pending-task index (sharded_index.h) — per site, one
+//   3. the same table's per-site sharded index (sharded_index.h) — one
 //      heap ranked in weight order (overlap, rest) or one heap per
-//      missing count |t| - |F_t| ranked by ref_t (combined) — resolves
-//      ChooseTask(n) by a best-first walk that stops after the top n
-//      instead of scanning the pending bag.
+//      missing count |t| - |F_t| ranked by ref_t (combined), as
+//      shard_place() files each pending task — resolves ChooseTask(n) by
+//      a best-first walk that stops after the top n instead of scanning
+//      the pending bag.
 //
-// A cache event costs O(1) per pending task sharing the file: the table
-// bumps its counters, and this scheduler's hook moves the aggregates and
-// marks the task in the site's shard.
-// The heaps are re-filed only when a worker of that site asks for work:
-// candidates() refreshes the shard first, re-keying each marked task
-// once, so heap upkeep scales with decisions, not with cache events.
+// A cache event costs O(1) per pending task sharing the file (the table
+// moves the counters and marks the task, this scheduler's hook moves
+// the aggregates); a decision re-keys its site's marked tasks once.
 //
 // The semantics are byte-identical at every layer: tests cross-check
-// weights against the naive computation over residency(), the shared
-// per-task scan, and --audit recounts every counter against residency(),
-// every index entry against the counters, every aggregate against a
-// pending-bag scan, and every site's top-n candidates against
-// reference_candidates(), the flat O(|pending|) scan kept as the
-// decision oracle. The property suite
-// replays random interleavings and runs that comparison after every
-// operation.
+// weights against residency(), the shared per-task scan; --audit
+// recounts the counters, index entries and aggregates and compares every
+// site's top-n with reference_candidates(), the flat O(|pending|) scan
+// kept as the decision oracle, as the property suite does after every
+// operation of random interleavings.
 #pragma once
 
 #include <cstdint>
@@ -112,7 +107,7 @@ class WorkerCentricScheduler final : public Scheduler {
                         const std::vector<TaskId>& lost) override;
   // Open-system arrivals: each task enters the pending bag exactly like
   // a crash re-home (per-site counters rebuilt against the live cache,
-  // aggregate / shard / inverted-index re-insertion), then starving
+  // aggregate, index and file -> task row re-insertion), then starving
   // workers are fed.
   void on_tasks_arrived(const std::vector<TaskId>& tasks) override;
   [[nodiscard]] bool supports_arrivals() const override { return true; }
@@ -121,9 +116,9 @@ class WorkerCentricScheduler final : public Scheduler {
   // Invariant audit: cross-validates every site's incremental aggregates
   // (total_ref + missing-count histogram) against the O(|pending|) scan,
   // the residency table's counters against residency() on the live
-  // cache, the shard against those counters, and candidates() against
-  // reference_candidates(), bitwise. The aggregate check is the auditable
-  // promotion of the debug-only WCS_DCHECK in totals().
+  // cache, every site's index against those counters, and candidates()
+  // against reference_candidates(), bitwise. The aggregate check is the
+  // auditable promotion of the debug-only WCS_DCHECK in totals().
   void audit_collect(std::vector<audit::Violation>& out) const override;
 
   // --- Introspection (tests, examples) ---------------------------------
@@ -188,10 +183,21 @@ class WorkerCentricScheduler final : public Scheduler {
                                                // m files missing at the site
   };
 
-  // Moves the site's aggregates and shard marks for each touched task.
-  void on_cache_event(SiteId site, storage::CacheEvent event, FileId file);
-  // Takes `task` out of the bag (and every site's aggregates, shard and
-  // the residency table) and assigns it to `worker`.
+  // The residency table's hook: moves site `s`'s aggregates for a pending
+  // task that had missing + step.files files missing (mod 2^32).
+  struct MoveAggregates {
+    WorkerCentricScheduler* self = nullptr;
+    void operator()(std::size_t s, TaskId task, const Residency& step) const {
+      SiteIndex& idx = self->sites_[s];
+      const std::uint32_t missing = self->missing_of(s, task);
+      --idx.missing_hist[missing + step.files];
+      ++idx.missing_hist[missing];
+      idx.total_ref += step.refs;
+    }
+  };
+
+  // Takes `task` out of the bag (and every site's aggregates and the
+  // residency table) and assigns it to `worker`.
   void assign_pending(TaskId task, WorkerId worker);
   // CalculateWeight() of a task with `overlap` of its `size` files at the
   // site and ref-sum `ref_sum`, given the site's totals: the one formula
@@ -232,22 +238,21 @@ class WorkerCentricScheduler final : public Scheduler {
   [[nodiscard]] TaskId choose_task(SiteId site);
 
   // --- Sharded pending-task index (layer 3; see file comment) ----------
-  // (key, rank) of a pending task at site `s`. Combined: key = missing
-  // count, rank = ref_t (weight is strictly increasing in ref_t at a
-  // fixed missing count). Overlap and rest: key 0, rank = |F_t|, resp.
-  // UINT32_MAX - missing count, so one heap holds the weight order itself.
-  [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> shard_place(
-      std::size_t s, TaskId task) const {
-    const std::uint32_t missing = missing_of(s, task);
-    if (params_.metric == Metric::kCombined)
-      return {missing, residency_.refs(s, task)};
-    return {0, params_.metric == Metric::kOverlap
-                   ? residency_.files(s, task)
-                   : std::uint64_t{UINT32_MAX} - missing};
-  }
-  // Re-keys the tasks cache events marked in site `s`'s shard.
-  void refresh_shard(std::size_t s) const {
-    shards_[s].refresh([&](TaskId task) { return shard_place(s, task); });
+  // The residency table's `place`: (key, rank) of a pending task at site
+  // `s`. Combined: key = missing count, rank = ref_t (weight is strictly
+  // increasing in ref_t at a fixed missing count). Overlap and rest: key
+  // 0, rank = |F_t|, resp. UINT32_MAX - missing count, so one heap holds
+  // the weight order itself.
+  [[nodiscard]] auto shard_place() const {
+    return [this](std::size_t s,
+                  TaskId task) -> std::pair<std::uint64_t, std::uint64_t> {
+      const std::uint32_t missing = missing_of(s, task);
+      if (params_.metric == Metric::kCombined)
+        return {missing, residency_.refs(s, task)};
+      return {0, params_.metric == Metric::kOverlap
+                     ? residency_.files(s, task)
+                     : std::uint64_t{UINT32_MAX} - missing};
+    };
   }
 
   // Replication phase (only when params_.replicate_when_idle). Returns
@@ -261,14 +266,11 @@ class WorkerCentricScheduler final : public Scheduler {
   WorkerCentricParams params_;
   Rng rng_;
   std::vector<SiteIndex> sites_;
-  // One shard per site, holding exactly the pending bag filed by
-  // shard_place once refreshed. Mutable: a shard is a cache of the
-  // counters, and the const decision and audit paths refresh it.
-  mutable std::vector<ShardedTaskIndex> shards_;
   // |F_t| (and ref_t under combined) per (site, task), exact for exactly
   // the pending bag: untracked on assignment, tracked again on a crash
-  // re-add or an arrival.
-  ResidencyTable residency_;
+  // re-add or an arrival. Its per-site index files exactly the pending
+  // bag under shard_place() once refreshed.
+  BasicResidencyTable<MoveAggregates> residency_{MoveAggregates{this}};
   std::vector<std::uint32_t> task_size_;  // |t| per task
   PendingBag pending_;
   // Replication bookkeeping (kept even when replication is off: the

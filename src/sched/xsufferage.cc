@@ -22,15 +22,6 @@ void XSufferageScheduler::on_job_submitted() {
   }
   avg_task_bytes_ = num_tasks ? total_bytes / static_cast<double>(num_tasks)
                               : 0.0;
-
-  for (std::size_t s = 0; s < engine().num_sites(); ++s) {
-    SiteId site(static_cast<SiteId::underlying_type>(s));
-    engine().set_cache_listener(
-        site, [this, site](storage::CacheEvent e, FileId f) {
-          residency_.on_cache_event(site, e, f,
-                                    [](TaskId, const Residency&) {});
-        });
-  }
 }
 
 double XSufferageScheduler::estimated_completion(TaskId task,

@@ -50,7 +50,7 @@ class XSufferageScheduler final : public Scheduler {
   XSufferageScheduler() = default;
 
   // Rebuilds the pending set and the residency table's per-(site, task)
-  // cached bytes from the engine's current cache contents, then
+  // cached bytes from the engine's current cache contents; the table
   // subscribes to cache events to keep them incremental.
   void on_job_submitted() override;
   // Max-sufferage pick among tasks whose best-MCT site is the

@@ -1,10 +1,10 @@
 // Memory-lean hot structures: the small flat containers (InlineVec, Csr,
 // DenseIdSet, PagedTable) that replaced per-task node containers and
 // catalog-sized tables, the residency table's per-(site, task) pair
-// cost, the file cache's per-page record cost, plus the
-// allocation-free contracts the event loop relies on (disabled
-// instruments, warm event-kernel and flow-table churn, the warm
-// data-server cycle, the file cache's first-insert tables and warm
+// cost with and without its decision index, the file cache's per-page
+// record cost, plus the allocation-free contracts the event loop relies
+// on (disabled instruments, warm event-kernel and flow-table churn, the
+// warm data-server cycle, the file cache's first-insert tables and warm
 // cycle, storage affinity's submit-time projection, the warm
 // ChooseTask(n) decision, job validation, and an open-system run whose
 // allocations do not scale with its task count).
@@ -31,6 +31,7 @@
 #include "replication/data_replicator.h"
 #include "sched/factory.h"
 #include "sched/residency.h"
+#include "sched/sharded_index.h"
 #include "sched/storage_affinity.h"
 #include "sched/worker_centric.h"
 #include "sim/simulator.h"
@@ -188,6 +189,48 @@ TEST(ResidencyTable, PairCostsFourTwelveOrEightBytes) {
     EXPECT_EQ(three_bytes - one_bytes, 2 * job.num_tasks() * pair_bytes)
         << "columns " << columns;
   }
+}
+
+TEST(ResidencyTable, IndexCostsTwelveBytesAPairPlusSixteenAnEntry) {
+  if (!alloc_counting_enabled())
+    GTEST_SKIP() << "allocation counting compiled out (sanitizer build)";
+  // fill_index() allocates, per site, an 8 B slot and a 4 B stale-list
+  // reserve for every task (the reserve is allocated up front but touched
+  // only as marks arrive), a 16 B heap entry for every filed task, and a
+  // constant: the index object and one bucket vector per key. So under
+  // `rest`, where every pending task is filed, a pair allocates 32 B on
+  // top of the table's 4 B column. Two more sites cost exactly twice
+  // that, in five more allocations each (slots, stale list, bucket
+  // array, and one reserved heap per key).
+  const workload::Job job =
+      sched::testing::make_job({{0, 1}, {1, 2}, {2}, {0}, {1, 2}}, 3);
+  using Table = sched::ResidencyTable;
+  using Index = sched::ShardedTaskIndex;
+  static constexpr std::size_t kKeys = 2;
+  constexpr std::uint64_t kFiled = 4;  // every task but task 4
+  auto fill = [&](std::size_t sites) {
+    sched::testing::FakeEngine engine(job, sites, 1);
+    Table table;
+    table.build(engine, Table::kFiles, [](TaskId) { return true; });
+    const AllocSnapshot before = alloc_snapshot();
+    table.fill_index(
+        kKeys, /*prefer_high_id=*/false,
+        [](TaskId t) { return t.value() != 4; },
+        [](std::size_t, TaskId t) {
+          return std::pair<std::uint64_t, std::uint64_t>{t.value() % kKeys, 0};
+        });
+    const AllocSnapshot after = alloc_snapshot();
+    return std::pair{allocations_between(before, after),
+                     after.bytes - before.bytes};
+  };
+  const auto [one_allocs, one_bytes] = fill(1);
+  const auto [three_allocs, three_bytes] = fill(3);
+  EXPECT_EQ(sizeof(Index::Entry), 16u);
+  const std::uint64_t per_site =
+      sizeof(Index) + kKeys * sizeof(std::vector<Index::Entry>);
+  EXPECT_EQ(three_bytes - one_bytes,
+            2 * (job.num_tasks() * 12 + kFiled * 16 + per_site));
+  EXPECT_EQ(three_allocs - one_allocs, 2 * (3 + kKeys));
 }
 
 // --- DenseIdSet ----------------------------------------------------------

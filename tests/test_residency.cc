@@ -1,7 +1,8 @@
 // The residency layer the data-aware schedulers share (sched/residency.h):
-// the per-(site, task) residency table, the file -> task index, the
-// per-task scan, and the pending bag; and the table under eviction
-// pressure end to end, for every scheduler that keeps one.
+// the per-(site, task) residency table and its decision index, the
+// file -> task index, the per-task scan, and the pending bag; and the
+// table under eviction pressure end to end, for every scheduler that
+// keeps one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -159,20 +160,14 @@ constexpr unsigned kAllColumns = ResidencyTable::kFiles |
                                  ResidencyTable::kRefs |
                                  ResidencyTable::kBytes;
 
-// Subscribes `table` to every site of `eng`; `touched` counts the tasks
-// handed to the hook.
-void listen(FakeEngine& eng, ResidencyTable& table, std::size_t& touched) {
-  for (unsigned s = 0; s < eng.num_sites(); ++s) {
-    const SiteId site(s);
-    eng.set_cache_listener(site, [&table, &touched, site](
-                                     storage::CacheEvent e, FileId f) {
-      table.on_cache_event(site, e, f,
-                           [&touched](TaskId, const Residency&) {
-                             ++touched;
-                           });
-    });
+// A table hook that counts the tasks cache events hand to it.
+struct Counter {
+  std::size_t* touched = nullptr;
+  void operator()(std::size_t, TaskId, const Residency&) const {
+    ++*touched;
   }
-}
+};
+using CountingTable = BasicResidencyTable<Counter>;
 
 TEST(ResidencyTable, TrackedCountersFollowAddsEvictionsAndAccesses) {
   std::mt19937 rng(5);
@@ -187,13 +182,12 @@ TEST(ResidencyTable, TrackedCountersFollowAddsEvictionsAndAccesses) {
   FakeEngine eng(job, 2, 1, /*capacity=*/3);
   eng.add_file(SiteId(1), FileId(4));  // seeded, not replayed
 
-  ResidencyTable table;
+  std::size_t touched = 0;
+  CountingTable table(Counter{&touched});
   table.build(eng, kAllColumns, [](TaskId t) { return t.value() % 4 != 0; });
   std::vector<char> tracked(job.num_tasks());
   for (const workload::Task& t : job.tasks())
     tracked[t.id.value()] = t.id.value() % 4 != 0;
-  std::size_t touched = 0;
-  listen(eng, table, touched);
 
   for (int step = 0; step < 300; ++step) {
     const TaskId t(static_cast<TaskId::underlying_type>(rng() %
@@ -229,10 +223,9 @@ TEST(ResidencyTable, AnAccessTouchesNothingWithoutARefsColumn) {
        {unsigned{ResidencyTable::kFiles}, unsigned{ResidencyTable::kBytes},
         unsigned{ResidencyTable::kFiles | ResidencyTable::kRefs}}) {
     FakeEngine eng(job, 1, 1);
-    ResidencyTable table;
-    table.build(eng, columns, [](TaskId) { return true; });
     std::size_t touched = 0;
-    listen(eng, table, touched);
+    CountingTable table(Counter{&touched});
+    table.build(eng, columns, [](TaskId) { return true; });
     eng.cache(SiteId(0)).insert(FileId(1));
     EXPECT_EQ(touched, 2u);  // both readers of file 1
     eng.cache(SiteId(0)).record_access(FileId(1));
@@ -249,7 +242,8 @@ TEST(ResidencyTable, AuditReportsEveryDriftedPair) {
   FakeEngine eng(job, 2, 1);
   ResidencyTable table;
   table.build(eng, ResidencyTable::kBytes, [](TaskId) { return true; });
-  eng.add_file(SiteId(1), FileId(1));  // no listener: the table misses it
+  eng.cache(SiteId(1)).set_listener({});  // the table stops hearing
+  eng.add_file(SiteId(1), FileId(1));
   std::vector<audit::Violation> v;
   table.audit_collect([](TaskId t) { return t.value() != 1; }, v);
   ASSERT_EQ(v.size(), 1u);  // task 1 also reads file 1 but is untracked
@@ -260,6 +254,140 @@ TEST(ResidencyTable, AuditReportsEveryDriftedPair) {
   EXPECT_EQ(v[0].message, "site 1 task 0 counters files/bytes/refs 1/0/1 "
                           "but the residency() recount finds 1/" +
                               size + "/1");
+}
+
+// --- ResidencyTable's decision index -------------------------------------
+
+using Place = std::pair<std::uint64_t, std::uint64_t>;
+
+// Task ids `table` files at `site` under key 0, best first.
+template <typename Table>
+std::vector<unsigned> walk_ids(const Table& table, std::size_t site) {
+  std::vector<unsigned> ids;
+  table.walk(site, 0, [&](const ShardedTaskIndex::Entry& e) {
+    ids.push_back(e.task.value());
+    return true;
+  });
+  return ids;
+}
+
+TEST(ResidencyTable, IndexAndUnindexReachEverySite) {
+  const auto job = make_job({{0}, {1}, {2}, {0, 1}}, 3);
+  FakeEngine eng(job, 3, 1);
+  ResidencyTable table;
+  table.build(eng, ResidencyTable::kFiles, [](TaskId) { return true; });
+  const auto place = [](std::size_t, TaskId) { return Place{0, 0}; };
+  table.fill_index(1, /*prefer_high_id=*/false,
+                   [](TaskId t) { return t.value() != 2; }, place);
+  for (std::size_t s = 0; s < 3; ++s)
+    EXPECT_EQ(walk_ids(table, s), (std::vector<unsigned>{0, 1, 3}));
+  EXPECT_FALSE(table.indexed(TaskId(2)));
+
+  table.index(TaskId(2), place);
+  table.unindex(TaskId(0));
+  EXPECT_TRUE(table.indexed(TaskId(2)));
+  EXPECT_FALSE(table.indexed(TaskId(0)));
+  for (std::size_t s = 0; s < 3; ++s)
+    EXPECT_EQ(walk_ids(table, s), (std::vector<unsigned>{1, 2, 3}))
+        << "site " << s;
+  std::vector<audit::Violation> v;
+  table.audit_index([](TaskId t) { return t.value() != 0; }, place, v);
+  EXPECT_TRUE(v.empty()) << v.front().message;
+}
+
+TEST(ResidencyTable, ACacheEventMarksOnlyIndexedTasksAndRefreshReKeysThem) {
+  // Tasks 1 and 2 read file 1; task 2 is tracked but not indexed.
+  const auto job = make_job({{0}, {1}, {1}, {2}}, 3);
+  FakeEngine eng(job, 2, 1);
+  std::size_t touched = 0;
+  CountingTable table(Counter{&touched});
+  table.build(eng, ResidencyTable::kFiles, [](TaskId) { return true; });
+  const auto place = [&table](std::size_t s, TaskId t) {
+    return Place{0, table.files(s, t)};
+  };
+  table.fill_index(1, /*prefer_high_id=*/false,
+                   [](TaskId t) { return t.value() != 2; }, place);
+
+  eng.add_file(SiteId(0), FileId(1));
+  EXPECT_EQ(touched, 2u);  // the hook sees both readers
+  // refresh() re-keys exactly the marked tasks: task 1 at site 0.
+  for (std::size_t s = 0; s < 2; ++s) {
+    std::vector<unsigned> refreshed;
+    table.refresh(s, [&](std::size_t site, TaskId t) {
+      refreshed.push_back(t.value());
+      return place(site, t);
+    });
+    EXPECT_EQ(refreshed, s == 0 ? std::vector<unsigned>({1})
+                                : std::vector<unsigned>())
+        << "site " << s;
+  }
+  EXPECT_EQ(walk_ids(table, 0), (std::vector<unsigned>{1, 0, 3}));
+  EXPECT_EQ(walk_ids(table, 1), (std::vector<unsigned>{0, 1, 3}));
+}
+
+TEST(ResidencyTable, PreferHighIdOrdersIndexTiesTowardHighIds) {
+  const auto job = make_job({{0}, {0}, {1}, {1}}, 2);
+  for (bool high : {false, true}) {
+    FakeEngine eng(job, 2, 1);
+    ResidencyTable table;
+    table.build(eng, ResidencyTable::kBytes, [](TaskId) { return true; });
+    const auto place = [&table](std::size_t s, TaskId t) {
+      return Place{0, table.bytes(s, t)};
+    };
+    table.fill_index(1, high, [](TaskId) { return true; }, place);
+    eng.add_file(SiteId(1), FileId(1));  // tasks 2 and 3 rank first there
+    table.refresh(0, place);
+    table.refresh(1, place);
+    using Ids = std::vector<unsigned>;
+    EXPECT_EQ(walk_ids(table, 0), high ? Ids({3, 2, 1, 0}) : Ids({0, 1, 2, 3}));
+    EXPECT_EQ(walk_ids(table, 1), high ? Ids({3, 2, 1, 0}) : Ids({2, 3, 0, 1}));
+  }
+}
+
+TEST(ResidencyTable, AuditIndexReportsMissingUnwantedAndMisplacedTasks) {
+  const auto job = make_job({{0}, {1}, {2}}, 3);
+  FakeEngine eng(job, 2, 1);
+  ResidencyTable table;
+  table.build(eng, ResidencyTable::kFiles, [](TaskId) { return true; });
+  const auto filed = [](TaskId t) { return t.value() != 2; };
+  const auto place = [](std::size_t, TaskId t) {
+    return Place{0, t.value()};
+  };
+  table.fill_index(1, /*prefer_high_id=*/false, filed, place);
+  const auto audit = [&](auto want, auto where) {
+    std::vector<audit::Violation> v;
+    table.audit_index(want, where, v);
+    std::vector<std::string> messages;
+    for (const audit::Violation& x : v) {
+      EXPECT_EQ(x.checker, "sharded-index");
+      messages.push_back(x.message);
+    }
+    return messages;
+  };
+  EXPECT_TRUE(audit(filed, place).empty());
+
+  // Wanted but missing: every site, with the count mismatch.
+  EXPECT_EQ(audit([](TaskId) { return true; }, place),
+            (std::vector<std::string>{
+                "site 0 index holds 2 entries but the brute-force rescan "
+                "finds 3 schedulable tasks",
+                "site 0 index: task 2 wanted but not indexed",
+                "site 1 index holds 2 entries but the brute-force rescan "
+                "finds 3 schedulable tasks",
+                "site 1 index: task 2 wanted but not indexed"}));
+  // Indexed but unwanted.
+  const std::vector<std::string> unwanted =
+      audit([](TaskId t) { return t.value() == 1; }, place);
+  ASSERT_EQ(unwanted.size(), 4u);
+  EXPECT_EQ(unwanted[1], "site 0 index: task 0 indexed but not wanted");
+  // A key or rank that differs from `place`.
+  const std::vector<std::string> misplaced =
+      audit(filed, [](std::size_t s, TaskId t) {
+        return Place{0, t.value() + (s == 1 && t.value() == 1 ? 7 : 0)};
+      });
+  EXPECT_EQ(misplaced, (std::vector<std::string>{
+                           "site 1 index: task 1 filed under key 0 / rank 1 "
+                           "but its place is 0 / 8"}));
 }
 
 // --- End to end: eviction under the auditor ------------------------------
