@@ -14,12 +14,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Budget for the 100k flat run: its measured peak once the file caches
-# kept one 8-byte record per catalog file and nodes only for resident
-# files (320.0 MB on a 4-vCPU x86-64 VM, down from 358.8 MB; see
-# results/perf_pr30.md §bench_memlean). The gate fires at
-# BUDGET_MB * 1.20.
-BUDGET_MB=320
+# Budget for the 100k flat run: its measured peak once each (site, task)
+# pair of the scheduler's residency table and decision index took 18 B
+# under `rest` (u16 overlap counters, 4-byte index slots, 8-byte heap
+# entries): 186.0 MB on a 4-vCPU x86-64 VM over 3 runs, down from
+# 319.5 MB with 32 B pairs (DESIGN.md §Memory layout item 2). The gate
+# fires at BUDGET_MB * 1.20.
+BUDGET_MB=186
 
 SUMMARY="${1:-results/BENCH_memlean.json}"
 if [[ ! -f "$SUMMARY" ]]; then

@@ -109,26 +109,34 @@ class TaskFileIndex {
 // Per-(site, task) residency counters over the tasks its owner tracks:
 // |F_t| (`files`), ref_t (`refs`) and cached bytes (`bytes`), each a
 // dense site-major column allocated only when the owner asks for it:
-// 4 B a pair under overlap/rest (files), 12 B under combined (files +
-// refs), 8 B under storage affinity and XSufferage (bytes). Cache events
-// keep a tracked task's counters equal to residency() against the live
-// caches (audit_collect() recounts them); an untracked task's counters
-// are stale until track(). On request (fill_index) the table also keeps
-// its owner's decision index: one ShardedTaskIndex per site, filing the
-// tracked tasks the owner wants under the (key, rank) its place(site,
-// task) derives from the counters, re-keyed by refresh() once events
-// marked them.
+// 2 B a pair under overlap/rest (files, u16: build() refuses a task of
+// more than 65,535 files), 10 B under combined (files + refs), 8 B
+// under storage affinity and XSufferage (bytes). Cache events keep a
+// tracked task's counters equal to residency() against the live caches
+// (audit_collect() recounts them); an untracked task's counters are
+// stale until track(). On request (fill_index) the table also keeps its
+// owner's decision index: one BasicShardedTaskIndex<Rank> per site,
+// filing the tracked tasks the owner wants under the (key, rank) its
+// place(site, task) derives from the counters, re-keyed by refresh()
+// once events marked them. With the index a pair allocates 8 B more
+// (slot + stale-list reserve), 2 B for a key under several keys, and
+// an 8-byte entry (16 B with 64-bit ranks) per filed task: 18 B under
+// rest, 28 B under combined, 32 B under storage affinity.
 //
 // `Touched`, the owner's hook (see build()), is given at construction
 // and kept by value, so a site's listener (just the table and the site
 // index) fits std::function's inline buffer and the hook inlines.
+// `Rank` is the index's rank type: 32-bit counts for worker-centric,
+// 64-bit bytes for storage affinity.
 struct NoHook {
   void operator()(std::size_t, TaskId, const Residency&) const {}
 };
 
-template <typename Touched = NoHook>
+template <typename Touched = NoHook, typename Rank = std::uint32_t>
 class BasicResidencyTable {
  public:
+  using Index = BasicShardedTaskIndex<Rank>;
+
   explicit BasicResidencyTable(Touched touched = {}) : touched_(touched) {}
   // The cache listeners build() installs hold the table's address.
   BasicResidencyTable(const BasicResidencyTable&) = delete;
@@ -136,7 +144,7 @@ class BasicResidencyTable {
 
   // Counter columns, or-ed into build()'s `columns`.
   enum Column : unsigned {
-    kFiles = 1u << 0,  // u32 |F_t|: worker-centric
+    kFiles = 1u << 0,  // u16 |F_t|: worker-centric
     kRefs = 1u << 1,   // u64 ref_t: the combined metric
     kBytes = 1u << 2,  // u64 cached bytes: storage affinity, XSufferage
   };
@@ -151,11 +159,18 @@ class BasicResidencyTable {
   // `step` is what the event added to each counter, modulo 2^n (an
   // eviction adds the negation of its insert's step; 0 in the columns
   // not kept), so an owner moves its aggregates with the same +=.
-  // Without a refs column an access touches nothing.
+  // Without a refs column an access touches nothing. With a files
+  // column a task of more than 65,535 files is refused.
   template <typename Live>
   void build(GridEngine& engine, unsigned columns, Live live) {
     engine_ = &engine;
     columns_ = columns;
+    if (has(kFiles))
+      for (const workload::Task& t : engine.job().tasks())
+        WCS_CHECK_MSG(t.files.size() <= UINT16_MAX,
+                      "residency table: task " << t.id << " reads "
+                          << t.files.size() << " files, more than the "
+                          << UINT16_MAX << " its overlap counters hold");
     num_sites_ = engine.num_sites();
     num_tasks_ = engine.job().num_tasks();
     readers_.build(engine.job(), live);
@@ -180,7 +195,7 @@ class BasicResidencyTable {
     for (std::size_t s = 0; s < num_sites_; ++s) {
       const std::size_t i = at(s, task);
       const Residency r = residency(cache_of(s), engine_->job(), task);
-      if (has(kFiles)) files_[i] = r.files;
+      if (has(kFiles)) files_[i] = static_cast<std::uint16_t>(r.files);
       if (has(kRefs)) refs_[i] = r.refs;
       if (has(kBytes)) bytes_[i] = r.bytes;
     }
@@ -233,23 +248,23 @@ class BasicResidencyTable {
   // at site index `site`; `want(task)` is whether it files the task.
 
   // One index per site over keys [0, num_keys), ties as `prefer_high_id`
-  // selects (ShardedTaskIndex::EntryOrder), filing every tracked task
-  // `want` accepts, each bucket reserved to its population first.
+  // selects (BasicShardedTaskIndex::EntryOrder), filing every tracked
+  // task `want` accepts, each bucket reserved to its population and
+  // heapified in O(n) (BasicShardedTaskIndex::fill).
   template <typename Want, typename Place>
   void fill_index(std::size_t num_keys, bool prefer_high_id, Want want,
                   Place place) {
-    shards_.assign(num_sites_, ShardedTaskIndex(prefer_high_id));
+    shards_.assign(num_sites_, Index(prefer_high_id));
     std::vector<std::size_t> per_key;
     for (std::size_t s = 0; s < num_sites_; ++s) {
       per_key.assign(num_keys, 0);
       for (std::size_t i = 0; i < num_tasks_; ++i)
-        if (want(task_id(i))) ++per_key[place(s, task_id(i)).first];
+        if (want(task_id(i))) ++per_key.at(place(s, task_id(i)).first);
       shards_[s].reset(num_tasks_, num_keys);
       for (std::size_t key = 0; key < num_keys; ++key)
         shards_[s].reserve(key, per_key[key]);
+      shards_[s].fill(want, [&](TaskId task) { return place(s, task); });
     }
-    for (std::size_t i = 0; i < num_tasks_; ++i)
-      if (want(task_id(i))) index(task_id(i), place);
   }
 
   // Files a tracked, unindexed task at every site.
@@ -262,7 +277,7 @@ class BasicResidencyTable {
   }
   // Erases an indexed task at every site.
   void unindex(TaskId task) {
-    for (ShardedTaskIndex& shard : shards_) shard.erase(task);
+    for (Index& shard : shards_) shard.erase(task);
   }
   // Every site files the same tasks, so site 0 answers for all.
   [[nodiscard]] bool indexed(TaskId task) const {
@@ -278,7 +293,7 @@ class BasicResidencyTable {
   void refresh(std::size_t site, Place place) const {
     shards_[site].refresh([&](TaskId task) { return place(site, task); });
   }
-  // ShardedTaskIndex::walk over a refreshed site's index.
+  // BasicShardedTaskIndex::walk over a refreshed site's index.
   template <typename Fn>
   void walk(std::size_t site, std::uint64_t key, Fn&& fn) const {
     shards_[site].walk(key, std::forward<Fn>(fn));
@@ -292,7 +307,7 @@ class BasicResidencyTable {
                    std::vector<audit::Violation>& out) const {
     for (std::size_t s = 0; s < shards_.size(); ++s) {
       refresh(s, place);
-      const ShardedTaskIndex& shard = shards_[s];
+      const Index& shard = shards_[s];
       audit::ShardedIndexSnapshot snap;
       snap.label = "site " + std::to_string(s) + " index";
       snap.indexed = shard.size();
@@ -328,7 +343,7 @@ class BasicResidencyTable {
     if (event != storage::CacheEvent::kAccessed) step = insert_step(s, file);
     if (event == storage::CacheEvent::kEvicted)
       step = {0u - step.files, 0u - step.bytes, 0u - step.refs};
-    ShardedTaskIndex* shard = shards_.empty() ? nullptr : &shards_[s];
+    Index* shard = shards_.empty() ? nullptr : &shards_[s];
     for (TaskId t : readers_.tasks_of(file)) {
       add(at(s, t), step);
       touched_(s, t, step);
@@ -355,8 +370,11 @@ class BasicResidencyTable {
             has(kBytes) ? engine_->job().catalog.size(file) : 0,
             has(kRefs) ? cache_of(site).ref_count(file) : 0};
   }
+  // Wraps modulo each cell's width, so an eviction's negated step
+  // undoes its insert in the u16 files cells too.
   void add(std::size_t i, const Residency& step) {
-    if (has(kFiles)) files_[i] += step.files;
+    if (has(kFiles))
+      files_[i] = static_cast<std::uint16_t>(files_[i] + step.files);
     if (has(kRefs)) refs_[i] += step.refs;
     if (has(kBytes)) bytes_[i] += step.bytes;
   }
@@ -367,15 +385,17 @@ class BasicResidencyTable {
   std::size_t num_sites_ = 0;
   std::size_t num_tasks_ = 0;
   TaskFileIndex readers_;
-  std::vector<std::uint32_t> files_;  // [site * num_tasks + task]
+  std::vector<std::uint16_t> files_;  // [site * num_tasks + task]
   std::vector<std::uint64_t> refs_;
   std::vector<Bytes> bytes_;
   // One decision index per site once fill_index() ran, else empty.
   // Mutable: refresh() re-keys from const paths (see there).
-  mutable std::vector<ShardedTaskIndex> shards_;
+  mutable std::vector<Index> shards_;
 };
 
-// The table of an owner with no per-event aggregates of its own.
+// The table of an owner with no per-event aggregates of its own, whose
+// index (if any) ranks by 32-bit counts. Storage affinity ranks by
+// bytes: BasicResidencyTable<NoHook, Bytes>.
 using ResidencyTable = BasicResidencyTable<>;
 
 // Unassigned tasks: a membership flag per task id plus a dense list for

@@ -4,36 +4,48 @@
 
 namespace wcs::sched {
 
-void ShardedTaskIndex::reset(std::size_t num_tasks, std::size_t num_keys) {
-  WCS_CHECK(num_tasks < kAbsent && num_keys <= kStale);  // 32-bit slots
+template <typename Rank>
+void BasicShardedTaskIndex<Rank>::reset(std::size_t num_tasks,
+                                        std::size_t num_keys) {
+  WCS_CHECK(num_tasks < kAbsent);  // 31-bit heap positions
+  WCS_CHECK(num_keys <= std::size_t{UINT16_MAX} + 1);  // 16-bit keys
   for (std::vector<Entry>& heap : buckets_) heap.clear();
   buckets_.resize(num_keys);
-  slots_.assign(num_tasks, Slot{});
+  slots_.assign(num_tasks, kAbsent);
+  keys_.assign(num_keys > 1 ? num_tasks : 0, 0);
   stale_.clear();
   stale_.reserve(num_tasks);
   size_ = 0;
 }
 
-void ShardedTaskIndex::insert(TaskId task, std::uint64_t key,
-                              std::uint64_t rank) {
+template <typename Rank>
+auto BasicShardedTaskIndex<Rank>::file(TaskId task, std::uint64_t key)
+    -> std::vector<Entry>& {
   WCS_CHECK_MSG(task.value() < slots_.size(),
                 "sharded index: task " << task << " out of range");
   WCS_CHECK_MSG(key < num_keys(), "sharded index: key " << key
                                       << " out of range for " << task);
   WCS_CHECK_MSG(!contains(task), "sharded index: duplicate insert " << task);
-  std::vector<Entry>& heap = buckets_[key];
-  heap.push_back(Entry{rank, task});
-  slots_[task.value()].key = static_cast<std::uint32_t>(key);
-  sift(heap, static_cast<std::uint32_t>(heap.size() - 1));
+  if (!keys_.empty()) keys_[task.value()] = static_cast<std::uint16_t>(key);
   ++size_;
+  return buckets_[key];
 }
 
-void ShardedTaskIndex::erase(TaskId task) {
+template <typename Rank>
+void BasicShardedTaskIndex<Rank>::insert(TaskId task, std::uint64_t key,
+                                         Rank rank) {
+  std::vector<Entry>& heap = file(task, key);
+  heap.push_back(Entry{rank, task});
+  sift(heap, static_cast<std::uint32_t>(heap.size() - 1));
+}
+
+template <typename Rank>
+void BasicShardedTaskIndex<Rank>::erase(TaskId task) {
   WCS_CHECK_MSG(contains(task), "sharded index: erase of absent " << task);
-  Slot& slot = slots_[task.value()];
-  std::vector<Entry>& heap = buckets_[bucket_of(slot)];
-  const std::uint32_t pos = slot.pos;
-  slot = Slot{};  // drops the mark; refresh() skips the listed task
+  std::uint32_t& slot = slots_[task.value()];
+  std::vector<Entry>& heap = buckets_[bucket_of(task)];
+  const std::uint32_t pos = pos_of(slot);
+  slot = kAbsent;  // drops the mark; refresh() skips the listed task
   const Entry last = heap.back();
   heap.pop_back();
   if (pos < heap.size()) {
@@ -43,25 +55,28 @@ void ShardedTaskIndex::erase(TaskId task) {
   --size_;
 }
 
-void ShardedTaskIndex::update(TaskId task, std::uint64_t key,
-                              std::uint64_t rank) {
+template <typename Rank>
+void BasicShardedTaskIndex<Rank>::update(TaskId task, std::uint64_t key,
+                                         Rank rank) {
   WCS_CHECK_MSG(contains(task), "sharded index: update of absent " << task);
   WCS_CHECK_MSG(key < num_keys(), "sharded index: key " << key
                                       << " out of range for " << task);
-  Slot& slot = slots_[task.value()];
-  slot.key = bucket_of(slot);  // filed now, so no longer stale
-  if (slot.key != key) {
+  std::uint32_t& slot = slots_[task.value()];
+  slot = pos_of(slot);  // filed now, so no longer stale
+  if (bucket_of(task) != key) {
     erase(task);
     insert(task, key, rank);
     return;
   }
-  std::vector<Entry>& heap = buckets_[slot.key];
-  if (heap[slot.pos].rank == rank) return;
-  heap[slot.pos].rank = rank;
-  sift(heap, slot.pos);
+  std::vector<Entry>& heap = buckets_[key];
+  if (heap[slot].rank == rank) return;
+  heap[slot].rank = rank;
+  sift(heap, slot);
 }
 
-void ShardedTaskIndex::sift(std::vector<Entry>& heap, std::uint32_t pos) {
+template <typename Rank>
+void BasicShardedTaskIndex<Rank>::sift(std::vector<Entry>& heap,
+                                       std::uint32_t pos) {
   const Entry e = heap[pos];
   // Up while the entry outranks its parent...
   while (pos > 0 && order_(e, heap[(pos - 1) / 2])) {
@@ -69,6 +84,12 @@ void ShardedTaskIndex::sift(std::vector<Entry>& heap, std::uint32_t pos) {
     pos = (pos - 1) / 2;
   }
   // ...else down while a child outranks it.
+  sift_down(heap, pos, e);
+}
+
+template <typename Rank>
+void BasicShardedTaskIndex<Rank>::sift_down(std::vector<Entry>& heap,
+                                            std::uint32_t pos, Entry e) {
   const auto n = static_cast<std::uint32_t>(heap.size());
   for (std::uint32_t c = 2 * pos + 1; c < n; c = 2 * pos + 1) {
     if (c + 1 < n && order_(heap[c + 1], heap[c])) ++c;
@@ -79,18 +100,21 @@ void ShardedTaskIndex::sift(std::vector<Entry>& heap, std::uint32_t pos) {
   place(heap, pos, e);
 }
 
-std::uint64_t ShardedTaskIndex::key_of(TaskId task) const {
+template <typename Rank>
+std::uint64_t BasicShardedTaskIndex<Rank>::key_of(TaskId task) const {
   WCS_CHECK_MSG(contains(task), "sharded index: key_of absent " << task);
-  return bucket_of(slots_[task.value()]);
+  return bucket_of(task);
 }
 
-std::uint64_t ShardedTaskIndex::rank_of(TaskId task) const {
+template <typename Rank>
+Rank BasicShardedTaskIndex<Rank>::rank_of(TaskId task) const {
   WCS_CHECK_MSG(contains(task), "sharded index: rank_of absent " << task);
-  const Slot& slot = slots_[task.value()];
-  return buckets_[bucket_of(slot)][slot.pos].rank;
+  return buckets_[bucket_of(task)][pos_of(slots_[task.value()])].rank;
 }
 
-std::vector<std::string> ShardedTaskIndex::structural_defects() const {
+template <typename Rank>
+std::vector<std::string> BasicShardedTaskIndex<Rank>::structural_defects()
+    const {
   std::vector<std::string> defects;
   std::size_t entries = 0;
   for (std::size_t key = 0; key < buckets_.size(); ++key) {
@@ -98,8 +122,8 @@ std::vector<std::string> ShardedTaskIndex::structural_defects() const {
     for (std::size_t pos = 0; pos < heap.size(); ++pos) {
       ++entries;
       const TaskId t = heap[pos].task;
-      if (t.value() >= slots_.size() || bucket_of(slots_[t.value()]) != key ||
-          slots_[t.value()].pos != pos) {
+      if (t.value() >= slots_.size() || bucket_of(t) != key ||
+          pos_of(slots_[t.value()]) != pos) {
         std::ostringstream os;
         os << "entry (task " << t << ", key " << key << ", position " << pos
            << ") has no matching slot";
@@ -115,8 +139,8 @@ std::vector<std::string> ShardedTaskIndex::structural_defects() const {
     }
   }
   std::size_t present = 0;
-  for (const Slot& s : slots_)
-    if (s.pos != kAbsent) ++present;
+  for (const std::uint32_t slot : slots_)
+    if (pos_of(slot) != kAbsent) ++present;
   if (entries != size_ || present != size_) {
     std::ostringstream os;
     os << "size drifted: counter " << size_ << ", bucket entries " << entries
@@ -128,20 +152,24 @@ std::vector<std::string> ShardedTaskIndex::structural_defects() const {
   std::vector<char> listed(slots_.size(), 0);
   for (TaskId t : stale_) {  // mark() indexed slots_, so t is in range
     listed[t.value()] = 1;
-    const Slot& s = slots_[t.value()];
-    if (s.pos == kAbsent && (s.key & kStale)) {
+    const std::uint32_t slot = slots_[t.value()];
+    if (pos_of(slot) == kAbsent && (slot & kStale)) {
       std::ostringstream os;
       os << "stale list names absent task " << t << " whose slot is marked";
       defects.push_back(os.str());
     }
   }
   for (std::size_t t = 0; t < slots_.size(); ++t) {
-    if (!(slots_[t].key & kStale) || listed[t]) continue;
+    if (!(slots_[t] & kStale) || listed[t]) continue;
     std::ostringstream os;
     os << "task " << t << " is marked stale but not on the stale list";
     defects.push_back(os.str());
   }
   return defects;
 }
+
+// Worker-centric counts and storage affinity's byte ranks.
+template class BasicShardedTaskIndex<std::uint32_t>;
+template class BasicShardedTaskIndex<std::uint64_t>;
 
 }  // namespace wcs::sched

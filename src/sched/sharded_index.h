@@ -20,6 +20,14 @@
 // (a flat std::vector<Entry> in EntryOrder, every task's heap position
 // kept in its slot). insert/erase are O(log |b|) over contiguous memory.
 //
+// LAYOUT: the rank type is the template parameter, so an Entry is
+// {rank, TaskId}: 8 B with the worker-centric 32-bit ranks
+// (ShardedTaskIndex; combined's ref_t is checked to fit where it is
+// placed), 16 B with storage affinity's 64-bit byte ranks. Per task
+// the index keeps a 4-byte slot (heap position, stale bit on top), a
+// 4-byte stale-list reserve and, only when it has more than one key
+// (combined), a 2-byte key; a single-key index keeps no keys at all.
+//
 // DEFERRED RE-KEY: a cache event changes the counters a task's (key,
 // rank) derives from, but the owner only reads the heaps when a worker
 // asks for work. So an event just mark()s each task it touches — O(1),
@@ -59,10 +67,11 @@
 
 namespace wcs::sched {
 
-class ShardedTaskIndex {
+template <typename Rank>
+class BasicShardedTaskIndex {
  public:
   struct Entry {
-    std::uint64_t rank = 0;
+    Rank rank = 0;
     TaskId task;
   };
 
@@ -78,13 +87,14 @@ class ShardedTaskIndex {
     }
   };
 
-  explicit ShardedTaskIndex(bool prefer_high_id = false)
+  explicit BasicShardedTaskIndex(bool prefer_high_id = false)
       : order_{prefer_high_id} {}
 
   // Drops every entry and sizes the index for task ids [0, num_tasks)
-  // and keys [0, num_keys). The stale list is reserved to num_tasks up
-  // front: a mark lists a task once until it is erased, so marking grows
-  // the list only after an erase and re-insert between two refreshes.
+  // and keys [0, num_keys); the per-task key column exists only when
+  // num_keys > 1. The stale list is reserved to num_tasks up front: a
+  // mark lists a task once until it is erased, so marking grows the list
+  // only after an erase and re-insert between two refreshes.
   void reset(std::size_t num_tasks, std::size_t num_keys);
 
   // Reserves room for `n` entries under `key`, so a caller that knows a
@@ -93,9 +103,31 @@ class ShardedTaskIndex {
     buckets_.at(key).reserve(n);
   }
 
+  // Files every task id below reset()'s num_tasks that `want(task)`
+  // accepts under `place(task)`, a (key, rank) pair, into the empty
+  // index: each bucket takes its entries in id order and is then
+  // heapified in O(n) (Floyd's method) instead of sifted entry by entry.
+  // Only the heap shape differs from an insert() per task, and no walk
+  // can see it (EntryOrder is a strict total order).
+  template <typename Want, typename Place>
+  void fill(Want want, Place place) {
+    WCS_CHECK(empty());
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      const TaskId task(static_cast<TaskId::underlying_type>(i));
+      if (!want(task)) continue;
+      const auto [key, rank] = place(task);
+      std::vector<Entry>& heap = file(task, key);
+      slots_[i] = static_cast<std::uint32_t>(heap.size());
+      heap.push_back(Entry{rank, task});
+    }
+    for (std::vector<Entry>& heap : buckets_)
+      for (auto pos = static_cast<std::uint32_t>(heap.size() / 2); pos-- > 0;)
+        sift_down(heap, pos, heap[pos]);
+  }
+
   // Adds `task` under `key` with `rank`. The task must not be present
   // and the key must be below num_keys().
-  void insert(TaskId task, std::uint64_t key, std::uint64_t rank = 0);
+  void insert(TaskId task, std::uint64_t key, Rank rank = 0);
 
   // Removes `task` (and its mark, if any). The task must be present.
   void erase(TaskId task);
@@ -103,15 +135,15 @@ class ShardedTaskIndex {
   // Re-keys `task` to (key, rank) now, clearing its mark; O(1) when
   // nothing changed, a sift in place when only the rank moved. The task
   // must be present and the key below num_keys().
-  void update(TaskId task, std::uint64_t key, std::uint64_t rank = 0);
+  void update(TaskId task, std::uint64_t key, Rank rank = 0);
 
   // Flags a present task for re-keying at the next refresh(). O(1) and
   // idempotent: a marked task is listed once however often it is marked.
   void mark(TaskId task) {
     WCS_DCHECK(contains(task));
-    std::uint32_t& key = slots_[task.value()].key;
-    if (key & kStale) return;
-    key |= kStale;
+    std::uint32_t& slot = slots_[task.value()];
+    if (slot & kStale) return;
+    slot |= kStale;
     stale_.push_back(task);
   }
 
@@ -121,7 +153,7 @@ class ShardedTaskIndex {
   template <typename Place>
   void refresh(Place&& place) {
     for (TaskId task : stale_) {
-      if (!(slots_[task.value()].key & kStale)) continue;
+      if (!(slots_[task.value()] & kStale)) continue;
       const auto [key, rank] = place(task);
       update(task, key, rank);
     }
@@ -130,11 +162,11 @@ class ShardedTaskIndex {
 
   [[nodiscard]] bool contains(TaskId task) const {
     return task.value() < slots_.size() &&
-           slots_[task.value()].pos != kAbsent;
+           pos_of(slots_[task.value()]) != kAbsent;
   }
   // Key/rank a task is currently filed under. The task must be present.
   [[nodiscard]] std::uint64_t key_of(TaskId task) const;
-  [[nodiscard]] std::uint64_t rank_of(TaskId task) const;
+  [[nodiscard]] Rank rank_of(TaskId task) const;
 
   [[nodiscard]] std::size_t size() const { return size_; }
   // Entries on the stale list: each task marked since the last refresh()
@@ -187,33 +219,41 @@ class ShardedTaskIndex {
   void drop_stale_list_for_test() { stale_.clear(); }
 
  private:
-  static constexpr std::uint32_t kAbsent = UINT32_MAX;
-  // Keys stay below num_keys <= kStale, so a slot's top key bit is free
-  // to carry the mark.
+  // A slot is the task's heap position in its bucket, or kAbsent, with
+  // the mark in the top bit: positions stay below num_tasks < kAbsent.
   static constexpr std::uint32_t kStale = 1u << 31;
-
-  struct Slot {
-    std::uint32_t key = 0;        // bucket, | kStale while marked
-    std::uint32_t pos = kAbsent;  // heap position in buckets_[key]
-  };
-  [[nodiscard]] static std::uint32_t bucket_of(const Slot& slot) {
-    return slot.key & ~kStale;
+  static constexpr std::uint32_t kAbsent = kStale - 1;
+  [[nodiscard]] static std::uint32_t pos_of(std::uint32_t slot) {
+    return slot & ~kStale;
   }
+  [[nodiscard]] std::uint32_t bucket_of(TaskId task) const {
+    return keys_.empty() ? 0 : keys_[task.value()];
+  }
+  // Checks `key` and records it as `task`'s bucket, which it returns.
+  std::vector<Entry>& file(TaskId task, std::uint64_t key);
 
-  // Writes `e` at heap position `pos` and records the position.
+  // Writes `e` at heap position `pos` and records the position, keeping
+  // the task's mark.
   void place(std::vector<Entry>& heap, std::uint32_t pos, const Entry& e) {
     heap[pos] = e;
-    slots_[e.task.value()].pos = pos;
+    std::uint32_t& slot = slots_[e.task.value()];
+    slot = (slot & kStale) | pos;
   }
   // Restores heap order around position `pos` after its entry changed.
   void sift(std::vector<Entry>& heap, std::uint32_t pos);
+  // Files `e` at `pos` or below, moving better children up.
+  void sift_down(std::vector<Entry>& heap, std::uint32_t pos, Entry e);
 
   EntryOrder order_;
   std::vector<std::vector<Entry>> buckets_;  // by key
-  std::vector<Slot> slots_;                  // by task id
+  std::vector<std::uint32_t> slots_;         // by task id
+  std::vector<std::uint16_t> keys_;          // by task id; num_keys > 1
   std::size_t size_ = 0;
   std::vector<TaskId> stale_;  // marked tasks, in mark order
   mutable std::vector<std::uint32_t> frontier_;  // reused by walk()
 };
+
+// The worker-centric decision index: 32-bit counts, 8-byte entries.
+using ShardedTaskIndex = BasicShardedTaskIndex<std::uint32_t>;
 
 }  // namespace wcs::sched

@@ -171,7 +171,7 @@ TaskId StorageAffinityScheduler::replica_pick(WorkerId worker) const {
   const std::size_t site = engine().site_of(worker).value();
   residency_.refresh(site, place());
   TaskId pick = TaskId::invalid();
-  residency_.walk(site, 0, [&](const ShardedTaskIndex::Entry& e) {
+  residency_.walk(site, 0, [&](const auto& e) {
     if (placements_[e.task.value()].contains(worker)) return true;
     pick = e.task;
     return false;

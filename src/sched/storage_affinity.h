@@ -143,8 +143,9 @@ class StorageAffinityScheduler final : public Scheduler {
 
   // Cached bytes per (site, task), exact for INCOMPLETE tasks only
   // (untracked on completion), so cache events stop touching finished
-  // tasks. Its per-site index (high-id ties) files the replicable tasks.
-  ResidencyTable residency_;
+  // tasks. Its per-site index (high-id ties, 64-bit byte ranks, so
+  // 16-byte entries) files the replicable tasks.
+  BasicResidencyTable<NoHook, Bytes> residency_;
   // Incomplete tasks with no live instance, as a bitmap whose
   // lowest-member query matches the scan's lowest-id-first pickup.
   common::DenseIdSet orphans_;

@@ -75,10 +75,11 @@ void WorkerCentricScheduler::on_job_submitted() {
   placements_.assign(num_tasks, {});
   completed_.assign(num_tasks, 0);
 
-  // Seed the incremental aggregates over the initially-pending bag
-  // (every task, in a closed run), and file it in the index (the overlap
-  // / rest key is 0; combined keys are missing counts).
-  sites_.assign(engine().num_sites(),
+  // Under combined, seed the incremental aggregates over the
+  // initially-pending bag (every task, in a closed run). File the bag in
+  // the index (the overlap / rest key is 0; combined keys are missing
+  // counts).
+  sites_.assign(combined ? engine().num_sites() : 0,
                 SiteIndex{0, std::vector<std::uint32_t>(max_task_size + 1)});
   for (std::size_t s = 0; s < sites_.size(); ++s)
     for (TaskId t : pending_) {
@@ -133,7 +134,20 @@ std::pair<double, double> WorkerCentricScheduler::totals(
 
 std::pair<double, double> WorkerCentricScheduler::totals_of(
     SiteId site) const {
+  WCS_CHECK_MSG(params_.metric == Metric::kCombined,
+                "totals_of() under " << to_string(params_.metric)
+                                     << ": only combined keeps totals");
   return totals(site.value());
+}
+
+std::uint32_t WorkerCentricScheduler::combined_rank(std::size_t site,
+                                                    TaskId task,
+                                                    std::uint64_t ref_t) {
+  WCS_CHECK_MSG(ref_t <= UINT32_MAX,
+                "combined index rank: site " << site << " task " << task
+                    << " has ref_t " << ref_t
+                    << ", more than the 32-bit rank holds");
+  return static_cast<std::uint32_t>(ref_t);
 }
 
 double WorkerCentricScheduler::weight_from(std::uint32_t overlap,
@@ -161,7 +175,11 @@ double WorkerCentricScheduler::weight_from(std::uint32_t overlap,
 
 double WorkerCentricScheduler::weight(SiteId site, TaskId task) const {
   WCS_CHECK_MSG(is_pending(task), "weight() of non-pending task " << task);
-  auto [total_ref, total_rest] = totals(site.value());
+  WCS_CHECK_LT(site.value(), engine().num_sites());
+  double total_ref = 0;
+  double total_rest = 0;
+  if (params_.metric == Metric::kCombined)
+    std::tie(total_ref, total_rest) = totals(site.value());
   return weight_of(site.value(), task, total_ref, total_rest);
 }
 
@@ -188,7 +206,7 @@ double WorkerCentricScheduler::naive_weight(SiteId site, TaskId task) const {
 
 std::size_t WorkerCentricScheduler::overlap_cardinality(SiteId site,
                                                         TaskId task) const {
-  WCS_CHECK_LT(site.value(), sites_.size());
+  WCS_CHECK_LT(site.value(), engine().num_sites());
   return residency_.files(site.value(), task);
 }
 
@@ -263,7 +281,7 @@ TaskId WorkerCentricScheduler::choose_task(SiteId site) {
 std::vector<Candidate> WorkerCentricScheduler::reference_candidates(
     SiteId site) const {
   const std::size_t s = site.value();
-  WCS_CHECK_LT(s, sites_.size());
+  WCS_CHECK_LT(s, engine().num_sites());
 
   double total_ref = 0;
   double total_rest = 0;
@@ -313,7 +331,8 @@ void WorkerCentricScheduler::fill_candidates(
 
 void WorkerCentricScheduler::assign_pending(TaskId task, WorkerId worker) {
   pending_.erase(task);
-  // The task leaves every site's pending aggregates and the table.
+  // The task leaves every site's pending aggregates (combined) and the
+  // table.
   for (std::size_t s = 0; s < sites_.size(); ++s) {
     SiteIndex& idx = sites_[s];
     idx.total_ref -= residency_.refs(s, task);
@@ -387,7 +406,7 @@ void WorkerCentricScheduler::re_add_pending(TaskId task) {
   WCS_CHECK(!completed_[task.value()]);
   // Rebuild the per-site counters against the LIVE cache state (they went
   // stale the moment the task left the table); the task then re-enters
-  // every site's pending aggregates and the index.
+  // every site's pending aggregates (combined) and the index.
   residency_.track(task);
   for (std::size_t s = 0; s < sites_.size(); ++s) {
     SiteIndex& idx = sites_[s];
@@ -414,19 +433,20 @@ void WorkerCentricScheduler::audit_collect(
   // Every site's index vs the counters the table's audit above recounts:
   // it must file exactly the pending bag, as shard_place() keys it.
   residency_.audit_index(pending, shard_place(), out);
+  // Incremental aggregates vs the full scan over pending tasks (not
+  // through totals(), which would re-run its own debug cross-check).
   for (std::size_t s = 0; s < sites_.size(); ++s) {
-    const SiteId site(static_cast<SiteId::underlying_type>(s));
-    const SiteIndex& idx = sites_[s];
-    // Incremental aggregates vs the full scan over pending tasks (not
-    // through totals(), which would re-run its own debug cross-check).
     const auto [scan_ref, scan_rest] = scan_totals(s);
     audit::IndexTotalsSnapshot totals_snap;
     totals_snap.label = "site " + std::to_string(s);
-    totals_snap.incremental_ref = static_cast<double>(idx.total_ref);
-    totals_snap.incremental_rest = histogram_rest(idx);
+    totals_snap.incremental_ref = static_cast<double>(sites_[s].total_ref);
+    totals_snap.incremental_rest = histogram_rest(sites_[s]);
     totals_snap.scanned_ref = scan_ref;
     totals_snap.scanned_rest = scan_rest;
     audit::check_index_coherence(totals_snap, out);
+  }
+  for (std::size_t s = 0; s < engine().num_sites(); ++s) {
+    const SiteId site(static_cast<SiteId::underlying_type>(s));
 
     // Decision coherence: the index walk's top-n must equal the flat
     // scan's, bitwise, before any RNG draw.

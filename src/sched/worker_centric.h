@@ -29,8 +29,9 @@
 //      weight evaluation O(1) (ref sums are kept only under combined,
 //      the one metric that reads them);
 //   2. the combined metric's totalRef/totalRest aggregates (exact
-//      integer sum + missing-count histogram) make the normalizers O(1)
-//      per decision instead of a second O(T) scan;
+//      integer sum + missing-count histogram, kept only under combined)
+//      make the normalizers O(1) per decision instead of a second O(T)
+//      scan;
 //   3. the same table's per-site sharded index (sharded_index.h) — one
 //      heap ranked in weight order (overlap, rest) or one heap per
 //      missing count |t| - |F_t| ranked by ref_t (combined), as
@@ -40,7 +41,8 @@
 //
 // A cache event costs O(1) per pending task sharing the file (the table
 // moves the counters and marks the task, this scheduler's hook moves
-// the aggregates); a decision re-keys its site's marked tasks once.
+// the combined aggregates); a decision re-keys its site's marked tasks
+// once.
 //
 // The semantics are byte-identical at every layer: tests cross-check
 // weights against residency(), the shared per-task scan; --audit
@@ -113,12 +115,13 @@ class WorkerCentricScheduler final : public Scheduler {
   [[nodiscard]] bool supports_arrivals() const override { return true; }
   [[nodiscard]] std::string name() const override;
 
-  // Invariant audit: cross-validates every site's incremental aggregates
+  // Invariant audit: cross-validates the residency table's counters
+  // against residency() on the live cache, every site's index against
+  // those counters, under combined every site's incremental aggregates
   // (total_ref + missing-count histogram) against the O(|pending|) scan,
-  // the residency table's counters against residency() on the live
-  // cache, every site's index against those counters, and candidates()
-  // against reference_candidates(), bitwise. The aggregate check is the
-  // auditable promotion of the debug-only WCS_DCHECK in totals().
+  // and candidates() against reference_candidates(), bitwise. The
+  // aggregate check is the auditable promotion of the debug-only
+  // WCS_DCHECK in totals().
   void audit_collect(std::vector<audit::Violation>& out) const override;
 
   // --- Introspection (tests, examples) ---------------------------------
@@ -141,9 +144,17 @@ class WorkerCentricScheduler final : public Scheduler {
                                                 TaskId task) const;
 
   // Incrementally-maintained (totalRef, totalRest) over the pending bag
-  // for `site`. Tests cross-check this against the O(|pending|) scan the
-  // combined metric used to pay on every choose_task().
+  // for `site`, under the combined metric (the one that keeps them).
+  // Tests cross-check this against the O(|pending|) scan the combined
+  // metric used to pay on every choose_task().
   [[nodiscard]] std::pair<double, double> totals_of(SiteId site) const;
+
+  // The combined metric's index rank of `task` at site index `site`:
+  // ref_t, which must fit the index's 32-bit rank (a WCS_CHECK naming
+  // the site and task refuses a larger one instead of wrapping it).
+  [[nodiscard]] static std::uint32_t combined_rank(std::size_t site,
+                                                   TaskId task,
+                                                   std::uint64_t ref_t);
 
   // One ChooseTask(n) candidate: a pending task and its weight at the
   // requesting site.
@@ -171,23 +182,25 @@ class WorkerCentricScheduler final : public Scheduler {
 
  private:
   // Aggregates over PENDING tasks at one site, maintained incrementally
-  // so the combined metric's totals are O(1)-ish per decision instead of
-  // an O(|pending|) scan. total_ref is exact integer arithmetic (nonzero
-  // only under combined, the one metric that ranks by ref_t); total_rest
-  // is derived from a histogram of missing-file counts (rest_t =
-  // 1/missing depends only on `missing`), which keeps it exactly
-  // reproducible — no floating-point accumulation drift.
+  // under the combined metric (the only one that reads them) so its
+  // totals are O(1)-ish per decision instead of an O(|pending|) scan.
+  // total_ref is exact integer arithmetic; total_rest is derived from a
+  // histogram of missing-file counts (rest_t = 1/missing depends only on
+  // `missing`), which keeps it exactly reproducible — no floating-point
+  // accumulation drift.
   struct SiteIndex {
     std::uint64_t total_ref = 0;               // sum of ref_t, t pending
     std::vector<std::uint32_t> missing_hist;   // [m] = # pending tasks with
                                                // m files missing at the site
   };
 
-  // The residency table's hook: moves site `s`'s aggregates for a pending
-  // task that had missing + step.files files missing (mod 2^32).
+  // The residency table's hook: under combined, moves site `s`'s
+  // aggregates for a pending task that had missing + step.files files
+  // missing (mod 2^32); otherwise there are none to move.
   struct MoveAggregates {
     WorkerCentricScheduler* self = nullptr;
     void operator()(std::size_t s, TaskId task, const Residency& step) const {
+      if (self->sites_.empty()) return;
       SiteIndex& idx = self->sites_[s];
       const std::uint32_t missing = self->missing_of(s, task);
       --idx.missing_hist[missing + step.files];
@@ -196,8 +209,8 @@ class WorkerCentricScheduler final : public Scheduler {
     }
   };
 
-  // Takes `task` out of the bag (and every site's aggregates and the
-  // residency table) and assigns it to `worker`.
+  // Takes `task` out of the bag (and every site's aggregates, if kept,
+  // and the residency table) and assigns it to `worker`.
   void assign_pending(TaskId task, WorkerId worker);
   // CalculateWeight() of a task with `overlap` of its `size` files at the
   // site and ref-sum `ref_sum`, given the site's totals: the one formula
@@ -240,18 +253,19 @@ class WorkerCentricScheduler final : public Scheduler {
   // --- Sharded pending-task index (layer 3; see file comment) ----------
   // The residency table's `place`: (key, rank) of a pending task at site
   // `s`. Combined: key = missing count, rank = ref_t (weight is strictly
-  // increasing in ref_t at a fixed missing count). Overlap and rest: key
-  // 0, rank = |F_t|, resp. UINT32_MAX - missing count, so one heap holds
-  // the weight order itself.
+  // increasing in ref_t at a fixed missing count; combined_rank() checks
+  // it fits 32 bits). Overlap and rest: key 0, rank = |F_t|, resp.
+  // UINT32_MAX - missing count, so one heap holds the weight order
+  // itself.
   [[nodiscard]] auto shard_place() const {
     return [this](std::size_t s,
-                  TaskId task) -> std::pair<std::uint64_t, std::uint64_t> {
+                  TaskId task) -> std::pair<std::uint64_t, std::uint32_t> {
       const std::uint32_t missing = missing_of(s, task);
       if (params_.metric == Metric::kCombined)
-        return {missing, residency_.refs(s, task)};
+        return {missing, combined_rank(s, task, residency_.refs(s, task))};
       return {0, params_.metric == Metric::kOverlap
                      ? residency_.files(s, task)
-                     : std::uint64_t{UINT32_MAX} - missing};
+                     : UINT32_MAX - missing};
     };
   }
 
@@ -265,7 +279,7 @@ class WorkerCentricScheduler final : public Scheduler {
 
   WorkerCentricParams params_;
   Rng rng_;
-  std::vector<SiteIndex> sites_;
+  std::vector<SiteIndex> sites_;  // per site under combined, else empty
   // |F_t| (and ref_t under combined) per (site, task), exact for exactly
   // the pending bag: untracked on assignment, tracked again on a crash
   // re-add or an arrival. Its per-site index files exactly the pending

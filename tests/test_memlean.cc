@@ -159,14 +159,14 @@ TEST(Csr, RowBookkeepingCostsEightBytesPerRow) {
 
 // --- ResidencyTable -------------------------------------------------------
 
-TEST(ResidencyTable, PairCostsFourTwelveOrEightBytes) {
+TEST(ResidencyTable, PairCostsTwoTenOrEightBytes) {
   if (!alloc_counting_enabled())
     GTEST_SKIP() << "allocation counting compiled out (sanitizer build)";
   // build() allocates each requested column once, num_sites * num_tasks
   // entries; its file index does not depend on the site count. So two
   // more sites cost exactly 2 * num_tasks pairs more, and no allocation
-  // more: 4 B a pair under overlap/rest (files), 12 B under combined
-  // (files + refs), 8 B under storage affinity and XSufferage (bytes).
+  // more: 2 B a pair under overlap/rest (u16 files), 10 B under combined
+  // (files + u64 refs), 8 B under storage affinity and XSufferage (bytes).
   const workload::Job job =
       sched::testing::make_job({{0, 1}, {1, 2}, {2}, {0}, {1, 2}}, 3);
   using Table = sched::ResidencyTable;
@@ -180,7 +180,7 @@ TEST(ResidencyTable, PairCostsFourTwelveOrEightBytes) {
                      after.bytes - before.bytes};
   };
   const std::pair<unsigned, std::uint64_t> cases[] = {
-      {Table::kFiles, 4}, {Table::kFiles | Table::kRefs, 12},
+      {Table::kFiles, 2}, {Table::kFiles | Table::kRefs, 10},
       {Table::kBytes, 8}};
   for (const auto& [columns, pair_bytes] : cases) {
     const auto [one_allocs, one_bytes] = build(1, columns);
@@ -191,46 +191,55 @@ TEST(ResidencyTable, PairCostsFourTwelveOrEightBytes) {
   }
 }
 
-TEST(ResidencyTable, IndexCostsTwelveBytesAPairPlusSixteenAnEntry) {
+TEST(ResidencyTable, IndexCostsEightOrTenBytesAPairPlusEightAnEntry) {
   if (!alloc_counting_enabled())
     GTEST_SKIP() << "allocation counting compiled out (sanitizer build)";
-  // fill_index() allocates, per site, an 8 B slot and a 4 B stale-list
+  // fill_index() allocates, per site, a 4 B slot and a 4 B stale-list
   // reserve for every task (the reserve is allocated up front but touched
-  // only as marks arrive), a 16 B heap entry for every filed task, and a
-  // constant: the index object and one bucket vector per key. So under
-  // `rest`, where every pending task is filed, a pair allocates 32 B on
-  // top of the table's 4 B column. Two more sites cost exactly twice
-  // that, in five more allocations each (slots, stale list, bucket
-  // array, and one reserved heap per key).
+  // only as marks arrive), a 2 B key for every task only when the index
+  // has more than one key (combined), an 8 B heap entry for every filed
+  // task, and a constant: the index object and one bucket vector per
+  // key. So under `rest`, where every pending task is filed and there is
+  // one key, a pair allocates 16 B on top of the table's 2 B column (18
+  // B); under combined 18 B on top of its 10 B (28 B). Two more sites
+  // cost exactly twice that, in 3 + keys more allocations each (slots,
+  // stale list, bucket array, one reserved heap per key), plus the key
+  // column when there are several keys. Storage affinity's 64-bit byte
+  // ranks make its entries 16 B.
+  EXPECT_EQ(sizeof(sched::ShardedTaskIndex::Entry), 8u);
+  EXPECT_EQ(sizeof(sched::BasicShardedTaskIndex<Bytes>::Entry), 16u);
   const workload::Job job =
       sched::testing::make_job({{0, 1}, {1, 2}, {2}, {0}, {1, 2}}, 3);
   using Table = sched::ResidencyTable;
-  using Index = sched::ShardedTaskIndex;
-  static constexpr std::size_t kKeys = 2;
+  using Index = Table::Index;
   constexpr std::uint64_t kFiled = 4;  // every task but task 4
-  auto fill = [&](std::size_t sites) {
+  auto fill = [&](std::size_t sites, std::size_t keys) {
     sched::testing::FakeEngine engine(job, sites, 1);
     Table table;
     table.build(engine, Table::kFiles, [](TaskId) { return true; });
     const AllocSnapshot before = alloc_snapshot();
     table.fill_index(
-        kKeys, /*prefer_high_id=*/false,
+        keys, /*prefer_high_id=*/false,
         [](TaskId t) { return t.value() != 4; },
-        [](std::size_t, TaskId t) {
-          return std::pair<std::uint64_t, std::uint64_t>{t.value() % kKeys, 0};
+        [keys](std::size_t, TaskId t) {
+          return std::pair<std::uint64_t, std::uint32_t>{t.value() % keys, 0};
         });
     const AllocSnapshot after = alloc_snapshot();
     return std::pair{allocations_between(before, after),
                      after.bytes - before.bytes};
   };
-  const auto [one_allocs, one_bytes] = fill(1);
-  const auto [three_allocs, three_bytes] = fill(3);
-  EXPECT_EQ(sizeof(Index::Entry), 16u);
-  const std::uint64_t per_site =
-      sizeof(Index) + kKeys * sizeof(std::vector<Index::Entry>);
-  EXPECT_EQ(three_bytes - one_bytes,
-            2 * (job.num_tasks() * 12 + kFiled * 16 + per_site));
-  EXPECT_EQ(three_allocs - one_allocs, 2 * (3 + kKeys));
+  for (const std::size_t keys : {std::size_t{1}, std::size_t{2}}) {
+    const auto [one_allocs, one_bytes] = fill(1, keys);
+    const auto [three_allocs, three_bytes] = fill(3, keys);
+    const std::uint64_t pair_bytes = keys > 1 ? 10 : 8;
+    const std::uint64_t per_site =
+        sizeof(Index) + keys * sizeof(std::vector<Index::Entry>);
+    EXPECT_EQ(three_bytes - one_bytes,
+              2 * (job.num_tasks() * pair_bytes + kFiled * 8 + per_site))
+        << keys << " keys";
+    EXPECT_EQ(three_allocs - one_allocs, 2 * (3 + keys + (keys > 1 ? 1 : 0)))
+        << keys << " keys";
+  }
 }
 
 // --- DenseIdSet ----------------------------------------------------------

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -237,6 +238,44 @@ TEST(ResidencyTable, AnAccessTouchesNothingWithoutARefsColumn) {
   }
 }
 
+TEST(ResidencyTable, BuildRefusesATaskOfMoreFilesThanTheOverlapCounterHolds) {
+  // The files column is u16: task 1 reads 65,536 files, one too many.
+  std::vector<unsigned> wide(65536);
+  std::iota(wide.begin(), wide.end(), 0u);
+  const auto job = make_job({{0}, wide}, wide.size());
+  const auto all = [](TaskId) { return true; };
+  {
+    FakeEngine eng(job, 1, 1);
+    ResidencyTable table;
+    try {
+      table.build(eng, ResidencyTable::kFiles, all);
+      FAIL() << "a 65,536-file task was accepted";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("task 1 reads 65536 files"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  {
+    FakeEngine eng(job, 1, 1);  // without a files column it fits
+    ResidencyTable table;
+    table.build(eng, ResidencyTable::kBytes, all);
+  }
+  // 65,535 files fit and count to the top, and an eviction's wrapped
+  // step (0u - 1) takes one off a u16 counter there.
+  const unsigned last = wide.back();
+  wide.pop_back();
+  const auto widest = make_job({{last}, wide}, wide.size() + 1);
+  FakeEngine eng(widest, 1, 1, /*capacity=*/wide.size());
+  ResidencyTable table;
+  table.build(eng, ResidencyTable::kFiles, all);
+  for (unsigned f : wide) eng.cache(SiteId(0)).insert(FileId(f));
+  EXPECT_EQ(table.files(0, TaskId(1)), 65535u);
+  eng.cache(SiteId(0)).insert(FileId(last));  // evicts file 0 (LRU)
+  EXPECT_EQ(table.files(0, TaskId(1)), 65534u);
+  EXPECT_EQ(table.files(0, TaskId(0)), 1u);
+}
+
 TEST(ResidencyTable, AuditReportsEveryDriftedPair) {
   const auto job = make_job({{0, 1}, {1, 2}, {2}}, 3);
   FakeEngine eng(job, 2, 1);
@@ -258,13 +297,14 @@ TEST(ResidencyTable, AuditReportsEveryDriftedPair) {
 
 // --- ResidencyTable's decision index -------------------------------------
 
-using Place = std::pair<std::uint64_t, std::uint64_t>;
+// A (key, rank) of a table whose index ranks by 32-bit counts.
+using Place = std::pair<std::uint64_t, std::uint32_t>;
 
 // Task ids `table` files at `site` under key 0, best first.
 template <typename Table>
 std::vector<unsigned> walk_ids(const Table& table, std::size_t site) {
   std::vector<unsigned> ids;
-  table.walk(site, 0, [&](const ShardedTaskIndex::Entry& e) {
+  table.walk(site, 0, [&](const auto& e) {
     ids.push_back(e.task.value());
     return true;
   });
@@ -329,10 +369,10 @@ TEST(ResidencyTable, PreferHighIdOrdersIndexTiesTowardHighIds) {
   const auto job = make_job({{0}, {0}, {1}, {1}}, 2);
   for (bool high : {false, true}) {
     FakeEngine eng(job, 2, 1);
-    ResidencyTable table;
+    BasicResidencyTable<NoHook, Bytes> table;  // storage affinity's ranks
     table.build(eng, ResidencyTable::kBytes, [](TaskId) { return true; });
     const auto place = [&table](std::size_t s, TaskId t) {
-      return Place{0, table.bytes(s, t)};
+      return std::pair{std::uint64_t{0}, table.bytes(s, t)};
     };
     table.fill_index(1, high, [](TaskId) { return true; }, place);
     eng.add_file(SiteId(1), FileId(1));  // tasks 2 and 3 rank first there

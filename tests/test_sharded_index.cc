@@ -42,9 +42,11 @@ std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 // --- ShardedTaskIndex structural tests ---------------------------------
 
 // Every task filed under `key`, in walk order.
-std::vector<TaskId> walk_all(const ShardedTaskIndex& idx, std::uint64_t key) {
+template <typename Rank>
+std::vector<TaskId> walk_all(const BasicShardedTaskIndex<Rank>& idx,
+                             std::uint64_t key) {
   std::vector<TaskId> order;
-  idx.walk(key, [&](const ShardedTaskIndex::Entry& e) {
+  idx.walk(key, [&](const auto& e) {
     order.push_back(e.task);
     return true;
   });
@@ -184,9 +186,9 @@ TEST(ShardedTaskIndex, OutOfRangeKeyThrows) {
 // A place() that files every task at (key, rank) and counts its calls.
 struct CountingPlace {
   std::uint64_t key = 0;
-  std::uint64_t rank = 0;
+  std::uint32_t rank = 0;
   std::vector<TaskId> calls;
-  std::pair<std::uint64_t, std::uint64_t> operator()(TaskId t) {
+  std::pair<std::uint64_t, std::uint32_t> operator()(TaskId t) {
     calls.push_back(t);
     return {key, rank};
   }
@@ -296,12 +298,16 @@ TEST(ShardedTaskIndex, UpdateClearsAMark) {
 // path), arbitrary rank raises and drops — against a std::set of
 // (key, rank, id). After every operation each bucket's full walk must
 // equal the oracle's order and the structure must report no defect.
+// Every rank is `base` plus a small offset, so the 64-bit instantiation
+// runs with ranks past 32 bits.
 
-void run_index_differential(bool prefer_high_id, std::uint64_t seed) {
+template <typename Rank>
+void run_index_differential(bool prefer_high_id, std::uint64_t seed,
+                            Rank base = 0) {
   constexpr std::size_t kTasks = 48;
   constexpr std::uint64_t kKeys = 6;
   std::mt19937_64 rng(seed);
-  ShardedTaskIndex idx(prefer_high_id);
+  BasicShardedTaskIndex<Rank> idx(prefer_high_id);
   idx.reset(kTasks, kKeys);
 
   using Filed = std::tuple<std::uint64_t, std::uint64_t, unsigned>;
@@ -312,9 +318,9 @@ void run_index_differential(bool prefer_high_id, std::uint64_t seed) {
   auto file = [&](unsigned t, std::uint64_t key, std::uint64_t rank) {
     if (present[t]) {
       oracle.erase({where[t].first, where[t].second, t});
-      idx.update(tid(t), key, rank);
+      idx.update(tid(t), key, static_cast<Rank>(rank));
     } else {
-      idx.insert(tid(t), key, rank);
+      idx.insert(tid(t), key, static_cast<Rank>(rank));
     }
     oracle.insert({key, rank, t});
     where[t] = {key, rank};
@@ -337,7 +343,7 @@ void run_index_differential(bool prefer_high_id, std::uint64_t seed) {
     const auto t = static_cast<unsigned>(rng() % kTasks);
     const unsigned op = static_cast<unsigned>(rng() % 100);
     if (!present[t]) {
-      file(t, rng() % kKeys, rng() % 8);
+      file(t, rng() % kKeys, base + rng() % 8);
     } else if (op < 20) {
       idx.erase(tid(t));
       oracle.erase({where[t].first, where[t].second, t});
@@ -350,7 +356,7 @@ void run_index_differential(bool prefer_high_id, std::uint64_t seed) {
     } else if (op < 75) {
       file(t, where[t].first, where[t].second + 1);
     } else if (op < 95) {
-      file(t, where[t].first, rng() % 12);
+      file(t, where[t].first, base + rng() % 12);
     } else {
       file(t, where[t].first, where[t].second);  // no-op update
     }
@@ -369,10 +375,66 @@ void run_index_differential(bool prefer_high_id, std::uint64_t seed) {
 }
 
 TEST(ShardedTaskIndex, DifferentialLowIdTies) {
-  run_index_differential(/*prefer_high_id=*/false, 0x5EED1);
+  run_index_differential<std::uint32_t>(/*prefer_high_id=*/false, 0x5EED1);
 }
 TEST(ShardedTaskIndex, DifferentialHighIdTies) {
-  run_index_differential(/*prefer_high_id=*/true, 0x5EED2);
+  run_index_differential<std::uint32_t>(/*prefer_high_id=*/true, 0x5EED2);
+}
+TEST(ShardedTaskIndex, DifferentialByteRanksPast32Bits) {
+  // Storage affinity's instantiation, with its high-id ties.
+  run_index_differential<std::uint64_t>(/*prefer_high_id=*/true, 0x5EED3,
+                                        std::uint64_t{1} << 40);
+}
+
+// fill() files what an insert() per task files: the same members, keys,
+// ranks and walks (only the heap shape may differ), and the heapified
+// buckets then take inserts, updates and erases like any other.
+TEST(ShardedTaskIndex, FillFilesWhatAnInsertPerTaskFiles) {
+  constexpr std::size_t kTasks = 200;
+  for (const std::size_t keys : {std::size_t{1}, std::size_t{5}}) {
+    std::mt19937_64 rng(0xF111 + keys);
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> where(kTasks);
+    for (auto& [key, rank] : where) {
+      key = rng() % keys;
+      rank = static_cast<std::uint32_t>(rng() % 16);
+    }
+    const auto want = [](TaskId t) { return t.value() % 7 != 3; };
+    const auto place = [&](TaskId t) { return where[t.value()]; };
+    ShardedTaskIndex filled;
+    filled.reset(kTasks, keys);
+    filled.fill(want, place);
+    ShardedTaskIndex inserted;
+    inserted.reset(kTasks, keys);
+    for (unsigned t = 0; t < kTasks; ++t)
+      if (want(tid(t))) inserted.insert(tid(t), where[t].first, where[t].second);
+
+    ASSERT_TRUE(filled.structural_defects().empty())
+        << filled.structural_defects()[0];
+    EXPECT_EQ(filled.size(), inserted.size());
+    for (unsigned t = 0; t < kTasks; ++t) {
+      ASSERT_EQ(filled.contains(tid(t)), want(tid(t))) << "task " << t;
+      if (!want(tid(t))) continue;
+      EXPECT_EQ(filled.key_of(tid(t)), where[t].first) << "task " << t;
+      EXPECT_EQ(filled.rank_of(tid(t)), where[t].second) << "task " << t;
+    }
+    for (std::uint64_t key = 0; key < keys; ++key)
+      EXPECT_EQ(walk_all(filled, key), walk_all(inserted, key))
+          << keys << " keys, key " << key;
+
+    for (auto* idx : {&filled, &inserted}) {
+      idx->insert(tid(3), 0, 9);
+      idx->update(tid(11), keys - 1, 15);
+      idx->erase(tid(0));
+      idx->mark(tid(20));
+      idx->refresh([](TaskId) {
+        return std::pair<std::uint64_t, std::uint32_t>{0, 1};
+      });
+      ASSERT_TRUE(idx->structural_defects().empty());
+    }
+    for (std::uint64_t key = 0; key < keys; ++key)
+      EXPECT_EQ(walk_all(filled, key), walk_all(inserted, key))
+          << keys << " keys, key " << key << " after updates";
+  }
 }
 
 TEST(ShardedIndexAudit, CheckerFlagsCountMismatchAndDefects) {

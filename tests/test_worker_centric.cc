@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "fake_engine.h"
@@ -222,6 +226,42 @@ TEST(CombinedMetric, PastReferencesBreakRestTies) {
             sched.weight(SiteId(0), TaskId(1)));
   sched.on_worker_idle(WorkerId(0));
   EXPECT_EQ(eng.assignments[0].first, TaskId(0));
+}
+
+TEST(CombinedMetric, IndexRankRefusesARefSumPast32BitsInsteadOfWrapping) {
+  // ref_t is the combined index's 32-bit rank: UINT32_MAX still fits,
+  // one more names the site and task instead of wrapping to 0.
+  EXPECT_EQ(WorkerCentricScheduler::combined_rank(0, TaskId(0), UINT32_MAX),
+            UINT32_MAX);
+  try {
+    (void)WorkerCentricScheduler::combined_rank(
+        3, TaskId(7), std::uint64_t{UINT32_MAX} + 1);
+    FAIL() << "an out-of-range ref_t was accepted";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("site 3 task 7 has ref_t 4294967296"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(CombinedMetric, OnlyCombinedKeepsTotals) {
+  auto job = tiny_job();
+  for (Metric m : {Metric::kOverlap, Metric::kRest, Metric::kCombined}) {
+    FakeEngine eng(job, 2, 1);
+    auto sched = make_sched(m);
+    sched.attach(eng);
+    sched.on_job_submitted();
+    eng.add_file(SiteId(1), FileId(1));
+    if (m == Metric::kCombined) {
+      EXPECT_EQ(sched.totals_of(SiteId(1)).first, 2.0);  // t0 and t1 read 1
+    } else {
+      EXPECT_THROW((void)sched.totals_of(SiteId(1)), std::logic_error)
+          << to_string(m);
+    }
+    std::vector<audit::Violation> v;
+    sched.audit_collect(v);
+    EXPECT_TRUE(v.empty()) << to_string(m) << ": " << v.front().message;
+  }
 }
 
 // --- ChooseTask(n) --------------------------------------------------------
