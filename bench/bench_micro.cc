@@ -239,7 +239,7 @@ BENCHMARK(BM_EventKernelReschedule)
 
 void BM_ChooseTaskCombined(benchmark::State& state) {
   // Per-decision cost of the combined metric at a paper-scale pending
-  // bag: weight() runs the totals query (incremental aggregates) plus one
+  // bag: weight() runs the totals query (read off the index) plus one
   // weight evaluation — the per-task unit of the choose_task scan.
   workload::CoaddParams cp;
   cp.num_tasks = static_cast<std::size_t>(state.range(0));

@@ -183,23 +183,23 @@ void check_block_store(const BlockStoreAuditSnapshot& snap,
 
 void check_index_coherence(const IndexTotalsSnapshot& snap,
                            std::vector<Violation>& out) {
-  // total_ref is exact integer arithmetic on both sides; total_rest is a
-  // sum of 1/m terms whose addition order differs between the histogram
-  // and the scan, so it gets a relative tolerance.
-  if (snap.incremental_ref != snap.scanned_ref) {
+  // totalRef is exact integer arithmetic on both sides; totalRest is a
+  // sum of 1/m terms whose addition order differs between the index's
+  // buckets and the scan, so it gets a relative tolerance.
+  if (snap.index_ref != snap.scanned_ref) {
     std::ostringstream os;
-    os << snap.label << " incremental totalRef " << snap.incremental_ref
+    os << snap.label << " index totalRef " << snap.index_ref
        << " != full recompute " << snap.scanned_ref
-       << " (SiteIndex drifted from the cache)";
+       << " (the index's rank total drifted from the cache)";
     report(out, "index-coherence", os);
   }
   const double tol =
       1e-9 * std::max(1.0, std::abs(snap.scanned_rest));
-  if (std::abs(snap.incremental_rest - snap.scanned_rest) > tol) {
+  if (std::abs(snap.index_rest - snap.scanned_rest) > tol) {
     std::ostringstream os;
-    os << snap.label << " incremental totalRest " << snap.incremental_rest
+    os << snap.label << " index totalRest " << snap.index_rest
        << " != full recompute " << snap.scanned_rest
-       << " (missing-count histogram drifted)";
+       << " (the index's bucket sizes drifted from the cache)";
     report(out, "index-coherence", os);
   }
 }

@@ -18,7 +18,7 @@
 //   block-store         physical/pinned block counters == extent-union
 //                       recounts; pinned <= physical <= capacity; union
 //                       <= per-file block-ref sum
-//   index-coherence     scheduler's incremental totals == full recompute
+//   index-coherence     scheduler's index-derived totals == full recompute
 //   task-lifecycle      pending -> assigned -> running -> completed
 //                       exactly once; placements match worker queues
 //   event-kernel        fire-time monotonicity; every slot in the heap
@@ -136,9 +136,9 @@ void check_block_store(const BlockStoreAuditSnapshot& snap,
 
 struct IndexTotalsSnapshot {
   std::string label;  // e.g. "site 3"
-  double incremental_ref = 0;   // the O(1) maintained aggregates
-  double incremental_rest = 0;
-  double scanned_ref = 0;       // the full O(|pending|) recompute
+  double index_ref = 0;     // read off the refreshed decision index
+  double index_rest = 0;
+  double scanned_ref = 0;   // the full O(|pending|) recompute
   double scanned_rest = 0;
 };
 

@@ -1,9 +1,9 @@
 // Runtime invariant auditor.
 //
 // The simulator keeps several pieces of redundant state for speed
-// (incremental scheduler totals, a slot-table event kernel, per-link
-// byte counters); each is a conservation law that can silently drift
-// under refactoring. The InvariantAuditor holds a registry of pluggable
+// (scheduler counters and decision indexes, a slot-table event kernel,
+// per-link byte counters); each is a conservation law that can silently
+// drift under refactoring. The InvariantAuditor holds a registry of pluggable
 // checkers that sweep the LIVE simulation — every N executed events and
 // once at end-of-run — and abort with a full violation report the moment
 // any law breaks (DESIGN.md § Invariants & static analysis).

@@ -1,7 +1,7 @@
 // Which of a task's files already sit at a site: the one quantity
 // worker-centric's CalculateWeight() metrics, storage affinity's replica
 // pick and XSufferage's transfer estimate rank tasks by (DESIGN.md
-// §Performance architecture, layer 4). It is modelled once, here:
+// §Performance architecture, layer 3). It is modelled once, here:
 //
 //   ResidencyTable  the per-(site, task) counters and decision index all
 //                   three schedulers read: the one place they live;
@@ -123,21 +123,14 @@ class TaskFileIndex {
 // an 8-byte entry (16 B with 64-bit ranks) per filed task: 18 B under
 // rest, 28 B under combined, 32 B under storage affinity.
 //
-// `Touched`, the owner's hook (see build()), is given at construction
-// and kept by value, so a site's listener (just the table and the site
-// index) fits std::function's inline buffer and the hook inlines.
 // `Rank` is the index's rank type: 32-bit counts for worker-centric,
 // 64-bit bytes for storage affinity.
-struct NoHook {
-  void operator()(std::size_t, TaskId, const Residency&) const {}
-};
-
-template <typename Touched = NoHook, typename Rank = std::uint32_t>
+template <typename Rank = std::uint32_t>
 class BasicResidencyTable {
  public:
   using Index = BasicShardedTaskIndex<Rank>;
 
-  explicit BasicResidencyTable(Touched touched = {}) : touched_(touched) {}
+  BasicResidencyTable() = default;
   // The cache listeners build() installs hold the table's address.
   BasicResidencyTable(const BasicResidencyTable&) = delete;
   BasicResidencyTable& operator=(const BasicResidencyTable&) = delete;
@@ -154,13 +147,9 @@ class BasicResidencyTable {
   // their counters from the current caches, and subscribes to each
   // site's cache through `engine`, the engine the owner is attached to
   // (it must outlive the table). Each event (fired after the mutation)
-  // moves the counters of each tracked reader of the file, in row order,
-  // then calls touched(site, task, step) and marks the task if indexed.
-  // `step` is what the event added to each counter, modulo 2^n (an
-  // eviction adds the negation of its insert's step; 0 in the columns
-  // not kept), so an owner moves its aggregates with the same +=.
-  // Without a refs column an access touches nothing. With a files
-  // column a task of more than 65,535 files is refused.
+  // moves the counters of each tracked reader of the file and marks the
+  // reader if indexed. Without a refs column an access touches nothing.
+  // With a files column a task of more than 65,535 files is refused.
   template <typename Live>
   void build(GridEngine& engine, unsigned columns, Live live) {
     engine_ = &engine;
@@ -293,6 +282,10 @@ class BasicResidencyTable {
   void refresh(std::size_t site, Place place) const {
     shards_[site].refresh([&](TaskId task) { return place(site, task); });
   }
+  // Site index `site`'s decision index; refresh() it before reading it.
+  [[nodiscard]] const Index& index_of(std::size_t site) const {
+    return shards_.at(site);
+  }
   // BasicShardedTaskIndex::walk over a refreshed site's index.
   template <typename Fn>
   void walk(std::size_t site, std::uint64_t key, Fn&& fn) const {
@@ -346,7 +339,6 @@ class BasicResidencyTable {
     Index* shard = shards_.empty() ? nullptr : &shards_[s];
     for (TaskId t : readers_.tasks_of(file)) {
       add(at(s, t), step);
-      touched_(s, t, step);
       if (shard != nullptr && shard->contains(t)) shard->mark(t);
     }
   }
@@ -380,7 +372,6 @@ class BasicResidencyTable {
   }
 
   const GridEngine* engine_ = nullptr;
-  Touched touched_;
   unsigned columns_ = 0;
   std::size_t num_sites_ = 0;
   std::size_t num_tasks_ = 0;
@@ -393,9 +384,8 @@ class BasicResidencyTable {
   mutable std::vector<Index> shards_;
 };
 
-// The table of an owner with no per-event aggregates of its own, whose
-// index (if any) ranks by 32-bit counts. Storage affinity ranks by
-// bytes: BasicResidencyTable<NoHook, Bytes>.
+// The table whose index (if any) ranks by 32-bit counts. Storage
+// affinity ranks by bytes: BasicResidencyTable<Bytes>.
 using ResidencyTable = BasicResidencyTable<>;
 
 // Unassigned tasks: a membership flag per task id plus a dense list for

@@ -16,6 +16,7 @@ void BasicShardedTaskIndex<Rank>::reset(std::size_t num_tasks,
   stale_.clear();
   stale_.reserve(num_tasks);
   size_ = 0;
+  rank_total_ = 0;
 }
 
 template <typename Rank>
@@ -36,6 +37,7 @@ void BasicShardedTaskIndex<Rank>::insert(TaskId task, std::uint64_t key,
                                          Rank rank) {
   std::vector<Entry>& heap = file(task, key);
   heap.push_back(Entry{rank, task});
+  rank_total_ += rank;
   sift(heap, static_cast<std::uint32_t>(heap.size() - 1));
 }
 
@@ -46,6 +48,7 @@ void BasicShardedTaskIndex<Rank>::erase(TaskId task) {
   std::vector<Entry>& heap = buckets_[bucket_of(task)];
   const std::uint32_t pos = pos_of(slot);
   slot = kAbsent;  // drops the mark; refresh() skips the listed task
+  rank_total_ -= heap[pos].rank;
   const Entry last = heap.back();
   heap.pop_back();
   if (pos < heap.size()) {
@@ -70,6 +73,7 @@ void BasicShardedTaskIndex<Rank>::update(TaskId task, std::uint64_t key,
   }
   std::vector<Entry>& heap = buckets_[key];
   if (heap[slot].rank == rank) return;
+  rank_total_ += std::uint64_t{rank} - heap[slot].rank;
   heap[slot].rank = rank;
   sift(heap, slot);
 }
@@ -117,10 +121,12 @@ std::vector<std::string> BasicShardedTaskIndex<Rank>::structural_defects()
     const {
   std::vector<std::string> defects;
   std::size_t entries = 0;
+  std::uint64_t ranks = 0;
   for (std::size_t key = 0; key < buckets_.size(); ++key) {
     const std::vector<Entry>& heap = buckets_[key];
     for (std::size_t pos = 0; pos < heap.size(); ++pos) {
       ++entries;
+      ranks += heap[pos].rank;
       const TaskId t = heap[pos].task;
       if (t.value() >= slots_.size() || bucket_of(t) != key ||
           pos_of(slots_[t.value()]) != pos) {
@@ -145,6 +151,12 @@ std::vector<std::string> BasicShardedTaskIndex<Rank>::structural_defects()
     std::ostringstream os;
     os << "size drifted: counter " << size_ << ", bucket entries " << entries
        << ", present slots " << present;
+    defects.push_back(os.str());
+  }
+  if (ranks != rank_total_) {
+    std::ostringstream os;
+    os << "rank total drifted: counter " << rank_total_
+       << ", sum of entry ranks " << ranks;
     defects.push_back(os.str());
   }
   // Stale list vs marks: refresh() only visits listed tasks, so a mark

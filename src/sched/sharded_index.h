@@ -1,5 +1,5 @@
 // Sharded pending-task index: the structure behind the ChooseTask(n)
-// fast path (DESIGN.md §Performance architecture, layer 4).
+// fast path (DESIGN.md §Performance architecture, layer 3).
 //
 // The paper's worker-centric loop scores EVERY pending task on each idle
 // worker request. The per-(site, task) counters of the one residency
@@ -19,6 +19,10 @@
 // bounded by reset()'s num_keys; each bucket is an indexed binary heap
 // (a flat std::vector<Entry> in EntryOrder, every task's heap position
 // kept in its slot). insert/erase are O(log |b|) over contiguous memory.
+//
+// RANK TOTAL: rank_total() (the entries' rank sum) and bucket_size(key)
+// are O(1), so sums over the filed tasks, such as combined's totalRef and
+// totalRest, are read off the refreshed index, not kept beside it.
 //
 // LAYOUT: the rank type is the template parameter, so an Entry is
 // {rank, TaskId}: 8 B with the worker-centric 32-bit ranks
@@ -119,6 +123,7 @@ class BasicShardedTaskIndex {
       std::vector<Entry>& heap = file(task, key);
       slots_[i] = static_cast<std::uint32_t>(heap.size());
       heap.push_back(Entry{rank, task});
+      rank_total_ += rank;
     }
     for (std::vector<Entry>& heap : buckets_)
       for (auto pos = static_cast<std::uint32_t>(heap.size() / 2); pos-- > 0;)
@@ -174,6 +179,12 @@ class BasicShardedTaskIndex {
   [[nodiscard]] std::size_t stale_count() const { return stale_.size(); }
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t num_keys() const { return buckets_.size(); }
+  // Entries filed under `key`, which must be below num_keys().
+  [[nodiscard]] std::size_t bucket_size(std::uint64_t key) const {
+    return buckets_.at(key).size();
+  }
+  // Sum of every entry's rank, modulo 2^64.
+  [[nodiscard]] std::uint64_t rank_total() const { return rank_total_; }
 
   // Visits the entries filed under `key` best-first, in exactly
   // EntryOrder order, until `fn(const Entry&)` returns false. The
@@ -209,14 +220,17 @@ class BasicShardedTaskIndex {
 
   // Structural self-check for the auditor: every entry sits where its
   // slot says, no entry outranks its heap parent, the entry, slot and
-  // size counts agree, every marked slot is on the stale list, and no
-  // listed task is marked while absent. Returns human-readable defect
-  // descriptions (empty when coherent).
+  // size counts agree, the rank total is the sum of the entries' ranks,
+  // every marked slot is on the stale list, and no listed task is marked
+  // while absent. Returns human-readable defect descriptions (empty when
+  // coherent).
   [[nodiscard]] std::vector<std::string> structural_defects() const;
 
-  // Test hook: forgets the stale list but keeps the marks, the corruption
-  // structural_defects() must report.
+  // Test hooks: the corruptions structural_defects() must report. The
+  // first forgets the stale list but keeps the marks; the second moves
+  // the rank total off its entries' sum.
   void drop_stale_list_for_test() { stale_.clear(); }
+  void skew_rank_total_for_test() { ++rank_total_; }
 
  private:
   // A slot is the task's heap position in its bucket, or kAbsent, with
@@ -249,6 +263,7 @@ class BasicShardedTaskIndex {
   std::vector<std::uint32_t> slots_;         // by task id
   std::vector<std::uint16_t> keys_;          // by task id; num_keys > 1
   std::size_t size_ = 0;
+  std::uint64_t rank_total_ = 0;  // sum of entry ranks, modulo 2^64
   std::vector<TaskId> stale_;  // marked tasks, in mark order
   mutable std::vector<std::uint32_t> frontier_;  // reused by walk()
 };

@@ -145,7 +145,7 @@ class StorageAffinityScheduler final : public Scheduler {
   // (untracked on completion), so cache events stop touching finished
   // tasks. Its per-site index (high-id ties, 64-bit byte ranks, so
   // 16-byte entries) files the replicable tasks.
-  BasicResidencyTable<NoHook, Bytes> residency_;
+  BasicResidencyTable<Bytes> residency_;
   // Incomplete tasks with no live instance, as a bitmap whose
   // lowest-member query matches the scan's lowest-id-first pickup.
   common::DenseIdSet orphans_;

@@ -75,17 +75,8 @@ void WorkerCentricScheduler::on_job_submitted() {
   placements_.assign(num_tasks, {});
   completed_.assign(num_tasks, 0);
 
-  // Under combined, seed the incremental aggregates over the
-  // initially-pending bag (every task, in a closed run). File the bag in
-  // the index (the overlap / rest key is 0; combined keys are missing
-  // counts).
-  sites_.assign(combined ? engine().num_sites() : 0,
-                SiteIndex{0, std::vector<std::uint32_t>(max_task_size + 1)});
-  for (std::size_t s = 0; s < sites_.size(); ++s)
-    for (TaskId t : pending_) {
-      sites_[s].total_ref += residency_.refs(s, t);
-      ++sites_[s].missing_hist[missing_of(s, t)];
-    }
+  // File the bag in the index (the overlap / rest key is 0; combined
+  // keys are missing counts).
   residency_.fill_index(combined ? max_task_size + std::size_t{1} : 1,
                         /*prefer_high_id=*/false,
                         [this](TaskId t) { return pending_.contains(t); },
@@ -103,40 +94,37 @@ std::pair<double, double> WorkerCentricScheduler::scan_totals(
   return {total_ref, total_rest};
 }
 
-double WorkerCentricScheduler::histogram_rest(const SiteIndex& idx) {
-  // Every pending task with m files missing contributes rest_t = 1/m
-  // (kFullOverlapRestWeight at m = 0). The histogram is as long as the
-  // largest task's file list — a workload constant (~100 for Coadd)
-  // independent of |pending|.
-  double total_rest = 0;
-  if (!idx.missing_hist.empty() && idx.missing_hist[0] > 0)
-    total_rest += idx.missing_hist[0] * kFullOverlapRestWeight;
-  for (std::size_t m = 1; m < idx.missing_hist.size(); ++m)
-    if (idx.missing_hist[m] > 0)
-      total_rest += static_cast<double>(idx.missing_hist[m]) /
-                    static_cast<double>(m);
-  return total_rest;
-}
-
 std::pair<double, double> WorkerCentricScheduler::totals(
     std::size_t s) const {
-  const SiteIndex& idx = sites_.at(s);
-  const double total_rest = histogram_rest(idx);
+  residency_.refresh(s, shard_place());
+  const ShardedTaskIndex& index = residency_.index_of(s);
+  // Every pending task with m files missing contributes rest_t = 1/m
+  // (kFullOverlapRestWeight at m = 0). There are max |t| + 1 buckets, a
+  // workload constant (~100 for Coadd) independent of |pending|.
+  double total_rest = 0;
+  for (std::size_t m = 0; m < index.num_keys(); ++m) {
+    const auto n = static_cast<double>(index.bucket_size(m));
+    if (n > 0)
+      total_rest += m == 0 ? n * kFullOverlapRestWeight
+                           : n / static_cast<double>(m);
+  }
+  const auto total_ref = static_cast<double>(index.rank_total());
 #ifndef NDEBUG
-  // Cross-validate against the pre-optimization O(|pending|) scan.
+  // Cross-validate against the O(|pending|) scan.
   const auto [scan_ref, scan_rest] = scan_totals(s);
-  WCS_DCHECK_EQ(scan_ref, static_cast<double>(idx.total_ref));
+  WCS_DCHECK_EQ(scan_ref, total_ref);
   WCS_DCHECK(std::abs(scan_rest - total_rest) <=
              1e-9 * std::max(1.0, std::abs(scan_rest)));
 #endif
-  return {static_cast<double>(idx.total_ref), total_rest};
+  return {total_ref, total_rest};
 }
 
 std::pair<double, double> WorkerCentricScheduler::totals_of(
     SiteId site) const {
   WCS_CHECK_MSG(params_.metric == Metric::kCombined,
                 "totals_of() under " << to_string(params_.metric)
-                                     << ": only combined keeps totals");
+                    << ": only combined's index holds totals");
+  WCS_CHECK_LT(site.value(), engine().num_sites());
   return totals(site.value());
 }
 
@@ -331,14 +319,6 @@ void WorkerCentricScheduler::fill_candidates(
 
 void WorkerCentricScheduler::assign_pending(TaskId task, WorkerId worker) {
   pending_.erase(task);
-  // The task leaves every site's pending aggregates (combined) and the
-  // table.
-  for (std::size_t s = 0; s < sites_.size(); ++s) {
-    SiteIndex& idx = sites_[s];
-    idx.total_ref -= residency_.refs(s, task);
-    WCS_DCHECK(idx.missing_hist[missing_of(s, task)] > 0);
-    --idx.missing_hist[missing_of(s, task)];
-  }
   residency_.unindex(task);
   residency_.untrack(task);  // cache events stop touching it
   placements_[task.value()].push_back(worker);
@@ -406,13 +386,8 @@ void WorkerCentricScheduler::re_add_pending(TaskId task) {
   WCS_CHECK(!completed_[task.value()]);
   // Rebuild the per-site counters against the LIVE cache state (they went
   // stale the moment the task left the table); the task then re-enters
-  // every site's pending aggregates (combined) and the index.
+  // every site's index.
   residency_.track(task);
-  for (std::size_t s = 0; s < sites_.size(); ++s) {
-    SiteIndex& idx = sites_[s];
-    idx.total_ref += residency_.refs(s, task);
-    ++idx.missing_hist[missing_of(s, task)];
-  }
   residency_.index(task, shard_place());
   pending_.insert(task);
 }
@@ -433,18 +408,18 @@ void WorkerCentricScheduler::audit_collect(
   // Every site's index vs the counters the table's audit above recounts:
   // it must file exactly the pending bag, as shard_place() keys it.
   residency_.audit_index(pending, shard_place(), out);
-  // Incremental aggregates vs the full scan over pending tasks (not
-  // through totals(), which would re-run its own debug cross-check).
-  for (std::size_t s = 0; s < sites_.size(); ++s) {
-    const auto [scan_ref, scan_rest] = scan_totals(s);
-    audit::IndexTotalsSnapshot totals_snap;
-    totals_snap.label = "site " + std::to_string(s);
-    totals_snap.incremental_ref = static_cast<double>(sites_[s].total_ref);
-    totals_snap.incremental_rest = histogram_rest(sites_[s]);
-    totals_snap.scanned_ref = scan_ref;
-    totals_snap.scanned_rest = scan_rest;
-    audit::check_index_coherence(totals_snap, out);
-  }
+  // Under combined, the index-derived totals vs the full scan over
+  // pending tasks: the always-on promotion of totals()' debug check
+  // (which, in a debug build, fails first).
+  if (params_.metric == Metric::kCombined)
+    for (std::size_t s = 0; s < engine().num_sites(); ++s) {
+      audit::IndexTotalsSnapshot totals_snap;
+      totals_snap.label = "site " + std::to_string(s);
+      std::tie(totals_snap.index_ref, totals_snap.index_rest) = totals(s);
+      std::tie(totals_snap.scanned_ref, totals_snap.scanned_rest) =
+          scan_totals(s);
+      audit::check_index_coherence(totals_snap, out);
+    }
   for (std::size_t s = 0; s < engine().num_sites(); ++s) {
     const SiteId site(static_cast<SiteId::underlying_type>(s));
 

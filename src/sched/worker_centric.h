@@ -21,35 +21,33 @@
 // (rest.2/combined.2).
 //
 // Complexity: the paper's algorithm is O(T * I) per request (scan all
-// tasks, intersect file sets). Three incremental layers remove that:
+// tasks, intersect file sets). Two incremental layers remove that:
 //
 //   1. per-(site, task) overlap/ref-sum counters in the residency table
 //      the data-aware schedulers share (sched/residency.h), updated from
 //      cache-change notifications for the pending tasks only, make one
 //      weight evaluation O(1) (ref sums are kept only under combined,
 //      the one metric that reads them);
-//   2. the combined metric's totalRef/totalRest aggregates (exact
-//      integer sum + missing-count histogram, kept only under combined)
-//      make the normalizers O(1) per decision instead of a second O(T)
-//      scan;
-//   3. the same table's per-site sharded index (sharded_index.h) — one
+//   2. the same table's per-site sharded index (sharded_index.h) — one
 //      heap ranked in weight order (overlap, rest) or one heap per
 //      missing count |t| - |F_t| ranked by ref_t (combined), as
 //      shard_place() files each pending task — resolves ChooseTask(n) by
 //      a best-first walk that stops after the top n instead of scanning
-//      the pending bag.
+//      the pending bag. Under combined it also holds the normalizers:
+//      totalRef is the index's rank total and totalRest sums rest_t over
+//      its bucket sizes, O(max |t|) per decision instead of O(T).
 //
 // A cache event costs O(1) per pending task sharing the file (the table
-// moves the counters and marks the task, this scheduler's hook moves
-// the combined aggregates); a decision re-keys its site's marked tasks
-// once.
+// moves the counters and marks the task); a decision re-keys its site's
+// marked tasks once.
 //
 // The semantics are byte-identical at every layer: tests cross-check
 // weights against residency(), the shared per-task scan; --audit
-// recounts the counters, index entries and aggregates and compares every
-// site's top-n with reference_candidates(), the flat O(|pending|) scan
-// kept as the decision oracle, as the property suite does after every
-// operation of random interleavings.
+// recounts the counters and index entries, compares combined's totals
+// with the O(|pending|) scan and every site's top-n with
+// reference_candidates(), the flat scan kept as the decision oracle, as
+// the property suite does after every operation of random
+// interleavings.
 #pragma once
 
 #include <cstdint>
@@ -109,19 +107,17 @@ class WorkerCentricScheduler final : public Scheduler {
                         const std::vector<TaskId>& lost) override;
   // Open-system arrivals: each task enters the pending bag exactly like
   // a crash re-home (per-site counters rebuilt against the live cache,
-  // aggregate, index and file -> task row re-insertion), then starving
-  // workers are fed.
+  // index and file -> task row re-insertion), then starving workers are
+  // fed.
   void on_tasks_arrived(const std::vector<TaskId>& tasks) override;
   [[nodiscard]] bool supports_arrivals() const override { return true; }
   [[nodiscard]] std::string name() const override;
 
   // Invariant audit: cross-validates the residency table's counters
   // against residency() on the live cache, every site's index against
-  // those counters, under combined every site's incremental aggregates
-  // (total_ref + missing-count histogram) against the O(|pending|) scan,
-  // and candidates() against reference_candidates(), bitwise. The
-  // aggregate check is the auditable promotion of the debug-only
-  // WCS_DCHECK in totals().
+  // those counters, under combined every site's index-derived totals
+  // against the O(|pending|) scan, and candidates() against
+  // reference_candidates(), bitwise.
   void audit_collect(std::vector<audit::Violation>& out) const override;
 
   // --- Introspection (tests, examples) ---------------------------------
@@ -143,8 +139,8 @@ class WorkerCentricScheduler final : public Scheduler {
   [[nodiscard]] std::size_t overlap_cardinality(SiteId site,
                                                 TaskId task) const;
 
-  // Incrementally-maintained (totalRef, totalRest) over the pending bag
-  // for `site`, under the combined metric (the one that keeps them).
+  // (totalRef, totalRest) over the pending bag for `site`, read off its
+  // index under the combined metric (the one whose index holds them).
   // Tests cross-check this against the O(|pending|) scan the combined
   // metric used to pay on every choose_task().
   [[nodiscard]] std::pair<double, double> totals_of(SiteId site) const;
@@ -181,36 +177,8 @@ class WorkerCentricScheduler final : public Scheduler {
   [[nodiscard]] TaskId peek_choice(SiteId site) { return choose_task(site); }
 
  private:
-  // Aggregates over PENDING tasks at one site, maintained incrementally
-  // under the combined metric (the only one that reads them) so its
-  // totals are O(1)-ish per decision instead of an O(|pending|) scan.
-  // total_ref is exact integer arithmetic; total_rest is derived from a
-  // histogram of missing-file counts (rest_t = 1/missing depends only on
-  // `missing`), which keeps it exactly reproducible — no floating-point
-  // accumulation drift.
-  struct SiteIndex {
-    std::uint64_t total_ref = 0;               // sum of ref_t, t pending
-    std::vector<std::uint32_t> missing_hist;   // [m] = # pending tasks with
-                                               // m files missing at the site
-  };
-
-  // The residency table's hook: under combined, moves site `s`'s
-  // aggregates for a pending task that had missing + step.files files
-  // missing (mod 2^32); otherwise there are none to move.
-  struct MoveAggregates {
-    WorkerCentricScheduler* self = nullptr;
-    void operator()(std::size_t s, TaskId task, const Residency& step) const {
-      if (self->sites_.empty()) return;
-      SiteIndex& idx = self->sites_[s];
-      const std::uint32_t missing = self->missing_of(s, task);
-      --idx.missing_hist[missing + step.files];
-      ++idx.missing_hist[missing];
-      idx.total_ref += step.refs;
-    }
-  };
-
-  // Takes `task` out of the bag (and every site's aggregates, if kept,
-  // and the residency table) and assigns it to `worker`.
+  // Takes `task` out of the bag (and the residency table and its index)
+  // and assigns it to `worker`.
   void assign_pending(TaskId task, WorkerId worker);
   // CalculateWeight() of a task with `overlap` of its `size` files at the
   // site and ref-sum `ref_sum`, given the site's totals: the one formula
@@ -228,15 +196,13 @@ class WorkerCentricScheduler final : public Scheduler {
     return missing == 0 ? kFullOverlapRestWeight
                         : 1.0 / static_cast<double>(missing);
   }
-  // totalRest over pending tasks for one site, summed from the
-  // missing-count histogram.
-  [[nodiscard]] static double histogram_rest(const SiteIndex& idx);
-  // (total_ref, total_rest) over pending tasks for site `s`, from the
-  // incremental aggregates; cross-validated against scan_totals() in
-  // debug builds.
+  // Under combined, (totalRef, totalRest) over pending tasks for site
+  // `s`, read off its index after refreshing it: the rank total and the
+  // bucket sizes (one bucket per missing count). Exact: both are integer
+  // counts, and totalRest sums the same terms in the same order whenever
+  // it is read. Cross-validated against scan_totals() in debug builds.
   [[nodiscard]] std::pair<double, double> totals(std::size_t s) const;
-  // The pre-optimization O(|pending|) scan, kept for WCS_DCHECK
-  // cross-validation.
+  // The same sums from an O(|pending|) scan: the audit's oracle.
   [[nodiscard]] std::pair<double, double> scan_totals(std::size_t s) const;
   [[nodiscard]] std::uint32_t missing_of(std::size_t s, TaskId task) const {
     const std::uint32_t overlap = residency_.files(s, task);
@@ -250,7 +216,7 @@ class WorkerCentricScheduler final : public Scheduler {
   // weight, through the reused choice_buf_ / weight_buf_.
   [[nodiscard]] TaskId choose_task(SiteId site);
 
-  // --- Sharded pending-task index (layer 3; see file comment) ----------
+  // --- Sharded pending-task index (layer 2; see file comment) ----------
   // The residency table's `place`: (key, rank) of a pending task at site
   // `s`. Combined: key = missing count, rank = ref_t (weight is strictly
   // increasing in ref_t at a fixed missing count; combined_rank() checks
@@ -279,12 +245,11 @@ class WorkerCentricScheduler final : public Scheduler {
 
   WorkerCentricParams params_;
   Rng rng_;
-  std::vector<SiteIndex> sites_;  // per site under combined, else empty
   // |F_t| (and ref_t under combined) per (site, task), exact for exactly
   // the pending bag: untracked on assignment, tracked again on a crash
   // re-add or an arrival. Its per-site index files exactly the pending
   // bag under shard_place() once refreshed.
-  BasicResidencyTable<MoveAggregates> residency_{MoveAggregates{this}};
+  ResidencyTable residency_;
   std::vector<std::uint32_t> task_size_;  // |t| per task
   PendingBag pending_;
   // Replication bookkeeping (kept even when replication is off: the

@@ -1,8 +1,12 @@
 #include "workload/trace.h"
 
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <limits>
+#include <span>
 #include <sstream>
+#include <type_traits>
 
 #include "common/check.h"
 
@@ -53,97 +57,133 @@ void save_workload(const Workload& workload, const std::string& path) {
   save_workload(workload, out);
 }
 
+namespace {
+
+// Field `i` of a trace line, refused (naming the line) unless it parses
+// whole: an unsigned integer without sign, or a finite double.
+template <typename T>
+T field(const std::vector<std::string>& fields, std::size_t i,
+        std::size_t line) {
+  const std::string& text = fields[i];
+  T value{};
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  bool ok = ec == std::errc() && end == text.data() + text.size();
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  WCS_CHECK_MSG(ok, "trace line " << line << ": " << fields[0] << " field '"
+                                  << text << "' does not parse");
+  return value;
+}
+
+// A filesize, task or arrival directive, staged in input order.
+struct Staged {
+  std::size_t id = 0, line = 0;
+  Bytes size = 0;            // filesize
+  double value = 0;          // task: mflop; arrival: time
+  std::size_t end = 0;       // task: its files end at pool[end]
+  std::uint32_t tenant = 0;  // arrival
+};
+
+// Positions of `items` in id order; their ids must be exactly [0, n).
+std::vector<std::size_t> dense_order(const std::vector<Staged>& items,
+                                     const char* what) {
+  std::vector<std::size_t> at(items.size(), SIZE_MAX);
+  for (std::size_t k = 0; k < items.size(); ++k) {
+    const Staged& s = items[k];
+    WCS_CHECK_MSG(s.id < items.size(),
+                  "trace line " << s.line << ": " << what << " ids must be "
+                      << "dense 0-based, but " << s.id << " >= "
+                      << items.size());
+    WCS_CHECK_MSG(at[s.id] == SIZE_MAX,
+                  "trace line " << s.line << ": " << what << ' ' << s.id
+                                << " declared twice (first on line "
+                                << items[at[s.id]].line << ')');
+    at[s.id] = k;
+  }
+  return at;
+}
+
+}  // namespace
+
 Workload load_workload(std::istream& in) {
+  // Directives are staged in input order and checked for density after
+  // the whole trace is read, so what the reader allocates is bounded by
+  // the input's size, never by an id or count it declares.
   Workload wl;
   std::size_t declared_files = 0;
-  std::vector<Bytes> sizes;
-  // Task lines parse into per-id staging slots (the trace may list
-  // tasks in any order); the job is CSR-packed in id order afterwards.
-  struct ParsedTask {
-    bool seen = false;
-    double mflop = 0;
-    std::vector<FileId> files;
-  };
-  struct ParsedArrival {
-    bool seen = false;
-    std::uint32_t tenant = 0;
-    double time_s = 0;
-  };
-  std::vector<ParsedTask> parsed;
-  std::vector<ParsedArrival> arrivals;
+  std::vector<Staged> sizes, tasks, arrivals;
+  std::vector<FileId> pool;  // every task's files, in input order
+  std::vector<std::string> f;
   std::string line;
-  while (std::getline(in, line)) {
+  for (std::size_t n = 1; std::getline(in, line); ++n) {
     if (line.empty() || line[0] == '#') continue;
     std::istringstream ls(line);
-    std::string kind;
-    ls >> kind;
+    f.clear();
+    for (std::string word; ls >> word;) f.push_back(std::move(word));
+    if (f.empty()) continue;
+    const std::string& kind = f[0];
+    const auto expect = [&](std::size_t fields) {
+      WCS_CHECK_MSG(f.size() == fields + 1,
+                    "trace line " << n << ": " << kind << " takes " << fields
+                                  << " fields, got " << f.size() - 1);
+    };
     if (kind == "job") {
-      std::string name;
-      ls >> name;
-      wl.job.set_name(name);
+      expect(1);
+      wl.job.set_name(f[1]);
     } else if (kind == "files") {
-      ls >> declared_files;
-      sizes.assign(declared_files, 0);
+      expect(1);
+      declared_files = field<std::size_t>(f, 1, n);
     } else if (kind == "filesize") {
-      std::size_t idx = 0;
-      Bytes size = 0;
-      ls >> idx >> size;
-      WCS_CHECK_MSG(idx < sizes.size(), "filesize index out of range");
-      sizes[idx] = size;
+      expect(2);
+      sizes.push_back({.id = field<std::size_t>(f, 1, n), .line = n,
+                       .size = field<Bytes>(f, 2, n)});
+      WCS_CHECK_MSG(sizes.back().size > 0,
+                    "trace line " << n << ": file of size 0");
     } else if (kind == "task") {
-      TaskId::underlying_type id = 0;
-      double mflop = 0;
-      ls >> id >> mflop;
-      if (id >= parsed.size()) parsed.resize(id + 1);
-      ParsedTask& t = parsed[id];
-      WCS_CHECK_MSG(!t.seen, "task " << id << " declared twice");
-      t.seen = true;
-      t.mflop = mflop;
-      FileId::underlying_type f = 0;
-      while (ls >> f) t.files.push_back(FileId(f));
-      WCS_CHECK_MSG(!ls.bad(), "malformed task line");
+      WCS_CHECK_MSG(f.size() >= 3,
+                    "trace line " << n << ": task takes an id and a cost");
+      tasks.push_back({.id = field<TaskId::underlying_type>(f, 1, n),
+                       .line = n, .value = field<double>(f, 2, n)});
+      for (std::size_t i = 3; i < f.size(); ++i)
+        pool.push_back(FileId(field<FileId::underlying_type>(f, i, n)));
+      tasks.back().end = pool.size();
     } else if (kind == "tenant") {
-      std::size_t idx = 0;
-      std::uint32_t weight = 0;
-      std::string name;
-      ls >> idx >> weight >> name;
+      expect(3);
+      const auto idx = field<std::size_t>(f, 1, n);
       WCS_CHECK_MSG(idx == wl.arrivals.tenants.size(),
-                    "tenant ids must be dense 0-based (got " << idx << ")");
-      wl.arrivals.tenants.push_back({name, weight});
+                    "trace line " << n << ": tenant ids must be dense "
+                                  << "0-based (got " << idx << ")");
+      wl.arrivals.tenants.push_back({f[3], field<std::uint32_t>(f, 2, n)});
     } else if (kind == "arrival") {
-      TaskId::underlying_type id = 0;
-      ParsedArrival a;
-      ls >> id >> a.tenant >> a.time_s;
-      a.seen = true;
-      if (id >= arrivals.size()) arrivals.resize(id + 1);
-      WCS_CHECK_MSG(!arrivals[id].seen, "arrival " << id << " declared twice");
-      arrivals[id] = a;
+      expect(3);
+      arrivals.push_back({.id = field<TaskId::underlying_type>(f, 1, n),
+                          .line = n, .value = field<double>(f, 3, n),
+                          .tenant = field<std::uint32_t>(f, 2, n)});
     } else {
-      WCS_CHECK_MSG(false, "unknown trace directive: " << kind);
+      WCS_CHECK_MSG(false, "trace line " << n
+                                         << ": unknown trace directive: "
+                                         << kind);
     }
   }
-  for (Bytes b : sizes) {
-    WCS_CHECK_MSG(b > 0, "file with no declared size");
-    wl.job.catalog.add_file(b);
-  }
-  std::size_t total_refs = 0;
-  for (const ParsedTask& t : parsed) total_refs += t.files.size();
-  wl.job.reserve_tasks(parsed.size(), total_refs);
-  for (std::size_t i = 0; i < parsed.size(); ++i) {
-    WCS_CHECK_MSG(parsed[i].seen, "task ids must be dense 0-based (missing "
-                                      << i << ")");
-    wl.job.add_task(parsed[i].files, parsed[i].mflop);
+  WCS_CHECK_MSG(sizes.size() == declared_files,
+                declared_files << " files declared but " << sizes.size()
+                               << " filesize lines: file with no declared "
+                                  "size, or one too many");
+  for (std::size_t k : dense_order(sizes, "filesize"))
+    wl.job.catalog.add_file(sizes[k].size);
+  wl.job.reserve_tasks(tasks.size(), pool.size());
+  for (std::size_t k : dense_order(tasks, "task")) {
+    const std::size_t begin = k == 0 ? 0 : tasks[k - 1].end;
+    wl.job.add_task(std::span(pool).subspan(begin, tasks[k].end - begin),
+                    tasks[k].value);
   }
   validate_job(wl.job);
   if (!arrivals.empty()) {
-    WCS_CHECK_MSG(arrivals.size() == parsed.size(),
+    WCS_CHECK_MSG(arrivals.size() == tasks.size(),
                   "arrival directives must cover every task");
-    wl.arrivals.arrival_s.reserve(arrivals.size());
-    wl.arrivals.tenant_of.reserve(arrivals.size());
-    for (std::size_t i = 0; i < arrivals.size(); ++i) {
-      WCS_CHECK_MSG(arrivals[i].seen, "missing arrival for task " << i);
-      wl.arrivals.arrival_s.push_back(arrivals[i].time_s);
-      wl.arrivals.tenant_of.push_back(arrivals[i].tenant);
+    for (std::size_t k : dense_order(arrivals, "arrival")) {
+      wl.arrivals.arrival_s.push_back(arrivals[k].value);
+      wl.arrivals.tenant_of.push_back(arrivals[k].tenant);
     }
   }
   validate_arrivals(wl.arrivals, wl.job);

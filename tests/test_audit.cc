@@ -275,9 +275,9 @@ TEST(CacheCoherence, LiveCacheSnapshotIsClean) {
 TEST(IndexCoherence, DetectsRefDrift) {
   IndexTotalsSnapshot s;
   s.label = "site 0";
-  s.incremental_ref = 41;
+  s.index_ref = 41;
   s.scanned_ref = 42;
-  s.incremental_rest = s.scanned_rest = 1.5;
+  s.index_rest = s.scanned_rest = 1.5;
   auto v = run_checker([&](auto& out) { check_index_coherence(s, out); });
   ASSERT_EQ(v.size(), 1u);
   EXPECT_EQ(v[0].checker, "index-coherence");
@@ -286,8 +286,8 @@ TEST(IndexCoherence, DetectsRefDrift) {
 
 TEST(IndexCoherence, DetectsRestDrift) {
   IndexTotalsSnapshot s;
-  s.incremental_ref = s.scanned_ref = 42;
-  s.incremental_rest = 1.5;
+  s.index_ref = s.scanned_ref = 42;
+  s.index_rest = 1.5;
   s.scanned_rest = 1.5001;
   auto v = run_checker([&](auto& out) { check_index_coherence(s, out); });
   ASSERT_EQ(v.size(), 1u);
@@ -296,8 +296,8 @@ TEST(IndexCoherence, DetectsRestDrift) {
 
 TEST(IndexCoherence, AllowsSummationOrderDust) {
   IndexTotalsSnapshot s;
-  s.incremental_ref = s.scanned_ref = 42;
-  s.incremental_rest = 1.5;
+  s.index_ref = s.scanned_ref = 42;
+  s.index_rest = 1.5;
   s.scanned_rest = 1.5 * (1 + 1e-12);
   auto v = run_checker([&](auto& out) { check_index_coherence(s, out); });
   EXPECT_TRUE(v.empty());

@@ -161,14 +161,20 @@ constexpr unsigned kAllColumns = ResidencyTable::kFiles |
                                  ResidencyTable::kRefs |
                                  ResidencyTable::kBytes;
 
-// A table hook that counts the tasks cache events hand to it.
-struct Counter {
-  std::size_t* touched = nullptr;
-  void operator()(std::size_t, TaskId, const Residency&) const {
-    ++*touched;
-  }
-};
-using CountingTable = BasicResidencyTable<Counter>;
+// A (key, rank) of a table whose index ranks by 32-bit counts.
+using Place = std::pair<std::uint64_t, std::uint32_t>;
+
+// Tasks refresh() re-keys at `site`: the indexed tasks cache events
+// marked there since its last refresh.
+std::vector<unsigned> refreshed_ids(const ResidencyTable& table,
+                                    std::size_t site) {
+  std::vector<unsigned> ids;
+  table.refresh(site, [&](std::size_t, TaskId t) {
+    ids.push_back(t.value());
+    return Place{0, 0};
+  });
+  return ids;
+}
 
 TEST(ResidencyTable, TrackedCountersFollowAddsEvictionsAndAccesses) {
   std::mt19937 rng(5);
@@ -183,13 +189,13 @@ TEST(ResidencyTable, TrackedCountersFollowAddsEvictionsAndAccesses) {
   FakeEngine eng(job, 2, 1, /*capacity=*/3);
   eng.add_file(SiteId(1), FileId(4));  // seeded, not replayed
 
-  std::size_t touched = 0;
-  CountingTable table(Counter{&touched});
+  ResidencyTable table;
   table.build(eng, kAllColumns, [](TaskId t) { return t.value() % 4 != 0; });
   std::vector<char> tracked(job.num_tasks());
   for (const workload::Task& t : job.tasks())
     tracked[t.id.value()] = t.id.value() % 4 != 0;
 
+  std::size_t resident_pairs = 0;  // tracked pairs seen with a file
   for (int step = 0; step < 300; ++step) {
     const TaskId t(static_cast<TaskId::underlying_type>(rng() %
                                                         job.num_tasks()));
@@ -210,31 +216,34 @@ TEST(ResidencyTable, TrackedCountersFollowAddsEvictionsAndAccesses) {
         ASSERT_EQ(table.files(s, task.id), r.files) << "step " << step;
         ASSERT_EQ(table.refs(s, task.id), r.refs) << "step " << step;
         ASSERT_EQ(table.bytes(s, task.id), r.bytes) << "step " << step;
+        resident_pairs += r.files > 0 ? 1 : 0;
       }
     std::vector<audit::Violation> v;
     table.audit_collect([&](TaskId x) { return tracked[x.value()] != 0; }, v);
     ASSERT_TRUE(v.empty()) << v.front().message;
   }
-  EXPECT_GT(touched, 0u);
+  EXPECT_GT(resident_pairs, 0u);  // the events reached tracked tasks
 }
 
-TEST(ResidencyTable, AnAccessTouchesNothingWithoutARefsColumn) {
+TEST(ResidencyTable, AnAccessReKeysIndexedReadersOnlyWithARefsColumn) {
   const auto job = make_job({{0, 1}, {1}}, 2);
   for (unsigned columns :
        {unsigned{ResidencyTable::kFiles}, unsigned{ResidencyTable::kBytes},
         unsigned{ResidencyTable::kFiles | ResidencyTable::kRefs}}) {
     FakeEngine eng(job, 1, 1);
-    std::size_t touched = 0;
-    CountingTable table(Counter{&touched});
-    table.build(eng, columns, [](TaskId) { return true; });
+    ResidencyTable table;
+    const auto all = [](TaskId) { return true; };
+    table.build(eng, columns, all);
+    table.fill_index(1, /*prefer_high_id=*/false, all,
+                     [](std::size_t, TaskId) { return Place{0, 0}; });
     eng.cache(SiteId(0)).insert(FileId(1));
-    EXPECT_EQ(touched, 2u);  // both readers of file 1
+    EXPECT_EQ(refreshed_ids(table, 0), (std::vector<unsigned>{0, 1}));
     eng.cache(SiteId(0)).record_access(FileId(1));
     const bool refs = (columns & ResidencyTable::kRefs) != 0;
-    EXPECT_EQ(touched, refs ? 4u : 2u);
-    if (refs) {
-      EXPECT_EQ(table.refs(0, TaskId(0)), 1u);
-    }
+    EXPECT_EQ(refreshed_ids(table, 0),
+              refs ? std::vector<unsigned>({0, 1}) : std::vector<unsigned>());
+    EXPECT_EQ(table.refs(0, TaskId(0)), refs ? 1u : 0u);
+    EXPECT_EQ(table.refs(0, TaskId(1)), refs ? 1u : 0u);
   }
 }
 
@@ -297,9 +306,6 @@ TEST(ResidencyTable, AuditReportsEveryDriftedPair) {
 
 // --- ResidencyTable's decision index -------------------------------------
 
-// A (key, rank) of a table whose index ranks by 32-bit counts.
-using Place = std::pair<std::uint64_t, std::uint32_t>;
-
 // Task ids `table` files at `site` under key 0, best first.
 template <typename Table>
 std::vector<unsigned> walk_ids(const Table& table, std::size_t site) {
@@ -339,8 +345,7 @@ TEST(ResidencyTable, ACacheEventMarksOnlyIndexedTasksAndRefreshReKeysThem) {
   // Tasks 1 and 2 read file 1; task 2 is tracked but not indexed.
   const auto job = make_job({{0}, {1}, {1}, {2}}, 3);
   FakeEngine eng(job, 2, 1);
-  std::size_t touched = 0;
-  CountingTable table(Counter{&touched});
+  ResidencyTable table;
   table.build(eng, ResidencyTable::kFiles, [](TaskId) { return true; });
   const auto place = [&table](std::size_t s, TaskId t) {
     return Place{0, table.files(s, t)};
@@ -349,7 +354,9 @@ TEST(ResidencyTable, ACacheEventMarksOnlyIndexedTasksAndRefreshReKeysThem) {
                    [](TaskId t) { return t.value() != 2; }, place);
 
   eng.add_file(SiteId(0), FileId(1));
-  EXPECT_EQ(touched, 2u);  // the hook sees both readers
+  // The counters move for both readers, indexed or not.
+  EXPECT_EQ(table.files(0, TaskId(1)), 1u);
+  EXPECT_EQ(table.files(0, TaskId(2)), 1u);
   // refresh() re-keys exactly the marked tasks: task 1 at site 0.
   for (std::size_t s = 0; s < 2; ++s) {
     std::vector<unsigned> refreshed;
@@ -369,7 +376,7 @@ TEST(ResidencyTable, PreferHighIdOrdersIndexTiesTowardHighIds) {
   const auto job = make_job({{0}, {0}, {1}, {1}}, 2);
   for (bool high : {false, true}) {
     FakeEngine eng(job, 2, 1);
-    BasicResidencyTable<NoHook, Bytes> table;  // storage affinity's ranks
+    BasicResidencyTable<Bytes> table;  // storage affinity's ranks
     table.build(eng, ResidencyTable::kBytes, [](TaskId) { return true; });
     const auto place = [&table](std::size_t s, TaskId t) {
       return std::pair{std::uint64_t{0}, table.bytes(s, t)};

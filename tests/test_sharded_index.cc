@@ -274,6 +274,20 @@ TEST(ShardedTaskIndex, StructuralDefectsCatchAnUnlistedMark) {
       << defects[0];
 }
 
+TEST(ShardedTaskIndex, StructuralDefectsCatchADriftedRankTotal) {
+  ShardedTaskIndex idx;
+  idx.reset(3, /*num_keys=*/2);
+  idx.insert(tid(0), 0, 5);
+  idx.insert(tid(1), 1, 7);
+  EXPECT_EQ(idx.rank_total(), 12u);
+  ASSERT_TRUE(idx.structural_defects().empty());
+  idx.skew_rank_total_for_test();
+  const std::vector<std::string> defects = idx.structural_defects();
+  ASSERT_EQ(defects.size(), 1u);
+  EXPECT_EQ(defects[0],
+            "rank total drifted: counter 13, sum of entry ranks 12");
+}
+
 TEST(ShardedTaskIndex, UpdateClearsAMark) {
   ShardedTaskIndex idx;
   idx.reset(2, /*num_keys=*/2);
@@ -364,6 +378,16 @@ void run_index_differential(bool prefer_high_id, std::uint64_t seed,
     ASSERT_EQ(idx.size(), oracle.size()) << "step " << step;
     for (std::uint64_t key = 0; key < kKeys; ++key)
       ASSERT_EQ(walk_all(idx, key), expected_walk(key))
+          << "step " << step << " key " << key;
+    std::uint64_t ranks = 0;
+    std::vector<std::size_t> filed(kKeys, 0);
+    for (const auto& [key, rank, id] : oracle) {
+      ranks += rank;
+      ++filed[key];
+    }
+    ASSERT_EQ(idx.rank_total(), ranks) << "step " << step;
+    for (std::uint64_t key = 0; key < kKeys; ++key)
+      ASSERT_EQ(idx.bucket_size(key), filed[key])
           << "step " << step << " key " << key;
     if (present[t]) {
       ASSERT_EQ(idx.key_of(tid(t)), where[t].first) << "step " << step;

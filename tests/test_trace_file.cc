@@ -24,8 +24,29 @@ class TraceFileTest : public ::testing::Test {
     std::error_code ec;
     std::filesystem::remove(path_, ec);
   }
+  // Writes `trace` to the test file and returns the message load_job()
+  // refuses it with (empty if it loads).
+  std::string load_error(const std::string& trace) {
+    {
+      std::ofstream out(path_);
+      out << trace;
+    }
+    try {
+      (void)load_job(path_.string());
+    } catch (const std::logic_error& e) {
+      return e.what();
+    }
+    return "";
+  }
   std::filesystem::path path_;
 };
+
+// The header every malformed-line case below starts from: lines 1-3.
+constexpr const char* kTwoFiles = "job bad\nfiles 2\nfilesize 0 100\n";
+
+bool mentions(const std::string& message, const std::string& part) {
+  return message.find(part) != std::string::npos;
+}
 
 TEST_F(TraceFileTest, RoundTripThroughDisk) {
   CoaddParams p;
@@ -63,6 +84,57 @@ TEST_F(TraceFileTest, RejectsZeroSizeFile) {
     out << "job bad\nfiles 1\ntask 0 1.0 0\n";  // filesize line missing
   }
   EXPECT_THROW((void)load_job(path_.string()), std::logic_error);
+}
+
+TEST_F(TraceFileTest, RejectsANonNumericFileIdNamingTheLine) {
+  const std::string error = load_error(std::string(kTwoFiles) +
+                                       "filesize 1 100\ntask 0 5.0 0 x\n");
+  EXPECT_TRUE(mentions(error, "trace line 5: task field 'x'")) << error;
+}
+
+TEST_F(TraceFileTest, RejectsANonNumericTaskIdNamingTheLine) {
+  EXPECT_TRUE(mentions(load_error(std::string(kTwoFiles) + "task abc\n"),
+                       "trace line 4: task"));
+  const std::string error =
+      load_error(std::string(kTwoFiles) + "task abc 5.0 0\n");
+  EXPECT_TRUE(mentions(error, "trace line 4: task field 'abc'")) << error;
+}
+
+TEST_F(TraceFileTest, RejectsAFractionalFileIdNamingTheLine) {
+  const std::string error = load_error(
+      std::string(kTwoFiles) + "filesize 1 100\ntask 0 5.0 0 1 1.5\n");
+  EXPECT_TRUE(mentions(error, "trace line 5: task field '1.5'")) << error;
+}
+
+TEST_F(TraceFileTest, RejectsTrailingFieldsSignsAndNonFiniteValues) {
+  const std::string tasks = "filesize 1 100\ntask 0 5.0 0 1\n";
+  EXPECT_TRUE(mentions(load_error("job a b\n"),
+                       "trace line 1: job takes 1 fields, got 2"));
+  EXPECT_TRUE(
+      mentions(load_error(std::string(kTwoFiles) + "filesize 1 100 7\n"),
+               "trace line 4: filesize takes 2 fields, got 3"));
+  EXPECT_TRUE(mentions(load_error(std::string(kTwoFiles) + "filesize 1 -5\n"),
+                       "trace line 4: filesize field '-5'"));
+  EXPECT_TRUE(mentions(load_error(std::string(kTwoFiles) +
+                                  "filesize 1 100\ntask 0 inf 0\n"),
+                       "trace line 5: task field 'inf'"));
+  EXPECT_TRUE(mentions(
+      load_error(std::string(kTwoFiles) + tasks + "tenant 0 1 a b\n"),
+      "trace line 6: tenant takes 3 fields, got 4"));
+  EXPECT_TRUE(
+      mentions(load_error(std::string(kTwoFiles) + "task 0 5.0 0 1\n" +
+                          "filesize 1 100\ntask 0 5.0 1\n"),
+               "trace line 6: task 0 declared twice (first on line 4)"));
+  EXPECT_EQ(load_error(std::string(kTwoFiles) + tasks), "");  // well-formed
+}
+
+TEST_F(TraceFileTest, RefusesAHugeTaskIdWithoutSizingStagingByIt) {
+  // A reader that sized its staging by the id would ask for ~4e9 slots.
+  const std::string error = load_error("task 4000000000 1 0\n");
+  EXPECT_TRUE(mentions(error, "trace line 1: task ids must be dense"))
+      << error;
+  EXPECT_TRUE(mentions(load_error("files 4000000000\n"),
+                       "file with no declared size"));
 }
 
 TEST_F(TraceFileTest, LargeJobRoundTripsExactly) {
