@@ -4,6 +4,10 @@
 // tenant-accounting checker clean under --audit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cinttypes>
+#include <cstdio>
 #include <memory>
 #include <vector>
 
@@ -200,6 +204,93 @@ TEST(OpenSystem, OpenRunsAreDeterministic) {
   for (std::size_t t = 0; t < r1.tenants.size(); ++t) {
     EXPECT_EQ(r1.tenants[t].sojourn_mean_s, r2.tenants[t].sojourn_mean_s);
     EXPECT_EQ(r1.tenants[t].makespan_s, r2.tenants[t].makespan_s);
+  }
+}
+
+// --- Multi-tenant golden -------------------------------------------------
+
+// Exact totals of a small 3-tenant (weights 3:1:2) Poisson run with
+// evictions, per pull scheduler: makespan bits, events, transfers and
+// each tenant's sojourn mean and makespan bits. Any diff is a behaviour
+// change of the tenant path; the failing run prints its row.
+struct TenantGolden {
+  const char* scheduler;
+  std::uint64_t makespan_bits;
+  std::uint64_t events;
+  std::uint64_t transfers;
+  std::uint64_t sojourn_mean_bits[3];
+  std::uint64_t tenant_makespan_bits[3];
+};
+
+constexpr TenantGolden kTenantGolden[] = {
+    {"workqueue+wrr", 0x4112351ebae04408u, 19010u, 9262u,
+     {0x40f560d96a402a74u, 0x410566a5877bededu, 0x4100216f87100c38u},
+     {0x41090be0c9654843u, 0x41122fad0f2a3b8du, 0x410f5d707c0dbf8bu}},
+    {"rest.2+wrr", 0x410b28964a3f6375u, 14118u, 6816u,
+     {0x40eafcd55a24a40du, 0x40fdb3009915a04du, 0x40f57f371f86b170u},
+     {0x4103f39aa5b3c09du, 0x410b1db2f2d35280u, 0x4107de3deca6e954u}},
+    {"combined+wrr", 0x410b1cb07be8a466u, 13950u, 6732u,
+     {0x40eb5a008987649eu, 0x40fd9b2283502715u, 0x40f59d3cef97f41au},
+     {0x4102854336d0c07du, 0x410b11cd247c9371u, 0x410678d1548304b9u}},
+};
+
+TEST(OpenSystem, MultiTenantGoldenTotalsAreExact) {
+  workload::register_builtin_generators();
+  workload::GeneratorSpec gen;
+  gen.generator = "multi-tenant";
+  gen.coadd.num_tasks = 120;
+  gen.open.process = workload::ArrivalProcess::kPoisson;
+  gen.open.mean_interarrival_s = 1200.0;
+  gen.open.tenants = {{"a", 3}, {"b", 1}, {"c", 2}};
+  const workload::Workload wl = workload::build_workload(gen);
+  std::size_t largest = 0;
+  for (const workload::Task& t : wl.job.tasks())
+    largest = std::max(largest, t.files.size());
+
+  GridConfig config;
+  config.tiers.num_sites = 3;
+  config.tiers.workers_per_site = 2;
+  // Room for both workers' pinned inputs, too little for the catalog.
+  config.capacity_files = 2 * largest + 20;
+  config.audit = false;
+  const sched::Algorithm algorithms[] = {sched::Algorithm::kWorkqueue,
+                                         sched::Algorithm::kRest,
+                                         sched::Algorithm::kCombined};
+  const int choose_n[] = {1, 2, 1};
+  for (std::size_t i = 0; i < std::size(kTenantGolden); ++i) {
+    sched::SchedulerSpec spec;
+    spec.algorithm = algorithms[i];
+    spec.choose_n = choose_n[i];
+    const metrics::RunResult r = run_once(config, wl, spec, 7);
+    const TenantGolden& g = kTenantGolden[i];
+    SCOPED_TRACE(g.scheduler);
+    ASSERT_EQ(r.tenants.size(), 3u);
+    std::printf("    {\"%s\", 0x%016" PRIx64 "u, %zuu, %" PRIu64
+                "u,\n     {0x%016" PRIx64 "u, 0x%016" PRIx64
+                "u, 0x%016" PRIx64 "u},\n     {0x%016" PRIx64
+                "u, 0x%016" PRIx64 "u, 0x%016" PRIx64 "u}},\n",
+                r.scheduler.c_str(), std::bit_cast<std::uint64_t>(r.makespan_s),
+                r.events_executed, r.total_file_transfers(),
+                std::bit_cast<std::uint64_t>(r.tenants[0].sojourn_mean_s),
+                std::bit_cast<std::uint64_t>(r.tenants[1].sojourn_mean_s),
+                std::bit_cast<std::uint64_t>(r.tenants[2].sojourn_mean_s),
+                std::bit_cast<std::uint64_t>(r.tenants[0].makespan_s),
+                std::bit_cast<std::uint64_t>(r.tenants[1].makespan_s),
+                std::bit_cast<std::uint64_t>(r.tenants[2].makespan_s));
+    EXPECT_EQ(r.scheduler, g.scheduler);
+    EXPECT_EQ(r.tasks_completed, wl.job.num_tasks());
+    EXPECT_GT(r.total_evictions(), 0u);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.makespan_s), g.makespan_bits);
+    EXPECT_EQ(r.events_executed, g.events);
+    EXPECT_EQ(r.total_file_transfers(), g.transfers);
+    for (std::size_t t = 0; t < 3; ++t) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(r.tenants[t].sojourn_mean_s),
+                g.sojourn_mean_bits[t])
+          << "tenant " << t;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(r.tenants[t].makespan_s),
+                g.tenant_makespan_bits[t])
+          << "tenant " << t;
+    }
   }
 }
 
