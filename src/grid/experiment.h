@@ -28,8 +28,8 @@ namespace wcs::grid {
 // Every entry point takes a workload::Workload (job + arrival schedule);
 // the paper's closed Coadd batch is a Workload with an empty schedule.
 // The scheduler is built workload-aware (sched::make_scheduler(spec,
-// &workload.arrivals)): multi-tenant schedules get the WRR tenant layer,
-// closed workloads the plain scheduler.
+// &workload.arrivals)) and reads the tenants from the engine: a pull
+// scheduler serves several tenants by weighted round robin.
 
 // One run on one topology seed.
 [[nodiscard]] metrics::RunResult run_once(const GridConfig& config,

@@ -92,7 +92,7 @@ void register_open_scenarios() {
       });
 
   // O2: tenant-mix ablation. Multi-tenant Coadd bag streams under the
-  // WRR layer; the sweep varies the weight mix at fixed total load. The
+  // pull schedulers' WRR tenant pick; the sweep varies the weight mix at fixed total load. The
   // per-tenant report sections carry the fairness observables (served
   // shares, Jain's index, per-tenant sojourn percentiles).
   register_scenario(

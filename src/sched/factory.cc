@@ -1,7 +1,5 @@
 #include "sched/factory.h"
 
-#include "common/rng.h"
-#include "sched/tenant_wrr.h"
 
 namespace wcs::sched {
 
@@ -53,21 +51,12 @@ std::vector<SchedulerSpec> SchedulerSpec::paper_algorithms() {
 
 std::unique_ptr<Scheduler> make_scheduler(
     const SchedulerSpec& spec, const workload::ArrivalSchedule* arrivals) {
-  // More than one tenant implies open(): a closed schedule never wraps.
-  if (arrivals != nullptr && arrivals->num_tenants() > 1) {
-    WCS_CHECK_MSG(!spec.task_replication,
-                  "task replication under the WRR tenant layer is not "
-                  "supported (an inner bag going empty is a tenant-local "
-                  "event, not a job-wide one)");
-    return std::make_unique<TenantWrrScheduler>(
-        *arrivals, [&spec](std::uint32_t tenant) {
-          SchedulerSpec inner = spec;
-          // Independent randomized-ChooseTask streams per tenant: adding
-          // a tenant must not perturb the draws of the others.
-          inner.seed = substream_seed(spec.seed, tenant);
-          return make_scheduler(inner);
-        });
-  }
+  // More than one tenant implies open(): a closed schedule never gets here.
+  WCS_CHECK_MSG(arrivals == nullptr || arrivals->num_tenants() == 1 ||
+                    !spec.task_replication,
+                "task replication under several tenants is not supported "
+                "(replicas would be served outside the tenants' weighted "
+                "shares)");
   switch (spec.algorithm) {
     case Algorithm::kWorkqueue:
       return std::make_unique<WorkqueueScheduler>();

@@ -46,13 +46,12 @@ struct SchedulerSpec {
   [[nodiscard]] static std::vector<SchedulerSpec> paper_algorithms();
 };
 
-// Builds the scheduler `spec` describes for a run over `arrivals`. A
-// closed run (null or !open() schedule) and a single-tenant open
-// schedule build the plain scheduler; timed arrivals must then be
-// supported by it (checked at run start by GridSimulation). A
-// multi-tenant schedule wraps one inner pull scheduler per tenant in
-// the WRR tenant layer (tenant_wrr.h), deriving each inner's
-// randomized-ChooseTask seed from substream_seed(spec.seed, tenant).
+// Builds the scheduler `spec` describes for a run over `arrivals`. The
+// scheduler reads the run's tenants from the engine it is attached to: a
+// pull scheduler serves them by weighted round robin (pull.h). An open
+// schedule (timed arrivals or several tenants) must be supported by the
+// scheduler, which GridSimulation checks at run start; task replication
+// is refused under several tenants.
 [[nodiscard]] std::unique_ptr<Scheduler> make_scheduler(
     const SchedulerSpec& spec,
     const workload::ArrivalSchedule* arrivals = nullptr);

@@ -236,13 +236,27 @@ class BasicResidencyTable {
   // `place(site, task)` is the (key, rank) the owner files a task under
   // at site index `site`; `want(task)` is whether it files the task.
 
-  // One index per site over keys [0, num_keys), ties as `prefer_high_id`
-  // selects (BasicShardedTaskIndex::EntryOrder), filing every tracked
-  // task `want` accepts, each bucket reserved to its population and
-  // heapified in O(n) (BasicShardedTaskIndex::fill).
+  // One index per site over keys [0, tenants * keys_per_tenant), tenant
+  // t's tasks filed under [t * keys_per_tenant, (t + 1) *
+  // keys_per_tenant) by `place`, ties as `prefer_high_id` selects
+  // (BasicShardedTaskIndex::EntryOrder), filing every tracked task `want`
+  // accepts, each bucket reserved to its population and heapified in
+  // O(n) (BasicShardedTaskIndex::fill). Refuses a key space past the
+  // index's 16-bit keys.
   template <typename Want, typename Place>
-  void fill_index(std::size_t num_keys, bool prefer_high_id, Want want,
-                  Place place) {
+  void fill_index(std::size_t tenants, std::size_t keys_per_tenant,
+                  bool prefer_high_id, Want want, Place place) {
+    const std::size_t num_keys = tenants * keys_per_tenant;
+    WCS_CHECK_MSG(num_keys <= Index::kMaxKeys,
+                  "decision index: " << tenants << " tenants x "
+                      << keys_per_tenant << " keys a tenant"
+                      << (keys_per_tenant > 1
+                              ? " (max task size " +
+                                    std::to_string(keys_per_tenant - 1) +
+                                    " + 1 under combined)"
+                              : std::string())
+                      << " need " << num_keys << " keys, more than the "
+                      << Index::kMaxKeys << " an index holds");
     shards_.assign(num_sites_, Index(prefer_high_id));
     std::vector<std::size_t> per_key;
     for (std::size_t s = 0; s < num_sites_; ++s) {

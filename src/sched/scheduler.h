@@ -48,9 +48,10 @@ class GridEngine {
 
   // Register interest in one site's cache mutations (at most one
   // listener per site — exactly one scheduler drives a run, and it owns
-  // the slot). The one caller is the residency table's build()
-  // (sched/residency.h), which keeps the counters and the per-site
-  // decision index of the data-aware schedulers current. Notifications
+  // the slot, whatever the number of tenants). The one caller is the
+  // residency table's build() (sched/residency.h), which keeps the
+  // counters and the per-site decision index of the data-aware
+  // schedulers current. Notifications
   // fire synchronously inside the cache mutation, i.e. strictly before
   // the next scheduling decision (see grid/control_plane.cc for the
   // event ordering this guarantees).
@@ -134,10 +135,11 @@ class Scheduler {
   // that have not arrived, so they opt out.
   [[nodiscard]] virtual bool supports_arrivals() const { return false; }
 
-  // Unassigned tasks currently in this scheduler's bag. Pull schedulers
-  // override it (the WRR tenant layer reads it to decide which tenants
-  // are eligible for the next idle worker); push schedulers, which hold
-  // no bag after submission, keep the 0 default.
+  // Unassigned tasks currently in this scheduler's bag, over all
+  // tenants. Pull schedulers (pull.h) override it with the sum of their
+  // tenants' parts, whose sizes decide which tenants the next request
+  // may serve; push schedulers, which hold no bag after submission, keep
+  // the 0 default.
   [[nodiscard]] virtual std::size_t pending_count() const { return 0; }
 
   // `worker` is idle with an empty queue and asks for work. Fired once
@@ -164,9 +166,11 @@ class Scheduler {
 
   [[nodiscard]] virtual std::string name() const = 0;
 
-  // Attach the wall-clock phase profiler (nullptr detaches). Decision
-  // hooks bracket themselves with ScopedPhase(kSchedulerDecision);
-  // profiling never influences a decision.
+  // Attach the wall-clock phase profiler (nullptr detaches). Decisions
+  // bracket themselves with ScopedPhase(kSchedulerDecision): a pull
+  // scheduler once per served request (pull.h) and per replica search,
+  // plus its set-up and arrival upkeep; profiling never influences a
+  // decision.
   void set_profiler(obs::PhaseProfiler* profiler) { profiler_ = profiler; }
 
   // Component self-audit, driven by the invariant auditor: append

@@ -8,20 +8,22 @@ template <typename Rank>
 void BasicShardedTaskIndex<Rank>::reset(std::size_t num_tasks,
                                         std::size_t num_keys) {
   WCS_CHECK(num_tasks < kAbsent);  // 31-bit heap positions
-  WCS_CHECK(num_keys <= std::size_t{UINT16_MAX} + 1);  // 16-bit keys
-  for (std::vector<Entry>& heap : buckets_) heap.clear();
+  WCS_CHECK(num_keys <= kMaxKeys);
+  for (Bucket& bucket : buckets_) {
+    bucket.heap.clear();
+    bucket.rank_total = 0;
+  }
   buckets_.resize(num_keys);
   slots_.assign(num_tasks, kAbsent);
   keys_.assign(num_keys > 1 ? num_tasks : 0, 0);
   stale_.clear();
   stale_.reserve(num_tasks);
   size_ = 0;
-  rank_total_ = 0;
 }
 
 template <typename Rank>
 auto BasicShardedTaskIndex<Rank>::file(TaskId task, std::uint64_t key)
-    -> std::vector<Entry>& {
+    -> Bucket& {
   WCS_CHECK_MSG(task.value() < slots_.size(),
                 "sharded index: task " << task << " out of range");
   WCS_CHECK_MSG(key < num_keys(), "sharded index: key " << key
@@ -35,20 +37,21 @@ auto BasicShardedTaskIndex<Rank>::file(TaskId task, std::uint64_t key)
 template <typename Rank>
 void BasicShardedTaskIndex<Rank>::insert(TaskId task, std::uint64_t key,
                                          Rank rank) {
-  std::vector<Entry>& heap = file(task, key);
-  heap.push_back(Entry{rank, task});
-  rank_total_ += rank;
-  sift(heap, static_cast<std::uint32_t>(heap.size() - 1));
+  Bucket& bucket = file(task, key);
+  bucket.heap.push_back(Entry{rank, task});
+  bucket.rank_total += rank;
+  sift(bucket.heap, static_cast<std::uint32_t>(bucket.heap.size() - 1));
 }
 
 template <typename Rank>
 void BasicShardedTaskIndex<Rank>::erase(TaskId task) {
   WCS_CHECK_MSG(contains(task), "sharded index: erase of absent " << task);
   std::uint32_t& slot = slots_[task.value()];
-  std::vector<Entry>& heap = buckets_[bucket_of(task)];
+  Bucket& bucket = buckets_[bucket_of(task)];
+  std::vector<Entry>& heap = bucket.heap;
   const std::uint32_t pos = pos_of(slot);
   slot = kAbsent;  // drops the mark; refresh() skips the listed task
-  rank_total_ -= heap[pos].rank;
+  bucket.rank_total -= heap[pos].rank;
   const Entry last = heap.back();
   heap.pop_back();
   if (pos < heap.size()) {
@@ -71,9 +74,10 @@ void BasicShardedTaskIndex<Rank>::update(TaskId task, std::uint64_t key,
     insert(task, key, rank);
     return;
   }
-  std::vector<Entry>& heap = buckets_[key];
+  Bucket& bucket = buckets_[key];
+  std::vector<Entry>& heap = bucket.heap;
   if (heap[slot].rank == rank) return;
-  rank_total_ += std::uint64_t{rank} - heap[slot].rank;
+  bucket.rank_total += std::uint64_t{rank} - heap[slot].rank;
   heap[slot].rank = rank;
   sift(heap, slot);
 }
@@ -113,7 +117,7 @@ std::uint64_t BasicShardedTaskIndex<Rank>::key_of(TaskId task) const {
 template <typename Rank>
 Rank BasicShardedTaskIndex<Rank>::rank_of(TaskId task) const {
   WCS_CHECK_MSG(contains(task), "sharded index: rank_of absent " << task);
-  return buckets_[bucket_of(task)][pos_of(slots_[task.value()])].rank;
+  return buckets_[bucket_of(task)].heap[pos_of(slots_[task.value()])].rank;
 }
 
 template <typename Rank>
@@ -121,9 +125,9 @@ std::vector<std::string> BasicShardedTaskIndex<Rank>::structural_defects()
     const {
   std::vector<std::string> defects;
   std::size_t entries = 0;
-  std::uint64_t ranks = 0;
   for (std::size_t key = 0; key < buckets_.size(); ++key) {
-    const std::vector<Entry>& heap = buckets_[key];
+    const std::vector<Entry>& heap = buckets_[key].heap;
+    std::uint64_t ranks = 0;
     for (std::size_t pos = 0; pos < heap.size(); ++pos) {
       ++entries;
       ranks += heap[pos].rank;
@@ -143,6 +147,12 @@ std::vector<std::string> BasicShardedTaskIndex<Rank>::structural_defects()
         defects.push_back(os.str());
       }
     }
+    if (ranks != buckets_[key].rank_total) {
+      std::ostringstream os;
+      os << "rank total drifted under key " << key << ": counter "
+         << buckets_[key].rank_total << ", sum of entry ranks " << ranks;
+      defects.push_back(os.str());
+    }
   }
   std::size_t present = 0;
   for (const std::uint32_t slot : slots_)
@@ -151,12 +161,6 @@ std::vector<std::string> BasicShardedTaskIndex<Rank>::structural_defects()
     std::ostringstream os;
     os << "size drifted: counter " << size_ << ", bucket entries " << entries
        << ", present slots " << present;
-    defects.push_back(os.str());
-  }
-  if (ranks != rank_total_) {
-    std::ostringstream os;
-    os << "rank total drifted: counter " << rank_total_
-       << ", sum of entry ranks " << ranks;
     defects.push_back(os.str());
   }
   // Stale list vs marks: refresh() only visits listed tasks, so a mark

@@ -13,16 +13,18 @@
 //   combined metric  key = |t| - |F_t|,   rank = ref_t
 //   storage affinity key = 0,             rank = cached bytes (high-id ties)
 //
-// — so a request walks one heap (or, for combined, one heap per missing
-// count) best-first and stops after the top n entries instead of
-// touching every task. The buckets are a dense vector indexed by key,
+// (worker-centric offsets each key by tenant x keys a tenant, so each
+// tenant of a run has its own range) — so a request walks one heap (or,
+// for combined, one heap per missing count) best-first and stops after
+// the top n entries instead of touching every task. The buckets are a dense vector indexed by key,
 // bounded by reset()'s num_keys; each bucket is an indexed binary heap
 // (a flat std::vector<Entry> in EntryOrder, every task's heap position
 // kept in its slot). insert/erase are O(log |b|) over contiguous memory.
 //
-// RANK TOTAL: rank_total() (the entries' rank sum) and bucket_size(key)
-// are O(1), so sums over the filed tasks, such as combined's totalRef and
-// totalRest, are read off the refreshed index, not kept beside it.
+// RANK TOTALS: rank_total(key) (the rank sum of a bucket's entries) and
+// bucket_size(key) are O(1), so sums over a range of buckets, such as
+// combined's totalRef and totalRest over one tenant's keys, are read off
+// the refreshed index, not kept beside it.
 //
 // LAYOUT: the rank type is the template parameter, so an Entry is
 // {rank, TaskId}: 8 B with the worker-centric 32-bit ranks
@@ -30,7 +32,9 @@
 // placed), 16 B with storage affinity's 64-bit byte ranks. Per task
 // the index keeps a 4-byte slot (heap position, stale bit on top), a
 // 4-byte stale-list reserve and, only when it has more than one key
-// (combined), a 2-byte key; a single-key index keeps no keys at all.
+// (combined, or several tenants), a 2-byte key; a single-key index
+// keeps no keys at all. Per key it keeps a bucket: the heap and its
+// rank total.
 //
 // DEFERRED RE-KEY: a cache event changes the counters a task's (key,
 // rank) derives from, but the owner only reads the heaps when a worker
@@ -94,9 +98,12 @@ class BasicShardedTaskIndex {
   explicit BasicShardedTaskIndex(bool prefer_high_id = false)
       : order_{prefer_high_id} {}
 
+  // Keys a 16-bit key column holds.
+  static constexpr std::size_t kMaxKeys = std::size_t{UINT16_MAX} + 1;
+
   // Drops every entry and sizes the index for task ids [0, num_tasks)
-  // and keys [0, num_keys); the per-task key column exists only when
-  // num_keys > 1. The stale list is reserved to num_tasks up front: a
+  // and keys [0, num_keys), num_keys <= kMaxKeys; the per-task key column
+  // exists only when num_keys > 1. The stale list is reserved to num_tasks up front: a
   // mark lists a task once until it is erased, so marking grows the list
   // only after an erase and re-insert between two refreshes.
   void reset(std::size_t num_tasks, std::size_t num_keys);
@@ -104,7 +111,7 @@ class BasicShardedTaskIndex {
   // Reserves room for `n` entries under `key`, so a caller that knows a
   // bucket's population files it without regrowing the heap.
   void reserve(std::uint64_t key, std::size_t n) {
-    buckets_.at(key).reserve(n);
+    buckets_.at(key).heap.reserve(n);
   }
 
   // Files every task id below reset()'s num_tasks that `want(task)`
@@ -120,14 +127,15 @@ class BasicShardedTaskIndex {
       const TaskId task(static_cast<TaskId::underlying_type>(i));
       if (!want(task)) continue;
       const auto [key, rank] = place(task);
-      std::vector<Entry>& heap = file(task, key);
-      slots_[i] = static_cast<std::uint32_t>(heap.size());
-      heap.push_back(Entry{rank, task});
-      rank_total_ += rank;
+      Bucket& bucket = file(task, key);
+      slots_[i] = static_cast<std::uint32_t>(bucket.heap.size());
+      bucket.heap.push_back(Entry{rank, task});
+      bucket.rank_total += rank;
     }
-    for (std::vector<Entry>& heap : buckets_)
-      for (auto pos = static_cast<std::uint32_t>(heap.size() / 2); pos-- > 0;)
-        sift_down(heap, pos, heap[pos]);
+    for (Bucket& bucket : buckets_)
+      for (auto pos = static_cast<std::uint32_t>(bucket.heap.size() / 2);
+           pos-- > 0;)
+        sift_down(bucket.heap, pos, bucket.heap[pos]);
   }
 
   // Adds `task` under `key` with `rank`. The task must not be present
@@ -181,10 +189,12 @@ class BasicShardedTaskIndex {
   [[nodiscard]] std::size_t num_keys() const { return buckets_.size(); }
   // Entries filed under `key`, which must be below num_keys().
   [[nodiscard]] std::size_t bucket_size(std::uint64_t key) const {
-    return buckets_.at(key).size();
+    return buckets_.at(key).heap.size();
   }
-  // Sum of every entry's rank, modulo 2^64.
-  [[nodiscard]] std::uint64_t rank_total() const { return rank_total_; }
+  // Sum of the ranks of the entries filed under `key`, modulo 2^64.
+  [[nodiscard]] std::uint64_t rank_total(std::uint64_t key) const {
+    return buckets_.at(key).rank_total;
+  }
 
   // Visits the entries filed under `key` best-first, in exactly
   // EntryOrder order, until `fn(const Entry&)` returns false. The
@@ -196,7 +206,7 @@ class BasicShardedTaskIndex {
   template <typename Fn>
   void walk(std::uint64_t key, Fn&& fn) const {
     WCS_DCHECK(stale_.empty());
-    const std::vector<Entry>& heap = buckets_.at(key);
+    const std::vector<Entry>& heap = buckets_.at(key).heap;
     const auto n = static_cast<std::uint32_t>(heap.size());
     // std heaps keep the LARGEST element on top; "larger" is "better".
     const auto worse = [&](std::uint32_t a, std::uint32_t b) {
@@ -220,7 +230,7 @@ class BasicShardedTaskIndex {
 
   // Structural self-check for the auditor: every entry sits where its
   // slot says, no entry outranks its heap parent, the entry, slot and
-  // size counts agree, the rank total is the sum of the entries' ranks,
+  // size counts agree, each bucket's rank total is its entries' sum,
   // every marked slot is on the stale list, and no listed task is marked
   // while absent. Returns human-readable defect descriptions (empty when
   // coherent).
@@ -228,11 +238,17 @@ class BasicShardedTaskIndex {
 
   // Test hooks: the corruptions structural_defects() must report. The
   // first forgets the stale list but keeps the marks; the second moves
-  // the rank total off its entries' sum.
+  // key 0's rank total off its entries' sum.
   void drop_stale_list_for_test() { stale_.clear(); }
-  void skew_rank_total_for_test() { ++rank_total_; }
+  void skew_rank_total_for_test() { ++buckets_.at(0).rank_total; }
 
  private:
+  // The entries filed under one key, as a heap, and their rank sum.
+  struct Bucket {
+    std::vector<Entry> heap;
+    std::uint64_t rank_total = 0;  // modulo 2^64
+  };
+
   // A slot is the task's heap position in its bucket, or kAbsent, with
   // the mark in the top bit: positions stay below num_tasks < kAbsent.
   static constexpr std::uint32_t kStale = 1u << 31;
@@ -244,7 +260,7 @@ class BasicShardedTaskIndex {
     return keys_.empty() ? 0 : keys_[task.value()];
   }
   // Checks `key` and records it as `task`'s bucket, which it returns.
-  std::vector<Entry>& file(TaskId task, std::uint64_t key);
+  Bucket& file(TaskId task, std::uint64_t key);
 
   // Writes `e` at heap position `pos` and records the position, keeping
   // the task's mark.
@@ -259,11 +275,10 @@ class BasicShardedTaskIndex {
   void sift_down(std::vector<Entry>& heap, std::uint32_t pos, Entry e);
 
   EntryOrder order_;
-  std::vector<std::vector<Entry>> buckets_;  // by key
-  std::vector<std::uint32_t> slots_;         // by task id
-  std::vector<std::uint16_t> keys_;          // by task id; num_keys > 1
+  std::vector<Bucket> buckets_;       // by key
+  std::vector<std::uint32_t> slots_;  // by task id
+  std::vector<std::uint16_t> keys_;   // by task id; num_keys > 1
   std::size_t size_ = 0;
-  std::uint64_t rank_total_ = 0;  // sum of entry ranks, modulo 2^64
   std::vector<TaskId> stale_;  // marked tasks, in mark order
   mutable std::vector<std::uint32_t> frontier_;  // reused by walk()
 };

@@ -27,7 +27,8 @@ void StorageAffinityScheduler::on_job_submitted() {
   // File the replicable tasks now that every task holds exactly one
   // instance (distribute_all places all of them; no cache events fire
   // synchronously during assignment, so the byte counters are current).
-  residency_.fill_index(/*num_keys=*/1, /*prefer_high_id=*/true,
+  residency_.fill_index(/*tenants=*/1, /*keys_per_tenant=*/1,
+                        /*prefer_high_id=*/true,
                         [this](TaskId t) { return replicable(t); }, place());
 }
 

@@ -21,14 +21,14 @@ const char* to_string(Metric metric) {
 
 WorkerCentricScheduler::WorkerCentricScheduler(
     const WorkerCentricParams& params)
-    : params_(params), rng_(params.seed) {
+    : params_(params) {
   WCS_CHECK_MSG(params.choose_n >= 1, "ChooseTask(n) needs n >= 1");
   // TopN inserts before it trims, so it holds up to n + 1 entries.
   choice_buf_.reserve(static_cast<std::size_t>(params.choose_n) + 1);
   weight_buf_.reserve(static_cast<std::size_t>(params.choose_n));
 }
 
-std::string WorkerCentricScheduler::name() const {
+std::string WorkerCentricScheduler::algorithm_name() const {
   std::string n = to_string(params_.metric);
   if (params_.metric == Metric::kCombined &&
       params_.combined_formula == CombinedFormula::kVerbatim)
@@ -70,24 +70,36 @@ void WorkerCentricScheduler::on_job_submitted() {
                                                       : 0u),
                    initially_pending);
   pending_.reset(num_tasks);
+  tenant_pending_.assign(num_tenants(), 0);
   for (const workload::Task& t : job.tasks())
-    if (initially_pending(t.id)) pending_.insert(t.id);
+    if (initially_pending(t.id)) {
+      pending_.insert(t.id);
+      ++tenant_pending_[tenant_of(t.id)];
+    }
   placements_.assign(num_tasks, {});
   completed_.assign(num_tasks, 0);
+  // Adding a tenant must not perturb the draws of the others.
+  rngs_.clear();
+  rngs_.reserve(num_tenants());
+  for (std::uint32_t t = 0; t < num_tenants(); ++t)
+    rngs_.emplace_back(num_tenants() == 1 ? params_.seed
+                                          : substream_seed(params_.seed, t));
 
   // File the bag in the index (the overlap / rest key is 0; combined
-  // keys are missing counts).
-  residency_.fill_index(combined ? max_task_size + std::size_t{1} : 1,
+  // keys are missing counts), each tenant under its own keys.
+  keys_per_tenant_ = combined ? max_task_size + std::size_t{1} : 1;
+  residency_.fill_index(num_tenants(), keys_per_tenant_,
                         /*prefer_high_id=*/false,
                         [this](TaskId t) { return pending_.contains(t); },
                         shard_place());
 }
 
 std::pair<double, double> WorkerCentricScheduler::scan_totals(
-    std::size_t s) const {
+    std::size_t s, std::uint32_t tenant) const {
   double total_ref = 0;
   double total_rest = 0;
   for (TaskId t : pending_) {
+    if (tenant_of(t) != tenant) continue;
     total_ref += static_cast<double>(residency_.refs(s, t));
     total_rest += rest_weight(missing_of(s, t));
   }
@@ -95,23 +107,26 @@ std::pair<double, double> WorkerCentricScheduler::scan_totals(
 }
 
 std::pair<double, double> WorkerCentricScheduler::totals(
-    std::size_t s) const {
+    std::size_t s, std::uint32_t tenant) const {
   residency_.refresh(s, shard_place());
   const ShardedTaskIndex& index = residency_.index_of(s);
   // Every pending task with m files missing contributes rest_t = 1/m
-  // (kFullOverlapRestWeight at m = 0). There are max |t| + 1 buckets, a
-  // workload constant (~100 for Coadd) independent of |pending|.
+  // (kFullOverlapRestWeight at m = 0). A tenant has max |t| + 1 buckets,
+  // a workload constant (~100 for Coadd) independent of |pending|.
+  const std::size_t first = tenant * keys_per_tenant_;
+  std::uint64_t ranks = 0;
   double total_rest = 0;
-  for (std::size_t m = 0; m < index.num_keys(); ++m) {
-    const auto n = static_cast<double>(index.bucket_size(m));
+  for (std::size_t m = 0; m < keys_per_tenant_; ++m) {
+    ranks += index.rank_total(first + m);
+    const auto n = static_cast<double>(index.bucket_size(first + m));
     if (n > 0)
       total_rest += m == 0 ? n * kFullOverlapRestWeight
                            : n / static_cast<double>(m);
   }
-  const auto total_ref = static_cast<double>(index.rank_total());
+  const auto total_ref = static_cast<double>(ranks);
 #ifndef NDEBUG
   // Cross-validate against the O(|pending|) scan.
-  const auto [scan_ref, scan_rest] = scan_totals(s);
+  const auto [scan_ref, scan_rest] = scan_totals(s, tenant);
   WCS_DCHECK_EQ(scan_ref, total_ref);
   WCS_DCHECK(std::abs(scan_rest - total_rest) <=
              1e-9 * std::max(1.0, std::abs(scan_rest)));
@@ -120,12 +135,13 @@ std::pair<double, double> WorkerCentricScheduler::totals(
 }
 
 std::pair<double, double> WorkerCentricScheduler::totals_of(
-    SiteId site) const {
+    SiteId site, std::uint32_t tenant) const {
   WCS_CHECK_MSG(params_.metric == Metric::kCombined,
                 "totals_of() under " << to_string(params_.metric)
                     << ": only combined's index holds totals");
   WCS_CHECK_LT(site.value(), engine().num_sites());
-  return totals(site.value());
+  WCS_CHECK_LT(tenant, num_tenants());
+  return totals(site.value(), tenant);
 }
 
 std::uint32_t WorkerCentricScheduler::combined_rank(std::size_t site,
@@ -167,7 +183,7 @@ double WorkerCentricScheduler::weight(SiteId site, TaskId task) const {
   double total_ref = 0;
   double total_rest = 0;
   if (params_.metric == Metric::kCombined)
-    std::tie(total_ref, total_rest) = totals(site.value());
+    std::tie(total_ref, total_rest) = totals(site.value(), tenant_of(task));
   return weight_of(site.value(), task, total_ref, total_rest);
 }
 
@@ -183,6 +199,7 @@ double WorkerCentricScheduler::naive_weight(SiteId site, TaskId task) const {
   double total_rest = 0;
   if (params_.metric == Metric::kCombined) {
     for (TaskId t : pending_) {
+      if (tenant_of(t) != tenant_of(task)) continue;
       const Residency r = residency(cache, job, t);
       total_ref += static_cast<double>(r.refs);
       total_rest += rest_weight(size(t) - r.files);
@@ -260,57 +277,63 @@ void describe(std::ostream& os, const std::vector<Candidate>& list) {
 
 }  // namespace
 
-TaskId WorkerCentricScheduler::choose_task(SiteId site) {
-  WCS_CHECK(!pending_.empty());
-  fill_candidates(site, choice_buf_);
-  return pick_from(choice_buf_, weight_buf_, rng_);
+TaskId WorkerCentricScheduler::choose_task(SiteId site,
+                                           std::uint32_t tenant) {
+  WCS_CHECK(pending_of(tenant) > 0);
+  fill_candidates(site, tenant, choice_buf_);
+  return pick_from(choice_buf_, weight_buf_, rngs_[tenant]);
 }
 
 std::vector<Candidate> WorkerCentricScheduler::reference_candidates(
-    SiteId site) const {
+    SiteId site, std::uint32_t tenant) const {
   const std::size_t s = site.value();
   WCS_CHECK_LT(s, engine().num_sites());
+  WCS_CHECK_LT(tenant, num_tenants());
 
   double total_ref = 0;
   double total_rest = 0;
   if (params_.metric == Metric::kCombined)
-    std::tie(total_ref, total_rest) = totals(s);
+    std::tie(total_ref, total_rest) = totals(s, tenant);
 
   std::vector<Candidate> out;
   TopN topn(out, std::min<std::size_t>(
                      static_cast<std::size_t>(params_.choose_n),
-                     pending_.size()));
+                     pending_of(tenant)));
   for (TaskId t : pending_)
-    topn.offer({weight_of(s, t, total_ref, total_rest), t});
+    if (tenant_of(t) == tenant)
+      topn.offer({weight_of(s, t, total_ref, total_rest), t});
   return out;
 }
 
-std::vector<Candidate> WorkerCentricScheduler::candidates(SiteId site) const {
+std::vector<Candidate> WorkerCentricScheduler::candidates(
+    SiteId site, std::uint32_t tenant) const {
+  WCS_CHECK_LT(tenant, num_tenants());
   std::vector<Candidate> out;
-  fill_candidates(site, out);
+  fill_candidates(site, tenant, out);
   return out;
 }
 
 void WorkerCentricScheduler::fill_candidates(
-    SiteId site, std::vector<Candidate>& out) const {
+    SiteId site, std::uint32_t tenant, std::vector<Candidate>& out) const {
   const std::size_t s = site.value();
   residency_.refresh(s, shard_place());
 
   double total_ref = 0;
   double total_rest = 0;
   if (params_.metric == Metric::kCombined)
-    std::tie(total_ref, total_rest) = totals(s);
+    std::tie(total_ref, total_rest) = totals(s, tenant);
 
   TopN topn(out, std::min<std::size_t>(
                      static_cast<std::size_t>(params_.choose_n),
-                     pending_.size()));
+                     pending_of(tenant)));
   // Along every walk the weight is non-increasing and ties come in the id
   // order `better` uses (sharded_index.h, equivalence invariant), so the
-  // first rejected entry ends the walk. Overlap and rest have one bucket;
-  // combined mixes a normalized ref term with the rest term, so no
-  // missing count dominates and each bucket is walked (B <= max |t| + 1,
-  // a workload constant).
-  for (std::uint64_t key = 0; key < residency_.index_keys(); ++key)
+  // first rejected entry ends the walk. Overlap and rest have one bucket
+  // a tenant; combined mixes a normalized ref term with the rest term, so
+  // no missing count dominates and each of the tenant's buckets is walked
+  // (B <= max |t| + 1, a workload constant).
+  const std::uint64_t first = std::uint64_t{tenant} * keys_per_tenant_;
+  for (std::uint64_t key = first; key < first + keys_per_tenant_; ++key)
     residency_.walk(s, key, [&](const ShardedTaskIndex::Entry& e) {
       return topn.offer(
           {weight_of(s, e.task, total_ref, total_rest), e.task});
@@ -319,24 +342,22 @@ void WorkerCentricScheduler::fill_candidates(
 
 void WorkerCentricScheduler::assign_pending(TaskId task, WorkerId worker) {
   pending_.erase(task);
+  --tenant_pending_[tenant_of(task)];
   residency_.unindex(task);
   residency_.untrack(task);  // cache events stop touching it
   placements_[task.value()].push_back(worker);
   engine().assign_task(task, worker);
 }
 
-void WorkerCentricScheduler::on_worker_idle(WorkerId worker) {
+void WorkerCentricScheduler::serve(WorkerId worker, std::uint32_t tenant) {
+  assign_pending(choose_task(engine().site_of(worker), tenant), worker);
+}
+
+bool WorkerCentricScheduler::serve_empty(WorkerId worker) {
+  // The bag is empty; optionally shave the tail by replicating.
+  if (!params_.replicate_when_idle) return false;
   obs::ScopedPhase phase(profiler_, obs::Phase::kSchedulerDecision);
-  std::erase(starving_, worker);
-  if (pending_.empty()) {
-    // Bag is empty; optionally shave the tail by replicating. A worker
-    // left without work is remembered: a crash elsewhere may refill the
-    // bag, and feed_starving() then serves it.
-    if (params_.replicate_when_idle && replicate_for(worker)) return;
-    starving_.push_back(worker);
-    return;
-  }
-  assign_pending(choose_task(engine().site_of(worker)), worker);
+  return replicate_for(worker);
 }
 
 bool WorkerCentricScheduler::replicate_for(WorkerId worker) {
@@ -390,15 +411,7 @@ void WorkerCentricScheduler::re_add_pending(TaskId task) {
   residency_.track(task);
   residency_.index(task, shard_place());
   pending_.insert(task);
-}
-
-void WorkerCentricScheduler::feed_starving() {
-  while (!pending_.empty() && !starving_.empty()) {
-    WorkerId worker = starving_.front();
-    starving_.pop_front();
-    if (!engine().worker_alive(worker)) continue;
-    assign_pending(choose_task(engine().site_of(worker)), worker);
-  }
+  ++tenant_pending_[tenant_of(task)];
 }
 
 void WorkerCentricScheduler::audit_collect(
@@ -408,51 +421,54 @@ void WorkerCentricScheduler::audit_collect(
   // Every site's index vs the counters the table's audit above recounts:
   // it must file exactly the pending bag, as shard_place() keys it.
   residency_.audit_index(pending, shard_place(), out);
-  // Under combined, the index-derived totals vs the full scan over
-  // pending tasks: the always-on promotion of totals()' debug check
-  // (which, in a debug build, fails first).
-  if (params_.metric == Metric::kCombined)
-    for (std::size_t s = 0; s < engine().num_sites(); ++s) {
-      audit::IndexTotalsSnapshot totals_snap;
-      totals_snap.label = "site " + std::to_string(s);
-      std::tie(totals_snap.index_ref, totals_snap.index_rest) = totals(s);
-      std::tie(totals_snap.scanned_ref, totals_snap.scanned_rest) =
-          scan_totals(s);
-      audit::check_index_coherence(totals_snap, out);
-    }
-  for (std::size_t s = 0; s < engine().num_sites(); ++s) {
-    const SiteId site(static_cast<SiteId::underlying_type>(s));
+  for (std::size_t s = 0; s < engine().num_sites(); ++s)
+    for (std::uint32_t tenant = 0; tenant < num_tenants(); ++tenant) {
+      std::string label = "site " + std::to_string(s);
+      if (num_tenants() > 1) label += " tenant " + std::to_string(tenant);
+      // Under combined, the index-derived totals vs the full scan over
+      // the tenant's pending tasks: the always-on promotion of totals()'
+      // debug check (which, in a debug build, fails first).
+      if (params_.metric == Metric::kCombined) {
+        audit::IndexTotalsSnapshot totals_snap;
+        totals_snap.label = label;
+        std::tie(totals_snap.index_ref, totals_snap.index_rest) =
+            totals(s, tenant);
+        std::tie(totals_snap.scanned_ref, totals_snap.scanned_rest) =
+            scan_totals(s, tenant);
+        audit::check_index_coherence(totals_snap, out);
+      }
 
-    // Decision coherence: the index walk's top-n must equal the flat
-    // scan's, bitwise, before any RNG draw.
-    const std::vector<Candidate> live = candidates(site);
-    const std::vector<Candidate> reference = reference_candidates(site);
-    if (same_bits(live, reference)) continue;
-    std::ostringstream os;
-    os << "site " << s << " ChooseTask(" << params_.choose_n
-       << ") candidates ";
-    describe(os, live);
-    os << " differ from the reference scan ";
-    describe(os, reference);
-    out.push_back(audit::Violation{"sharded-index", os.str()});
-  }
+      // Decision coherence: the index walk's top-n must equal the flat
+      // scan's, bitwise, before any RNG draw.
+      const SiteId site(static_cast<SiteId::underlying_type>(s));
+      const std::vector<Candidate> live = candidates(site, tenant);
+      const std::vector<Candidate> reference =
+          reference_candidates(site, tenant);
+      if (same_bits(live, reference)) continue;
+      std::ostringstream os;
+      os << label << " ChooseTask(" << params_.choose_n << ") candidates ";
+      describe(os, live);
+      os << " differ from the reference scan ";
+      describe(os, reference);
+      out.push_back(audit::Violation{"sharded-index", os.str()});
+    }
 }
 
-void WorkerCentricScheduler::on_worker_failed(
-    WorkerId worker, const std::vector<TaskId>& lost) {
-  std::erase(starving_, worker);
+void WorkerCentricScheduler::requeue(WorkerId worker,
+                                     const std::vector<TaskId>& lost) {
   for (TaskId t : lost) {
     auto& instances = placements_[t.value()];
     instances.erase_value(worker);
     if (instances.empty() && !completed_[t.value()]) re_add_pending(t);
   }
-  feed_starving();
 }
 
 void WorkerCentricScheduler::on_tasks_arrived(
     const std::vector<TaskId>& tasks) {
-  obs::ScopedPhase phase(profiler_, obs::Phase::kSchedulerDecision);
-  for (TaskId t : tasks) re_add_pending(t);
+  {
+    obs::ScopedPhase phase(profiler_, obs::Phase::kSchedulerDecision);
+    for (TaskId t : tasks) re_add_pending(t);
+  }
   feed_starving();
 }
 

@@ -20,6 +20,11 @@
 // algorithms (overlap/rest/combined), n = 2 the randomized ones
 // (rest.2/combined.2).
 //
+// Under several tenants (pull.h) a request is served from one tenant's
+// part of the bag: the pending tasks, totalRef and totalRest above are
+// that tenant's, and the draw comes from its own RNG stream. The
+// tenants share every other structure.
+//
 // Complexity: the paper's algorithm is O(T * I) per request (scan all
 // tasks, intersect file sets). Two incremental layers remove that:
 //
@@ -28,14 +33,15 @@
 //      cache-change notifications for the pending tasks only, make one
 //      weight evaluation O(1) (ref sums are kept only under combined,
 //      the one metric that reads them);
-//   2. the same table's per-site sharded index (sharded_index.h) — one
-//      heap ranked in weight order (overlap, rest) or one heap per
-//      missing count |t| - |F_t| ranked by ref_t (combined), as
+//   2. the same table's per-site sharded index (sharded_index.h) — per
+//      tenant, one heap ranked in weight order (overlap, rest) or one
+//      heap per missing count |t| - |F_t| ranked by ref_t (combined), as
 //      shard_place() files each pending task — resolves ChooseTask(n) by
-//      a best-first walk that stops after the top n instead of scanning
-//      the pending bag. Under combined it also holds the normalizers:
-//      totalRef is the index's rank total and totalRest sums rest_t over
-//      its bucket sizes, O(max |t|) per decision instead of O(T).
+//      a best-first walk of the served tenant's heaps that stops after
+//      the top n instead of scanning the pending bag. Under combined it
+//      also holds the normalizers: totalRef sums the rank totals and
+//      totalRest rest_t over the bucket sizes of the tenant's heaps,
+//      O(max |t|) per decision instead of O(T).
 //
 // A cache event costs O(1) per pending task sharing the file (the table
 // moves the counters and marks the task); a decision re-keys its site's
@@ -51,14 +57,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
 #include "common/inline_vec.h"
 #include "common/rng.h"
+#include "sched/pull.h"
 #include "sched/residency.h"
-#include "sched/scheduler.h"
 #include "sched/sharded_index.h"
 
 namespace wcs::sched {
@@ -81,7 +86,9 @@ struct WorkerCentricParams {
   Metric metric = Metric::kRest;
   int choose_n = 1;  // ChooseTask(n); >= 1
   CombinedFormula combined_formula = CombinedFormula::kProse;
-  std::uint64_t seed = 7;  // only consumed when choose_n >= 2
+  // Only consumed when choose_n >= 2: the RNG of a one-tenant run, and
+  // the root of substream_seed(seed, tenant) under several tenants.
+  std::uint64_t seed = 7;
 
   // Optional task replication once the bag is empty (paper Sec. 3.2:
   // replication is ORTHOGONAL to worker-centric scheduling — not needed
@@ -92,58 +99,49 @@ struct WorkerCentricParams {
   int max_replicas = 2;  // total concurrent instances per task
 };
 
-class WorkerCentricScheduler final : public Scheduler {
+class WorkerCentricScheduler final : public PullScheduler {
  public:
   explicit WorkerCentricScheduler(const WorkerCentricParams& params);
 
   void on_job_submitted() override;
-  void on_worker_idle(WorkerId worker) override;
   void on_task_completed(TaskId task, WorkerId worker) override;
-  // Crash handling: lost tasks whose last instance died return to the
-  // pending bag (with their index entries rebuilt against the live cache
-  // state), and are immediately offered to workers that previously asked
-  // for work when the bag was empty.
-  void on_worker_failed(WorkerId worker,
-                        const std::vector<TaskId>& lost) override;
   // Open-system arrivals: each task enters the pending bag exactly like
   // a crash re-home (per-site counters rebuilt against the live cache,
   // index and file -> task row re-insertion), then starving workers are
   // fed.
   void on_tasks_arrived(const std::vector<TaskId>& tasks) override;
   [[nodiscard]] bool supports_arrivals() const override { return true; }
-  [[nodiscard]] std::string name() const override;
 
   // Invariant audit: cross-validates the residency table's counters
   // against residency() on the live cache, every site's index against
-  // those counters, under combined every site's index-derived totals
-  // against the O(|pending|) scan, and candidates() against
+  // those counters, under combined every (site, tenant)'s index-derived
+  // totals against the O(|pending|) scan, and candidates() against
   // reference_candidates(), bitwise.
   void audit_collect(std::vector<audit::Violation>& out) const override;
 
   // --- Introspection (tests, examples) ---------------------------------
 
   // CalculateWeight() of a pending task for a requesting worker at `site`,
-  // from the incremental index. Task must be pending.
+  // from the incremental index, among its tenant's pending tasks. Task
+  // must be pending.
   [[nodiscard]] double weight(SiteId site, TaskId task) const;
 
   // Same value computed naively from the site cache — O(T * I); the
   // property tests assert weight() == naive_weight() at every step.
   [[nodiscard]] double naive_weight(SiteId site, TaskId task) const;
 
-  [[nodiscard]] std::size_t pending_count() const override {
-    return pending_.size();
-  }
   [[nodiscard]] bool is_pending(TaskId task) const {
     return pending_.contains(task);
   }
   [[nodiscard]] std::size_t overlap_cardinality(SiteId site,
                                                 TaskId task) const;
 
-  // (totalRef, totalRest) over the pending bag for `site`, read off its
-  // index under the combined metric (the one whose index holds them).
-  // Tests cross-check this against the O(|pending|) scan the combined
-  // metric used to pay on every choose_task().
-  [[nodiscard]] std::pair<double, double> totals_of(SiteId site) const;
+  // (totalRef, totalRest) over `tenant`'s pending tasks for `site`, read
+  // off its index under the combined metric (the one whose index holds
+  // them). Tests cross-check this against the O(|pending|) scan the
+  // combined metric used to pay on every choose_task().
+  [[nodiscard]] std::pair<double, double> totals_of(
+      SiteId site, std::uint32_t tenant = 0) const;
 
   // The combined metric's index rank of `task` at site index `site`:
   // ref_t, which must fit the index's 32-bit rank (a WCS_CHECK naming
@@ -159,24 +157,40 @@ class WorkerCentricScheduler final : public Scheduler {
     TaskId task;
   };
 
-  // The top-n pending tasks ChooseTask(n) samples from at `site`, best
-  // first by (weight desc, task id asc): the decision before the RNG
-  // draw, resolved by the sharded index walk. Empty when nothing is
-  // pending.
-  [[nodiscard]] std::vector<Candidate> candidates(SiteId site) const;
+  // The top-n pending tasks of `tenant` ChooseTask(n) samples from at
+  // `site`, best first by (weight desc, task id asc): the decision before
+  // the RNG draw, resolved by the sharded index walk. Empty when nothing
+  // of the tenant is pending.
+  [[nodiscard]] std::vector<Candidate> candidates(
+      SiteId site, std::uint32_t tenant = 0) const;
 
   // The same list from a brute-force scan of the whole pending bag: the
   // decision oracle shared by audit_collect() and the tests.
   [[nodiscard]] std::vector<Candidate> reference_candidates(
-      SiteId site) const;
+      SiteId site, std::uint32_t tenant = 0) const;
 
   // Resolves ChooseTask(n) for a worker at `site` WITHOUT assigning or
   // removing the task (bench hook). Consumes exactly the RNG draw the
   // real assignment would (none when the top-n has a single candidate).
-  // The pending bag must be non-empty.
-  [[nodiscard]] TaskId peek_choice(SiteId site) { return choose_task(site); }
+  // Tenant 0 (a closed run's whole bag) must have a pending task.
+  [[nodiscard]] TaskId peek_choice(SiteId site) {
+    return choose_task(site, 0);
+  }
 
  private:
+  [[nodiscard]] std::string algorithm_name() const override;
+  [[nodiscard]] std::size_t pending_of(std::uint32_t tenant) const override {
+    return tenant_pending_[tenant];
+  }
+  void serve(WorkerId worker, std::uint32_t tenant) override;
+  // Crash handling: lost tasks whose last instance died return to the
+  // pending bag, with their index entries rebuilt against the live cache
+  // state.
+  void requeue(WorkerId worker, const std::vector<TaskId>& lost) override;
+  // Replication phase (only when params_.replicate_when_idle): assigns a
+  // replica to `worker` and returns true, or returns false.
+  bool serve_empty(WorkerId worker) override;
+
   // Takes `task` out of the bag (and the residency table and its index)
   // and assigns it to `worker`.
   void assign_pending(TaskId task, WorkerId worker);
@@ -196,29 +210,35 @@ class WorkerCentricScheduler final : public Scheduler {
     return missing == 0 ? kFullOverlapRestWeight
                         : 1.0 / static_cast<double>(missing);
   }
-  // Under combined, (totalRef, totalRest) over pending tasks for site
-  // `s`, read off its index after refreshing it: the rank total and the
-  // bucket sizes (one bucket per missing count). Exact: both are integer
-  // counts, and totalRest sums the same terms in the same order whenever
-  // it is read. Cross-validated against scan_totals() in debug builds.
-  [[nodiscard]] std::pair<double, double> totals(std::size_t s) const;
+  // Under combined, (totalRef, totalRest) over `tenant`'s pending tasks
+  // for site `s`, read off its index after refreshing it: the rank
+  // totals and sizes of the tenant's buckets (one per missing count).
+  // Exact: both are integer counts, and totalRest sums the same terms in
+  // the same order whenever it is read. Cross-validated against
+  // scan_totals() in debug builds.
+  [[nodiscard]] std::pair<double, double> totals(std::size_t s,
+                                                 std::uint32_t tenant) const;
   // The same sums from an O(|pending|) scan: the audit's oracle.
-  [[nodiscard]] std::pair<double, double> scan_totals(std::size_t s) const;
+  [[nodiscard]] std::pair<double, double> scan_totals(
+      std::size_t s, std::uint32_t tenant) const;
   [[nodiscard]] std::uint32_t missing_of(std::size_t s, TaskId task) const {
     const std::uint32_t overlap = residency_.files(s, task);
     WCS_DCHECK_LE(overlap, task_size_[task.value()]);
     return task_size_[task.value()] - overlap;
   }
-  // candidates(site), written into `out` (cleared first): the index
-  // walk behind both candidates() and choose_task().
-  void fill_candidates(SiteId site, std::vector<Candidate>& out) const;
-  // ChooseTask(n): samples one of candidates(site) proportionally to
-  // weight, through the reused choice_buf_ / weight_buf_.
-  [[nodiscard]] TaskId choose_task(SiteId site);
+  // candidates(site, tenant), written into `out` (cleared first): the
+  // index walk behind both candidates() and choose_task().
+  void fill_candidates(SiteId site, std::uint32_t tenant,
+                       std::vector<Candidate>& out) const;
+  // ChooseTask(n): samples one of candidates(site, tenant) proportionally
+  // to weight with the tenant's RNG, through the reused choice_buf_ /
+  // weight_buf_.
+  [[nodiscard]] TaskId choose_task(SiteId site, std::uint32_t tenant);
 
   // --- Sharded pending-task index (layer 2; see file comment) ----------
   // The residency table's `place`: (key, rank) of a pending task at site
-  // `s`. Combined: key = missing count, rank = ref_t (weight is strictly
+  // `s`, its key offset by tenant_of(task) * keys_per_tenant_.
+  // Combined: key = missing count, rank = ref_t (weight is strictly
   // increasing in ref_t at a fixed missing count; combined_rank() checks
   // it fits 32 bits). Overlap and rest: key 0, rank = |F_t|, resp.
   // UINT32_MAX - missing count, so one heap holds the weight order
@@ -226,40 +246,42 @@ class WorkerCentricScheduler final : public Scheduler {
   [[nodiscard]] auto shard_place() const {
     return [this](std::size_t s,
                   TaskId task) -> std::pair<std::uint64_t, std::uint32_t> {
+      const std::uint64_t first =
+          std::uint64_t{tenant_of(task)} * keys_per_tenant_;
       const std::uint32_t missing = missing_of(s, task);
       if (params_.metric == Metric::kCombined)
-        return {missing, combined_rank(s, task, residency_.refs(s, task))};
-      return {0, params_.metric == Metric::kOverlap
-                     ? residency_.files(s, task)
-                     : UINT32_MAX - missing};
+        return {first + missing,
+                combined_rank(s, task, residency_.refs(s, task))};
+      return {first, params_.metric == Metric::kOverlap
+                         ? residency_.files(s, task)
+                         : UINT32_MAX - missing};
     };
   }
 
-  // Replication phase (only when params_.replicate_when_idle). Returns
-  // true if a replica was assigned to the worker.
+  // Scans the incomplete tasks for the best replica to give `worker`.
   bool replicate_for(WorkerId worker);
   // Return a task to the pending bag, rebuilding its per-site counters.
   void re_add_pending(TaskId task);
-  // Hand pending tasks to workers that starved on an empty bag.
-  void feed_starving();
 
   WorkerCentricParams params_;
-  Rng rng_;
+  // ChooseTask(n)'s draws, one stream per tenant: Rng(seed) for one
+  // tenant, Rng(substream_seed(seed, t)) for tenant t of several.
+  std::vector<Rng> rngs_;
   // |F_t| (and ref_t under combined) per (site, task), exact for exactly
   // the pending bag: untracked on assignment, tracked again on a crash
   // re-add or an arrival. Its per-site index files exactly the pending
-  // bag under shard_place() once refreshed.
+  // bag under shard_place() once refreshed: each tenant's tasks under
+  // its own keys_per_tenant_ keys (max |t| + 1 under combined, else 1).
   ResidencyTable residency_;
+  std::size_t keys_per_tenant_ = 1;
   std::vector<std::uint32_t> task_size_;  // |t| per task
   PendingBag pending_;
+  std::vector<std::size_t> tenant_pending_;  // pending_ split by tenant
   // Replication bookkeeping (kept even when replication is off: the
   // engine reports completions regardless). Two inline slots cover every
   // paper configuration (max_replicas = 2); larger settings spill.
   std::vector<common::InlineVec<WorkerId, 2>> placements_;
   std::vector<char> completed_;
-  // Workers that asked for work while the bag was empty, in ask order
-  // (deque: feed_starving pops the front in O(1)).
-  std::deque<WorkerId> starving_;
   // Decision scratch, reserved to n + 1 / n entries at construction, so a
   // warm ChooseTask(n) allocates nothing.
   std::vector<Candidate> choice_buf_;

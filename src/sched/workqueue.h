@@ -6,92 +6,62 @@
 //
 // This scheduler reads nothing from the engine beyond the task list and
 // worker liveness — no cache events, no estimates — so it is also the
-// smallest working example of the Scheduler interface contract
-// (scheduler.h): every decision happens inside on_worker_idle /
-// on_worker_failed, and a worker that cannot be served immediately is
-// parked on a starving list and fed on the next state change.
+// smallest working example of the pull contract (pull.h): the shared
+// loop hands it a request and a tenant, and it gives the worker that
+// tenant's FIFO head.
 #pragma once
 
-#include <algorithm>
 #include <deque>
 #include <string>
 #include <vector>
 
-#include "sched/scheduler.h"
+#include "sched/pull.h"
 
 namespace wcs::sched {
 
-class WorkqueueScheduler final : public Scheduler {
+class WorkqueueScheduler final : public PullScheduler {
  public:
-  // Rebuilds the FIFO from the engine's task list in id order (dense,
-  // 0-based — validate_job guarantees it). Open-system runs start with
-  // only the tasks already arrived at t=0; the rest join the FIFO tail
-  // through on_tasks_arrived in arrival order.
+  // Rebuilds one FIFO per tenant from the engine's task list in id order
+  // (dense, 0-based — validate_job guarantees it). Open-system runs
+  // start with only the tasks already arrived at t=0; the rest join
+  // their tenant's FIFO tail through on_tasks_arrived in arrival order.
   void on_job_submitted() override {
     const workload::ArrivalSchedule* arrivals = engine().arrivals();
-    pending_.clear();
+    pending_.assign(num_tenants(), {});
     for (const workload::Task& t : engine().job().tasks())
       if (arrivals == nullptr || arrivals->arrival(t.id) <= 0)
-        pending_.push_back(t.id);
+        pending_[tenant_of(t.id)].push_back(t.id);
   }
 
   void on_tasks_arrived(const std::vector<TaskId>& tasks) override {
-    for (TaskId t : tasks) pending_.push_back(t);
+    for (TaskId t : tasks) pending_[tenant_of(t)].push_back(t);
     feed_starving();
   }
 
   [[nodiscard]] bool supports_arrivals() const override { return true; }
 
-  // Hands the FIFO head to the requester, or parks it on the starving
-  // list when the bag is empty (drained by on_worker_failed re-queues).
-  void on_worker_idle(WorkerId worker) override {
-    obs::ScopedPhase phase(profiler_, obs::Phase::kSchedulerDecision);
-    starving_.erase(std::remove(starving_.begin(), starving_.end(), worker),
-                    starving_.end());
-    if (pending_.empty()) {
-      starving_.push_back(worker);
-      return;
-    }
-    TaskId t = pending_.front();
-    pending_.pop_front();
-    engine().assign_task(t, worker);
-  }
-
   void on_task_completed(TaskId, WorkerId) override {}
 
-  void on_worker_failed(WorkerId worker,
-                        const std::vector<TaskId>& lost) override {
-    starving_.erase(std::remove(starving_.begin(), starving_.end(), worker),
-                    starving_.end());
-    // Lost tasks rejoin the head of the queue (they were dispatched
-    // earliest), then any starving worker is fed immediately.
-    for (auto it = lost.rbegin(); it != lost.rend(); ++it)
-      pending_.push_front(*it);
-    feed_starving();
-  }
-
-  [[nodiscard]] std::string name() const override { return "workqueue"; }
-
-  // Unassigned tasks still in the FIFO (audit/test hook; running tasks
-  // are not counted).
-  [[nodiscard]] std::size_t pending_count() const override {
-    return pending_.size();
-  }
-
  private:
-  void feed_starving() {
-    while (!pending_.empty() && !starving_.empty()) {
-      WorkerId w = starving_.front();
-      starving_.erase(starving_.begin());
-      if (!engine().worker_alive(w)) continue;
-      TaskId t = pending_.front();
-      pending_.pop_front();
-      engine().assign_task(t, w);
-    }
+  [[nodiscard]] std::string algorithm_name() const override {
+    return "workqueue";
+  }
+  [[nodiscard]] std::size_t pending_of(std::uint32_t tenant) const override {
+    return pending_[tenant].size();
+  }
+  void serve(WorkerId worker, std::uint32_t tenant) override {
+    const TaskId t = pending_[tenant].front();
+    pending_[tenant].pop_front();
+    engine().assign_task(t, worker);
+  }
+  // Lost tasks rejoin the head of their tenant's queue (they were
+  // dispatched earliest).
+  void requeue(WorkerId, const std::vector<TaskId>& lost) override {
+    for (auto it = lost.rbegin(); it != lost.rend(); ++it)
+      pending_[tenant_of(*it)].push_front(*it);
   }
 
-  std::deque<TaskId> pending_;
-  std::vector<WorkerId> starving_;
+  std::vector<std::deque<TaskId>> pending_;  // per tenant, FIFO
 };
 
 }  // namespace wcs::sched

@@ -42,13 +42,7 @@ double XSufferageScheduler::estimated_completion(TaskId task,
          engine().job().task(task).mflop / mflops;
 }
 
-void XSufferageScheduler::on_worker_idle(WorkerId worker) {
-  obs::ScopedPhase phase(profiler_, obs::Phase::kSchedulerDecision);
-  std::erase(starving_, worker);
-  if (pending_.empty()) {
-    starving_.push_back(worker);
-    return;
-  }
+void XSufferageScheduler::serve(WorkerId worker, std::uint32_t) {
   const SiteId my_site = engine().site_of(worker);
   const std::size_t num_sites = engine().num_sites();
 
@@ -100,23 +94,12 @@ void XSufferageScheduler::on_worker_idle(WorkerId worker) {
 
 void XSufferageScheduler::on_task_completed(TaskId, WorkerId) {}
 
-void XSufferageScheduler::on_worker_failed(WorkerId worker,
-                                           const std::vector<TaskId>& lost) {
-  std::erase(starving_, worker);
+void XSufferageScheduler::requeue(WorkerId,
+                                  const std::vector<TaskId>& lost) {
   for (TaskId t : lost) {
     // Re-home: rebuild cached-bytes counters and rejoin the pending pool.
     residency_.track(t);
     pending_.insert(t);
-  }
-  feed_starving();
-}
-
-void XSufferageScheduler::feed_starving() {
-  while (!pending_.empty() && !starving_.empty()) {
-    const WorkerId worker = starving_.front();
-    starving_.pop_front();
-    if (!engine().worker_alive(worker)) continue;
-    on_worker_idle(worker);
   }
 }
 

@@ -36,16 +36,15 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
+#include "sched/pull.h"
 #include "sched/residency.h"
-#include "sched/scheduler.h"
 
 namespace wcs::sched {
 
-class XSufferageScheduler final : public Scheduler {
+class XSufferageScheduler final : public PullScheduler {
  public:
   XSufferageScheduler() = default;
 
@@ -53,37 +52,35 @@ class XSufferageScheduler final : public Scheduler {
   // cached bytes from the engine's current cache contents; the table
   // subscribes to cache events to keep them incremental.
   void on_job_submitted() override;
-  // Max-sufferage pick among tasks whose best-MCT site is the
-  // requester's; falls back to the smallest local MCT so a free worker
-  // is never idled while tasks remain.
-  void on_worker_idle(WorkerId worker) override;
   void on_task_completed(TaskId task, WorkerId worker) override;
-  // Lost tasks rejoin the pending set and any starving workers are fed.
-  void on_worker_failed(WorkerId worker,
-                        const std::vector<TaskId>& lost) override;
-  [[nodiscard]] std::string name() const override { return "xsufferage"; }
 
   // Invariant audit: every pending task's cached-bytes counter at every
   // site equals residency() against the live cache.
   void audit_collect(std::vector<audit::Violation>& out) const override;
 
-  // Unassigned tasks (audit/test hook; running tasks are not counted).
-  [[nodiscard]] std::size_t pending_count() const override {
-    return pending_.size();
-  }
   // Estimated completion time of a pending task at a site (test hook).
   [[nodiscard]] double estimated_completion(TaskId task, SiteId site) const;
 
  private:
-  // Hand pending tasks to workers that starved on an empty bag.
-  void feed_starving();
+  [[nodiscard]] std::string algorithm_name() const override {
+    return "xsufferage";
+  }
+  // XSufferage takes no arrivals, so its runs have one tenant.
+  [[nodiscard]] std::size_t pending_of(std::uint32_t) const override {
+    return pending_.size();
+  }
+  // Max-sufferage pick among tasks whose best-MCT site is the
+  // requester's; falls back to the smallest local MCT so a free worker
+  // is never idled while tasks remain.
+  void serve(WorkerId worker, std::uint32_t tenant) override;
+  // Lost tasks rejoin the pending set.
+  void requeue(WorkerId worker, const std::vector<TaskId>& lost) override;
 
   // Bytes of t's input set resident at each site, exact for pending
   // tasks (the table tracks only those).
   ResidencyTable residency_;
   std::vector<Bytes> task_bytes_;  // total input bytes per task
   PendingBag pending_;
-  std::deque<WorkerId> starving_;  // asked on an empty bag, in ask order
   double avg_task_bytes_ = 0;
 };
 

@@ -23,9 +23,8 @@ struct TenantInfo {
   std::uint32_t weight = 1;  // WRR share; must be >= 1
 };
 
-// Arrival sentinel used by per-tenant filtered views (sched/tenant_wrr):
-// a task that belongs to another tenant "never arrives" for this view.
-// Real run schedules must be finite (validate_arrivals rejects this).
+// An arrival that never comes; validate_arrivals refuses it in a run
+// schedule (the control plane starts its first-arrival ledgers at it).
 inline constexpr double kNeverArrives = std::numeric_limits<double>::infinity();
 
 // Per-task arrival metadata, parallel to the Job's task ids. Empty
@@ -71,8 +70,7 @@ struct Workload {
 
 // Structural soundness of a run schedule: metadata parallel to the job,
 // tenant ids in range, weights positive, arrival times finite and
-// non-negative. (Per-tenant WRR views relax finiteness via
-// kNeverArrives and are never validated as run schedules.)
+// non-negative.
 inline void validate_arrivals(const ArrivalSchedule& s, const Job& job) {
   WCS_CHECK_MSG(s.arrival_s.empty() || s.arrival_s.size() == job.num_tasks(),
                 "arrival_s size " << s.arrival_s.size() << " != "

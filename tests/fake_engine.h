@@ -63,6 +63,9 @@ class FakeEngine final : public GridEngine {
     auto it = backlogs.find(worker);
     return it == backlogs.end() ? 0 : it->second;
   }
+  [[nodiscard]] const workload::ArrivalSchedule* arrivals() const override {
+    return schedule;
+  }
 
   // Test-side cache mutation helpers (fire listeners like the real
   // data server would: insert, then access).
@@ -77,6 +80,8 @@ class FakeEngine final : public GridEngine {
   std::vector<std::pair<TaskId, WorkerId>> cancellations;
   std::set<WorkerId> dead_workers;
   std::map<WorkerId, std::size_t> backlogs;
+  // The run's open schedule; null is a closed run.
+  const workload::ArrivalSchedule* schedule = nullptr;
 
  private:
   const workload::Job& job_;

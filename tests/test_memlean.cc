@@ -198,8 +198,8 @@ TEST(ResidencyTable, IndexCostsEightOrTenBytesAPairPlusEightAnEntry) {
   // reserve for every task (the reserve is allocated up front but touched
   // only as marks arrive), a 2 B key for every task only when the index
   // has more than one key (combined), an 8 B heap entry for every filed
-  // task, and a constant: the index object and one bucket vector per
-  // key. So under `rest`, where every pending task is filed and there is
+  // task, and a constant: the index object and one bucket (a heap
+  // vector and its u64 rank total) per key. So under `rest`, where every pending task is filed and there is
   // one key, a pair allocates 16 B on top of the table's 2 B column (18
   // B); under combined 18 B on top of its 10 B (28 B). Two more sites
   // cost exactly twice that, in 3 + keys more allocations each (slots,
@@ -219,7 +219,7 @@ TEST(ResidencyTable, IndexCostsEightOrTenBytesAPairPlusEightAnEntry) {
     table.build(engine, Table::kFiles, [](TaskId) { return true; });
     const AllocSnapshot before = alloc_snapshot();
     table.fill_index(
-        keys, /*prefer_high_id=*/false,
+        1, keys, /*prefer_high_id=*/false,
         [](TaskId t) { return t.value() != 4; },
         [keys](std::size_t, TaskId t) {
           return std::pair<std::uint64_t, std::uint32_t>{t.value() % keys, 0};
@@ -233,7 +233,8 @@ TEST(ResidencyTable, IndexCostsEightOrTenBytesAPairPlusEightAnEntry) {
     const auto [three_allocs, three_bytes] = fill(3, keys);
     const std::uint64_t pair_bytes = keys > 1 ? 10 : 8;
     const std::uint64_t per_site =
-        sizeof(Index) + keys * sizeof(std::vector<Index::Entry>);
+        sizeof(Index) +
+        keys * (sizeof(std::vector<Index::Entry>) + sizeof(std::uint64_t));
     EXPECT_EQ(three_bytes - one_bytes,
               2 * (job.num_tasks() * pair_bytes + kFiled * 8 + per_site))
         << keys << " keys";
@@ -755,6 +756,50 @@ TEST(AllocFree, OpenSystemRunDoesNotAllocatePerTask) {
   EXPECT_LT(doubled.allocations, base.allocations + added_tasks)
       << base.allocations << " allocations at " << base.tasks << " tasks, "
       << doubled.allocations << " at " << doubled.tasks;
+}
+
+TEST(AllocFree, TenantsShareOneTableIndexAndBag) {
+  if (!alloc_counting_enabled())
+    GTEST_SKIP() << "allocation counting compiled out (sanitizer build)";
+  // The tenants of a run share the scheduler's residency table, decision
+  // index and pending bag: submitting a job split over four tenants (all
+  // arrived at t=0) allocates what submitting it closed does, plus the
+  // index's 2 B key column per (site, task) — rest has one key a tenant,
+  // so four tenants need four — and state per tenant: a bucket per site,
+  // an RNG stream and a pending count.
+  workload::CoaddParams cp;
+  cp.num_tasks = 400;
+  const workload::Job job = workload::generate_coadd(cp);
+  constexpr std::size_t kSites = 5;
+  constexpr std::size_t kTenants = 4;
+  workload::ArrivalSchedule four;
+  for (std::uint32_t t = 0; t < kTenants; ++t)
+    four.tenants.push_back({"t" + std::to_string(t), t + 1});
+  for (std::size_t i = 0; i < job.num_tasks(); ++i)
+    four.tenant_of.push_back(static_cast<std::uint32_t>(i % kTenants));
+  auto submit_bytes = [&](const workload::ArrivalSchedule* schedule) {
+    sched::testing::FakeEngine engine(job, kSites, /*workers_per_site=*/2);
+    engine.schedule = schedule;
+    sched::WorkerCentricParams params;
+    params.metric = sched::Metric::kRest;
+    sched::WorkerCentricScheduler scheduler(params);
+    scheduler.attach(engine);
+    const AllocSnapshot before = alloc_snapshot();
+    scheduler.on_job_submitted();
+    const AllocSnapshot after = alloc_snapshot();
+    EXPECT_EQ(scheduler.pending_count(), job.num_tasks());
+    return after.bytes - before.bytes;
+  };
+  const std::uint64_t closed = submit_bytes(nullptr);
+  const std::uint64_t split = submit_bytes(&four);
+  const std::uint64_t key_column = 2 * kSites * job.num_tasks();
+  const std::uint64_t per_tenant =
+      kSites * (sizeof(std::vector<sched::ShardedTaskIndex::Entry>) +
+                sizeof(std::uint64_t)) +
+      sizeof(Rng) + 2 * sizeof(std::size_t);
+  ASSERT_GE(split, closed + key_column);
+  EXPECT_LE(split - closed - key_column, (kTenants - 1) * per_tenant)
+      << "closed " << closed << " B, four tenants " << split << " B";
 }
 
 // --- run_seeds determinism ----------------------------------------------

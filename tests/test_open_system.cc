@@ -1,7 +1,7 @@
-// Open-system end-to-end tests: the WRR tenant layer's deterministic
-// service sequence, workload-aware scheduler construction, and full
-// arrival-timed runs draining with per-tenant metrics and the
-// tenant-accounting checker clean under --audit.
+// Open-system end-to-end tests: the pull schedulers' WRR tenant pick and
+// its deterministic service sequence, workload-aware scheduler
+// construction, and full arrival-timed runs draining with per-tenant
+// metrics and the tenant-accounting checker clean under --audit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,64 +9,50 @@
 #include <cinttypes>
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "fake_engine.h"
 #include "grid/experiment.h"
+#include "grid/grid_simulation.h"
 #include "sched/factory.h"
-#include "sched/tenant_wrr.h"
+#include "sched/pull.h"
 #include "workload/registry.h"
 
 namespace wcs::sched {
 namespace {
 
-// Minimal pull-style inner: always claims pending work and records the
-// order in which the WRR layer serves its tenant.
-class RecordingInner final : public Scheduler {
- public:
-  RecordingInner(std::uint32_t tenant, std::vector<std::uint32_t>& order)
-      : tenant_(tenant), order_(order) {}
-
-  void on_job_submitted() override {}
-  void on_worker_idle(WorkerId worker) override {
-    (void)worker;
-    order_.push_back(tenant_);
-  }
-  void on_task_completed(TaskId, WorkerId) override {}
-  void on_tasks_arrived(const std::vector<TaskId>&) override {}
-  [[nodiscard]] bool supports_arrivals() const override { return true; }
-  [[nodiscard]] std::size_t pending_count() const override { return 100; }
-  [[nodiscard]] std::string name() const override { return "recording"; }
-
- private:
-  std::uint32_t tenant_;
-  std::vector<std::uint32_t>& order_;
-};
-
-workload::ArrivalSchedule three_tenant_schedule() {
+// Three tenants weighted {3, 1, 2}, `per_tenant` tasks each, tenant-major.
+workload::ArrivalSchedule three_tenant_schedule(int per_tenant = 10) {
   workload::ArrivalSchedule s;
   s.tenants = {{"a", 3}, {"b", 1}, {"c", 2}};
   for (std::uint32_t t = 0; t < 3; ++t)
-    for (int i = 0; i < 10; ++i) s.tenant_of.push_back(t);
+    for (int i = 0; i < per_tenant; ++i) s.tenant_of.push_back(t);
   return s;
+}
+
+// `n` one-file tasks.
+workload::Job uniform_job(std::size_t n) {
+  return testing::make_job(std::vector<std::vector<unsigned>>(n, {0}), 1);
 }
 
 TEST(TenantWrr, SmoothWrrSequenceIsDeterministic) {
   // Smooth WRR over weights {3, 1, 2} with every tenant eligible must
   // serve exactly 0 2 0 1 2 0 per cycle — the deterministic-sequence
-  // contract of the tenant layer.
+  // contract of the pull schedulers' tenant pick.
   const workload::ArrivalSchedule schedule = three_tenant_schedule();
-  std::vector<std::uint32_t> order;
-  TenantWrrScheduler wrr(schedule, [&](std::uint32_t tenant) {
-    return std::make_unique<RecordingInner>(tenant, order);
-  });
-
-  const workload::Job job = testing::make_job({{0}, {1}}, 2);
+  const workload::Job job = uniform_job(schedule.tenant_of.size());
   testing::FakeEngine engine(job, /*num_sites=*/1, /*workers_per_site=*/2);
+  engine.schedule = &schedule;
+  WorkqueueScheduler wrr;
   wrr.attach(engine);
   wrr.on_job_submitted();
 
   for (int i = 0; i < 12; ++i) wrr.on_worker_idle(WorkerId(0));
+  std::vector<std::uint32_t> order;
+  for (const auto& [task, worker] : engine.assignments)
+    order.push_back(schedule.tenant(task));
   const std::vector<std::uint32_t> expected = {0, 2, 0, 1, 2, 0,
                                                0, 2, 0, 1, 2, 0};
   EXPECT_EQ(order, expected);
@@ -79,6 +65,33 @@ TEST(TenantWrr, SmoothWrrSequenceIsDeterministic) {
   EXPECT_EQ(wrr.served_counts()[2], 4u);
   EXPECT_EQ(wrr.num_tenants(), 3u);
   EXPECT_TRUE(wrr.supports_arrivals());
+}
+
+TEST(TenantWrr, ADeadStarvingWorkerStillSpendsItsPick) {
+  // Two equal tenants whose tasks have not arrived: three workers starve.
+  workload::ArrivalSchedule schedule;
+  schedule.tenants = {{"a", 1}, {"b", 1}};
+  schedule.tenant_of = {0, 1};
+  schedule.arrival_s = {10.0, 10.0};
+  const workload::Job job = uniform_job(2);
+  testing::FakeEngine engine(job, /*num_sites=*/1, /*workers_per_site=*/3);
+  engine.schedule = &schedule;
+  WorkqueueScheduler wq;
+  wq.attach(engine);
+  wq.on_job_submitted();
+  for (unsigned w = 0; w < 3; ++w) wq.on_worker_idle(WorkerId(w));
+  ASSERT_TRUE(engine.assignments.empty());
+
+  // Worker 0 dies while parked. The pick made for it (tenant a) is
+  // charged before it is skipped, so tenant b serves worker 1 and
+  // tenant a worker 2.
+  engine.dead_workers.insert(WorkerId(0));
+  wq.on_tasks_arrived({TaskId(0), TaskId(1)});
+  using Assignment = std::pair<TaskId, WorkerId>;
+  EXPECT_EQ(engine.assignments,
+            (std::vector<Assignment>{{TaskId(1), WorkerId(1)},
+                                     {TaskId(0), WorkerId(2)}}));
+  EXPECT_EQ(wq.served_counts(), (std::vector<std::uint64_t>{1, 1}));
 }
 
 TEST(Factory, WorkloadAwareConstructionWrapsOnlyMultiTenant) {
@@ -103,11 +116,17 @@ TEST(Factory, WorkloadAwareConstructionWrapsOnlyMultiTenant) {
   timed.arrival_s = {0.0, 10.0, 20.0};
   EXPECT_EQ(make_scheduler(spec, &timed)->name(), "rest");
 
-  // Multi-tenant: the WRR tenant layer wraps one inner per tenant.
+  // Multi-tenant: the same scheduler, which reads the tenants from the
+  // engine it is attached to and names its tenant pick.
   const workload::ArrivalSchedule multi = three_tenant_schedule();
-  const auto wrapped = make_scheduler(spec, &multi);
-  EXPECT_EQ(wrapped->name(), "rest+wrr");
-  EXPECT_TRUE(wrapped->supports_arrivals());
+  const auto scheduler = make_scheduler(spec, &multi);
+  EXPECT_EQ(scheduler->name(), "rest");
+  const workload::Job job = uniform_job(multi.tenant_of.size());
+  testing::FakeEngine engine(job, /*num_sites=*/1, /*workers_per_site=*/1);
+  engine.schedule = &multi;
+  scheduler->attach(engine);
+  EXPECT_EQ(scheduler->name(), "rest+wrr");
+  EXPECT_TRUE(scheduler->supports_arrivals());
 }
 
 }  // namespace
@@ -204,6 +223,62 @@ TEST(OpenSystem, OpenRunsAreDeterministic) {
   for (std::size_t t = 0; t < r1.tenants.size(); ++t) {
     EXPECT_EQ(r1.tenants[t].sojourn_mean_s, r2.tenants[t].sojourn_mean_s);
     EXPECT_EQ(r1.tenants[t].makespan_s, r2.tenants[t].makespan_s);
+  }
+}
+
+// Three Poisson tenants weighted {3, 1, 2} over a small Coadd bag.
+workload::Workload three_tenant_workload(std::size_t tasks) {
+  workload::register_builtin_generators();
+  workload::GeneratorSpec gen;
+  gen.generator = "multi-tenant";
+  gen.coadd.num_tasks = tasks;
+  gen.open.process = workload::ArrivalProcess::kPoisson;
+  gen.open.mean_interarrival_s = 150.0;
+  gen.open.tenants = {{"a", 3}, {"b", 1}, {"c", 2}};
+  return workload::build_workload(gen);
+}
+
+TEST(OpenSystem, ProfiledWrrRunRecordsOneDecisionPerServedRequest) {
+  const workload::Workload wl = three_tenant_workload(60);
+  GridConfig config = small_grid();
+  config.obs = obs::Options{};
+  config.obs.profile = true;
+  sched::SchedulerSpec spec;
+  spec.algorithm = sched::Algorithm::kWorkqueue;
+  GridSimulation sim(config, wl, sched::make_scheduler(spec, &wl.arrivals));
+  const metrics::RunResult r = sim.run();
+  ASSERT_EQ(r.scheduler, "workqueue+wrr");
+
+  const auto& pull = dynamic_cast<const sched::PullScheduler&>(sim.scheduler());
+  std::uint64_t served = 0;
+  for (const std::uint64_t n : pull.served_counts()) served += n;
+  EXPECT_GE(served, wl.job.num_tasks());
+  EXPECT_EQ(sim.observability()
+                ->profiler()
+                ->slot(obs::Phase::kSchedulerDecision)
+                .calls,
+            served);
+}
+
+TEST(OpenSystem, PushSchedulersAreRefusedAMultiTenantRunBeforeAnyEvent) {
+  const workload::Workload wl = three_tenant_workload(30);
+  for (const sched::Algorithm algorithm :
+       {sched::Algorithm::kStorageAffinity, sched::Algorithm::kXSufferage}) {
+    sched::SchedulerSpec spec;
+    spec.algorithm = algorithm;
+    GridSimulation sim(small_grid(), wl,
+                       sched::make_scheduler(spec, &wl.arrivals));
+    try {
+      (void)sim.run();
+      ADD_FAILURE() << spec.name() << " ran a multi-tenant workload";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("scheduler " + spec.name() +
+                                           " cannot run an open-system"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(sim.simulator().executed_events(), 0u) << spec.name();
+    EXPECT_EQ(sim.tasks_completed(), 0u) << spec.name();
   }
 }
 

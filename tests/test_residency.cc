@@ -19,6 +19,7 @@
 #include "obs/trace.h"
 #include "sched/factory.h"
 #include "sched/residency.h"
+#include "sched/worker_centric.h"
 #include "workload/coadd.h"
 #include "workload/registry.h"
 
@@ -234,7 +235,7 @@ TEST(ResidencyTable, AnAccessReKeysIndexedReadersOnlyWithARefsColumn) {
     ResidencyTable table;
     const auto all = [](TaskId) { return true; };
     table.build(eng, columns, all);
-    table.fill_index(1, /*prefer_high_id=*/false, all,
+    table.fill_index(1, 1, /*prefer_high_id=*/false, all,
                      [](std::size_t, TaskId) { return Place{0, 0}; });
     eng.cache(SiteId(0)).insert(FileId(1));
     EXPECT_EQ(refreshed_ids(table, 0), (std::vector<unsigned>{0, 1}));
@@ -285,6 +286,41 @@ TEST(ResidencyTable, BuildRefusesATaskOfMoreFilesThanTheOverlapCounterHolds) {
   EXPECT_EQ(table.files(0, TaskId(0)), 1u);
 }
 
+TEST(ResidencyTable, FillIndexRefusesAKeySpacePastSixteenBits) {
+  // Combined files a tenant's tasks under max |t| + 1 keys: three tenants
+  // of a job whose largest task reads 30,000 files need 90,003 keys.
+  std::vector<unsigned> wide(30000);
+  std::iota(wide.begin(), wide.end(), 0u);
+  const auto job = make_job({{0}, wide, {1}}, wide.size());
+  workload::ArrivalSchedule schedule;
+  schedule.tenants = {{"a", 1}, {"b", 1}, {"c", 1}};
+  schedule.tenant_of = {0, 1, 2};
+  FakeEngine eng(job, 1, 1, /*capacity=*/wide.size());
+  eng.schedule = &schedule;
+  WorkerCentricParams params;
+  params.metric = Metric::kCombined;
+  WorkerCentricScheduler wc(params);
+  wc.attach(eng);
+  try {
+    wc.on_job_submitted();
+    FAIL() << "a 90,003-key index was accepted";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "decision index: 3 tenants x 30001 keys a tenant (max task "
+                  "size 30000 + 1 under combined) need 90003 keys, more than "
+                  "the 65536 an index holds"),
+              std::string::npos)
+        << e.what();
+  }
+  // Two tenants need 60,002 keys, which fit.
+  schedule.tenants.pop_back();
+  schedule.tenant_of.back() = 1;
+  WorkerCentricScheduler fits(params);
+  fits.attach(eng);
+  fits.on_job_submitted();
+  EXPECT_EQ(fits.pending_count(), 3u);
+}
+
 TEST(ResidencyTable, AuditReportsEveryDriftedPair) {
   const auto job = make_job({{0, 1}, {1, 2}, {2}}, 3);
   FakeEngine eng(job, 2, 1);
@@ -323,7 +359,7 @@ TEST(ResidencyTable, IndexAndUnindexReachEverySite) {
   ResidencyTable table;
   table.build(eng, ResidencyTable::kFiles, [](TaskId) { return true; });
   const auto place = [](std::size_t, TaskId) { return Place{0, 0}; };
-  table.fill_index(1, /*prefer_high_id=*/false,
+  table.fill_index(1, 1, /*prefer_high_id=*/false,
                    [](TaskId t) { return t.value() != 2; }, place);
   for (std::size_t s = 0; s < 3; ++s)
     EXPECT_EQ(walk_ids(table, s), (std::vector<unsigned>{0, 1, 3}));
@@ -350,7 +386,7 @@ TEST(ResidencyTable, ACacheEventMarksOnlyIndexedTasksAndRefreshReKeysThem) {
   const auto place = [&table](std::size_t s, TaskId t) {
     return Place{0, table.files(s, t)};
   };
-  table.fill_index(1, /*prefer_high_id=*/false,
+  table.fill_index(1, 1, /*prefer_high_id=*/false,
                    [](TaskId t) { return t.value() != 2; }, place);
 
   eng.add_file(SiteId(0), FileId(1));
@@ -381,7 +417,7 @@ TEST(ResidencyTable, PreferHighIdOrdersIndexTiesTowardHighIds) {
     const auto place = [&table](std::size_t s, TaskId t) {
       return std::pair{std::uint64_t{0}, table.bytes(s, t)};
     };
-    table.fill_index(1, high, [](TaskId) { return true; }, place);
+    table.fill_index(1, 1, high, [](TaskId) { return true; }, place);
     eng.add_file(SiteId(1), FileId(1));  // tasks 2 and 3 rank first there
     table.refresh(0, place);
     table.refresh(1, place);
@@ -400,7 +436,7 @@ TEST(ResidencyTable, AuditIndexReportsMissingUnwantedAndMisplacedTasks) {
   const auto place = [](std::size_t, TaskId t) {
     return Place{0, t.value()};
   };
-  table.fill_index(1, /*prefer_high_id=*/false, filed, place);
+  table.fill_index(1, 1, /*prefer_high_id=*/false, filed, place);
   const auto audit = [&](auto want, auto where) {
     std::vector<audit::Violation> v;
     table.audit_index(want, where, v);
@@ -481,13 +517,12 @@ TEST_P(EvictionUnderAudit, EvictsWithoutAnAuditViolation) {
   SchedulerSpec spec;
   spec.algorithm = c.algorithm;
   spec.choose_n = c.choose_n;
-  std::unique_ptr<Scheduler> scheduler = make_scheduler(spec, &wl.arrivals);
-  if (c.tenants) {
-    EXPECT_EQ(scheduler->name(), "rest+wrr");
-  }
-  grid::GridSimulation sim(config, wl, std::move(scheduler));
+  grid::GridSimulation sim(config, wl, make_scheduler(spec, &wl.arrivals));
   metrics::RunResult r;
   ASSERT_NO_THROW(r = sim.run());
+  if (c.tenants) {
+    EXPECT_EQ(r.scheduler, spec.name() + "+wrr");
+  }
   EXPECT_EQ(r.tasks_completed, wl.job.num_tasks());
   EXPECT_GT(r.total_evictions(), 0u);
   std::size_t eviction_spans = 0;
@@ -505,7 +540,8 @@ INSTANTIATE_TEST_SUITE_P(
         EvictionCase{Algorithm::kStorageAffinity, 1, false,
                      "storage_affinity"},
         EvictionCase{Algorithm::kXSufferage, 1, false, "xsufferage"},
-        EvictionCase{Algorithm::kRest, 1, true, "rest_wrr3"}),
+        EvictionCase{Algorithm::kRest, 1, true, "rest_wrr3"},
+        EvictionCase{Algorithm::kCombined, 1, true, "combined_wrr3"}),
     [](const ::testing::TestParamInfo<EvictionCase>& param_info) {
       return param_info.param.name;
     });

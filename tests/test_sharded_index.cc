@@ -279,13 +279,14 @@ TEST(ShardedTaskIndex, StructuralDefectsCatchADriftedRankTotal) {
   idx.reset(3, /*num_keys=*/2);
   idx.insert(tid(0), 0, 5);
   idx.insert(tid(1), 1, 7);
-  EXPECT_EQ(idx.rank_total(), 12u);
+  EXPECT_EQ(idx.rank_total(0), 5u);
+  EXPECT_EQ(idx.rank_total(1), 7u);
   ASSERT_TRUE(idx.structural_defects().empty());
   idx.skew_rank_total_for_test();
   const std::vector<std::string> defects = idx.structural_defects();
   ASSERT_EQ(defects.size(), 1u);
   EXPECT_EQ(defects[0],
-            "rank total drifted: counter 13, sum of entry ranks 12");
+            "rank total drifted under key 0: counter 6, sum of entry ranks 5");
 }
 
 TEST(ShardedTaskIndex, UpdateClearsAMark) {
@@ -379,16 +380,18 @@ void run_index_differential(bool prefer_high_id, std::uint64_t seed,
     for (std::uint64_t key = 0; key < kKeys; ++key)
       ASSERT_EQ(walk_all(idx, key), expected_walk(key))
           << "step " << step << " key " << key;
-    std::uint64_t ranks = 0;
+    std::vector<std::uint64_t> ranks(kKeys, 0);
     std::vector<std::size_t> filed(kKeys, 0);
     for (const auto& [key, rank, id] : oracle) {
-      ranks += rank;
+      ranks[key] += rank;
       ++filed[key];
     }
-    ASSERT_EQ(idx.rank_total(), ranks) << "step " << step;
-    for (std::uint64_t key = 0; key < kKeys; ++key)
+    for (std::uint64_t key = 0; key < kKeys; ++key) {
+      ASSERT_EQ(idx.rank_total(key), ranks[key])
+          << "step " << step << " key " << key;
       ASSERT_EQ(idx.bucket_size(key), filed[key])
           << "step " << step << " key " << key;
+    }
     if (present[t]) {
       ASSERT_EQ(idx.key_of(tid(t)), where[t].first) << "step " << step;
       ASSERT_EQ(idx.rank_of(tid(t)), where[t].second) << "step " << step;
