@@ -23,12 +23,11 @@
 namespace wcs::sched {
 namespace {
 
-// Three tenants weighted {3, 1, 2}, `per_tenant` tasks each, tenant-major.
-workload::ArrivalSchedule three_tenant_schedule(int per_tenant = 10) {
+workload::ArrivalSchedule three_tenant_schedule() {
   workload::ArrivalSchedule s;
   s.tenants = {{"a", 3}, {"b", 1}, {"c", 2}};
   for (std::uint32_t t = 0; t < 3; ++t)
-    for (int i = 0; i < per_tenant; ++i) s.tenant_of.push_back(t);
+    for (int i = 0; i < 10; ++i) s.tenant_of.push_back(t);
   return s;
 }
 
@@ -227,13 +226,14 @@ TEST(OpenSystem, OpenRunsAreDeterministic) {
 }
 
 // Three Poisson tenants weighted {3, 1, 2} over a small Coadd bag.
-workload::Workload three_tenant_workload(std::size_t tasks) {
+workload::Workload three_tenant_workload(std::size_t tasks,
+                                         double mean_interarrival_s = 150.0) {
   workload::register_builtin_generators();
   workload::GeneratorSpec gen;
   gen.generator = "multi-tenant";
   gen.coadd.num_tasks = tasks;
   gen.open.process = workload::ArrivalProcess::kPoisson;
-  gen.open.mean_interarrival_s = 150.0;
+  gen.open.mean_interarrival_s = mean_interarrival_s;
   gen.open.tenants = {{"a", 3}, {"b", 1}, {"c", 2}};
   return workload::build_workload(gen);
 }
@@ -310,14 +310,7 @@ constexpr TenantGolden kTenantGolden[] = {
 };
 
 TEST(OpenSystem, MultiTenantGoldenTotalsAreExact) {
-  workload::register_builtin_generators();
-  workload::GeneratorSpec gen;
-  gen.generator = "multi-tenant";
-  gen.coadd.num_tasks = 120;
-  gen.open.process = workload::ArrivalProcess::kPoisson;
-  gen.open.mean_interarrival_s = 1200.0;
-  gen.open.tenants = {{"a", 3}, {"b", 1}, {"c", 2}};
-  const workload::Workload wl = workload::build_workload(gen);
+  const workload::Workload wl = three_tenant_workload(120, 1200.0);
   std::size_t largest = 0;
   for (const workload::Task& t : wl.job.tasks())
     largest = std::max(largest, t.files.size());
