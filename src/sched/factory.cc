@@ -1,6 +1,5 @@
 #include "sched/factory.h"
 
-
 namespace wcs::sched {
 
 std::string SchedulerSpec::name() const {
@@ -51,7 +50,6 @@ std::vector<SchedulerSpec> SchedulerSpec::paper_algorithms() {
 
 std::unique_ptr<Scheduler> make_scheduler(
     const SchedulerSpec& spec, const workload::ArrivalSchedule* arrivals) {
-  // More than one tenant implies open(): a closed schedule never gets here.
   WCS_CHECK_MSG(arrivals == nullptr || arrivals->num_tenants() == 1 ||
                     !spec.task_replication,
                 "task replication under several tenants is not supported "

@@ -16,10 +16,11 @@
 // (worker-centric offsets each key by tenant x keys a tenant, so each
 // tenant of a run has its own range) — so a request walks one heap (or,
 // for combined, one heap per missing count) best-first and stops after
-// the top n entries instead of touching every task. The buckets are a dense vector indexed by key,
-// bounded by reset()'s num_keys; each bucket is an indexed binary heap
-// (a flat std::vector<Entry> in EntryOrder, every task's heap position
-// kept in its slot). insert/erase are O(log |b|) over contiguous memory.
+// the top n entries instead of touching every task. The buckets are a
+// dense vector indexed by key, bounded by reset()'s num_keys; each
+// bucket is an indexed binary heap (a flat std::vector<Entry> in
+// EntryOrder, every task's heap position kept in its slot). insert/erase
+// are O(log |b|) over contiguous memory.
 //
 // RANK TOTALS: rank_total(key) (the rank sum of a bucket's entries) and
 // bucket_size(key) are O(1), so sums over a range of buckets, such as
@@ -102,10 +103,11 @@ class BasicShardedTaskIndex {
   static constexpr std::size_t kMaxKeys = std::size_t{UINT16_MAX} + 1;
 
   // Drops every entry and sizes the index for task ids [0, num_tasks)
-  // and keys [0, num_keys), num_keys <= kMaxKeys; the per-task key column
-  // exists only when num_keys > 1. The stale list is reserved to num_tasks up front: a
-  // mark lists a task once until it is erased, so marking grows the list
-  // only after an erase and re-insert between two refreshes.
+  // and keys [0, num_keys), num_keys <= kMaxKeys; the per-task key
+  // column exists only when num_keys > 1. The stale list is reserved to
+  // num_tasks up front: a mark lists a task once until it is erased, so
+  // marking grows the list only after an erase and re-insert between two
+  // refreshes.
   void reset(std::size_t num_tasks, std::size_t num_keys);
 
   // Reserves room for `n` entries under `key`, so a caller that knows a

@@ -199,9 +199,10 @@ TEST(ResidencyTable, IndexCostsEightOrTenBytesAPairPlusEightAnEntry) {
   // only as marks arrive), a 2 B key for every task only when the index
   // has more than one key (combined), an 8 B heap entry for every filed
   // task, and a constant: the index object and one bucket (a heap
-  // vector and its u64 rank total) per key. So under `rest`, where every pending task is filed and there is
-  // one key, a pair allocates 16 B on top of the table's 2 B column (18
-  // B); under combined 18 B on top of its 10 B (28 B). Two more sites
+  // vector and its u64 rank total) per key. So under `rest`, where every
+  // pending task is filed and there is one key, a pair allocates 16 B on
+  // top of the table's 2 B column (18 B); under combined 18 B on top of
+  // its 10 B (28 B). Two more sites
   // cost exactly twice that, in 3 + keys more allocations each (slots,
   // stale list, bucket array, one reserved heap per key), plus the key
   // column when there are several keys. Storage affinity's 64-bit byte
